@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -20,6 +20,14 @@ lint:
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only
+
+# The whole-query-path benchmark (BENCHMARK.json + bench/): every workload
+# at tiny sizes with every correctness check, then the benchmark's own tests.
+bench-smoke:
+	python bench/run.py --smoke
+
+bench-tests:
+	python -m pytest bench/tests -q
 
 bench-planner:
 	python benchmarks/bench_planner.py --reps 3 --out BENCH_planner.json
@@ -48,7 +56,7 @@ chaos-smoke:
 chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
 
-check: lint verify-sweep test bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke
+check: lint verify-sweep test bench-smoke bench-tests bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke
 
 eval:
 	python -m repro eval all

@@ -9,9 +9,11 @@ t reveal nothing.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,14 +27,6 @@ class Share:
 
     x: int
     y: int
-
-
-def _eval_poly(coeffs: Sequence[int], x: int, field: PrimeField) -> int:
-    """Evaluate a polynomial (coeffs[0] = constant term) at x via Horner."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def _validate_sharing(threshold: int, party_ids: Sequence[int]) -> None:
@@ -61,20 +55,50 @@ def share_secret(
     secret, any t or fewer are information-theoretically independent of it.
     Party ids must be distinct and nonzero (x=0 would leak the secret).
     """
+    ys = sharing_kernel(threshold, tuple(party_ids), field)(secret, rng)
+    return [Share(pid, y) for pid, y in zip(party_ids, ys)]
+
+
+@functools.lru_cache(maxsize=1024)
+def sharing_kernel(
+    threshold: int, party_ids: Tuple[int, ...], field: PrimeField
+) -> Callable[[int, random.Random], List[int]]:
+    """Validate a party set once; return ``ys(secret, rng)`` for it.
+
+    ``ys`` draws the t random coefficients (lowest degree first) and
+    returns the sharing polynomial's values in ``party_ids`` order, from a
+    precomputed table of x^k — memoised per party set, so validation and
+    the powers are paid once however many values are shared to it.
+    """
     _validate_sharing(threshold, party_ids)
-    coeffs = [field.reduce(secret)]
-    coeffs.extend(field.random_element(rng) for _ in range(threshold))
-    return [Share(pid, _eval_poly(coeffs, pid, field)) for pid in party_ids]
+    p = field.modulus
+    powers = []  # powers[j][k-1] = party_ids[j]^k mod p, k = 1..t
+    for x in party_ids:
+        row, power = [], 1
+        for _ in range(threshold):
+            power = power * x % p
+            row.append(power)
+        powers.append(row)
+
+    def ys(secret: int, rng: random.Random) -> List[int]:
+        coeffs = [rng.randrange(p) for _ in range(threshold)]
+        return [(secret + sum(map(operator.mul, coeffs, row))) % p for row in powers]
+
+    return ys
 
 
-def lagrange_coefficients_at_zero(xs: Sequence[int], field: PrimeField) -> List[int]:
-    """Lagrange basis weights l_i(0) for interpolation at x=0.
+@functools.lru_cache(maxsize=1024)
+def lagrange_weights(modulus: int, xs: Tuple[int, ...], at: int = 0) -> Tuple[int, ...]:
+    """Lagrange basis weights l_i(at) over the points ``xs``, mod ``modulus``.
 
-    The numerator/denominator products are accumulated per point and the
-    denominators inverted in one backend batch — the accelerated backend
-    uses Montgomery's trick (a single modexp for the whole batch), the
-    pure oracle inverts per element; the weights are identical integers
-    either way because every step is exact field arithmetic.
+    The weights depend only on the point set, so they are computed once
+    per ``(modulus, xs, at)`` and shared by every opening, reconstruction
+    and VSR combine over that committee. The numerator/denominator
+    products are accumulated per point and the denominators inverted in
+    one backend batch — the accelerated backend uses Montgomery's trick (a
+    single modexp for the whole batch), the pure oracle inverts per
+    element; the weights are identical integers either way because every
+    step is exact field arithmetic.
     """
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
@@ -85,12 +109,17 @@ def lagrange_coefficients_at_zero(xs: Sequence[int], field: PrimeField) -> List[
         for j, xj in enumerate(xs):
             if i == j:
                 continue
-            num = field.mul(num, field.neg(xj))
-            den = field.mul(den, field.sub(xi, xj))
+            num = num * (at - xj) % modulus
+            den = den * (xi - xj) % modulus
         nums.append(num)
         dens.append(den)
-    inverses = get_backend().batch_invmod(dens, field.modulus)
-    return [field.mul(num, inv) for num, inv in zip(nums, inverses)]
+    inverses = get_backend().batch_invmod(dens, modulus)
+    return tuple(num * inv % modulus for num, inv in zip(nums, inverses))
+
+
+def lagrange_coefficients_at_zero(xs: Sequence[int], field: PrimeField) -> List[int]:
+    """Lagrange basis weights l_i(0) for interpolation at x=0."""
+    return list(lagrange_weights(field.modulus, tuple(xs)))
 
 
 def reconstruct_secret(shares: Iterable[Share], field: PrimeField) -> int:

@@ -16,19 +16,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..crypto.field import PrimeField
-from ..crypto.shamir import Share, share_secret
+from ..crypto.shamir import sharing_kernel
 
 
 @dataclass(frozen=True)
 class BeaverTriple:
-    """Per-party shares of a random (a, b, c) with c = a*b."""
+    """Shares of a random (a, b, c) with c = a*b.
 
-    a: Dict[int, Share]
-    b: Dict[int, Share]
-    c: Dict[int, Share]
+    Dealer-made sharings are plain y-value lists in ``party_ids`` order:
+    the online phase only ever does per-party arithmetic on them.
+    """
+
+    a: List[int]
+    b: List[int]
+    c: List[int]
 
 
 @dataclass(frozen=True)
@@ -39,8 +43,8 @@ class EdaBit:
     masked value is compared against r's shared bits.
     """
 
-    value: Dict[int, Share]
-    bits: List[Dict[int, Share]]  # bits[0] = least significant
+    value: List[int]
+    bits: List[List[int]]  # bits[0] = least significant
 
     @property
     def bit_length(self) -> int:
@@ -51,7 +55,8 @@ class OfflineDealer:
     """Produces the correlated randomness the online phase consumes.
 
     Counters on this object let the engine report how much offline work a
-    computation required, which feeds the planner's cost model.
+    computation required, which feeds the planner's cost model. The party
+    set is validated here, once: nothing downstream re-checks it.
     """
 
     def __init__(self, field: PrimeField, party_ids: Sequence[int], threshold: int, rng: random.Random):
@@ -63,32 +68,31 @@ class OfflineDealer:
         self.party_ids = list(party_ids)
         self.threshold = threshold
         self._rng = rng
+        self._kernel = sharing_kernel(threshold, tuple(party_ids), field)
         self.triples_dealt = 0
         self.edabits_dealt = 0
         self.random_shares_dealt = 0
 
-    def _share(self, value: int) -> Dict[int, Share]:
-        shares = share_secret(value, self.threshold, self.party_ids, self.field, self._rng)
-        return {s.x: s for s in shares}
+    def share(self, value: int) -> List[int]:
+        """A fresh degree-t sharing of ``value``: y-values in party order."""
+        return self._kernel(value, self._rng)
 
     def triple(self) -> BeaverTriple:
-        a = self.field.random_element(self._rng)
-        b = self.field.random_element(self._rng)
-        c = self.field.mul(a, b)
+        """Draws a, b, then the coefficients of the a-, b- and c-sharings:
+        the order a replay or a resumed journal expects."""
+        p, rng, share = self.field.modulus, self._rng, self.share
+        a = rng.randrange(p)
+        b = rng.randrange(p)
         self.triples_dealt += 1
-        return BeaverTriple(self._share(a), self._share(b), self._share(c))
+        return BeaverTriple(share(a), share(b), share(a * b % p))
 
     def edabit(self, bit_length: int) -> EdaBit:
         bits = [self._rng.randrange(2) for _ in range(bit_length)]
         value = sum(bit << i for i, bit in enumerate(bits))
         self.edabits_dealt += 1
-        return EdaBit(self._share(value), [self._share(b) for b in bits])
+        return EdaBit(self.share(value), [self.share(b) for b in bits])
 
-    def random_share(self) -> Dict[int, Share]:
-        self.random_shares_dealt += 1
-        return self._share(self.field.random_element(self._rng))
-
-    def noise_share(self, sample: int) -> Dict[int, Share]:
+    def noise_share(self, sample: int) -> List[int]:
         """Share an externally drawn (signed) noise sample.
 
         Stands in for the committee's joint noise-generation sub-protocol;
@@ -96,4 +100,4 @@ class OfflineDealer:
         model charges for the real protocol.
         """
         self.random_shares_dealt += 1
-        return self._share(self.field.encode_signed(sample))
+        return self.share(self.field.encode_signed(sample))

@@ -17,12 +17,14 @@ tests exercise malicious members through :meth:`MPCEngine.corrupt_share`.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.field import PrimeField, DEFAULT_FIELD
-from ..crypto.shamir import Share, reconstruct_secret, share_secret, share_vector
+from ..crypto.shamir import Share, lagrange_weights, share_vector
 from .beaver import EdaBit, OfflineDealer
 
 #: Statistical security (bits of masking slack) for masked openings, as in
@@ -80,7 +82,9 @@ class MPCEngine:
         leaves 40 bits of masking slack above the 47-bit value width.
     """
 
-    _next_engine_id = 0
+    #: ``next()`` on a C-level counter is atomic, so engines built on
+    #: different threads can never share an id.
+    _engine_ids = itertools.count()
 
     def __init__(
         self,
@@ -115,8 +119,20 @@ class MPCEngine:
         #: runtime (``repro.faults``) installs a hook here that simulates
         #: crashes, stragglers, and equivocation by raising typed errors.
         self.round_hook: Optional[Callable[[], None]] = None
-        self._id = MPCEngine._next_engine_id
-        MPCEngine._next_engine_id += 1
+        #: True while :meth:`mul_many` holds one round open around its products.
+        self._in_batch = False
+        self._id = next(MPCEngine._engine_ids)
+        # The opening matrix, applied to the quorum's (first t+1 parties')
+        # y-values: row 0 interpolates the secret at x=0, each further row
+        # predicts one non-quorum party's share. It depends only on the
+        # party set, so the weights come from the shared Lagrange cache.
+        ids = tuple(self.party_ids)
+        quorum = ids[: self.threshold + 1]
+        self._secret_row = lagrange_weights(field.modulus, quorum)
+        self._check_rows = [
+            (index, lagrange_weights(field.modulus, quorum, ids[index]))
+            for index in range(self.threshold + 1, len(ids))
+        ]
 
     # ------------------------------------------------------------------ io
 
@@ -127,6 +143,14 @@ class MPCEngine:
     def _wrap(self, shares: Dict[int, Share]) -> SecretValue:
         return SecretValue(shares, self._id)
 
+    def _ys(self, value: SecretValue) -> List[int]:
+        """A value's share y-values in party order (the kernels' format)."""
+        shares = value.shares
+        return [shares[pid].y for pid in self.party_ids]
+
+    def _from_ys(self, ys: Sequence[int]) -> SecretValue:
+        return self._wrap(dict(zip(self.party_ids, map(Share, self.party_ids, ys))))
+
     def _check_ownership(self, *values: SecretValue) -> None:
         for v in values:
             if v.engine_id != self._id:
@@ -134,11 +158,11 @@ class MPCEngine:
 
     def input_value(self, value: int) -> SecretValue:
         """A party inputs a (signed) value by secret-sharing it."""
-        encoded = self.field.encode_signed(value)
-        shares = share_secret(encoded, self.threshold, self.party_ids, self.field, self.rng)
+        # The dealer shares over this engine's own rng and party set.
+        ys = self.dealer.share(self.field.encode_signed(value))
         self.counters.inputs += 1
         self.counters.bytes_sent += self._share_bytes() * (self.num_parties - 1)
-        return self._wrap({s.x: s for s in shares})
+        return self._from_ys(ys)
 
     def input_values(self, values: Sequence[int]) -> List[SecretValue]:
         """Batch-input many (signed) values via one Vandermonde sharing.
@@ -245,84 +269,93 @@ class MPCEngine:
     def _share_bytes(self) -> int:
         return (self.field.bits + 7) // 8
 
-    def _open_raw(self, shares: Dict[int, Share]) -> int:
-        """King-model opening with degree-t consistency checking.
+    def _open_values(self, vectors: Sequence[Sequence[int]]) -> List[int]:
+        """King-model openings with degree-t consistency checks.
 
-        Every party sends its share to a king, who interpolates from t+1
-        shares and verifies the remaining n-t-1 against the polynomial; any
-        mismatch means some party lied, and the protocol aborts. This is the
-        honest-majority error-detection analogue of SPDZ MAC checks.
+        Every party sends its share of each value to a king, who
+        interpolates from t+1 shares and verifies the remaining n-t-1
+        against the polynomial; any mismatch means some party lied, and the
+        protocol aborts. This is the honest-majority error-detection
+        analogue of SPDZ MAC checks. ``vectors`` are y-values in party
+        order and travel together: one round, unless :meth:`mul_many` has
+        already opened one around them. Each value is metered as it passes
+        its check, so an aborted round counts what was actually opened.
         """
-        if self.round_hook is not None:
+        if not self._in_batch and self.round_hook is not None:
             # A round boundary: the fault injector may fail a member here.
             self.round_hook()
-        ordered = [shares[pid] for pid in self.party_ids]
-        quorum = ordered[: self.threshold + 1]
-        secret = reconstruct_secret(quorum, self.field)
-        xs = [s.x for s in quorum]
-        # Evaluate the degree-t polynomial implied by the quorum at every
-        # remaining x and compare.
-        for other in ordered[self.threshold + 1 :]:
-            predicted = self._interpolate_at(quorum, other.x)
-            if predicted != other.y:
-                raise CheatingDetected(
-                    f"party {other.x} submitted an inconsistent share"
-                )
-        self.counters.openings += 1
-        self.counters.rounds += 1
+        p = self.field.modulus
+        quorum_size = self.threshold + 1
+        secret_row, check_rows, mul = self._secret_row, self._check_rows, operator.mul
         # n-1 sends to the king plus n-1 broadcasts of the result.
-        self.counters.bytes_sent += 2 * (self.num_parties - 1) * self._share_bytes()
-        return secret
-
-    def _interpolate_at(self, shares: Sequence[Share], x: int) -> int:
-        acc = 0
-        for i, si in enumerate(shares):
-            num, den = 1, 1
-            for j, sj in enumerate(shares):
-                if i == j:
-                    continue
-                num = self.field.mul(num, self.field.sub(x, sj.x))
-                den = self.field.mul(den, self.field.sub(si.x, sj.x))
-            acc = self.field.add(acc, self.field.mul(si.y, self.field.div(num, den)))
-        return acc
+        value_bytes = 2 * (self.num_parties - 1) * self._share_bytes()
+        opened = []
+        for ys in vectors:
+            quorum = ys[:quorum_size]
+            for index, row in check_rows:
+                if sum(map(mul, row, quorum)) % p != ys[index]:
+                    raise CheatingDetected(
+                        f"party {self.party_ids[index]} submitted an inconsistent share"
+                    )
+            opened.append(sum(map(mul, secret_row, quorum)) % p)
+            self.counters.openings += 1
+            self.counters.bytes_sent += value_bytes
+        if not self._in_batch:
+            self.counters.rounds += 1
+        return opened
 
     def open(self, value: SecretValue) -> int:
         """Open a secret to all parties, returning the signed integer."""
         self._check_ownership(value)
-        return self.field.decode_signed(self._open_raw(value.shares))
+        return self.field.decode_signed(self._open_values([self._ys(value)])[0])
 
     def open_unsigned(self, value: SecretValue) -> int:
         self._check_ownership(value)
-        return self._open_raw(value.shares)
+        return self._open_values([self._ys(value)])[0]
 
     # -------------------------------------------------------------- multiply
 
     def mul(self, a: SecretValue, b: SecretValue) -> SecretValue:
         """Beaver multiplication: one triple, one round of two openings."""
         self._check_ownership(a, b)
+        p = self.field.modulus
         triple = self.dealer.triple()
         self.counters.triples_consumed += 1
-        d_shares = {
-            pid: Share(pid, self.field.sub(a.shares[pid].y, triple.a[pid].y))
-            for pid in self.party_ids
-        }
-        e_shares = {
-            pid: Share(pid, self.field.sub(b.shares[pid].y, triple.b[pid].y))
-            for pid in self.party_ids
-        }
-        d = self._open_raw(d_shares)
-        e = self._open_raw(e_shares)
-        self.counters.rounds -= 1  # the two openings of one Beaver step batch
-        de = self.field.mul(d, e)
-        out = {}
-        for pid in self.party_ids:
-            y = triple.c[pid].y
-            y = self.field.add(y, self.field.mul(d, triple.b[pid].y))
-            y = self.field.add(y, self.field.mul(e, triple.a[pid].y))
-            y = self.field.add(y, de)
-            out[pid] = Share(pid, y)
+        d, e = self._open_values(
+            [
+                [(x - y) % p for x, y in zip(self._ys(a), triple.a)],
+                [(x - y) % p for x, y in zip(self._ys(b), triple.b)],
+            ]
+        )
         self.counters.multiplications += 1
-        return self._wrap(out)
+        return self._from_ys(
+            [
+                (c + d * tb + e * ta + d * e) % p
+                for ta, tb, c in zip(triple.a, triple.b, triple.c)
+            ]
+        )
+
+    def mul_many(
+        self, pairs: Sequence[Tuple[SecretValue, SecretValue]]
+    ) -> List[SecretValue]:
+        """Independent Beaver products in one protocol round.
+
+        No product's inputs depend on another's openings, so the 2k masked
+        values travel together; the simulation still evaluates the products
+        one :meth:`mul` after another, which draws the k triples in
+        ``pairs`` order — the dealer's RNG stream never sees the batching.
+        """
+        if not pairs:
+            return []
+        if self.round_hook is not None:
+            self.round_hook()
+        self._in_batch = True
+        try:
+            products = [self.mul(a, b) for a, b in pairs]
+        finally:
+            self._in_batch = False
+        self.counters.rounds += 1
+        return products
 
     # ------------------------------------------------------------ comparison
 
@@ -339,37 +372,38 @@ class MPCEngine:
         m = k + 1 + STATISTICAL_SECURITY_BITS
         eda = self.dealer.edabit(m)
         self.counters.edabits_consumed += 1
-        d = self.add_public(self.sub(a, b), 1 << k)
-        masked = self.add(d, self.input_shares(eda.value))
-        e = self._open_raw(masked.shares)
-        threshold_value = e - (1 << k)
-        result = self._bitwise_public_less_than(threshold_value, eda)
+        p = self.field.modulus
+        d = self._ys(self.add_public(self.sub(a, b), 1 << k))
+        e = self._open_values([[(x + r) % p for x, r in zip(d, eda.value)]])[0]
+        result = self._bitwise_public_less_than(e - (1 << k), eda)
         self.counters.comparisons += 1
         return result
 
     def _bitwise_public_less_than(self, public_value: int, eda: EdaBit) -> SecretValue:
-        """Shared bit [public_value < r] for bit-shared r of eda.bit_length bits."""
+        """Shared bit [public_value < r] for bit-shared r of eda.bit_length bits.
+
+        From the MSB down, the result accumulates (prefix of equal bits) *
+        (E_i=0, r_i=1). Where the public bit is 0 the contribution and the
+        next prefix are independent products of the same prefix, so each
+        bit level is one round.
+        """
         m = eda.bit_length
         if public_value < 0:
             return self.constant(1)
         if public_value >= (1 << m):
             return self.constant(0)
-        bits_public = [(public_value >> i) & 1 for i in range(m)]
-        shared_bits = [self.input_shares(eda.bits[i]) for i in range(m)]
-        # From MSB down: result accumulates (prefix of equal bits) * (E_i=0, r_i=1).
+        one = self.constant(1)
         result = self.constant(0)
-        prefix_eq = self.constant(1)
+        prefix_eq = one
         for i in reversed(range(m)):
-            r_i = shared_bits[i]
-            if bits_public[i] == 1:
-                eq_i = r_i
-                lt_i = self.constant(0)
+            r_i = self._from_ys(eda.bits[i])
+            if (public_value >> i) & 1:
+                prefix_eq = self.mul(prefix_eq, r_i)
             else:
-                eq_i = self.sub(self.constant(1), r_i)
-                lt_i = r_i
-            contribution = self.mul(prefix_eq, lt_i) if bits_public[i] == 0 else self.constant(0)
-            result = self.add(result, contribution)
-            prefix_eq = self.mul(prefix_eq, eq_i)
+                contribution, prefix_eq = self.mul_many(
+                    [(prefix_eq, r_i), (prefix_eq, self.sub(one, r_i))]
+                )
+                result = self.add(result, contribution)
         return result
 
     def greater_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
@@ -379,9 +413,14 @@ class MPCEngine:
 
     def select(self, bit: SecretValue, if_true: SecretValue, if_false: SecretValue) -> SecretValue:
         """Oblivious choice: bit*(if_true - if_false) + if_false."""
-        self._check_ownership(bit, if_true, if_false)
-        diff = self.sub(if_true, if_false)
-        return self.add(self.mul(bit, diff), if_false)
+        return self.select_many(bit, [(if_true, if_false)])[0]
+
+    def select_many(
+        self, bit: SecretValue, choices: Sequence[Tuple[SecretValue, SecretValue]]
+    ) -> List[SecretValue]:
+        """Several (if_true, if_false) choices on one bit, in one round."""
+        products = self.mul_many([(bit, self.sub(t, f)) for t, f in choices])
+        return [self.add(product, f) for product, (_, f) in zip(products, choices)]
 
     def argmax(self, values: Sequence[SecretValue]) -> SecretValue:
         """Shared index of the maximum value (first maximum wins ties)."""
@@ -391,8 +430,9 @@ class MPCEngine:
         best_index = self.constant(0)
         for i, v in enumerate(values[1:], start=1):
             is_greater = self.greater_than(v, best_value)
-            best_value = self.select(is_greater, v, best_value)
-            best_index = self.select(is_greater, self.constant(i), best_index)
+            best_value, best_index = self.select_many(
+                is_greater, [(v, best_value), (self.constant(i), best_index)]
+            )
         return best_index
 
     def maximum(self, values: Sequence[SecretValue]) -> SecretValue:
@@ -413,7 +453,7 @@ class MPCEngine:
         ``mpc.protocols`` for the real distributed-Laplace construction);
         the dealer shares it so no single party ever sees it.
         """
-        return self._wrap(self.dealer.noise_share(sample))
+        return self._from_ys(self.dealer.noise_share(sample))
 
     # --------------------------------------------------------------- testing
 

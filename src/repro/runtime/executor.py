@@ -1371,12 +1371,15 @@ class QueryExecutor:
                     greater = committee.engine.greater_than(
                         value_s.value, best_value.value
                     )
-                    best_value = Secret(
-                        committee.engine.select(greater, value_s.value, best_value.value)
+                    # Both choices hang off one comparison bit: one round.
+                    value_sv, index_sv = committee.engine.select_many(
+                        greater,
+                        [
+                            (value_s.value, best_value.value),
+                            (index_s.value, best_index.value),
+                        ],
                     )
-                    best_index = Secret(
-                        committee.engine.select(greater, index_s.value, best_index.value)
-                    )
+                    best_value, best_index = Secret(value_sv), Secret(index_sv)
                 next_level.append((best_index, best_value, committee))
             candidates = next_level
             level += 1

@@ -1,0 +1,231 @@
+"""The naive MPC online phase, kept as the differential oracle.
+
+This is the engine as it stood before the opening matrix was cached and
+Beaver products were batched: every opening rebuilds its Lagrange weights
+and re-interpolates the quorum polynomial at each non-quorum party with
+fresh field inversions, every sharing re-validates the party set and
+Horners through ``field`` method calls, and every product is its own round.
+``tests/test_mpc_online.py`` runs the same program through this class and
+through :class:`repro.mpc.engine.MPCEngine` and requires identical shares,
+opened values, RNG state and counters (``rounds`` apart, which the oracle
+counts one per product).
+
+Nothing in ``src/`` imports this module and no option selects it.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.crypto.field import DEFAULT_FIELD, PrimeField
+from repro.crypto.shamir import Share, _validate_sharing
+from repro.mpc.engine import (
+    STATISTICAL_SECURITY_BITS,
+    CheatingDetected,
+    CostCounters,
+    SecretValue,
+)
+
+Sharing = Dict[int, Share]
+
+
+def share_secret(
+    secret: int, threshold: int, party_ids: Sequence[int], field: PrimeField, rng: random.Random
+) -> List[Share]:
+    """Per-call validation, then Horner evaluation at every party id."""
+    _validate_sharing(threshold, party_ids)
+    coeffs = [field.reduce(secret)]
+    coeffs.extend(field.random_element(rng) for _ in range(threshold))
+    shares = []
+    for pid in party_ids:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = field.add(field.mul(acc, pid), c)
+        shares.append(Share(pid, acc))
+    return shares
+
+
+class ReferenceDealer:
+    """Dealer over the per-call ``share_secret`` above, one triple at a time."""
+
+    def __init__(self, field: PrimeField, party_ids: Sequence[int], threshold: int, rng: random.Random):
+        self.field = field
+        self.party_ids = list(party_ids)
+        self.threshold = threshold
+        self._rng = rng
+
+    def share(self, value: int) -> Sharing:
+        shares = share_secret(value, self.threshold, self.party_ids, self.field, self._rng)
+        return {s.x: s for s in shares}
+
+    def triple(self) -> Tuple[Sharing, Sharing, Sharing]:
+        a = self.field.random_element(self._rng)
+        b = self.field.random_element(self._rng)
+        return self.share(a), self.share(b), self.share(self.field.mul(a, b))
+
+    def edabit(self, bit_length: int) -> Tuple[Sharing, List[Sharing]]:
+        bits = [self._rng.randrange(2) for _ in range(bit_length)]
+        value = sum(bit << i for i, bit in enumerate(bits))
+        return self.share(value), [self.share(b) for b in bits]
+
+
+class ReferenceEngine:
+    """Scalar, uncached counterpart of ``MPCEngine`` (same public verbs)."""
+
+    def __init__(
+        self,
+        num_parties: int,
+        field: PrimeField = DEFAULT_FIELD,
+        threshold: Optional[int] = None,
+        rng: Optional[random.Random] = None,
+        bit_width: int = 47,
+    ):
+        self.field = field
+        self.party_ids = list(range(1, num_parties + 1))
+        self.threshold = threshold if threshold is not None else (num_parties - 1) // 2
+        self.bit_width = bit_width
+        self.rng = rng
+        self.dealer = ReferenceDealer(field, self.party_ids, self.threshold, rng)
+        self.counters = CostCounters()
+        self.round_hook: Optional[Callable[[], None]] = None
+
+    @property
+    def num_parties(self) -> int:
+        return len(self.party_ids)
+
+    def _wrap(self, shares: Sharing) -> SecretValue:
+        return SecretValue(shares, -1)
+
+    def _share_bytes(self) -> int:
+        return (self.field.bits + 7) // 8
+
+    # ------------------------------------------------------------------ io
+
+    def input_value(self, value: int) -> SecretValue:
+        encoded = self.field.encode_signed(value)
+        shares = share_secret(encoded, self.threshold, self.party_ids, self.field, self.rng)
+        self.counters.inputs += 1
+        self.counters.bytes_sent += self._share_bytes() * (self.num_parties - 1)
+        return self._wrap({s.x: s for s in shares})
+
+    def constant(self, value: int) -> SecretValue:
+        encoded = self.field.encode_signed(value)
+        return self._wrap({pid: Share(pid, encoded) for pid in self.party_ids})
+
+    def _pointwise(self, op, a: SecretValue, b: SecretValue) -> SecretValue:
+        return self._wrap(
+            {pid: Share(pid, op(a.shares[pid].y, b.shares[pid].y)) for pid in self.party_ids}
+        )
+
+    def add(self, a: SecretValue, b: SecretValue) -> SecretValue:
+        return self._pointwise(self.field.add, a, b)
+
+    def sub(self, a: SecretValue, b: SecretValue) -> SecretValue:
+        return self._pointwise(self.field.sub, a, b)
+
+    def add_public(self, a: SecretValue, k: int) -> SecretValue:
+        return self.add(a, self.constant(k))
+
+    # ------------------------------------------------------------- opening
+
+    def _interpolate_at(self, shares: Sequence[Share], x: int) -> int:
+        acc = 0
+        for i, si in enumerate(shares):
+            num, den = 1, 1
+            for j, sj in enumerate(shares):
+                if i == j:
+                    continue
+                num = self.field.mul(num, self.field.sub(x, sj.x))
+                den = self.field.mul(den, self.field.sub(si.x, sj.x))
+            acc = self.field.add(acc, self.field.mul(si.y, self.field.div(num, den)))
+        return acc
+
+    def _open_raw(self, shares: Sharing) -> int:
+        if self.round_hook is not None:
+            self.round_hook()
+        ordered = [shares[pid] for pid in self.party_ids]
+        quorum = ordered[: self.threshold + 1]
+        secret = self._interpolate_at(quorum, 0)
+        for other in ordered[self.threshold + 1 :]:
+            if self._interpolate_at(quorum, other.x) != other.y:
+                raise CheatingDetected(f"party {other.x} submitted an inconsistent share")
+        self.counters.openings += 1
+        self.counters.rounds += 1
+        self.counters.bytes_sent += 2 * (self.num_parties - 1) * self._share_bytes()
+        return secret
+
+    def open(self, value: SecretValue) -> int:
+        return self.field.decode_signed(self._open_raw(value.shares))
+
+    def open_unsigned(self, value: SecretValue) -> int:
+        return self._open_raw(value.shares)
+
+    # -------------------------------------------------------------- multiply
+
+    def mul(self, a: SecretValue, b: SecretValue) -> SecretValue:
+        ta, tb, tc = self.dealer.triple()
+        self.counters.triples_consumed += 1
+        d = self._open_raw(self.sub(a, self._wrap(ta)).shares)
+        e = self._open_raw(self.sub(b, self._wrap(tb)).shares)
+        self.counters.rounds -= 1  # the two openings of one Beaver step batch
+        de = self.field.mul(d, e)
+        out = {}
+        for pid in self.party_ids:
+            y = tc[pid].y
+            y = self.field.add(y, self.field.mul(d, tb[pid].y))
+            y = self.field.add(y, self.field.mul(e, ta[pid].y))
+            out[pid] = Share(pid, self.field.add(y, de))
+        self.counters.multiplications += 1
+        return self._wrap(out)
+
+    # ------------------------------------------------------------ comparison
+
+    def less_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
+        k = self.bit_width
+        value, bits = self.dealer.edabit(k + 1 + STATISTICAL_SECURITY_BITS)
+        self.counters.edabits_consumed += 1
+        d = self.add_public(self.sub(a, b), 1 << k)
+        e = self._open_raw(self.add(d, self._wrap(value)).shares)
+        result = self.bitwise_public_less_than(e - (1 << k), bits)
+        self.counters.comparisons += 1
+        return result
+
+    def bitwise_public_less_than(self, public_value: int, bits: List[Sharing]) -> SecretValue:
+        m = len(bits)
+        if public_value < 0:
+            return self.constant(1)
+        if public_value >= (1 << m):
+            return self.constant(0)
+        result = self.constant(0)
+        prefix_eq = self.constant(1)
+        for i in reversed(range(m)):
+            r_i = self._wrap(bits[i])
+            if (public_value >> i) & 1:
+                eq_i = r_i
+            else:
+                eq_i = self.sub(self.constant(1), r_i)
+                result = self.add(result, self.mul(prefix_eq, r_i))
+            prefix_eq = self.mul(prefix_eq, eq_i)
+        return result
+
+    def greater_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
+        return self.less_than(b, a)
+
+    # ------------------------------------------------------------- selection
+
+    def select(self, bit: SecretValue, if_true: SecretValue, if_false: SecretValue) -> SecretValue:
+        return self.add(self.mul(bit, self.sub(if_true, if_false)), if_false)
+
+    def argmax(self, values: Sequence[SecretValue]) -> SecretValue:
+        best_value = values[0]
+        best_index = self.constant(0)
+        for i, v in enumerate(values[1:], start=1):
+            is_greater = self.greater_than(v, best_value)
+            best_value = self.select(is_greater, v, best_value)
+            best_index = self.select(is_greater, self.constant(i), best_index)
+        return best_index
+
+    def corrupt_share(self, value: SecretValue, party_id: int, delta: int = 1) -> None:
+        old = value.shares[party_id]
+        value.shares[party_id] = Share(party_id, self.field.add(old.y, delta))
