@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -28,6 +28,13 @@ bench-smoke:
 
 bench-tests:
 	python -m pytest bench/tests -q
+
+# Before/after evidence for a performance claim: alternating runs of the
+# benchmark on PARENT (a git ref or an existing checkout) and this tree.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=intake_65k [SEED=2023] [PAIRS=10]
+# Without WORKLOAD it runs all five (about 45 minutes).
+bench-pairs:
+	python tools/bench_pairs.py $(PARENT) $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(or $(SEED),2023) --pairs $(or $(PAIRS),10)
 
 bench-planner:
 	python benchmarks/bench_planner.py --reps 3 --out BENCH_planner.json

@@ -48,7 +48,7 @@ class MerkleTree:
     def __init__(self, leaves: Sequence[bytes]):
         if not leaves:
             raise ValueError("a Merkle tree needs at least one leaf")
-        self._leaf_data = list(leaves)
+        self._leaf_data = tuple(leaves)
         self._levels: List[List[bytes]] = [[_hash_leaf(l) for l in leaves]]
         while len(self._levels[-1]) > 1:
             prev = self._levels[-1]
@@ -65,6 +65,11 @@ class MerkleTree:
     @property
     def root(self) -> bytes:
         return self._levels[-1][0]
+
+    @property
+    def leaves(self) -> Tuple[bytes, ...]:
+        """The committed leaf data, in order (immutable, like the tree)."""
+        return self._leaf_data
 
     def leaf(self, index: int) -> bytes:
         return self._leaf_data[index]

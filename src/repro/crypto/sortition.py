@@ -15,7 +15,7 @@ the same uniform-ordering property — see DESIGN.md).
 
 from __future__ import annotations
 
-import hashlib
+import heapq
 import hmac
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -39,8 +39,7 @@ def compute_ticket(device_id: int, device_secret: bytes, block: bytes, round_num
     signature hash that orders the lottery.
     """
     message = block + round_number.to_bytes(8, "big") + b"\x00"
-    tag = hmac.new(device_secret, message, hashlib.sha256).digest()
-    return SortitionTicket(device_id, tag)
+    return SortitionTicket(device_id, hmac.digest(device_secret, message, "sha256"))
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def run_sortition(
     ids = {t.device_id for t in tickets}
     if len(ids) != len(tickets):
         raise ValueError("duplicate device ids in sortition tickets")
-    ordered = sorted(tickets, key=lambda t: (t.tag, t.device_id))
+    ordered = heapq.nsmallest(needed, tickets, key=lambda t: (t.tag, t.device_id))
     committees = [
         [t.device_id for t in ordered[k * committee_size : (k + 1) * committee_size]]
         for k in range(num_committees)
@@ -116,9 +115,15 @@ class SortitionState:
         return cls(block=seed, registry=MerkleTree(leaves), round_number=0)
 
     def advance(self, new_block: bytes, device_ids: Sequence[int]) -> "SortitionState":
-        """Move to the next round with a committee-generated random block."""
-        leaves = [d.to_bytes(8, "big") for d in device_ids]
-        return SortitionState(new_block, MerkleTree(leaves), self.round_number + 1)
+        """Move to the next round with a committee-generated random block.
+
+        The registry tree is immutable, so a round whose device set has
+        byte-identical leaves keeps the same tree; any difference (a
+        changed, reordered, added or removed device) builds a fresh one.
+        """
+        leaves = tuple(d.to_bytes(8, "big") for d in device_ids)
+        registry = self.registry if leaves == self.registry.leaves else MerkleTree(leaves)
+        return SortitionState(new_block, registry, self.round_number + 1)
 
 
 def jointly_generate_block(member_randomness: Dict[int, bytes]) -> bytes:

@@ -9,17 +9,23 @@ proofs to stop replay (G16 is malleable).
 We substitute a commitment-based proof object whose *verification logic is
 real* for the statements Arboretum needs: a verifier with access to the
 encryption randomness trapdoor (our simulated-network aggregator) actually
-recomputes the statement and rejects malformed inputs, and replayed proofs
-fail because the proof is bound to the uploader and round. Proof sizes and
-verification times are metered through the calibrated cost model, matching
-the paper's methodology (see DESIGN.md).
+recomputes the statement and rejects malformed inputs. :func:`verify`
+checks a proof against *its own* device, round, statement and ciphertext
+digest; that those are the uploader's, the current round's and the
+query's is the intake's comparison, made per upload against the shard
+context in :func:`repro.runtime.shard.verify_shard` — that is where a
+replayed or re-labelled proof fails (the flat
+``AggregatorNode.verify_uploads`` holds no query context and compares
+only the ciphertext digest). Proof sizes and verification times are metered through the calibrated
+cost model, matching the paper's methodology (see DESIGN.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 #: Groth16 proof size: 2 G1 + 1 G2 elements on BN254 ≈ 192 bytes, plus the
 #: signature binding it to the uploader (64 bytes).
@@ -71,21 +77,23 @@ class InputProof:
         return GROTH16_PROOF_BYTES
 
 
+@lru_cache(maxsize=4096)
+def _witness_body(values: Tuple[int, ...]) -> bytes:
+    """The hashed encoding of a witness vector: each value in decimal, then a comma."""
+    return "".join(f"{int(v)}," for v in values).encode()
+
+
 def _digest_values(values: Sequence[int], salt: bytes) -> bytes:
-    h = hashlib.sha256(salt)
-    for v in values:
-        h.update(str(int(v)).encode())
-        h.update(b",")
-    return h.digest()
+    return hashlib.sha256(salt + _witness_body(tuple(values))).digest()
 
 
 def _binding(device_id: int, round_number: int, ct_digest: bytes, witness_digest: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(device_id.to_bytes(8, "big"))
-    h.update(round_number.to_bytes(8, "big"))
-    h.update(ct_digest)
-    h.update(witness_digest)
-    return h.digest()
+    return hashlib.sha256(
+        device_id.to_bytes(8, "big")
+        + round_number.to_bytes(8, "big")
+        + ct_digest
+        + witness_digest
+    ).digest()
 
 
 def prove(
@@ -120,7 +128,9 @@ def verify(proof: InputProof, values: Sequence[int]) -> bool:
     checks the arithmetic circuit directly. In our simulated network the
     aggregator holds the trapdoor witness handed over at upload time, so
     verification both (a) checks the statement actually holds and (b) checks
-    the proof is bound to this exact upload (anti-replay).
+    the binding over the proof's own (device, round, ciphertext digest,
+    witness digest). Whether those name *this* upload is the caller's
+    comparison (see the module docstring).
     """
     salt = proof.ciphertext_digest[:8]
     if _digest_values(values, salt) != proof.witness_digest:

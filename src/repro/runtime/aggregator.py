@@ -20,11 +20,12 @@ from ..crypto.merkle import InclusionProof, MerkleTree, verify_inclusion
 from ..crypto.zkp import InputProof, verify as zkp_verify
 
 
-def _hash_ciphertexts(h: "hashlib._Hash", cts: Sequence[paillier.PaillierCiphertext]) -> None:
-    """Feed a ciphertext vector into a hash in the canonical byte layout
-    (minimal big-endian encoding per ciphertext, in slot order)."""
-    for ct in cts:
-        h.update(ct.value.to_bytes((ct.value.bit_length() + 7) // 8 or 1, "big"))
+def _ciphertext_bytes(cts: Sequence[paillier.PaillierCiphertext]) -> bytes:
+    """A ciphertext vector in the canonical hashed layout (minimal
+    big-endian encoding per ciphertext, in slot order)."""
+    return b"".join(
+        [ct.value.to_bytes((ct.value.bit_length() + 7) // 8 or 1, "big") for ct in cts]
+    )
 
 
 @dataclass
@@ -52,18 +53,15 @@ class Upload:
         """
         cached = getattr(self, "_digest", None)
         if cached is None:
-            h = hashlib.sha256()
-            h.update(self.device_id.to_bytes(8, "big"))
-            _hash_ciphertexts(h, self.ciphertexts)
-            cached = h.digest()
+            cached = hashlib.sha256(
+                self.device_id.to_bytes(8, "big") + _ciphertext_bytes(self.ciphertexts)
+            ).digest()
             self._digest = cached
         return cached
 
 
 def ciphertext_vector_digest(cts: Sequence[paillier.PaillierCiphertext]) -> bytes:
-    h = hashlib.sha256()
-    _hash_ciphertexts(h, cts)
-    return h.digest()
+    return hashlib.sha256(_ciphertext_bytes(cts)).digest()
 
 
 @dataclass

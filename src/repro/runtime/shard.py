@@ -28,6 +28,11 @@ remove them:
   *packed* ciphertext.
 * **Encoding.** One-hot bin placement is drawn and encoded per shard
   with numpy, not per device in the interpreter loop.
+* **Shard-at-a-time draws.** A shard's bin draws and all of its
+  ``subset_size x ciphertexts`` pad indices come from one bulk replay of
+  the shard stream (:func:`randrange_many`), subset products are formed
+  from pair products memoised on the pool, and each distinct witness
+  vector is packed once (ARCHITECTURE.md §19).
 
 Every stage function here is **pure per shard** — it reads its
 arguments, draws only from the shard's own stream, and returns a value —
@@ -41,7 +46,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,15 +80,45 @@ class DeviceShard:
         return int(np.count_nonzero(self.online))
 
 
+def randrange_many(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
+
+    Same values, and ``rng.getstate()`` ends exactly where the scalar loop
+    would leave it. ``randrange(n)`` takes the top ``n.bit_length()`` bits
+    of one 32-bit Mersenne Twister word and redraws while that is ``>= n``,
+    so every value costs at least one word: each round asks for exactly as
+    many words as values are still missing (one ``getrandbits``, whose
+    least significant word is the first one generated), keeps those ``< n``
+    in order, and repeats for the rejected. The stream is never overdrawn,
+    so there is nothing to rewind.
+    """
+    if not 0 < n < 2**32:
+        raise ValueError("randrange_many needs 0 < n < 2**32 (one word a draw)")
+    bits = n.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        words = np.frombuffer(
+            rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4"
+        )
+        drawn = words >> (32 - bits)
+        kept = drawn[drawn < n]
+        out[filled : filled + len(kept)] = kept
+        filled += len(kept)
+    return out
+
+
 class ObfuscatorPool:
     """Precomputed Paillier encryption randomness, drawn by subset product.
 
     ``pool_size`` pads are real obfuscators ``r^n mod n^2`` with ``r``
     drawn from the given (labelled, seeded) stream. :meth:`draw` returns
-    the product of ``subset_size`` pads sampled with replacement — a
-    random n-th residue obtained with ``subset_size`` modular
-    multiplications instead of one modular exponentiation. The pool is
-    immutable after construction and safe to share across shard workers.
+    products of ``subset_size`` pads sampled with replacement — random
+    n-th residues obtained with a few modular multiplications instead of
+    one modular exponentiation each. The pads are immutable; the pair-
+    product memo only ever gains entries that are a function of the pads,
+    so the pool stays safe to share across shard workers.
     """
 
     def __init__(
@@ -108,16 +143,36 @@ class ObfuscatorPool:
         self._pads: Tuple[int, ...] = tuple(
             paillier.precompute_pads(public_key, obfuscators)
         )
+        #: ``pads[i] * pads[j] % n2`` under key ``i * pool_size + j``, filled on demand.
+        self._pairs: Dict[int, int] = {}
 
-    def draw(self, rng: random.Random) -> int:
-        """One fresh obfuscator: a random subset product of the pads."""
-        n2 = self._n2
-        pads = self._pads
-        size = self.pool_size
-        acc = pads[rng.randrange(size)]
-        for _ in range(self.subset_size - 1):
-            acc = acc * pads[rng.randrange(size)] % n2
-        return acc
+    def draw(self, rng: random.Random, count: int) -> List[int]:
+        """``count`` fresh obfuscators, each a random subset product of the pads.
+
+        Consumes the stream exactly as ``count * subset_size`` successive
+        ``rng.randrange(pool_size)`` calls (obfuscator-major). Consecutive
+        indices are multiplied as memoised pairs, so an obfuscator costs
+        ``(subset_size - 1) // 2`` multiplications plus at most
+        ``subset_size // 2`` memo fills — never more than the
+        ``subset_size - 1`` of a plain fold, and the same residue because
+        the product is commutative.
+        """
+        n2, pads, pairs, size = self._n2, self._pads, self._pairs, self.pool_size
+        indices = randrange_many(rng, size, count * self.subset_size)
+        indices = indices.reshape(count, self.subset_size)
+        paired = self.subset_size // 2 * 2
+        keys = (indices[:, 0:paired:2] * size + indices[:, 1:paired:2]).tolist()
+        odd = indices[:, paired].tolist() if paired < self.subset_size else None
+        out: List[int] = []
+        for pos, row in enumerate(keys):
+            acc = None if odd is None else pads[odd[pos]]
+            for key in row:
+                pair = pairs.get(key)
+                if pair is None:
+                    pair = pairs[key] = pads[key // size] * pads[key % size] % n2
+                acc = pair if acc is None else acc * pair % n2
+            out.append(acc)
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,7 +191,7 @@ class ShardContext:
     width: int
     round_number: int
     packing: Optional[SlotPacking]
-    pool: Optional[ObfuscatorPool]
+    pool: ObfuscatorPool
 
 
 @dataclass
@@ -175,7 +230,7 @@ class ShardIntakeResult:
 
 def _encode_shard_vectors(
     shard: DeviceShard, ctx: ShardContext, rng: random.Random
-) -> Tuple[np.ndarray, List[List[int]]]:
+) -> Tuple[List[int], List[List[int]]]:
     """Per-device witness vectors for the shard's online devices.
 
     Returns ``(online_ids, vectors)``. One-hot bin placement consumes one
@@ -184,37 +239,28 @@ def _encode_shard_vectors(
     so malformed/honest mixes stay reproducible.
     """
     online_idx = np.flatnonzero(shard.online)
-    online_ids = shard.device_ids[online_idx]
-    vectors: List[List[int]] = []
+    online_ids = shard.device_ids[online_idx].tolist()
+    malicious = shard.malicious[online_idx].tolist()
+    width = ctx.width
     if ctx.one_hot:
-        values = shard.values[online_idx]
-        categories = ctx.categories
-        cats = np.mod(values, categories).astype(np.int64)
+        cats = np.mod(shard.values[online_idx], ctx.categories).astype(np.int64)
         if ctx.bins > 1:
-            bin_draws = [rng.randrange(ctx.bins) for _ in range(len(online_idx))]
-        else:
-            bin_draws = [0] * len(online_idx)
-        slots = np.asarray(bin_draws, dtype=np.int64) * categories + cats
-        malicious = shard.malicious[online_idx]
-        for pos in range(len(online_idx)):
-            vector = [0] * ctx.width
-            if malicious[pos]:
-                # Malformed upload: claim membership in several categories.
-                for slot in range(min(3, ctx.width)):
-                    vector[slot] = 1
-            else:
-                vector[int(slots[pos])] = 1
-            vectors.append(vector)
-        return online_ids, vectors
+            cats += randrange_many(rng, ctx.bins, len(online_idx)) * ctx.categories
+        # Malformed upload: claim membership in several categories.
+        malformed = [1] * min(3, width) + [0] * (width - min(3, width))
+        honest = [[0] * slot + [1] + [0] * (width - slot - 1) for slot in range(width)]
+        return online_ids, [
+            list(malformed if bad else honest[slot])
+            for bad, slot in zip(malicious, cats.tolist())
+        ]
     rows = shard.values[online_idx]
     if rows.ndim == 1:
         rows = rows.reshape(-1, 1)
-    malicious = shard.malicious[online_idx]
-    for pos in range(len(online_idx)):
-        row = [int(v) for v in rows[pos][: ctx.width]]
-        if len(row) < ctx.width:
-            row = row + [0] * (ctx.width - len(row))
-        if malicious[pos]:
+    rows = rows[:, :width].tolist()
+    vectors: List[List[int]] = []
+    for bad, row in zip(malicious, rows):
+        row += [0] * (width - len(row))
+        if bad:
             # Out-of-range value ("pretending the user is 1,000 years old").
             row[0] = 1000
         vectors.append(row)
@@ -229,26 +275,29 @@ def upload_shard(
     Each online device produces one :class:`Upload` — packed ciphertexts
     obfuscated via the pad pool (one subset-product per packed
     ciphertext), digest, and well-formedness proof — exactly the wire
-    objects the flat planes produce, just built batch-at-a-time.
+    objects the flat planes produce, just built batch-at-a-time: the
+    shard stream yields the bin draws, then every pad index of the shard
+    in (device, ciphertext, subset position) order.
     """
     started = time.perf_counter()
     pk = ctx.public_key
     packing = ctx.packing
-    pool = ctx.pool
     online_ids, vectors = _encode_shard_vectors(shard, ctx, rng)
+    packed: Dict[Tuple[int, ...], List[int]] = {}
+    rows: List[List[int]] = []
+    for vector in vectors:
+        key = tuple(vector)
+        if key not in packed:
+            packed[key] = packing.pack(vector) if packing is not None else vector
+        rows.append(packed[key])
+    per_upload = packing.packed_width if packing is not None else ctx.width
+    pads = iter(ctx.pool.draw(rng, per_upload * len(rows)))
     uploads: List[Upload] = []
-    for pos, device_id in enumerate(online_ids):
-        vector = vectors[pos]
-        plaintexts = packing.pack(vector) if packing is not None else vector
-        cts = []
-        for value in plaintexts:
-            if pool is not None:
-                cts.append(paillier.encrypt_with_pad(pk, value, pool.draw(rng)))
-            else:
-                cts.append(paillier.encrypt(pk, value, rng))
+    for device_id, vector, row in zip(online_ids, vectors, rows):
+        cts = [paillier.encrypt_with_pad(pk, value, next(pads)) for value in row]
         digest = ciphertext_vector_digest(cts)
-        proof = prove(ctx.statement, vector, int(device_id), ctx.round_number, digest)
-        uploads.append(Upload(int(device_id), cts, proof, vector))
+        proof = prove(ctx.statement, vector, device_id, ctx.round_number, digest)
+        uploads.append(Upload(device_id, cts, proof, vector))
     return ShardUploadBatch(
         shard.shard_id, uploads, time.perf_counter() - started
     )
@@ -258,23 +307,26 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
     """The ``verify`` + leaf-``aggregate`` stage: one tree leaf's intake.
 
     ZKP-checks every upload (identical accept/reject semantics to
-    :meth:`AggregatorNode.verify_uploads`), folds the accepted ciphertext
-    vectors into per-slot partial sums, and commits the shard batch under
-    a leaf digest over the accepted upload digests in order.
+    :meth:`AggregatorNode.verify_uploads`, plus the proof must be the one
+    for *this* uploader, round and statement), folds the accepted
+    ciphertext vectors into per-slot partial sums, and commits the shard
+    batch under a leaf digest over the accepted upload digests in order.
     """
     started = time.perf_counter()
     accepted: List[Upload] = []
     rejected: List[int] = []
     for upload in batch.uploads:
-        if upload.proof.ciphertext_digest != ciphertext_vector_digest(
-            upload.ciphertexts
+        proof = upload.proof
+        if (
+            proof.ciphertext_digest == ciphertext_vector_digest(upload.ciphertexts)
+            and proof.device_id == upload.device_id
+            and proof.round_number == ctx.round_number
+            and proof.statement == ctx.statement
+            and zkp_verify(proof, upload.witness)
         ):
+            accepted.append(upload)
+        else:
             rejected.append(upload.device_id)
-            continue
-        if not zkp_verify(upload.proof, upload.witness):
-            rejected.append(upload.device_id)
-            continue
-        accepted.append(upload)
     verify_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -290,17 +342,16 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
     aggregate_seconds = time.perf_counter() - started
 
     upload_digests = [u.digest() for u in accepted]
-    hasher = hashlib.sha256(b"shard-leaf")
-    hasher.update(batch.shard_id.to_bytes(8, "big"))
-    for dig in upload_digests:
-        hasher.update(dig)
+    leaf_digest = hashlib.sha256(
+        b"shard-leaf" + batch.shard_id.to_bytes(8, "big") + b"".join(upload_digests)
+    ).digest()
     return ShardIntakeResult(
         shard_id=batch.shard_id,
         partials=partials,
         accepted=len(accepted),
         rejected=rejected,
         upload_digests=upload_digests,
-        leaf_digest=hasher.digest(),
+        leaf_digest=leaf_digest,
         submit_seconds=batch.submit_seconds,
         verify_seconds=verify_seconds,
         aggregate_seconds=aggregate_seconds,

@@ -37,6 +37,15 @@ class TestTree:
         with pytest.raises(IndexError):
             tree.prove(5)
 
+    def test_leaves_are_exposed_immutably(self):
+        source = [b"a", b"b", b"c"]
+        tree = MerkleTree(source)
+        assert tree.leaves == (b"a", b"b", b"c")
+        source[0] = b"x"  # the tree kept its own copy
+        assert tree.leaves[0] == tree.leaf(0) == b"a"
+        with pytest.raises(TypeError):
+            tree.leaves[0] = b"x"
+
     def test_root_changes_with_content(self):
         t1 = MerkleTree([b"a", b"b"])
         t2 = MerkleTree([b"a", b"c"])

@@ -197,9 +197,11 @@ class TestShardStages:
     def test_pool_draws_decrypt_correctly(self, keypair):
         pk, sk = keypair
         pool = ObfuscatorPool(pk, random.Random(7), pool_size=8, subset_size=3)
-        rng = random.Random(9)
-        for m in (0, 1, 12345):
-            ct = paillier.encrypt_with_pad(pk, m, pool.draw(rng))
+        messages = (0, 1, 12345)
+        pads = pool.draw(random.Random(9), len(messages))
+        assert len(set(pads)) == len(messages)
+        for m, pad in zip(messages, pads):
+            ct = paillier.encrypt_with_pad(pk, m, pad)
             assert paillier.decrypt(sk, ct) == m
 
     def test_pool_and_upload_deterministic(self, keypair, shard_ctx):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.sortition import (
     SortitionState,
     compute_ticket,
@@ -114,6 +115,31 @@ class TestState:
         assert advanced.round_number == 1
         assert advanced.block == b"newblock"
         assert len(advanced.registry) == 4
+
+    def test_advance_keeps_the_registry_only_when_every_leaf_is_the_same(self):
+        state = SortitionState.initial([1, 2, 3, 4], b"seed")
+        same = state.advance(b"b1", [1, 2, 3, 4])
+        assert same.registry is state.registry
+        assert same.advance(b"b2", (1, 2, 3, 4)).registry is state.registry
+        fresh_roots = set()
+        for device_ids in ([1, 2, 3, 5], [1, 2, 4, 3], [1, 2, 3], [1, 2, 3, 4, 5]):
+            moved = state.advance(b"b1", device_ids)
+            assert moved.registry is not state.registry
+            assert moved.registry.root == MerkleTree(
+                [d.to_bytes(8, "big") for d in device_ids]
+            ).root
+            assert moved.registry.root != state.registry.root
+            fresh_roots.add(moved.registry.root)
+        assert len(fresh_roots) == 4
+
+    def test_lowest_tags_fill_the_seats_in_sorted_order(self):
+        tickets = make_tickets(200, seed=5)
+        ordered = sorted(tickets, key=lambda t: (t.tag, t.device_id))
+        for committees, size in ((3, 4), (1, 1), (10, 20), (0, 4)):
+            assignment = run_sortition(tickets, committees, size)
+            assert assignment.selected_devices == [
+                t.device_id for t in ordered[: committees * size]
+            ]
 
     def test_joint_block_generation(self):
         block = jointly_generate_block({1: b"\x01\x02", 2: b"\x03\x04"})
