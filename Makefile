@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -35,6 +35,12 @@ bench-tests:
 # Without WORKLOAD it runs all five (about 45 minutes).
 bench-pairs:
 	python tools/bench_pairs.py $(PARENT) $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $(or $(SEED),2023) --pairs $(or $(PAIRS),10)
+
+# Where a pass spends its time: a SIGPROF sampling profile of untraced passes
+# (sees inside C builtins such as pow, which cProfile charges to nobody).
+#   make profile WORKLOAD=service_mix [SEED=2023] [PASSES=2]
+profile:
+	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2)
 
 bench-planner:
 	python benchmarks/bench_planner.py --reps 3 --out BENCH_planner.json

@@ -18,6 +18,9 @@ Two implementations ship:
   oracle*: ``tests/test_backend_equivalence.py`` asserts every other
   backend produces bit-identical ciphertexts, shares, commitments, and
   query digests.
+  Its one stateful kernel is the fixed-base batch
+  (``powmod_base_vector``): a byte-comb table per declared base, exact
+  for every exponent (docs/ARCHITECTURE.md §20).
 * :class:`AcceleratedBackend` — gmpy2 ``powmod``/``mpz`` for bigint
   batches and (optionally) numba-jitted loops for int64 slot reductions,
   each gated independently so a partial install still helps. Where no
@@ -41,8 +44,9 @@ the dispatch layer (and with it, the differential-testing oracle).
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +74,24 @@ def numba_available() -> bool:
     return _numba is not None
 
 
+def _comb_rows(base: int, mod: int) -> Tuple[Tuple[int, ...], ...]:
+    """Byte comb of a fixed base: ``rows[i][d] = base**(d * 256**i) mod mod``.
+
+    One 256-entry row per byte of the modulus, so every exponent below
+    ``256**len(rows)`` is a product of one entry per byte. Built with
+    plain mulmods (255 per row) — about a millisecond for a 134-bit group.
+    """
+    rows = []
+    step = base % mod
+    for _ in range((mod.bit_length() + 7) // 8):
+        row = [1 % mod]
+        for _ in range(255):
+            row.append(row[-1] * step % mod)
+        rows.append(tuple(row))
+        step = row[-1] * step % mod
+    return tuple(rows)
+
+
 class PureBackend:
     """The seed kernels: Python big ints + numpy. The differential oracle."""
 
@@ -77,6 +99,12 @@ class PureBackend:
 
     #: Human-readable description of what makes this backend tick.
     detail = "builtin pow / numpy object arrays (always available)"
+
+    def __init__(self):
+        # Fixed-base tables, a few at a time and never shared across a
+        # ``use_backend`` switch. Rows are a pure function of the key, so a
+        # racing first build is merely redundant: worker threads need no lock.
+        self._comb = functools.lru_cache(maxsize=4)(_comb_rows)
 
     @staticmethod
     def available() -> bool:
@@ -102,9 +130,29 @@ class PureBackend:
     def powmod_base_vector(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
         """Fixed-base batch: ``[base**e mod mod for e in exps]``.
 
-        The Feldman-commitment shape — one generator, many coefficients.
+        The Feldman-commitment shape — one generator, many exponents.
+        Calling this declares ``base`` long-lived: its byte comb
+        (:func:`_comb_rows`) is built on first use and kept on this backend
+        instance, and each result is the exact product of one entry per
+        non-zero exponent byte — at most ``len(rows)`` mulmods. An exponent
+        the table cannot index (wider than the modulus, or negative) takes
+        the generic modexp.
         """
-        return [pow(base, exp, mod) for exp in exps]
+        rows = self._comb(base, mod)
+        width, one = len(rows), 1 % mod
+        out = []
+        for exp in exps:
+            try:
+                digits = exp.to_bytes(width, "little")
+            except OverflowError:
+                out.append(pow(base, exp, mod))
+                continue
+            acc = one
+            for row, digit in zip(rows, digits):
+                if digit:
+                    acc = acc * row[digit] % mod
+            out.append(acc)
+        return out
 
     def invmod(self, a: int, mod: int) -> int:
         """Modular inverse of ``a``; raises ValueError when none exists."""
@@ -179,6 +227,7 @@ class AcceleratedBackend(PureBackend):
     name = "accel"
 
     def __init__(self):
+        super().__init__()
         self.uses_gmpy2 = gmpy2_available()
         self.uses_numba = numba_available()
         self._jit_sum_slots = _build_numba_sum_slots() if self.uses_numba else None
@@ -214,12 +263,6 @@ class AcceleratedBackend(PureBackend):
             mpz_exp, mpz_mod = _gmpy2.mpz(exp), _gmpy2.mpz(mod)
             return [int(_gmpy2.powmod(_gmpy2.mpz(b), mpz_exp, mpz_mod)) for b in bases]
         return super().powmod_vector(bases, exp, mod)
-
-    def powmod_base_vector(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
-        if self.uses_gmpy2:
-            mpz_base, mpz_mod = _gmpy2.mpz(base), _gmpy2.mpz(mod)
-            return [int(_gmpy2.powmod(mpz_base, _gmpy2.mpz(e), mpz_mod)) for e in exps]
-        return super().powmod_base_vector(base, exps, mod)
 
     def invmod(self, a: int, mod: int) -> int:
         if self.uses_gmpy2:

@@ -85,13 +85,27 @@ class Committee:
         """
         return self.engine.input_values(values)
 
-    def export_vector(self, values: Sequence[SecretValue]) -> Dict[int, List[Share]]:
-        """Collect per-party share vectors, ready for VSR."""
-        out: Dict[int, List[Share]] = {pid: [] for pid in self.engine.party_ids}
-        for value in values:
-            for pid, share in self.engine.export_shares(value).items():
-                out[pid].append(share)
-        return out
+    def _redistribute(
+        self,
+        values: Sequence[SecretValue],
+        dealer_pids: Sequence[int],
+        engine: MPCEngine,
+        rng: random.Random,
+    ) -> List[SecretValue]:
+        """One VSR round: ``dealer_pids``' shares of ``values`` into ``engine``."""
+        exported = [self.engine.export_shares(value) for value in values]
+        moved = redistribute_vector(
+            {pid: [shares[pid].y for shares in exported] for pid in dealer_pids},
+            self.threshold,
+            engine.threshold,
+            engine.party_ids,
+            self.field,
+            rng,
+        )
+        return [
+            engine.input_shares({pid: Share(pid, ys[i]) for pid, ys in moved.items()})
+            for i in range(len(values))
+        ]
 
     # ------------------------------------------------------------------ VSR
 
@@ -113,36 +127,16 @@ class Committee:
         """
         if recipient.field.modulus != self.field.modulus:
             raise ValueError("committees must share a field for VSR")
-        old_vectors = self.export_vector(values)
-        if exclude_members:
-            excluded_pids = {
-                self.members.index(m) + 1
-                for m in exclude_members
-                if m in self.members
-            }
-            old_vectors = {
-                pid: shares
-                for pid, shares in old_vectors.items()
-                if pid not in excluded_pids
-            }
-            if len(old_vectors) < self.threshold + 1:
-                raise VSRError(
-                    f"only {len(old_vectors)} dealers reachable; need a "
-                    f"quorum of {self.threshold + 1} to redistribute"
-                )
-        new_shares = redistribute_vector(
-            old_vectors,
-            self.threshold,
-            recipient.threshold,
-            recipient.engine.party_ids,
-            self.field,
-            self.rng,
-        )
-        out: List[SecretValue] = []
-        for i in range(len(values)):
-            per_value = {pid: new_shares[pid][i] for pid in recipient.engine.party_ids}
-            out.append(recipient.engine.input_shares(per_value))
-        return out
+        excluded_pids = {
+            self.members.index(m) + 1 for m in exclude_members if m in self.members
+        }
+        dealers = [pid for pid in self.engine.party_ids if pid not in excluded_pids]
+        if len(dealers) < self.threshold + 1:
+            raise VSRError(
+                f"only {len(dealers)} dealers reachable; need a "
+                f"quorum of {self.threshold + 1} to redistribute"
+            )
+        return self._redistribute(values, dealers, recipient.engine, self.rng)
 
     # ------------------------------------------------------- share recovery
 
@@ -179,35 +173,14 @@ class Committee:
                 f"reconstruction quorum of {max(3, quorum)}"
             )
         surviving_pids = [self.members.index(m) + 1 for m in survivors]
-        old_threshold = self.threshold
         new_engine = MPCEngine(
             len(survivors), field=self.field, rng=rng, bit_width=self.bit_width
         )
         new_engine.round_hook = self.round_hook
-        recovered: Dict[str, List[SecretValue]] = {}
-        for label, values in vectors.items():
-            old_vectors: Dict[int, List[Share]] = {pid: [] for pid in surviving_pids}
-            for value in values:
-                shares = self.engine.export_shares(value)
-                for pid in surviving_pids:
-                    old_vectors[pid].append(shares[pid])
-            if not values:
-                recovered[label] = []
-                continue
-            new_shares = redistribute_vector(
-                old_vectors,
-                old_threshold,
-                new_engine.threshold,
-                new_engine.party_ids,
-                self.field,
-                rng,
-            )
-            recovered[label] = [
-                new_engine.input_shares(
-                    {pid: new_shares[pid][i] for pid in new_engine.party_ids}
-                )
-                for i in range(len(values))
-            ]
+        recovered = {
+            label: self._redistribute(values, surviving_pids, new_engine, rng)
+            for label, values in vectors.items()
+        }
         self.members = survivors
         self.engine = new_engine
         return recovered

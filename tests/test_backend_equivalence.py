@@ -21,7 +21,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.crypto import bgv, paillier, shamir
+from repro.crypto import bgv, paillier, shamir, vsr
 from repro.crypto.backend import (
     AcceleratedBackend,
     PureBackend,
@@ -279,6 +279,26 @@ class TestPrimitiveEquivalence:
             want = self._shamir_transcript(modulus)
         with use_backend("accel"):
             got = self._shamir_transcript(modulus)
+        assert got == want
+
+    def _vsr_transcript(self, modulus):
+        field = PrimeField(modulus)
+        # Weights and the generator's table are cached: clear both so that
+        # the active backend really computes them.
+        shamir.lagrange_weights.cache_clear()
+        get_backend()._comb.cache_clear()
+        rng = random.Random(7)
+        old = {x: [rng.randrange(modulus) for _ in range(9)] for x in (2, 3, 5, 8, 13)}
+        moved = vsr.redistribute_vector(old, 2, 1, [1, 4, 6, 7], field, rng)
+        assert get_backend()._comb.cache_info().misses == 1
+        return moved, rng.random()
+
+    @pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_127])
+    def test_vsr_hand_off_byte_identical(self, modulus):
+        with use_backend("pure"):
+            want = self._vsr_transcript(modulus)
+        with use_backend("accel"):
+            got = self._vsr_transcript(modulus)
         assert got == want
 
     def test_lagrange_coefficients_byte_identical(self):

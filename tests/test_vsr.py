@@ -7,11 +7,17 @@ import pytest
 from repro.crypto.field import MERSENNE_61, PrimeField
 from repro.crypto.shamir import Share, reconstruct_secret, share_secret
 from repro.crypto.vsr import (
+    FeldmanCommitment,
+    RedistributionMessage,
+    SubShare,
     VSRError,
     combine_sub_shares,
+    combine_vector,
+    deal_committed,
     redistribute_secret,
     redistribute_share,
     redistribute_vector,
+    verify_share_provenance,
     verify_sub_share,
 )
 
@@ -52,8 +58,6 @@ class TestVerification:
     def test_tampered_sub_share_detected(self, rng):
         share = Share(3, 777)
         msg = redistribute_share(share, 1, [1, 2, 3], FIELD, rng)
-        from repro.crypto.vsr import SubShare
-
         bad = SubShare(msg.sub_shares[0].source, msg.sub_shares[0].x, msg.sub_shares[0].y + 1)
         assert not verify_sub_share(bad, msg.commitment, FIELD)
 
@@ -62,7 +66,6 @@ class TestVerification:
         msgs = [redistribute_share(s, 1, [1, 2, 3], FIELD, rng) for s in old[:2]]
         # Corrupt dealer 1's sub-share for party 2.
         from dataclasses import replace
-        from repro.crypto.vsr import SubShare
 
         tampered_subs = tuple(
             SubShare(s.source, s.x, s.y + 1) if s.x == 2 else s
@@ -70,17 +73,17 @@ class TestVerification:
         )
         msgs[0] = replace(msgs[0], sub_shares=tampered_subs)
         with pytest.raises(VSRError):
-            combine_sub_shares(2, msgs, FIELD)
+            combine_sub_shares(2, msgs, FIELD, 1)
 
     def test_combine_requires_messages(self):
         with pytest.raises(VSRError):
-            combine_sub_shares(1, [], FIELD)
+            combine_sub_shares(1, [], FIELD, 1)
 
     def test_missing_recipient_detected(self, rng):
         share = Share(1, 10)
         msg = redistribute_share(share, 1, [1, 2], FIELD, rng)
         with pytest.raises(VSRError):
-            combine_sub_shares(9, [msg, msg], FIELD)
+            combine_sub_shares(9, [msg, msg], FIELD, 1)
 
 
 class TestVectorRedistribution:
@@ -90,21 +93,60 @@ class TestVectorRedistribution:
         old_vectors = {pid: [] for pid in party_ids}
         for v in values:
             for s in share_secret(v, 2, party_ids, FIELD, rng):
-                old_vectors[s.x].append(s)
+                old_vectors[s.x].append(s.y)
         new = redistribute_vector(old_vectors, 2, 1, [1, 2, 3], FIELD, rng)
         for i, expected in enumerate(values):
-            shares = [new[p][i] for p in (1, 2)]
+            shares = [Share(p, new[p][i]) for p in (1, 2)]
             assert reconstruct_secret(shares, FIELD) == expected
 
     def test_inconsistent_lengths_rejected(self, rng):
         with pytest.raises(VSRError):
-            redistribute_vector(
-                {1: [Share(1, 1)], 2: []}, 0, 0, [1, 2], FIELD, rng
-            )
+            redistribute_vector({1: [1], 2: []}, 0, 0, [1, 2], FIELD, rng)
 
     def test_empty_rejected(self, rng):
         with pytest.raises(VSRError):
             redistribute_vector({}, 0, 0, [1], FIELD, rng)
+
+    def test_too_few_dealers_rejected(self, rng):
+        with pytest.raises(VSRError, match="quorum"):
+            redistribute_vector({1: [5], 2: [6]}, 2, 1, [1, 2, 3], FIELD, rng)
+
+
+class TestFailClosedVerifier:
+    """A dealer chooses neither the group nor the degree it is checked in."""
+
+    def test_dealer_chosen_group_rejected(self, rng):
+        """Generator 1 makes every check 1 == 1: before the verifier took
+        the group from the field, random sub-shares from such a dealer
+        combined into garbage without any error."""
+        old = share_secret(1234, 1, [1, 2, 3], FIELD, rng)
+        honest = redistribute_share(old[0], 1, [1, 2, 3], FIELD, rng)
+        forged = RedistributionMessage(
+            old[1].x,
+            tuple(SubShare(old[1].x, pid, rng.randrange(FIELD.modulus)) for pid in (1, 2, 3)),
+            FeldmanCommitment(honest.commitment.group_modulus, 1, (1, 1)),
+        )
+        for sub in forged.sub_shares:
+            with pytest.raises(VSRError, match="commitment group"):
+                verify_sub_share(sub, forged.commitment, FIELD)
+        with pytest.raises(VSRError, match="commitment group"):
+            combine_sub_shares(1, [honest, forged], FIELD, 1)
+        with pytest.raises(VSRError, match="commitment group"):
+            verify_share_provenance(old[1], forged.commitment, FIELD)
+
+    def test_over_degree_dealer_rejected(self, rng):
+        """Three coefficient commitments at new threshold 1 verify for every
+        recipient, yet recipient quorums {1,2} and {2,3} would reconstruct
+        different secrets."""
+        old = share_secret(1234, 1, [1, 2, 3], FIELD, rng)
+        honest = redistribute_share(old[0], 1, [1, 2, 3], FIELD, rng)
+        over = redistribute_share(old[1], 2, [1, 2, 3], FIELD, rng)
+        assert all(verify_sub_share(s, over.commitment, FIELD) for s in over.sub_shares)
+        with pytest.raises(VSRError, match=f"dealer {old[1].x} .* wrong degree"):
+            combine_sub_shares(1, [honest, over], FIELD, 1)
+        commitments, subs = deal_committed([old[0].y, old[1].y], 2, [1, 2, 3], FIELD, rng)
+        with pytest.raises(VSRError, match="wrong degree"):
+            combine_vector([1, 2], [1, 2, 3], 1, commitments, subs, FIELD)
 
 
 class TestChainedRedistribution:
