@@ -66,8 +66,11 @@ verify-sweep:
 chaos-smoke:
 	python -m repro chaos --scenario all --devices 32 --committee-size 4
 
+# Every checkpoint killed and resumed, on the serial drain and again on the
+# wave drain with a pool (--shard-workers 2).
 chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
+	python -m repro chaos --crash-sweep --devices 32 --committee-size 4 --shard-workers 2
 
 check: lint verify-sweep test bench-smoke bench-tests bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .backend import get_backend
 from .field import random_prime
@@ -29,8 +30,10 @@ class PaillierPublicKey:
 
     n: int
 
-    @property
+    @cached_property
     def n_squared(self) -> int:
+        """The ciphertext modulus, multiplied out once per key object (not a
+        field: equality, hashing and ``repr`` see only ``n``)."""
         return self.n * self.n
 
     @property
@@ -61,6 +64,13 @@ class PaillierCiphertext:
 
     value: int
     n: int
+
+
+@lru_cache(maxsize=64)
+def _key_of(n: int) -> PaillierPublicKey:
+    """The key a ciphertext's modulus tag names, for operations handed
+    ciphertexts only: they read ``n²`` off it instead of squaring per call."""
+    return PaillierPublicKey(n)
 
 
 def keygen(bits: int = 512, rng: Optional[random.Random] = None) -> PaillierPrivateKey:
@@ -103,10 +113,59 @@ def encrypt_with_pad(
     n-th residue, and a product of pads is again a pad, which is what the
     sharded runtime's subset-product obfuscator pool exploits.
     """
-    m %= pk.n
+    return PaillierCiphertext(_g_power(pk, m) * pad % pk.n_squared, pk.n)
+
+
+def _g_power(pk: PaillierPublicKey, m: int) -> int:
+    """``g^m mod n²`` for ``g = n + 1``: ``(n+1)^m = 1 + m*n (mod n²)``."""
+    return (1 + (m % pk.n) * pk.n) % pk.n_squared
+
+
+def encrypt_rows_with_pads(
+    pk: PaillierPublicKey,
+    rows: Sequence[Sequence[int]],
+    codes: Sequence[int],
+    pads: Sequence[int],
+) -> List[List[int]]:
+    """Raw ciphertext values of many plaintext vectors drawn from few rows.
+
+    Upload ``k`` encrypts ``rows[codes[k]]`` under the next ``len(row)``
+    pads — each the ``value`` :func:`encrypt_with_pad` gives — with the
+    ``g^m`` factors worked out once per distinct row.
+    """
     n2 = pk.n_squared
-    # g^m = (n+1)^m = 1 + m*n (mod n^2), a standard Paillier optimization.
-    return PaillierCiphertext(((1 + m * pk.n) % n2) * (pad % n2) % n2, pk.n)
+    factors = {code: [_g_power(pk, m) for m in rows[code]] for code in set(codes)}
+    taken = iter(pads)
+    return [[f * next(taken) % n2 for f in factors[code]] for code in codes]
+
+
+def ciphertext_bytes(values: Sequence[int]) -> bytes:
+    """Raw ciphertext values in the canonical hashed layout: the minimal
+    big-endian encoding of each, in slot order."""
+    return b"".join([v.to_bytes((v.bit_length() + 7) // 8 or 1, "big") for v in values])
+
+
+def ciphertexts_under(n: int, values: Sequence[int]) -> List[PaillierCiphertext]:
+    """Raw values of a batch held under modulus ``n``, as ciphertext objects."""
+    return [PaillierCiphertext(value, n) for value in values]
+
+
+def sum_columns(n: int, vectors: Sequence[Sequence[int]]) -> List[PaillierCiphertext]:
+    """Slot-wise ⊞ of raw ciphertext vectors under modulus ``n``: per slot
+    the value :func:`sum_ciphertexts` gives, and only the sums become objects."""
+    if not vectors:
+        raise ValueError("cannot sum zero ciphertexts")
+    n2 = _key_of(n).n_squared
+    return ciphertexts_under(n, [_product(column, n2) for column in zip(*vectors)])
+
+
+def _product(values: Sequence[int], modulus: int) -> int:
+    """Left fold of a non-empty sequence under multiplication mod ``modulus``."""
+    rest = iter(values)
+    total = next(rest)
+    for value in rest:
+        total = total * value % modulus
+    return total
 
 
 def encrypt_with_obfuscator(
@@ -147,8 +206,7 @@ def add_ciphertexts(a: PaillierCiphertext, b: PaillierCiphertext) -> PaillierCip
     """Homomorphic addition: Dec(a ⊞ b) = Dec(a) + Dec(b) mod n."""
     if a.n != b.n:
         raise ValueError("cannot add ciphertexts under different keys")
-    n2 = a.n * a.n
-    return PaillierCiphertext((a.value * b.value) % n2, a.n)
+    return PaillierCiphertext((a.value * b.value) % _key_of(a.n).n_squared, a.n)
 
 
 def add_plain(pk: PaillierPublicKey, ct: PaillierCiphertext, m: int) -> PaillierCiphertext:
@@ -161,33 +219,23 @@ def add_plain(pk: PaillierPublicKey, ct: PaillierCiphertext, m: int) -> Paillier
 
 def mul_plain(ct: PaillierCiphertext, k: int) -> PaillierCiphertext:
     """Homomorphically multiply by a public plaintext scalar."""
-    n2 = ct.n * ct.n
+    n2 = _key_of(ct.n).n_squared
     return PaillierCiphertext(get_backend().powmod(ct.value, k % ct.n, n2), ct.n)
 
 
 def sum_ciphertexts(cts: Sequence[PaillierCiphertext]) -> PaillierCiphertext:
-    """Sum a non-empty ciphertext sequence by pairwise tree reduction.
+    """Sum a non-empty ciphertext sequence: one fold of the raw values.
 
-    ⊞ is multiplication mod n², which is associative and commutative, so
-    the tree yields a ciphertext byte-identical to the historical linear
-    fold while keeping intermediate operand magnitudes balanced (Python
-    big-int multiplication cost grows with operand size, but every Paillier
-    product is already reduced mod n² — the win here is halving the Python
-    interpreter's fold depth, and the layout mirrors how a real aggregator
-    would parallelize).
+    ⊞ is multiplication mod n², associative and commutative, so the fold
+    yields the ciphertext any pairing of :func:`add_ciphertexts` would,
+    with one key check, one n² and one result object for the whole sum.
     """
     if not cts:
         raise ValueError("cannot sum zero ciphertexts")
-    layer = list(cts)
-    while len(layer) > 1:
-        nxt = [
-            add_ciphertexts(layer[i], layer[i + 1])
-            for i in range(0, len(layer) - 1, 2)
-        ]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
+    n = cts[0].n
+    if any(ct.n != n for ct in cts):
+        raise ValueError("cannot add ciphertexts under different keys")
+    return PaillierCiphertext(_product([ct.value for ct in cts], _key_of(n).n_squared), n)
 
 
 def tampered(ct: PaillierCiphertext) -> PaillierCiphertext:
@@ -196,4 +244,4 @@ def tampered(ct: PaillierCiphertext) -> PaillierCiphertext:
     Keeping ciphertext forgery here means no code outside crypto/ ever
     constructs cipher state directly (the ``no-private-state`` lint rule).
     """
-    return PaillierCiphertext((ct.value + 1) % (ct.n * ct.n), ct.n)
+    return PaillierCiphertext((ct.value + 1) % _key_of(ct.n).n_squared, ct.n)

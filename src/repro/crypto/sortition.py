@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import hmac
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .merkle import MerkleTree
 
@@ -38,8 +38,23 @@ def compute_ticket(device_id: int, device_secret: bytes, block: bytes, round_num
     the role of the deterministic signature, and the tag doubles as the
     signature hash that orders the lottery.
     """
+    return lowest_tickets([(device_id, device_secret)], block, round_number, 1)[0]
+
+
+def lowest_tickets(
+    devices: Iterable[Tuple[int, bytes]], block: bytes, round_number: int, count: int
+) -> List[SortitionTicket]:
+    """The ``count`` lowest tickets of a round among ``(device_id, secret)`` pairs.
+
+    Ranks bare ``(tag, device_id)`` pairs — the order :func:`run_sortition`
+    uses — and builds a ticket only for those that win a seat.
+    """
     message = block + round_number.to_bytes(8, "big") + b"\x00"
-    return SortitionTicket(device_id, hmac.digest(device_secret, message, "sha256"))
+    ranked = heapq.nsmallest(
+        count,
+        [(hmac.digest(secret, message, "sha256"), device_id) for device_id, secret in devices],
+    )
+    return [SortitionTicket(device_id, tag) for tag, device_id in ranked]
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,17 @@ encryption randomness trapdoor (our simulated-network aggregator) actually
 recomputes the statement and rejects malformed inputs. :func:`verify`
 checks a proof against *its own* device, round, statement and ciphertext
 digest; that those are the uploader's, the current round's and the
-query's is the intake's comparison, made per upload against the shard
-context in :func:`repro.runtime.shard.verify_shard` — that is where a
-replayed or re-labelled proof fails (the flat
-``AggregatorNode.verify_uploads`` holds no query context and compares
-only the ciphertext digest). Proof sizes and verification times are metered through the calibrated
-cost model, matching the paper's methodology (see DESIGN.md).
+query's is the intake's comparison, made per upload on both data planes
+(:func:`repro.runtime.shard.verify_shard`,
+``AggregatorNode.verify_uploads``) — that is where a replayed or
+re-labelled proof fails. Proof sizes and verification times are metered
+through the calibrated cost model, matching the paper's methodology (see
+DESIGN.md).
+
+A shard's proofs travel as :class:`ProofColumns`; the hashed layouts
+(witness digest, binding) are written down once, in ``_commitments``,
+under :func:`prove_columns` / :func:`verify_columns` and, at length one,
+under the per-proof :func:`prove` / :func:`verify`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: Groth16 proof size: 2 G1 + 1 G2 elements on BN254 ≈ 192 bytes, plus the
 #: signature binding it to the uploader (64 bytes).
@@ -83,17 +88,111 @@ def _witness_body(values: Tuple[int, ...]) -> bytes:
     return "".join(f"{int(v)}," for v in values).encode()
 
 
-def _digest_values(values: Sequence[int], salt: bytes) -> bytes:
-    return hashlib.sha256(salt + _witness_body(tuple(values))).digest()
+@dataclass
+class ProofColumns:
+    """The proofs of a batch of uploads: one list per :class:`InputProof`
+    field, in its field order; row ``k`` is upload ``k``'s proof.
+
+    ``device_ids`` is what each *proof* names, kept apart from the batch's
+    uploader ids, so a proof replayed from another device, round or
+    statement is representable — and rejected.
+    """
+
+    statements: List[Statement]
+    device_ids: List[int]
+    round_numbers: List[int]
+    ciphertext_digests: List[bytes]
+    witness_digests: List[bytes]
+    bindings: List[bytes]
+
+    def __len__(self) -> int:
+        return len(self.bindings)
+
+    def proof(self, k: int) -> InputProof:
+        """Row ``k`` as the proof object (built on request, never on the accept path)."""
+        return InputProof(*[column[k] for column in vars(self).values()])
 
 
-def _binding(device_id: int, round_number: int, ct_digest: bytes, witness_digest: bytes) -> bytes:
-    return hashlib.sha256(
-        device_id.to_bytes(8, "big")
-        + round_number.to_bytes(8, "big")
-        + ct_digest
-        + witness_digest
-    ).digest()
+def _commitments(
+    witnesses: Sequence[Sequence[int]],
+    device_ids: Sequence[int],
+    round_numbers: Sequence[int],
+    ciphertext_digests: Sequence[bytes],
+) -> Tuple[List[bytes], List[bytes]]:
+    """Per row the witness digest, salted with the ciphertext digest's first
+    8 bytes, and the binding: (device id, round) as 8-byte big-endian, then
+    both digests. The one place either layout is written down."""
+    sha256 = hashlib.sha256
+    witness_digests = [
+        sha256(digest[:8] + _witness_body(tuple(row))).digest()
+        for row, digest in zip(witnesses, ciphertext_digests)
+    ]
+    bindings = [
+        sha256(
+            device_id.to_bytes(8, "big") + round_number.to_bytes(8, "big") + digest + witness_digest
+        ).digest()
+        for device_id, round_number, digest, witness_digest in zip(
+            device_ids, round_numbers, ciphertext_digests, witness_digests
+        )
+    ]
+    return witness_digests, bindings
+
+
+def prove_columns(
+    statement: Statement,
+    witnesses: Sequence[Sequence[int]],
+    device_ids: Sequence[int],
+    round_number: int,
+    ciphertext_digests: Sequence[bytes],
+) -> ProofColumns:
+    """One proof per row, that ``witnesses[k]`` satisfies ``statement``.
+
+    A dishonest prover can call this on values that do NOT satisfy the
+    statement (we deliberately allow it, so tests and the runtime can inject
+    malformed inputs); verification will then fail.
+    """
+    rounds = [round_number] * len(device_ids)
+    witness_digests, bindings = _commitments(witnesses, device_ids, rounds, ciphertext_digests)
+    return ProofColumns(
+        [statement] * len(rounds),
+        list(device_ids),
+        rounds,
+        list(ciphertext_digests),
+        witness_digests,
+        bindings,
+    )
+
+
+def verify_columns(
+    proofs: ProofColumns, witnesses: Sequence[Sequence[int]], rows: Iterable[int]
+) -> List[int]:
+    """Those of ``rows`` whose proof verifies against its witness, in order.
+
+    Per row the witness digest and the binding are recomputed from the
+    proof's own (device, round, ciphertext digest) and compared; the
+    statement is evaluated once per distinct (statement, witness row).
+    """
+    rows = list(rows)
+    picked = [tuple(witnesses[k]) for k in rows]
+    witness_digests, bindings = _commitments(
+        picked,
+        *[
+            [column[k] for k in rows]
+            for column in (proofs.device_ids, proofs.round_numbers, proofs.ciphertext_digests)
+        ],
+    )
+    statement, holds = None, {}
+    sound: List[int] = []
+    for k, row, witness_digest, binding in zip(rows, picked, witness_digests, bindings):
+        if witness_digest != proofs.witness_digests[k] or binding != proofs.bindings[k]:
+            continue
+        if proofs.statements[k] is not statement:
+            statement, holds = proofs.statements[k], {}
+        if row not in holds:
+            holds[row] = statement.holds_for(row)
+        if holds[row]:
+            sound.append(k)
+    return sound
 
 
 def prove(
@@ -103,26 +202,18 @@ def prove(
     round_number: int,
     ciphertext_digest: bytes,
 ) -> InputProof:
-    """Produce a proof that ``values`` satisfies ``statement``.
-
-    A dishonest prover can call this on values that do NOT satisfy the
-    statement (we deliberately allow it, so tests and the runtime can inject
-    malformed inputs); verification will then fail.
-    """
-    salt = ciphertext_digest[:8]
-    witness_digest = _digest_values(values, salt)
+    """Produce a proof that ``values`` satisfies ``statement`` (one row of
+    :func:`prove_columns`)."""
+    (witness_digest,), (binding,) = _commitments(
+        [values], [device_id], [round_number], [ciphertext_digest]
+    )
     return InputProof(
-        statement=statement,
-        device_id=device_id,
-        round_number=round_number,
-        ciphertext_digest=ciphertext_digest,
-        witness_digest=witness_digest,
-        binding=_binding(device_id, round_number, ciphertext_digest, witness_digest),
+        statement, device_id, round_number, ciphertext_digest, witness_digest, binding
     )
 
 
 def verify(proof: InputProof, values: Sequence[int]) -> bool:
-    """Verify a proof against the witness values.
+    """Verify a proof against the witness values (one row of :func:`verify_columns`).
 
     In the deployed system the verifier never sees the witness — the SNARK
     checks the arithmetic circuit directly. In our simulated network the
@@ -132,15 +223,14 @@ def verify(proof: InputProof, values: Sequence[int]) -> bool:
     witness digest). Whether those name *this* upload is the caller's
     comparison (see the module docstring).
     """
-    salt = proof.ciphertext_digest[:8]
-    if _digest_values(values, salt) != proof.witness_digest:
-        return False
-    expected = _binding(
-        proof.device_id, proof.round_number, proof.ciphertext_digest, proof.witness_digest
+    (witness_digest,), (binding,) = _commitments(
+        [values], [proof.device_id], [proof.round_number], [proof.ciphertext_digest]
     )
-    if proof.binding != expected:
-        return False
-    return proof.statement.holds_for(values)
+    return (
+        witness_digest == proof.witness_digest
+        and binding == proof.binding
+        and proof.statement.holds_for(values)
+    )
 
 
 def verify_or_raise(proof: InputProof, values: Sequence[int]) -> None:

@@ -17,15 +17,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto import paillier
 from ..crypto.merkle import InclusionProof, MerkleTree, verify_inclusion
-from ..crypto.zkp import InputProof, verify as zkp_verify
+from ..crypto.zkp import InputProof, Statement, verify as zkp_verify
 
 
-def _ciphertext_bytes(cts: Sequence[paillier.PaillierCiphertext]) -> bytes:
-    """A ciphertext vector in the canonical hashed layout (minimal
-    big-endian encoding per ciphertext, in slot order)."""
-    return b"".join(
-        [ct.value.to_bytes((ct.value.bit_length() + 7) // 8 or 1, "big") for ct in cts]
-    )
+def upload_digests(device_ids: Sequence[int], ciphertext_bytes: Sequence[bytes]) -> List[bytes]:
+    """Per upload, the digest over (device id as 8 bytes big-endian, its
+    ciphertext vector in :func:`paillier.ciphertext_bytes` layout)."""
+    return [
+        hashlib.sha256(device_id.to_bytes(8, "big") + body).digest()
+        for device_id, body in zip(device_ids, ciphertext_bytes)
+    ]
 
 
 @dataclass
@@ -53,15 +54,13 @@ class Upload:
         """
         cached = getattr(self, "_digest", None)
         if cached is None:
-            cached = hashlib.sha256(
-                self.device_id.to_bytes(8, "big") + _ciphertext_bytes(self.ciphertexts)
-            ).digest()
-            self._digest = cached
+            body = paillier.ciphertext_bytes([ct.value for ct in self.ciphertexts])
+            self._digest = cached = upload_digests([self.device_id], [body])[0]
         return cached
 
 
 def ciphertext_vector_digest(cts: Sequence[paillier.PaillierCiphertext]) -> bytes:
-    return hashlib.sha256(_ciphertext_bytes(cts)).digest()
+    return hashlib.sha256(paillier.ciphertext_bytes([ct.value for ct in cts])).digest()
 
 
 @dataclass
@@ -139,24 +138,29 @@ class AggregatorNode:
         self.uploads.extend(uploads)
         self.stats.uploads_received += len(uploads)
 
-    def verify_uploads(self) -> List[Upload]:
+    def verify_uploads(self, statement: Statement, round_number: int) -> List[Upload]:
         """Check every upload's ZKP; malformed inputs are dropped (§5.3).
 
-        Digest recomputation is batched ahead of the per-upload proof walk
-        so one pass hashes all ciphertext vectors; acceptance/rejection
-        order is identical to checking each upload in sequence.
+        A proof counts only if it is the one for *this* uploader, the
+        current round and the query's statement, over the ciphertexts
+        actually stored — the comparisons
+        :func:`repro.runtime.shard.verify_shard` makes — so a proof
+        replayed from another device, round or statement is rejected.
         """
         started = time.perf_counter()
         accepted: List[Upload] = []
-        digests = [ciphertext_vector_digest(u.ciphertexts) for u in self.uploads]
-        for upload, expected_digest in zip(self.uploads, digests):
-            if upload.proof.ciphertext_digest != expected_digest:
+        for upload in self.uploads:
+            proof = upload.proof
+            if (
+                proof.ciphertext_digest == ciphertext_vector_digest(upload.ciphertexts)
+                and proof.device_id == upload.device_id
+                and proof.round_number == round_number
+                and proof.statement == statement
+                and zkp_verify(proof, upload.witness)
+            ):
+                accepted.append(upload)
+            else:
                 self.rejected.append(upload.device_id)
-                continue
-            if not zkp_verify(upload.proof, upload.witness):
-                self.rejected.append(upload.device_id)
-                continue
-            accepted.append(upload)
         self.stats.verify_seconds += time.perf_counter() - started
         self.stats.uploads_verified += len(accepted)
         self.stats.uploads_rejected = len(self.rejected)
@@ -167,10 +171,9 @@ class AggregatorNode:
     def aggregate(self, accepted: Sequence[Upload]) -> List[paillier.PaillierCiphertext]:
         """Homomorphically sum the accepted ciphertext vectors slot-wise.
 
-        Each slot column is reduced with a pairwise tree instead of the old
-        O(n·width) sequential fold. Paillier ⊞ is associative, so the tree
-        produces byte-identical ciphertexts (and therefore identical step
-        commitments) while halving the fold depth per level.
+        Each slot column is one :func:`paillier.sum_ciphertexts` fold;
+        Paillier ⊞ is associative and commutative, so the totals (and the
+        step commitments over them) do not depend on the fold's shape.
         """
         if not accepted:
             raise ValueError("no accepted uploads to aggregate")
@@ -374,6 +377,10 @@ class AggregatorTree:
         leaf = self.levels[0][result.shard_id]
         if leaf.folded:
             raise ValueError(f"leaf {result.shard_id} ingested twice")
+        if result.modulus != self.public_key.n:
+            raise ValueError(
+                f"shard {result.shard_id} was summed under a different key than the tree's"
+            )
         leaf.partials = result.partials
         leaf.accepted = result.accepted
         leaf.digest = result.leaf_digest

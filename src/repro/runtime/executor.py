@@ -936,9 +936,12 @@ class QueryExecutor:
         * ``churn`` (serial) re-syncs a shard's liveness/malice snapshot
           with the network and derives the shard's labelled RNG stream —
           all shared-state reads and stream derivations happen here, on
-          the scheduler's serial path.
+          the scheduler's serial path, for every shard before the first
+          upload.
         * ``upload``/``verify`` (parallel-safe) are pure per-shard stages
-          from :mod:`~repro.runtime.shard`.
+          from :mod:`~repro.runtime.shard`, run a wave of
+          ``max(1, shard_workers)`` shards at a time: a wave's column
+          batches are ingested before the next wave's are built.
         * ``aggregate`` (serial) ingests a verified batch into its tree
           leaf and journals the shard-scoped checkpoint
           (``input/shard{i}``) — so a coordinator crash resumes at shard
@@ -986,10 +989,9 @@ class QueryExecutor:
             # list (direct indexing per the contiguous-id invariant):
             # population faults applied at the phase boundary are visible
             # to the shard without any per-device lookup structure.
-            for pos, device_id in enumerate(shard.device_ids):
-                device = devices[int(device_id) - 1]
-                shard.online[pos] = device.online
-                shard.malicious[pos] = device.malicious
+            members = [devices[i] for i in (shard.device_ids - 1).tolist()]
+            shard.online[:] = [device.online for device in members]
+            shard.malicious[:] = [device.malicious for device in members]
             stream = self._shard_stream(shard.stream_label)
             return None, [
                 (event_scheduler.UPLOAD, shard.shard_id, (shard, stream))
@@ -1076,7 +1078,9 @@ class QueryExecutor:
         aggregator = AggregatorNode(public_key)
         garbage = self._apply_garbage_faults()
         self._submit_inputs(aggregator, public_key, bins)
-        accepted = aggregator.verify_uploads()
+        accepted = aggregator.verify_uploads(
+            self._input_statement(bins)[3], self.network.sortition.round_number
+        )
         self._resolve_garbage_faults(garbage, aggregator)
         if not accepted:
             raise ExecutionError("every upload was rejected")

@@ -17,12 +17,12 @@ import numpy as np
 from ..crypto.sortition import (
     CommitteeAssignment,
     SortitionState,
-    compute_ticket,
+    lowest_tickets,
     run_sortition,
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Device:
     """One participant device.
 
@@ -168,13 +168,15 @@ class FederatedNetwork:
     def select_committees(
         self, num_committees: int, committee_size: int
     ) -> CommitteeAssignment:
-        """Run one sortition round over the current public block (§5.1)."""
-        tickets = [
-            compute_ticket(
-                d.device_id, d.secret, self.sortition.block, self.sortition.round_number
-            )
-            for d in self.devices
-        ]
+        """Run one sortition round over the current public block (§5.1):
+        every registered device's tag is ranked, the ``c·m`` seats become
+        tickets (a population too small yields fewer, and is refused)."""
+        tickets = lowest_tickets(
+            ((d.device_id, d.secret) for d in self.devices),
+            self.sortition.block,
+            self.sortition.round_number,
+            num_committees * committee_size,
+        )
         return run_sortition(tickets, num_committees, committee_size)
 
     def advance_round(self, new_block: bytes) -> None:

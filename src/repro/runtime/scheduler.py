@@ -12,6 +12,18 @@ tree), and ``fold`` (combine an internal tree node whose children are
 all complete) — and this module drains whichever events are *ready*
 instead of walking the population.
 
+Drain order
+-----------
+
+The events posted before :meth:`EventScheduler.drain` (one ``churn`` per
+shard: cheap, serial, and where each shard's labelled stream is derived)
+run first, in post order. What they post — the shards' ``upload`` events —
+is held back and released in **waves** of ``max(1, workers)``; a wave
+drains to completion (``upload``, ``verify``, ``aggregate`` and whatever
+``fold`` became ready) before the next is released, so at most one wave of
+uploaded-but-not-ingested batches exists at any time: intake memory is
+bounded by the wave, not by the number of shards.
+
 Determinism contract
 --------------------
 
@@ -21,7 +33,8 @@ pool. Three rules make that true:
 
 * Events are totally ordered by their post sequence number; the heap
   drains them in that order, and a parallel batch's results are applied
-  in that same order, so side effects commute with worker count.
+  in that same order, so side effects commute with worker count (waves
+  are released in the order their events were returned).
 * Handlers for parallel-safe kinds (``upload``, ``verify``) are pure
   per-shard functions: they read only their event payload and return
   ``(result, followups)``. All shared-state mutation lives in serial
@@ -39,6 +52,7 @@ safe to do later).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -97,10 +111,11 @@ class EventScheduler:
     """Drains shard events in deterministic order, optionally in parallel.
 
     ``workers <= 1`` is the serial oracle: one event at a time, in seq
-    order. ``workers > 1`` dispatches maximal runs of consecutive
-    ready events of the same parallel-safe kind to a thread pool and
-    merges their results back in seq order — byte-identical to the
-    oracle by construction (see the module docstring's contract).
+    order, one shard per wave. ``workers > 1`` releases ``workers`` shards
+    a wave and dispatches maximal runs of consecutive ready events of the
+    same parallel-safe kind to a thread pool, merging their results back in
+    seq order — byte-identical to the oracle by construction (see the
+    module docstring's contract).
     """
 
     def __init__(self, workers: int = 0):
@@ -109,6 +124,7 @@ class EventScheduler:
         self._handlers: Dict[str, Callable[[ShardEvent], Tuple[object, Sequence[Followup]]]] = {}
         self._parallel_kinds: set = set()
         self._seq = 0
+        self._pool: Optional[ThreadPoolExecutor] = None
         self.stats = SchedulerStatistics(workers=self.workers)
 
     def register(
@@ -150,33 +166,44 @@ class EventScheduler:
         return batch
 
     def drain(self) -> int:
-        """Process events until none remain; returns the count handled."""
-        handled = 0
-        pool: Optional[ThreadPoolExecutor] = None
+        """Process events until none remain — those already posted first, what
+        they return a wave at a time; returns the count handled."""
+        waiting: deque = deque()
         try:
-            while self._heap:
-                batch = self._pop_batch()
-                handled += len(batch)
-                kind = batch[0].kind
-                self.stats.events_processed[kind] = (
-                    self.stats.events_processed.get(kind, 0) + len(batch)
-                )
-                self.stats.batches_dispatched += 1
-                self.stats.max_batch = max(self.stats.max_batch, len(batch))
-                if len(batch) == 1:
-                    outcomes = [self._handlers[kind](batch[0])]
-                else:
-                    if pool is None:
-                        pool = ThreadPoolExecutor(max_workers=self.workers)
-                    outcomes = list(pool.map(self._handlers[kind], batch))
-                # Merge in seq order: followups post (and any serial side
-                # effects already happened) exactly as the oracle would.
-                for _result, followups in outcomes:
-                    for follow_kind, shard_id, payload in followups or ():
-                        self.post(follow_kind, shard_id, payload)
+            handled = self._drain_ready(lambda *followup: waiting.append(followup))
+            while waiting:
+                for _ in range(min(len(waiting), max(1, self.workers))):
+                    self.post(*waiting.popleft())
+                handled += self._drain_ready(self.post)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
+        return handled
+
+    def _drain_ready(self, post: Callable[..., object]) -> int:
+        """Run the heap dry in seq order, handing every followup to ``post``."""
+        handled = 0
+        while self._heap:
+            batch = self._pop_batch()
+            handled += len(batch)
+            kind = batch[0].kind
+            self.stats.events_processed[kind] = (
+                self.stats.events_processed.get(kind, 0) + len(batch)
+            )
+            self.stats.batches_dispatched += 1
+            self.stats.max_batch = max(self.stats.max_batch, len(batch))
+            if len(batch) == 1:
+                outcomes = [self._handlers[kind](batch[0])]
+            else:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(max_workers=self.workers)
+                outcomes = list(self._pool.map(self._handlers[kind], batch))
+            # Merge in seq order: followups post (and any serial side
+            # effects already happened) exactly as the oracle would.
+            for _result, followups in outcomes:
+                for followup in followups or ():
+                    post(*followup)
         return handled
 
     @property

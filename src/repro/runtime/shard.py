@@ -33,6 +33,12 @@ remove them:
   the shard stream (:func:`randrange_many`), subset products are formed
   from pair products memoised on the pool, and each distinct witness
   vector is packed once (ARCHITECTURE.md §19).
+* **Columns, not objects.** A shard's uploads travel from ``upload`` to
+  the tree leaf as a :class:`ShardUploadBatch` of columns — raw
+  ciphertext values under one modulus, shared witness rows, the proofs
+  as :class:`~repro.crypto.zkp.ProofColumns` — and the leaf sum folds raw
+  values; an ``Upload`` exists only when :meth:`ShardUploadBatch.upload`
+  is asked for one (ARCHITECTURE.md §21).
 
 Every stage function here is **pure per shard** — it reads its
 arguments, draws only from the shard's own stream, and returns a value —
@@ -51,8 +57,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..crypto import paillier
-from ..crypto.zkp import Statement, prove, verify as zkp_verify
-from .aggregator import Upload, ciphertext_vector_digest
+
+# The column kernels, bound under the names the per-device stages called:
+# that is where bench/trace.py hooks the proving and verification layers.
+from ..crypto.zkp import (
+    ProofColumns,
+    Statement,
+    prove_columns as prove,
+    verify_columns as zkp_verify,
+)
+from .aggregator import Upload, upload_digests
 from .packing import SlotPacking
 
 
@@ -196,11 +210,34 @@ class ShardContext:
 
 @dataclass
 class ShardUploadBatch:
-    """The ``upload`` stage's output: one shard's uploads, pre-verification."""
+    """The ``upload`` stage's output: one shard's uploads as columns.
+
+    Row ``k`` is one online device's submission: ``device_ids[k]`` sent the
+    raw ciphertext values ``ciphertexts[k]`` (every one under ``modulus``,
+    held once), the witness ``witnesses[k]`` (devices with equal vectors
+    share one list) and row ``k`` of ``proofs``.
+    """
 
     shard_id: int
-    uploads: List[Upload]
-    submit_seconds: float
+    modulus: int
+    device_ids: List[int]
+    ciphertexts: List[List[int]]
+    witnesses: List[List[int]]
+    proofs: ProofColumns
+    submit_seconds: float = 0.0
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    def upload(self, k: int) -> Upload:
+        """Row ``k`` as the wire object — for a test, an audit or a report;
+        the intake itself never builds one."""
+        return Upload(
+            self.device_ids[k],
+            paillier.ciphertexts_under(self.modulus, self.ciphertexts[k]),
+            self.proofs.proof(k),
+            list(self.witnesses[k]),
+        )
 
 
 @dataclass
@@ -208,11 +245,13 @@ class ShardIntakeResult:
     """The ``verify`` stage's output: one aggregation-tree leaf's intake.
 
     ``partials`` are the per-packed-slot homomorphic sums over the
-    accepted uploads (``None`` when every upload was rejected);
+    accepted uploads (``None`` when every upload was rejected), all under
+    ``modulus`` — the batch's, which the tree compares with its own key;
     ``leaf_digest`` commits to the accepted uploads in order.
     """
 
     shard_id: int
+    modulus: int
     partials: Optional[List[paillier.PaillierCiphertext]]
     accepted: int
     rejected: List[int]
@@ -230,41 +269,37 @@ class ShardIntakeResult:
 
 def _encode_shard_vectors(
     shard: DeviceShard, ctx: ShardContext, rng: random.Random
-) -> Tuple[List[int], List[List[int]]]:
-    """Per-device witness vectors for the shard's online devices.
+) -> Tuple[List[int], List[List[int]], List[int]]:
+    """Witness vectors of the shard's online devices, each distinct one once.
 
-    Returns ``(online_ids, vectors)``. One-hot bin placement consumes one
-    ``randrange`` per online device from the shard stream (stable order:
-    ascending device id), matching the flat planes' per-device draw shape
-    so malformed/honest mixes stay reproducible.
+    Returns ``(online_ids, rows, codes)``: device ``online_ids[k]``'s vector
+    is ``rows[codes[k]]``. One-hot bin placement consumes one ``randrange``
+    per online device from the shard stream (stable order: ascending device
+    id), matching the flat planes' per-device draw shape so
+    malformed/honest mixes stay reproducible.
     """
     online_idx = np.flatnonzero(shard.online)
     online_ids = shard.device_ids[online_idx].tolist()
-    malicious = shard.malicious[online_idx].tolist()
+    malicious = shard.malicious[online_idx]
     width = ctx.width
     if ctx.one_hot:
         cats = np.mod(shard.values[online_idx], ctx.categories).astype(np.int64)
         if ctx.bins > 1:
             cats += randrange_many(rng, ctx.bins, len(online_idx)) * ctx.categories
+        rows = [[0] * slot + [1] + [0] * (width - slot - 1) for slot in range(width)]
         # Malformed upload: claim membership in several categories.
-        malformed = [1] * min(3, width) + [0] * (width - min(3, width))
-        honest = [[0] * slot + [1] + [0] * (width - slot - 1) for slot in range(width)]
-        return online_ids, [
-            list(malformed if bad else honest[slot])
-            for bad, slot in zip(malicious, cats.tolist())
-        ]
-    rows = shard.values[online_idx]
-    if rows.ndim == 1:
-        rows = rows.reshape(-1, 1)
-    rows = rows[:, :width].tolist()
-    vectors: List[List[int]] = []
-    for bad, row in zip(malicious, rows):
-        row += [0] * (width - len(row))
-        if bad:
-            # Out-of-range value ("pretending the user is 1,000 years old").
-            row[0] = 1000
-        vectors.append(row)
-    return online_ids, vectors
+        rows.append([1] * min(3, width) + [0] * (width - min(3, width)))
+        return online_ids, rows, np.where(malicious, width, cats).tolist()
+    values = shard.values[online_idx]
+    if values.ndim == 1:
+        values = values.reshape(-1, 1)
+    table = np.zeros((len(online_idx), width), dtype=np.int64)
+    table[:, : values.shape[1]] = values[:, :width]
+    # Out-of-range value ("pretending the user is 1,000 years old").
+    table[malicious, 0] = 1000
+    index: Dict[Tuple[int, ...], int] = {}
+    codes = [index.setdefault(tuple(row), len(index)) for row in table.tolist()]
+    return online_ids, [list(row) for row in index], codes
 
 
 def upload_shard(
@@ -272,91 +307,94 @@ def upload_shard(
 ) -> ShardUploadBatch:
     """The ``upload`` stage: encode, encrypt, and prove a whole shard.
 
-    Each online device produces one :class:`Upload` — packed ciphertexts
-    obfuscated via the pad pool (one subset-product per packed
-    ciphertext), digest, and well-formedness proof — exactly the wire
-    objects the flat planes produce, just built batch-at-a-time: the
-    shard stream yields the bin draws, then every pad index of the shard
-    in (device, ciphertext, subset position) order.
+    Each online device contributes one row of the batch — packed ciphertext
+    values obfuscated via the pad pool (one subset-product per packed
+    ciphertext), their digest, and the well-formedness proof — the bytes
+    the flat planes put in an ``Upload``, built a column at a time: the
+    shard stream yields the bin draws, then every pad index of the shard in
+    (device, ciphertext, subset position) order.
     """
     started = time.perf_counter()
-    pk = ctx.public_key
     packing = ctx.packing
-    online_ids, vectors = _encode_shard_vectors(shard, ctx, rng)
-    packed: Dict[Tuple[int, ...], List[int]] = {}
-    rows: List[List[int]] = []
-    for vector in vectors:
-        key = tuple(vector)
-        if key not in packed:
-            packed[key] = packing.pack(vector) if packing is not None else vector
-        rows.append(packed[key])
+    online_ids, rows, codes = _encode_shard_vectors(shard, ctx, rng)
+    packed = {
+        code: packing.pack(rows[code]) if packing is not None else rows[code]
+        for code in set(codes)
+    }
     per_upload = packing.packed_width if packing is not None else ctx.width
-    pads = iter(ctx.pool.draw(rng, per_upload * len(rows)))
-    uploads: List[Upload] = []
-    for device_id, vector, row in zip(online_ids, vectors, rows):
-        cts = [paillier.encrypt_with_pad(pk, value, next(pads)) for value in row]
-        digest = ciphertext_vector_digest(cts)
-        proof = prove(ctx.statement, vector, device_id, ctx.round_number, digest)
-        uploads.append(Upload(device_id, cts, proof, vector))
+    ciphertexts = paillier.encrypt_rows_with_pads(
+        ctx.public_key, packed, codes, ctx.pool.draw(rng, per_upload * len(codes))
+    )
+    digests = [
+        hashlib.sha256(paillier.ciphertext_bytes(values)).digest() for values in ciphertexts
+    ]
+    witnesses = [rows[code] for code in codes]
+    proofs = prove(ctx.statement, witnesses, online_ids, ctx.round_number, digests)
     return ShardUploadBatch(
-        shard.shard_id, uploads, time.perf_counter() - started
+        shard.shard_id,
+        ctx.public_key.n,
+        online_ids,
+        ciphertexts,
+        witnesses,
+        proofs,
+        time.perf_counter() - started,
     )
 
 
 def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResult:
     """The ``verify`` + leaf-``aggregate`` stage: one tree leaf's intake.
 
-    ZKP-checks every upload (identical accept/reject semantics to
-    :meth:`AggregatorNode.verify_uploads`, plus the proof must be the one
-    for *this* uploader, round and statement), folds the accepted
-    ciphertext vectors into per-slot partial sums, and commits the shard
-    batch under a leaf digest over the accepted upload digests in order.
+    Checks every row: the proof's ciphertext digest against the one
+    recomputed from the stored values, and that it is the proof for *this*
+    uploader, round and statement; the rows that pass go to the ZKP
+    verification kernel. The accepted ciphertext vectors fold into per-slot
+    partial sums as raw values under the batch's one modulus, and the leaf
+    digest commits to the accepted upload digests in order.
     """
     started = time.perf_counter()
-    accepted: List[Upload] = []
-    rejected: List[int] = []
-    for upload in batch.uploads:
-        proof = upload.proof
-        if (
-            proof.ciphertext_digest == ciphertext_vector_digest(upload.ciphertexts)
-            and proof.device_id == upload.device_id
-            and proof.round_number == ctx.round_number
-            and proof.statement == ctx.statement
-            and zkp_verify(proof, upload.witness)
-        ):
-            accepted.append(upload)
-        else:
-            rejected.append(upload.device_id)
+    proofs, ids = batch.proofs, batch.device_ids
+    statement, round_number = ctx.statement, ctx.round_number
+    bodies = [paillier.ciphertext_bytes(values) for values in batch.ciphertexts]
+    named = [
+        k
+        for k, body in enumerate(bodies)
+        if proofs.ciphertext_digests[k] == hashlib.sha256(body).digest()
+        and proofs.device_ids[k] == ids[k]
+        and proofs.round_numbers[k] == round_number
+        and (proofs.statements[k] is statement or proofs.statements[k] == statement)
+    ]
+    accepted = zkp_verify(proofs, batch.witnesses, named)
+    kept = set(accepted)
+    rejected = [device_id for k, device_id in enumerate(ids) if k not in kept]
     verify_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     partials: Optional[List[paillier.PaillierCiphertext]] = None
     additions = 0
     if accepted:
-        width = len(accepted[0].ciphertexts)
-        partials = [
-            paillier.sum_ciphertexts([u.ciphertexts[j] for u in accepted])
-            for j in range(width)
-        ]
-        additions = (len(accepted) - 1) * width
+        partials = paillier.sum_columns(
+            batch.modulus, [batch.ciphertexts[k] for k in accepted]
+        )
+        additions = (len(accepted) - 1) * len(partials)
     aggregate_seconds = time.perf_counter() - started
 
-    upload_digests = [u.digest() for u in accepted]
+    digests = upload_digests([ids[k] for k in accepted], [bodies[k] for k in accepted])
     leaf_digest = hashlib.sha256(
-        b"shard-leaf" + batch.shard_id.to_bytes(8, "big") + b"".join(upload_digests)
+        b"shard-leaf" + batch.shard_id.to_bytes(8, "big") + b"".join(digests)
     ).digest()
     return ShardIntakeResult(
         shard_id=batch.shard_id,
+        modulus=batch.modulus,
         partials=partials,
         accepted=len(accepted),
         rejected=rejected,
-        upload_digests=upload_digests,
+        upload_digests=digests,
         leaf_digest=leaf_digest,
         submit_seconds=batch.submit_seconds,
         verify_seconds=verify_seconds,
         aggregate_seconds=aggregate_seconds,
         ciphertext_additions=additions,
-        uploads_received=len(batch.uploads),
+        uploads_received=len(batch),
     )
 
 

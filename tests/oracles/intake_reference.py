@@ -1,12 +1,15 @@
 """The per-device sharded intake, kept as the differential oracle.
 
-This is the intake as it stood before it went shard-at-a-time: every pad
-index is its own ``rng.randrange``, every subset product a left fold of
-``subset_size - 1`` multiplications, every device's vector is packed on
-its own, and every digest is fed to its hash one ``update()`` at a time.
+This is the intake as it stood before it went shard-at-a-time and then
+columnar: one ``Upload`` + ``InputProof`` + ``PaillierCiphertext`` per
+device, every pad index its own ``rng.randrange``, every subset product a
+left fold of ``subset_size - 1`` multiplications, every device's vector
+packed on its own, every digest fed to its hash one ``update()`` at a
+time, every leaf sum a chain of ``add_ciphertexts``.
 ``tests/test_intake_equivalence.py`` runs the same shard through these
 functions and through :mod:`repro.runtime.shard` and requires identical
-uploads, RNG state and intake results.
+uploads, RNG state and intake results; :func:`as_objects` and
+:func:`as_columns` carry a batch from one representation to the other.
 
 The byte layouts written out here are the contract: they are what every
 pinned digest in the chaos, journal and equivalence suites rests on.
@@ -18,12 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto import paillier
-from repro.crypto.zkp import InputProof, Statement
+from repro.crypto.zkp import InputProof, ProofColumns, Statement
 from repro.runtime.aggregator import Upload
 from repro.runtime.shard import (
     DeviceShard,
@@ -32,6 +36,30 @@ from repro.runtime.shard import (
     ShardIntakeResult,
     ShardUploadBatch,
 )
+
+
+@dataclass
+class ObjectBatch:
+    """One shard's uploads as the objects the flat planes put on the wire."""
+
+    shard_id: int
+    uploads: List[Upload]
+
+
+def as_objects(batch: ShardUploadBatch) -> ObjectBatch:
+    return ObjectBatch(batch.shard_id, [batch.upload(k) for k in range(len(batch))])
+
+
+def as_columns(batch: ObjectBatch, modulus: int) -> ShardUploadBatch:
+    return ShardUploadBatch(
+        batch.shard_id,
+        modulus,
+        [u.device_id for u in batch.uploads],
+        [[ct.value for ct in u.ciphertexts] for u in batch.uploads],
+        [u.witness for u in batch.uploads],
+        ProofColumns(*[[getattr(u.proof, f.name) for u in batch.uploads] for f in fields(InputProof)]),
+    )
+
 
 # ------------------------------------------------------------------ hashing
 
@@ -159,7 +187,7 @@ def encode_shard_vectors(
 
 def upload_shard(
     shard: DeviceShard, ctx: ShardContext, rng: random.Random
-) -> ShardUploadBatch:
+) -> ObjectBatch:
     online_ids, vectors = encode_shard_vectors(shard, ctx, rng)
     uploads: List[Upload] = []
     for pos, device_id in enumerate(online_ids):
@@ -174,10 +202,10 @@ def upload_shard(
             ciphertext_vector_digest(cts),
         )
         uploads.append(Upload(int(device_id), cts, proof, vector))
-    return ShardUploadBatch(shard.shard_id, uploads, 0.0)
+    return ObjectBatch(shard.shard_id, uploads)
 
 
-def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResult:
+def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
     accepted: List[Upload] = []
     rejected: List[int] = []
     for upload in batch.uploads:
@@ -217,6 +245,7 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
         hasher.update(dig)
     return ShardIntakeResult(
         shard_id=batch.shard_id,
+        modulus=ctx.public_key.n,
         partials=partials,
         accepted=len(accepted),
         rejected=rejected,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crypto import paillier
-from repro.crypto.zkp import one_hot_statement, prove
+from repro.crypto.zkp import one_hot_statement, prove, range_statement, verify
 from repro.runtime.aggregator import (
     AggregatorNode,
     Upload,
@@ -25,12 +25,17 @@ def make_upload(device_id, vector, malformed=False):
     return Upload(device_id, cts, proof, witness)
 
 
+def verified(agg, width=3, round_number=0):
+    """The flat intake as the executor runs it: this query's statement and round."""
+    return agg.verify_uploads(one_hot_statement(width), round_number)
+
+
 class TestUploadVerification:
     def test_valid_uploads_accepted(self):
         agg = AggregatorNode(PK)
         agg.receive_upload(make_upload(1, [1, 0, 0]))
         agg.receive_upload(make_upload(2, [0, 0, 1]))
-        accepted = agg.verify_uploads()
+        accepted = verified(agg)
         assert len(accepted) == 2
         assert agg.rejected == []
 
@@ -38,7 +43,7 @@ class TestUploadVerification:
         agg = AggregatorNode(PK)
         agg.receive_upload(make_upload(1, [1, 0, 0]))
         agg.receive_upload(make_upload(2, [1, 1, 0]))  # two-hot
-        accepted = agg.verify_uploads()
+        accepted = verified(agg)
         assert [u.device_id for u in accepted] == [1]
         assert agg.rejected == [2]
 
@@ -48,9 +53,40 @@ class TestUploadVerification:
         agg = AggregatorNode(PK)
         agg.receive_upload(make_upload(1, [1, 0, 0]))
         agg.tamper_with_upload(0)
-        accepted = agg.verify_uploads()
+        accepted = verified(agg)
         assert accepted == []
         assert agg.rejected == [1]
+
+
+class TestReplayedProofs:
+    """The proof must be the one for this uploader, round and statement:
+    :func:`zkp.verify` alone accepts each of these, and so did the flat intake."""
+
+    def _rejects(self, upload, round_number=0):
+        assert verify(upload.proof, upload.witness)
+        agg = AggregatorNode(PK)
+        agg.receive_upload(make_upload(1, [0, 1, 0]))
+        agg.receive_upload(upload)
+        assert [u.device_id for u in verified(agg, round_number=round_number)] == [1]
+        assert agg.rejected == [upload.device_id]
+        assert agg.stats.uploads_verified == 1 and agg.stats.uploads_rejected == 1
+
+    def test_another_devices_proof_over_the_same_ciphertexts(self):
+        theirs = make_upload(7, [1, 0, 0])
+        self._rejects(Upload(2, theirs.ciphertexts, theirs.proof, theirs.witness))
+
+    def test_last_rounds_proof(self):
+        agg = AggregatorNode(PK)
+        stale = make_upload(2, [1, 0, 0])  # proved for round 0
+        agg.receive_upload(stale)
+        assert verify(stale.proof, stale.witness)
+        assert verified(agg, round_number=1) == [] and agg.rejected == [2]
+
+    def test_range_proof_offered_to_a_one_hot_query(self):
+        vector = [1, 1, 0]  # not one-hot, but within [0, 1]
+        cts = [paillier.encrypt(PK, v, RNG) for v in vector]
+        proof = prove(range_statement(3, 0, 1), vector, 2, 0, ciphertext_vector_digest(cts))
+        self._rejects(Upload(2, cts, proof, vector))
 
 
 class TestAggregation:
@@ -59,7 +95,7 @@ class TestAggregation:
         data = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
         for i, row in enumerate(data, start=1):
             agg.receive_upload(make_upload(i, row))
-        totals = agg.aggregate(agg.verify_uploads())
+        totals = agg.aggregate(verified(agg))
         counts = [paillier.decrypt(KEY, ct) for ct in totals]
         assert counts == [1, 2, 1]
 
@@ -70,11 +106,9 @@ class TestAggregation:
 
     def test_inconsistent_widths_rejected(self):
         agg = AggregatorNode(PK)
-        agg.receive_upload(make_upload(1, [1, 0]))
-        agg.receive_upload(make_upload(2, [1, 0, 0]))
-        accepted = agg.verify_uploads()
+        # One query has one statement, so no intake accepts both: hand them over.
         with pytest.raises(ValueError):
-            agg.aggregate(accepted)
+            agg.aggregate([make_upload(1, [1, 0]), make_upload(2, [1, 0, 0])])
 
 
 class TestAudits:

@@ -123,10 +123,10 @@ class TestByzantineAggregator:
 
         original = executor_module.AggregatorNode.verify_uploads
 
-        def tamper_then_verify(self):
+        def tamper_then_verify(self, statement, round_number):
             self.tamper_with_upload(0)
             self.tamper_with_upload(1)
-            return original(self)
+            return original(self, statement, round_number)
 
         executor_module.AggregatorNode.verify_uploads = tamper_then_verify
         try:

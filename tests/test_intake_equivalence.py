@@ -1,11 +1,12 @@
-"""The shard-at-a-time intake against its per-device oracle (``tests/oracles``).
+"""The columnar shard intake against its per-device oracle (``tests/oracles``).
 
 The shard stages replay the shard stream in bulk, multiply memoised pad
-pairs, pack each distinct vector once and hash every digest in one call.
-None of that may be observable: uploads, the RNG stream's end position,
-accept/reject order, leaf digests and partial sums must match the scalar,
-per-device reference byte for byte — and a proof that is not the one for
-this uploader, round and query must be rejected.
+pairs, pack each distinct vector once, hash every digest in one call and
+carry a shard's uploads as columns of raw values, never as one object per
+device. None of that may be observable: uploads, the RNG stream's end
+position, accept/reject order, leaf digests and partial sums must match
+the scalar, object-per-device reference byte for byte — and a proof that
+is not the one for this uploader, round and query must be rejected.
 """
 
 import random
@@ -26,7 +27,6 @@ from repro.runtime.shard import (
     DeviceShard,
     ObfuscatorPool,
     ShardContext,
-    ShardUploadBatch,
     randrange_many,
     upload_shard,
     verify_shard,
@@ -143,29 +143,36 @@ def test_workers_racing_to_fill_the_pair_memo_draw_what_the_fold_draws():
     cts=st.lists(st.integers(0, 2**400), max_size=4),
 )
 def test_one_shot_digests_hash_the_same_bytes(values, salt, device_id, round_number, cts):
-    assert zkp._digest_values(values, salt) == ref.digest_values(values, salt)
-    assert zkp._digest_values(tuple(values), salt) == ref.digest_values(values, salt)
-    ct_digest, witness_digest = b"c" * 32, b"w" * 32
-    assert zkp._binding(device_id, round_number, ct_digest, witness_digest) == ref.binding(
-        device_id, round_number, ct_digest, witness_digest
-    )
+    statement = one_hot_statement(4)
+    # Any bytes stand in for the ciphertext digest: its first 8 salt the witness.
+    proof = zkp.prove(statement, values, device_id, round_number, salt)
+    assert proof.witness_digest == ref.digest_values(values, salt)
+    assert proof.binding == ref.binding(device_id, round_number, salt, proof.witness_digest)
+    assert zkp.prove(statement, tuple(values), device_id, round_number, salt) == proof
     ciphertexts = [paillier.PaillierCiphertext(v, PK.n) for v in cts]
     digest = aggregator.ciphertext_vector_digest(ciphertexts)
     assert digest == ref.ciphertext_vector_digest(ciphertexts)
     upload = Upload(device_id, ciphertexts, None, values)
     assert upload.digest() == ref.upload_digest(upload)
-    assert zkp.prove(one_hot_statement(4), values, device_id, round_number, digest) == ref.prove(
-        one_hot_statement(4), values, device_id, round_number, digest
+    assert aggregator.upload_digests([device_id], [paillier.ciphertext_bytes(cts)]) == [
+        upload.digest()
+    ]
+    assert zkp.prove(statement, values, device_id, round_number, digest) == ref.prove(
+        statement, values, device_id, round_number, digest
     )
 
 
 def test_witness_body_memo_cannot_confuse_keys_that_compare_equal():
     # 1, True and 1.0 are one cache key and one encoding; 2.5 truncates like int().
     salt = b"12345678"
-    assert zkp._digest_values([True, 0], salt) == zkp._digest_values([1, 0], salt)
-    assert zkp._digest_values([1.0, 0], salt) == ref.digest_values([1.0, 0], salt)
-    assert zkp._digest_values([2.5], salt) == ref.digest_values([2.5], salt)
-    assert zkp._digest_values([np.int64(7)], salt) == ref.digest_values([7], salt)
+
+    def witness_digest(values):
+        return zkp.prove(one_hot_statement(2), values, 1, 1, salt).witness_digest
+
+    assert witness_digest([True, 0]) == witness_digest([1, 0])
+    assert witness_digest([1.0, 0]) == ref.digest_values([1.0, 0], salt)
+    assert witness_digest([2.5]) == ref.digest_values([2.5], salt)
+    assert witness_digest([np.int64(7)]) == ref.digest_values([7], salt)
 
 
 # ------------------------------------------------------------ shard stages
@@ -177,12 +184,15 @@ def shard_cases(draw):
     categories = draw(st.integers(1, 5))
     bins = draw(st.sampled_from([1, 3])) if one_hot else 1
     width = categories * bins if one_hot else categories
-    n = draw(st.integers(0, 24))
+    n = draw(st.one_of(st.integers(0, 24), st.sampled_from([1, 7, 64])))
     if draw(st.booleans()):
         online = [False] * n  # an empty-online shard
     else:
         online = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    malicious = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.integers(0, 4)) == 0:
+        malicious = [True] * n  # nothing to accept: no partials, an empty leaf
+    else:
+        malicious = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     if one_hot:
         values = np.asarray(
             draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), dtype=np.int64
@@ -244,6 +254,7 @@ def upload_fields(upload):
 def intake_fields(result):
     return (
         result.shard_id,
+        result.modulus,
         result.partials,
         result.accepted,
         result.rejected,
@@ -261,40 +272,102 @@ def test_shard_stages_match_the_per_device_oracle(case):
     bulk, scalar = random.Random(seed), random.Random(seed)
     got = upload_shard(shard, ctx, bulk)
     want = ref.upload_shard(shard, ctx, scalar)
-    assert [upload_fields(u) for u in got.uploads] == [upload_fields(u) for u in want.uploads]
-    assert len(got.uploads) == shard.online_count
+    uploads = ref.as_objects(got).uploads
+    assert [upload_fields(u) for u in uploads] == [upload_fields(u) for u in want.uploads]
+    assert len(got) == shard.online_count and got.modulus == PK.n
     assert bulk.getstate() == scalar.getstate()
-    # Witnesses are each upload's own list, never one shared between devices.
-    assert len({id(u.witness) for u in got.uploads}) == len(got.uploads)
+    # Equal vectors share a row in the columns; an Upload built from one owns its copy.
+    for k, upload in enumerate(uploads):
+        upload.witness.append(7)
+        assert len(got.witnesses[k]) == ctx.width
 
     result = verify_shard(got, ctx)
     assert intake_fields(result) == intake_fields(ref.verify_shard(want, ctx))
     if ctx.width > 1 or not ctx.one_hot:  # a 1-wide "several categories" vector is one-hot
         assert result.rejected == shard.device_ids[shard.online & shard.malicious].tolist()
+    # Row k, asked for as an object, digests to what the leaf committed for column k.
+    kept = [got.upload(k) for k in range(len(got)) if got.device_ids[k] not in result.rejected]
+    assert [u.digest() for u in kept] == result.upload_digests
 
 
-@settings(max_examples=60, deadline=None)
+def _flip(digest: bytes) -> bytes:
+    return bytes([digest[0] ^ 1]) + digest[1:]
+
+
+#: Per column of the batch: where it is, and what a tampered entry looks like.
+TAMPERS = {
+    "ciphertext": (lambda b: b.ciphertexts, lambda values: [values[0] + 1] + values[1:]),
+    "proof device": (lambda b: b.proofs.device_ids, lambda device_id: device_id + 1),
+    "proof round": (lambda b: b.proofs.round_numbers, lambda round_number: round_number + 1),
+    # A statement every witness here satisfies, just not the query's.
+    "proof statement": (
+        lambda b: b.proofs.statements, lambda statement: range_statement(statement.length, 0, 1000)
+    ),
+    "ciphertext digest": (lambda b: b.proofs.ciphertext_digests, _flip),
+    "witness digest": (lambda b: b.proofs.witness_digests, _flip),
+    "binding": (lambda b: b.proofs.bindings, _flip),
+    # The row is shared with every device that sent the same vector: replaced, never mutated.
+    "witness": (lambda b: b.witnesses, lambda row: [v + 1 for v in row]),
+}
+
+
+def tamper(batch, how, k):
+    column_of, change = TAMPERS[how]
+    column_of(batch)[k] = change(column_of(batch)[k])
+
+
+@settings(max_examples=100, deadline=None)
 @given(case=shard_cases(), data=st.data())
 def test_tampered_batches_are_rejected_in_the_same_order(case, data):
     shard, ctx, seed = case
     batch = upload_shard(shard, ctx, random.Random(seed))
-    uploads = batch.uploads
-    if len(uploads) < 2:
+    if len(batch) < 2:
         return
+    rejected_anyway = set(verify_shard(batch, ctx).rejected)
     victims = data.draw(
-        st.lists(st.integers(0, len(uploads) - 1), min_size=1, max_size=4, unique=True)
+        st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=4, unique=True)
     )
-    for how, index in enumerate(victims):
-        upload = uploads[index]
-        if how % 3 == 0:  # ciphertext swapped after the proof was made
-            upload.ciphertexts[0] = paillier.tampered(upload.ciphertexts[0])
-        elif how % 3 == 1:  # a neighbour's proof, replayed
-            upload.proof = uploads[(index + 1) % len(uploads)].proof
-        else:  # a witness the proof never committed to
-            upload.witness = [v + 1 for v in upload.witness]
+    for index in victims:
+        tamper(batch, data.draw(st.sampled_from(sorted(TAMPERS))), index)
     result = verify_shard(batch, ctx)
-    assert intake_fields(result) == intake_fields(ref.verify_shard(batch, ctx))
-    assert set(result.rejected) >= {uploads[i].device_id for i in victims}
+    assert intake_fields(result) == intake_fields(ref.verify_shard(ref.as_objects(batch), ctx))
+    # Exactly the tampered devices are lost, nobody beside them.
+    lost = rejected_anyway | {batch.device_ids[k] for k in victims}
+    assert result.rejected == [d for d in batch.device_ids if d in lost]
+
+
+@pytest.mark.parametrize("how", sorted(TAMPERS))
+def test_every_column_is_checked_for_every_upload(how):
+    """The tamper matrix, one column at a time, on a shard nobody else fails in."""
+    width = 4
+    ctx = ShardContext(
+        public_key=PK,
+        statement=one_hot_statement(width),
+        categories=width,
+        bins=1,
+        one_hot=True,
+        width=width,
+        round_number=3,
+        packing=SlotPacking(width=width, slot_bits=16, lanes=2),
+        pool=ObfuscatorPool(PK, random.Random(1), pool_size=4, subset_size=2),
+    )
+    n = 7
+    shard = DeviceShard(
+        shard_id=2,
+        device_ids=np.arange(10, 10 + n, dtype=np.int64),
+        values=np.arange(n, dtype=np.int64),
+        online=np.ones(n, dtype=bool),
+        malicious=np.zeros(n, dtype=bool),
+        stream_label="sharded/upload/2",
+    )
+    for victim in range(n):
+        batch = upload_shard(shard, ctx, random.Random(5))
+        tamper(batch, how, victim)
+        result = verify_shard(batch, ctx)
+        assert result.rejected == [10 + victim] and result.accepted == n - 1
+        assert intake_fields(result) == intake_fields(
+            ref.verify_shard(ref.as_objects(batch), ctx)
+        )
 
 
 # ------------------------------------------- proofs belong to their upload
@@ -327,6 +400,9 @@ def test_proof_for_another_uploader_round_or_statement_is_rejected():
         )
         return Upload(device_id, cts, proof, witness)
 
+    def intake(uploads):
+        return verify_shard(ref.as_columns(ref.ObjectBatch(0, uploads), PK.n), ctx)
+
     honest = upload(1, [0, 1, 0, 0], ctx.statement, 1, round_number)
     # Not one-hot, but carrying a statement it does satisfy.
     relabelled = upload(2, [1, 1, 1, 0], range_statement(width, 0, 1), 2, round_number)
@@ -335,11 +411,35 @@ def test_proof_for_another_uploader_round_or_statement_is_rejected():
     batch = [honest, relabelled, replayed]
     assert all(zkp.verify(u.proof, u.witness) for u in batch)
 
-    result = verify_shard(ShardUploadBatch(0, batch, 0.0), ctx)
+    result = intake(batch)
     assert result.rejected == [2, 3]
     assert result.accepted == 1
     assert result.upload_digests == [honest.digest()]
     # Each binding comparison on its own.
     for device, rnd in ((9, round_number), (3, 3)):
         lone = upload(3, [0, 0, 1, 0], ctx.statement, device, rnd)
-        assert verify_shard(ShardUploadBatch(0, [lone], 0.0), ctx).rejected == [3]
+        assert intake([lone]).rejected == [3]
+
+
+def test_a_batch_under_another_key_cannot_reach_the_tree():
+    """One modulus per batch: the leaf sum carries it and the tree compares it once."""
+    other = paillier.keygen(bits=96, rng=random.Random(4)).public
+    ctx = ShardContext(
+        public_key=other,
+        statement=one_hot_statement(2),
+        categories=2,
+        bins=1,
+        one_hot=True,
+        width=2,
+        round_number=0,
+        packing=None,
+        pool=ObfuscatorPool(other, random.Random(1), pool_size=4, subset_size=2),
+    )
+    shard = DeviceShard(
+        0, np.arange(1, 4, dtype=np.int64), np.zeros(3, dtype=np.int64),
+        np.ones(3, dtype=bool), np.zeros(3, dtype=bool), "sharded/upload/0",
+    )
+    result = verify_shard(upload_shard(shard, ctx, random.Random(3)), ctx)
+    assert result.modulus == other.n and all(ct.n == other.n for ct in result.partials)
+    with pytest.raises(ValueError, match="different key"):
+        aggregator.AggregatorTree(PK, num_leaves=2).ingest_leaf(result)

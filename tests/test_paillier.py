@@ -70,6 +70,47 @@ class TestHomomorphism:
         b = paillier.encrypt(other.public, 1, rng)
         with pytest.raises(ValueError):
             paillier.add_ciphertexts(a, b)
+        with pytest.raises(ValueError, match="different keys"):
+            paillier.sum_ciphertexts([a, a, b])
+
+
+class TestKeyCachesItsSquare:
+    def test_square_is_computed_once_and_is_not_part_of_the_key(self):
+        used, fresh = paillier.PaillierPublicKey(PK.n), paillier.PaillierPublicKey(PK.n)
+        assert used.n_squared == PK.n * PK.n
+        assert used.n_squared is used.n_squared  # the cached int, not a new product
+        # Equality, hashing and repr see ``n`` only, cache filled or not.
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == f"PaillierPublicKey(n={PK.n})"
+        assert {used: 1}[fresh] == 1
+        with pytest.raises(AttributeError):
+            used.n = 5  # still frozen
+
+    def test_ciphertext_only_operations_agree_with_the_key(self, rng):
+        a, b = paillier.encrypt(PK, 3, rng), paillier.encrypt(PK, 4, rng)
+        n2 = PK.n * PK.n
+        assert paillier.add_ciphertexts(a, b).value == a.value * b.value % n2
+        assert paillier.mul_plain(a, 5).value == pow(a.value, 5, n2)
+        assert paillier.tampered(a).value == (a.value + 1) % n2
+        folded = paillier.add_ciphertexts(paillier.add_ciphertexts(a, b), a)
+        assert paillier.sum_ciphertexts([a, b, a]) == folded
+        assert paillier.sum_ciphertexts([a]) == a
+        assert paillier.sum_columns(PK.n, [[a.value, b.value], [b.value, a.value]]) == [
+            paillier.add_ciphertexts(a, b), paillier.add_ciphertexts(b, a)
+        ]
+
+    def test_raw_encryption_matches_the_per_ciphertext_function(self, rng):
+        pads = [paillier.precompute_pads(PK, [paillier.draw_obfuscator(PK, rng)])[0] for _ in range(6)]
+        rows = {0: [5, 0, PK.n + 2], 7: [1, -1, 9]}
+        got = paillier.encrypt_rows_with_pads(PK, rows, [7, 0], pads)
+        want = [
+            [paillier.encrypt_with_pad(PK, m, pad).value for m, pad in zip(rows[code], pads[i:])]
+            for code, i in ((7, 0), (0, 3))
+        ]
+        assert got == want
+        assert paillier.ciphertexts_under(PK.n, got[0]) == [
+            paillier.PaillierCiphertext(v, PK.n) for v in got[0]
+        ]
 
 
 class TestAggregationScenario:

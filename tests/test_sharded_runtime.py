@@ -211,14 +211,12 @@ class TestShardStages:
         assert pads_a == pads_b
         batch_a = upload_shard(_make_shard(), shard_ctx, random.Random(5))
         batch_b = upload_shard(_make_shard(), shard_ctx, random.Random(5))
-        assert [u.ciphertexts[0].value for u in batch_a.uploads] == [
-            u.ciphertexts[0].value for u in batch_b.uploads
-        ]
+        assert batch_a.ciphertexts == batch_b.ciphertexts
+        assert batch_a.proofs == batch_b.proofs
 
     def test_offline_devices_never_upload(self, shard_ctx):
         batch = upload_shard(_make_shard(offline=[2, 5]), shard_ctx, random.Random(5))
-        uploaded = {u.device_id for u in batch.uploads}
-        assert uploaded == set(range(1, 13)) - {3, 6}
+        assert set(batch.device_ids) == set(range(1, 13)) - {3, 6}
 
     def test_malicious_uploads_rejected_at_the_leaf(self, shard_ctx):
         batch = upload_shard(
@@ -277,18 +275,18 @@ class TestUploadDigestCache:
         node.tamper_with_upload(0)
         # The cached digest is stale, but the verify path recomputes the
         # ciphertext digest from the stored ciphertexts and rejects.
-        assert node.verify_uploads() == []
+        assert node.verify_uploads(one_hot_statement(8), 1) == []
         assert node.rejected == [1]
 
     def test_tamper_after_cache_still_caught_by_shard_verify(
         self, keypair, shard_ctx
     ):
         batch = upload_shard(_make_shard(n=4), shard_ctx, random.Random(5))
-        for upload in batch.uploads:
-            upload.digest()
-        batch.uploads[2].ciphertexts[0] = paillier.tampered(
-            batch.uploads[2].ciphertexts[0]
-        )
+        before = [batch.upload(k).digest() for k in range(len(batch))]
+        batch.ciphertexts[2][0] = paillier.tampered(batch.upload(2).ciphertexts[0]).value
+        # The columns cache no digest at all: the leaf recomputes every one
+        # from the stored values, so the stale one above is never consulted.
+        assert batch.upload(2).digest() != before[2]
         result = verify_shard(batch, shard_ctx)
         assert result.rejected == [3]
         assert result.accepted == 3
@@ -443,6 +441,83 @@ class TestShardedEquivalence:
         parallel = _run(scenario=scenario, shard_workers=4)
         assert serial.outputs == parallel.outputs
         assert serial.rejected_devices == parallel.rejected_devices
+
+
+class TestWaveDrain:
+    """One wave of shards in flight: the drain order and the memory bound."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """The same journaled run at four wave widths, its handlers counted."""
+        import threading
+
+        from repro.runtime import shard as shard_module
+        from repro.runtime.journal import ExecutionJournal
+
+        observed = {}
+        for workers in (0, 1, 2, 4):
+            log, trees, lock = [], [], threading.Lock()
+            in_flight = [0, 0]  # now, and the most there ever were
+
+            def note(kind, delta=0):
+                with lock:
+                    log.append(kind)
+                    in_flight[0] += delta
+                    in_flight[1] = max(in_flight[1], in_flight[0])
+
+            patch = pytest.MonkeyPatch()
+            stream, upload = QueryExecutor._shard_stream, shard_module.upload_shard
+            ingest = AggregatorTree.ingest_leaf
+
+            def counted_stream(self, label, _stream=stream):
+                if label.startswith("sharded/upload/"):
+                    note("churn")  # the one thing only the churn handler derives
+                return _stream(self, label)
+
+            def counted_upload(*args, _upload=upload):
+                batch = _upload(*args)
+                note("upload", +1)
+                return batch
+
+            def counted_ingest(self, result, _ingest=ingest):
+                trees.append(self)
+                note("ingest", -1)
+                return _ingest(self, result)
+
+            patch.setattr(QueryExecutor, "_shard_stream", counted_stream)
+            patch.setattr(shard_module, "upload_shard", counted_upload)
+            patch.setattr(AggregatorTree, "ingest_leaf", counted_ingest)
+            path = tmp_path_factory.mktemp("waves") / f"w{workers}.journal"
+            try:
+                result = _run(
+                    shard_workers=workers,
+                    malicious_fraction=0.1,
+                    journal=ExecutionJournal.create(str(path), {"recipe": "waves"}),
+                )
+            finally:
+                patch.undo()
+            observed[workers] = (result, trees[0].root.digest, path.read_bytes(), log, in_flight[1])
+        return observed
+
+    def test_any_width_releases_the_same_bytes(self, runs):
+        result, root, journal, _, _ = runs[0]
+        assert root and len(journal) > 1000
+        for workers in (1, 2, 4):
+            assert runs[workers][0] == result
+            assert runs[workers][1] == root
+            assert runs[workers][2] == journal
+
+    def test_every_churn_is_handled_before_the_first_upload(self, runs):
+        for _, _, _, log, _ in runs.values():
+            assert log.count("churn") == log.count("upload") == log.count("ingest") == 8
+            assert log[:8] == ["churn"] * 8
+
+    def test_at_most_one_wave_of_batches_awaits_ingest(self, runs):
+        for workers, (_, _, _, log, most) in runs.items():
+            assert most == min(8, max(1, workers))  # the bound, and it is reached
+            # A wave is ingested to the last shard before the next one uploads.
+            width, rest = max(1, workers), [kind for kind in log if kind != "churn"]
+            assert rest == (["upload"] * width + ["ingest"] * width) * (8 // width)
 
 
 class TestShardedCrashResume:

@@ -16,11 +16,22 @@ inflates call-heavy Python frames (about 2.5x on this code) nor hides time
 spent inside C builtins: a long ``pow(base, exp, mod)`` is charged to the
 line that called it. Use it to find where a pass spends its time; the
 benchmark, not this tool, says whether a change made it faster.
+
+One thing a sample cannot tell apart: the cyclic garbage collector runs
+*inside* whichever allocation tipped its threshold, and Python handles a
+signal at the next bytecode, so SIGPROF charges a collection to the allocating
+frame — a dataclass ``__init__`` that shows 14% self time may be an innocent
+allocation paying for a walk of the whole heap. The collector line under the
+tables (collections and seconds per generation, from ``gc.callbacks``)
+says how much of the profile that is; with the hook in place the next bytecode
+after a collection is the hook's, so part of that time shows as the
+``Collector.__call__`` row instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
 import tempfile
@@ -34,6 +45,40 @@ REPO = Path(__file__).resolve().parent.parent
 Key = Tuple[str, str]  # (file, function)
 
 
+class Collector:
+    """The cyclic collector's runs during a profile: a ``gc.callbacks`` entry
+    counting collections and the seconds inside them per generation.
+
+    Timed on ``perf_counter``: a collection never blocks, so its wall time is
+    its CPU time, and while ``ITIMER_PROF`` is armed ``process_time`` only
+    advances a 4 ms tick at a time here — most collections would read 0.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.seconds[info["generation"]] += time.perf_counter() - self._started
+
+    def line(self, cpu_s: float) -> str:
+        """Per generation ``collections/seconds``, and their share of ``cpu_s``."""
+        generations = "  ".join(
+            f"gen{gen} {count} in {seconds:.3f} s"
+            for gen, (count, seconds) in enumerate(zip(self.collections, self.seconds))
+        )
+        share = 100 * sum(self.seconds) / cpu_s if cpu_s > 0 else 0.0
+        return (
+            f"collector: {generations} = {share:.1f}% of the profiled CPU "
+            "(sampled as self time of Collector.__call__ or of whichever frame was allocating)"
+        )
+
+
 class Samples:
     """Where the sampled thread was: per function, self and inclusive counts."""
 
@@ -42,6 +87,7 @@ class Samples:
         self.self_counts: Counter = Counter()
         self.inclusive: Counter = Counter()
         self.lines: Dict[Key, Counter] = {}
+        self.collector = Collector()
 
     def record(self, frame) -> None:
         self.total += 1
@@ -63,11 +109,13 @@ def sample(fn: Callable[[], object], interval_s: float) -> Samples:
     """Run ``fn`` on the calling (main) thread under the CPU-time sampler."""
     samples = Samples()
     previous = signal.signal(signal.SIGPROF, lambda _signum, frame: samples.record(frame))
+    gc.callbacks.append(samples.collector)
     signal.setitimer(signal.ITIMER_PROF, interval_s, interval_s)
     try:
         fn()
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
+        gc.callbacks.remove(samples.collector)
         signal.signal(signal.SIGPROF, previous)
     return samples
 
@@ -132,6 +180,7 @@ def main(argv=None) -> int:
         f"{samples.total} samples every {args.interval_ms:g} ms\n"
     )
     print(report(samples, args.top))
+    print("\n" + samples.collector.line(cpu_s))
     for op in failed:
         print(f"FAILED operation {op.name}: {op.error}", file=sys.stderr)
     return 1 if failed else 0
