@@ -38,9 +38,11 @@ bench-pairs:
 
 # Where a pass spends its time: a SIGPROF sampling profile of untraced passes
 # (sees inside C builtins such as pow, which cProfile charges to nobody).
-#   make profile WORKLOAD=service_mix [SEED=2023] [PASSES=2]
+#   make profile WORKLOAD=service_mix [SEED=2023] [PASSES=2] [CALLERS=powmod]
+# CALLERS splits the samples of every function whose qualified name contains it
+# by immediate caller.
 profile:
-	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2)
+	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2) $(if $(CALLERS),--callers $(CALLERS))
 
 bench-planner:
 	python benchmarks/bench_planner.py --reps 3 --out BENCH_planner.json

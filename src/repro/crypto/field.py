@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +28,13 @@ MERSENNE_61 = (1 << 61) - 1
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def is_probable_prime(
-    n: int, rounds: int = 32, rng: Optional[random.Random] = None
-) -> bool:
+def is_probable_prime(n: int, rounds: int = 32) -> bool:
     """Miller–Rabin primality test.
 
-    Deterministic witnesses are used for n < 3.3e24; above that we fall back
-    to random witnesses drawn from ``rng`` (or a fixed-seed generator so the
-    result is reproducible).
+    Deterministic witnesses are used for n < 3.3e24; above that, ``rounds``
+    random witnesses from a fixed-seed generator (so the result is
+    reproducible), each drawn only when the one before it has passed — a
+    composite that survives trial division almost always falls to the first.
     """
     if n < 2:
         return False
@@ -50,8 +49,8 @@ def is_probable_prime(
     if n < 3317044064679887385961981:
         witnesses = _SMALL_PRIMES[:13]
     else:
-        rng = rng or random.Random(0xA5B0)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        rng = random.Random(0xA5B0)
+        witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))
     backend = get_backend()
     for a in witnesses:
         x = backend.powmod(a, d, n)

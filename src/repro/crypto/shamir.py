@@ -10,7 +10,6 @@ t reveal nothing.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
@@ -66,23 +65,27 @@ def sharing_kernel(
     """Validate a party set once; return ``ys(secret, rng)`` for it.
 
     ``ys`` draws the t random coefficients (lowest degree first) and
-    returns the sharing polynomial's values in ``party_ids`` order, from a
-    precomputed table of x^k — memoised per party set, so validation and
-    the powers are paid once however many values are shared to it.
+    returns the sharing polynomial's values in ``party_ids`` order. It
+    works coefficient-major — draw coefficient k, add its multiple of the
+    parties' x^k column, reduce once at the end — over a table memoised per
+    party set, so validation and the powers are paid once however many
+    values are shared to it.
     """
     _validate_sharing(threshold, party_ids)
     p = field.modulus
-    powers = []  # powers[j][k-1] = party_ids[j]^k mod p, k = 1..t
-    for x in party_ids:
-        row, power = [], 1
-        for _ in range(threshold):
-            power = power * x % p
-            row.append(power)
-        powers.append(row)
+    parties = len(party_ids)
+    columns = []  # columns[k-1][j] = party_ids[j]^k mod p, k = 1..t
+    powers = [1] * parties
+    for _ in range(threshold):
+        powers = [power * x % p for power, x in zip(powers, party_ids)]
+        columns.append(powers)
 
     def ys(secret: int, rng: random.Random) -> List[int]:
-        coeffs = [rng.randrange(p) for _ in range(threshold)]
-        return [(secret + sum(map(operator.mul, coeffs, row))) % p for row in powers]
+        acc = [secret] * parties
+        for column in columns:
+            coeff = rng.randrange(p)
+            acc = [y + coeff * power for y, power in zip(acc, column)]
+        return [y % p for y in acc]
 
     return ys
 
@@ -213,27 +216,3 @@ def share_vector_reference(
         for s in share_secret(v, threshold, party_ids, field, rng):
             per_party[s.x].append(s)
     return per_party
-
-
-def reconstruct_vector(
-    share_rows: Sequence[Sequence[Share]], field: PrimeField
-) -> List[int]:
-    """Reconstruct many secrets that were shared to the same party set.
-
-    ``share_rows[i]`` holds the shares of secret i; every row must use the
-    same x-coordinates (in the same order) so one set of Lagrange weights
-    can be applied to the stacked y-matrix in a single product.
-    """
-    if not share_rows:
-        return []
-    xs = [s.x for s in share_rows[0]]
-    if not xs:
-        raise ValueError("cannot reconstruct from zero shares")
-    weights = field.to_array(lagrange_coefficients_at_zero(xs, field))
-    ys = np.empty((len(share_rows), len(xs)), dtype=object)
-    for i, row in enumerate(share_rows):
-        if [s.x for s in row] != xs:
-            raise ValueError("share rows must use identical party sets")
-        for j, s in enumerate(row):
-            ys[i, j] = s.y % field.modulus
-    return [int(v) for v in get_backend().matvec_mod(ys, weights, field.modulus)]

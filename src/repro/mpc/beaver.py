@@ -15,48 +15,29 @@ triples", §6).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..crypto.field import PrimeField
 from ..crypto.shamir import sharing_kernel
 
-
-@dataclass(frozen=True)
-class BeaverTriple:
-    """Shares of a random (a, b, c) with c = a*b.
-
-    Dealer-made sharings are plain y-value lists in ``party_ids`` order:
-    the online phase only ever does per-party arithmetic on them.
-    """
-
-    a: List[int]
-    b: List[int]
-    c: List[int]
-
-
-@dataclass(frozen=True)
-class EdaBit:
-    """Shares of a random m-bit value r together with shares of its bits.
-
-    Used for comparisons: a secret is masked by r, opened, and the public
-    masked value is compared against r's shared bits.
-    """
-
-    value: List[int]
-    bits: List[List[int]]  # bits[0] = least significant
-
-    @property
-    def bit_length(self) -> int:
-        return len(self.bits)
+#: Dealer-made sharings are plain y-value lists in ``party_ids`` order: the
+#: online phase only ever does per-party arithmetic on them, and never in
+#: place — an engine's handle may alias a list the dealer returned.
+#:
+#: Shares of a random (a, b, c) with c = a*b.
+BeaverTriple = Tuple[List[int], List[int], List[int]]
+#: Shares of a random m-bit value r and of its m bits, least significant
+#: first. Used for comparisons: a secret is masked by r, opened, and the
+#: public masked value is compared against r's shared bits.
+EdaBit = Tuple[List[int], List[List[int]]]
 
 
 class OfflineDealer:
     """Produces the correlated randomness the online phase consumes.
 
-    Counters on this object let the engine report how much offline work a
-    computation required, which feeds the planner's cost model. The party
-    set is validated here, once: nothing downstream re-checks it.
+    The engine meters what it consumes, which feeds the planner's cost
+    model. The party set is validated here, once: nothing downstream
+    re-checks it.
     """
 
     def __init__(self, field: PrimeField, party_ids: Sequence[int], threshold: int, rng: random.Random):
@@ -69,9 +50,6 @@ class OfflineDealer:
         self.threshold = threshold
         self._rng = rng
         self._kernel = sharing_kernel(threshold, tuple(party_ids), field)
-        self.triples_dealt = 0
-        self.edabits_dealt = 0
-        self.random_shares_dealt = 0
 
     def share(self, value: int) -> List[int]:
         """A fresh degree-t sharing of ``value``: y-values in party order."""
@@ -80,17 +58,17 @@ class OfflineDealer:
     def triple(self) -> BeaverTriple:
         """Draws a, b, then the coefficients of the a-, b- and c-sharings:
         the order a replay or a resumed journal expects."""
-        p, rng, share = self.field.modulus, self._rng, self.share
+        p, rng, kernel = self.field.modulus, self._rng, self._kernel
         a = rng.randrange(p)
         b = rng.randrange(p)
-        self.triples_dealt += 1
-        return BeaverTriple(share(a), share(b), share(a * b % p))
+        return kernel(a, rng), kernel(b, rng), kernel(a * b % p, rng)
 
     def edabit(self, bit_length: int) -> EdaBit:
-        bits = [self._rng.randrange(2) for _ in range(bit_length)]
+        """Draws the bits LSB-first, then shares the value, then each bit."""
+        rng, kernel = self._rng, self._kernel
+        bits = [rng.randrange(2) for _ in range(bit_length)]
         value = sum(bit << i for i, bit in enumerate(bits))
-        self.edabits_dealt += 1
-        return EdaBit(self.share(value), [self.share(b) for b in bits])
+        return kernel(value, rng), [kernel(bit, rng) for bit in bits]
 
     def noise_share(self, sample: int) -> List[int]:
         """Share an externally drawn (signed) noise sample.
@@ -99,5 +77,4 @@ class OfflineDealer:
         the sample never exists in the clear at any single party. The cost
         model charges for the real protocol.
         """
-        self.random_shares_dealt += 1
         return self.share(self.field.encode_signed(sample))

@@ -13,6 +13,10 @@ discipline through its API: a :class:`SecretValue` can only be read via
 ``open``/``declassify``, reconstruction is degree-checked so a corrupted
 share is detected (the honest-majority analogue of SPDZ MAC checks), and
 tests exercise malicious members through :meth:`MPCEngine.corrupt_share`.
+
+A shared value is one list of y-values in party order from the dealer's
+draw to the hand-off; no operation changes a list in place, so handles may
+share one (a handle made from an edaBit bit *is* the dealer's list).
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.field import PrimeField, DEFAULT_FIELD
-from ..crypto.shamir import Share, lagrange_weights, share_vector
-from .beaver import EdaBit, OfflineDealer
+from ..crypto.shamir import lagrange_weights
+from .beaver import OfflineDealer
 
 #: Statistical security (bits of masking slack) for masked openings, as in
 #: the paper's MP-SPDZ configuration (§6: "40 bits of statistical security").
@@ -40,16 +44,17 @@ class CheatingDetected(Exception):
     """Raised when an opened sharing is inconsistent (a party cheated)."""
 
 
-@dataclass
 class SecretValue:
-    """Handle to a secret-shared field element living inside one engine."""
+    """Handle to a secret-shared field element living inside one engine:
+    its shares' y-values in that engine's party order."""
 
-    shares: Dict[int, Share]
-    engine_id: int
+    __slots__ = ("ys", "engine_id")
 
-    def __post_init__(self):
-        if not self.shares:
+    def __init__(self, ys: List[int], engine_id: int):
+        if not ys:
             raise ValueError("a secret value needs at least one share")
+        self.ys = ys
+        self.engine_id = engine_id
 
 
 @dataclass
@@ -122,6 +127,8 @@ class MPCEngine:
         #: True while :meth:`mul_many` holds one round open around its products.
         self._in_batch = False
         self._id = next(MPCEngine._engine_ids)
+        #: Bytes on the wire when one party sends a share to each other party.
+        self._fanout_bytes = (num_parties - 1) * ((field.bits + 7) // 8)
         # The opening matrix, applied to the quorum's (first t+1 parties')
         # y-values: row 0 interpolates the secret at x=0, each further row
         # predicts one non-quorum party's share. It depends only on the
@@ -140,17 +147,6 @@ class MPCEngine:
     def num_parties(self) -> int:
         return len(self.party_ids)
 
-    def _wrap(self, shares: Dict[int, Share]) -> SecretValue:
-        return SecretValue(shares, self._id)
-
-    def _ys(self, value: SecretValue) -> List[int]:
-        """A value's share y-values in party order (the kernels' format)."""
-        shares = value.shares
-        return [shares[pid].y for pid in self.party_ids]
-
-    def _from_ys(self, ys: Sequence[int]) -> SecretValue:
-        return self._wrap(dict(zip(self.party_ids, map(Share, self.party_ids, ys))))
-
     def _check_ownership(self, *values: SecretValue) -> None:
         for v in values:
             if v.engine_id != self._id:
@@ -158,89 +154,61 @@ class MPCEngine:
 
     def input_value(self, value: int) -> SecretValue:
         """A party inputs a (signed) value by secret-sharing it."""
-        # The dealer shares over this engine's own rng and party set.
-        ys = self.dealer.share(self.field.encode_signed(value))
-        self.counters.inputs += 1
-        self.counters.bytes_sent += self._share_bytes() * (self.num_parties - 1)
-        return self._from_ys(ys)
+        return self.input_values([value])[0]
 
     def input_values(self, values: Sequence[int]) -> List[SecretValue]:
-        """Batch-input many (signed) values via one Vandermonde sharing.
-
-        Produces exactly the shares, RNG draws (secret-major coefficient
-        order), and cost-counter increments that calling
-        :meth:`input_value` once per element would, but evaluates all
-        sharing polynomials with a single matrix product in
-        :func:`repro.crypto.shamir.share_vector`.
-        """
+        """Input many (signed) values: one sharing each over this engine's
+        own rng and party set, in order, the counters added in bulk."""
         encoded = [self.field.encode_signed(v) for v in values]
-        per_party = share_vector(
-            encoded, self.threshold, self.party_ids, self.field, self.rng
-        )
+        share = self.dealer.share
         self.counters.inputs += len(values)
-        self.counters.bytes_sent += (
-            self._share_bytes() * (self.num_parties - 1) * len(values)
-        )
-        return [
-            self._wrap({pid: per_party[pid][i] for pid in self.party_ids})
-            for i in range(len(values))
-        ]
+        self.counters.bytes_sent += self._fanout_bytes * len(values)
+        return [SecretValue(share(v), self._id) for v in encoded]
 
-    def input_shares(self, shares: Dict[int, Share]) -> SecretValue:
-        """Adopt shares produced elsewhere (e.g. received via VSR)."""
-        if set(shares) != set(self.party_ids):
-            raise ValueError("shares do not match this committee's parties")
-        return self._wrap(dict(shares))
+    def export_columns(self, values: Sequence[SecretValue]) -> Dict[int, List[int]]:
+        """Hand values out for redistribution to another committee: each
+        party id (its x-coordinate) with its y-value of every value."""
+        self._check_ownership(*values)
+        return {
+            pid: [value.ys[index] for value in values]
+            for index, pid in enumerate(self.party_ids)
+        }
 
-    def export_shares(self, value: SecretValue) -> Dict[int, Share]:
-        """Hand shares out for redistribution to another committee."""
-        self._check_ownership(value)
-        return dict(value.shares)
+    def input_columns(self, columns: Dict[int, Sequence[int]]) -> List[SecretValue]:
+        """Adopt values produced elsewhere (e.g. received via VSR), in the
+        shape :meth:`export_columns` hands out: one column per party."""
+        if set(columns) != set(self.party_ids):
+            raise ValueError("columns do not match this committee's parties")
+        ordered = [columns[pid] for pid in self.party_ids]
+        if len({len(column) for column in ordered}) != 1:
+            raise ValueError("parties hold different numbers of values")
+        return [SecretValue(list(ys), self._id) for ys in zip(*ordered)]
 
     def constant(self, value: int) -> SecretValue:
         """Share a public constant (degree-0 'sharing': every share equals it)."""
-        encoded = self.field.encode_signed(value)
-        return self._wrap({pid: Share(pid, encoded) for pid in self.party_ids})
+        return SecretValue([self.field.encode_signed(value)] * self.num_parties, self._id)
 
     # --------------------------------------------------------------- linear
 
     def add(self, a: SecretValue, b: SecretValue) -> SecretValue:
         self._check_ownership(a, b)
-        return self._wrap(
-            {
-                pid: Share(pid, self.field.add(a.shares[pid].y, b.shares[pid].y))
-                for pid in self.party_ids
-            }
-        )
+        p = self.field.modulus
+        return SecretValue([(x + y) % p for x, y in zip(a.ys, b.ys)], self._id)
 
     def sub(self, a: SecretValue, b: SecretValue) -> SecretValue:
         self._check_ownership(a, b)
-        return self._wrap(
-            {
-                pid: Share(pid, self.field.sub(a.shares[pid].y, b.shares[pid].y))
-                for pid in self.party_ids
-            }
-        )
+        p = self.field.modulus
+        return SecretValue([(x - y) % p for x, y in zip(a.ys, b.ys)], self._id)
 
     def add_public(self, a: SecretValue, k: int) -> SecretValue:
         self._check_ownership(a)
-        encoded = self.field.encode_signed(k)
-        return self._wrap(
-            {
-                pid: Share(pid, self.field.add(a.shares[pid].y, encoded))
-                for pid in self.party_ids
-            }
-        )
+        p, encoded = self.field.modulus, self.field.encode_signed(k)
+        return SecretValue([(x + encoded) % p for x in a.ys], self._id)
 
     def mul_public(self, a: SecretValue, k: int) -> SecretValue:
         self._check_ownership(a)
-        encoded = self.field.encode_signed(k)
-        return self._wrap(
-            {
-                pid: Share(pid, self.field.mul(a.shares[pid].y, encoded))
-                for pid in self.party_ids
-            }
-        )
+        p, encoded = self.field.modulus, self.field.encode_signed(k)
+        return SecretValue([x * encoded % p for x in a.ys], self._id)
 
     def sum_values(self, values: Sequence[SecretValue]) -> SecretValue:
         """Sum shared values with a balanced pairwise tree.
@@ -266,9 +234,6 @@ class MPCEngine:
 
     # ------------------------------------------------------------- opening
 
-    def _share_bytes(self) -> int:
-        return (self.field.bits + 7) // 8
-
     def _open_values(self, vectors: Sequence[Sequence[int]]) -> List[int]:
         """King-model openings with degree-t consistency checks.
 
@@ -287,8 +252,9 @@ class MPCEngine:
         p = self.field.modulus
         quorum_size = self.threshold + 1
         secret_row, check_rows, mul = self._secret_row, self._check_rows, operator.mul
+        counters = self.counters
         # n-1 sends to the king plus n-1 broadcasts of the result.
-        value_bytes = 2 * (self.num_parties - 1) * self._share_bytes()
+        value_bytes = 2 * self._fanout_bytes
         opened = []
         for ys in vectors:
             quorum = ys[:quorum_size]
@@ -298,20 +264,20 @@ class MPCEngine:
                         f"party {self.party_ids[index]} submitted an inconsistent share"
                     )
             opened.append(sum(map(mul, secret_row, quorum)) % p)
-            self.counters.openings += 1
-            self.counters.bytes_sent += value_bytes
+            counters.openings += 1
+            counters.bytes_sent += value_bytes
         if not self._in_batch:
-            self.counters.rounds += 1
+            counters.rounds += 1
         return opened
 
     def open(self, value: SecretValue) -> int:
         """Open a secret to all parties, returning the signed integer."""
         self._check_ownership(value)
-        return self.field.decode_signed(self._open_values([self._ys(value)])[0])
+        return self.field.decode_signed(self._open_values([value.ys])[0])
 
     def open_unsigned(self, value: SecretValue) -> int:
         self._check_ownership(value)
-        return self._open_values([self._ys(value)])[0]
+        return self._open_values([value.ys])[0]
 
     # -------------------------------------------------------------- multiply
 
@@ -319,20 +285,18 @@ class MPCEngine:
         """Beaver multiplication: one triple, one round of two openings."""
         self._check_ownership(a, b)
         p = self.field.modulus
-        triple = self.dealer.triple()
+        ta, tb, tc = self.dealer.triple()
         self.counters.triples_consumed += 1
         d, e = self._open_values(
             [
-                [(x - y) % p for x, y in zip(self._ys(a), triple.a)],
-                [(x - y) % p for x, y in zip(self._ys(b), triple.b)],
+                [(x - y) % p for x, y in zip(a.ys, ta)],
+                [(x - y) % p for x, y in zip(b.ys, tb)],
             ]
         )
         self.counters.multiplications += 1
-        return self._from_ys(
-            [
-                (c + d * tb + e * ta + d * e) % p
-                for ta, tb, c in zip(triple.a, triple.b, triple.c)
-            ]
+        de = d * e
+        return SecretValue(
+            [(z + d * y + e * x + de) % p for x, y, z in zip(ta, tb, tc)], self._id
         )
 
     def mul_many(
@@ -370,24 +334,27 @@ class MPCEngine:
         self._check_ownership(a, b)
         k = self.bit_width
         m = k + 1 + STATISTICAL_SECURITY_BITS
-        eda = self.dealer.edabit(m)
+        mask, mask_bits = self.dealer.edabit(m)
         self.counters.edabits_consumed += 1
-        p = self.field.modulus
-        d = self._ys(self.add_public(self.sub(a, b), 1 << k))
-        e = self._open_values([[(x + r) % p for x, r in zip(d, eda.value)]])[0]
-        result = self._bitwise_public_less_than(e - (1 << k), eda)
+        p, shift = self.field.modulus, 1 << k
+        (e,) = self._open_values(
+            [[(x - y + shift + r) % p for x, y, r in zip(a.ys, b.ys, mask)]]
+        )
+        result = self._bitwise_public_less_than(e - shift, mask_bits)
         self.counters.comparisons += 1
         return result
 
-    def _bitwise_public_less_than(self, public_value: int, eda: EdaBit) -> SecretValue:
-        """Shared bit [public_value < r] for bit-shared r of eda.bit_length bits.
+    def _bitwise_public_less_than(
+        self, public_value: int, bits: Sequence[List[int]]
+    ) -> SecretValue:
+        """Shared bit [public_value < r] for r's shared bits, LSB first.
 
         From the MSB down, the result accumulates (prefix of equal bits) *
         (E_i=0, r_i=1). Where the public bit is 0 the contribution and the
         next prefix are independent products of the same prefix, so each
         bit level is one round.
         """
-        m = eda.bit_length
+        m = len(bits)
         if public_value < 0:
             return self.constant(1)
         if public_value >= (1 << m):
@@ -396,7 +363,7 @@ class MPCEngine:
         result = self.constant(0)
         prefix_eq = one
         for i in reversed(range(m)):
-            r_i = self._from_ys(eda.bits[i])
+            r_i = SecretValue(bits[i], self._id)
             if (public_value >> i) & 1:
                 prefix_eq = self.mul(prefix_eq, r_i)
             else:
@@ -453,12 +420,14 @@ class MPCEngine:
         ``mpc.protocols`` for the real distributed-Laplace construction);
         the dealer shares it so no single party ever sees it.
         """
-        return self._from_ys(self.dealer.noise_share(sample))
+        return SecretValue(self.dealer.noise_share(sample), self._id)
 
     # --------------------------------------------------------------- testing
 
     def corrupt_share(self, value: SecretValue, party_id: int, delta: int = 1) -> None:
         """Test hook: a malicious party perturbs its share of ``value``."""
         self._check_ownership(value)
-        old = value.shares[party_id]
-        value.shares[party_id] = Share(party_id, self.field.add(old.y, delta))
+        ys = list(value.ys)  # a copy: the list may be shared with other handles
+        index = self.party_ids.index(party_id)
+        ys[index] = self.field.add(ys[index], delta)
+        value.ys = ys

@@ -1000,7 +1000,10 @@ class PrefixExpander:
             try:
                 _emit_pipeline_op(segment, state, self.ops[node.depth], choice, self.n)
             except ExpansionError as exc:
-                self._segments[key] = (None, exc)
+                # The arguments, not the exception: a cached exception's
+                # traceback grows with every re-raise and ties the frames,
+                # this expander and the search nodes into a cycle.
+                self._segments[key] = (None, exc.args)
                 raise
             seg_groups = tuple(
                 (v.committee_group, v.instances)
@@ -1023,7 +1026,7 @@ class PrefixExpander:
         else:
             self.cache_hits += 1
             if entry[1] is not None:
-                raise entry[1]
+                raise ExpansionError(*entry[1])
         (
             segment,
             encrypted,

@@ -15,7 +15,6 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..crypto.field import DEFAULT_FIELD, PrimeField
-from ..crypto.shamir import Share
 from ..crypto.vsr import VSRError, redistribute_vector
 from ..mpc.engine import MPCEngine, SecretValue
 
@@ -80,8 +79,7 @@ class Committee:
     def share_values(self, values: Sequence[int]) -> List[SecretValue]:
         """Secret-share cleartext values held inside this committee's MPC.
 
-        Uses the engine's batched Vandermonde sharing; draws, shares, and
-        counters match the historical per-value ``input_value`` loop.
+        Draws, shares, and counters match a per-value ``input_value`` loop.
         """
         return self.engine.input_values(values)
 
@@ -93,19 +91,16 @@ class Committee:
         rng: random.Random,
     ) -> List[SecretValue]:
         """One VSR round: ``dealer_pids``' shares of ``values`` into ``engine``."""
-        exported = [self.engine.export_shares(value) for value in values]
+        columns = self.engine.export_columns(values)
         moved = redistribute_vector(
-            {pid: [shares[pid].y for shares in exported] for pid in dealer_pids},
+            {pid: columns[pid] for pid in dealer_pids},
             self.threshold,
             engine.threshold,
             engine.party_ids,
             self.field,
             rng,
         )
-        return [
-            engine.input_shares({pid: Share(pid, ys[i]) for pid, ys in moved.items()})
-            for i in range(len(values))
-        ]
+        return engine.input_columns(moved)
 
     # ------------------------------------------------------------------ VSR
 

@@ -472,24 +472,23 @@ class QueryExecutor:
         """Commitments to the live secrets parked with mid-run committees.
 
         The journal must never hold key material, so each held vector is
-        *sealed*: a SHA-256 digest over its Shamir share points. The
-        digest is replay-stable (shares derive from the executor's seeded
-        rng) and lets a resumed run prove it reconstructed the identical
-        secret state without the journal ever learning it.
+        *sealed*: a SHA-256 digest over its Shamir share points (a
+        party's x-coordinate is its id). The digest is replay-stable
+        (shares derive from the executor's seeded rng) and lets a resumed
+        run prove it reconstructed the identical secret state without the
+        journal ever learning it.
         """
         sealed: List[Dict[str, object]] = []
         for held in self._held_secrets:
+            party_ids = held.committee.engine.party_ids
             hasher = hashlib.sha256()
             widths: Dict[str, int] = {}
             for name in sorted(held.vectors):
                 vector = held.vectors[name]
                 widths[name] = len(vector)
                 for value in vector:
-                    for pid in sorted(value.shares):
-                        share = value.shares[pid]
-                        hasher.update(
-                            f"{name}/{pid}/{share.x}/{share.y};".encode("utf-8")
-                        )
+                    for pid, y in zip(party_ids, value.ys):
+                        hasher.update(f"{name}/{pid}/{pid}/{y};".encode("utf-8"))
             sealed.append(
                 {
                     "committee": held.committee.name,

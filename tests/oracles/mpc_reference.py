@@ -1,14 +1,16 @@
 """The naive MPC online phase, kept as the differential oracle.
 
-This is the engine as it stood before the opening matrix was cached and
-Beaver products were batched: every opening rebuilds its Lagrange weights
-and re-interpolates the quorum polynomial at each non-quorum party with
-fresh field inversions, every sharing re-validates the party set and
-Horners through ``field`` method calls, and every product is its own round.
-``tests/test_mpc_online.py`` runs the same program through this class and
-through :class:`repro.mpc.engine.MPCEngine` and requires identical shares,
-opened values, RNG state and counters (``rounds`` apart, which the oracle
-counts one per product).
+This is the engine as it stood before the opening matrix was cached,
+Beaver products were batched and values became y-vectors: a value is a
+``Dict[int, Share]`` with one frozen ``Share`` object per party
+(:class:`ReferenceValue`, the oracle's own handle), every opening rebuilds
+its Lagrange weights and re-interpolates the quorum polynomial at each
+non-quorum party with fresh field inversions, every sharing re-validates the
+party set and Horners through ``field`` method calls, and every product is
+its own round. ``tests/test_mpc_online.py`` runs the same program through
+this class and through :class:`repro.mpc.engine.MPCEngine` and requires
+identical y-values, opened values, RNG state and counters (``rounds`` apart,
+which the oracle counts one per product).
 
 Nothing in ``src/`` imports this module and no option selects it.
 """
@@ -16,18 +18,25 @@ Nothing in ``src/`` imports this module and no option selects it.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.field import DEFAULT_FIELD, PrimeField
 from repro.crypto.shamir import Share, _validate_sharing
-from repro.mpc.engine import (
-    STATISTICAL_SECURITY_BITS,
-    CheatingDetected,
-    CostCounters,
-    SecretValue,
-)
+from repro.mpc.engine import STATISTICAL_SECURITY_BITS, CheatingDetected, CostCounters
 
 Sharing = Dict[int, Share]
+
+
+@dataclass
+class ReferenceValue:
+    """The oracle's handle to a shared value: one ``Share`` per party id."""
+
+    shares: Sharing
+
+    def ys(self, party_ids: Sequence[int]) -> List[int]:
+        """The y-values in ``party_ids`` order — what the engine's handle holds."""
+        return [self.shares[pid].y for pid in party_ids]
 
 
 def share_secret(
@@ -94,37 +103,37 @@ class ReferenceEngine:
     def num_parties(self) -> int:
         return len(self.party_ids)
 
-    def _wrap(self, shares: Sharing) -> SecretValue:
-        return SecretValue(shares, -1)
+    def _wrap(self, shares: Sharing) -> ReferenceValue:
+        return ReferenceValue(shares)
 
     def _share_bytes(self) -> int:
         return (self.field.bits + 7) // 8
 
     # ------------------------------------------------------------------ io
 
-    def input_value(self, value: int) -> SecretValue:
+    def input_value(self, value: int) -> ReferenceValue:
         encoded = self.field.encode_signed(value)
         shares = share_secret(encoded, self.threshold, self.party_ids, self.field, self.rng)
         self.counters.inputs += 1
         self.counters.bytes_sent += self._share_bytes() * (self.num_parties - 1)
         return self._wrap({s.x: s for s in shares})
 
-    def constant(self, value: int) -> SecretValue:
+    def constant(self, value: int) -> ReferenceValue:
         encoded = self.field.encode_signed(value)
         return self._wrap({pid: Share(pid, encoded) for pid in self.party_ids})
 
-    def _pointwise(self, op, a: SecretValue, b: SecretValue) -> SecretValue:
+    def _pointwise(self, op, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         return self._wrap(
             {pid: Share(pid, op(a.shares[pid].y, b.shares[pid].y)) for pid in self.party_ids}
         )
 
-    def add(self, a: SecretValue, b: SecretValue) -> SecretValue:
+    def add(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         return self._pointwise(self.field.add, a, b)
 
-    def sub(self, a: SecretValue, b: SecretValue) -> SecretValue:
+    def sub(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         return self._pointwise(self.field.sub, a, b)
 
-    def add_public(self, a: SecretValue, k: int) -> SecretValue:
+    def add_public(self, a: ReferenceValue, k: int) -> ReferenceValue:
         return self.add(a, self.constant(k))
 
     # ------------------------------------------------------------- opening
@@ -155,15 +164,15 @@ class ReferenceEngine:
         self.counters.bytes_sent += 2 * (self.num_parties - 1) * self._share_bytes()
         return secret
 
-    def open(self, value: SecretValue) -> int:
+    def open(self, value: ReferenceValue) -> int:
         return self.field.decode_signed(self._open_raw(value.shares))
 
-    def open_unsigned(self, value: SecretValue) -> int:
+    def open_unsigned(self, value: ReferenceValue) -> int:
         return self._open_raw(value.shares)
 
     # -------------------------------------------------------------- multiply
 
-    def mul(self, a: SecretValue, b: SecretValue) -> SecretValue:
+    def mul(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         ta, tb, tc = self.dealer.triple()
         self.counters.triples_consumed += 1
         d = self._open_raw(self.sub(a, self._wrap(ta)).shares)
@@ -181,7 +190,7 @@ class ReferenceEngine:
 
     # ------------------------------------------------------------ comparison
 
-    def less_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
+    def less_than(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         k = self.bit_width
         value, bits = self.dealer.edabit(k + 1 + STATISTICAL_SECURITY_BITS)
         self.counters.edabits_consumed += 1
@@ -191,7 +200,7 @@ class ReferenceEngine:
         self.counters.comparisons += 1
         return result
 
-    def bitwise_public_less_than(self, public_value: int, bits: List[Sharing]) -> SecretValue:
+    def bitwise_public_less_than(self, public_value: int, bits: List[Sharing]) -> ReferenceValue:
         m = len(bits)
         if public_value < 0:
             return self.constant(1)
@@ -209,15 +218,15 @@ class ReferenceEngine:
             prefix_eq = self.mul(prefix_eq, eq_i)
         return result
 
-    def greater_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
+    def greater_than(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
         return self.less_than(b, a)
 
     # ------------------------------------------------------------- selection
 
-    def select(self, bit: SecretValue, if_true: SecretValue, if_false: SecretValue) -> SecretValue:
+    def select(self, bit: ReferenceValue, if_true: ReferenceValue, if_false: ReferenceValue) -> ReferenceValue:
         return self.add(self.mul(bit, self.sub(if_true, if_false)), if_false)
 
-    def argmax(self, values: Sequence[SecretValue]) -> SecretValue:
+    def argmax(self, values: Sequence[ReferenceValue]) -> ReferenceValue:
         best_value = values[0]
         best_index = self.constant(0)
         for i, v in enumerate(values[1:], start=1):
@@ -226,6 +235,6 @@ class ReferenceEngine:
             best_index = self.select(is_greater, self.constant(i), best_index)
         return best_index
 
-    def corrupt_share(self, value: SecretValue, party_id: int, delta: int = 1) -> None:
+    def corrupt_share(self, value: ReferenceValue, party_id: int, delta: int = 1) -> None:
         old = value.shares[party_id]
         value.shares[party_id] = Share(party_id, self.field.add(old.y, delta))

@@ -268,7 +268,7 @@ class TestPrimitiveEquivalence:
         points = [shares[pid][0] for pid in party_ids[:3]]
         return (
             shares,
-            shamir.reconstruct_vector(rows, field),
+            [shamir.reconstruct_secret(row, field) for row in rows],
             shamir.reconstruct_secret(points, field),
             rng.random(),
         )

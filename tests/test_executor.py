@@ -1,5 +1,6 @@
 """End-to-end execution tests (§5): full protocol on a simulated network."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from tests.conftest import small_env
 TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
 
 
-def run_query(
+def build_executor(
     source,
     categories=8,
     devices=40,
@@ -47,6 +48,11 @@ def run_query(
         rng=random.Random(seed + 1),
         accountant=accountant,
     )
+    return executor, network
+
+
+def run_query(source, **settings):
+    executor, network = build_executor(source, **settings)
     return executor.run(), network
 
 
@@ -218,3 +224,28 @@ class TestSortitionAdvance:
         executor.run()
         assert network.sortition.round_number == 1
         assert network.sortition.block != block_before
+
+
+class TestHeldSecretSeal:
+    def test_seal_hashes_every_share_point_of_the_parked_key_limbs(self):
+        """What a checkpoint records of the key-limb shares parked with the
+        keygen committee: sha256 over ``name/party/x/y;`` per share, names
+        sorted, value-major — recomputed here from the exported columns."""
+        executor, _ = build_executor(TOP1)
+        executor.run()
+        (held,) = executor._held_secrets
+        hasher = hashlib.sha256()
+        for name in sorted(held.vectors):
+            columns = held.committee.engine.export_columns(held.vectors[name])
+            for i in range(len(held.vectors[name])):
+                for x in sorted(columns):
+                    hasher.update(f"{name}/{x}/{x}/{columns[x][i]};".encode("utf-8"))
+        assert sorted(held.vectors) == ["lam", "mu"]
+        assert executor._sealed_held_secrets() == [
+            {
+                "committee": held.committee.name,
+                "members": list(held.committee.members),
+                "vectors": {name: len(vector) for name, vector in held.vectors.items()},
+                "seal": hasher.hexdigest(),
+            }
+        ]

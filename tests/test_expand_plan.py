@@ -1,17 +1,25 @@
 """Tests for operator expansion and plan scoring (§4.3-§4.6)."""
 
+import gc
+import traceback
+import types
+
 import pytest
 
-from repro.planner.costmodel import CostModel
+from repro.eval.experiments import PAPER_CONSTRAINTS, PAPER_N
+from repro.planner import search
+from repro.planner.costmodel import CostModel, Goal
 from repro.planner.expand import (
     Choice,
     ExpansionError,
+    PrefixExpander,
     choice_space,
     instantiate,
     space_size,
 )
 from repro.planner.ir import SelectMax, VectorTransform
 from repro.planner.plan import Location, count_committees, score_vignettes
+from repro.queries.catalog import GAP
 from tests.test_ir_lowering import lower_source
 from tests.conftest import small_env
 
@@ -202,3 +210,84 @@ class TestScoring:
         small_mpc = small.cost.participant_expected_seconds - small.participant_base_seconds
         large_mpc = large.cost.participant_expected_seconds - large.participant_base_seconds
         assert large_mpc < small_mpc
+
+
+def reachable_from(root):
+    """The objects the collector reaches from ``root`` through data: it does
+    not walk into classes, modules or functions (from which everything is
+    reachable)."""
+    code_like = (type, types.ModuleType, types.FunctionType, types.MethodType)
+    seen, frontier = {id(root)}, [root]
+    while frontier:
+        for referent in gc.get_referents(frontier.pop()):
+            if id(referent) not in seen and not isinstance(referent, code_like):
+                seen.add(id(referent))
+                frontier.append(referent)
+                yield referent
+
+
+def first_failing_extension(expander, space, node=None, depth=0):
+    """Depth-first: the first (node, choice) whose extension is refused."""
+    node = node if node is not None else expander.root()
+    for choice in space[depth][1]:
+        try:
+            child = expander.extend(node, choice)
+        except ExpansionError:
+            return node, choice
+        if depth + 1 < len(space):
+            found = first_failing_extension(expander, space, child, depth + 1)
+            if found is not None:
+                return found
+    return None
+
+
+class TestCachedExpansionFailure:
+    """A structurally invalid extension is cached; what is cached must not be
+    the exception object, whose traceback would pin the frames that raised
+    and re-raised it (and through them the search) until a gen-2 collection."""
+
+    def test_every_hit_raises_a_fresh_identical_error(self):
+        plan = lower_source(GAP.source)
+        expander = PrefixExpander(plan, MODEL)
+        node, choice = first_failing_extension(expander, choice_space(plan))
+        hits = expander.cache_hits
+        raised = []
+        for _ in range(3):
+            with pytest.raises(ExpansionError) as info:
+                expander.extend(node, choice)
+            raised.append(info.value)
+        assert expander.cache_hits == hits + 3
+        assert len({id(exc) for exc in raised}) == 3
+        assert {type(exc) for exc in raised} == {ExpansionError}
+        assert {str(exc) for exc in raised} == {
+            "data already secret-shared; aggregator HE stage is illegal"
+        }
+        # A fresh exception carries only the frames of its own raise.
+        depths = [len(traceback.extract_tb(exc.__traceback__)) for exc in raised]
+        assert len(set(depths)) == 1
+
+    def test_search_leaves_no_exception_reachable_from_the_expander(self, monkeypatch):
+        made = []
+
+        class Recording(PrefixExpander):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(search, "PrefixExpander", Recording)
+        planner = search.Planner(
+            GAP.environment(PAPER_N),
+            constraints=PAPER_CONSTRAINTS,
+            goal=Goal("participant_expected_seconds"),
+        )
+        planner.plan_source(GAP.source, GAP.name)
+        (expander,) = made
+        failures = [entry[1] for entry in expander._segments.values() if entry[1] is not None]
+        assert failures  # the search did run into refused extensions
+        gc.collect()
+        held = [
+            obj
+            for obj in reachable_from(expander)
+            if isinstance(obj, (BaseException, types.TracebackType, types.FrameType))
+        ]
+        assert held == []

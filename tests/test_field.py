@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import backend
 from repro.crypto.field import (
     DEFAULT_FIELD,
     MERSENNE_61,
@@ -15,6 +16,24 @@ from repro.crypto.field import (
     next_prime,
     random_prime,
 )
+
+from .oracles import primality_reference
+
+#: Below this Miller–Rabin runs on fixed small-prime witnesses; the lazily
+#: drawn random witnesses only exist above it.
+DETERMINISTIC_BOUND = 3317044064679887385961981
+
+
+def chernick_carmichaels(count, start):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime is a Carmichael
+    number; from ``start`` up the products are past the deterministic bound."""
+    found, k = [], start
+    while len(found) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(primality_reference.is_probable_prime(f) for f in factors):
+            found.append(factors[0] * factors[1] * factors[2])
+        k += 1
+    return found
 
 
 class TestPrimality:
@@ -51,6 +70,53 @@ class TestPrimality:
     def test_random_prime_rejects_tiny(self):
         with pytest.raises(ValueError):
             random_prime(1, random.Random(0))
+
+    def test_verdicts_match_the_eager_oracle(self):
+        """Primes, Carmichael numbers, composites whose smallest factor is
+        just past trial division, and raw candidates, all above the bound
+        where the witnesses are random."""
+        rng = random.Random(0x5EED)
+        primes = [random_prime(bits, rng) for bits in (96, 128, 128, 160, 256)]
+        sweep = list(primes)
+        sweep += chernick_carmichaels(4, start=10**8)
+        sweep += [small * p for small in (53, 59, 61, 9973) for p in primes[:3]]
+        sweep += [p * q for p, q in zip(primes, primes[1:])]
+        sweep += [rng.getrandbits(128) | (1 << 127) | 1 for _ in range(200)]
+        assert all(n > DETERMINISTIC_BOUND for n in sweep)
+        verdicts = [is_probable_prime(n) for n in sweep]
+        assert verdicts == [primality_reference.is_probable_prime(n) for n in sweep]
+        assert verdicts[: len(primes)] == [True] * len(primes)
+        assert not any(verdicts[len(primes) : len(primes) + 4 + 12 + 4])
+
+    def test_witnesses_are_the_eager_ones_drawn_only_as_needed(self, monkeypatch):
+        active = backend.get_backend()
+        powmod, bases = active.powmod, []
+        monkeypatch.setattr(
+            active, "powmod", lambda a, d, n: bases.append(a) or powmod(a, d, n)
+        )
+        prime = random_prime(128, random.Random(7))
+        bases.clear()
+        assert is_probable_prime(prime)
+        assert bases == primality_reference.eager_witnesses(prime)  # all 32 rounds
+        composite = prime * random_prime(128, random.Random(8))
+        bases.clear()
+        assert not is_probable_prime(composite)
+        assert bases == primality_reference.eager_witnesses(composite)[:1]
+        bases.clear()
+        assert is_probable_prime(prime, rounds=5)
+        assert bases == primality_reference.eager_witnesses(prime, rounds=5)
+
+    def test_keygen_primes_and_caller_stream_unchanged(self):
+        """The test's own generator is private to it, so a caller's stream
+        ends where the eager loop left it."""
+        lazy, eager = random.Random(99), random.Random(99)
+        for _ in range(3):
+            while True:  # random_prime over the eager oracle
+                candidate = eager.getrandbits(128) | (1 << 127) | 1
+                if primality_reference.is_probable_prime(candidate):
+                    break
+            assert random_prime(128, lazy) == candidate
+        assert lazy.getstate() == eager.getstate()
 
 
 class TestFieldOps:

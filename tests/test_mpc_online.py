@@ -1,11 +1,12 @@
 """The MPC online phase against its naive oracle (``tests/oracles``).
 
 The engine caches the committee's opening matrix, shares through a
-precomputed power table and batches independent Beaver products into one
-round. None of that may be observable except in ``rounds``: shares, opened
-values, the RNG stream and every other counter must match the scalar,
-uncached reference — on aborted runs too — and every inconsistent share
-must still abort.
+precomputed power table, batches independent Beaver products into one round
+and holds a value as one y-vector in party order where the oracle holds a
+``Share`` object per party. None of that may be observable except in
+``rounds``: y-values, opened values, the RNG stream and every other counter
+must match the scalar, uncached reference — on aborted runs too — and every
+inconsistent share must still abort.
 """
 
 import random
@@ -21,9 +22,14 @@ from repro.crypto import shamir
 from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
 from repro.crypto.vsr import redistribute_vector
 from repro.mpc.beaver import OfflineDealer
-from repro.mpc.engine import STATISTICAL_SECURITY_BITS, CheatingDetected, MPCEngine
+from repro.mpc.engine import (
+    STATISTICAL_SECURITY_BITS,
+    CheatingDetected,
+    MPCEngine,
+    SecretValue,
+)
 
-from .oracles.mpc_reference import ReferenceEngine
+from .oracles.mpc_reference import ReferenceEngine, ReferenceValue
 
 #: (field, value bit width): the 61-bit field only fits 16-bit values under
 #: 40 bits of statistical masking.
@@ -33,10 +39,14 @@ FIELDS = {
 }
 
 
+#: (n, t): the benchmark's committees, and t > 1 for the coefficient-major
+#: sharing kernel (one x^k column per coefficient).
+COMMITTEES = [(3, 1), (4, 1), (5, 2), (7, 2), (7, 3)]
+
+
 @st.composite
 def committees(draw):
-    n = draw(st.integers(min_value=3, max_value=7))
-    t = draw(st.integers(min_value=1, max_value=(n - 1) // 2))
+    n, t = draw(st.sampled_from(COMMITTEES))
     return n, t, draw(st.sampled_from(sorted(FIELDS)))
 
 
@@ -48,7 +58,10 @@ def build_pair(n, t, field_name, seed):
 
 
 def ys(value):
-    return {pid: share.y for pid, share in value.shares.items()}
+    """A value's y-values in party order, whichever engine's handle it is."""
+    if isinstance(value, ReferenceValue):
+        return value.ys(sorted(value.shares))
+    return value.ys
 
 
 def assert_in_lockstep(new, ref):
@@ -103,9 +116,8 @@ class TestDifferential:
         new, ref = build_pair(*committee, seed)
         eda = new.dealer.edabit(bit_length)
         value, bits = ref.dealer.edabit(bit_length)
-        assert [value[pid].y for pid in ref.party_ids] == eda.value
-        assert [[b[pid].y for pid in ref.party_ids] for b in bits] == eda.bits
-        got = new._bitwise_public_less_than(public, eda)
+        assert (ys(ref._wrap(value)), [ys(ref._wrap(b)) for b in bits]) == eda
+        got = new._bitwise_public_less_than(public, eda[1])
         want = ref.bitwise_public_less_than(public, bits)
         assert ys(got) == ys(want)
         assert_in_lockstep(new, ref)
@@ -118,11 +130,12 @@ class TestDifferential:
         new, ref = build_pair(*committee, seed)
         for _ in range(3):
             triple, want = new.dealer.triple(), ref.dealer.triple()
-            assert [triple.a, triple.b, triple.c] == [
-                [sharing[pid].y for pid in ref.party_ids] for sharing in want
-            ]
-        assert new.noise(-5).shares == ref.dealer.share(new.field.encode_signed(-5))
-        assert new.rng.getstate() == ref.rng.getstate()
+            assert triple == tuple(ys(ref._wrap(sharing)) for sharing in want)
+        want = ref._wrap(ref.dealer.share(new.field.encode_signed(-5)))
+        assert ys(new.noise(-5)) == ys(want)
+        batch = new.input_values([7, -2, 0])
+        assert [ys(v) for v in batch] == [ys(ref.input_value(v)) for v in (7, -2, 0)]
+        assert_in_lockstep(new, ref)
 
 
 class TestRounds:
@@ -195,8 +208,10 @@ def party_matrix():
 
 
 class TestCheatingMatrix:
-    """A single corrupted share aborts whichever opening it reaches, and the
-    aborted run has metered exactly what the scalar reference would have."""
+    """A single corrupted share aborts whichever opening it reaches, naming
+    the party the scalar reference names (the corrupted one when it is outside
+    the quorum, else the first party the corrupted quorum mispredicts), and
+    the aborted run has metered exactly what the reference would have."""
 
     @pytest.fixture(params=party_matrix(), ids=lambda c: "n{}t{}p{}".format(*c))
     def case(self, request):
@@ -206,42 +221,59 @@ class TestCheatingMatrix:
 
     @staticmethod
     def abort(engine, program):
-        with pytest.raises(CheatingDetected):
+        with pytest.raises(CheatingDetected) as caught:
             program(engine)
+        return str(caught.value)
+
+    @staticmethod
+    def assert_same_culprit(pid, engine, messages):
+        assert len(set(messages)) == 1
+        culprit = pid if pid > engine.threshold + 1 else engine.threshold + 2
+        assert messages[0] == f"party {culprit} submitted an inconsistent share"
 
     def test_open(self, case):
         pid, runs = case
+        messages = []
         for e, a, _ in runs:
             e.corrupt_share(a, pid, delta=5)
             before = e.counters.snapshot()
-            self.abort(e, lambda e: e.open(a))
+            messages.append(self.abort(e, lambda e: e.open(a)))
             assert e.counters == before  # nothing was opened, nothing is metered
         assert_in_lockstep(runs[0][0], runs[1][0])
+        self.assert_same_culprit(pid, runs[0][0], messages)
 
     def test_mul_many_d_opening(self, case):
         pid, ((new, a, b), (ref, ra, rb)) = case
         new.corrupt_share(a, pid)
         ref.corrupt_share(ra, pid)
-        self.abort(new, lambda e: e.mul_many([(b, b), (a, b)]))
-        self.abort(ref, lambda e: [e.mul(rb, rb), e.mul(ra, rb)])
+        messages = [
+            self.abort(new, lambda e: e.mul_many([(b, b), (a, b)])),
+            self.abort(ref, lambda e: [e.mul(rb, rb), e.mul(ra, rb)]),
+        ]
         assert_in_lockstep(new, ref)
         assert new.counters.openings == 2 and new.counters.triples_consumed == 2
+        self.assert_same_culprit(pid, new, messages)
 
     def test_mul_many_e_opening(self, case):
         pid, ((new, a, b), (ref, ra, rb)) = case
         new.corrupt_share(b, pid)
         ref.corrupt_share(rb, pid)
-        self.abort(new, lambda e: e.mul_many([(a, a), (a, b)]))
-        self.abort(ref, lambda e: [e.mul(ra, ra), e.mul(ra, rb)])
+        messages = [
+            self.abort(new, lambda e: e.mul_many([(a, a), (a, b)])),
+            self.abort(ref, lambda e: [e.mul(ra, ra), e.mul(ra, rb)]),
+        ]
         assert_in_lockstep(new, ref)
         assert new.counters.openings == 3  # the second product's d went out
+        self.assert_same_culprit(pid, new, messages)
 
     def test_less_than(self, case):
         pid, runs = case
+        messages = []
         for e, a, b in runs:
             e.corrupt_share(a, pid)
-            self.abort(e, lambda e: e.less_than(a, b))
+            messages.append(self.abort(e, lambda e: e.less_than(a, b)))
         assert_in_lockstep(runs[0][0], runs[1][0])
+        self.assert_same_culprit(pid, runs[0][0], messages)
 
     def test_honest_run_opens(self, case):
         _, ((e, a, b), _) = case
@@ -311,13 +343,137 @@ class TestLagrangeCache:
         shares = shamir.share_vector(list(range(6)), 2, party_ids, field, rng)
         rows = [[shares[pid][i] for pid in party_ids] for i in range(6)]
         shamir.lagrange_weights.cache_clear()
-        assert shamir.reconstruct_vector(rows, field) == list(range(6))
-        assert shamir.reconstruct_secret(rows[3], field) == 3
+        assert [shamir.reconstruct_secret(row, field) for row in rows] == list(range(6))
         ys = {pid: [s.y for s in vector] for pid, vector in shares.items()}
         moved = redistribute_vector(ys, 2, 1, [21, 22, 23], field, rng)
-        # One computation per distinct point set: the five parties, and the
-        # three-dealer quorum, whose weights one hand-off fetches once.
+        # One computation per distinct point set: the five parties (the other
+        # five reconstructions hit), and the three-dealer quorum, whose
+        # weights one hand-off fetches once.
         info = shamir.lagrange_weights.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert (info.misses, info.hits) == (2, 5)
         new_rows = [[shamir.Share(pid, moved[pid][i]) for pid in (21, 22, 23)] for i in range(6)]
-        assert shamir.reconstruct_vector(new_rows, field) == list(range(6))
+        assert [shamir.reconstruct_secret(row, field) for row in new_rows] == list(range(6))
+
+
+class TestVectorBoundary:
+    """Values cross between engines as one y-column per party id. The old
+    per-value ``Dict[int, Share]`` entrance compared its keys with the party
+    ids but never a ``Share.x`` with its key, so shares filed under each
+    other's ids were adopted and the later opening blamed an honest party;
+    a column has no second label to disagree with."""
+
+    @pytest.fixture
+    def engines(self):
+        return (
+            MPCEngine(4, rng=random.Random(1), bit_width=24),
+            MPCEngine(4, rng=random.Random(2), bit_width=24),
+        )
+
+    def test_round_trip_keeps_the_y_values_and_changes_the_owner(self, engines):
+        sender, recipient = engines
+        values = sender.input_values([5, -9, 0])
+        columns = sender.export_columns(values)
+        assert list(columns) == sender.party_ids
+        assert all(len(column) == 3 for column in columns.values())
+        adopted = recipient.input_columns(columns)
+        assert [v.ys for v in adopted] == [v.ys for v in values]
+        assert [recipient.open(v) for v in adopted] == [5, -9, 0]
+        with pytest.raises(ValueError, match="different committee"):
+            sender.open(adopted[0])
+        assert sender.export_columns([]) == {pid: [] for pid in sender.party_ids}
+        assert recipient.input_columns({pid: [] for pid in recipient.party_ids}) == []
+
+    def test_adopted_values_do_not_alias_the_columns(self, engines):
+        sender, recipient = engines
+        columns = sender.export_columns(sender.input_values([5, 6]))
+        adopted = recipient.input_columns(columns)
+        before = [list(v.ys) for v in adopted]
+        columns[2][0] += 1
+        assert [v.ys for v in adopted] == before
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda columns: columns.pop(3),
+            lambda columns: columns.update({5: list(columns[1])}),
+            lambda columns: columns.update({9: columns.pop(2)}),
+            lambda columns: columns[4].pop(),
+            lambda columns: columns[1].append(0),
+        ],
+        ids=["missing-party", "extra-party", "wrong-party", "short-column", "long-column"],
+    )
+    def test_malformed_columns_are_refused_before_anything_is_adopted(self, engines, damage):
+        sender, recipient = engines
+        columns = sender.export_columns(sender.input_values([5, -9, 0]))
+        damage(columns)
+        before = recipient.counters.snapshot()
+        with pytest.raises(ValueError):
+            recipient.input_columns(columns)
+        assert recipient.counters == before
+
+    def test_values_of_another_engine_are_not_handed_out(self, engines):
+        sender, recipient = engines
+        mine, theirs = sender.input_value(1), recipient.input_value(2)
+        with pytest.raises(ValueError, match="different committee"):
+            sender.export_columns([mine, theirs])
+        with pytest.raises(ValueError, match="at least one share"):
+            SecretValue([], sender._id)
+
+
+class TestAliasing:
+    """Handles may share a y-list with each other and with the dealer (no
+    operation writes into one), so the one writer — ``corrupt_share`` — must
+    replace the list it changes."""
+
+    @pytest.fixture
+    def engine(self):
+        return MPCEngine(5, rng=random.Random(4), bit_width=24)
+
+    @staticmethod
+    def corrupt_and_compare(engine, handle, others, lists):
+        """Corrupt ``handle``; ``others`` (handles) and ``lists`` stay as they were."""
+        kept = [list(other.ys) for other in others], [list(ys) for ys in lists]
+        before = list(handle.ys)
+        engine.corrupt_share(handle, party_id=2, delta=3)
+        after = list(before)
+        after[1] = (after[1] + 3) % engine.field.modulus
+        assert handle.ys == after
+        assert ([other.ys for other in others], [list(ys) for ys in lists]) == kept
+        with pytest.raises(CheatingDetected):
+            engine.open(handle)
+
+    def test_edabit_bit(self, engine):
+        _, bits = engine.dealer.edabit(3)
+        first, second = (SecretValue(bits[0], engine._id) for _ in range(2))
+        self.corrupt_and_compare(engine, first, [second], bits)
+        assert second.ys is bits[0]
+
+    def test_triple_share(self, engine):
+        triple = engine.dealer.triple()
+        handle, twin = (SecretValue(triple[2], engine._id) for _ in range(2))
+        self.corrupt_and_compare(engine, handle, [twin], triple)
+
+    def test_constant(self, engine):
+        one, other = engine.constant(1), engine.constant(1)
+        alias = SecretValue(one.ys, engine._id)
+        self.corrupt_and_compare(engine, one, [other, alias], [])
+        assert engine.open(other) == engine.open(alias) == 1
+
+    def test_noise(self, engine):
+        noise = engine.noise(-5)
+        alias = SecretValue(noise.ys, engine._id)
+        self.corrupt_and_compare(engine, noise, [alias], [])
+        assert engine.open(alias) == -5
+
+    def test_no_operation_writes_into_its_operands(self, engine):
+        a, b = engine.input_values([6, -7])
+        bit = engine.less_than(a, b)
+        operands = [a, b, bit]
+        lists = [v.ys for v in operands]
+        kept = [list(ys) for ys in lists]
+        engine.add(a, b), engine.sub(a, b), engine.add_public(a, 3), engine.mul_public(b, -2)
+        engine.mul(a, b), engine.mul_many([(a, b), (bit, a)]), engine.select(bit, a, b)
+        engine.less_than(b, a), engine.argmax([a, b]), engine.maximum([b, a])
+        engine.sum_values(operands), engine.open(a), engine.export_columns(operands)
+        assert all(v.ys is ys for v, ys in zip(operands, lists))
+        assert lists == kept

@@ -1,11 +1,13 @@
 """The sampler of ``tools/profile_workload.py``: time inside a C builtin is
-charged to the Python line that called it, and callers get it inclusively."""
+charged to the Python line that called it, callers get it inclusively, and
+``--callers`` splits a function's samples by who called it."""
 
 import gc
 import importlib.util
 import re
 import signal
 from pathlib import Path
+from types import SimpleNamespace
 
 _SPEC = importlib.util.spec_from_file_location(
     "profile_workload", Path(__file__).resolve().parent.parent / "tools" / "profile_workload.py"
@@ -64,3 +66,50 @@ def test_collector_line_counts_the_collections_the_profile_ran_through():
     )
     assert f"gen0 {collector.collections[0]} in" in line
     assert "= 0.0% of" in profile_workload.Collector().line(cpu_s=0.0)
+
+
+def _stack(*names):
+    """A synthetic frame chain, outermost first; returns the innermost frame."""
+    frame = None
+    for name in names:
+        code = SimpleNamespace(co_filename="synthetic.py", co_qualname=name, co_name=name)
+        frame = SimpleNamespace(f_code=code, f_lineno=1, f_back=frame)
+    return frame
+
+
+def test_callers_report_splits_a_function_by_immediate_caller():
+    samples = profile_workload.Samples()
+    for _ in range(6):
+        samples.record(_stack("main", "encrypt", "Backend.powmod"))
+    for _ in range(3):
+        samples.record(_stack("main", "keygen", "is_prime", "Backend.powmod"))
+    samples.record(_stack("main", "keygen"))
+    # Recursion: one sample, two (walk, walk) frames — the pair counts once.
+    samples.record(_stack("main", "walk", "walk", "walk"))
+    key = ("synthetic.py", "Backend.powmod")
+    assert samples.inclusive[key] == 9
+    assert samples.called_from[(key, ("synthetic.py", "encrypt"))] == 6
+    assert samples.called_from[(key, ("synthetic.py", "is_prime"))] == 3
+    assert samples.called_from[(("synthetic.py", "main"), None)] == samples.total == 11
+    walk = ("synthetic.py", "walk")
+    assert samples.called_from[(walk, walk)] == 1
+    assert samples.called_from[(walk, ("synthetic.py", "main"))] == 1
+    assert profile_workload.callers_report(samples, "powmod").splitlines() == [
+        "  81.8% incl  synthetic.py Backend.powmod  called from",
+        "    66.7%  synthetic.py encrypt",
+        "    33.3%  synthetic.py is_prime",
+    ]
+    assert profile_workload.callers_report(samples, "main").splitlines() == [
+        " 100.0% incl  synthetic.py main  called from",
+        "   100.0%  (outermost frame)",
+    ]
+    # A substring of the qualified name selects every match, hottest first.
+    matched = profile_workload.callers_report(samples, "k").splitlines()
+    assert [line.split()[3] for line in matched if " incl " in line] == [
+        "Backend.powmod",
+        "keygen",
+        "walk",
+    ]
+    assert profile_workload.callers_report(samples, "absent") == (
+        "no sampled function matches 'absent'"
+    )

@@ -6,6 +6,9 @@ cached byte comb. None of that may be observable: the new shares and the
 RNG stream's end position must match one full VSR round per element on the
 builtin ``pow``, a tampered sub-share or commitment must be refused with the
 same error, and the fixed-base kernel must equal ``pow`` on every exponent.
+The same holds one layer up: ``Committee.send_via_vsr`` / ``recover_shares``
+move the engines' y-columns through it without building a share object, and
+what arrives is what the oracle computes from the exported columns.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import shamir
+from repro.crypto import shamir, vsr
 from repro.crypto.backend import AcceleratedBackend, PureBackend
 from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
 from repro.crypto.vsr import (
@@ -26,6 +29,7 @@ from repro.crypto.vsr import (
     deal_committed,
     redistribute_vector,
 )
+from repro.runtime.committee import Committee
 
 from .oracles import vsr_reference as ref
 
@@ -107,6 +111,106 @@ def test_tampering_is_refused_naming_the_same_dealer(what, seed):
         combine_vector(dealers, new_ids, new_t, commitments, subs, field)
     assert str(fast.value) == str(slow.value)
     assert f"dealer {dealers[d]} " in str(fast.value)
+
+
+# ------------------------------------------- committee hand-off ≡ oracle
+
+
+def _oracle_rng(rng):
+    """A generator parked where ``rng`` is now, for the oracle's draws."""
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    return twin
+
+
+@pytest.mark.parametrize("excluded", [(), (103,), (101, 104)], ids=["all", "one-lost", "two-lost"])
+@pytest.mark.parametrize("sizes", [(5, 4), (7, 3), (5, 7)], ids=lambda s: "{}to{}".format(*s))
+def test_send_via_vsr_matches_the_oracle(sizes, excluded):
+    rng = random.Random(sum(sizes) + len(excluded))
+    sender = Committee("a", list(range(101, 101 + sizes[0])), rng, bit_width=24)
+    recipient = Committee("b", list(range(201, 201 + sizes[1])), rng, bit_width=24)
+    secrets = [7, -3, 2**20, 0, -(2**22)]
+    values = sender.share_values(secrets)
+    columns = sender.engine.export_columns(values)
+    slow = _oracle_rng(rng)
+    moved = sender.send_via_vsr(values, recipient, exclude_members=excluded)
+    dealers = [
+        pid
+        for pid, member in zip(sender.engine.party_ids, sender.members)
+        if member not in excluded
+    ]
+    want = ref.redistribute_vector(
+        {pid: columns[pid] for pid in dealers},
+        sender.threshold,
+        recipient.threshold,
+        recipient.engine.party_ids,
+        sender.field,
+        slow,
+    )
+    assert recipient.engine.export_columns(moved) == want
+    assert rng.getstate() == slow.getstate()
+    assert [recipient.engine.open(v) for v in moved] == secrets
+    assert sender.engine.export_columns(values) == columns  # the sender's copy is untouched
+
+
+@pytest.mark.parametrize("lost", [[102], [101, 105]], ids=["one-lost", "two-lost"])
+def test_recover_shares_matches_the_oracle(lost):
+    committee = Committee("keygen", list(range(101, 108)), random.Random(5), bit_width=24)
+    vectors = {"lam": committee.share_values([11, -12, 13]), "mu": committee.share_values([14])}
+    exported = {label: committee.engine.export_columns(v) for label, v in vectors.items()}
+    old_threshold = committee.threshold
+    survivors = [
+        pid for pid, m in zip(committee.engine.party_ids, committee.members) if m not in lost
+    ]
+    rng = random.Random(6)
+    slow = _oracle_rng(rng)
+    recovered = committee.recover_shares(vectors, lost, rng)
+    assert committee.size == len(survivors)
+    for label in vectors:  # one hand-off per label, in the dict's order
+        want = ref.redistribute_vector(
+            {pid: exported[label][pid] for pid in survivors},
+            old_threshold,
+            committee.threshold,
+            committee.engine.party_ids,
+            committee.field,
+            slow,
+        )
+        assert committee.engine.export_columns(recovered[label]) == want
+    assert rng.getstate() == slow.getstate()
+    assert [committee.engine.open(v) for v in recovered["lam"]] == [11, -12, 13]
+
+
+def test_a_cheating_dealer_is_named_through_the_committee(monkeypatch):
+    rng = random.Random(17)
+    sender = Committee("a", [101, 102, 103, 104, 105], rng, bit_width=24)
+    recipient = Committee("b", [201, 202, 203, 204], rng, bit_width=24)
+    values = sender.share_values([4, 5, 6])
+    columns = sender.engine.export_columns(values)
+    dealers = sender.engine.party_ids[: sender.threshold + 1]
+    element, d, j = 1, 2, 3
+    honest_deal = vsr.deal_committed
+
+    def crooked_deal(*args):
+        commitments, subs = honest_deal(*args)
+        subs[element * len(dealers) + d][j] += 1
+        return commitments, subs
+
+    def tamper(i, messages):
+        if i == element:
+            messages[d][2][j] += 1
+
+    slow = _oracle_rng(rng)
+    monkeypatch.setattr(vsr, "deal_committed", crooked_deal)
+    with pytest.raises(VSRError) as fast:
+        sender.send_via_vsr(values, recipient)
+    with pytest.raises(VSRError) as reference:
+        ref.redistribute_vector(
+            columns, sender.threshold, recipient.threshold, recipient.engine.party_ids,
+            sender.field, slow, tamper,
+        )
+    assert str(fast.value) == str(reference.value) == (
+        f"sub-share from dealer {dealers[d]} failed verification"
+    )
 
 
 # ------------------------------------------------------- fixed-base kernel

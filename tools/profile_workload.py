@@ -2,6 +2,7 @@
 """A sampling profile of untraced passes of one benchmark workload.
 
     python tools/profile_workload.py service_mix [--seed 2023] [--passes 2] [--interval-ms 2]
+                                                 [--callers NAME]
 
 Builds the workload exactly as ``bench/run.py`` does (same seed, same sizes,
 pure backend, one warm-up pass first), then runs ``--passes`` passes while a
@@ -10,6 +11,10 @@ Each signal records where the main thread is — every workload runs its
 passes there — and the run ends with two tables of sample shares per
 ``(file, function)``: *self* (the function was executing; the line named is
 its most-sampled one) and *inclusive* (it was anywhere on the stack).
+``--callers NAME`` adds, for every function whose qualified name contains
+``NAME``, the share of its inclusive samples that came through each immediate
+caller — which of its callers a hot leaf such as ``PureBackend.powmod`` is
+working for.
 
 Unlike cProfile this costs the same whatever the code does, so it neither
 inflates call-heavy Python frames (about 2.5x on this code) nor hides time
@@ -80,12 +85,15 @@ class Collector:
 
 
 class Samples:
-    """Where the sampled thread was: per function, self and inclusive counts."""
+    """Where the sampled thread was: per function, self and inclusive counts,
+    and per (function, immediate caller) pair the samples that had it on the
+    stack (the outermost frame's caller is ``None``)."""
 
     def __init__(self) -> None:
         self.total = 0
         self.self_counts: Counter = Counter()
         self.inclusive: Counter = Counter()
+        self.called_from: Counter = Counter()
         self.lines: Dict[Key, Counter] = {}
         self.collector = Collector()
 
@@ -94,11 +102,15 @@ class Samples:
         key = _key(frame.f_code)
         self.self_counts[key] += 1
         self.lines.setdefault(key, Counter())[frame.f_lineno] += 1
-        on_stack = set()
+        on_stack, edges = set(), set()
         while frame is not None:
-            on_stack.add(_key(frame.f_code))
             frame = frame.f_back
+            caller = _key(frame.f_code) if frame is not None else None
+            on_stack.add(key)
+            edges.add((key, caller))
+            key = caller
         self.inclusive.update(on_stack)
+        self.called_from.update(edges)
 
 
 def _key(code) -> Key:
@@ -147,6 +159,25 @@ def report(samples: Samples, top: int) -> str:
     return "\n".join(out)
 
 
+def callers_report(samples: Samples, name: str) -> str:
+    """Per function whose qualified name contains ``name``: its inclusive
+    samples split by immediate caller. A sample counts once per (function,
+    caller) pair, so the shares of a recursive function can pass 100%."""
+    total = max(samples.total, 1)
+    out = []
+    for key, count in samples.inclusive.most_common():
+        if name not in key[1]:
+            continue
+        out.append(f"{100 * count / total:6.1f}% incl  {_short(key[0])} {key[1]}  called from")
+        through: Counter = Counter(
+            {caller: n for (callee, caller), n in samples.called_from.items() if callee == key}
+        )
+        for caller, n in through.most_common():
+            where = f"{_short(caller[0])} {caller[1]}" if caller is not None else "(outermost frame)"
+            out.append(f"  {100 * n / count:6.1f}%  {where}")
+    return "\n".join(out) if out else f"no sampled function matches {name!r}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload")
@@ -154,6 +185,12 @@ def main(argv=None) -> int:
     parser.add_argument("--passes", type=int, default=2)
     parser.add_argument("--interval-ms", type=float, default=2.0)
     parser.add_argument("--top", type=int, default=25, help="rows per table")
+    parser.add_argument(
+        "--callers",
+        metavar="NAME",
+        help="also split the samples of each function whose qualified name contains NAME "
+        "by immediate caller",
+    )
     args = parser.parse_args(argv)
 
     sys.path[0:0] = [str(REPO), str(REPO / "src")]
@@ -180,6 +217,8 @@ def main(argv=None) -> int:
         f"{samples.total} samples every {args.interval_ms:g} ms\n"
     )
     print(report(samples, args.top))
+    if args.callers:
+        print("\n" + callers_report(samples, args.callers))
     print("\n" + samples.collector.line(cpu_s))
     for op in failed:
         print(f"FAILED operation {op.name}: {op.error}", file=sys.stderr)
