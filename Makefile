@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile bench-planner bench-planner-smoke bench-runtime bench-runtime-smoke bench-service bench-service-smoke chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile chaos-smoke chaos-resume-smoke check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -44,24 +44,6 @@ bench-pairs:
 profile:
 	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2) $(if $(CALLERS),--callers $(CALLERS))
 
-bench-planner:
-	python benchmarks/bench_planner.py --reps 3 --out BENCH_planner.json
-
-bench-planner-smoke:
-	python benchmarks/bench_planner.py --smoke --out BENCH_planner.json
-
-bench-runtime:
-	python benchmarks/bench_runtime.py --reps 3 --out BENCH_runtime.json
-
-bench-runtime-smoke:
-	python benchmarks/bench_runtime.py --smoke --out BENCH_runtime.json
-
-bench-service:
-	python benchmarks/bench_service.py --queries 40 --out BENCH_service.json
-
-bench-service-smoke:
-	python benchmarks/bench_service.py --smoke --out BENCH_service.json
-
 verify-sweep:
 	python -m repro verify-sweep
 
@@ -74,7 +56,7 @@ chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4 --shard-workers 2
 
-check: lint verify-sweep test bench-smoke bench-tests bench-planner-smoke bench-runtime-smoke bench-service-smoke chaos-smoke chaos-resume-smoke
+check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke
 
 eval:
 	python -m repro eval all

@@ -47,29 +47,35 @@ endfor
 
 
 def make_population(rng, devices):
-    """1-D points in three blobs around the true centers."""
+    """1-D points in three blobs around the true centers.
+
+    Returns the network and the devices' private points, device
+    ``device_id``'s at index ``device_id - 1``.
+    """
     network = FederatedNetwork(devices, rng=rng)
+    points = []
     for device in network.devices:
         center = TRUE_CENTERS[device.device_id % 3]
         point = round(rng.gauss(center, 1.5))
-        device.point = max(0, min(SCALE - 1, point))
-    return network
+        points.append(max(0, min(SCALE - 1, point)))
+    return network, points
 
 
-def encode_round(network, centers):
+def encode_round(network, points, centers):
     """Each device locally assigns itself to the nearest center and
     prepares its (assignment one-hot || coordinate) row."""
     for device in network.devices:
-        nearest = min(range(K), key=lambda i: abs(device.point - centers[i]))
+        point = points[device.device_id - 1]
+        nearest = min(range(K), key=lambda i: abs(point - centers[i]))
         row = [0] * (2 * K)
         row[nearest] = 1
-        row[K + nearest] = device.point
+        row[K + nearest] = point
         device.value = row
 
 
 def main() -> None:
     rng = random.Random(2023)
-    network = make_population(rng, devices=60)
+    network, points = make_population(rng, devices=60)
     session = AnalyticsSession(
         network,
         epsilon_budget=ROUNDS * EPSILON_PER_ROUND,
@@ -80,7 +86,7 @@ def main() -> None:
     print(f"initial centers: {[f'{c:.1f}' for c in centers]}")
 
     for round_number in range(ROUNDS + 1):  # one more than the budget allows
-        encode_round(network, centers)
+        encode_round(network, points, centers)
         try:
             result = session.ask(
                 QUERY,

@@ -184,11 +184,26 @@ def _executor_from_manifest(manifest: dict, journal=None):
     reproduce the original construction order exactly (network before
     data load before executor), because the shared RNGs are consumed in
     that order and resume correctness rests on replaying the same draws.
+
+    A manifest written by one of the removed flat data planes (it names
+    one, or predates ``shard_size`` and so ran the then-default
+    ``vectorized``) is refused with a :class:`JournalError` before anything
+    is built: that plane's RNG schedule no longer exists, so its
+    checkpoints cannot be replayed bit-identically.
     """
     from .faults import FaultInjector, FaultPlan
     from .runtime.executor import QueryExecutor
+    from .runtime.journal import JournalError
     from .runtime.network import FederatedNetwork
 
+    plane = manifest.get(
+        "data_plane", "sharded" if "shard_size" in manifest else "vectorized"
+    )
+    if plane != "sharded":
+        raise JournalError(
+            f"the journal was written by the {plane!r} data plane, which this "
+            "version no longer has; it cannot be replayed bit-identically"
+        )
     env = QueryEnvironment(
         num_participants=manifest["devices"],
         row_width=manifest["categories"],
@@ -198,12 +213,10 @@ def _executor_from_manifest(manifest: dict, journal=None):
     planning = Planner(env).plan_source(
         manifest["source"], name=manifest["query_name"]
     )
-    # Sharded-plane knobs: manifest.get so journals written before the
-    # sharded plane existed still rebuild (they ran a flat plane).
     shard_kwargs = {
-        "shard_size": manifest.get("shard_size", 1024),
-        "shard_workers": manifest.get("shard_workers", 0),
-        "tree_fanout": manifest.get("tree_fanout", 16),
+        "shard_size": manifest["shard_size"],
+        "shard_workers": manifest["shard_workers"],
+        "tree_fanout": manifest["tree_fanout"],
     }
     if manifest["recipe"] == "chaos":
         network = FederatedNetwork(
@@ -220,7 +233,6 @@ def _executor_from_manifest(manifest: dict, journal=None):
                 FaultPlan.from_dict(manifest["scenario"]),
                 seed=manifest["fault_seed"],
             ),
-            data_plane=manifest.get("data_plane", "vectorized"),
             journal=journal,
             **shard_kwargs,
         )
@@ -235,7 +247,6 @@ def _executor_from_manifest(manifest: dict, journal=None):
         planning,
         committee_size=manifest["committee_size"],
         rng=rng,
-        data_plane=manifest["data_plane"],
         journal=journal,
         **shard_kwargs,
     )
@@ -256,7 +267,6 @@ def cmd_run(args) -> int:
         "committee_size": args.committee_size,
         "malicious": args.malicious,
         "seed": args.seed,
-        "data_plane": args.data_plane,
         "shard_size": args.shard_size,
         "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
@@ -310,6 +320,11 @@ def cmd_resume(args) -> int:
         print(f"output(s): {stored['outputs_repr']}")
         print(f"ε charged: {stored['epsilon_charged']}")
         return 0
+    try:
+        executor = _executor_from_manifest(manifest, journal)
+    except JournalError as exc:
+        print(f"cannot resume: {exc}", file=sys.stderr)
+        return 1
     print(
         f"resuming {manifest['recipe']} run of {manifest['query_name']!r} "
         f"from {journal.record_count} journaled record(s) "
@@ -317,7 +332,6 @@ def cmd_resume(args) -> int:
     )
     resumes = 1
     while True:
-        executor = _executor_from_manifest(manifest, journal)
         try:
             outcome = executor.run()
             break
@@ -335,6 +349,7 @@ def cmd_resume(args) -> int:
                 f"{crash.checkpoint_seq} ({crash.checkpoint}); resuming"
             )
             journal = ExecutionJournal.load(args.journal)
+            executor = _executor_from_manifest(manifest, journal)
     for event in outcome.events:
         print(" ", event)
     print(f"output(s): {outcome.outputs}")
@@ -480,7 +495,6 @@ def _chaos_manifest(args, plan) -> dict:
         "seed": args.seed,
         "fault_seed": args.seed,
         "scenario": plan.as_dict(),
-        "data_plane": args.data_plane,
         "shard_size": args.shard_size,
         "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
@@ -1047,17 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--malicious", type=float, default=0.0)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--data-plane",
-        choices=("vectorized", "legacy", "sharded"),
-        default="vectorized",
-        help="execution data plane: packed/batched kernels, the seed "
-        "one-ciphertext-per-slot path (byte-identical to vectorized), or "
-        "the sharded event-driven runtime (own RNG schedule; serial and "
-        "parallel sharded runs are byte-identical to each other)",
-    )
-    run.add_argument(
         "--shard-size", type=int, default=1024,
-        help="devices per shard on the sharded plane",
+        help="devices per intake shard (a smaller population is one shard)",
     )
     run.add_argument(
         "--shard-workers", type=int, default=0,
@@ -1071,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--stats",
         action="store_true",
-        help="print runtime data-plane counters (uploads/sec, wall times)",
+        help="print runtime intake counters (uploads/sec, wall times)",
     )
     run.add_argument(
         "--journal", metavar="PATH", default=None,
@@ -1162,13 +1167,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--epsilon", type=float, default=4.0)
     chaos.add_argument("--committee-size", type=int, default=4)
     chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument(
-        "--data-plane",
-        choices=("vectorized", "legacy", "sharded"),
-        default="sharded",
-        help="data plane under fault injection (default: sharded, so "
-        "crash sweeps exercise the shard-scoped checkpoints)",
-    )
     chaos.add_argument(
         "--shard-size", type=int, default=8,
         help="devices per shard (small default so the smoke deployment "

@@ -12,9 +12,9 @@ encryption randomness trapdoor (our simulated-network aggregator) actually
 recomputes the statement and rejects malformed inputs. :func:`verify`
 checks a proof against *its own* device, round, statement and ciphertext
 digest; that those are the uploader's, the current round's and the
-query's is the intake's comparison, made per upload on both data planes
-(:func:`repro.runtime.shard.verify_shard`,
-``AggregatorNode.verify_uploads``) — that is where a replayed or
+query's is the intake's comparison, made per upload
+(:func:`repro.runtime.shard.verify_shard`; ``AggregatorNode.verify_uploads``
+makes the same ones per ``Upload`` object) — that is where a replayed or
 re-labelled proof fails. Proof sizes and verification times are metered
 through the calibrated cost model, matching the paper's methodology (see
 DESIGN.md).

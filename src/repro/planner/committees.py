@@ -189,10 +189,3 @@ def _parameters_cached(
     return CommitteeParameters(
         num_committees, m, malicious_fraction, churn_tolerance, p1
     )
-
-
-def clear_sizing_caches() -> None:
-    """Reset sizing memoization (benchmark fairness between engines)."""
-    minimum_committee_size.cache_clear()
-    _parameters_cached.cache_clear()
-    _SIZE_HINTS.clear()

@@ -17,18 +17,15 @@ implementation, and aborts with :class:`PlannerOutOfMemory` once the
 candidate list exceeds the memory budget (the paper's planner ran out of
 memory for half the queries with heuristics disabled).
 
-Two search engines share one control loop (`_SearchRun`), so they visit
-nodes in the same order and produce identical statistics by construction:
-
-* ``engine="incremental"`` (default) — each search node extends its
-  parent's :class:`~.expand.PrefixExpander` state by one op's vignettes
-  and its running :class:`~.plan.ScoreAccumulator` by the new segment,
-  so per-node work is O(1) amortized instead of O(depth). Emissions and
-  per-Work cost-model evaluations are memoized (hit/miss counters land
-  in :class:`PlannerStatistics`).
-* ``engine="reference"`` — the original from-scratch search (partial
-  re-instantiation + full rescoring per node), retained as the oracle
-  for the equivalence suite and the baseline for the planner benchmark.
+The search is incremental: each node extends its parent's
+:class:`~.expand.PrefixExpander` state by one op's vignettes and its
+running :class:`~.plan.ScoreAccumulator` by the new segment, so per-node
+work is O(1) amortized instead of O(depth). Emissions and per-Work
+cost-model evaluations are memoized (hit/miss counters land in
+:class:`PlannerStatistics`). The from-scratch evaluator it replaced
+(partial re-instantiation + full rescoring per node) lives on as the test
+oracle ``tests/oracles/search_reference.py``, which drives the same
+control loop (`_SearchRun`) through :meth:`Planner._evaluator`.
 
 With ``order_choices`` (default on when heuristics are on), surviving
 children at each node are visited cheapest-first by their partial goal
@@ -52,16 +49,9 @@ from ..lang.parser import parse
 from ..lang.simplify import simplify
 from ..privacy.certify import Certificate, certify
 from .costmodel import Constraints, CostModel, Goal
-from .expand import (
-    Choice,
-    ExpansionError,
-    PrefixExpander,
-    choice_space,
-    instantiate,
-    space_size,
-)
+from .expand import Choice, ExpansionError, PrefixExpander, choice_space, space_size
 from .ir import LogicalPlan, lower
-from .plan import Plan, score_vignettes
+from .plan import Plan
 
 
 class PlanningFailed(Exception):
@@ -131,73 +121,8 @@ class PlanningResult:
 
 
 # --------------------------------------------------------------------------
-# Search-node evaluators (the engine-specific part of the search)
+# The search-node evaluator
 # --------------------------------------------------------------------------
-
-
-class _RefNode:
-    """Reference-engine search node: just the prefix and its partial cost."""
-
-    __slots__ = ("choices", "cost")
-
-    def __init__(self, choices: Tuple[Choice, ...], cost):
-        self.choices = choices
-        self.cost = cost
-
-
-class _ReferenceEvaluator:
-    """From-scratch evaluation, byte-for-byte the original planner.
-
-    Every extension re-instantiates and re-scores the whole prefix, and
-    every leaf re-instantiates the full assignment (the seed planner's
-    behaviour, kept as the benchmark baseline and equivalence oracle).
-    """
-
-    engine = "reference"
-    cache_hits = 0
-    cache_misses = 0
-
-    def __init__(self, logical: LogicalPlan, model: CostModel, num_participants: int):
-        self.logical = logical
-        self.model = model
-        self.n = num_participants
-
-    def root(self) -> _RefNode:
-        return _RefNode((), None)
-
-    def extend(self, node: _RefNode, choice: Choice) -> _RefNode:
-        choices = node.choices + (choice,)
-        vignettes, _scheme = instantiate(
-            self.logical, choices, self.model, partial=True
-        )
-        score = score_vignettes(vignettes, self.n, self.model)
-        return _RefNode(choices, score.cost)
-
-    def naive_extend(self, node: _RefNode, choice: Choice) -> _RefNode:
-        # Without heuristics the original planner never instantiates
-        # prefixes; structural failures only surface at the leaves.
-        return _RefNode(node.choices + (choice,), None)
-
-    def leaf(self, node: _RefNode):
-        try:
-            vignettes, scheme = instantiate(self.logical, node.choices, self.model)
-        except ExpansionError:
-            return None
-        score = score_vignettes(vignettes, self.n, self.model)
-        logical = self.logical
-        choices = node.choices
-
-        def make_plan() -> Plan:
-            return Plan(
-                query_name=logical.query_name,
-                choices={c.key: c.label() for c in choices},
-                vignettes=vignettes,
-                scheme=scheme,
-                score=score,
-                choice_list=list(choices),
-            )
-
-        return score.cost, make_plan
 
 
 class _IncrementalEvaluator:
@@ -208,8 +133,6 @@ class _IncrementalEvaluator:
     vignette), fixing the original planner's double instantiation of full
     assignments.
     """
-
-    engine = "incremental"
 
     def __init__(self, logical: LogicalPlan, model: CostModel, num_participants: int):
         self.logical = logical
@@ -254,17 +177,17 @@ class _IncrementalEvaluator:
 
 
 # --------------------------------------------------------------------------
-# The engine-independent search loop
+# The search loop
 # --------------------------------------------------------------------------
 
 
 class _SearchRun:
     """One depth-first search over (a subset of) the choice tree.
 
-    The control flow is shared by both evaluators, so node visit order,
-    pruning decisions, and every statistics counter are identical between
-    engines by construction (the bound checks compare the same partial
-    CostVectors, which the incremental engine reproduces bit-exactly).
+    The control flow never looks inside a node: the evaluator supplies
+    ``root``/``extend``/``naive_extend``/``leaf``, so the test oracle's
+    from-scratch evaluator visits nodes in the same order, prunes at the
+    same places, and counts every statistic identically.
     """
 
     def __init__(
@@ -419,12 +342,10 @@ class Planner:
     planner returns the best plan that satisfies the limits, or raises
     :class:`PlanningFailed`.
 
-    ``engine`` selects the search evaluator ("incremental" or
-    "reference" — see the module docstring); ``order_choices`` visits
-    surviving children cheapest-first (defaults to on when heuristics are
-    on); ``workers`` > 1 splits the top-level choice subtrees across a
-    process pool (ignored by the naive ablation, whose out-of-memory
-    trajectory must stay sequential).
+    ``order_choices`` visits surviving children cheapest-first (defaults
+    to on when heuristics are on); ``workers`` > 1 splits the top-level
+    choice subtrees across a process pool (ignored by the naive ablation,
+    whose out-of-memory trajectory must stay sequential).
     """
 
     def __init__(
@@ -436,7 +357,6 @@ class Planner:
         heuristics: bool = True,
         memory_budget_candidates: int = 250_000,
         verify: Optional[bool] = None,
-        engine: str = "incremental",
         order_choices: Optional[bool] = None,
         workers: int = 1,
     ):
@@ -449,9 +369,6 @@ class Planner:
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY", "").lower() in ("1", "true", "yes")
         self.verify = verify
-        if engine not in ("incremental", "reference"):
-            raise ValueError(f"unknown search engine {engine!r}")
-        self.engine = engine
         if order_choices is None:
             order_choices = heuristics
         self.order_choices = order_choices
@@ -546,14 +463,7 @@ class Planner:
         """
         space = choice_space(logical)
         stats = PlannerStatistics()
-        if self.engine == "reference":
-            evaluator = _ReferenceEvaluator(
-                logical, self.model, self.env.num_participants
-            )
-        else:
-            evaluator = _IncrementalEvaluator(
-                logical, self.model, self.env.num_participants
-            )
+        evaluator = self._evaluator(logical)
         cost_hits = self.model.cache_hits
         cost_misses = self.model.cache_misses
         run = _SearchRun(self, logical, space, evaluator, stats, split_depth)
@@ -563,6 +473,10 @@ class Planner:
         stats.expansion_cache_hits = evaluator.cache_hits
         stats.expansion_cache_misses = evaluator.cache_misses
         return best, stats
+
+    def _evaluator(self, logical: LogicalPlan):
+        """The search-node evaluator of one run (the test oracle's seam)."""
+        return _IncrementalEvaluator(logical, self.model, self.env.num_participants)
 
     def _plan_parallel(
         self, logical: LogicalPlan, space, stats, split_depth: int
@@ -586,7 +500,6 @@ class Planner:
                 self.model,
                 self.constraints,
                 self.goal,
-                self.engine,
                 self.order_choices,
                 self.memory_budget_candidates,
                 part,
@@ -625,7 +538,6 @@ def _search_subtree(payload):
         model,
         constraints,
         goal,
-        engine,
         order_choices,
         memory_budget,
         root_options,
@@ -639,7 +551,6 @@ def _search_subtree(payload):
         heuristics=True,
         memory_budget_candidates=memory_budget,
         verify=False,
-        engine=engine,
         order_choices=order_choices,
         workers=1,
     )
@@ -658,7 +569,6 @@ def plan_query(
     heuristics: bool = True,
     memory_budget_candidates: int = 250_000,
     verify: Optional[bool] = None,
-    engine: str = "incremental",
     order_choices: Optional[bool] = None,
     workers: int = 1,
 ) -> PlanningResult:
@@ -671,7 +581,6 @@ def plan_query(
         heuristics=heuristics,
         memory_budget_candidates=memory_budget_candidates,
         verify=verify,
-        engine=engine,
         order_choices=order_choices,
         workers=workers,
     )

@@ -168,25 +168,27 @@ class AggregatorNode:
 
     # ------------------------------------------------------------- aggregate
 
-    def aggregate(self, accepted: Sequence[Upload]) -> List[paillier.PaillierCiphertext]:
-        """Homomorphically sum the accepted ciphertext vectors slot-wise.
+    def aggregate(
+        self, vectors: Sequence[Sequence[paillier.PaillierCiphertext]]
+    ) -> List[paillier.PaillierCiphertext]:
+        """Homomorphically sum ciphertext vectors slot-wise.
 
         Each slot column is one :func:`paillier.sum_ciphertexts` fold;
         Paillier ⊞ is associative and commutative, so the totals (and the
         step commitments over them) do not depend on the fold's shape.
         """
-        if not accepted:
-            raise ValueError("no accepted uploads to aggregate")
-        width = len(accepted[0].ciphertexts)
-        if any(len(u.ciphertexts) != width for u in accepted):
-            raise ValueError("uploads have inconsistent widths")
+        if not vectors:
+            raise ValueError("no ciphertext vectors to aggregate")
+        width = len(vectors[0])
+        if any(len(vector) != width for vector in vectors):
+            raise ValueError("ciphertext vectors have inconsistent widths")
         started = time.perf_counter()
         totals = [
-            paillier.sum_ciphertexts([u.ciphertexts[j] for u in accepted])
+            paillier.sum_ciphertexts([vector[j] for vector in vectors])
             for j in range(width)
         ]
         self.stats.aggregate_seconds += time.perf_counter() - started
-        self.stats.ciphertext_additions += (len(accepted) - 1) * width
+        self.stats.ciphertext_additions += (len(vectors) - 1) * width
         return totals
 
     # ----------------------------------------------------------------- audit
@@ -303,7 +305,7 @@ class AggregatorTree:
     children just completed, which is exactly the ``fold`` event the
     scheduler then drains. Child order is fixed by construction, so the
     fold result is byte-identical whatever order the leaves arrive in —
-    the serial/parallel equivalence the sharded plane is built on.
+    the serial/parallel equivalence the intake is built on.
     """
 
     def __init__(
@@ -423,14 +425,8 @@ class AggregatorTree:
             )
         columns = [c.partials for c in tree_node.children if c.partials]
         if columns:
-            width = len(columns[0])
-            if any(len(col) != width for col in columns):
-                raise ValueError("children carry inconsistent partial widths")
-            tree_node.partials = [
-                paillier.sum_ciphertexts([col[j] for col in columns])
-                for j in range(width)
-            ]
-            self.stats.ciphertext_additions += (len(columns) - 1) * width
+            tree_node.partials = tree_node.node.aggregate(columns)
+            self.stats.ciphertext_additions += (len(columns) - 1) * len(columns[0])
             fold_digest = ciphertext_vector_digest(tree_node.partials)
         else:
             fold_digest = hashlib.sha256(b"empty-fold").digest()
@@ -498,9 +494,10 @@ class AggregatorTree:
         """Simulate participant audits over the whole tree; returns failures.
 
         Each auditor alternates two checks: a full root→leaf inclusion
-        chain for a random shard leaf, and a random step of a randomly
-        chosen *internal* node (exercising per-level commitments directly,
-        including fold steps).
+        chain for a random shard leaf, and one of the node's own audits
+        (:meth:`AggregatorNode.run_audits`, a single random step) on a
+        randomly chosen *internal* node — exercising per-level commitments
+        directly, fold steps included.
         """
         if not self.root.folded:
             raise ValueError("cannot audit before the root folds")
@@ -513,10 +510,5 @@ class AggregatorTree:
                     failures += 1
                 level = 1 + rng.randrange(len(self.levels) - 1)
                 node = self.levels[level][rng.randrange(len(self.levels[level]))]
-                step_index = rng.randrange(len(node.node.steps))
-                leaf_bytes, proof = node.node.answer_audit(step_index)
-                if not verify_inclusion(
-                    node.node.publish_step_root(), leaf_bytes, proof
-                ):
-                    failures += 1
+                failures += node.node.run_audits(rng, auditors=1, leaves_each=1)
         return failures

@@ -75,7 +75,11 @@ from ..crypto import paillier
 from ..crypto.backend import active_backend_name
 from ..crypto.sortition import jointly_generate_block
 from ..crypto.vsr import VSRError
-from ..crypto.zkp import one_hot_statement, prove, range_statement
+from ..crypto.zkp import one_hot_statement, range_statement
+
+# bench/ (frozen this PR) resolves ``prove`` in this module's namespace; no
+# code here calls it since the flat intake left (ROADMAP, benchmark-only item).
+from ..crypto.zkp import prove  # noqa: F401  verify: allow(no-unused-imports)
 from ..faults import (
     PENDING,
     RECOVERED,
@@ -99,7 +103,7 @@ from ..planner.expand import Choice
 from ..planner.search import PlanningResult
 from ..privacy.accountant import PrivacyAccountant, PrivacyCost
 from ..privacy.sampling import BinSamplingPlan
-from .aggregator import AggregatorNode, Upload, ciphertext_vector_digest
+from .aggregator import AggregatorTree
 from .packing import SlotPacking, plan_packing
 from .certificate import (
     CertificateBody,
@@ -148,12 +152,11 @@ class RuntimeStatistics:
     """Observability counters for one executed query (``repro run --stats``).
 
     Mirrors ``PlannerStatistics`` on the execution side: wall-clock and
-    throughput numbers for the hot data-plane stages. Statistics never
-    influence results, commitments, or accounting — they are excluded from
-    ``QueryResult`` equality so legacy/vectorized equivalence is unaffected.
+    throughput numbers for the hot intake stages. Statistics never
+    influence results, commitments, or accounting, and are excluded from
+    ``QueryResult`` equality.
     """
 
-    data_plane: str = "vectorized"
     #: Name of the active crypto kernel backend (``crypto/backend.py``):
     #: ``pure`` or ``accel``. Informational only — backends are
     #: bit-identical by construction, so results never depend on it.
@@ -171,7 +174,7 @@ class RuntimeStatistics:
     uploads_verified_per_second: float = 0.0
     uploads_rejected_per_second: float = 0.0
     decrypt_seconds: float = 0.0
-    #: Sharded-plane counters (zero on the flat planes).
+    #: Shard pipeline shape and scheduler effort.
     shards: int = 0
     shard_size: int = 0
     tree_depth: int = 0
@@ -226,6 +229,19 @@ class _HeldSecrets:
     vectors: Dict[str, List[SecretValue]]
 
 
+def pad_pool_size(devices: int, packed_width: int) -> int:
+    """Pads in a run's :class:`~repro.runtime.shard.ObfuscatorPool`.
+
+    Each pad costs a full ``r^n mod n²``, so the pool is never larger than
+    the ciphertexts it will obfuscate: 64 for any run of 64 ciphertexts or
+    more, fewer for a small one (a 24-device service query packing its row
+    into one ciphertext precomputes 24), and never below the pool's floor
+    of 2. ``devices`` is the *registered* population, like the packing
+    bound, so a churned run sizes as its fault-free twin does.
+    """
+    return max(2, min(64, devices * packed_width))
+
+
 def hashlib_sha256_int(value: int) -> bytes:
     """Digest of a big integer (used for public-key fingerprints)."""
     width = (value.bit_length() + 7) // 8 or 1
@@ -246,17 +262,19 @@ class QueryExecutor:
         verify_plan: bool = True,
         faults: Optional[FaultInjector] = None,
         max_phase_retries: int = 3,
-        data_plane: str = "vectorized",
+        data_plane: str = "sharded",
         journal: Optional[ExecutionJournal] = None,
         shard_size: int = 1024,
         shard_workers: int = 0,
         tree_fanout: int = 16,
         charge_label: Optional[str] = None,
     ):
-        if data_plane not in ("vectorized", "legacy", "sharded"):
+        # bench/workloads.py (frozen for benchmark comparability) still passes
+        # data_plane="sharded"; the shard pipeline is the only intake there is.
+        if data_plane != "sharded":
             raise ValueError(
-                f"unknown data plane {data_plane!r}; expected 'vectorized', "
-                "'legacy', or 'sharded'"
+                f"unknown data plane {data_plane!r}: the shard pipeline "
+                "('sharded') is the only intake"
             )
         if shard_size < 1:
             raise ValueError("shard_size must be positive")
@@ -291,19 +309,15 @@ class QueryExecutor:
         self._key_shares: Optional[Dict[str, List[SecretValue]]] = None
         self._noise_seq = 0
         self._laplace_seq = 0
-        self.data_plane = data_plane
         self.shard_size = shard_size
         self.shard_workers = max(0, int(shard_workers))
         self.tree_fanout = tree_fanout
-        #: Master seed of the sharded plane's labelled substreams. Drawn
-        #: once at construction (sharded mode only, so flat planes keep
-        #: their exact draw schedules) from the executor's seeded rng —
-        #: deterministic across resume incarnations, and independent of
-        #: worker count because per-shard streams derive from it by label,
-        #: never from shared stream position.
-        self._shard_seed: Optional[int] = (
-            self.rng.getrandbits(64) if data_plane == "sharded" else None
-        )
+        #: Master seed of the intake's labelled substreams. Drawn once at
+        #: construction from the executor's seeded rng — deterministic
+        #: across resume incarnations, and independent of worker count
+        #: because per-shard streams derive from it by label, never from
+        #: shared stream position.
+        self._shard_seed = self.rng.getrandbits(64)
         self._packing: Optional[SlotPacking] = None
         #: Durable write-ahead journal; a loaded journal puts the run in
         #: resume mode (replay-verify to the last intact record, then
@@ -319,9 +333,7 @@ class QueryExecutor:
         #: already paid for. Consulted by the charge site, never placed in
         #: a checkpoint payload ahead of its original execution point.
         self._restored_charges: Dict[str, Tuple[float, float]] = {}
-        self.statistics = RuntimeStatistics(
-            data_plane=data_plane, crypto_backend=active_backend_name()
-        )
+        self.statistics = RuntimeStatistics(crypto_backend=active_backend_name())
         #: The validated dataflow PrivacyCertificate for this run (set by
         #: the verify gate; its digest is folded into the signed
         #: CertificateBody so committees endorse the privacy proof too).
@@ -358,7 +370,7 @@ class QueryExecutor:
         In a chaos run this is the injector's labelled substream — stable
         across phase replays, so recovery re-derives identical noise, bin
         placements, and sampling offsets. Without an injector it is the
-        executor's own rng, keeping the legacy path bit-compatible. Every
+        executor's own rng. Every
         label is recorded in order so journal checkpoints can attest to
         the RNG stream positions the run has consumed.
         """
@@ -368,14 +380,14 @@ class QueryExecutor:
         return self.faults.fresh(label)
 
     def _shard_stream(self, label: str) -> random.Random:
-        """A labelled substream for one unit of sharded-plane work.
+        """A labelled substream for one unit of intake work.
 
         Unlike :meth:`_fresh`, the fault-free path does *not* fall back to
         the executor's shared rng: every shard's stream is derived from
         the plane's master seed by label, so the draw schedule is a pure
         function of (seed, label) — identical whether shards execute
-        serially or on a worker pool, which is the root of the sharded
-        plane's serial-oracle equivalence. Chaos runs derive from the
+        serially or on a worker pool, which is the root of the intake's
+        serial-oracle equivalence. Chaos runs derive from the
         injector instead, keeping recovery replays bit-identical. Streams
         are always derived on the scheduler's serial path (event post /
         serial handlers), never inside a worker, so the label attestation
@@ -659,15 +671,12 @@ class QueryExecutor:
             self._restore_from_journal()
         n = len(self.network)
         m = self.committee_size
-        max_committees = max(1, n // m)
-        if self.data_plane == "sharded":
-            # Million-device populations do not need hundreds of thousands
-            # of standby committees; cap the pool (the paper provisions a
-            # small constant number of committees regardless of N, §5.1).
-            # Applied to the sharded plane only so the flat planes' byte
-            # streams are untouched; below 64·m devices the cap is inert,
-            # so small chaos deployments keep their committee structure.
-            max_committees = max(1, min(max_committees, 64))
+        # Million-device populations do not need hundreds of thousands of
+        # standby committees; cap the pool (the paper provisions a small
+        # constant number of committees regardless of N, §5.1). Below 64·m
+        # devices the cap is inert, so small deployments keep their
+        # committee structure.
+        max_committees = max(1, min(n // m, 64))
         assignment = self.network.select_committees(max_committees, m)
         round_hook = self.faults.on_round if self.faults is not None else None
         self.pool = CommitteePool(
@@ -893,8 +902,6 @@ class QueryExecutor:
         Signed ranges stay unpacked: a negative residue mod n would smear
         across every lane.
         """
-        if self.data_plane == "legacy":
-            return None
         categories = self.env.row_width
         one_hot = self.env.row_encoding == "one_hot"
         width = categories * bins if one_hot else categories
@@ -910,7 +917,7 @@ class QueryExecutor:
         return plan_packing(width, max_slot_sum, public_key.plaintext_modulus)
 
     def _input_statement(self, bins: int):
-        """The upload well-formedness statement shared by every data plane."""
+        """The upload well-formedness statement and the row shape it covers."""
         categories = self.env.row_width
         one_hot = self.env.row_encoding == "one_hot"
         width = categories * bins if one_hot else categories
@@ -922,10 +929,10 @@ class QueryExecutor:
             statement = range_statement(width, lo, hi)
         return categories, one_hot, width, statement
 
-    def _phase_input_sharded(
+    def _phase_input(
         self, public_key: paillier.PaillierPublicKey, bins: int
-    ):
-        """The sharded, event-driven input phase (tentpole of the plane).
+    ) -> Tuple[AggregatorTree, List[paillier.PaillierCiphertext], int]:
+        """The input phase: one event-driven shard pipeline for every caller.
 
         The population is gathered once (struct-of-arrays), sliced into
         :class:`~repro.runtime.shard.DeviceShard` batches, and the intake
@@ -951,17 +958,22 @@ class QueryExecutor:
         With ``shard_workers <= 1`` this is the serial oracle; any worker
         count produces byte-identical results (see scheduler contract).
         """
+        # Looked up per call: bench/ wraps the stages where shard.py defines them.
         from . import scheduler as event_scheduler
-        from .aggregator import AggregatorTree
         from .shard import ObfuscatorPool, ShardContext, build_shards, upload_shard, verify_shard
 
         categories, one_hot, width, statement = self._input_statement(bins)
+        packed_width = self._packing.packed_width if self._packing else width
         round_number = self.network.sortition.round_number
         garbage = self._apply_garbage_faults()
         # One obfuscator pad pool per run: real obfuscators from a labelled
         # stream, shared read-only by every shard worker (see shard.py for
         # the subset-product construction and DESIGN.md for the trade).
-        pool = ObfuscatorPool(public_key, self._shard_stream("sharded/pads"))
+        pool = ObfuscatorPool(
+            public_key,
+            self._shard_stream("sharded/pads"),
+            pool_size=pad_pool_size(len(self.network), packed_width),
+        )
         ctx = ShardContext(
             public_key=public_key,
             statement=statement,
@@ -1051,9 +1063,7 @@ class QueryExecutor:
             raise ExecutionError(f"{audits_failed} participant audits failed")
         self.statistics.submit_seconds += submit_seconds
         self.statistics.logical_width = width
-        self.statistics.packed_width = (
-            self._packing.packed_width if self._packing else width
-        )
+        self.statistics.packed_width = packed_width
         self.statistics.packing_lanes = (
             self._packing.lanes if self._packing else 1
         )
@@ -1069,37 +1079,6 @@ class QueryExecutor:
         self._checkpoint("input/aggregated")
         return tree, totals, audits_failed
 
-    def _phase_input(
-        self, public_key: paillier.PaillierPublicKey, bins: int
-    ) -> Tuple[AggregatorNode, List[paillier.PaillierCiphertext], int]:
-        if self.data_plane == "sharded":
-            return self._phase_input_sharded(public_key, bins)
-        aggregator = AggregatorNode(public_key)
-        garbage = self._apply_garbage_faults()
-        self._submit_inputs(aggregator, public_key, bins)
-        accepted = aggregator.verify_uploads(
-            self._input_statement(bins)[3], self.network.sortition.round_number
-        )
-        self._resolve_garbage_faults(garbage, aggregator)
-        if not accepted:
-            raise ExecutionError("every upload was rejected")
-        self._log(
-            f"inputs: {len(accepted)} accepted, {len(aggregator.rejected)} rejected"
-        )
-        aggregator.commit_step("inputs", ciphertext_vector_digest(
-            [u.ciphertexts[0] for u in accepted]
-        ))
-
-        totals = aggregator.aggregate(accepted)
-        aggregator.commit_step("aggregate", ciphertext_vector_digest(totals))
-        audits_failed = aggregator.run_audits(
-            self._fresh("audit"), auditors=min(len(self.network), 16)
-        )
-        if audits_failed:
-            raise ExecutionError(f"{audits_failed} participant audits failed")
-        self._checkpoint("input/aggregated")
-        return aggregator, totals, audits_failed
-
     def _apply_garbage_faults(self) -> List[Tuple[object, List[int]]]:
         """Flip scheduled devices to malicious so they upload garbage."""
         if self.faults is None:
@@ -1113,7 +1092,7 @@ class QueryExecutor:
         return applied
 
     def _resolve_garbage_faults(
-        self, applied: List[Tuple[object, List[int]]], aggregator: AggregatorNode
+        self, applied: List[Tuple[object, List[int]]], aggregator: AggregatorTree
     ) -> None:
         for event, devices in applied:
             caught = set(devices) <= set(aggregator.rejected)
@@ -1125,80 +1104,6 @@ class QueryExecutor:
                 "aggregation; remaining uploads unaffected",
                 outcome=RECOVERED if caught else UNDETECTED,
             )
-
-    def _submit_inputs(
-        self,
-        aggregator: AggregatorNode,
-        public_key: paillier.PaillierPublicKey,
-        bins: int,
-    ) -> None:
-        categories, one_hot, width, statement = self._input_statement(bins)
-        round_number = self.network.sortition.round_number
-        packing = self._packing
-        started = time.perf_counter()
-        uploads: List[Upload] = []
-        for device in self.network.devices:
-            if not device.online:
-                continue  # churned devices simply never upload
-            # Per-device streams: one device dropping out must not shift
-            # any other device's bin placement or encryption randomness.
-            dev_rng = self._fresh(f"upload/{device.device_id}")
-            vector = self._encode_row(device, categories, bins, one_hot, width, dev_rng)
-            if packing is None:
-                cts = [paillier.encrypt(public_key, v, dev_rng) for v in vector]
-            else:
-                # Packed plane: the device still draws one obfuscator per
-                # *logical* slot — byte-identical RNG schedule to the
-                # unpacked plane — but only spends an exponentiation per
-                # packed ciphertext (the first lane's draw obfuscates it).
-                obfuscators = [
-                    paillier.draw_obfuscator(public_key, dev_rng) for _ in vector
-                ]
-                cts = [
-                    paillier.encrypt_with_obfuscator(
-                        public_key, value, obfuscators[j * packing.lanes]
-                    )
-                    for j, value in enumerate(packing.pack(vector))
-                ]
-            digest = ciphertext_vector_digest(cts)
-            proof = prove(statement, vector, device.device_id, round_number, digest)
-            uploads.append(Upload(device.device_id, cts, proof, vector))
-        aggregator.receive_uploads(uploads)
-        self.statistics.uploads_submitted += len(uploads)
-        self.statistics.submit_seconds += time.perf_counter() - started
-        self.statistics.logical_width = width
-        self.statistics.packed_width = packing.packed_width if packing else width
-        self.statistics.packing_lanes = packing.lanes if packing else 1
-
-    def _encode_row(
-        self,
-        device,
-        categories: int,
-        bins: int,
-        one_hot: bool,
-        width: int,
-        rng: random.Random,
-    ) -> List[int]:
-        if one_hot:
-            vector = [0] * width
-            category = int(device.value) % categories
-            bin_index = rng.randrange(bins) if bins > 1 else 0
-            vector[bin_index * categories + category] = 1
-            if device.malicious:
-                # Malformed upload: claim membership in several categories.
-                vector = [0] * width
-                for slot in range(min(3, width)):
-                    vector[slot] = 1
-            return vector
-        value = device.value
-        row = list(value) if isinstance(value, (list, tuple)) else [int(value)]
-        if len(row) < width:
-            row = row + [0] * (width - len(row))
-        row = row[:width]
-        if device.malicious:
-            # Out-of-range value ("pretending the user is 1,000 years old").
-            row[0] = 1000
-        return [int(v) for v in row]
 
     # ---------------------------------------------------------- decryption
 

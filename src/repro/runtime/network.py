@@ -126,7 +126,7 @@ class FederatedNetwork:
         """One linear gather of the population as struct-of-arrays.
 
         Returns ``(device_ids, values, online, malicious)`` numpy arrays
-        in device-id order — the input the sharded data plane slices into
+        in device-id order — the input the intake slices into
         :class:`~repro.runtime.shard.DeviceShard` batches. Relies on the
         contiguous-id invariant checked at construction, so the gather is
         O(n) with no per-device lookups. ``values`` is ``(n,)`` int64 for

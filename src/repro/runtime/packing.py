@@ -1,8 +1,8 @@
 """Paillier slot packing for the upload data plane.
 
 The dominant cost of the input phase is one modular exponentiation per
-Paillier encryption, and the seed data plane encrypts one ciphertext per
-logical slot. Because the paper's device rows are tiny values (one-hot
+Paillier encryption, at one ciphertext per logical slot when nothing is
+packed. Because the paper's device rows are tiny values (one-hot
 bits, small bounded integers) inside a huge plaintext space (a 2·k-bit
 modulus), many logical slots can share one plaintext: slot i is placed at
 bit offset ``(i mod lanes) * slot_bits`` of packed ciphertext
@@ -22,8 +22,8 @@ modulus. :func:`plan_packing` computes the widest safe layout and returns
 Packing changes the ciphertext-level wire format only. Upload witnesses,
 ZKP statements, rejected-device sets, decrypted logical counts, DP noise,
 and every published output are unchanged — the runtime equivalence suite
-(``tests/test_runtime_equivalence.py``) pins that down against the legacy
-one-ciphertext-per-slot plane.
+(``tests/test_runtime_equivalence.py``) pins that down against a
+one-ciphertext-per-slot run of the same intake.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Event-driven shard scheduler for the sharded execution data plane.
+"""Event-driven shard scheduler for the input phase.
 
-The flat data planes iterate every device once per protocol phase, which
-is exactly what stops the simulated runtime well short of the paper's
-10^9-device pitch: phase loops touch all N devices even when most of the
-work is independent and batchable. The sharded plane instead models the
-input pipeline as **events over device shards** — ``churn`` (sync a
+A loop over every device once per protocol phase is exactly what stops a
+simulated runtime well short of the paper's 10^9-device pitch: it touches
+all N devices even when most of the work is independent and batchable.
+The intake instead models the input pipeline as **events over device
+shards** — ``churn`` (sync a
 shard's liveness with the population), ``upload`` (encode + encrypt +
 prove a whole shard batch), ``verify`` (ZKP-check the batch at an
 aggregation-tree leaf), ``aggregate`` (ingest the partial sums into the

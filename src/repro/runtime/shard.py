@@ -1,31 +1,29 @@
-"""Device shards: struct-of-arrays batches for the sharded data plane.
+"""Device shards: struct-of-arrays batches for the input phase.
 
 A :class:`DeviceShard` holds one contiguous slice of the population as
 numpy arrays (ids, raw values, liveness, malice) plus the label of the
 RNG substream every value-relevant draw for that shard comes from. The
-shard is the unit of everything in the sharded runtime: the event
+shard is the unit of everything in the intake: the event
 scheduler schedules per-shard work, journal checkpoints are per-shard,
 fault-plan replay re-derives per-shard streams, and aggregation-tree
 leaves ingest per-shard batches.
 
-The heavy per-device costs of the flat planes and how the shard stages
-remove them:
+The heavy per-device costs of a device-at-a-time intake and how the shard
+stages remove them:
 
 * **Encryption randomness.** Paillier encryption spends one ~2k-bit-op
   modular exponentiation per ciphertext drawing ``r^n mod n^2``. The
-  sharded plane amortizes it with an :class:`ObfuscatorPool`: a small
-  pool of precomputed pads ``h_i = r_i^n mod n^2`` (real obfuscators,
-  drawn from a labelled stream) from which each device takes a random
-  subset *product* — still a uniform-looking element of the subgroup of
-  n-th residues, at the cost of a handful of modular multiplications
-  instead of a full exponentiation. This is the classic precomputed-
-  randomization trade (cf. batch-RSA / fast Schnorr preprocessing);
-  DESIGN.md records it as a simulation-scale substitution alongside the
-  HMAC sortition tags.
-* **Draw scheduling.** Flat planes draw one obfuscator per *logical*
-  slot to keep a global draw schedule; the sharded plane owns its
-  per-shard streams outright, so it draws exactly one pad subset per
-  *packed* ciphertext.
+  intake amortizes it with an :class:`ObfuscatorPool`: a small pool of
+  precomputed pads ``h_i = r_i^n mod n^2`` (real obfuscators, drawn from
+  a labelled stream; the executor sizes it to the run, never above 64)
+  from which each device takes a random subset *product* — still a
+  uniform-looking element of the subgroup of n-th residues, at the cost
+  of a handful of modular multiplications instead of a full
+  exponentiation. This is the classic precomputed-randomization trade
+  (cf. batch-RSA / fast Schnorr preprocessing); DESIGN.md records it as
+  a simulation-scale substitution alongside the HMAC sortition tags.
+* **Draw scheduling.** Each shard owns its labelled stream outright, so
+  it draws exactly one pad subset per *packed* ciphertext.
 * **Encoding.** One-hot bin placement is drawn and encoded per shard
   with numpy, not per device in the interpreter loop.
 * **Shard-at-a-time draws.** A shard's bin draws and all of its
@@ -275,8 +273,7 @@ def _encode_shard_vectors(
     Returns ``(online_ids, rows, codes)``: device ``online_ids[k]``'s vector
     is ``rows[codes[k]]``. One-hot bin placement consumes one ``randrange``
     per online device from the shard stream (stable order: ascending device
-    id), matching the flat planes' per-device draw shape so
-    malformed/honest mixes stay reproducible.
+    id), so malformed/honest mixes stay reproducible.
     """
     online_idx = np.flatnonzero(shard.online)
     online_ids = shard.device_ids[online_idx].tolist()
@@ -310,7 +307,7 @@ def upload_shard(
     Each online device contributes one row of the batch — packed ciphertext
     values obfuscated via the pad pool (one subset-product per packed
     ciphertext), their digest, and the well-formedness proof — the bytes
-    the flat planes put in an ``Upload``, built a column at a time: the
+    of an ``Upload``, built a column at a time: the
     shard stream yields the bin draws, then every pad index of the shard in
     (device, ciphertext, subset position) order.
     """

@@ -95,20 +95,21 @@ class TestAggregation:
         data = [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
         for i, row in enumerate(data, start=1):
             agg.receive_upload(make_upload(i, row))
-        totals = agg.aggregate(verified(agg))
+        totals = agg.aggregate([upload.ciphertexts for upload in verified(agg)])
         counts = [paillier.decrypt(KEY, ct) for ct in totals]
         assert counts == [1, 2, 1]
+        assert agg.stats.ciphertext_additions == 3 * 3
 
     def test_no_uploads_rejected(self):
         agg = AggregatorNode(PK)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no ciphertext vectors"):
             agg.aggregate([])
 
     def test_inconsistent_widths_rejected(self):
         agg = AggregatorNode(PK)
-        # One query has one statement, so no intake accepts both: hand them over.
-        with pytest.raises(ValueError):
-            agg.aggregate([make_upload(1, [1, 0]), make_upload(2, [1, 0, 0])])
+        ragged = [make_upload(1, [1, 0]).ciphertexts, make_upload(2, [1, 0, 0]).ciphertexts]
+        with pytest.raises(ValueError, match="inconsistent widths"):
+            agg.aggregate(ragged)
 
 
 class TestAudits:

@@ -358,7 +358,6 @@ class TestPrimitiveEquivalence:
 
 
 def _run_query(
-    data_plane="vectorized",
     devices=32,
     seed=11,
     malicious_fraction=0.0,
@@ -379,18 +378,16 @@ def _run_query(
         key_prime_bits=96,
         rng=random.Random(seed + 1),
         faults=faults,
-        data_plane=data_plane,
     )
     return executor.run()
 
 
 class TestEndToEndEquivalence:
-    @pytest.mark.parametrize("data_plane", ["legacy", "vectorized", "sharded"])
-    def test_query_results_identical_across_backends(self, data_plane):
+    def test_query_results_identical_across_backends(self):
         with use_backend("pure"):
-            want = _run_query(data_plane)
+            want = _run_query()
         with use_backend("accel"):
-            got = _run_query(data_plane)
+            got = _run_query()
         # QueryResult equality covers outputs, rejected devices, audits,
         # committees, epsilon, events, and the certificate (statistics
         # are excluded from equality by design).

@@ -11,8 +11,11 @@ import statistics
 
 import pytest
 
+from repro.crypto import paillier
 from repro.planner.search import plan_query
 from repro.queries.catalog import get
+from repro.runtime import shard as shard_module
+from repro.runtime.aggregator import AggregatorTree
 from repro.runtime.executor import ExecutionError, QueryExecutor
 from repro.runtime.network import FederatedNetwork
 from tests.conftest import small_env
@@ -74,7 +77,7 @@ class TestFederatedNoiseDistribution:
 
 
 class TestByzantineAggregator:
-    def test_tampered_step_fails_audits(self):
+    def test_tampered_step_fails_audits(self, monkeypatch):
         """A Byzantine aggregator that rewrites a committed step is caught
         by the participant audits, and the query aborts (§5.3)."""
         spec = get("top1")
@@ -88,25 +91,20 @@ class TestByzantineAggregator:
             rng=random.Random(503),
         )
 
-        # Intercept: corrupt the aggregator's step log right before the
-        # audits run.
-        from repro.runtime import executor as executor_module
-
-        original = executor_module.AggregatorNode.run_audits
+        # Intercept: rewrite the root's fold step right before the audits run.
+        original = AggregatorTree.run_audits
 
         def corrupt_then_audit(self, rng, auditors, leaves_each=2):
-            self.publish_step_root()
-            self.corrupt_step(0)
+            steps = self.root.node.steps
+            assert steps[-1].label == "fold"
+            self.root.node.corrupt_step(len(steps) - 1)
             return original(self, rng, auditors, leaves_each)
 
-        executor_module.AggregatorNode.run_audits = corrupt_then_audit
-        try:
-            with pytest.raises(ExecutionError, match="audits failed"):
-                executor.run()
-        finally:
-            executor_module.AggregatorNode.run_audits = original
+        monkeypatch.setattr(AggregatorTree, "run_audits", corrupt_then_audit)
+        with pytest.raises(ExecutionError, match="audits failed"):
+            executor.run()
 
-    def test_upload_tampering_only_hurts_the_tampered(self):
+    def test_upload_tampering_only_hurts_the_tampered(self, monkeypatch):
         """If the aggregator corrupts stored uploads, the bound proofs fail
         and those uploads drop out — the query completes on the rest."""
         spec = get("top1")
@@ -119,19 +117,21 @@ class TestByzantineAggregator:
             network, planning, committee_size=4, key_prime_bits=96,
             rng=random.Random(505),
         )
-        from repro.runtime import executor as executor_module
+        # Intercept: corrupt two rows of the shard's upload batch between
+        # the ``upload`` and ``verify`` stages.
+        original = shard_module.verify_shard
+        tampered = []
 
-        original = executor_module.AggregatorNode.verify_uploads
+        def tamper_then_verify(batch, ctx):
+            for k in (0, 1):
+                batch.ciphertexts[k][0] = paillier.tampered(
+                    batch.upload(k).ciphertexts[0]
+                ).value
+                tampered.append(batch.device_ids[k])
+            return original(batch, ctx)
 
-        def tamper_then_verify(self, statement, round_number):
-            self.tamper_with_upload(0)
-            self.tamper_with_upload(1)
-            return original(self, statement, round_number)
-
-        executor_module.AggregatorNode.verify_uploads = tamper_then_verify
-        try:
-            result = executor.run()
-        finally:
-            executor_module.AggregatorNode.verify_uploads = original
-        assert len(result.rejected_devices) == 2
+        monkeypatch.setattr(shard_module, "verify_shard", tamper_then_verify)
+        result = executor.run()
+        assert len(tampered) == 2
+        assert result.rejected_devices == tampered
         assert result.value == 0  # dominant category still wins

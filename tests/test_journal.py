@@ -13,12 +13,13 @@ byte-identical methodology as the fault suite:
   error — never silently replayed.
 """
 
+import argparse
 import json
 import random
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _chaos_manifest, _executor_from_manifest, main
 from repro.faults import (
     COORDINATOR_CRASH,
     CoordinatorCrash,
@@ -535,3 +536,74 @@ class TestCli:
             "retries": 0,
             "waited_seconds": 0.0,
         }
+
+
+# ------------------------------------------- journals of a removed plane
+
+
+def _crashing_manifest(**extra):
+    """A chaos manifest as ``repro chaos`` writes it, dying mid-intake."""
+    args = argparse.Namespace(
+        devices=32, categories=8, epsilon=4.0, committee_size=4, seed=7,
+        shard_size=8, shard_workers=0, tree_fanout=2,
+    )
+    manifest = _chaos_manifest(args, get_scenario("coordinator-crash-input"))
+    manifest.update(extra)
+    return manifest
+
+
+class TestRemovedPlaneJournals:
+    """``repro resume`` fails closed on a journal whose RNG schedule is gone."""
+
+    @pytest.mark.parametrize(
+        "doctor, plane",
+        [
+            (lambda m: m.update(data_plane="vectorized"), "vectorized"),
+            (lambda m: m.update(data_plane="legacy"), "legacy"),
+            # Written before the sharded plane existed: neither key, ran the
+            # then-default flat plane.
+            (
+                lambda m: [m.pop(k) for k in ("shard_size", "shard_workers", "tree_fanout")],
+                "vectorized",
+            ),
+        ],
+        ids=["vectorized", "legacy", "absent-keys"],
+    )
+    def test_resume_refuses_and_leaves_the_journal_alone(
+        self, doctor, plane, tmp_path, capsys
+    ):
+        manifest = _crashing_manifest()
+        doctor(manifest)
+        path = tmp_path / "old.journal"
+        journal = ExecutionJournal.create(str(path), manifest)
+        journal.charge("chaos", 4.0, 0.0)
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match=f"'{plane}' data plane"):
+            _executor_from_manifest(manifest, ExecutionJournal.load(str(path)))
+        assert main(["resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot resume" in captured.err and repr(plane) in captured.err
+        assert "resuming" not in captured.out
+        assert path.read_bytes() == before
+
+    def test_completed_journal_of_a_removed_plane_still_prints(self, tmp_path, capsys):
+        path = str(tmp_path / "done.journal")
+        journal = ExecutionJournal.create(path, _crashing_manifest(data_plane="legacy"))
+        journal.record_result(
+            {"outputs_repr": "[3]", "epsilon_charged": 4.0, "events": ["done"]}
+        )
+        assert main(["resume", path]) == 0
+        assert "output(s): [3]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [{}, {"data_plane": "sharded"}], ids=["this-version", "parent"])
+    def test_sharded_manifests_resume(self, extra, tmp_path, capsys):
+        manifest = _crashing_manifest(**extra)
+        assert ("data_plane" in manifest) == bool(extra)
+        path = str(tmp_path / "crashed.journal")
+        journal = ExecutionJournal.create(path, manifest)
+        with pytest.raises(CoordinatorCrash):
+            _executor_from_manifest(manifest, journal).run()
+        assert main(["resume", path]) == 0
+        out = capsys.readouterr().out
+        assert "6 checkpoint(s) replay-verified, 1 crash(es) stepped over" in out
+        assert ExecutionJournal.load(path).completed

@@ -1,13 +1,12 @@
-"""Vectorized vs legacy data plane: byte-identical execution results.
+"""Packed vs one-ciphertext-per-slot intake: byte-identical execution results.
 
-The vectorization PR's contract mirrors the one PR 2 established for the
-planner: the numpy slot kernels, batched Vandermonde sharing, Paillier
-slot packing, and tree reductions may change *how fast* the runtime
-computes, never *what* it computes. Under identical seeds the two data
-planes must release identical ``QueryResult``s — outputs, rejected
-devices, audit verdicts, committee usage, event logs, certificates — and
-identical DP accounting, in fault-free runs and across injected-fault
-recovery schedules alike.
+The numpy slot kernels, Paillier slot packing, and tree reductions may
+change *how fast* the runtime computes, never *what* it computes. Under
+identical seeds a run with slot packing and its unpacked twin — the same
+shard pipeline, one ciphertext per logical slot — must release identical
+``QueryResult``s — outputs, rejected devices, audit verdicts, committee
+usage, event logs, certificates — and identical DP accounting, in
+fault-free runs and across injected-fault recovery schedules alike.
 """
 
 import random
@@ -30,8 +29,18 @@ from tests.conftest import small_env
 TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
 
 
+class UnpackedExecutor(QueryExecutor):
+    """The same intake with packing declined: one ciphertext per logical slot."""
+
+    def _plan_packing(self, public_key, bins):
+        return None
+
+
+EXECUTORS = {"packed": QueryExecutor, "unpacked": UnpackedExecutor}
+
+
 def _run(
-    data_plane,
+    layout,
     devices=32,
     seed=11,
     malicious_fraction=0.0,
@@ -53,7 +62,7 @@ def _run(
     faults = (
         FaultInjector(get_scenario(scenario), seed=seed) if scenario else None
     )
-    executor = QueryExecutor(
+    executor = EXECUTORS[layout](
         network,
         planning,
         committee_size=4,
@@ -61,7 +70,6 @@ def _run(
         rng=random.Random(seed + 1),
         accountant=accountant,
         faults=faults,
-        data_plane=data_plane,
     )
     return executor.run()
 
@@ -73,19 +81,19 @@ def _fault_trail(log):
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", [3, 11, 21])
     def test_plain_runs_byte_identical(self, seed):
-        legacy = _run("legacy", seed=seed)
-        vectorized = _run("vectorized", seed=seed)
+        unpacked = _run("unpacked", seed=seed)
+        packed = _run("packed", seed=seed)
         # QueryResult equality covers outputs, rejected devices, audits,
         # committees, epsilon, events, and the authorization certificate
         # (statistics are excluded from equality by design).
-        assert legacy == vectorized
-        assert vectorized.statistics.packing_lanes > 1  # packing engaged
+        assert unpacked == packed
+        assert packed.statistics.packing_lanes > 1  # packing engaged
 
     def test_malicious_uploads_rejected_identically(self):
-        legacy = _run("legacy", seed=21, malicious_fraction=0.25)
-        vectorized = _run("vectorized", seed=21, malicious_fraction=0.25)
-        assert legacy.rejected_devices  # the seed produced some
-        assert legacy == vectorized
+        unpacked = _run("unpacked", seed=21, malicious_fraction=0.25)
+        packed = _run("packed", seed=21, malicious_fraction=0.25)
+        assert unpacked.rejected_devices  # the seed produced some
+        assert unpacked == packed
 
     def test_numeric_range_rows_byte_identical(self):
         # Unsigned numeric rows: packing uses the ZKP range bound.
@@ -101,56 +109,55 @@ class TestEndToEndEquivalence:
         source = "aggr = sum(db); n = laplace(aggr[0], sens / epsilon); output(n);"
         planning = plan_query(source, env, name="bounded")
 
-        def run(plane):
+        def run(layout):
             network = FederatedNetwork(
                 40, rng=random.Random(7), malicious_fraction=0.15
             )
             network.load_numeric_data(0, 1, width=4)
-            executor = QueryExecutor(
+            executor = EXECUTORS[layout](
                 network,
                 planning,
                 committee_size=4,
                 key_prime_bits=96,
                 rng=random.Random(8),
-                data_plane=plane,
             )
             return executor.run()
 
-        legacy = run("legacy")
-        vectorized = run("vectorized")
-        assert legacy == vectorized
-        assert vectorized.statistics.packing_lanes > 1
+        unpacked = run("unpacked")
+        packed = run("packed")
+        assert unpacked == packed
+        assert packed.statistics.packing_lanes > 1
 
     def test_dp_accounting_identical(self):
-        acc_legacy = PrivacyAccountant(epsilon_budget=64.0, delta_budget=1e-6)
-        acc_vectorized = PrivacyAccountant(epsilon_budget=64.0, delta_budget=1e-6)
-        legacy = _run("legacy", seed=5, accountant=acc_legacy)
-        vectorized = _run("vectorized", seed=5, accountant=acc_vectorized)
-        assert legacy == vectorized
-        assert acc_legacy == acc_vectorized
-        assert legacy.epsilon_charged == vectorized.epsilon_charged
+        acc_unpacked = PrivacyAccountant(epsilon_budget=64.0, delta_budget=1e-6)
+        acc_packed = PrivacyAccountant(epsilon_budget=64.0, delta_budget=1e-6)
+        unpacked = _run("unpacked", seed=5, accountant=acc_unpacked)
+        packed = _run("packed", seed=5, accountant=acc_packed)
+        assert unpacked == packed
+        assert acc_unpacked == acc_packed
+        assert unpacked.epsilon_charged == packed.epsilon_charged
 
     @pytest.mark.parametrize("scenario", ["keygen-loss", "vsr-loss"])
     def test_chaos_recovery_byte_identical(self, scenario):
-        legacy = _run("legacy", seed=5, scenario=scenario)
-        vectorized = _run("vectorized", seed=5, scenario=scenario)
-        assert legacy.fault_log.records  # the scenario actually fired
-        assert legacy.outputs == vectorized.outputs
-        assert legacy.rejected_devices == vectorized.rejected_devices
-        assert legacy.audits_failed == vectorized.audits_failed
-        assert legacy.committees_used == vectorized.committees_used
-        assert legacy.events == vectorized.events
-        assert legacy.epsilon_charged == vectorized.epsilon_charged
-        assert _fault_trail(legacy.fault_log) == _fault_trail(vectorized.fault_log)
+        unpacked = _run("unpacked", seed=5, scenario=scenario)
+        packed = _run("packed", seed=5, scenario=scenario)
+        assert unpacked.fault_log.records  # the scenario actually fired
+        assert unpacked.outputs == packed.outputs
+        assert unpacked.rejected_devices == packed.rejected_devices
+        assert unpacked.audits_failed == packed.audits_failed
+        assert unpacked.committees_used == packed.committees_used
+        assert unpacked.events == packed.events
+        assert unpacked.epsilon_charged == packed.epsilon_charged
+        assert _fault_trail(unpacked.fault_log) == _fault_trail(packed.fault_log)
 
     def test_garbage_upload_chaos_byte_identical(self):
-        legacy = _run("legacy", seed=5, scenario="garbage-upload")
-        vectorized = _run("vectorized", seed=5, scenario="garbage-upload")
-        assert legacy.rejected_devices  # garbage uploads were injected
-        assert legacy.rejected_devices == vectorized.rejected_devices
-        assert legacy.outputs == vectorized.outputs
-        assert legacy.events == vectorized.events
-        assert _fault_trail(legacy.fault_log) == _fault_trail(vectorized.fault_log)
+        unpacked = _run("unpacked", seed=5, scenario="garbage-upload")
+        packed = _run("packed", seed=5, scenario="garbage-upload")
+        assert unpacked.rejected_devices  # garbage uploads were injected
+        assert unpacked.rejected_devices == packed.rejected_devices
+        assert unpacked.outputs == packed.outputs
+        assert unpacked.events == packed.events
+        assert _fault_trail(unpacked.fault_log) == _fault_trail(packed.fault_log)
 
     def test_chaos_matches_fault_free_twin_under_packing(self):
         spec = get("top1")
@@ -167,7 +174,6 @@ class TestEndToEndEquivalence:
                 key_prime_bits=96,
                 rng=random.Random(6),
                 faults=FaultInjector(get_scenario(scenario), seed=5),
-                data_plane="vectorized",
             )
             return executor.run()
 
@@ -175,32 +181,31 @@ class TestEndToEndEquivalence:
         recovered = run("decrypt-crash")
         assert recovered.outputs == baseline.outputs
         assert recovered.fault_log.all_recovered
+        assert baseline.statistics.packing_lanes > 1
 
     def test_statistics_populated(self):
-        result = _run("vectorized", seed=3)
-        stats = result.statistics
-        assert stats.data_plane == "vectorized"
+        stats = _run("packed", seed=3).statistics
         assert stats.uploads_submitted == 32
         assert stats.uploads_verified == 32
         assert stats.logical_width == 8
+        assert stats.packing_lanes > 1
         assert stats.packed_width < stats.logical_width
         assert stats.submit_seconds > 0
         assert stats.uploads_verified_per_second > 0
-
-    def test_legacy_plane_never_packs(self):
-        result = _run("legacy", seed=3)
-        stats = result.statistics
-        assert stats.data_plane == "legacy"
-        assert stats.packing_lanes == 1
-        assert stats.packed_width == stats.logical_width
+        unpacked = _run("unpacked", seed=3).statistics
+        assert unpacked.packing_lanes == 1
+        assert unpacked.packed_width == unpacked.logical_width
 
     def test_unknown_data_plane_rejected(self):
+        # bench/ still passes data_plane="sharded"; no other value exists.
         env = small_env(num_participants=8)
         planning = plan_query(TOP1, env, name="q")
         network = FederatedNetwork(8, rng=random.Random(1))
         network.load_categorical_data(8)
-        with pytest.raises(ValueError, match="data plane"):
-            QueryExecutor(network, planning, rng=random.Random(2), data_plane="simd")
+        for plane in ("legacy", "vectorized", "simd", ""):
+            with pytest.raises(ValueError, match="data plane"):
+                QueryExecutor(network, planning, rng=random.Random(2), data_plane=plane)
+        QueryExecutor(network, planning, rng=random.Random(2), data_plane="sharded")
 
 
 class TestKernelEquivalence:

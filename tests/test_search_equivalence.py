@@ -1,12 +1,12 @@
 """The optimized search must be a pure speedup, never a behavior change.
 
-The incremental engine (prefix expansion + emission/cost caches +
-cheapest-first ordering + optional parallel root split) must select the
+The planner's incremental search (prefix expansion + emission/cost caches
++ cheapest-first ordering + optional parallel root split) must select the
 *identical* plan — byte-for-byte after serialization — and traverse the
-search space with identical effort counters as the retained reference
-engine, on every catalog query, with and without the branch-and-bound
-heuristics, and for any ``workers`` setting. These tests are the contract
-that lets the benchmark call the two engines interchangeable.
+search space with identical effort counters as the from-scratch oracle
+(``tests/oracles/search_reference.py``, the same control loop over the
+original evaluator), on every catalog query, with and without the
+branch-and-bound heuristics, and for any ``workers`` setting.
 """
 
 import json
@@ -18,9 +18,10 @@ from repro.planner.costmodel import Goal
 from repro.planner.search import Planner, PlannerOutOfMemory, plan_query
 from repro.planner.serialize import plan_to_dict
 from repro.queries.catalog import ALL_QUERIES
+from tests.oracles.search_reference import ReferencePlanner
 
-#: Effort counters that must match between engines at identical settings.
-#: (Cache and runtime counters are engine-specific by design.)
+#: Effort counters that must match the oracle's at identical settings.
+#: (Cache and runtime counters are evaluator-specific by design.)
 COUNTERS = (
     "space_size",
     "prefixes_considered",
@@ -34,11 +35,11 @@ COUNTERS = (
 _cache = {}
 
 
-def _run(spec, **kwargs):
-    key = (spec.name, tuple(sorted(kwargs.items())))
+def _run(spec, planner_class=Planner, **kwargs):
+    key = (spec.name, planner_class, tuple(sorted(kwargs.items())))
     if key not in _cache:
         env = spec.environment(PAPER_N)
-        planner = Planner(
+        planner = planner_class(
             env,
             constraints=PAPER_CONSTRAINTS,
             goal=Goal("participant_expected_seconds"),
@@ -55,25 +56,25 @@ def _run(spec, **kwargs):
 @pytest.mark.parametrize("spec", ALL_QUERIES, ids=lambda spec: spec.name)
 class TestEngineEquivalence:
     def test_plan_and_counters_match_reference(self, spec):
-        optimized = _run(spec, engine="incremental")
-        reference = _run(spec, engine="reference")
+        optimized = _run(spec)
+        reference = _run(spec, ReferencePlanner)
         assert optimized[0] == reference[0]
         assert optimized[1] == reference[1]
 
     def test_naive_ablation_matches_reference(self, spec):
-        optimized = _run(spec, engine="incremental", heuristics=False)
-        reference = _run(spec, engine="reference", heuristics=False)
+        optimized = _run(spec, heuristics=False)
+        reference = _run(spec, ReferencePlanner, heuristics=False)
         assert optimized[0] == reference[0]
         assert optimized[1] == reference[1]
 
     def test_parallel_workers_select_identical_plan(self, spec):
-        sequential = _run(spec, engine="incremental")
-        parallel = _run(spec, engine="incremental", workers=2)
+        sequential = _run(spec)
+        parallel = _run(spec, workers=2)
         assert parallel[0] == sequential[0]
 
     def test_ordering_off_matches_reference_traversal(self, spec):
-        optimized = _run(spec, engine="incremental", order_choices=False)
-        reference = _run(spec, engine="reference", order_choices=False)
+        optimized = _run(spec, order_choices=False)
+        reference = _run(spec, ReferencePlanner, order_choices=False)
         assert optimized[0] == reference[0]
         assert optimized[1] == reference[1]
 
@@ -82,14 +83,13 @@ class TestNaiveSemanticsPreserved:
     def test_memory_budget_raises_in_both_engines(self):
         spec = ALL_QUERIES[1]  # topK: large enough space to overflow
         env = spec.environment(PAPER_N)
-        for engine in ("incremental", "reference"):
-            planner = Planner(
+        for planner_class in (Planner, ReferencePlanner):
+            planner = planner_class(
                 env,
                 constraints=PAPER_CONSTRAINTS,
                 goal=Goal("participant_expected_seconds"),
                 heuristics=False,
                 memory_budget_candidates=5,
-                engine=engine,
             )
             with pytest.raises(PlannerOutOfMemory):
                 planner.plan_source(spec.source, spec.name)

@@ -76,3 +76,28 @@ class TestLifecycle:
         session = make_session(budget=10.0, epsilon=4.0)
         session.ask(TOP1, categories=8, epsilon=1.0)
         assert session.spent_epsilon() == pytest.approx(1.0)
+
+
+class TestOneIntake:
+    def test_a_service_sized_query_is_one_shard(self):
+        """24 devices (the service benchmark's deployment) fit one shard:
+        a single leaf under the root, every online device uploads, and the
+        malicious ones among them are exactly the rejected."""
+        network = FederatedNetwork(
+            24, rng=random.Random(71), malicious_fraction=0.25
+        )
+        network.load_categorical_data(8, distribution=[25, 1, 1, 1, 1, 1, 1, 1])
+        network.take_offline([3, 9, 17])
+        session = AnalyticsSession(
+            network, epsilon_budget=10.0, epsilon_per_query=4.0, rng=random.Random(72)
+        )
+        result = session.ask(TOP1, categories=8, name="top1")
+        online = [d for d in network.devices if d.online]
+        malicious = [d.device_id for d in online if d.malicious]
+        assert malicious and any(d.malicious for d in network.devices if not d.online)
+        stats = result.statistics
+        assert (stats.shards, stats.tree_depth) == (1, 2)
+        assert stats.uploads_submitted == len(online) == 21
+        assert stats.uploads_rejected == len(malicious)
+        assert result.rejected_devices == malicious
+        assert result.value == 0

@@ -1,9 +1,7 @@
-"""Sharded event-driven runtime: scheduler, shards, tree, and equivalence.
+"""Sharded event-driven intake: scheduler, shards, tree, and equivalence.
 
-The sharded data plane's contract differs from the vectorized one's: it
-owns its RNG schedule (per-shard labelled streams), so its released
-values are not compared against the flat planes. Its oracle is *itself*:
-``shard_workers=0`` drains the event pipeline one event at a time, and
+The intake owns its RNG schedule (per-shard labelled streams) and its
+oracle is *itself*: ``shard_workers=0`` drains the event pipeline one event at a time, and
 every other worker count must release a byte-identical ``QueryResult``.
 On top of that sit the multi-level aggregation tree's audit guarantees
 (any internal level reproduces the shard-leaf inclusion proofs) and the
@@ -11,10 +9,8 @@ shard-scoped journal checkpoints (a coordinator death mid-intake resumes
 bit-identically).
 """
 
-import json
+import hashlib
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +19,7 @@ from repro.crypto import paillier
 from repro.crypto.zkp import one_hot_statement
 from repro.faults import (
     COORDINATOR_CRASH,
+    DROPOUT,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -30,7 +27,8 @@ from repro.faults import (
 )
 from repro.planner.search import plan_query
 from repro.runtime.aggregator import AggregatorNode, AggregatorTree, Upload
-from repro.runtime.executor import QueryExecutor
+from repro.runtime import shard as shard_module
+from repro.runtime.executor import QueryExecutor, pad_pool_size
 from repro.runtime.journal import run_to_completion
 from repro.runtime.network import FederatedNetwork
 from repro.runtime.scheduler import (
@@ -51,13 +49,11 @@ from repro.runtime.shard import (
 )
 from tests.conftest import small_env
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
 SEED = 11
 
 
 def _run(
-    data_plane="sharded",
     devices=64,
     seed=SEED,
     malicious_fraction=0.0,
@@ -84,7 +80,6 @@ def _run(
         key_prime_bits=96,
         rng=random.Random(seed + 1),
         faults=faults,
-        data_plane=data_plane,
         shard_size=shard_size,
         shard_workers=shard_workers,
         tree_fanout=tree_fanout,
@@ -358,6 +353,40 @@ class TestAggregatorTree:
         # internal-level step audit is what covers fold steps.
         assert tree.run_audits(random.Random(5), auditors=32) > 0
 
+    def test_fold_and_audit_through_the_node_match_the_pinned_loops(
+        self, keypair, shard_ctx
+    ):
+        # The digest, the count and both stream positions were taken on the
+        # commit before fold_node summed through AggregatorNode.aggregate and
+        # run_audits checked its step through AggregatorNode.run_audits
+        # (the tree then carried its own copies of both loops).
+        def position(rng):
+            return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
+
+        tree = self._folded_tree(keypair, shard_ctx)
+        assert tree.root.digest.hex() == (
+            "406c4caabb3dc2c2293045b4027242ebd0686a143482ba13d70e3119a4be1a4f"
+        )
+        leaf_additions = 9 * 11 * 8  # 9 shards: 12 accepted uploads of width 8
+        assert tree.stats.ciphertext_additions == 856
+        assert sum(
+            node.node.stats.ciphertext_additions
+            for level in tree.levels[1:]
+            for node in level
+        ) == 856 - leaf_additions
+        rng = random.Random(5)
+        assert tree.run_audits(rng, auditors=16) == 0
+        assert position(rng) == (
+            "5af125cdc032f4f26e7af772d1f4896809a8bc73db8bf2300d1cf9f92caa7448"
+        )
+        victim = tree.levels[1][2]
+        victim.node.corrupt_step(len(victim.children))  # the fold step
+        rng = random.Random(5)
+        assert tree.run_audits(rng, auditors=32) == 1
+        assert position(rng) == (
+            "2997138dad7e6299de38bf58ad369745e5bc67322a05a0d5ff752cdbbb801e47"
+        )
+
     def test_substituted_leaf_digest_detected(self, keypair, shard_ctx):
         tree = self._folded_tree(keypair, shard_ctx)
         tree.levels[0][4].digest = b"\x00" * 32
@@ -401,6 +430,51 @@ class TestNetworkSoA:
             net._check_contiguous_ids()
 
 
+# ------------------------------------------------------- pad pool size
+
+
+class TestPadPoolSize:
+    """The pool is no larger than the ciphertexts it will obfuscate."""
+
+    def test_rule(self):
+        assert pad_pool_size(24, 1) == 24  # a service query: one packed ciphertext each
+        assert pad_pool_size(256, 1) == 64
+        assert pad_pool_size(24, 8) == 64  # unpacked rows reach the cap sooner
+        assert pad_pool_size(1, 1) == 2  # the pool's own floor
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        built = []
+
+        class Recording(ObfuscatorPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.pool_size)
+
+        monkeypatch.setattr(shard_module, "ObfuscatorPool", Recording)
+        return built
+
+    def test_a_run_builds_the_pool_the_rule_gives(self, pool_sizes):
+        small = _run(devices=24)
+        assert small.statistics.packed_width == 1
+        large = _run(devices=256, shard_size=64)
+        assert large.statistics.packed_width == 1
+        assert pool_sizes == [24, 64]
+
+    def test_a_churned_run_sizes_as_its_fault_free_twin(self, pool_sizes):
+        # Sized from the registered population, not from who is online.
+        churn = FaultPlan(
+            "pre-upload-churn",
+            events=(FaultEvent(DROPOUT, "input", target=(30, 31, 32)),),
+            mutates_inputs=True,
+        )
+        twin = _run(devices=32, scenario="none")
+        churned = _run(devices=32, scenario=churn)
+        assert twin.statistics.uploads_submitted == 32
+        assert churned.statistics.uploads_submitted == 29
+        assert pool_sizes == [32, 32]
+
+
 # --------------------------------------------------- end-to-end oracle
 
 
@@ -415,7 +489,6 @@ class TestShardedEquivalence:
 
     def test_sharded_stats_populated(self, serial):
         stats = serial.statistics
-        assert stats.data_plane == "sharded"
         assert stats.shards == 8
         assert stats.tree_depth == 4  # 8 leaves at fanout 2
         assert stats.scheduler_events == 8 * 4 + 7  # 4 stages + 7 folds
@@ -550,47 +623,8 @@ def _run_builder(plan, journal):
         key_prime_bits=96,
         rng=random.Random(SEED + 1),
         faults=FaultInjector(plan, seed=SEED),
-        data_plane="sharded",
         shard_size=8,
         shard_workers=0,
         tree_fanout=2,
         journal=journal,
     )
-
-
-# ------------------------------------------------------- bench schema
-
-
-class TestBenchSchema:
-    @pytest.fixture()
-    def bench(self):
-        sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-        try:
-            import bench_runtime
-        finally:
-            sys.path.pop(0)
-        return bench_runtime
-
-    def test_committed_bench_file_passes_schema(self, bench):
-        payload = json.loads((REPO_ROOT / "BENCH_runtime.json").read_text())
-        assert bench.check_schema(payload) == []
-
-    def test_dropping_sharded_series_fails_schema(self, bench):
-        payload = json.loads((REPO_ROOT / "BENCH_runtime.json").read_text())
-        broken = dict(payload)
-        del broken["sharded_scale"]
-        assert any("sharded_scale" in p for p in bench.check_schema(broken))
-        hollow = dict(payload)
-        hollow["end_to_end"] = [
-            {k: v for k, v in row.items() if "sharded" not in k}
-            for row in payload["end_to_end"]
-        ]
-        assert bench.check_schema(hollow)
-
-    def test_scale_series_must_reach_a_million(self, bench):
-        payload = json.loads((REPO_ROOT / "BENCH_runtime.json").read_text())
-        capped = dict(payload)
-        capped["sharded_scale"] = [
-            row for row in payload["sharded_scale"] if row["devices"] < 10**6
-        ]
-        assert any("10^6" in p for p in bench.check_schema(capped))
