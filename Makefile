@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile chaos-smoke chaos-resume-smoke check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile chaos-smoke chaos-resume-smoke release-check check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -56,7 +56,13 @@ chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4 --shard-workers 2
 
-check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke
+# The long profile of the release check tier-1 runs on 200 seeds: what the
+# full runtime releases against the calibrated Laplace / exponential-mechanism
+# distributions, honest and under the seeded mutants (about a minute).
+release-check:
+	REPRO_RELEASE_SEEDS=2000 python -m pytest tests/test_release_distribution.py -q
+
+check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke release-check
 
 eval:
 	python -m repro eval all

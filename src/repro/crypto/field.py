@@ -9,6 +9,7 @@ moduli the rest of the crypto stack needs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,29 +26,34 @@ MERSENNE_127 = (1 << 127) - 1
 # A 61-bit Mersenne prime, used for tests and small committees.
 MERSENNE_61 = (1 << 61) - 1
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+#: Every prime below 2^10 and their product: one gcd against the primorial
+#: is trial division by all 172 of them.
+_SIEVE_PRIMES = frozenset(
+    p for p in range(2, 1 << 10) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
+_PRIMORIAL = math.prod(_SIEVE_PRIMES)
+_DETERMINISTIC_WITNESSES = sorted(_SIEVE_PRIMES)[:13]  # 2 .. 41
 
 
 def is_probable_prime(n: int, rounds: int = 32) -> bool:
-    """Miller–Rabin primality test.
+    """Miller–Rabin primality test behind a small-prime sieve.
 
     Deterministic witnesses are used for n < 3.3e24; above that, ``rounds``
     random witnesses from a fixed-seed generator (so the result is
     reproducible), each drawn only when the one before it has passed — a
-    composite that survives trial division almost always falls to the first.
+    composite that survives the sieve almost always falls to the first.
     """
-    if n < 2:
+    if n < 1 << 10:
+        return n in _SIEVE_PRIMES
+    if math.gcd(n, _PRIMORIAL) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     if n < 3317044064679887385961981:
-        witnesses = _SMALL_PRIMES[:13]
+        witnesses = _DETERMINISTIC_WITNESSES
     else:
         rng = random.Random(0xA5B0)
         witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))

@@ -26,9 +26,9 @@ from ..crypto.shamir import sharing_kernel
 #:
 #: Shares of a random (a, b, c) with c = a*b.
 BeaverTriple = Tuple[List[int], List[int], List[int]]
-#: Shares of a random m-bit value r and of its m bits, least significant
-#: first. Used for comparisons: a secret is masked by r, opened, and the
-#: public masked value is compared against r's shared bits.
+#: Shares of a random m-bit value r and of its low bits, least significant
+#: first — only the bits the comparison circuit reads: a secret is masked by
+#: r, opened, and the public low bits are compared against r's shared ones.
 EdaBit = Tuple[List[int], List[List[int]]]
 
 
@@ -63,12 +63,12 @@ class OfflineDealer:
         b = rng.randrange(p)
         return kernel(a, rng), kernel(b, rng), kernel(a * b % p, rng)
 
-    def edabit(self, bit_length: int) -> EdaBit:
-        """Draws the bits LSB-first, then shares the value, then each bit."""
+    def edabit(self, bit_length: int, shared_bits: int) -> EdaBit:
+        """Draws the value with one ``getrandbits(bit_length)``, then shares
+        the value, then each of its low ``shared_bits`` bits, LSB first."""
         rng, kernel = self._rng, self._kernel
-        bits = [rng.randrange(2) for _ in range(bit_length)]
-        value = sum(bit << i for i, bit in enumerate(bits))
-        return kernel(value, rng), [kernel(bit, rng) for bit in bits]
+        value = rng.getrandbits(bit_length)
+        return kernel(value, rng), [kernel(value >> i & 1, rng) for i in range(shared_bits)]
 
     def noise_share(self, sample: int) -> List[int]:
         """Share an externally drawn (signed) noise sample.

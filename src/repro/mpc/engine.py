@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..crypto.backend import get_backend
 from ..crypto.field import PrimeField, DEFAULT_FIELD
 from ..crypto.shamir import lagrange_weights
 from .beaver import OfflineDealer
@@ -127,6 +128,8 @@ class MPCEngine:
         #: True while :meth:`mul_many` holds one round open around its products.
         self._in_batch = False
         self._id = next(MPCEngine._engine_ids)
+        #: 2^-bit_width in the field: a comparison divides by it once.
+        self._inverse_shift = get_backend().invmod(1 << bit_width, field.modulus)
         #: Bytes on the wire when one party sends a share to each other party.
         self._fanout_bytes = (num_parties - 1) * ((field.bits + 7) // 8)
         # The opening matrix, applied to the quorum's (first t+1 parties')
@@ -326,51 +329,53 @@ class MPCEngine:
     def less_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
         """Shared bit [a < b] for signed values of at most ``bit_width`` bits.
 
-        Protocol (MP-SPDZ edaBit style): shift d = a - b + 2^k into the
-        non-negative range, mask with a random (k+1+40)-bit edaBit r, open
-        e = d + r, then evaluate the public-vs-shared bitwise comparison
-        [r > e - 2^k] on r's shared bits.
+        Protocol (MP-SPDZ ``LTZ`` over ``Mod2m``): d = a - b + 2^k lies in
+        (0, 2^(k+1)) and its bit k is [a >= b]. Mask d with a random
+        (k+1+40)-bit edaBit r whose low k bits are bit-shared, open
+        e = d + r, and let u = [e mod 2^k < r mod 2^k] from the bitwise
+        circuit; then d mod 2^k = (e mod 2^k) - (r mod 2^k) + 2^k u and
+        [a < b] = 1 - (d - d mod 2^k) / 2^k, exact in the field. Whatever
+        the operands: one edaBit, k - 1 triples, k rounds.
         """
         self._check_ownership(a, b)
         k = self.bit_width
-        m = k + 1 + STATISTICAL_SECURITY_BITS
-        mask, mask_bits = self.dealer.edabit(m)
+        mask, low_bits = self.dealer.edabit(k + 1 + STATISTICAL_SECURITY_BITS, k)
         self.counters.edabits_consumed += 1
-        p, shift = self.field.modulus, 1 << k
-        (e,) = self._open_values(
-            [[(x - y + shift + r) % p for x, y, r in zip(a.ys, b.ys, mask)]]
-        )
-        result = self._bitwise_public_less_than(e - shift, mask_bits)
+        p, shift, inverse = self.field.modulus, 1 << k, self._inverse_shift
+        shifted = [(x - y + shift) % p for x, y in zip(a.ys, b.ys)]
+        (e,) = self._open_values([[(d + r) % p for d, r in zip(shifted, mask)]])
+        e_low = e % shift
+        wrapped = self._bitwise_public_less_than(e_low, low_bits)
+        # Each party weighs its own low-bit shares into its share of r mod 2^k.
+        r_low = [sum(y << i for i, y in enumerate(column)) for column in zip(*low_bits)]
+        result = [
+            (1 - (d - e_low + r - shift * u) * inverse) % p
+            for d, r, u in zip(shifted, r_low, wrapped.ys)
+        ]
         self.counters.comparisons += 1
-        return result
+        return SecretValue(result, self._id)
 
     def _bitwise_public_less_than(
         self, public_value: int, bits: Sequence[List[int]]
     ) -> SecretValue:
-        """Shared bit [public_value < r] for r's shared bits, LSB first.
+        """Shared bit [public_value < r] for r's shared bits, LSB first, and
+        a public value of no more bits than that.
 
-        From the MSB down, the result accumulates (prefix of equal bits) *
-        (E_i=0, r_i=1). Where the public bit is 0 the contribution and the
-        next prefix are independent products of the same prefix, so each
-        bit level is one round.
+        From the MSB down ``prefix`` is [every higher bit equal], and one
+        product t = prefix * r_i serves either public bit: at a 1 the prefix
+        survives only where r_i = 1 (prefix <- t); at a 0, r_i = 1 decides
+        for r (result += t) and the prefix survives as prefix - t. The top
+        level's prefix is the constant 1, so its t is r_i and costs no triple.
         """
-        m = len(bits)
-        if public_value < 0:
-            return self.constant(1)
-        if public_value >= (1 << m):
-            return self.constant(0)
-        one = self.constant(1)
-        result = self.constant(0)
-        prefix_eq = one
-        for i in reversed(range(m)):
+        top = len(bits) - 1
+        result, prefix = self.constant(0), self.constant(1)
+        for i in range(top, -1, -1):
             r_i = SecretValue(bits[i], self._id)
+            t = self.mul(prefix, r_i) if i < top else r_i
             if (public_value >> i) & 1:
-                prefix_eq = self.mul(prefix_eq, r_i)
+                prefix = t
             else:
-                contribution, prefix_eq = self.mul_many(
-                    [(prefix_eq, r_i), (prefix_eq, self.sub(one, r_i))]
-                )
-                result = self.add(result, contribution)
+                result, prefix = self.add(result, t), self.sub(prefix, t)
         return result
 
     def greater_than(self, a: SecretValue, b: SecretValue) -> SecretValue:

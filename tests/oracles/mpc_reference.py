@@ -6,11 +6,12 @@ Beaver products were batched and values became y-vectors: a value is a
 (:class:`ReferenceValue`, the oracle's own handle), every opening rebuilds
 its Lagrange weights and re-interpolates the quorum polynomial at each
 non-quorum party with fresh field inversions, every sharing re-validates the
-party set and Horners through ``field`` method calls, and every product is
-its own round. ``tests/test_mpc_online.py`` runs the same program through
-this class and through :class:`repro.mpc.engine.MPCEngine` and requires
-identical y-values, opened values, RNG state and counters (``rounds`` apart,
-which the oracle counts one per product).
+party set and Horners through ``field`` method calls, every product is
+its own round, and a comparison builds d mod 2^k one handle at a time.
+``tests/test_mpc_online.py`` runs the same program through this class and
+through :class:`repro.mpc.engine.MPCEngine` and requires identical y-values,
+opened values, RNG state and counters (``rounds`` apart, which the oracle
+counts one per product).
 
 Nothing in ``src/`` imports this module and no option selects it.
 """
@@ -73,9 +74,9 @@ class ReferenceDealer:
         b = self.field.random_element(self._rng)
         return self.share(a), self.share(b), self.share(self.field.mul(a, b))
 
-    def edabit(self, bit_length: int) -> Tuple[Sharing, List[Sharing]]:
-        bits = [self._rng.randrange(2) for _ in range(bit_length)]
-        value = sum(bit << i for i, bit in enumerate(bits))
+    def edabit(self, bit_length: int, shared_bits: int) -> Tuple[Sharing, List[Sharing]]:
+        value = self._rng.getrandbits(bit_length)
+        bits = [(value >> i) & 1 for i in range(shared_bits)]
         return self.share(value), [self.share(b) for b in bits]
 
 
@@ -136,6 +137,12 @@ class ReferenceEngine:
     def add_public(self, a: ReferenceValue, k: int) -> ReferenceValue:
         return self.add(a, self.constant(k))
 
+    def scale(self, a: ReferenceValue, element: int) -> ReferenceValue:
+        """Every share times a public field element (not a signed value)."""
+        return self._wrap(
+            {pid: Share(pid, self.field.mul(a.shares[pid].y, element)) for pid in self.party_ids}
+        )
+
     # ------------------------------------------------------------- opening
 
     def _interpolate_at(self, shares: Sequence[Share], x: int) -> int:
@@ -191,31 +198,37 @@ class ReferenceEngine:
     # ------------------------------------------------------------ comparison
 
     def less_than(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:
+        """The mod-2^k protocol spelled out: d mod 2^k from the masked
+        opening and the mask's low bits, then bit k of d = a - b + 2^k."""
         k = self.bit_width
-        value, bits = self.dealer.edabit(k + 1 + STATISTICAL_SECURITY_BITS)
+        value, low_bits = self.dealer.edabit(k + 1 + STATISTICAL_SECURITY_BITS, k)
         self.counters.edabits_consumed += 1
         d = self.add_public(self.sub(a, b), 1 << k)
         e = self._open_raw(self.add(d, self._wrap(value)).shares)
-        result = self.bitwise_public_less_than(e - (1 << k), bits)
+        e_low = e % (1 << k)
+        wrapped = self.bitwise_public_less_than(e_low, low_bits)
+        r_low = self.constant(0)
+        for i, bit in enumerate(low_bits):
+            r_low = self.add(r_low, self.scale(self._wrap(bit), 1 << i))
+        d_low = self.add(self.sub(self.constant(e_low), r_low), self.scale(wrapped, 1 << k))
+        not_less = self.scale(self.sub(d, d_low), self.field.inv(1 << k))
+        result = self.sub(self.constant(1), not_less)
         self.counters.comparisons += 1
         return result
 
     def bitwise_public_less_than(self, public_value: int, bits: List[Sharing]) -> ReferenceValue:
-        m = len(bits)
-        if public_value < 0:
-            return self.constant(1)
-        if public_value >= (1 << m):
-            return self.constant(0)
+        """[public_value < r], MSB down, one product per level below the top
+        (whose prefix is the constant 1)."""
         result = self.constant(0)
         prefix_eq = self.constant(1)
-        for i in reversed(range(m)):
+        for i in reversed(range(len(bits))):
             r_i = self._wrap(bits[i])
+            t = r_i if i == len(bits) - 1 else self.mul(prefix_eq, r_i)
             if (public_value >> i) & 1:
-                eq_i = r_i
+                prefix_eq = t
             else:
-                eq_i = self.sub(self.constant(1), r_i)
-                result = self.add(result, self.mul(prefix_eq, r_i))
-            prefix_eq = self.mul(prefix_eq, eq_i)
+                result = self.add(result, t)
+                prefix_eq = self.sub(prefix_eq, t)
         return result
 
     def greater_than(self, a: ReferenceValue, b: ReferenceValue) -> ReferenceValue:

@@ -128,8 +128,8 @@ class TestAutoCalibration:
         assert result.succeeded
 
     def test_comparison_counts_match_protocol(self):
-        """Derived comparison counts reflect the real edaBit circuit, which
-        uses ~2 triples per masked bit."""
+        """Derived comparison counts are the engine's mod-2^k circuit at its
+        ``bit_width=32``: k - 1 triples and k rounds, whatever was compared."""
         model = CostModel.calibrated_from_engine(num_parties=4, operations=8)
-        # bit_width 32 -> 73-bit mask -> ~146 triples (+ selects).
-        assert 100 < model.constants["mpc_comparison_triples"] < 250
+        assert model.constants["mpc_comparison_triples"] == 31
+        assert model.constants["mpc_comparison_rounds"] == 32

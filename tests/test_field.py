@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import backend
+from repro.crypto import backend, paillier
 from repro.crypto.field import (
     DEFAULT_FIELD,
     MERSENNE_61,
@@ -117,6 +117,54 @@ class TestPrimality:
                     break
             assert random_prime(128, lazy) == candidate
         assert lazy.getstate() == eager.getstate()
+
+
+#: Every Carmichael number below 10^6 (OEIS A002997).
+CARMICHAELS = [
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633,
+    62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545,
+    294409, 314821, 334153, 340561, 399001, 410041, 449065, 488881, 512461, 530881,
+    552721, 656601, 658801, 670033, 748657, 825265, 838201, 852841, 997633,
+]  # fmt: skip
+
+
+class TestSieve:
+    """One gcd against the primorial of the primes below 2^10 stands in for
+    the oracle's 15-prime trial loop; verdicts, and so keygen's primes, stay."""
+
+    def test_every_small_number(self):
+        assert [n for n in range(-3, 10**5) if is_probable_prime(n)] == [
+            n for n in range(-3, 10**5) if primality_reference.is_probable_prime(n)
+        ]
+
+    def test_carmichael_numbers_below_a_million(self):
+        assert len(CARMICHAELS) == 43
+        assert not any(is_probable_prime(c) for c in CARMICHAELS)
+
+    def test_products_of_two_primes_around_the_sieve_bound(self):
+        """Both factors inside the sieve, one each side, and both just past
+        it — the last kind reaches Miller–Rabin."""
+        primes = [p for p in range(900, 1200) if primality_reference.is_probable_prime(p)]
+        assert primes[0] < 1 << 10 < primes[-1]
+        assert not any(is_probable_prime(p * q) for p in primes for q in primes)
+
+    def test_random_odds_match_the_oracle(self):
+        rng = random.Random(0x51E7E)
+        odds = [rng.getrandbits(rng.randint(64, 256)) | 1 for _ in range(2000)]
+        verdicts = [is_probable_prime(n) for n in odds]
+        assert verdicts == [primality_reference.is_probable_prime(n) for n in odds]
+        assert any(verdicts)
+
+    def test_keygen_moduli_are_the_ones_before_the_sieve(self):
+        pinned = {
+            1: 0xA4E136A4F5198B9A3D5004A24FE05F06769C841AEDBF8A47E3C7C9BC4D17DF35,
+            2: 0x6E5FAC7866852A579B5271021B301958C5C4D267CEE9D2AD9024A7694A446BFD,
+            3: 0x911AAE2888A97A910A7B173150EB1946B51041CD62868AB7F4B21F577CAD1CAF,
+            2023: 0x4C407B5108D6BED85CCA1007022E2E6D705B3B1E7F45F068FAFA298097339E83,
+            4242: 0x85C2DCA01F0741622A92C52C6B83DACC327400CA71878D134C85A2F9F0CC59D7,
+        }
+        for seed, modulus in pinned.items():
+            assert paillier.keygen(128, random.Random(seed)).public.n == modulus
 
 
 class TestFieldOps:

@@ -120,6 +120,82 @@ class TestComparison:
         assert e.open(e.greater_than(e.input_value(4), e.input_value(2))) == 1
 
 
+class TestComparisonProtocol:
+    """The mod-2^k comparison: right on its whole domain, the same work
+    whatever it compares, and every share it reads is checked."""
+
+    @pytest.mark.parametrize("parties", [3, 4, 5, 7])
+    def test_truth_table_at_four_bits(self, parties):
+        e = make_engine(parties=parties, seed=parties, bit_width=4)
+        domain = range(-7, 8)
+        shared = {v: e.input_value(v) for v in domain}
+        for a in domain:
+            for b in domain:
+                assert e.open(e.less_than(shared[a], shared[b])) == int(a < b), (a, b)
+
+    @pytest.mark.parametrize("bit_width", [8, 40, 47])
+    def test_extreme_and_sampled_pairs(self, bit_width):
+        e = make_engine(parties=4, seed=bit_width, bit_width=bit_width)
+        top = 2 ** (bit_width - 1) - 1
+        rng = random.Random(bit_width)
+        values = [0, 1, -1, top, -top] + [rng.randint(-top, top) for _ in range(6)]
+        shared = {v: e.input_value(v) for v in values}
+        for a in values:
+            for b in values:
+                assert e.open(e.less_than(shared[a], shared[b])) == int(a < b), (a, b)
+
+    def test_work_does_not_depend_on_the_operands(self):
+        k = 24
+        e = make_engine(parties=4, bit_width=k)
+        top = 2 ** (k - 1) - 1
+        pairs = [(0, 0), (1, 0), (0, 1), (-1, 1), (top, -top), (-top, top), (top, top), (12345, -54321)]
+        deltas = set()
+        for a, b in pairs:
+            x, y = e.input_value(a), e.input_value(b)
+            before = e.counters.snapshot()
+            e.less_than(x, y)
+            after = e.counters
+            deltas.add(
+                (
+                    after.triples_consumed - before.triples_consumed,
+                    after.edabits_consumed - before.edabits_consumed,
+                    after.rounds - before.rounds,
+                    after.openings - before.openings,
+                    after.bytes_sent - before.bytes_sent,
+                )
+            )
+        # k - 1 products of two openings each, after the one masked opening.
+        opening_bytes = 2 * 3 * 16
+        assert deltas == {(k - 1, 1, k, 2 * (k - 1) + 1, (2 * (k - 1) + 1) * opening_bytes)}
+
+    @pytest.mark.parametrize("target", ["operand", "mask", "bit0", "bit9", "bit15"])
+    def test_a_corrupted_share_is_caught_and_named(self, target):
+        """Party 4 (outside the quorum of a 4-party, t = 1 committee) lies
+        about one share the comparison reads; the top mask bit is never
+        multiplied itself but is the next level's prefix."""
+        e = make_engine(parties=4, bit_width=16)
+        a, b = e.input_value(300), e.input_value(-20)
+        if target == "operand":
+            e.corrupt_share(b, party_id=4)
+        else:
+            honest = e.dealer.edabit
+
+            def lying(bit_length, shared_bits):
+                mask, bits = honest(bit_length, shared_bits)
+                ys = mask if target == "mask" else bits[int(target[3:])]
+                ys[3] = (ys[3] + 1) % e.field.modulus
+                return mask, bits
+
+            e.dealer.edabit = lying
+        with pytest.raises(CheatingDetected, match="party 4 submitted"):
+            e.less_than(a, b)
+
+    def test_argmax_ties_go_to_the_first_maximum(self):
+        e = make_engine(parties=4, bit_width=16)
+        assert e.open(e.argmax([e.input_value(v) for v in (6, 6, 6)])) == 0
+        assert e.open(e.argmax([e.input_value(v) for v in (5, 9, 9, -9)])) == 1
+
+
 class TestSelection:
     def test_select(self):
         e = make_engine()

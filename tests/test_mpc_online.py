@@ -22,12 +22,7 @@ from repro.crypto import shamir
 from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
 from repro.crypto.vsr import redistribute_vector
 from repro.mpc.beaver import OfflineDealer
-from repro.mpc.engine import (
-    STATISTICAL_SECURITY_BITS,
-    CheatingDetected,
-    MPCEngine,
-    SecretValue,
-)
+from repro.mpc.engine import CheatingDetected, MPCEngine, SecretValue
 
 from .oracles.mpc_reference import ReferenceEngine, ReferenceValue
 
@@ -111,16 +106,17 @@ class TestDifferential:
     )
     @settings(max_examples=40, deadline=None)
     def test_public_bits_circuit_matches_reference(self, committee, seed, bit_length, data):
-        """Every public bit pattern, and both out-of-range shortcuts."""
-        public = data.draw(st.integers(min_value=-1, max_value=1 << bit_length))
+        """Every public bit pattern the masked opening can leave."""
+        public = data.draw(st.integers(min_value=0, max_value=(1 << bit_length) - 1))
         new, ref = build_pair(*committee, seed)
-        eda = new.dealer.edabit(bit_length)
-        value, bits = ref.dealer.edabit(bit_length)
+        eda = new.dealer.edabit(bit_length, bit_length)
+        value, bits = ref.dealer.edabit(bit_length, bit_length)
         assert (ys(ref._wrap(value)), [ys(ref._wrap(b)) for b in bits]) == eda
         got = new._bitwise_public_less_than(public, eda[1])
         want = ref.bitwise_public_less_than(public, bits)
         assert ys(got) == ys(want)
         assert_in_lockstep(new, ref)
+        assert new.counters.triples_consumed == bit_length - 1
         r = ref.open_unsigned(ref._wrap(value))
         assert new.open(got) == ref.open(want) == int(public < r)
 
@@ -174,22 +170,19 @@ class TestRounds:
 
     @pytest.mark.parametrize("bit_width", [16, 24, 47])
     def test_comparison_takes_one_round_per_bit_level(self, bit_width):
-        """m + 1 rounds for an in-range mask: the masked opening, then one
-        round per bit of the edaBit — the scalar chain needs up to 2m + 1."""
-        m = bit_width + 1 + STATISTICAL_SECURITY_BITS
+        """k rounds: the masked opening, then one product for each of the
+        mask's k shared bits but the top one, whose prefix is public."""
         new = MPCEngine(4, rng=random.Random(5), bit_width=bit_width)
         ref = ReferenceEngine(4, rng=random.Random(5), bit_width=bit_width)
         for engine in (new, ref):
             engine.less_than(engine.input_value(-3), engine.input_value(11))
-        assert new.counters.rounds == m + 1
-        assert m + 1 < ref.counters.rounds <= 2 * m + 1
-        assert new.counters.multiplications == ref.counters.multiplications
+        assert new.counters.rounds == ref.counters.rounds == bit_width
+        assert new.counters.multiplications == ref.counters.multiplications == bit_width - 1
 
     def test_argmax_step_selects_in_one_round(self):
-        m = 24 + 1 + STATISTICAL_SECURITY_BITS
         e = MPCEngine(4, rng=random.Random(5), bit_width=24)
         e.argmax([e.input_value(v) for v in (4, 9, 2)])
-        assert e.counters.rounds == 2 * (m + 1 + 1)
+        assert e.counters.rounds == 2 * (24 + 1)
 
     def test_round_hook_fires_at_every_round_boundary(self):
         e = MPCEngine(5, rng=random.Random(8), bit_width=24)
@@ -443,7 +436,7 @@ class TestAliasing:
             engine.open(handle)
 
     def test_edabit_bit(self, engine):
-        _, bits = engine.dealer.edabit(3)
+        _, bits = engine.dealer.edabit(3, 3)
         first, second = (SecretValue(bits[0], engine._id) for _ in range(2))
         self.corrupt_and_compare(engine, first, [second], bits)
         assert second.ys is bits[0]

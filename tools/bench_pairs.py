@@ -19,8 +19,9 @@ medians, both quartile pairs, the wins, and two verdicts:
   run of the parent); ``worse`` when it is worse by more than the bound;
   otherwise ``unresolved`` — never "unchanged" on a spread wider than the bound.
 
-Exit status 1 if any side's output digests differ, an operation failed, or a
-metric is ``worse``.
+Exit status 1 if the runs of one side print different output digests, an
+operation failed, or a metric is ``worse``. A change that means to alter
+released bytes prints one digest per side; that is reported, not counted.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def compare(parent_dir: Path, workload: str, seed: int, pairs: int, seconds: flo
     """Run the pairs of one workload and print its rows; returns how many things are wrong."""
     sides = {"parent": parent_dir, "change": REPO}
     values: Dict[str, Dict[str, List[float]]] = {s: {m["name"]: [] for m in metrics} for s in sides}
-    digests = set()
+    digests: Dict[str, set] = {s: set() for s in sides}
     failed = 0
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -98,16 +99,24 @@ def compare(parent_dir: Path, workload: str, seed: int, pairs: int, seconds: flo
             got, digest, bad = run_once(sides[side], workload, seed, seconds)
             for name in values[side]:
                 values[side][name].append(got[name])
-            digests.add(digest)
+            digests[side].add(digest)
             failed += bad
         print(
             f"  pair {pair + 1}/{pairs} ({order[0]} first): pass_s "
             f"{values['parent']['pass_s'][-1]:.4g} -> {values['change']['pass_s'][-1]:.4g}",
             flush=True,
         )
-    print(f"\n{workload} seed {seed}: {pairs} pairs; output digests "
-          f"{'identical' if len(digests) == 1 else 'DIFFER'}; {failed} failed operation(s)")
-    problems = failed + (len(digests) != 1)
+    unstable = [side for side in sides if len(digests[side]) != 1]
+    if unstable:
+        verdict = "DIFFER between runs of the " + " and the ".join(unstable)
+    elif digests["parent"] == digests["change"]:
+        verdict = "identical"
+    else:
+        verdict = "one per side (the change releases different bytes: {} -> {})".format(
+            *(next(iter(digests[side]))[:12] for side in sides))
+    print(f"\n{workload} seed {seed}: {pairs} pairs; output digests {verdict}; "
+          f"{failed} failed operation(s)")
+    problems = failed + len(unstable)
     for metric in metrics:
         name = metric["name"]
         row, worse = judge(name, values["parent"][name], values["change"][name],
