@@ -50,11 +50,9 @@ verify-sweep:
 chaos-smoke:
 	python -m repro chaos --scenario all --devices 32 --committee-size 4
 
-# Every checkpoint killed and resumed, on the serial drain and again on the
-# wave drain with a pool (--shard-workers 2).
+# Every checkpoint killed and resumed.
 chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
-	python -m repro chaos --crash-sweep --devices 32 --committee-size 4 --shard-workers 2
 
 # The long profile of the release check tier-1 runs on 200 seeds: what the
 # full runtime releases against the calibrated Laplace / exponential-mechanism

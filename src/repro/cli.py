@@ -213,9 +213,10 @@ def _executor_from_manifest(manifest: dict, journal=None):
     planning = Planner(env).plan_source(
         manifest["source"], name=manifest["query_name"]
     )
+    # A manifest written by PRs 16-21 also names an intake worker count; every
+    # count released the serial drain's bytes, so the key is ignored.
     shard_kwargs = {
         "shard_size": manifest["shard_size"],
-        "shard_workers": manifest["shard_workers"],
         "tree_fanout": manifest["tree_fanout"],
     }
     if manifest["recipe"] == "chaos":
@@ -268,7 +269,6 @@ def cmd_run(args) -> int:
         "malicious": args.malicious,
         "seed": args.seed,
         "shard_size": args.shard_size,
-        "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
     }
     journal = (
@@ -496,7 +496,6 @@ def _chaos_manifest(args, plan) -> dict:
         "fault_seed": args.seed,
         "scenario": plan.as_dict(),
         "shard_size": args.shard_size,
-        "shard_workers": args.shard_workers,
         "tree_fanout": args.tree_fanout,
     }
 
@@ -761,7 +760,7 @@ def _service_from_workload(workload: dict, args):
     return QueryService(session, tenants, ServiceConfig()), categories
 
 
-def _replay_workload(service, workload: dict, categories: int, workers: int):
+def _replay_workload(service, workload: dict, categories: int):
     """Submit every workload query (rejections tallied), then drain."""
     from .runtime.executor import QueryRejected
 
@@ -778,7 +777,7 @@ def _replay_workload(service, workload: dict, categories: int, workers: int):
                 deadline=entry.get("deadline"),
             )
         )
-    outcomes = service.submit_many(requests, workers=workers)
+    outcomes = service.submit_many(requests)
     for index, outcome in enumerate(outcomes):
         if isinstance(outcome, QueryRejected):
             rejections.append((requests[index]["tenant"], str(outcome)))
@@ -819,7 +818,7 @@ def cmd_serve(args) -> int:
 
     workload = _load_workload(args.workload)
     service, categories = _service_from_workload(workload, args)
-    rejections = _replay_workload(service, workload, categories, args.workers)
+    rejections = _replay_workload(service, workload, categories)
     if args.json:
         print(json.dumps(_service_report(service, rejections), indent=2))
         return 0
@@ -923,7 +922,7 @@ def cmd_tenants(args) -> int:
 
     workload = _load_workload(args.workload)
     service, categories = _service_from_workload(workload, args)
-    rejections = _replay_workload(service, workload, categories, args.workers)
+    rejections = _replay_workload(service, workload, categories)
     if args.json:
         print(
             json.dumps(
@@ -1065,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="devices per intake shard (a smaller population is one shard)",
     )
     run.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker threads for parallel-safe shard events "
-        "(0/1 = the serial oracle; any count is byte-identical)",
-    )
-    run.add_argument(
         "--tree-fanout", type=int, default=16,
         help="children per internal aggregation-tree node",
     )
@@ -1173,10 +1167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "spans several shards and tree levels)",
     )
     chaos.add_argument(
-        "--shard-workers", type=int, default=0,
-        help="worker threads for parallel-safe shard events",
-    )
-    chaos.add_argument(
         "--tree-fanout", type=int, default=2,
         help="children per internal aggregation-tree node",
     )
@@ -1208,11 +1198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the workload's deployment seed (replay is "
         "deterministic per seed)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="front-end submission threads (admission is thread-safe; "
-        "1 keeps the admission order deterministic too)",
     )
     serve.add_argument(
         "--json", action="store_true",
@@ -1263,7 +1248,6 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("workload", help="workload JSON or '-' for stdin")
     tenants.add_argument("--devices", type=int, default=None)
     tenants.add_argument("--seed", type=int, default=None)
-    tenants.add_argument("--workers", type=int, default=1)
     tenants.add_argument("--json", action="store_true")
     tenants.set_defaults(func=cmd_tenants)
 

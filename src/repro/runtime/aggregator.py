@@ -304,8 +304,7 @@ class AggregatorTree:
     :meth:`fold_node` each return the coordinates of any parent whose
     children just completed, which is exactly the ``fold`` event the
     scheduler then drains. Child order is fixed by construction, so the
-    fold result is byte-identical whatever order the leaves arrive in —
-    the serial/parallel equivalence the intake is built on.
+    fold result is byte-identical whatever order the leaves arrive in.
     """
 
     def __init__(

@@ -178,10 +178,9 @@ class RuntimeStatistics:
     shards: int = 0
     shard_size: int = 0
     tree_depth: int = 0
-    scheduler_workers: int = 0
     scheduler_events: int = 0
+    #: One event a dispatch, so always ``scheduler_events`` (bench/ reads both).
     scheduler_batches: int = 0
-    scheduler_max_batch: int = 0
     #: Durable-journal counters (``repro run --journal`` / ``repro resume``).
     checkpoints: int = 0
     journal_records: int = 0
@@ -270,11 +269,17 @@ class QueryExecutor:
         charge_label: Optional[str] = None,
     ):
         # bench/workloads.py (frozen for benchmark comparability) still passes
-        # data_plane="sharded"; the shard pipeline is the only intake there is.
+        # data_plane="sharded" and shard_workers=0; the shard pipeline is the
+        # only intake there is and it drains on the caller's thread.
         if data_plane != "sharded":
             raise ValueError(
                 f"unknown data plane {data_plane!r}: the shard pipeline "
                 "('sharded') is the only intake"
+            )
+        if shard_workers != 0:
+            raise ValueError(
+                f"shard_workers={shard_workers!r}: the option was removed, the "
+                "intake drains serially (0 is the only value still accepted)"
             )
         if shard_size < 1:
             raise ValueError("shard_size must be positive")
@@ -310,13 +315,11 @@ class QueryExecutor:
         self._noise_seq = 0
         self._laplace_seq = 0
         self.shard_size = shard_size
-        self.shard_workers = max(0, int(shard_workers))
         self.tree_fanout = tree_fanout
         #: Master seed of the intake's labelled substreams. Drawn once at
         #: construction from the executor's seeded rng — deterministic
-        #: across resume incarnations, and independent of worker count
-        #: because per-shard streams derive from it by label, never from
-        #: shared stream position.
+        #: across resume incarnations; per-shard streams derive from it by
+        #: label, never from shared stream position.
         self._shard_seed = self.rng.getrandbits(64)
         self._packing: Optional[SlotPacking] = None
         #: Durable write-ahead journal; a loaded journal puts the run in
@@ -385,13 +388,11 @@ class QueryExecutor:
         Unlike :meth:`_fresh`, the fault-free path does *not* fall back to
         the executor's shared rng: every shard's stream is derived from
         the plane's master seed by label, so the draw schedule is a pure
-        function of (seed, label) — identical whether shards execute
-        serially or on a worker pool, which is the root of the intake's
-        serial-oracle equivalence. Chaos runs derive from the
-        injector instead, keeping recovery replays bit-identical. Streams
-        are always derived on the scheduler's serial path (event post /
-        serial handlers), never inside a worker, so the label attestation
-        order is deterministic too.
+        function of (seed, label), never of how far another shard's stream
+        or the shared rng has been read. Chaos runs derive from the
+        injector instead, keeping recovery replays bit-identical. The label
+        attestation order is the scheduler's post order: every shard's
+        ``churn`` derives its stream before the first ``upload`` runs.
         """
         self._rng_labels.append(label)
         if self.faults is not None:
@@ -939,24 +940,21 @@ class QueryExecutor:
         runs as a ``churn -> upload -> verify -> aggregate -> fold`` event
         pipeline over an :class:`~repro.runtime.aggregator.AggregatorTree`:
 
-        * ``churn`` (serial) re-syncs a shard's liveness/malice snapshot
-          with the network and derives the shard's labelled RNG stream —
-          all shared-state reads and stream derivations happen here, on
-          the scheduler's serial path, for every shard before the first
-          upload.
-        * ``upload``/``verify`` (parallel-safe) are pure per-shard stages
-          from :mod:`~repro.runtime.shard`, run a wave of
-          ``max(1, shard_workers)`` shards at a time: a wave's column
-          batches are ingested before the next wave's are built.
-        * ``aggregate`` (serial) ingests a verified batch into its tree
-          leaf and journals the shard-scoped checkpoint
-          (``input/shard{i}``) — so a coordinator crash resumes at shard
-          granularity, not phase granularity.
-        * ``fold`` (serial) combines an internal tree node the moment its
-          last child lands.
+        * ``churn`` re-syncs a shard's liveness/malice snapshot with the
+          network and derives the shard's labelled RNG stream — for every
+          shard before the first upload.
+        * ``upload``/``verify`` are pure per-shard stages from
+          :mod:`~repro.runtime.shard`, run one shard at a time: a shard's
+          column batch is ingested before the next shard's is built.
+        * ``aggregate`` ingests a verified batch into its tree leaf and
+          journals the shard-scoped checkpoint (``input/shard{i}``) — so
+          a coordinator crash resumes at shard granularity, not phase
+          granularity.
+        * ``fold`` combines an internal tree node the moment its last
+          child lands.
 
-        With ``shard_workers <= 1`` this is the serial oracle; any worker
-        count produces byte-identical results (see scheduler contract).
+        The scheduler drains on the caller's thread, one event at a time
+        in post order (see :mod:`~repro.runtime.scheduler`).
         """
         # Looked up per call: bench/ wraps the stages where shard.py defines them.
         from . import scheduler as event_scheduler
@@ -967,7 +965,7 @@ class QueryExecutor:
         round_number = self.network.sortition.round_number
         garbage = self._apply_garbage_faults()
         # One obfuscator pad pool per run: real obfuscators from a labelled
-        # stream, shared read-only by every shard worker (see shard.py for
+        # stream, shared read-only by every shard (see shard.py for
         # the subset-product construction and DESIGN.md for the trade).
         pool = ObfuscatorPool(
             public_key,
@@ -990,7 +988,7 @@ class QueryExecutor:
         tree = AggregatorTree(
             public_key, num_leaves=len(shards), fanout=self.tree_fanout
         )
-        scheduler = event_scheduler.EventScheduler(workers=self.shard_workers)
+        scheduler = event_scheduler.EventScheduler()
         devices = self.network.devices
         submit_seconds = 0.0
 
@@ -1038,8 +1036,8 @@ class QueryExecutor:
             )
 
         scheduler.register(event_scheduler.CHURN, on_churn)
-        scheduler.register(event_scheduler.UPLOAD, on_upload, parallel=True)
-        scheduler.register(event_scheduler.VERIFY, on_verify, parallel=True)
+        scheduler.register(event_scheduler.UPLOAD, on_upload)
+        scheduler.register(event_scheduler.VERIFY, on_verify)
         scheduler.register(event_scheduler.AGGREGATE, on_aggregate)
         scheduler.register(event_scheduler.FOLD, on_fold)
         for shard in shards:
@@ -1070,12 +1068,10 @@ class QueryExecutor:
         self.statistics.shards = len(shards)
         self.statistics.shard_size = self.shard_size
         self.statistics.tree_depth = tree.depth
-        self.statistics.scheduler_workers = scheduler.stats.workers
         self.statistics.scheduler_events = sum(
             scheduler.stats.events_processed.values()
         )
-        self.statistics.scheduler_batches = scheduler.stats.batches_dispatched
-        self.statistics.scheduler_max_batch = scheduler.stats.max_batch
+        self.statistics.scheduler_batches = self.statistics.scheduler_events
         self._checkpoint("input/aggregated")
         return tree, totals, audits_failed
 

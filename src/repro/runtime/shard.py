@@ -40,8 +40,8 @@ stages remove them:
 
 Every stage function here is **pure per shard** — it reads its
 arguments, draws only from the shard's own stream, and returns a value —
-which is what lets the scheduler run shards on a worker pool and still
-merge results byte-identically to the serial oracle.
+so a shard's bytes depend on its stream and its columns, never on which
+shards ran before it.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ class ObfuscatorPool:
     n-th residues obtained with a few modular multiplications instead of
     one modular exponentiation each. The pads are immutable; the pair-
     product memo only ever gains entries that are a function of the pads,
-    so the pool stays safe to share across shard workers.
+    so one pool serves every shard of a run (and two of a library caller's
+    threads filling one entry write the same value).
     """
 
     def __init__(
@@ -191,7 +192,7 @@ class ObfuscatorPool:
 class ShardContext:
     """Everything a shard stage needs beyond the shard itself.
 
-    Immutable and shared (read-only) across all shard workers; the only
+    Immutable and shared (read-only) by every shard of a run; the only
     mutable inputs to a stage are the shard and its own RNG stream.
     """
 

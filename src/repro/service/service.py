@@ -25,16 +25,15 @@ deployment (:class:`~repro.session.AnalyticsSession`): many analysts
 Execution is serialized by the dispatcher — the protocol itself is
 sequential per deployment (sortition chains query to query, §5.1) —
 while admission, scoring, and queueing are fully thread-safe, so a
-thread-pool front end can accept traffic concurrently
-(:meth:`QueryService.submit_many`). Scheduling reads only the service's
-logical clock, so a seeded replay is deterministic.
+library caller may :meth:`~QueryService.submit` from its own threads; the
+service itself starts none. Scheduling reads only the service's logical
+clock, so a seeded replay is deterministic.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -243,27 +242,20 @@ class QueryService:
         self.statistics.admitted += 1
         return ticket
 
-    def submit_many(
-        self, requests: Sequence[Dict[str, object]], workers: int = 4
-    ) -> List[object]:
-        """Thread-pool intake: admit ``requests`` concurrently.
+    def submit_many(self, requests: Sequence[Dict[str, object]]) -> List[object]:
+        """Admit ``requests`` in order, on the caller's thread.
 
         Each request is keyword arguments for :meth:`submit`. Returns one
         entry per request, *in request order*: the ticket, or the typed
-        rejection the submission raised. Used by the traffic-replay
-        benchmark's concurrent phase and the CLI front end.
+        rejection the submission raised. Used by the CLI's workload replay.
         """
-
-        def one(kwargs: Dict[str, object]) -> object:
+        outcomes: List[object] = []
+        for kwargs in requests:
             try:
-                return self.submit(**kwargs)
+                outcomes.append(self.submit(**kwargs))
             except QueryRejected as exc:
-                return exc
-
-        if workers <= 1:
-            return [one(dict(kwargs)) for kwargs in requests]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, [dict(kwargs) for kwargs in requests]))
+                outcomes.append(exc)
+        return outcomes
 
     # ------------------------------------------------------------ dispatch
 

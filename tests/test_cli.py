@@ -174,6 +174,26 @@ class TestServiceCommands:
         assert report["budget"]["spent_epsilon"] == pytest.approx(2.0)
         assert {row["tenant"] for row in report["tenants"]} == {"alice", "bob"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "cms", "--devices", "16", "--shard-workers", "2"],
+            ["chaos", "--scenario", "none", "--shard-workers", "2"],
+            ["serve", "WORKLOAD", "--workers", "2"],
+            ["tenants", "WORKLOAD", "--workers", "2"],
+        ],
+        ids=["run", "chaos", "serve", "tenants"],
+    )
+    def test_the_removed_thread_counts_are_unrecognised(self, argv, tmp_path, capsys):
+        workload = self.write_workload(tmp_path)
+        argv = [workload if arg == "WORKLOAD" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        # The same command without the flag is a command.
+        assert main(argv[:-2]) == 0
+
     def test_tenants_table(self, tmp_path, capsys):
         assert main(["tenants", self.write_workload(tmp_path)]) == 0
         out = capsys.readouterr().out

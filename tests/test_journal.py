@@ -16,6 +16,7 @@ byte-identical methodology as the fault suite:
 import argparse
 import json
 import random
+import shutil
 
 import pytest
 
@@ -541,13 +542,13 @@ class TestCli:
 # ------------------------------------------- journals of a removed plane
 
 
-def _crashing_manifest(**extra):
+def _crashing_manifest(plan=None, **extra):
     """A chaos manifest as ``repro chaos`` writes it, dying mid-intake."""
     args = argparse.Namespace(
         devices=32, categories=8, epsilon=4.0, committee_size=4, seed=7,
-        shard_size=8, shard_workers=0, tree_fanout=2,
+        shard_size=8, tree_fanout=2,
     )
-    manifest = _chaos_manifest(args, get_scenario("coordinator-crash-input"))
+    manifest = _chaos_manifest(args, plan or get_scenario("coordinator-crash-input"))
     manifest.update(extra)
     return manifest
 
@@ -563,7 +564,7 @@ class TestRemovedPlaneJournals:
             # Written before the sharded plane existed: neither key, ran the
             # then-default flat plane.
             (
-                lambda m: [m.pop(k) for k in ("shard_size", "shard_workers", "tree_fanout")],
+                lambda m: [m.pop(k) for k in ("shard_size", "tree_fanout")],
                 "vectorized",
             ),
         ],
@@ -607,3 +608,39 @@ class TestRemovedPlaneJournals:
         out = capsys.readouterr().out
         assert "6 checkpoint(s) replay-verified, 1 crash(es) stepped over" in out
         assert ExecutionJournal.load(path).completed
+
+    def test_a_manifest_naming_the_removed_worker_count_resumes_bit_identically(
+        self, tmp_path, capsys
+    ):
+        # PRs 16-21 wrote ``shard_workers`` into every manifest. Every count
+        # released the serial drain's bytes, so the key is ignored on resume.
+        base_manifest = _crashing_manifest(get_scenario("none"))
+        assert "shard_workers" not in base_manifest
+        base_path = str(tmp_path / "uncrashed.journal")
+        baseline = _executor_from_manifest(
+            base_manifest, ExecutionJournal.create(base_path, base_manifest)
+        ).run()
+        plan = FaultPlan(
+            "crash-at-shard",
+            "coordinator dies mid-intake, at the third shard checkpoint",
+            events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard2"),),
+        )
+        manifest = _crashing_manifest(plan, shard_workers=2)
+        path = str(tmp_path / "pr21.journal")
+        with pytest.raises(CoordinatorCrash):
+            _executor_from_manifest(
+                manifest, ExecutionJournal.create(path, manifest)
+            ).run()
+        library_path = str(tmp_path / "pr21-library.journal")
+        shutil.copyfile(path, library_path)
+
+        assert main(["resume", path]) == 0
+        assert "1 crash(es) stepped over" in capsys.readouterr().out
+        resumed, uncrashed = ExecutionJournal.load(path), ExecutionJournal.load(base_path)
+        assert resumed.manifest["shard_workers"] == 2
+        assert resumed.completed and resumed.crash_count == 1
+        assert resumed.checkpoint_digests() == uncrashed.checkpoint_digests()
+        assert resumed.result == uncrashed.result
+        # The same replay through the library hands back the QueryResult.
+        journal = ExecutionJournal.load(library_path)
+        assert _executor_from_manifest(journal.manifest, journal).run() == baseline

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 import threading
 
 import pytest
@@ -465,7 +466,7 @@ class TestQueryService:
                 )
                 for _ in range(6)
             ]
-            service.submit_many(requests, workers=1)
+            service.submit_many(requests)
             return [
                 (r.seq, r.name, r.outcome, r.epsilon_charged, repr(r.value))
                 for r in service.drain()
@@ -482,8 +483,32 @@ class TestQueryService:
                  categories=8, epsilon=1.0)
             for i in range(8)
         ]
-        outcomes = service.submit_many(requests, workers=8)
-        assert all(not isinstance(o, Exception) for o in outcomes)
+        # Eight of the caller's own threads around ``submit``: the service
+        # starts none, its admission locks are what keeps this exact.
+        outcomes, start = {}, threading.Barrier(len(requests))
+
+        def admit(index):
+            start.wait(timeout=10)
+            try:
+                outcomes[index] = service.submit(**requests[index])
+            except Exception as exc:  # surfaced below
+                outcomes[index] = exc
+
+        threads = [
+            threading.Thread(target=admit, args=(i,)) for i in range(len(requests))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(not isinstance(o, Exception) for o in outcomes.values())
+        assert sorted(t.submission.seq for t in outcomes.values()) == list(range(1, 9))
         records = service.drain()
         executed = [r for r in records if r.outcome == "executed"]
         total = 0.0

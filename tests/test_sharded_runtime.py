@@ -1,8 +1,8 @@
 """Sharded event-driven intake: scheduler, shards, tree, and equivalence.
 
-The intake owns its RNG schedule (per-shard labelled streams) and its
-oracle is *itself*: ``shard_workers=0`` drains the event pipeline one event at a time, and
-every other worker count must release a byte-identical ``QueryResult``.
+The intake owns its RNG schedule (per-shard labelled streams) and drains
+its event pipeline one event at a time, in post order; the bytes it
+releases are pinned to the commit before the worker pool was deleted.
 On top of that sit the multi-level aggregation tree's audit guarantees
 (any internal level reproduces the shard-leaf inclusion proofs) and the
 shard-scoped journal checkpoints (a coordinator death mid-intake resumes
@@ -53,15 +53,14 @@ TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
 SEED = 11
 
 
-def _run(
+def _executor(
     devices=64,
     seed=SEED,
     malicious_fraction=0.0,
     scenario=None,
     shard_size=8,
-    shard_workers=0,
     tree_fanout=2,
-    journal=None,
+    **kwargs,
 ):
     env = small_env(num_participants=devices, categories=8, epsilon=8.0)
     planning = plan_query(TOP1, env, name="sharded-equiv")
@@ -73,7 +72,7 @@ def _run(
     if scenario is not None:
         plan = scenario if isinstance(scenario, FaultPlan) else get_scenario(scenario)
         faults = FaultInjector(plan, seed=seed)
-    executor = QueryExecutor(
+    return QueryExecutor(
         network,
         planning,
         committee_size=4,
@@ -81,20 +80,22 @@ def _run(
         rng=random.Random(seed + 1),
         faults=faults,
         shard_size=shard_size,
-        shard_workers=shard_workers,
         tree_fanout=tree_fanout,
-        journal=journal,
+        **kwargs,
     )
-    return executor.run()
+
+
+def _run(**kwargs):
+    return _executor(**kwargs).run()
 
 
 # ------------------------------------------------------------- scheduler
 
 
 class TestEventScheduler:
-    def _pipeline(self, workers, items=10):
+    def _pipeline(self, items=10):
         """A churn->upload->verify->aggregate pipeline over plain ints."""
-        sched = EventScheduler(workers=workers)
+        sched = EventScheduler()
         trace = []
 
         sched.register(
@@ -103,11 +104,9 @@ class TestEventScheduler:
         )
         sched.register(
             UPLOAD, lambda ev: (ev.payload + 1, [(VERIFY, ev.shard_id, ev.payload + 1)]),
-            parallel=True,
         )
         sched.register(
             VERIFY, lambda ev: (ev.payload, [(AGGREGATE, ev.shard_id, ev.payload)]),
-            parallel=True,
         )
         sched.register(
             AGGREGATE,
@@ -119,17 +118,20 @@ class TestEventScheduler:
         return trace, handled, sched.stats
 
     def test_serial_and_parallel_traces_identical(self):
-        serial, handled_s, _ = self._pipeline(workers=0)
-        parallel, handled_p, stats = self._pipeline(workers=4)
-        assert serial == parallel
-        assert handled_s == handled_p == 40
-        assert serial == [(i, i * 10 + 1) for i in range(10)]
-        assert stats.max_batch > 1  # parallel dispatch actually batched
+        # The id predates the deletion of the worker pool; its serial half is
+        # what is left: every event handled once, in post order.
+        trace, handled, stats = self._pipeline()
+        assert handled == 40
+        assert trace == [(i, i * 10 + 1) for i in range(10)]
+        assert stats.events_processed == dict.fromkeys(
+            (CHURN, UPLOAD, VERIFY, AGGREGATE), 10
+        )
 
-    def test_serial_kinds_never_batch(self):
-        _, _, stats = self._pipeline(workers=4)
-        # aggregate is serial: 10 events -> 10 single-event batches.
-        assert stats.events_processed[AGGREGATE] == 10
+    def test_takes_no_worker_count(self):
+        with pytest.raises(TypeError):
+            EventScheduler(workers=2)
+        with pytest.raises(TypeError):
+            EventScheduler().register(UPLOAD, lambda ev: (None, []), parallel=True)
 
     def test_unregistered_kind_rejected(self):
         sched = EventScheduler()
@@ -139,18 +141,17 @@ class TestEventScheduler:
             sched.register("teleport", lambda ev: (None, []))
 
     def test_followups_run_after_batch_in_seq_order(self):
-        sched = EventScheduler(workers=4)
+        sched = EventScheduler()
         order = []
         sched.register(
             UPLOAD, lambda ev: (order.append(("u", ev.shard_id)), [(VERIFY, ev.shard_id, None)]),
-            parallel=True,
         )
         sched.register(VERIFY, lambda ev: (order.append(("v", ev.shard_id)), []))
         for i in range(6):
             sched.post(UPLOAD, i)
         sched.drain()
-        # All verifies post after the upload batch merges, in seq order.
-        assert order[6:] == [("v", i) for i in range(6)]
+        # What the posted events return runs after all of them, in post order.
+        assert order == [("u", i) for i in range(6)] + [("v", i) for i in range(6)]
 
 
 # ------------------------------------------------------- shards and pool
@@ -481,11 +482,15 @@ class TestPadPoolSize:
 class TestShardedEquivalence:
     @pytest.fixture(scope="class")
     def serial(self):
-        return _run(shard_workers=0, malicious_fraction=0.1)
+        return _run(malicious_fraction=0.1)
 
-    def test_parallel_workers_byte_identical_to_serial(self, serial):
-        for workers in (2, 5):
-            assert _run(shard_workers=workers, malicious_fraction=0.1) == serial
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_removed_worker_count_is_refused_by_name(self, workers):
+        with pytest.raises(ValueError, match="shard_workers"):
+            _executor(shard_workers=workers)
+
+    def test_the_frozen_harness_literal_is_still_accepted(self):
+        assert _executor(shard_workers=0).shard_size == 8
 
     def test_sharded_stats_populated(self, serial):
         stats = serial.statistics
@@ -495,102 +500,84 @@ class TestShardedEquivalence:
         assert stats.uploads_submitted == 64
         assert stats.packing_lanes > 1  # slot packing engaged
 
-    def test_malicious_rejection_independent_of_workers(self):
-        serial = _run(seed=21, malicious_fraction=0.25, shard_workers=0)
-        parallel = _run(seed=21, malicious_fraction=0.25, shard_workers=3)
-        assert serial.rejected_devices
-        assert serial == parallel
-
     def test_shard_topology_changes_do_not_change_rejections(self):
         # Different shard sizes reshape the tree, but accept/reject is a
         # per-upload decision: the rejected set must be stable.
         a = _run(seed=21, malicious_fraction=0.25, shard_size=8)
         b = _run(seed=21, malicious_fraction=0.25, shard_size=32, tree_fanout=4)
-        assert a.rejected_devices == b.rejected_devices
-
-    @pytest.mark.parametrize("scenario", ["keygen-loss", "churn-wave", "vsr-loss"])
-    def test_chaos_scenarios_bit_identical_under_parallelism(self, scenario):
-        serial = _run(scenario=scenario, shard_workers=0)
-        parallel = _run(scenario=scenario, shard_workers=4)
-        assert serial.outputs == parallel.outputs
-        assert serial.rejected_devices == parallel.rejected_devices
+        assert a.rejected_devices and a.rejected_devices == b.rejected_devices
 
 
 class TestWaveDrain:
-    """One wave of shards in flight: the drain order and the memory bound."""
+    """One shard in flight: the drain order, the memory bound, the bytes."""
 
     @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory):
-        """The same journaled run at four wave widths, its handlers counted."""
-        import threading
-
-        from repro.runtime import shard as shard_module
+    def run(self, tmp_path_factory):
+        """One journaled run with its intake handlers counted."""
         from repro.runtime.journal import ExecutionJournal
 
-        observed = {}
-        for workers in (0, 1, 2, 4):
-            log, trees, lock = [], [], threading.Lock()
-            in_flight = [0, 0]  # now, and the most there ever were
+        log, trees = [], []
+        in_flight = [0, 0]  # now, and the most there ever were
 
-            def note(kind, delta=0):
-                with lock:
-                    log.append(kind)
-                    in_flight[0] += delta
-                    in_flight[1] = max(in_flight[1], in_flight[0])
+        def note(kind, delta=0):
+            log.append(kind)
+            in_flight[0] += delta
+            in_flight[1] = max(in_flight[1], in_flight[0])
 
-            patch = pytest.MonkeyPatch()
-            stream, upload = QueryExecutor._shard_stream, shard_module.upload_shard
-            ingest = AggregatorTree.ingest_leaf
+        stream, upload = QueryExecutor._shard_stream, shard_module.upload_shard
+        ingest = AggregatorTree.ingest_leaf
 
-            def counted_stream(self, label, _stream=stream):
-                if label.startswith("sharded/upload/"):
-                    note("churn")  # the one thing only the churn handler derives
-                return _stream(self, label)
+        def counted_stream(self, label):
+            if label.startswith("sharded/upload/"):
+                note("churn")  # the one thing only the churn handler derives
+            return stream(self, label)
 
-            def counted_upload(*args, _upload=upload):
-                batch = _upload(*args)
-                note("upload", +1)
-                return batch
+        def counted_upload(*args):
+            batch = upload(*args)
+            note("upload", +1)
+            return batch
 
-            def counted_ingest(self, result, _ingest=ingest):
-                trees.append(self)
-                note("ingest", -1)
-                return _ingest(self, result)
+        def counted_ingest(self, result):
+            trees.append(self)
+            note("ingest", -1)
+            return ingest(self, result)
 
+        path = tmp_path_factory.mktemp("waves") / "w.journal"
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(QueryExecutor, "_shard_stream", counted_stream)
             patch.setattr(shard_module, "upload_shard", counted_upload)
             patch.setattr(AggregatorTree, "ingest_leaf", counted_ingest)
-            path = tmp_path_factory.mktemp("waves") / f"w{workers}.journal"
-            try:
-                result = _run(
-                    shard_workers=workers,
-                    malicious_fraction=0.1,
-                    journal=ExecutionJournal.create(str(path), {"recipe": "waves"}),
-                )
-            finally:
-                patch.undo()
-            observed[workers] = (result, trees[0].root.digest, path.read_bytes(), log, in_flight[1])
-        return observed
+            result = _run(
+                malicious_fraction=0.1,
+                journal=ExecutionJournal.create(str(path), {"recipe": "waves"}),
+            )
+        return result, trees[0].root.digest, path.read_bytes(), log, in_flight[1]
 
-    def test_any_width_releases_the_same_bytes(self, runs):
-        result, root, journal, _, _ = runs[0]
-        assert root and len(journal) > 1000
-        for workers in (1, 2, 4):
-            assert runs[workers][0] == result
-            assert runs[workers][1] == root
-            assert runs[workers][2] == journal
+    def test_any_width_releases_the_same_bytes(self, run):
+        # Taken on the commit before the worker pool and the wave widths were
+        # deleted (123997d), where widths 0, 1, 2 and 4 all released them.
+        result, root, journal, _, _ = run
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == (
+            "3ea275d610dbcc7cdd574c8b7889b05d9327a525025d251919f25d076899448d"
+        )
+        assert root.hex() == (
+            "07d9e889401a441e12ad4e184bfa15018dea403f90fff9d10095a3bb0477dee1"
+        )
+        assert len(journal) == 14066
+        assert hashlib.sha256(journal).hexdigest() == (
+            "7f8e154612e8dac44a4cd57f7d0c8c8ef9293923881198a0511f140860095410"
+        )
 
-    def test_every_churn_is_handled_before_the_first_upload(self, runs):
-        for _, _, _, log, _ in runs.values():
-            assert log.count("churn") == log.count("upload") == log.count("ingest") == 8
-            assert log[:8] == ["churn"] * 8
+    def test_every_churn_is_handled_before_the_first_upload(self, run):
+        log = run[3]
+        assert log.count("churn") == log.count("upload") == log.count("ingest") == 8
+        assert log[:8] == ["churn"] * 8
 
-    def test_at_most_one_wave_of_batches_awaits_ingest(self, runs):
-        for workers, (_, _, _, log, most) in runs.items():
-            assert most == min(8, max(1, workers))  # the bound, and it is reached
-            # A wave is ingested to the last shard before the next one uploads.
-            width, rest = max(1, workers), [kind for kind in log if kind != "churn"]
-            assert rest == (["upload"] * width + ["ingest"] * width) * (8 // width)
+    def test_at_most_one_wave_of_batches_awaits_ingest(self, run):
+        _, _, _, log, most = run
+        assert most == 1  # the bound, and it is reached
+        # A shard is ingested before the next one uploads.
+        assert log[8:] == ["upload", "ingest"] * 8
 
 
 class TestShardedCrashResume:
@@ -602,29 +589,10 @@ class TestShardedCrashResume:
             events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard2"),),
         )
         result, resumes = run_to_completion(
-            lambda j: None or _run_builder(plan, j),
+            lambda journal: _executor(scenario=plan, journal=journal),
             str(tmp_path / "shard-crash.journal"),
             {"recipe": "test"},
         )
         assert resumes == 1
         assert result == baseline
 
-
-def _run_builder(plan, journal):
-    """An executor factory for run_to_completion (mirrors _run's recipe)."""
-    env = small_env(num_participants=64, categories=8, epsilon=8.0)
-    planning = plan_query(TOP1, env, name="sharded-equiv")
-    network = FederatedNetwork(64, rng=random.Random(SEED))
-    network.load_categorical_data(8)
-    return QueryExecutor(
-        network,
-        planning,
-        committee_size=4,
-        key_prime_bits=96,
-        rng=random.Random(SEED + 1),
-        faults=FaultInjector(plan, seed=SEED),
-        shard_size=8,
-        shard_workers=0,
-        tree_fanout=2,
-        journal=journal,
-    )
