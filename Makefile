@@ -17,6 +17,7 @@ lint:
 		echo "ruff not installed; skipping ruff check"; \
 	fi
 	python -m repro lint src/repro
+	! grep -rnE "multiprocessing|concurrent\.futures|ThreadPoolExecutor|ProcessPoolExecutor" src/repro
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only

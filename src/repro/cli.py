@@ -93,18 +93,14 @@ def _environment(args) -> QueryEnvironment:
 
 
 def _constraints(args) -> Constraints:
+    # A limit of 0 is a limit; only an absent flag leaves a metric unbounded.
+    def limit(value: Optional[float], unit: float) -> Optional[float]:
+        return None if value is None else value * unit
+
     return Constraints(
-        aggregator_core_seconds=(
-            args.max_aggregator_core_hours * 3600
-            if args.max_aggregator_core_hours
-            else None
-        ),
-        participant_max_seconds=(
-            args.max_participant_minutes * 60 if args.max_participant_minutes else None
-        ),
-        participant_max_bytes=(
-            args.max_participant_gb * 1e9 if args.max_participant_gb else None
-        ),
+        aggregator_core_seconds=limit(args.max_aggregator_core_hours, 3600),
+        participant_max_seconds=limit(args.max_participant_minutes, 60),
+        participant_max_bytes=limit(args.max_participant_gb, 1e9),
     )
 
 
@@ -125,12 +121,7 @@ def _print_cost(cost: CostVector) -> None:
 def cmd_plan(args) -> int:
     source = _read_query(args)
     env = _environment(args)
-    planner = Planner(
-        env,
-        constraints=_constraints(args),
-        goal=Goal(args.goal),
-        workers=args.workers,
-    )
+    planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
     try:
         result = planner.plan_source(source, name=args.query_file)
     except PlanningFailed as failure:
@@ -169,10 +160,7 @@ def cmd_plan(args) -> int:
             f"expansion cache: {stats.expansion_cache_hits} hits / "
             f"{stats.expansion_cache_misses} misses"
         )
-        print(
-            f"  ordering: {stats.nodes_reordered} nodes reordered; "
-            f"workers: {stats.workers}"
-        )
+        print(f"  ordering: {stats.nodes_reordered} nodes reordered")
     return 0
 
 
@@ -1016,6 +1004,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _add_planning_arguments(verb: argparse.ArgumentParser) -> None:
+    """The query, environment, goal and limits of ``plan``, ``verify-plan``
+    and ``certificate`` (read by ``_read_query``/``_environment``/``_constraints``)."""
+    verb.add_argument("query_file", help="query file, built-in query name, or '-' for stdin")
+    verb.add_argument("--participants", type=int, default=10**9)
+    verb.add_argument("--categories", type=int, default=2**15)
+    verb.add_argument("--epsilon", type=float, default=0.1)
+    verb.add_argument("--sensitivity", type=float, default=1.0)
+    verb.add_argument(
+        "--goal", default="participant_expected_seconds", choices=CostVector.METRICS
+    )
+    verb.add_argument("--max-aggregator-core-hours", type=float, default=None)
+    verb.add_argument("--max-participant-minutes", type=float, default=None)
+    verb.add_argument("--max-participant-gb", type=float, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1024,25 +1028,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     plan = sub.add_parser("plan", help="certify and plan a query")
-    plan.add_argument("query_file", help="query file, built-in query name, or '-' for stdin")
-    plan.add_argument("--participants", type=int, default=10**9)
-    plan.add_argument("--categories", type=int, default=2**15)
-    plan.add_argument("--epsilon", type=float, default=0.1)
-    plan.add_argument("--sensitivity", type=float, default=1.0)
-    plan.add_argument(
-        "--goal", default="participant_expected_seconds", choices=CostVector.METRICS
-    )
-    plan.add_argument("--max-aggregator-core-hours", type=float, default=None)
-    plan.add_argument("--max-participant-minutes", type=float, default=None)
-    plan.add_argument("--max-participant-gb", type=float, default=None)
+    _add_planning_arguments(plan)
     plan.add_argument("--json", action="store_true", help="emit the plan as JSON")
     plan.add_argument(
         "--explain", action="store_true",
         help="print a per-vignette cost table for the chosen plan",
-    )
-    plan.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the branch-and-bound root split",
     )
     plan.add_argument(
         "--stats", action="store_true",
@@ -1094,17 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-plan", help="plan a query and statically verify the result"
     )
-    verify.add_argument("query_file", help="query file, built-in query name, or '-' for stdin")
-    verify.add_argument("--participants", type=int, default=10**9)
-    verify.add_argument("--categories", type=int, default=2**15)
-    verify.add_argument("--epsilon", type=float, default=0.1)
-    verify.add_argument("--sensitivity", type=float, default=1.0)
-    verify.add_argument(
-        "--goal", default="participant_expected_seconds", choices=CostVector.METRICS
-    )
-    verify.add_argument("--max-aggregator-core-hours", type=float, default=None)
-    verify.add_argument("--max-participant-minutes", type=float, default=None)
-    verify.add_argument("--max-participant-gb", type=float, default=None)
+    _add_planning_arguments(verify)
     verify.add_argument(
         "--dataflow", action="store_true",
         help="also run the privacy dataflow analyzer (taint, sensitivity "
@@ -1117,19 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan a query and print its machine-checkable privacy "
         "certificate as JSON",
     )
-    certificate.add_argument(
-        "query_file", help="query file, built-in query name, or '-' for stdin"
-    )
-    certificate.add_argument("--participants", type=int, default=10**9)
-    certificate.add_argument("--categories", type=int, default=2**15)
-    certificate.add_argument("--epsilon", type=float, default=0.1)
-    certificate.add_argument("--sensitivity", type=float, default=1.0)
-    certificate.add_argument(
-        "--goal", default="participant_expected_seconds", choices=CostVector.METRICS
-    )
-    certificate.add_argument("--max-aggregator-core-hours", type=float, default=None)
-    certificate.add_argument("--max-participant-minutes", type=float, default=None)
-    certificate.add_argument("--max-participant-gb", type=float, default=None)
+    _add_planning_arguments(certificate)
     certificate.set_defaults(func=cmd_certificate)
 
     sweep = sub.add_parser(

@@ -103,7 +103,8 @@ class PureBackend:
     def __init__(self):
         # Fixed-base tables, a few at a time and never shared across a
         # ``use_backend`` switch. Rows are a pure function of the key, so a
-        # racing first build is merely redundant: worker threads need no lock.
+        # racing first build is merely redundant: ``src/`` starts no threads,
+        # and a library caller's own threads need no lock here.
         self._comb = functools.lru_cache(maxsize=4)(_comb_rows)
 
     @staticmethod

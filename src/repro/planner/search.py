@@ -31,9 +31,8 @@ With ``order_choices`` (default on when heuristics are on), surviving
 children at each node are visited cheapest-first by their partial goal
 value — an admissible lower bound on any completion, since costs only
 grow as ops are added — so the incumbent tightens early and more of the
-tree falls to the bound. ``workers=N`` additionally fans the top-level
-choice subtrees across a ``multiprocessing`` fork pool; per-worker
-incumbents are merged deterministically in subtree order.
+tree falls to the bound. That shared incumbent *is* the pruning, so the
+search is one walk in the calling process (ARCHITECTURE §26).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from ..analysis.types import QueryEnvironment
 from ..lang.ast import Program
@@ -82,21 +81,6 @@ class PlannerStatistics:
     #: Nodes whose surviving children were visited in a different
     #: (cheapest-first) order than the catalog order.
     nodes_reordered: int = 0
-    #: Worker processes the search actually used.
-    workers: int = 1
-
-    def merge_counters(self, other: "PlannerStatistics") -> None:
-        """Accumulate another run's effort counters (not space/runtime)."""
-        self.prefixes_considered += other.prefixes_considered
-        self.candidates_scored += other.candidates_scored
-        self.candidates_feasible += other.candidates_feasible
-        self.pruned_by_constraint += other.pruned_by_constraint
-        self.pruned_by_bound += other.pruned_by_bound
-        self.cost_cache_hits += other.cost_cache_hits
-        self.cost_cache_misses += other.cost_cache_misses
-        self.expansion_cache_hits += other.expansion_cache_hits
-        self.expansion_cache_misses += other.expansion_cache_misses
-        self.nodes_reordered += other.nodes_reordered
 
 
 @dataclass
@@ -182,7 +166,7 @@ class _IncrementalEvaluator:
 
 
 class _SearchRun:
-    """One depth-first search over (a subset of) the choice tree.
+    """One depth-first search over the choice tree.
 
     The control flow never looks inside a node: the evaluator supplies
     ``root``/``extend``/``naive_extend``/``leaf``, so the test oracle's
@@ -190,21 +174,12 @@ class _SearchRun:
     same places, and counts every statistic identically.
     """
 
-    def __init__(
-        self,
-        planner: "Planner",
-        logical: LogicalPlan,
-        space,
-        evaluator,
-        stats,
-        split_depth: int = 0,
-    ):
+    def __init__(self, planner: "Planner", logical: LogicalPlan, space, evaluator, stats):
         self.planner = planner
         self.logical = logical
         self.space = space
         self.evaluator = evaluator
         self.stats = stats
-        self.split_depth = split_depth
         self.best: Optional[Plan] = None
         self.best_score = float("inf")
         self.best_composite = float("inf")
@@ -221,8 +196,7 @@ class _SearchRun:
         self.suffix_leaves = leaves
         self.suffix_prefixes = prefixes
 
-    def run(self, root_options: Optional[Sequence[int]] = None) -> Optional[Plan]:
-        self.root_options = root_options
+    def run(self) -> Optional[Plan]:
         root = self.evaluator.root()
         if self.planner.heuristics:
             self._dfs(root, 0)
@@ -231,13 +205,6 @@ class _SearchRun:
         return self.best
 
     # ----------------------------------------------------------- internals
-
-    def _options(self, depth: int):
-        options = self.space[depth][1]
-        if depth == self.split_depth and self.root_options is not None:
-            allowed = set(self.root_options)
-            return [(i, c) for i, c in enumerate(options) if i in allowed]
-        return list(enumerate(options))
 
     def _leaf(self, node) -> Optional[Plan]:
         stats = self.stats
@@ -271,7 +238,7 @@ class _SearchRun:
         # child is counted as bound-pruned exactly once, whichever phase
         # discards it, so the totals match a single-phase loop.
         children = []
-        for index, choice in self._options(depth):
+        for index, choice in enumerate(self.space[depth][1]):
             stats.prefixes_considered += 1
             try:
                 child = self.evaluator.extend(node, choice)
@@ -314,7 +281,7 @@ class _SearchRun:
                     )
             return
         stats = self.stats
-        for _index, choice in self._options(depth):
+        for choice in self.space[depth][1]:
             stats.prefixes_considered += 1
             try:
                 child = self.evaluator.naive_extend(node, choice)
@@ -343,9 +310,7 @@ class Planner:
     :class:`PlanningFailed`.
 
     ``order_choices`` visits surviving children cheapest-first (defaults
-    to on when heuristics are on); ``workers`` > 1 splits the top-level
-    choice subtrees across a process pool (ignored by the naive ablation,
-    whose out-of-memory trajectory must stay sequential).
+    to on when heuristics are on).
     """
 
     def __init__(
@@ -358,7 +323,6 @@ class Planner:
         memory_budget_candidates: int = 250_000,
         verify: Optional[bool] = None,
         order_choices: Optional[bool] = None,
-        workers: int = 1,
     ):
         self.env = env
         self.model = model or CostModel()
@@ -372,9 +336,6 @@ class Planner:
         if order_choices is None:
             order_choices = heuristics
         self.order_choices = order_choices
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
 
     # ----------------------------------------------------------- front door
 
@@ -415,18 +376,15 @@ class Planner:
         self, logical: LogicalPlan, certificate: Certificate
     ) -> PlanningResult:
         started = time.perf_counter()
-        space = choice_space(logical)
         stats = PlannerStatistics(space_size=space_size(logical))
-        # Split the tree at the first op with real alternatives (the input
-        # op is often forced, so depth 0 may have a single option).
-        split_depth = next(
-            (d for d, (_op, opts) in enumerate(space) if len(opts) > 1), None
-        )
-        if self.workers > 1 and self.heuristics and split_depth is not None:
-            best = self._plan_parallel(logical, space, stats, split_depth)
-        else:
-            best, run_stats = self.search_logical(logical)
-            stats.merge_counters(run_stats)
+        evaluator = self._evaluator(logical)
+        cost_hits = self.model.cache_hits
+        cost_misses = self.model.cache_misses
+        best = _SearchRun(self, logical, choice_space(logical), evaluator, stats).run()
+        stats.cost_cache_hits = self.model.cache_hits - cost_hits
+        stats.cost_cache_misses = self.model.cache_misses - cost_misses
+        stats.expansion_cache_hits = evaluator.cache_hits
+        stats.expansion_cache_misses = evaluator.cache_misses
         stats.runtime_seconds = time.perf_counter() - started
         result = PlanningResult(best, stats, certificate, logical)
         if best is None:
@@ -450,113 +408,9 @@ class Planner:
             df_report.raise_if_failed()
         return result
 
-    def search_logical(
-        self,
-        logical: LogicalPlan,
-        root_options: Optional[Sequence[int]] = None,
-        split_depth: int = 0,
-    ) -> Tuple[Optional[Plan], PlannerStatistics]:
-        """One sequential search (optionally over a split-level subset).
-
-        Returns the incumbent and the effort counters for this run only;
-        :meth:`plan_logical` handles failure/verification policy.
-        """
-        space = choice_space(logical)
-        stats = PlannerStatistics()
-        evaluator = self._evaluator(logical)
-        cost_hits = self.model.cache_hits
-        cost_misses = self.model.cache_misses
-        run = _SearchRun(self, logical, space, evaluator, stats, split_depth)
-        best = run.run(root_options)
-        stats.cost_cache_hits = self.model.cache_hits - cost_hits
-        stats.cost_cache_misses = self.model.cache_misses - cost_misses
-        stats.expansion_cache_hits = evaluator.cache_hits
-        stats.expansion_cache_misses = evaluator.cache_misses
-        return best, stats
-
     def _evaluator(self, logical: LogicalPlan):
         """The search-node evaluator of one run (the test oracle's seam)."""
         return _IncrementalEvaluator(logical, self.model, self.env.num_participants)
-
-    def _plan_parallel(
-        self, logical: LogicalPlan, space, stats, split_depth: int
-    ) -> Optional[Plan]:
-        """Fan the split-level choice subtrees across a fork pool.
-
-        Subtree k gets every workers-th option starting at k, so
-        partitions are balanced across heterogeneous options. Results are
-        merged in partition order with the same lexicographic comparison
-        the sequential search applies, making the outcome deterministic
-        for any worker count.
-        """
-        import multiprocessing
-
-        options = space[split_depth][1]
-        workers = max(1, min(self.workers, len(options)))
-        parts = [list(range(len(options)))[k::workers] for k in range(workers)]
-        payloads = [
-            (
-                logical,
-                self.model,
-                self.constraints,
-                self.goal,
-                self.order_choices,
-                self.memory_budget_candidates,
-                part,
-                split_depth,
-            )
-            for part in parts
-        ]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: degrade gracefully
-            ctx = None
-        if ctx is None:
-            results = [_search_subtree(payload) for payload in payloads]
-        else:
-            with ctx.Pool(processes=workers) as pool:
-                results = pool.map(_search_subtree, payloads)
-        stats.workers = workers
-        best: Optional[Plan] = None
-        best_score = float("inf")
-        best_composite = float("inf")
-        for plan, run_stats in results:
-            stats.merge_counters(run_stats)
-            if plan is not None and self.goal.better(
-                plan.cost, best_score, best_composite
-            ):
-                best = plan
-                best_score = self.goal.score(plan.cost)
-                best_composite = self.goal.composite(plan.cost)
-        return best
-
-
-def _search_subtree(payload):
-    """Worker entry point: sequential search over one subtree partition."""
-    (
-        logical,
-        model,
-        constraints,
-        goal,
-        order_choices,
-        memory_budget,
-        root_options,
-        split_depth,
-    ) = payload
-    planner = Planner(
-        logical.env,
-        model=model,
-        constraints=constraints,
-        goal=goal,
-        heuristics=True,
-        memory_budget_candidates=memory_budget,
-        verify=False,
-        order_choices=order_choices,
-        workers=1,
-    )
-    return planner.search_logical(
-        logical, root_options=root_options, split_depth=split_depth
-    )
 
 
 def plan_query(
@@ -570,7 +424,6 @@ def plan_query(
     memory_budget_candidates: int = 250_000,
     verify: Optional[bool] = None,
     order_choices: Optional[bool] = None,
-    workers: int = 1,
 ) -> PlanningResult:
     """One-call convenience wrapper: source text in, PlanningResult out."""
     planner = Planner(
@@ -582,6 +435,5 @@ def plan_query(
         memory_budget_candidates=memory_budget_candidates,
         verify=verify,
         order_choices=order_choices,
-        workers=workers,
     )
     return planner.plan_source(source, name)

@@ -225,7 +225,9 @@ def planning_result_to_dict(result: PlanningResult) -> Dict[str, Any]:
             "expansion_cache_hits": stats.expansion_cache_hits,
             "expansion_cache_misses": stats.expansion_cache_misses,
             "nodes_reordered": stats.nodes_reordered,
-            "workers": stats.workers,
+            # Output-format residue: the search is one process (ARCHITECTURE
+            # §26); the key leaves when the plan JSON is next versioned.
+            "workers": 1,
         },
     }
     if result.plan is not None:

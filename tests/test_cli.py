@@ -59,6 +59,16 @@ class TestPlanCommand:
         assert code == 1
         assert "planning failed" in capsys.readouterr().err
 
+    def test_a_limit_of_zero_is_a_limit(self, capsys):
+        # Truthiness used to read 0 as "no limit" and plan unconstrained.
+        for flag in (
+            "--max-aggregator-core-hours",
+            "--max-participant-minutes",
+            "--max-participant-gb",
+        ):
+            assert main(["plan", "top1", flag, "0"]) == 1, flag
+            assert "planning failed:" in capsys.readouterr().err
+
     def test_goal_option(self, capsys):
         code = main(
             [
@@ -181,8 +191,9 @@ class TestServiceCommands:
             ["chaos", "--scenario", "none", "--shard-workers", "2"],
             ["serve", "WORKLOAD", "--workers", "2"],
             ["tenants", "WORKLOAD", "--workers", "2"],
+            ["plan", "top1", "--workers", "2"],
         ],
-        ids=["run", "chaos", "serve", "tenants"],
+        ids=["run", "chaos", "serve", "tenants", "plan"],
     )
     def test_the_removed_thread_counts_are_unrecognised(self, argv, tmp_path, capsys):
         workload = self.write_workload(tmp_path)

@@ -33,6 +33,14 @@ class TestBasicPlanning:
         assert stats.prefixes_considered > 0
         assert stats.runtime_seconds > 0
 
+    def test_there_is_no_worker_count(self, env):
+        # One search in one process (ARCHITECTURE §26): the option is gone,
+        # not ignored.
+        with pytest.raises(TypeError):
+            Planner(env, workers=2)
+        with pytest.raises(TypeError):
+            plan_query(TOP1, env, workers=2)
+
     def test_describe_is_readable(self, env):
         result = plan_query(TOP1, env)
         text = result.plan.describe()
