@@ -18,6 +18,7 @@ lint:
 	fi
 	python -m repro lint src/repro
 	! grep -rnE "multiprocessing|concurrent\.futures|ThreadPoolExecutor|ProcessPoolExecutor" src/repro
+	! grep -nE "^import (numpy|numba)|^from (numpy|numba)" src/repro/crypto/backend.py src/repro/crypto/shamir.py src/repro/crypto/field.py
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only

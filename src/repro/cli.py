@@ -42,7 +42,7 @@ Commands
 ``tenants``  replay a workload (deterministic under its seed) and print
              only the per-tenant accounting table.
 ``backends`` list the pluggable crypto kernel backends (pure oracle vs
-             gmpy2/numba accelerated), which one is active, why it was
+             gmpy2 accelerated), which one is active, why it was
              selected, and how to override (``REPRO_CRYPTO_BACKEND``).
 """
 
@@ -953,8 +953,8 @@ def cmd_backends(args) -> int:
             print(f"{'':26s} unavailable: {row['unavailable_reason']}")
     print(
         f"\noverride with {crypto_backend.BACKEND_ENV_VAR}="
-        f"{{pure,accel}} (accel is bit-identical to the pure oracle; "
-        "see tests/test_backend_equivalence.py)"
+        f"{{pure,accel}} (accel runs powmod and powmod_vector under gmpy2, "
+        "bit-identical to the pure oracle; see tests/test_backend_equivalence.py)"
     )
     return 0
 
@@ -1243,8 +1243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .crypto.backend import get_backend
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        get_backend()  # a mis-set REPRO_CRYPTO_BACKEND fails here, once, for every verb
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

@@ -30,10 +30,12 @@ as array kernels instead of interpreted per-slot loops. Two layouts exist:
 * an ``object``-dtype fallback for larger plaintext moduli, which keeps
   exact Python big-int arithmetic elementwise.
 
-Both layouts produce slot values *byte-identical* to the historical
-per-element tuple implementation (``tests/test_bgv_kernels.py`` holds the
-equivalence suite), so digests, seeded replays, and the planner's cost
-accounting are unaffected by the vectorization.
+Both layouts produce the slot values a per-element Python loop would
+(``tests/test_bgv.py`` checks the stacked sum against a Python sum on both,
+the int64 chunking at its overflow edge included), so digests, seeded
+replays, and the planner's cost accounting do not depend on the layout.
+None of this is bigint modexp, so none of it goes through
+:mod:`repro.crypto.backend`.
 
 All performance numbers come from the calibrated cost model, matching the
 paper's own extrapolation methodology.
@@ -46,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from .backend import get_backend
 
 # Security-standard table (ciphertext-modulus bits -> minimum log2(ring
 # degree) for >=128-bit security), coarsened from the HE standard [6].
@@ -265,14 +265,14 @@ def add(a: BGVCiphertext, b: BGVCiphertext) -> BGVCiphertext:
     """Slot-wise homomorphic addition; noise grows negligibly."""
     _check_compatible(a, b)
     t = a.params.plaintext_modulus
-    slots = get_backend().slot_add(a.slots, b.slots, t)
+    slots = (a.slots + b.slots) % t
     return BGVCiphertext(slots, a.key_id, a.params, max(a.level, b.level))
 
 
 def sub(a: BGVCiphertext, b: BGVCiphertext) -> BGVCiphertext:
     _check_compatible(a, b)
     t = a.params.plaintext_modulus
-    slots = get_backend().slot_sub(a.slots, b.slots, t)
+    slots = (a.slots - b.slots) % t
     return BGVCiphertext(slots, a.key_id, a.params, max(a.level, b.level))
 
 
@@ -280,14 +280,14 @@ def multiply(a: BGVCiphertext, b: BGVCiphertext) -> BGVCiphertext:
     """Slot-wise homomorphic multiplication; consumes one level."""
     _check_compatible(a, b)
     t = a.params.plaintext_modulus
-    slots = get_backend().slot_mul(a.slots, b.slots, t)
+    slots = (a.slots * b.slots) % t
     return BGVCiphertext(slots, a.key_id, a.params, max(a.level, b.level) + 1)
 
 
 def add_plain(ct: BGVCiphertext, values: Sequence[int]) -> BGVCiphertext:
     t = ct.params.plaintext_modulus
     padded = _pad(values, ct.params)
-    slots = get_backend().slot_add(ct.slots, padded, t)
+    slots = (ct.slots + padded) % t
     return BGVCiphertext(slots, ct.key_id, ct.params, ct.level)
 
 
@@ -295,7 +295,7 @@ def multiply_plain(ct: BGVCiphertext, values: Sequence[int]) -> BGVCiphertext:
     """Plaintext multiplication; cheaper noise-wise than ct-ct multiply."""
     t = ct.params.plaintext_modulus
     padded = _pad(values, ct.params)
-    slots = get_backend().slot_mul(ct.slots, padded, t)
+    slots = (ct.slots * padded) % t
     return BGVCiphertext(slots, ct.key_id, ct.params, ct.level + 1)
 
 
@@ -311,14 +311,28 @@ def rotate(ct: BGVCiphertext, k: int) -> BGVCiphertext:
     return BGVCiphertext(slots, ct.key_id, ct.params, ct.level)
 
 
+def _sum_slots(stack: np.ndarray, t: int) -> np.ndarray:
+    """Column sums of a (rows, slots) stack, reduced mod t.
+
+    On the int64 layout the reduction is chunked so no partial sum
+    exceeds 2^63 (each slot value is < t, so ``chunk`` rows plus the
+    running accumulator stay within a signed machine word).
+    """
+    if stack.dtype == object:
+        return np.sum(stack, axis=0) % t
+    chunk = max(1, (_INT64_MAX - t) // max(t - 1, 1))
+    total = np.zeros(stack.shape[1], dtype=np.int64)
+    for start in range(0, stack.shape[0], chunk):
+        total = (total + np.sum(stack[start : start + chunk], axis=0)) % t
+    return total
+
+
 def sum_ciphertexts(cts: Sequence[BGVCiphertext]) -> BGVCiphertext:
     """Sum a non-empty ciphertext sequence with one stacked reduction.
 
     Equivalent to folding :func:`add` left-to-right (field addition is
     associative and every partial result is reduced mod t), but performed
-    as one stacked column reduction in the crypto backend. On the int64
-    fast path the backend chunks the reduction so no partial sum can
-    exceed 2^63.
+    as one stacked column reduction (:func:`_sum_slots`).
     """
     if not cts:
         raise ValueError("cannot sum zero ciphertexts")
@@ -328,7 +342,7 @@ def sum_ciphertexts(cts: Sequence[BGVCiphertext]) -> BGVCiphertext:
     t = first.params.plaintext_modulus
     level = max(ct.level for ct in cts)
     stack = np.stack([ct.slots for ct in cts])
-    total = get_backend().sum_slots(stack, t)
+    total = _sum_slots(stack, t)
     return BGVCiphertext(total, first.key_id, first.params, level)
 
 

@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .backend import get_backend
 
@@ -110,13 +107,8 @@ class PrimeField:
     def bits(self) -> int:
         return self.modulus.bit_length()
 
-    def reduce(self, x):
-        """Reduce a scalar or numpy array into [0, p).
-
-        ``reduce``/``add``/``sub``/``mul`` accept either Python ints or
-        object-dtype numpy arrays (elementwise big-int arithmetic); the
-        batched Shamir kernels in :mod:`repro.crypto.shamir` rely on this.
-        """
+    def reduce(self, x: int) -> int:
+        """Reduce an integer into [0, p)."""
         return x % self.modulus
 
     def add(self, a, b):
@@ -127,19 +119,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.modulus
-
-    def to_array(self, values: Sequence[int]) -> np.ndarray:
-        """Reduce a value sequence into an object-dtype field-element array.
-
-        Object dtype keeps exact Python big-int semantics elementwise (the
-        moduli here exceed 64 bits, so machine-word dtypes would overflow),
-        while still enabling numpy's vectorized dispatch for matrix products
-        and broadcast reductions.
-        """
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            arr[i] = v % self.modulus
-        return arr
 
     def neg(self, a: int) -> int:
         return (-a) % self.modulus

@@ -12,9 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .backend import get_backend
 from .field import PrimeField
@@ -97,11 +95,9 @@ def lagrange_weights(modulus: int, xs: Tuple[int, ...], at: int = 0) -> Tuple[in
     The weights depend only on the point set, so they are computed once
     per ``(modulus, xs, at)`` and shared by every opening, reconstruction
     and VSR combine over that committee. The numerator/denominator
-    products are accumulated per point and the denominators inverted in
-    one backend batch — the accelerated backend uses Montgomery's trick (a
-    single modexp for the whole batch), the pure oracle inverts per
-    element; the weights are identical integers either way because every
-    step is exact field arithmetic.
+    products are accumulated per point and the denominators inverted
+    through the backend's ``batch_invmod`` (one inversion per point; the
+    memoisation above is what keeps that off every hot path).
     """
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must be distinct")
@@ -153,66 +149,3 @@ def add_shares(a: Share, b: Share, field: PrimeField) -> Share:
 def scale_share(a: Share, k: int, field: PrimeField) -> Share:
     """Multiply a shared value by a public constant."""
     return Share(a.x, field.mul(a.y, k))
-
-
-def _vandermonde_powers(
-    party_ids: Sequence[int], degree: int, field: PrimeField
-) -> np.ndarray:
-    """Column-stacked power matrix: powers[k][j] = party_ids[j]^k mod p."""
-    powers = np.empty((degree + 1, len(party_ids)), dtype=object)
-    row = field.to_array([1] * len(party_ids))
-    xs = field.to_array(party_ids)
-    for k in range(degree + 1):
-        powers[k] = row
-        if k < degree:
-            row = field.mul(row, xs)
-    return powers
-
-
-def share_vector(
-    values: Sequence[int],
-    threshold: int,
-    party_ids: Sequence[int],
-    field: PrimeField,
-    rng: random.Random,
-) -> Dict[int, List[Share]]:
-    """Share a vector of secrets; returns per-party share lists.
-
-    Evaluation is batched: the per-secret coefficient rows form an
-    (m, t+1) matrix which is multiplied against a precomputed Vandermonde
-    power matrix — one matrix product instead of m·n Horner loops. The
-    coefficients are drawn from ``rng`` in exactly the order the per-secret
-    :func:`share_secret` loop would draw them (secret-major: constant term,
-    then t random coefficients, per value), so seeded replays and the fault
-    injector's derived substreams observe a bit-identical stream, and the
-    resulting shares match :func:`share_vector_reference` exactly.
-    """
-    _validate_sharing(threshold, party_ids)
-    if not values:
-        return {pid: [] for pid in party_ids}
-    coeffs = np.empty((len(values), threshold + 1), dtype=object)
-    for i, v in enumerate(values):
-        coeffs[i, 0] = field.reduce(v)
-        for k in range(1, threshold + 1):
-            coeffs[i, k] = field.random_element(rng)
-    powers = _vandermonde_powers(party_ids, threshold, field)
-    evaluations = get_backend().matmul_mod(coeffs, powers, field.modulus)  # (m, parties)
-    return {
-        pid: [Share(pid, int(y)) for y in evaluations[:, j]]
-        for j, pid in enumerate(party_ids)
-    }
-
-
-def share_vector_reference(
-    values: Sequence[int],
-    threshold: int,
-    party_ids: Sequence[int],
-    field: PrimeField,
-    rng: random.Random,
-) -> Dict[int, List[Share]]:
-    """Legacy per-secret Horner sharing; oracle for the batched kernel."""
-    per_party: Dict[int, List[Share]] = {pid: [] for pid in party_ids}
-    for v in values:
-        for s in share_secret(v, threshold, party_ids, field, rng):
-            per_party[s.x].append(s)
-    return per_party

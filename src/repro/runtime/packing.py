@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..crypto.backend import get_backend
-
 
 @dataclass(frozen=True)
 class SlotPacking:
@@ -56,11 +54,13 @@ class SlotPacking:
             raise ValueError(
                 f"vector of {len(vector)} slots does not match width {self.width}"
             )
-        backend = get_backend()
-        return [
-            backend.pack_lanes(vector[start : start + self.lanes], self.slot_bits)
-            for start in range(0, self.width, self.lanes)
-        ]
+        packed = []
+        for start in range(0, self.width, self.lanes):
+            word = 0
+            for lane, v in enumerate(vector[start : start + self.lanes]):
+                word |= int(v) << (lane * self.slot_bits)
+            packed.append(word)
+        return packed
 
     def unpack(self, packed: Sequence[int], *, check: bool = True) -> List[int]:
         """Split packed (aggregated) plaintexts back into logical slots.
@@ -75,7 +75,7 @@ class SlotPacking:
                 f"{len(packed)} packed values do not match packed width "
                 f"{self.packed_width}"
             )
-        backend = get_backend()
+        mask = (1 << self.slot_bits) - 1
         slots: List[int] = []
         for start, value in zip(range(0, self.width, self.lanes), packed):
             lanes_here = min(self.lanes, self.width - start)
@@ -84,7 +84,9 @@ class SlotPacking:
                     "packed aggregate overflowed its lane capacity; the "
                     "per-slot sum bound used to plan the packing was violated"
                 )
-            slots.extend(backend.unpack_lanes(value, self.slot_bits, lanes_here))
+            slots.extend(
+                (value >> (lane * self.slot_bits)) & mask for lane in range(lanes_here)
+            )
         return slots
 
 

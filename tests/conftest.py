@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.ranges import Interval
 from repro.analysis.types import QueryEnvironment, ValueType
+from repro.crypto import shamir
 from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
 
 
@@ -40,6 +41,19 @@ def small_env(
         sensitivity=sensitivity,
         row_encoding=row_encoding,
     )
+
+
+def share_values(values, threshold, party_ids, field, rng):
+    """Share each value in turn; returns ``{party id: [Share per value]}``.
+
+    One :func:`repro.crypto.shamir.share_secret` per value, so ``rng`` is
+    drawn secret-major (the t coefficients of value 0, then of value 1, ...).
+    """
+    per_party = {pid: [] for pid in party_ids}
+    for value in values:
+        for share in shamir.share_secret(value, threshold, party_ids, field, rng):
+            per_party[share.x].append(share)
+    return per_party
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.crypto import bgv
@@ -243,3 +244,28 @@ class TestKernelEdgeCases:
             (big * count) % t,
             (big * count) % t,
         ]
+
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    def test_sum_slots_matches_python_sum(self, dtype):
+        rng = random.Random(6)
+        t = (1 << 30) + 3 if dtype == "int64" else (1 << 80) + 13
+        rows = [[rng.randrange(t) for _ in range(16)] for _ in range(97)]
+        want = [sum(column) % t for column in zip(*rows)]
+        stack = np.array(rows, dtype=np.int64 if dtype == "int64" else object)
+        got = bgv._sum_slots(stack, t)
+        assert got.dtype == stack.dtype
+        assert list(got) == want
+        # The same rows as ciphertexts, through the public entry point.
+        sk = make_key(plaintext_modulus=t, ring_log2=12, modulus_bits=109)
+        assert sk.params.slot_dtype == stack.dtype
+        total = bgv.sum_ciphertexts([bgv.encrypt(sk.public, row) for row in rows])
+        assert bgv.decrypt(sk, total, 16) == want
+
+    def test_sum_slots_chunking_never_overflows_int64(self):
+        # Slot values right at t-1 with a t large enough that an unchunked
+        # 9-row column sum would overflow a signed 64-bit partial sum
+        # (9 * (2^61 - 1) > 2^63): the chunk bound (3 rows here) must kick
+        # in and keep every partial within the machine word.
+        t = 1 << 61
+        stack = np.full((9, 4), t - 1, dtype=np.int64)
+        assert list(bgv._sum_slots(stack, t)) == [(9 * (t - 1)) % t] * 4

@@ -273,6 +273,25 @@ class TestBackendsCommand:
         selected = next(row for row in rows.values() if row["selected"])
         assert selected["selection_reason"]
 
+    @pytest.mark.parametrize(
+        "argv", [["backends"], ["run", "cms", "--devices", "16"]], ids=["backends", "run"]
+    )
+    def test_mis_set_env_var_is_a_usage_error(self, argv, monkeypatch, capsys):
+        from repro.crypto.backend import set_backend
+
+        monkeypatch.setenv("REPRO_CRYPTO_BACKEND", "foo")
+        with pytest.raises(ValueError):
+            set_backend(None)  # drop the cached selection; re-selecting fails
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            "repro: error: REPRO_CRYPTO_BACKEND='foo' is not a known backend; "
+            "expected one of ['accel', 'pure']"
+        ) in err
+        assert "Traceback" not in err
+
     def test_run_stats_name_the_backend(self, tmp_path, capsys):
         query = tmp_path / "q.arb"
         query.write_text("aggr = sum(db); r = em(aggr); output(r);")

@@ -24,6 +24,7 @@ from repro.crypto.vsr import redistribute_vector
 from repro.mpc.beaver import OfflineDealer
 from repro.mpc.engine import CheatingDetected, MPCEngine, SecretValue
 
+from .conftest import share_values
 from .oracles.mpc_reference import ReferenceEngine, ReferenceValue
 
 #: (field, value bit width): the 61-bit field only fits 16-bit values under
@@ -333,7 +334,7 @@ class TestLagrangeCache:
 
     def test_reconstruction_and_vsr_share_the_cache(self, field, rng):
         party_ids = [11, 12, 13, 14, 15]
-        shares = shamir.share_vector(list(range(6)), 2, party_ids, field, rng)
+        shares = share_values(list(range(6)), 2, party_ids, field, rng)
         rows = [[shares[pid][i] for pid in party_ids] for i in range(6)]
         shamir.lagrange_weights.cache_clear()
         assert [shamir.reconstruct_secret(row, field) for row in rows] == list(range(6))

@@ -14,8 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.crypto import bgv, paillier, shamir
-from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
+from repro.crypto import bgv, paillier
+from repro.crypto.field import MERSENNE_127, PrimeField
 from repro.faults import FaultInjector, get_scenario
 from repro.mpc.engine import MPCEngine
 from repro.planner.search import plan_query
@@ -248,19 +248,6 @@ class TestKernelEquivalence:
         assert bgv.decrypt(sk, stacked) == bgv.decrypt(sk, folded)
         assert stacked.level == folded.level
 
-    @pytest.mark.parametrize("modulus", [MERSENNE_61, MERSENNE_127])
-    def test_share_vector_matches_reference_and_rng_stream(self, modulus):
-        field = PrimeField(modulus)
-        rng = random.Random(9)
-        values = [rng.randrange(field.modulus) for _ in range(17)]
-        party_ids = [1, 2, 3, 5, 8]
-        rng_a, rng_b = random.Random(42), random.Random(42)
-        batched = shamir.share_vector(values, 2, party_ids, field, rng_a)
-        reference = shamir.share_vector_reference(values, 2, party_ids, field, rng_b)
-        assert batched == reference
-        # Identical draw count and order: the streams stay in lockstep.
-        assert rng_a.random() == rng_b.random()
-
     def test_paillier_tree_sum_matches_linear_fold(self):
         sk = paillier.keygen(64, random.Random(0))
         rng = random.Random(1)
@@ -304,6 +291,20 @@ class TestSlotPacking:
         vector = [1, 0, 5, 9, 0, 0, 2, 0, 0, 1]
         assert packing.packed_width == 4
         assert packing.unpack(packing.pack(vector)) == vector
+
+    def test_pack_unpack_roundtrip_across_lane_shapes(self):
+        # One lane, a ragged last word, the planner's 15 x 8 layout, and
+        # lanes wider than a machine word's half.
+        rng = random.Random(8)
+        for lanes, slot_bits in ((1, 8), (3, 7), (15, 8), (4, 33)):
+            packing = SlotPacking(width=2 * lanes + 1, slot_bits=slot_bits, lanes=lanes)
+            vector = [rng.randrange(1 << slot_bits) for _ in range(packing.width)]
+            packed = packing.pack(vector)
+            assert packed == [
+                sum(v << (i * slot_bits) for i, v in enumerate(vector[s : s + lanes]))
+                for s in range(0, packing.width, lanes)
+            ]
+            assert packing.unpack(packed) == vector
 
     def test_packed_sum_equals_slotwise_sum(self):
         packing = SlotPacking(width=8, slot_bits=12, lanes=4)

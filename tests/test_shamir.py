@@ -14,7 +14,6 @@ from repro.crypto.shamir import (
     reconstruct_secret,
     scale_share,
     share_secret,
-    share_vector,
 )
 
 FIELD = PrimeField(MERSENNE_61)
@@ -84,20 +83,6 @@ class TestHomomorphism:
         a = share_secret(7, 2, [1, 2, 3, 4, 5], FIELD, rng)
         scaled = [scale_share(s, 6, FIELD) for s in a]
         assert reconstruct_secret(scaled[:3], FIELD) == 42
-
-
-class TestVectorSharing:
-    def test_share_vector_shapes(self, rng):
-        per_party = share_vector([1, 2, 3], 1, [1, 2, 3], FIELD, rng)
-        assert set(per_party) == {1, 2, 3}
-        assert all(len(v) == 3 for v in per_party.values())
-
-    def test_share_vector_roundtrip(self, rng):
-        values = [5, 10, 15, 20]
-        per_party = share_vector(values, 1, [1, 2, 3], FIELD, rng)
-        for i, expected in enumerate(values):
-            shares = [per_party[p][i] for p in (1, 2)]
-            assert reconstruct_secret(shares, FIELD) == expected
 
 
 class TestLagrange:

@@ -31,6 +31,7 @@ from repro.crypto.vsr import (
 )
 from repro.runtime.committee import Committee
 
+from .conftest import share_values
 from .oracles import vsr_reference as ref
 
 FIELDS = {61: PrimeField(MERSENNE_61), 127: PrimeField(MERSENNE_127)}
@@ -52,7 +53,7 @@ def hand_offs(draw):
     seed = draw(st.integers(0, 2**32))
     rng = random.Random(seed)
     secrets = [rng.randrange(field.modulus) for _ in range(length)]
-    shares = shamir.share_vector(secrets, old_t, old_ids, field, rng)
+    shares = share_values(secrets, old_t, old_ids, field, rng)
     # The dealers `exclude_members` leaves: any subset that still holds a quorum.
     reachable = draw(
         st.lists(st.sampled_from(old_ids), min_size=old_t + 1, max_size=len(old_ids), unique=True)
@@ -84,7 +85,7 @@ def test_tampering_is_refused_naming_the_same_dealer(what, seed):
     rng = random.Random(seed)
     old_ids, new_ids, old_t, new_t, length = [3, 9, 4, 12, 7], [2, 5, 11, 6], 2, 1, 5
     secrets = [rng.randrange(field.modulus) for _ in range(length)]
-    shares = shamir.share_vector(secrets, old_t, old_ids, field, rng)
+    shares = share_values(secrets, old_t, old_ids, field, rng)
     old = {x: [s.y for s in shares[x]] for x in old_ids}
     dealers = old_ids[: old_t + 1]
     element, d, j = rng.randrange(length), rng.randrange(len(dealers)), rng.randrange(len(new_ids))
