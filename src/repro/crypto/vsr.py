@@ -29,16 +29,19 @@ from .shamir import Share, lagrange_coefficients_at_zero
 
 @dataclass(frozen=True)
 class FeldmanCommitment:
-    """Commitments g^{a_k} mod q to a sub-share polynomial's coefficients."""
+    """Commitments g^{a_k} mod q to a sub-share polynomial's coefficients.
 
-    group_modulus: int
-    generator: int
+    Only the commitments: the group (q, g) is the verifier's, derived from
+    the field (:func:`_group_for_field`), never something a dealer names.
+    """
+
     coefficient_commitments: Tuple[int, ...]
 
     def expected_commitment(self, x: int, field: PrimeField) -> int:
         """Compute prod_k C_k^{x^k} = g^{poly(x)} for verification."""
+        q, _ = _group_for_field(field)
         exponents = _powers(x, len(self.coefficient_commitments), field.modulus)
-        return _committed_value(self.coefficient_commitments, exponents, self.group_modulus)
+        return _committed_value(self.coefficient_commitments, exponents, q)
 
 
 def _powers(x: int, count: int, p: int) -> List[int]:
@@ -149,12 +152,9 @@ def _on_committed_polynomial(
     """Check g^y against prod_k C_k^{x^k} in the *field's* commitment group.
 
     The group is the verifier's, never the dealer's: in a group of the
-    dealer's choosing (say generator 1) every sub-share verifies, so a
-    commitment naming any other group is refused outright.
+    dealer's choosing (say generator 1) every sub-share would verify.
     """
     q, g = _group_for_field(field)
-    if (commitment.group_modulus, commitment.generator) != (q, g):
-        raise VSRError("commitment is not in this field's commitment group")
     (lhs,) = get_backend().powmod_base_vector(g, [y], q)
     return lhs == commitment.expected_commitment(x, field)
 
@@ -171,12 +171,11 @@ def redistribute_share(
     Returns the sub-shares destined for each new member plus the Feldman
     commitment that lets them verify the sub-shares were dealt consistently.
     """
-    q, g = _group_for_field(field)
     (commitments,), (ys,) = deal_committed([old_share.y], threshold, new_party_ids, field, rng)
     return RedistributionMessage(
         old_share.x,
         tuple(SubShare(old_share.x, pid, y) for pid, y in zip(new_party_ids, ys)),
-        FeldmanCommitment(q, g, tuple(commitments)),
+        FeldmanCommitment(tuple(commitments)),
     )
 
 
@@ -274,11 +273,10 @@ def share_secret_with_provenance(
     rng: random.Random,
 ) -> ProvenancedSharing:
     """Deal a sharing plus the Feldman commitments Extended VSR verifies."""
-    q, g = _group_for_field(field)
     (commitments,), (ys,) = deal_committed([secret], threshold, party_ids, field, rng)
     return ProvenancedSharing(
         tuple(Share(pid, y) for pid, y in zip(party_ids, ys)),
-        FeldmanCommitment(q, g, tuple(commitments)),
+        FeldmanCommitment(tuple(commitments)),
     )
 
 

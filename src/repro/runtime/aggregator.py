@@ -1,23 +1,29 @@
-"""The aggregator node: upload intake, ZKP verification, Merkle commitments,
-homomorphic aggregation, and the committee mailbox (§5.3, §5.4).
+"""The aggregator: a tree of nodes that fold verified shard sums
+homomorphically and commit every step to a Merkle log (§5.3).
 
 The aggregator is untrusted (OB threat model, §3.1): everything it computes
-is committed into a Merkle tree whose leaves the participants audit, its
-mailbox only ever carries committee payloads it cannot read, and malformed
-participant uploads are filtered by their ZKPs before aggregation.
+is committed into a Merkle tree whose leaves the participants audit, and
+malformed participant uploads are filtered by their ZKPs before aggregation
+— in the shard pipeline (:func:`repro.runtime.shard.verify_shard`), whose
+verified partial sums are the tree's leaves. The §5.4 mailbox that relays
+committee payloads is priced by the planner; the simulation hands a
+committee's shares to the next one directly (VSR, ``runtime/committee.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..crypto import paillier
 from ..crypto.merkle import InclusionProof, MerkleTree, verify_inclusion
-from ..crypto.zkp import InputProof, Statement, verify as zkp_verify
+from ..crypto.zkp import InputProof
+
+# bench/ (frozen) resolves ``zkp_verify`` in this module's namespace; nothing
+# here calls it since the per-Upload intake left (ROADMAP, benchmark-only item).
+from ..crypto.zkp import verify as zkp_verify  # noqa: F401  verify: allow(no-unused-imports)
 
 
 def upload_digests(device_ids: Sequence[int], ciphertext_bytes: Sequence[bytes]) -> List[bytes]:
@@ -47,10 +53,10 @@ class Upload:
         Uploads are frozen after construction, so the first computation is
         cached and reused — tree leaves and Merkle commitments digest every
         upload at least twice. The cache is *not* a trust anchor: the
-        verify path (:meth:`AggregatorNode.verify_uploads`,
-        :func:`repro.runtime.shard.verify_shard`) always recomputes the
-        ciphertext digest from the stored ciphertexts, so tampering with
-        an upload after its digest was cached is still caught.
+        verify path (:func:`repro.runtime.shard.verify_shard`) recomputes
+        every ciphertext digest from the stored columns and never reads
+        this one, so tampering with an upload after its digest was cached
+        is still caught.
         """
         cached = getattr(self, "_digest", None)
         if cached is None:
@@ -64,46 +70,6 @@ def ciphertext_vector_digest(cts: Sequence[paillier.PaillierCiphertext]) -> byte
 
 
 @dataclass
-class AggregationStatistics:
-    """Wall-clock and throughput counters for one query's upload intake.
-
-    These feed ``QueryResult.statistics`` (``repro run --stats``); they are
-    observability only and never participate in commitments or results.
-    """
-
-    uploads_received: int = 0
-    uploads_verified: int = 0
-    uploads_rejected: int = 0
-    verify_seconds: float = 0.0
-    aggregate_seconds: float = 0.0
-    ciphertext_additions: int = 0
-
-    @property
-    def uploads_verified_per_second(self) -> float:
-        if self.verify_seconds <= 0:
-            return 0.0
-        return self.uploads_verified / self.verify_seconds
-
-    @property
-    def uploads_rejected_per_second(self) -> float:
-        if self.verify_seconds <= 0:
-            return 0.0
-        return self.uploads_rejected / self.verify_seconds
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "uploads_received": self.uploads_received,
-            "uploads_verified": self.uploads_verified,
-            "uploads_rejected": self.uploads_rejected,
-            "verify_seconds": self.verify_seconds,
-            "aggregate_seconds": self.aggregate_seconds,
-            "ciphertext_additions": self.ciphertext_additions,
-            "uploads_verified_per_second": self.uploads_verified_per_second,
-            "uploads_rejected_per_second": self.uploads_rejected_per_second,
-        }
-
-
-@dataclass
 class StepCommitment:
     """One audited computation step: a label and the result digest."""
 
@@ -112,59 +78,15 @@ class StepCommitment:
 
 
 class AggregatorNode:
-    """The coordinator: honest-but-auditable in the simulation.
+    """One internal node of the aggregation tree: its fold and its step log.
 
-    Test hooks (``tamper_with_upload``, ``corrupt_step``) let tests exercise
-    the Byzantine-aggregator detection paths.
+    Honest-but-auditable in the simulation; the test hook ``corrupt_step``
+    lets tests exercise the Byzantine-aggregator detection paths.
     """
 
-    def __init__(self, public_key: paillier.PaillierPublicKey):
-        self.public_key = public_key
-        self.uploads: List[Upload] = []
-        self.rejected: List[int] = []
+    def __init__(self) -> None:
         self.steps: List[StepCommitment] = []
         self._step_tree: Optional[MerkleTree] = None
-        self.mailbox: Dict[str, List[object]] = {}
-        self.stats = AggregationStatistics()
-
-    # ----------------------------------------------------------------- input
-
-    def receive_upload(self, upload: Upload) -> None:
-        self.uploads.append(upload)
-        self.stats.uploads_received += 1
-
-    def receive_uploads(self, uploads: Sequence[Upload]) -> None:
-        """Batched intake: one call per submission round, not per device."""
-        self.uploads.extend(uploads)
-        self.stats.uploads_received += len(uploads)
-
-    def verify_uploads(self, statement: Statement, round_number: int) -> List[Upload]:
-        """Check every upload's ZKP; malformed inputs are dropped (§5.3).
-
-        A proof counts only if it is the one for *this* uploader, the
-        current round and the query's statement, over the ciphertexts
-        actually stored — the comparisons
-        :func:`repro.runtime.shard.verify_shard` makes — so a proof
-        replayed from another device, round or statement is rejected.
-        """
-        started = time.perf_counter()
-        accepted: List[Upload] = []
-        for upload in self.uploads:
-            proof = upload.proof
-            if (
-                proof.ciphertext_digest == ciphertext_vector_digest(upload.ciphertexts)
-                and proof.device_id == upload.device_id
-                and proof.round_number == round_number
-                and proof.statement == statement
-                and zkp_verify(proof, upload.witness)
-            ):
-                accepted.append(upload)
-            else:
-                self.rejected.append(upload.device_id)
-        self.stats.verify_seconds += time.perf_counter() - started
-        self.stats.uploads_verified += len(accepted)
-        self.stats.uploads_rejected = len(self.rejected)
-        return accepted
 
     # ------------------------------------------------------------- aggregate
 
@@ -182,14 +104,10 @@ class AggregatorNode:
         width = len(vectors[0])
         if any(len(vector) != width for vector in vectors):
             raise ValueError("ciphertext vectors have inconsistent widths")
-        started = time.perf_counter()
-        totals = [
+        return [
             paillier.sum_ciphertexts([vector[j] for vector in vectors])
             for j in range(width)
         ]
-        self.stats.aggregate_seconds += time.perf_counter() - started
-        self.stats.ciphertext_additions += (len(vectors) - 1) * width
-        return totals
 
     # ----------------------------------------------------------------- audit
 
@@ -224,22 +142,7 @@ class AggregatorNode:
                     failures += 1
         return failures
 
-    # --------------------------------------------------------------- mailbox
-
-    def post(self, channel: str, message: object) -> None:
-        """Committees deposit (encrypted/signed) payloads for the next
-        vignette; the aggregator cannot read them (§5.4)."""
-        self.mailbox.setdefault(channel, []).append(message)
-
-    def fetch(self, channel: str) -> List[object]:
-        return self.mailbox.pop(channel, [])
-
     # ------------------------------------------------------------ test hooks
-
-    def tamper_with_upload(self, index: int) -> None:
-        """Byzantine hook: corrupt a stored upload's first ciphertext."""
-        upload = self.uploads[index]
-        upload.ciphertexts[0] = paillier.tampered(upload.ciphertexts[0])
 
     def corrupt_step(self, index: int) -> None:
         """Byzantine hook: rewrite a committed step after publication."""
@@ -320,7 +223,6 @@ class AggregatorTree:
         self.public_key = public_key
         self.fanout = fanout
         self.rejected: List[int] = []
-        self.stats = AggregationStatistics()
         self.levels: List[List[TreeNode]] = [
             [TreeNode(0, i) for i in range(num_leaves)]
         ]
@@ -334,7 +236,7 @@ class AggregatorTree:
                     level,
                     index // fanout,
                     children=children,
-                    node=AggregatorNode(public_key),
+                    node=AggregatorNode(),
                     pending_children=len(children),
                 )
                 parents.append(parent)
@@ -347,7 +249,7 @@ class AggregatorTree:
                 [
                     TreeNode(
                         1, 0, children=[leaf],
-                        node=AggregatorNode(public_key), pending_children=1,
+                        node=AggregatorNode(), pending_children=1,
                     )
                 ]
             )
@@ -387,13 +289,6 @@ class AggregatorTree:
         leaf.digest = result.leaf_digest
         leaf.folded = True
         self.rejected.extend(result.rejected)
-        stats = self.stats
-        stats.uploads_received += result.uploads_received
-        stats.uploads_verified += result.accepted
-        stats.uploads_rejected += len(result.rejected)
-        stats.verify_seconds += result.verify_seconds
-        stats.aggregate_seconds += result.aggregate_seconds
-        stats.ciphertext_additions += result.ciphertext_additions
         parent = self._parent_of(leaf)
         parent.pending_children -= 1
         if parent.pending_children == 0:
@@ -417,7 +312,6 @@ class AggregatorTree:
             )
         if tree_node.folded:
             raise ValueError(f"node ({level},{index}) folded twice")
-        started = time.perf_counter()
         for child in tree_node.children:
             tree_node.node.commit_step(
                 f"child/{child.level}.{child.index}", child.digest
@@ -425,7 +319,6 @@ class AggregatorTree:
         columns = [c.partials for c in tree_node.children if c.partials]
         if columns:
             tree_node.partials = tree_node.node.aggregate(columns)
-            self.stats.ciphertext_additions += (len(columns) - 1) * len(columns[0])
             fold_digest = ciphertext_vector_digest(tree_node.partials)
         else:
             fold_digest = hashlib.sha256(b"empty-fold").digest()
@@ -433,7 +326,6 @@ class AggregatorTree:
         tree_node.node.commit_step("fold", fold_digest)
         tree_node.digest = tree_node.node.publish_step_root()
         tree_node.folded = True
-        self.stats.aggregate_seconds += time.perf_counter() - started
         if level + 1 < len(self.levels):
             parent = self._parent_of(tree_node)
             parent.pending_children -= 1

@@ -128,6 +128,10 @@ from .network import FederatedNetwork
 #: rejection, pool exhaustion, genuine protocol corruption) propagates.
 RECOVERABLE_FAULTS = (InjectedFailure, CheatingDetected, VSRError)
 
+#: Replays a phase gets after its first attempt before the fault is
+#: declared unrecoverable.
+MAX_PHASE_RETRIES = 3
+
 
 class QueryRejected(Exception):
     """Raised when the keygen committee refuses the query (budget)."""
@@ -154,7 +158,9 @@ class RuntimeStatistics:
     Mirrors ``PlannerStatistics`` on the execution side: wall-clock and
     throughput numbers for the hot intake stages. Statistics never
     influence results, commitments, or accounting, and are excluded from
-    ``QueryResult`` equality.
+    ``QueryResult`` equality. The intake counts have no other owner: the
+    input phase's ``aggregate`` / ``fold`` handlers fill them from each
+    shard's ``ShardIntakeResult``.
     """
 
     #: Name of the active crypto kernel backend (``crypto/backend.py``):
@@ -258,9 +264,7 @@ class QueryExecutor:
         key_prime_bits: int = 128,
         rng: Optional[random.Random] = None,
         accountant: Optional[PrivacyAccountant] = None,
-        verify_plan: bool = True,
         faults: Optional[FaultInjector] = None,
-        max_phase_retries: int = 3,
         data_plane: str = "sharded",
         journal: Optional[ExecutionJournal] = None,
         shard_size: int = 1024,
@@ -285,7 +289,6 @@ class QueryExecutor:
             raise ValueError("shard_size must be positive")
         self.network = network
         self.planning = planning
-        self.verify_plan = verify_plan
         self.logical = planning.logical_plan
         self.env = self.logical.env
         self.committee_size = committee_size
@@ -295,7 +298,6 @@ class QueryExecutor:
         self.rng = rng if rng is not None else random.Random(network.rng.getrandbits(64))
         self.accountant = accountant
         self.faults = faults
-        self.max_phase_retries = max_phase_retries
         self.events: List[str] = []
         self.pool: Optional[CommitteePool] = None
         self.certificate: Optional[QueryAuthorizationCertificate] = None
@@ -545,11 +547,11 @@ class QueryExecutor:
                     f"phase {label!r} cannot recover: {exc}", inj.log
                 ) from exc
             except RECOVERABLE_FAULTS as exc:
-                if attempt > self.max_phase_retries:
+                if attempt > MAX_PHASE_RETRIES:
                     inj.log.resolve_phase(
                         label,
                         UNRECOVERABLE,
-                        recovery=f"retry budget ({self.max_phase_retries}) exhausted",
+                        recovery=f"retry budget ({MAX_PHASE_RETRIES}) exhausted",
                     )
                     inj.finish()
                     raise UnrecoverableFault(
@@ -659,15 +661,14 @@ class QueryExecutor:
     # ------------------------------------------------------------------ run
 
     def run(self) -> QueryResult:
-        if self.verify_plan:
-            # Gate: refuse to execute a plan that fails static verification
-            # (a tampered certificate, an unsound vignette sequence, ...).
-            # The accountant is deliberately NOT consulted here — budget
-            # exhaustion must keep raising QueryRejected, not a verify error.
-            from ..verify import verify_planning_result
+        # Gate: refuse to execute a plan that fails static verification
+        # (a tampered certificate, an unsound vignette sequence, ...).
+        # The accountant is deliberately NOT consulted here — budget
+        # exhaustion must keep raising QueryRejected, not a verify error.
+        from ..verify import verify_planning_result
 
-            verify_planning_result(self.planning).raise_if_failed()
-            self._validate_privacy_certificate()
+        verify_planning_result(self.planning).raise_if_failed()
+        self._validate_privacy_certificate()
         if self.journal is not None:
             self._restore_from_journal()
         n = len(self.network)
@@ -721,14 +722,6 @@ class QueryExecutor:
                 }
             )
             self.statistics.journal_records = self.journal.record_count
-        agg = aggregator.stats
-        self.statistics.uploads_verified = agg.uploads_verified
-        self.statistics.uploads_rejected = agg.uploads_rejected
-        self.statistics.verify_seconds = agg.verify_seconds
-        self.statistics.aggregate_seconds = agg.aggregate_seconds
-        self.statistics.ciphertext_additions = agg.ciphertext_additions
-        self.statistics.uploads_verified_per_second = agg.uploads_verified_per_second
-        self.statistics.uploads_rejected_per_second = agg.uploads_rejected_per_second
         return QueryResult(
             outputs=outputs,
             rejected_devices=list(aggregator.rejected),
@@ -990,7 +983,11 @@ class QueryExecutor:
         )
         scheduler = event_scheduler.EventScheduler()
         devices = self.network.devices
-        submit_seconds = 0.0
+        stats = self.statistics
+        # The counts of this attempt's tree: a replayed phase starts them over
+        # (``uploads_submitted`` and ``submit_seconds`` count every attempt).
+        stats.uploads_verified = stats.uploads_rejected = 0
+        stats.verify_seconds = stats.aggregate_seconds = 0.0
 
         def on_churn(event):
             shard = event.payload
@@ -1018,11 +1015,14 @@ class QueryExecutor:
             ]
 
         def on_aggregate(event):
-            nonlocal submit_seconds
             result = event.payload
             ready = tree.ingest_leaf(result)
-            submit_seconds += result.submit_seconds
-            self.statistics.uploads_submitted += result.uploads_received
+            stats.uploads_submitted += result.uploads_received
+            stats.submit_seconds += result.submit_seconds
+            stats.uploads_verified += result.accepted
+            stats.uploads_rejected += len(result.rejected)
+            stats.verify_seconds += result.verify_seconds
+            stats.aggregate_seconds += result.aggregate_seconds
             self._checkpoint(f"input/shard{result.shard_id}")
             return None, (
                 [(event_scheduler.FOLD, ready[1], ready)] if ready else []
@@ -1030,7 +1030,9 @@ class QueryExecutor:
 
         def on_fold(event):
             level, index = event.payload
+            started = time.perf_counter()
             ready = tree.fold_node(level, index)
+            stats.aggregate_seconds += time.perf_counter() - started
             return None, (
                 [(event_scheduler.FOLD, ready[1], ready)] if ready else []
             )
@@ -1042,7 +1044,7 @@ class QueryExecutor:
         scheduler.register(event_scheduler.FOLD, on_fold)
         for shard in shards:
             scheduler.post(event_scheduler.CHURN, shard.shard_id, shard)
-        scheduler.drain()
+        stats.scheduler_events = stats.scheduler_batches = scheduler.drain()
 
         self._resolve_garbage_faults(garbage, tree)
         if not tree.root.accepted:
@@ -1059,19 +1061,24 @@ class QueryExecutor:
         )
         if audits_failed:
             raise ExecutionError(f"{audits_failed} participant audits failed")
-        self.statistics.submit_seconds += submit_seconds
-        self.statistics.logical_width = width
-        self.statistics.packed_width = packed_width
-        self.statistics.packing_lanes = (
-            self._packing.lanes if self._packing else 1
+        # Folding A accepted vectors takes A - 1 additions per packed slot
+        # whatever the tree's shape: a node folding k non-empty inputs adds
+        # k - 1 times, and every non-empty sum below the root is one input of
+        # its parent, so the per-node counts telescope to A - 1.
+        stats.ciphertext_additions = (tree.root.accepted - 1) * packed_width
+        seconds = stats.verify_seconds
+        stats.uploads_verified_per_second = (
+            stats.uploads_verified / seconds if seconds > 0 else 0.0
         )
-        self.statistics.shards = len(shards)
-        self.statistics.shard_size = self.shard_size
-        self.statistics.tree_depth = tree.depth
-        self.statistics.scheduler_events = sum(
-            scheduler.stats.events_processed.values()
+        stats.uploads_rejected_per_second = (
+            stats.uploads_rejected / seconds if seconds > 0 else 0.0
         )
-        self.statistics.scheduler_batches = self.statistics.scheduler_events
+        stats.logical_width = width
+        stats.packed_width = packed_width
+        stats.packing_lanes = self._packing.lanes if self._packing else 1
+        stats.shards = len(shards)
+        stats.shard_size = self.shard_size
+        stats.tree_depth = tree.depth
         self._checkpoint("input/aggregated")
         return tree, totals, audits_failed
 

@@ -29,8 +29,8 @@ post order alone.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Sequence, Tuple
 
 #: Event kinds of the sharded input pipeline, in pipeline order.
@@ -58,20 +58,12 @@ class ShardEvent:
     payload: object = None
 
 
-@dataclass
-class SchedulerStatistics:
-    """Observability counters for one drained pipeline."""
-
-    events_processed: Dict[str, int] = field(default_factory=Counter)
-
-
 class EventScheduler:
     """A FIFO of shard events, drained one at a time in post order."""
 
     def __init__(self) -> None:
         self._queue: Deque[ShardEvent] = deque()
         self._handlers: Dict[str, Handler] = {}
-        self.stats = SchedulerStatistics()
 
     def register(self, kind: str, handler: Handler) -> None:
         if kind not in EVENT_KINDS:
@@ -99,7 +91,6 @@ class EventScheduler:
         while self._queue:
             event = self._queue.popleft()
             handled += 1
-            self.stats.events_processed[event.kind] += 1
             _result, followups = self._handlers[event.kind](event)
             for followup in followups or ():
                 post(*followup)

@@ -259,7 +259,6 @@ class ShardIntakeResult:
     submit_seconds: float = 0.0
     verify_seconds: float = 0.0
     aggregate_seconds: float = 0.0
-    ciphertext_additions: int = 0
     uploads_received: int = 0
 
 
@@ -368,12 +367,10 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
 
     started = time.perf_counter()
     partials: Optional[List[paillier.PaillierCiphertext]] = None
-    additions = 0
     if accepted:
         partials = paillier.sum_columns(
             batch.modulus, [batch.ciphertexts[k] for k in accepted]
         )
-        additions = (len(accepted) - 1) * len(partials)
     aggregate_seconds = time.perf_counter() - started
 
     digests = upload_digests([ids[k] for k in accepted], [bodies[k] for k in accepted])
@@ -391,7 +388,6 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
         submit_seconds=batch.submit_seconds,
         verify_seconds=verify_seconds,
         aggregate_seconds=aggregate_seconds,
-        ciphertext_additions=additions,
         uploads_received=len(batch),
     )
 

@@ -227,7 +227,6 @@ def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
         accepted.append(upload)
 
     partials: Optional[List[paillier.PaillierCiphertext]] = None
-    additions = 0
     if accepted:
         width = len(accepted[0].ciphertexts)
         partials = []
@@ -236,7 +235,6 @@ def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
             for upload in accepted[1:]:
                 total = paillier.add_ciphertexts(total, upload.ciphertexts[j])
             partials.append(total)
-        additions = (len(accepted) - 1) * width
 
     upload_digests = [upload_digest(u) for u in accepted]
     hasher = hashlib.sha256(b"shard-leaf")
@@ -251,6 +249,5 @@ def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
         rejected=rejected,
         upload_digests=upload_digests,
         leaf_digest=hasher.digest(),
-        ciphertext_additions=additions,
         uploads_received=len(batch.uploads),
     )

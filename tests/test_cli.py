@@ -303,3 +303,7 @@ class TestBackendsCommand:
         from repro.crypto.backend import active_backend_name
 
         assert f"crypto_backend: {active_backend_name()}" in out
+        from tests.test_sharded_runtime import TestIntakeCounts
+
+        block = out.split("runtime statistics:\n", 1)[1].splitlines()
+        assert tuple(line.split(":")[0].strip() for line in block) == TestIntakeCounts.KEYS

@@ -260,7 +260,6 @@ def intake_fields(result):
         result.rejected,
         result.upload_digests,
         result.leaf_digest,
-        result.ciphertext_additions,
         result.uploads_received,
     )
 

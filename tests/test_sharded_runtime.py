@@ -11,6 +11,7 @@ bit-identically).
 
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.faults import (
     get_scenario,
 )
 from repro.planner.search import plan_query
-from repro.runtime.aggregator import AggregatorNode, AggregatorTree, Upload
+from repro.runtime.aggregator import AggregatorTree, Upload
 from repro.runtime import shard as shard_module
 from repro.runtime.executor import QueryExecutor, pad_pool_size
 from repro.runtime.journal import run_to_completion
@@ -60,14 +61,15 @@ def _executor(
     scenario=None,
     shard_size=8,
     tree_fanout=2,
+    categories=8,
     **kwargs,
 ):
-    env = small_env(num_participants=devices, categories=8, epsilon=8.0)
+    env = small_env(num_participants=devices, categories=categories, epsilon=8.0)
     planning = plan_query(TOP1, env, name="sharded-equiv")
     network = FederatedNetwork(
         devices, rng=random.Random(seed), malicious_fraction=malicious_fraction
     )
-    network.load_categorical_data(8)
+    network.load_categorical_data(categories)
     faults = None
     if scenario is not None:
         plan = scenario if isinstance(scenario, FaultPlan) else get_scenario(scenario)
@@ -96,36 +98,41 @@ class TestEventScheduler:
     def _pipeline(self, items=10):
         """A churn->upload->verify->aggregate pipeline over plain ints."""
         sched = EventScheduler()
-        trace = []
+        trace, kinds = [], Counter()
 
-        sched.register(
+        def register(kind, handler):
+            def counted(ev):
+                kinds[ev.kind] += 1
+                return handler(ev)
+
+            sched.register(kind, counted)
+
+        register(
             CHURN,
             lambda ev: (None, [(UPLOAD, ev.shard_id, ev.shard_id * 10)]),
         )
-        sched.register(
+        register(
             UPLOAD, lambda ev: (ev.payload + 1, [(VERIFY, ev.shard_id, ev.payload + 1)]),
         )
-        sched.register(
+        register(
             VERIFY, lambda ev: (ev.payload, [(AGGREGATE, ev.shard_id, ev.payload)]),
         )
-        sched.register(
+        register(
             AGGREGATE,
             lambda ev: (trace.append((ev.shard_id, ev.payload)), []),
         )
         for i in range(items):
             sched.post(CHURN, i)
         handled = sched.drain()
-        return trace, handled, sched.stats
+        return trace, handled, kinds
 
     def test_serial_and_parallel_traces_identical(self):
         # The id predates the deletion of the worker pool; its serial half is
         # what is left: every event handled once, in post order.
-        trace, handled, stats = self._pipeline()
+        trace, handled, kinds = self._pipeline()
         assert handled == 40
         assert trace == [(i, i * 10 + 1) for i in range(10)]
-        assert stats.events_processed == dict.fromkeys(
-            (CHURN, UPLOAD, VERIFY, AGGREGATE), 10
-        )
+        assert kinds == dict.fromkeys((CHURN, UPLOAD, VERIFY, AGGREGATE), 10)
 
     def test_takes_no_worker_count(self):
         with pytest.raises(TypeError):
@@ -262,18 +269,6 @@ class TestUploadDigestCache:
         assert upload._digest == first
         assert upload.digest() is first  # reused, not recomputed
 
-    def test_tamper_after_cache_still_caught_by_verify(self, keypair):
-        pk, _ = keypair
-        node = AggregatorNode(pk)
-        upload = self._upload(keypair)
-        upload.digest()  # populate the cache
-        node.receive_upload(upload)
-        node.tamper_with_upload(0)
-        # The cached digest is stale, but the verify path recomputes the
-        # ciphertext digest from the stored ciphertexts and rejects.
-        assert node.verify_uploads(one_hot_statement(8), 1) == []
-        assert node.rejected == [1]
-
     def test_tamper_after_cache_still_caught_by_shard_verify(
         self, keypair, shard_ctx
     ):
@@ -360,7 +355,9 @@ class TestAggregatorTree:
         # The digest, the count and both stream positions were taken on the
         # commit before fold_node summed through AggregatorNode.aggregate and
         # run_audits checked its step through AggregatorNode.run_audits
-        # (the tree then carried its own copies of both loops).
+        # (the tree then carried its own copies of both loops). The count was
+        # the tree's own tally of leaf sums and folds; folding A vectors of
+        # width w takes (A - 1) * w additions whatever the tree's shape.
         def position(rng):
             return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
 
@@ -368,13 +365,7 @@ class TestAggregatorTree:
         assert tree.root.digest.hex() == (
             "406c4caabb3dc2c2293045b4027242ebd0686a143482ba13d70e3119a4be1a4f"
         )
-        leaf_additions = 9 * 11 * 8  # 9 shards: 12 accepted uploads of width 8
-        assert tree.stats.ciphertext_additions == 856
-        assert sum(
-            node.node.stats.ciphertext_additions
-            for level in tree.levels[1:]
-            for node in level
-        ) == 856 - leaf_additions
+        assert (tree.root.accepted - 1) * len(tree.totals()) == 856
         rng = random.Random(5)
         assert tree.run_audits(rng, auditors=16) == 0
         assert position(rng) == (
@@ -506,6 +497,75 @@ class TestShardedEquivalence:
         a = _run(seed=21, malicious_fraction=0.25, shard_size=8)
         b = _run(seed=21, malicious_fraction=0.25, shard_size=32, tree_fanout=4)
         assert a.rejected_devices and a.rejected_devices == b.rejected_devices
+
+
+class TestIntakeCounts:
+    """``RuntimeStatistics`` is the one owner of the intake counts.
+
+    Pinned on the commit before the aggregator's per-``Upload`` intake and
+    its statistics dataclasses were deleted, when the executor copied these
+    counts field by field out of the tree's own tally.
+    """
+
+    KEYS = (
+        "crypto_backend", "logical_width", "packed_width", "packing_lanes",
+        "uploads_submitted", "submit_seconds", "uploads_verified",
+        "uploads_rejected", "verify_seconds", "aggregate_seconds",
+        "ciphertext_additions", "uploads_verified_per_second",
+        "uploads_rejected_per_second", "decrypt_seconds", "shards", "shard_size",
+        "tree_depth", "scheduler_events", "scheduler_batches", "checkpoints",
+        "journal_records", "journal_replayed", "resume_events",
+    )
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        # 12 shards under a depth-3 tree, two packed ciphertexts an upload,
+        # malicious devices scattered and every device of shard 5 malicious.
+        executor = _executor(
+            devices=96, categories=32, malicious_fraction=0.1, tree_fanout=4
+        )
+        for device in executor.network.devices[40:48]:
+            device.malicious = True
+        return executor.run()
+
+    def test_counts_match_the_pinned_run(self, result):
+        from repro.crypto.backend import active_backend_name
+
+        stats = result.statistics.as_dict()
+        assert tuple(stats) == self.KEYS
+        assert {k: v for k, v in stats.items() if not isinstance(v, float)} == {
+            "crypto_backend": active_backend_name(),
+            "logical_width": 32,
+            "packed_width": 2,
+            "packing_lanes": 23,
+            "uploads_submitted": 96,
+            "uploads_verified": 76,
+            "uploads_rejected": 20,
+            "ciphertext_additions": 150,
+            "shards": 12,
+            "shard_size": 8,
+            "tree_depth": 3,
+            "scheduler_events": 52,
+            "scheduler_batches": 52,
+            "checkpoints": 51,
+            "journal_records": 0,
+            "journal_replayed": 0,
+            "resume_events": 0,
+        }
+        assert set(range(41, 49)) <= set(result.rejected_devices)
+        assert hashlib.sha256(repr(result).encode()).hexdigest() == (
+            "c53da98db5c91a040dab4a34949d7f666a392f2318817eedcb28a318d9ead422"
+        )
+
+    def test_rates_are_the_counts_over_verify_time(self, result):
+        stats = result.statistics
+        assert stats.verify_seconds > 0 and stats.aggregate_seconds > 0
+        assert stats.uploads_verified_per_second == pytest.approx(
+            stats.uploads_verified / stats.verify_seconds
+        )
+        assert stats.uploads_rejected_per_second == pytest.approx(
+            stats.uploads_rejected / stats.verify_seconds
+        )
 
 
 class TestWaveDrain:

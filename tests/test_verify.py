@@ -248,6 +248,18 @@ class TestWiring:
         assert not excinfo.value.report.ok
         assert "dp-epsilon-matches" in failing_rules(excinfo.value.report)
 
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [("verify_plan", False), ("max_phase_retries", 0)],
+        ids=["verify_plan", "max_phase_retries"],
+    )
+    def test_executor_gate_and_retry_budget_are_not_options(self, keyword, value):
+        # The gate always runs (it fails closed) and the retry budget is
+        # MAX_PHASE_RETRIES: neither can be changed from the constructor.
+        network = FederatedNetwork(8, rng=random.Random(0))
+        with pytest.raises(TypeError, match=keyword):
+            QueryExecutor(network, plan_laplace(), rng=random.Random(0), **{keyword: value})
+
     def test_verify_plan_entry_point_matches_result_fields(self):
         result = plan_laplace()
         direct = verify_plan(

@@ -118,21 +118,23 @@ class TestFailClosedVerifier:
     def test_dealer_chosen_group_rejected(self, rng):
         """Generator 1 makes every check 1 == 1: before the verifier took
         the group from the field, random sub-shares from such a dealer
-        combined into garbage without any error."""
+        combined into garbage without any error. A commitment carries no
+        group any more, so the generator-1 forgery is just commitments
+        (1, 1) — and the value check in the field's group refuses it."""
         old = share_secret(1234, 1, [1, 2, 3], FIELD, rng)
         honest = redistribute_share(old[0], 1, [1, 2, 3], FIELD, rng)
         forged = RedistributionMessage(
             old[1].x,
             tuple(SubShare(old[1].x, pid, rng.randrange(FIELD.modulus)) for pid in (1, 2, 3)),
-            FeldmanCommitment(honest.commitment.group_modulus, 1, (1, 1)),
+            FeldmanCommitment((1, 1)),
         )
         for sub in forged.sub_shares:
-            with pytest.raises(VSRError, match="commitment group"):
-                verify_sub_share(sub, forged.commitment, FIELD)
-        with pytest.raises(VSRError, match="commitment group"):
+            assert not verify_sub_share(sub, forged.commitment, FIELD)
+        with pytest.raises(VSRError, match=f"dealer {old[1].x} failed verification"):
             combine_sub_shares(1, [honest, forged], FIELD, 1)
-        with pytest.raises(VSRError, match="commitment group"):
-            verify_share_provenance(old[1], forged.commitment, FIELD)
+        assert not verify_share_provenance(old[1], forged.commitment, FIELD)
+        with pytest.raises(TypeError):
+            FeldmanCommitment(7, 1, (1, 1))
 
     def test_over_degree_dealer_rejected(self, rng):
         """Three coefficient commitments at new threshold 1 verify for every
