@@ -4,7 +4,9 @@ Arboretum's MPC committees (§6) run SPDZ-wise Shamir over a finite field
 whose prime modulus is configurable — for the key-generation and decryption
 MPCs it is set to the BGV ciphertext modulus. This module provides the field
 abstraction, modular inverses, and deterministic prime generation for the
-moduli the rest of the crypto stack needs.
+moduli the rest of the crypto stack needs. Primality is Baillie–PSW above
+the range where 13 Miller–Rabin bases are proven (FIPS 186-4 Appendix C.3);
+docs/PROTOCOL.md §2 says why no key moved when it replaced 32 random rounds.
 """
 
 from __future__ import annotations
@@ -30,42 +32,83 @@ _SIEVE_PRIMES = frozenset(
 )
 _PRIMORIAL = math.prod(_SIEVE_PRIMES)
 _DETERMINISTIC_WITNESSES = sorted(_SIEVE_PRIMES)[:13]  # 2 .. 41
+#: Below this the 13 witnesses 2 .. 41 make Miller–Rabin exact
+#: (Sorenson–Webster 2015).
+_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-def is_probable_prime(n: int, rounds: int = 32) -> bool:
-    """Miller–Rabin primality test behind a small-prime sieve.
+def is_probable_prime(n: int) -> bool:
+    """Primality behind a small-prime sieve: proven below 3.3e24, BPSW above.
 
-    Deterministic witnesses are used for n < 3.3e24; above that, ``rounds``
-    random witnesses from a fixed-seed generator (so the result is
-    reproducible), each drawn only when the one before it has passed — a
-    composite that survives the sieve almost always falls to the first.
+    Below the bound, Miller–Rabin on the bases 2 .. 41 is deterministic.
+    Above it, Baillie–PSW: one strong base-2 round, then one strong Lucas
+    test. No composite is known to pass both, and none exists below 2^64.
     """
     if n < 1 << 10:
         return n in _SIEVE_PRIMES
     if math.gcd(n, _PRIMORIAL) != 1:
         return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    if n < 3317044064679887385961981:
-        witnesses = _DETERMINISTIC_WITNESSES
-    else:
-        rng = random.Random(0xA5B0)
-        witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))
-    backend = get_backend()
-    for a in witnesses:
-        x = backend.powmod(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _DETERMINISTIC_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _DETERMINISTIC_WITNESSES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One strong Miller–Rabin round of odd ``n`` to base ``a``."""
+    r = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    x = get_backend().powmod(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd ``n`` > 1 (FIPS 186-4 C.3.3, made strong).
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4. With n + 1 = d * 2^s and d
+    odd, n passes if U_d = 0 or V_(d * 2^r) = 0 for some r < s (mod n). The
+    ladder is C.3.3's: with P = 1 it needs no power of Q, only products.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D exists for a square
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = 2 - D if D < 0 else -D - 2
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u = v = 1  # U_1, V_1
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v = u * v % n, (v * v + D * u * u) * half % n  # index doubles
+        if bit == "1":
+            u, v = (u + v) * half % n, (D * u + v) * half % n  # index + 1
+    if u == 0:
+        return True
+    for _ in range(s):
+        if v == 0:
+            return True
+        u, v = u * v % n, (v * v + D * u * u) * half % n
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def next_prime(n: int) -> int:

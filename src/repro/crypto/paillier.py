@@ -6,10 +6,11 @@ participants' encrypted one-hot inputs (Fig 5). This is a complete, real
 Paillier implementation over Python big ints: keygen, encryption,
 decryption, ciphertext addition (⊞), and plaintext-scalar multiplication.
 
-Key sizes default to 512-bit primes (1024-bit modulus), which keeps unit
-tests fast; production deployments would use 2048-bit+ moduli. Performance
-numbers never come from this module — they come from the calibrated cost
-model (``planner.costmodel``), matching the paper's methodology.
+Callers pick the prime size (the executor's default is 128 bits, which
+keeps tests fast); production deployments would use 2048-bit+ moduli.
+Performance numbers never come from this module — they come from the
+calibrated cost model (``planner.costmodel``), matching the paper's
+methodology.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def _key_of(n: int) -> PaillierPublicKey:
     return PaillierPublicKey(n)
 
 
-def keygen(bits: int = 512, rng: Optional[random.Random] = None) -> PaillierPrivateKey:
-    """Generate a Paillier keypair with two ``bits``-bit primes."""
-    rng = rng or random.Random()
+def keygen(bits: int, rng: random.Random) -> PaillierPrivateKey:
+    """Generate a Paillier keypair with two ``bits``-bit primes drawn from
+    ``rng``; there is no fallback generator, so every key is re-derivable."""
     while True:
         p = random_prime(bits, rng)
         q = random_prime(bits, rng)

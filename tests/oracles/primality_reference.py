@@ -1,9 +1,10 @@
-"""Miller–Rabin as it stood before witnesses were drawn lazily.
+"""Miller–Rabin as keygen ran it before Baillie–PSW replaced it.
 
-All ``rounds`` witnesses are drawn from the fixed-seed generator before the
-first is tested. ``tests/test_field.py`` requires the same verdict from
-:func:`repro.crypto.field.is_probable_prime`, which draws the same witnesses
-in the same order but stops drawing at the first that convicts.
+Trial division by 15 small primes, then 13 fixed witnesses below the
+deterministic bound and 32 witnesses from a fixed-seed generator above it.
+``tests/test_field.py`` requires the same verdict from
+:func:`repro.crypto.field.is_probable_prime` (a sieve, then the same fixed
+witnesses or BPSW) on every candidate a key stream examines.
 
 Nothing in ``src/`` imports this module and no option selects it.
 """
@@ -13,15 +14,15 @@ import random
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def eager_witnesses(n: int, rounds: int = 32):
+def eager_witnesses(n: int):
     """The witnesses the eager loop tests ``n`` against, in order."""
     if n < 3317044064679887385961981:
         return _SMALL_PRIMES[:13]
     rng = random.Random(0xA5B0)
-    return [rng.randrange(2, n - 1) for _ in range(rounds)]
+    return [rng.randrange(2, n - 1) for _ in range(32)]
 
 
-def is_probable_prime(n: int, rounds: int = 32) -> bool:
+def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -32,7 +33,7 @@ def is_probable_prime(n: int, rounds: int = 32) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in eager_witnesses(n, rounds):
+    for a in eager_witnesses(n):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -1,17 +1,20 @@
 """Tests for prime-field arithmetic."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import backend, paillier
+from repro.crypto import backend, field, paillier
 from repro.crypto.field import (
     DEFAULT_FIELD,
     MERSENNE_61,
     MERSENNE_127,
     PrimeField,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
     is_probable_prime,
     next_prime,
     random_prime,
@@ -19,9 +22,21 @@ from repro.crypto.field import (
 
 from .oracles import primality_reference
 
-#: Below this Miller–Rabin runs on fixed small-prime witnesses; the lazily
-#: drawn random witnesses only exist above it.
+#: Below this Miller–Rabin runs on the fixed witnesses 2 .. 41; above it
+#: Baillie–PSW decides, and the oracle draws 32 random witnesses.
 DETERMINISTIC_BOUND = 3317044064679887385961981
+
+#: p·(2p − 1) with both factors prime, 84 bits: strong pseudoprimes to base 2
+#: that pass the sieve above the bound, so only BPSW's Lucas half convicts.
+BASE_2_PSEUDOPRIMES_ABOVE_THE_BOUND = [
+    9671406568569657632329381, 9671406576169482009588421,
+    9671406606674332665022153, 9671406685311404645694253,
+]  # fmt: skip
+
+#: Strong Lucas pseudoprimes under Selfridge's method A (OEIS A217255) and
+#: strong pseudoprimes to base 2 (OEIS A001262), the first ten of each.
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+STRONG_BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633]
 
 
 def chernick_carmichaels(count, start):
@@ -89,26 +104,46 @@ class TestPrimality:
         assert not any(verdicts[len(primes) : len(primes) + 4 + 12 + 4])
 
     def test_witnesses_are_the_eager_ones_drawn_only_as_needed(self, monkeypatch):
+        """Above the bound one modexp, base 2, then the Lucas step only if
+        base 2 passed; below it the 13 fixed bases in order."""
         active = backend.get_backend()
         powmod, bases = active.powmod, []
         monkeypatch.setattr(
             active, "powmod", lambda a, d, n: bases.append(a) or powmod(a, d, n)
         )
+        lucas, lucas_calls = field._strong_lucas_probable_prime, []
+        monkeypatch.setattr(
+            field, "_strong_lucas_probable_prime", lambda n: lucas_calls.append(n) or lucas(n)
+        )
         prime = random_prime(128, random.Random(7))
         bases.clear()
+        lucas_calls.clear()
         assert is_probable_prime(prime)
-        assert bases == primality_reference.eager_witnesses(prime)  # all 32 rounds
+        assert (bases, lucas_calls) == ([2], [prime])
         composite = prime * random_prime(128, random.Random(8))
         bases.clear()
+        lucas_calls.clear()
         assert not is_probable_prime(composite)
-        assert bases == primality_reference.eager_witnesses(composite)[:1]
+        assert (bases, lucas_calls) == ([2], [])
         bases.clear()
-        assert is_probable_prime(prime, rounds=5)
-        assert bases == primality_reference.eager_witnesses(prime, rounds=5)
+        assert is_probable_prime(MERSENNE_61)
+        assert bases == primality_reference.eager_witnesses(MERSENNE_61)  # 2 .. 41
+        assert bases == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+    def test_base_2_pseudoprimes_above_the_bound_need_the_lucas_step(self):
+        for n in BASE_2_PSEUDOPRIMES_ABOVE_THE_BOUND:
+            p = (1 + math.isqrt(1 + 8 * n)) // 4
+            assert p * (2 * p - 1) == n and n.bit_length() == 84
+            assert primality_reference.is_probable_prime(p)
+            assert primality_reference.is_probable_prime(2 * p - 1)
+            assert n > DETERMINISTIC_BOUND and math.gcd(n, field._PRIMORIAL) == 1
+            assert _strong_probable_prime(n, 2)
+            assert not is_probable_prime(n)
+            assert not primality_reference.is_probable_prime(n)
 
     def test_keygen_primes_and_caller_stream_unchanged(self):
-        """The test's own generator is private to it, so a caller's stream
-        ends where the eager loop left it."""
+        """The test draws from no generator, so a caller's stream ends where
+        the eager loop left it."""
         lazy, eager = random.Random(99), random.Random(99)
         for _ in range(3):
             while True:  # random_prime over the eager oracle
@@ -117,6 +152,46 @@ class TestPrimality:
                     break
             assert random_prime(128, lazy) == candidate
         assert lazy.getstate() == eager.getstate()
+
+
+class TestStrongLucas:
+    """The Lucas half of BPSW on its own: both OEIS lists are defined by
+    Selfridge's method A, so a wrong D sequence, sign or Q fails one."""
+
+    def test_accepts_the_strong_lucas_pseudoprimes_and_the_primes(self):
+        assert all(_strong_lucas_probable_prime(n) for n in STRONG_LUCAS_PSEUDOPRIMES)
+        assert all(_strong_lucas_probable_prime(p) for p in sorted(field._SIEVE_PRIMES)[1:])
+
+    def test_rejects_the_strong_base_2_pseudoprimes_and_squares(self):
+        assert not any(_strong_lucas_probable_prime(n) for n in STRONG_BASE_2_PSEUDOPRIMES)
+        assert not any(_strong_lucas_probable_prime(p * p) for p in (3, 1031, MERSENNE_61))
+
+
+class TestKeyStream:
+    """Every candidate keygen examines gets the 32-round oracle's verdict,
+    so the caller's stream and the key are the ones the oracle gives."""
+
+    SEEDS = [*range(200), 2023, 4242]
+
+    @pytest.mark.parametrize("bits", [96, 128])
+    def test_keygen_matches_the_oracle_driven_loop(self, bits, monkeypatch):
+        def driven_by(predicate):
+            verdicts, keys = [], []
+
+            def recording(n):
+                verdicts.append((n, predicate(n)))
+                return verdicts[-1][1]
+
+            monkeypatch.setattr(field, "is_probable_prime", recording)
+            for seed in self.SEEDS:
+                rng = random.Random(seed)
+                keys.append((paillier.keygen(bits, rng).public.n, rng.getstate()))
+            return verdicts, keys
+
+        verdicts, keys = driven_by(is_probable_prime)
+        oracle_verdicts, oracle_keys = driven_by(primality_reference.is_probable_prime)
+        assert verdicts == oracle_verdicts
+        assert keys == oracle_keys
 
 
 #: Every Carmichael number below 10^6 (OEIS A002997).

@@ -36,6 +36,11 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             paillier.decrypt(other, ct)
 
+    def test_keygen_without_a_generator_is_refused(self):
+        """No ambient fallback: a key no seed reproduces is never made."""
+        with pytest.raises(TypeError):
+            paillier.keygen(128)
+
 
 class TestHomomorphism:
     def test_addition(self, rng):
