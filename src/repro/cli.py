@@ -10,15 +10,14 @@ Commands
 ``queries``  list the built-in Table 2 queries.
 ``eval``     regenerate an evaluation artifact (table1, table2, fig6..fig11,
              hetero, or all).
-``verify-plan``  plan a query and run the static plan verifier on the result,
-             printing the invariant report (exit 1 on any violation);
-             ``--dataflow`` additionally runs the privacy dataflow
-             analyzer and prints the derived privacy certificate.
-``certificate``  plan a query, run the dataflow analyzer, and print the
-             machine-checkable privacy certificate as JSON.
-``verify-sweep``  dataflow-analyze every catalog query at paper scale plus
-             the chaos-suite query; exit 1 unless every plan analyzes
-             clean and yields a certificate.
+``verify-plan``  plan a query and print the plan gate's report (the plan
+             checker's invariants and the privacy dataflow pass, merged)
+             and the derived privacy certificate (exit 1 on any error).
+``certificate``  plan a query and print the machine-checkable privacy
+             certificate the plan gate attached, as JSON.
+``verify-sweep``  plan every catalog query at paper scale plus the
+             chaos-suite query through the plan gate; exit 1 unless every
+             plan passes and yields a certificate.
 ``lint``     run the privacy-invariant source lint over the repro sources
              (exit 1 on any finding, warnings included).
 ``chaos``    replay named fault-injection scenarios against the runtime and
@@ -57,6 +56,7 @@ from .analysis.types import QueryEnvironment
 from .planner.costmodel import Constraints, CostVector, Goal
 from .planner.search import Planner, PlanningFailed
 from .queries.catalog import ALL_QUERIES, BY_NAME
+from .verify import PlanVerificationError
 
 
 def _read_query(args) -> str:
@@ -352,8 +352,6 @@ def cmd_resume(args) -> int:
 
 
 def cmd_verify_plan(args) -> int:
-    from .verify import verify_planning_result
-
     source = _read_query(args)
     env = _environment(args)
     planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
@@ -362,27 +360,18 @@ def cmd_verify_plan(args) -> int:
     except PlanningFailed as failure:
         print(f"planning failed: {failure}", file=sys.stderr)
         return 1
-    report = verify_planning_result(result)
-    print(report.format())
-    ok = report.ok
-    if args.dataflow:
-        from .verify import analyze_planning_result
-
-        df_report, certificate = analyze_planning_result(result)
-        print()
-        print(df_report.format())
-        if certificate is not None:
-            print()
-            print(certificate.format())
-        ok = ok and df_report.ok and certificate is not None
-    return 0 if ok else 1
+    except PlanVerificationError as failure:
+        print(failure.report.format())
+        return 1
+    print(result.verification.format())
+    print()
+    print(result.privacy_certificate.format())
+    return 0
 
 
 def cmd_certificate(args) -> int:
     import json
 
-    from .verify import analyze_planning_result
-
     source = _read_query(args)
     env = _environment(args)
     planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
@@ -391,18 +380,16 @@ def cmd_certificate(args) -> int:
     except PlanningFailed as failure:
         print(f"planning failed: {failure}", file=sys.stderr)
         return 1
-    report, certificate = analyze_planning_result(result)
-    if certificate is None:
-        print(report.format(), file=sys.stderr)
+    except PlanVerificationError as failure:
+        print(failure.report.format(), file=sys.stderr)
         return 1
+    certificate = result.privacy_certificate
     print(json.dumps(certificate.to_dict(), indent=2))
     print(f"digest: sha256:{certificate.digest()}", file=sys.stderr)
     return 0
 
 
 def cmd_verify_sweep(args) -> int:
-    from .verify import analyze_planning_result
-
     failures = 0
     targets = [
         (spec.name, spec.source, spec.environment())
@@ -424,24 +411,23 @@ def cmd_verify_sweep(args) -> int:
     )
     for name, source, env in targets:
         try:
-            result = Planner(env).plan_source(source, name=name)
+            certificate = Planner(env).plan_source(source, name=name).privacy_certificate
         except PlanningFailed as failure:
             print(f"{name:12s} FAILED: planning failed: {failure}")
             failures += 1
             continue
-        report, certificate = analyze_planning_result(result)
-        if report.ok and certificate is not None:
-            print(
-                f"{name:12s} ok: {len(certificate.nodes)} mechanism use(s), "
-                f"ε ≤ {certificate.total_epsilon.hi:g}, "
-                f"δ ≤ {certificate.total_delta.hi:.3g}, "
-                f"digest sha256:{certificate.digest()[:16]}…"
-            )
-        else:
+        except PlanVerificationError as failure:
             failures += 1
             print(f"{name:12s} FAILED:")
-            for line in report.format().splitlines():
+            for line in failure.report.format().splitlines():
                 print(f"  {line}")
+            continue
+        print(
+            f"{name:12s} ok: {len(certificate.nodes)} mechanism use(s), "
+            f"ε ≤ {certificate.total_epsilon.hi:g}, "
+            f"δ ≤ {certificate.total_delta.hi:.3g}, "
+            f"digest sha256:{certificate.digest()[:16]}…"
+        )
     total = len(targets)
     print(f"\n{total - failures}/{total} plan(s) analyze clean")
     if failures:
@@ -1082,14 +1068,10 @@ def build_parser() -> argparse.ArgumentParser:
     queries.set_defaults(func=cmd_queries)
 
     verify = sub.add_parser(
-        "verify-plan", help="plan a query and statically verify the result"
+        "verify-plan",
+        help="plan a query and print its plan-gate report and privacy certificate",
     )
     _add_planning_arguments(verify)
-    verify.add_argument(
-        "--dataflow", action="store_true",
-        help="also run the privacy dataflow analyzer (taint, sensitivity "
-        "intervals, budget intervals) and print the derived certificate",
-    )
     verify.set_defaults(func=cmd_verify_plan)
 
     certificate = sub.add_parser(
@@ -1102,7 +1084,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "verify-sweep",
-        help="dataflow-analyze every catalog query plus the chaos query",
+        help="plan and gate every catalog query plus the chaos query",
     )
     sweep.set_defaults(func=cmd_verify_sweep)
 

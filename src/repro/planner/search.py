@@ -37,7 +37,6 @@ search is one walk in the calling process (ARCHITECTURE §26).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -88,9 +87,10 @@ class PlanningResult:
     """The chosen plan plus search statistics.
 
     ``privacy_certificate`` is the dataflow analyzer's machine-checkable
-    proof summary (:class:`repro.verify.certificate.PrivacyCertificate`),
-    attached by :meth:`Planner.plan_logical` when the analysis is clean;
-    the executor re-analyzes and compares digests before running.
+    proof summary (:class:`repro.verify.certificate.PrivacyCertificate`)
+    and ``verification`` the merged report it was checked under, both set
+    by :func:`repro.verify.gate`; every later gate (plan cache, executor)
+    re-analyzes the plan and compares digests.
     """
 
     plan: Optional[Plan]
@@ -98,6 +98,7 @@ class PlanningResult:
     certificate: Certificate
     logical_plan: LogicalPlan
     privacy_certificate: Optional[object] = None
+    verification: Optional[object] = None
 
     @property
     def succeeded(self) -> bool:
@@ -307,7 +308,8 @@ class Planner:
     Parameters mirror §4.2: the analyst supplies an optimization ``goal``
     and optional ``constraints`` (limits on any of the six metrics); the
     planner returns the best plan that satisfies the limits, or raises
-    :class:`PlanningFailed`.
+    :class:`PlanningFailed`. Every returned plan has passed
+    :func:`repro.verify.gate` (which raises ``PlanVerificationError``).
 
     ``order_choices`` visits surviving children cheapest-first (defaults
     to on when heuristics are on).
@@ -321,7 +323,6 @@ class Planner:
         goal: Optional[Goal] = None,
         heuristics: bool = True,
         memory_budget_candidates: int = 250_000,
-        verify: Optional[bool] = None,
         order_choices: Optional[bool] = None,
     ):
         self.env = env
@@ -330,9 +331,6 @@ class Planner:
         self.goal = goal or Goal()
         self.heuristics = heuristics
         self.memory_budget_candidates = memory_budget_candidates
-        if verify is None:
-            verify = os.environ.get("REPRO_VERIFY", "").lower() in ("1", "true", "yes")
-        self.verify = verify
         if order_choices is None:
             order_choices = heuristics
         self.order_choices = order_choices
@@ -393,19 +391,12 @@ class Planner:
                 f"({stats.candidates_scored} candidates scored, "
                 f"{stats.pruned_by_constraint} pruned by constraints)"
             )
-        # Post-condition: dataflow-analyze the winning plan and attach the
-        # machine-checkable privacy certificate. The analysis never raises;
-        # under --verify a dirty report (or any failed invariant) is fatal.
+        # Post-condition: the winning plan passes the plan gate, which
+        # attaches its privacy certificate; a dirty plan is never returned.
         # Imported lazily — verify depends on this module.
-        from ..verify.dataflow import analyze_planning_result
+        from ..verify import gate
 
-        df_report, privacy_certificate = analyze_planning_result(result)
-        result.privacy_certificate = privacy_certificate
-        if self.verify:
-            from ..verify import verify_planning_result
-
-            verify_planning_result(result).raise_if_failed()
-            df_report.raise_if_failed()
+        gate(result)
         return result
 
     def _evaluator(self, logical: LogicalPlan):
@@ -422,7 +413,6 @@ def plan_query(
     model: Optional[CostModel] = None,
     heuristics: bool = True,
     memory_budget_candidates: int = 250_000,
-    verify: Optional[bool] = None,
     order_choices: Optional[bool] = None,
 ) -> PlanningResult:
     """One-call convenience wrapper: source text in, PlanningResult out."""
@@ -433,7 +423,6 @@ def plan_query(
         goal=goal,
         heuristics=heuristics,
         memory_budget_candidates=memory_budget_candidates,
-        verify=verify,
         order_choices=order_choices,
     )
     return planner.plan_source(source, name)

@@ -232,7 +232,7 @@ def planning_result_to_dict(result: PlanningResult) -> Dict[str, Any]:
     }
     if result.plan is not None:
         out["plan"] = plan_to_dict(result.plan)
-    privacy_certificate = getattr(result, "privacy_certificate", None)
+    privacy_certificate = result.privacy_certificate
     if privacy_certificate is not None:
         # The dataflow analyzer's machine-checkable proof travels with the
         # plan; its digest is what the executor re-checks before running.

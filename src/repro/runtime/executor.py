@@ -340,9 +340,9 @@ class QueryExecutor:
         self._restored_charges: Dict[str, Tuple[float, float]] = {}
         self.statistics = RuntimeStatistics(crypto_backend=active_backend_name())
         #: The validated dataflow PrivacyCertificate for this run (set by
-        #: the verify gate; its digest is folded into the signed
+        #: the plan gate in run(); its digest is folded into the signed
         #: CertificateBody so committees endorse the privacy proof too).
-        self.privacy_certificate = getattr(planning, "privacy_certificate", None)
+        self.privacy_certificate = planning.privacy_certificate
 
     # ------------------------------------------------------------- plumbing
 
@@ -661,14 +661,12 @@ class QueryExecutor:
     # ------------------------------------------------------------------ run
 
     def run(self) -> QueryResult:
-        # Gate: refuse to execute a plan that fails static verification
-        # (a tampered certificate, an unsound vignette sequence, ...).
-        # The accountant is deliberately NOT consulted here — budget
-        # exhaustion must keep raising QueryRejected, not a verify error.
-        from ..verify import verify_planning_result
+        # Gate: refuse to execute a plan that fails verification or whose
+        # attached privacy certificate no longer re-derives. Budget is not
+        # its business — exhaustion keeps raising QueryRejected.
+        from ..verify import gate
 
-        verify_planning_result(self.planning).raise_if_failed()
-        self._validate_privacy_certificate()
+        self.privacy_certificate = gate(self.planning)
         if self.journal is not None:
             self._restore_from_journal()
         n = len(self.network)
@@ -733,35 +731,6 @@ class QueryExecutor:
             fault_log=fault_log,
             statistics=self.statistics,
         )
-
-    def _validate_privacy_certificate(self) -> None:
-        """Re-analyze the plan and validate the attached privacy proof.
-
-        The dataflow pass must come back clean (an un-noised release, an
-        insufficient noise scale, or a budget mismatch refuses execution),
-        and when the planner attached a serialized PrivacyCertificate its
-        digest must match the fresh re-analysis — a certificate that no
-        longer describes the plan it rides with fails closed.
-        """
-        from ..verify.dataflow import analyze_planning_result
-        from ..verify.report import PlanVerificationError
-
-        report, derived = analyze_planning_result(self.planning)
-        report.raise_if_failed()
-        attached = getattr(self.planning, "privacy_certificate", None)
-        if attached is not None and derived is not None:
-            if attached.digest() != derived.digest():
-                report.add(
-                    "df-certificate-stale",
-                    "privacy certificate",
-                    f"attached certificate digest {attached.digest()[:16]}... "
-                    f"does not match a fresh re-analysis "
-                    f"({derived.digest()[:16]}...); the plan or its "
-                    "certificate was modified after planning",
-                    node_path="planning.privacy_certificate",
-                )
-                raise PlanVerificationError(report)
-        self.privacy_certificate = attached or derived
 
     def _restore_from_journal(self) -> None:
         """Adopt the durable ledger state of previous incarnations.
@@ -850,11 +819,7 @@ class QueryExecutor:
             delta_remaining=min(remaining_delta, 1e18),
             registry_root=self.network.sortition.registry.root,
             next_block=next_block,
-            privacy_certificate_digest=(
-                self.privacy_certificate.digest_bytes()
-                if self.privacy_certificate is not None
-                else b""
-            ),
+            privacy_certificate_digest=self.privacy_certificate.digest_bytes(),
         )
         member_secrets = {
             member: self.network.device(member).secret

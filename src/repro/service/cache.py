@@ -18,15 +18,16 @@ A cache is a second way for a plan to reach the executor, so it gets the
 same fail-closed treatment as plan transport (PR 6): every entry records
 the :class:`PrivacyCertificate` digest observed at insertion, and every
 **hit re-derives the certificate** from the cached planning result and
-compares digests. Any mismatch — a tampered cached plan, a certificate
+compares digests (through :func:`repro.verify.gate`, the same check the
+executor runs). Any mismatch — a tampered cached plan, a certificate
 that no longer describes its plan, an analyzer upgrade that changed the
 proof semantics — **evicts the entry and reports a miss**, forcing a
 fresh plan; the stale plan is never returned, let alone executed. (The
 executor's own pre-execution gate still runs afterwards; the cache check
 just guarantees the planner search is only skipped for plans whose proof
-still re-derives bit-identically.) Re-derivation is the dataflow
-analysis, ~0.1 ms/plan — two orders of magnitude cheaper than the search
-it skips.
+still re-derives bit-identically.) The gate costs about 0.5 ms a plan
+(plan checker plus dataflow pass) — two orders of magnitude cheaper than
+the search it skips.
 """
 
 from __future__ import annotations
@@ -110,22 +111,18 @@ class PlanCache:
             return entry.planning
 
     def _validate(self, entry: CacheEntry) -> bool:
-        # Same re-derivation the executor gate performs: analyze the plan
-        # fresh and require the proof to come back bit-identical. Import
-        # is local to keep service importable without the verify stack
-        # at module-import time (mirrors planner.search).
-        from ..verify.dataflow import analyze_planning_result
+        # The executor's gate: a dirty plan, or an attached certificate that
+        # no longer re-derives, is a miss. The certificate it vouches for
+        # must also be the one recorded at insertion. Import is local to
+        # keep service importable without the verify stack at module-import
+        # time (mirrors planner.search).
+        from ..verify import PlanVerificationError, gate
 
-        report, derived = analyze_planning_result(entry.planning)
-        if not report.ok or derived is None:
+        try:
+            certificate = gate(entry.planning)
+        except PlanVerificationError:
             return False
-        if derived.digest() != entry.certificate_digest:
-            return False
-        attached = getattr(entry.planning, "privacy_certificate", None)
-        # The planning result's own attached certificate must agree too —
-        # a mutated attachment would otherwise ride through the cache and
-        # only fail at the executor gate.
-        return attached is not None and attached.digest() == entry.certificate_digest
+        return certificate.digest() == entry.certificate_digest
 
     # -------------------------------------------------------------- insert
 
@@ -136,7 +133,7 @@ class PlanCache:
         without one there is nothing to re-validate hits against, so the
         plan must take the full planner + verifier path every time.
         """
-        certificate = getattr(planning, "privacy_certificate", None)
+        certificate = planning.privacy_certificate
         if certificate is None:
             return False
         with self._lock:

@@ -1,25 +1,26 @@
 """Static plan verification and privacy-invariant source lint.
 
-Two halves (see docs/ARCHITECTURE.md, "Plan verification"):
+Three parts (see docs/ARCHITECTURE.md, "Plan verification"):
 
 * :func:`verify_plan` / :func:`verify_planning_result` statically re-check
   a concrete plan against the invariant catalog in
   :mod:`repro.verify.invariants` — IR well-formedness, encryption-type
   soundness, DP soundness, committee feasibility — without executing any
   cryptography.
+* :func:`analyze_planning_result` runs the privacy dataflow analyzer
+  (:mod:`repro.verify.dataflow`) — abstract interpretation over the plan
+  IR with a taint lattice, sensitivity intervals, and interval budget
+  accounting — and distills clean analyses into a machine-checkable
+  :class:`PrivacyCertificate`.
 * :func:`lint_paths` runs the repo-specific ``ast`` linter
   (:mod:`repro.verify.source_lint`) over source trees.
 
-Both report through :class:`VerificationReport`; raising callers get a
+:func:`gate` is the one place a plan is checked: the planner, the plan
+cache, the executor and the CLI all call it, and it fails closed with a
 single exception type, :class:`PlanVerificationError`.
-
-PR 6 adds the semantic third: :func:`analyze_planning_result` runs the
-privacy dataflow analyzer (:mod:`repro.verify.dataflow`) — abstract
-interpretation over the plan IR with a taint lattice, sensitivity
-intervals, and interval budget accounting — and distills clean analyses
-into a machine-checkable :class:`PrivacyCertificate`.
 """
 
+from . import dataflow
 from .certificate import NodeCertificate, PrivacyCertificate
 from .dataflow import (
     DataflowAnalyzer,
@@ -32,7 +33,6 @@ from .invariants import (
     INVARIANTS,
     INVARIANTS_BY_RULE,
     Invariant,
-    catalog_text,
 )
 from .lattice import AbstractValue, Bounds, SensitivityBounds, TaintLabel
 from .plan_checker import PlanChecker, verify_plan, verify_planning_result
@@ -43,6 +43,42 @@ from .report import (
     Violation,
 )
 from .source_lint import LINT_RULES, LintRule, SourceLinter, lint_paths
+
+
+def gate(planning) -> PrivacyCertificate:
+    """Check a :class:`~repro.planner.search.PlanningResult`, fail closed.
+
+    Runs the plan checker and the dataflow pass into one report, stored
+    as ``planning.verification``, and raises :class:`PlanVerificationError`
+    on any ERROR. A certificate already attached to ``planning`` must
+    have the digest of the fresh one (else ``df-certificate-stale``);
+    otherwise the fresh one is attached. Returns the certificate.
+
+    The two analyses are looked up at call time — ``verify_planning_result``
+    in this package, ``analyze_planning_result`` on the dataflow module —
+    so wrappers installed there from outside see every check.
+    """
+    report = verify_planning_result(planning)
+    dataflow_report, fresh = dataflow.analyze_planning_result(planning)
+    report.merge(dataflow_report)
+    planning.verification = report
+    report.raise_if_failed()
+    attached = planning.privacy_certificate
+    if attached is None:
+        planning.privacy_certificate = fresh
+        return fresh
+    if attached.digest() != fresh.digest():
+        report.add(
+            "df-certificate-stale",
+            "privacy certificate",
+            f"attached certificate digest {attached.digest()[:16]}... "
+            f"does not match a fresh re-analysis ({fresh.digest()[:16]}...); "
+            "the plan or its certificate was modified after planning",
+            node_path="planning.privacy_certificate",
+        )
+        raise PlanVerificationError(report)
+    return attached
+
 
 __all__ = [
     "AbstractValue",
@@ -67,7 +103,7 @@ __all__ = [
     "Violation",
     "analyze_logical_plan",
     "analyze_planning_result",
-    "catalog_text",
+    "gate",
     "lint_paths",
     "verify_plan",
     "verify_planning_result",

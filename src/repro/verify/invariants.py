@@ -65,8 +65,8 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "ssa-pipeline-order",
         "Logical ops appear in pipeline order",
         "§4.3",
-        "EncryptInput precedes Aggregate, every mechanism op follows the "
-        "Aggregate, and the Output op follows at least one mechanism op.",
+        "EncryptInput precedes Aggregate and every mechanism op follows the "
+        "Aggregate.",
     ),
     Invariant(
         "ty-ranges",
@@ -140,7 +140,7 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "dp-noise-dominates-output",
         "Every output is dominated by a noise op",
         "§4.2",
-        "Each Output op in the IR is preceded by a SelectMax or "
+        "Each Output op in the IR follows at least one SelectMax or "
         "NoiseOutput op, and the publish vignette runs after at least one "
         "mechanism vignette — declassification only post-noise.",
     ),
@@ -149,16 +149,8 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "Re-derived (ε, δ) matches the certificate",
         "§4.2",
         "Summing the certificate's mechanism applications reproduces its "
-        "total privacy cost, and the mechanism kinds match the IR's "
-        "mechanism ops (unless the certificate is analyst-supplied).",
-    ),
-    Invariant(
-        "dp-budget-afford",
-        "The accountant can afford the plan",
-        "§5.2",
-        "When an accountant ledger is supplied, the certificate's total "
-        "cost fits the remaining budget (the keygen committee's check, "
-        "replayed statically).",
+        "total privacy cost. (Whether the recorded mechanism kinds match the "
+        "IR is df-budget-interval's one-for-one comparison.)",
     ),
     # ---------------------------------------------------------- committees
     Invariant(
@@ -262,9 +254,9 @@ DATAFLOW_INVARIANTS: Tuple[Invariant, ...] = (
         "df-certificate-stale",
         "An attached PrivacyCertificate matches a fresh re-analysis",
         "§5.2",
-        "The executor re-analyzes the plan and compares digests; a "
-        "serialized certificate that no longer matches the plan it rides "
-        "with fails closed.",
+        "The plan gate (repro.verify.gate) re-analyzes the plan and compares "
+        "digests; a serialized certificate that no longer matches the plan "
+        "it rides with fails closed.",
     ),
     Invariant(
         "df-analysis-incomplete",
@@ -290,10 +282,3 @@ DATAFLOW_BY_RULE: Dict[str, Invariant] = {
     inv.rule: inv for inv in DATAFLOW_INVARIANTS
 }
 
-
-def catalog_text() -> str:
-    """Human-readable invariant catalog (the CLI's --list-invariants)."""
-    lines = []
-    for inv in INVARIANTS:
-        lines.append(f"{inv.rule:26s} {inv.paper_ref:12s} {inv.title}")
-    return "\n".join(lines)

@@ -50,7 +50,7 @@ from ..planner.ir import (
     VectorTransform,
 )
 from ..planner.plan import Location, Plan, count_committees
-from ..privacy.accountant import PrivacyAccountant, PrivacyCost
+from ..privacy.accountant import PrivacyCost
 from ..privacy.certify import Certificate
 from .invariants import (
     CLEAR_ALLOWED,
@@ -83,12 +83,10 @@ class PlanChecker:
         plan: Plan,
         logical: LogicalPlan,
         certificate: Optional[Certificate] = None,
-        accountant: Optional[PrivacyAccountant] = None,
     ):
         self.plan = plan
         self.logical = logical
         self.certificate = certificate or logical.certificate
-        self.accountant = accountant
         self.report = VerificationReport(target=f"plan for {plan.query_name!r}")
 
     # ------------------------------------------------------------- plumbing
@@ -120,7 +118,6 @@ class PlanChecker:
             self.check_no_he_after_share,
             self.check_noise_dominates_output,
             self.check_epsilon_matches,
-            self.check_budget_afford,
             self.check_committee_tail_bound,
             self.check_committee_count,
             self.check_keygen_unique,
@@ -549,41 +546,6 @@ class PlanChecker:
                 f" != sum of its {len(cert.mechanisms)} mechanism uses "
                 f"(ε={total.epsilon:g}, δ={total.delta:g})",
             )
-        kinds = {use.mechanism for use in cert.mechanisms}
-        if "manual" in kinds:
-            return  # analyst-supplied proof: kinds are not derivable
-        # Loop handling differs between the two passes (the certifier
-        # unrolls small loops into per-iteration uses; the lowering folds
-        # them into one op with a multiplied count), so compare mechanism
-        # *presence*, not application counts.
-        ir_kinds = set()
-        if any(isinstance(op, SelectMax) for op in self.logical.ops):
-            ir_kinds.add("em")
-        if any(isinstance(op, NoiseOutput) for op in self.logical.ops):
-            ir_kinds.add("laplace")
-        if ir_kinds != kinds:
-            self._fail(
-                "dp-epsilon-matches",
-                "certificate",
-                f"IR realizes mechanisms {sorted(ir_kinds)} but the "
-                f"certificate records {sorted(kinds)}; a release is either "
-                "un-noised or double-counted",
-            )
-
-    def check_budget_afford(self) -> None:
-        """dp-budget-afford: replay the keygen committee's ledger check."""
-        if self.accountant is None:
-            return
-        self._checked("dp-budget-afford")
-        if not self.accountant.can_afford(self.certificate.cost):
-            remaining = self.accountant.remaining()
-            self._fail(
-                "dp-budget-afford",
-                "accountant",
-                f"certificate costs (ε={self.certificate.cost.epsilon:g}, "
-                f"δ={self.certificate.cost.delta:g}) but the ledger only has "
-                f"(ε={remaining.epsilon:g}, δ={remaining.delta:g}) left",
-            )
 
     # ------------------------------------------------------------ committees
 
@@ -709,14 +671,11 @@ def verify_plan(
     plan: Plan,
     logical: LogicalPlan,
     certificate: Optional[Certificate] = None,
-    accountant: Optional[PrivacyAccountant] = None,
 ) -> VerificationReport:
     """Statically verify one concrete plan against the invariant catalog."""
-    return PlanChecker(plan, logical, certificate, accountant).check()
+    return PlanChecker(plan, logical, certificate).check()
 
 
-def verify_planning_result(result, accountant=None) -> VerificationReport:
+def verify_planning_result(result) -> VerificationReport:
     """Verify a :class:`~repro.planner.search.PlanningResult` end to end."""
-    return verify_plan(
-        result.plan, result.logical_plan, result.certificate, accountant
-    )
+    return verify_plan(result.plan, result.logical_plan, result.certificate)

@@ -9,6 +9,7 @@ set of bugs.
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -29,9 +30,11 @@ from repro.privacy.certify import Sensitivity
 from repro.privacy.sampling import amplified_epsilon
 from repro.queries.catalog import ALL_QUERIES
 from repro.verify import (
+    INVARIANTS,
     PlanVerificationError,
     PrivacyCertificate,
     analyze_planning_result,
+    gate,
     lint_paths,
     verify_planning_result,
 )
@@ -62,7 +65,8 @@ def errors(report):
 
 
 def assert_caught_only_by_dataflow(result, rule):
-    """The PR 1 checker passes; the dataflow pass flags `rule` with a path."""
+    """The plan checker passes; the dataflow pass flags `rule` with a path,
+    and the plan gate refuses the plan."""
     assert verify_planning_result(result).ok, (
         "mutation should be invisible to the syntactic plan checker"
     )
@@ -71,6 +75,9 @@ def assert_caught_only_by_dataflow(result, rule):
     hits = [v for v in errors(report) if v.rule == rule]
     assert hits, f"expected {rule}; got {report.format()}"
     assert all(v.location for v in hits), "finding must carry a node path"
+    with pytest.raises(PlanVerificationError) as excinfo:
+        gate(result)
+    assert all(v.location for v in errors(excinfo.value.report))
     return hits
 
 
@@ -403,10 +410,19 @@ class TestCli:
     SMALL = ["--participants", "100000", "--categories", "64"]
 
     def test_verify_plan_dataflow_flag(self, capsys):
-        assert main(["verify-plan", "top1", "--dataflow", *self.SMALL]) == 0
+        # Both analyses always run, so the old opt-in is a usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-plan", "top1", "--dataflow", *self.SMALL])
+        assert excinfo.value.code == 2
+        assert "--dataflow" in capsys.readouterr().err
+
+    def test_verify_plan_prints_both_analyses(self, capsys):
+        assert main(["verify-plan", "top1", *self.SMALL]) == 0
         out = capsys.readouterr().out
-        assert "dataflow for" in out
-        assert "privacy certificate" in out
+        # One merged report: the plan checker's rules plus the dataflow pass's.
+        checked = int(re.search(r"0 error\(s\).*\((\d+) rules checked\)", out).group(1))
+        assert checked > len(INVARIANTS)
+        assert "privacy certificate for 'top1'" in out
 
     def test_certificate_command_emits_json(self, capsys):
         import json

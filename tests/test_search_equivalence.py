@@ -149,7 +149,7 @@ class TestNaiveSemanticsPreserved:
                 planner.plan_source(spec.source, spec.name)
 
     def test_plan_query_plumbs_budget_and_verify(self):
-        # The convenience wrapper used to drop both kwargs silently.
+        # The convenience wrapper used to drop its kwargs silently.
         spec = ALL_QUERIES[1]
         env = spec.environment(PAPER_N)
         with pytest.raises(PlannerOutOfMemory):
@@ -159,7 +159,7 @@ class TestNaiveSemanticsPreserved:
                 name=spec.name,
                 heuristics=False,
                 memory_budget_candidates=5,
-                verify=False,
             )
-        result = plan_query(spec.source, env, name=spec.name, verify=True)
+        result = plan_query(spec.source, env, name=spec.name)
         assert result.plan is not None
+        assert result.verification.ok  # it went through the plan gate

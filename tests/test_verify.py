@@ -1,9 +1,12 @@
-"""Tests for the static plan verifier and the privacy-invariant source lint.
+"""Tests for the static plan verifier, the plan gate and the source lint.
 
 The mutation tests each corrupt one aspect of a known-good plan and assert
-that exactly the matching invariant fires with a diagnostic naming the
-guilty op/vignette — the verifier's job is not just "fail" but "say what
-broke and where".
+that the matching invariant fires with a diagnostic naming the guilty
+op/vignette — the verifier's job is not just "fail" but "say what broke
+and where". Each also pins which ERROR rules the dataflow pass fires on
+the same mutant and that :func:`repro.verify.gate` refuses it with a node
+path: one half of the rule × mutant matrix (ARCHITECTURE §30);
+``tests/test_dataflow.py`` holds the other.
 """
 
 import copy
@@ -23,14 +26,17 @@ from repro.cli import main
 from repro.lang.ast import Assign, Var
 from repro.planner.costmodel import Work, fhe_params_for
 from repro.planner.expand import Choice, TREE_FANOUTS
-from repro.planner.ir import NoiseOutput
+from repro.planner.ir import NoiseOutput, Output
 from repro.planner.plan import Location, Vignette
-from repro.privacy.accountant import PrivacyAccountant, PrivacyCost
+from repro.privacy.accountant import PrivacyCost
 from repro.queries.catalog import ALL_QUERIES
 from repro.verify import (
     INVARIANTS,
     VerificationReport,
     Violation,
+    analyze_planning_result,
+    dataflow,
+    gate,
     lint_paths,
     verify_plan,
     verify_planning_result,
@@ -68,21 +74,29 @@ def violation_for(report: VerificationReport, rule: str) -> Violation:
     return matches[0]
 
 
+def error_sites(report: VerificationReport):
+    return {(v.rule, v.location) for v in report.errors}
+
+
+def caught(result, rule: str, dataflow_sites=frozenset()) -> Violation:
+    """One matrix row: the plan checker flags ``rule``, the dataflow pass
+    fires exactly ``dataflow_sites`` (rule, node path), and the gate refuses
+    the plan with a node path on every error."""
+    v = violation_for(verify_planning_result(result), rule)
+    assert error_sites(analyze_planning_result(result)[0]) == set(dataflow_sites)
+    with pytest.raises(PlanVerificationError) as excinfo:
+        gate(result)
+    assert all(e.location for e in excinfo.value.report.errors)
+    return v
+
+
 class TestCleanPlans:
     def test_em_plan_verifies_clean(self):
         report = verify_planning_result(plan_em())
         assert report.ok
         assert not report.violations
-        # Every catalogued invariant except the accountant replay (which
-        # needs a ledger) ran.
-        assert len(report.checked_rules) == len(INVARIANTS) - 1
-
-    def test_accountant_rule_runs_when_ledger_given(self):
-        result = plan_laplace()
-        acc = PrivacyAccountant(epsilon_budget=10.0, delta_budget=1e-3)
-        report = verify_planning_result(result, accountant=acc)
-        assert report.ok
-        assert "dp-budget-afford" in report.checked_rules
+        # Every catalogued invariant ran.
+        assert len(report.checked_rules) == len(INVARIANTS)
 
     def test_all_catalog_queries_verify_clean_at_paper_scale(self):
         from repro.eval.experiments import plan_paper_query
@@ -102,7 +116,7 @@ class TestMutationDetection:
         result.logical_plan.post_statements.append(
             Assign("bogus", Var("ghost", line=9), line=9)
         )
-        v = violation_for(verify_planning_result(result), "ssa-def-before-use")
+        v = caught(result, "ssa-def-before-use")
         assert "'ghost'" in v.message
         assert "line 9" in v.subject
 
@@ -111,20 +125,69 @@ class TestMutationDetection:
         result.logical_plan.ops = [
             op for op in result.logical_plan.ops if not isinstance(op, NoiseOutput)
         ]
-        v = violation_for(
-            verify_planning_result(result), "dp-noise-dominates-output"
+        v = caught(
+            result, "dp-noise-dominates-output", {("df-budget-interval", "ops")}
         )
         assert "output" in v.subject
         assert "un-noised" in v.message
+
+    def test_output_moved_ahead_of_noise(self):
+        # Only the rule's IR half sees this: the choice list is re-keyed to
+        # the new op order, so choice-legal passes, and the post-aggregate
+        # statements (all dataflow reads) still noise before they release.
+        result = plan_laplace()
+        ops = result.logical_plan.ops
+        noise = next(i for i, op in enumerate(ops) if isinstance(op, NoiseOutput))
+        output = next(i for i, op in enumerate(ops) if isinstance(op, Output))
+        ops.insert(noise, ops.pop(output))
+        by_op = {c.key.split("[")[0]: c for c in result.plan.choice_list}
+        result.plan.choice_list[:] = [
+            dataclasses.replace(by_op[op.name], key=f"{op.name}[{i}]")
+            for i, op in enumerate(ops)
+        ]
+        v = caught(result, "dp-noise-dominates-output")
+        assert failing_rules(verify_planning_result(result)) == {
+            "dp-noise-dominates-output"
+        }
+        assert v.subject == f"output[{noise}]"
+
+    def test_publish_vignette_moved_first(self):
+        # Only the rule's vignette half sees this.
+        result = plan_laplace()
+        vignettes = result.plan.vignettes
+        publish = next(i for i, v in enumerate(vignettes) if v.name == "publish")
+        vignettes.insert(0, vignettes.pop(publish))
+        v = caught(result, "dp-noise-dominates-output")
+        assert failing_rules(verify_planning_result(result)) == {
+            "dp-noise-dominates-output"
+        }
+        assert v.subject == "vignette 'publish'"
+
+    @pytest.mark.parametrize(
+        "plan, swapped", [(plan_laplace, "em"), (plan_em, "laplace")],
+        ids=["laplace-to-em", "em-to-laplace"],
+    )
+    def test_recorded_mechanism_kind_swapped(self, plan, swapped):
+        # The plan checker no longer compares kinds: the dataflow pass's
+        # one-for-one comparison of recorded and derived uses catches it.
+        result = plan()
+        result.certificate.mechanisms = [
+            dataclasses.replace(use, mechanism=swapped)
+            for use in result.certificate.mechanisms
+        ]
+        assert verify_planning_result(result).ok
+        report, certificate = analyze_planning_result(result)
+        assert certificate is None
+        assert error_sites(report) == {("df-budget-interval", "post[0]:line 2")}
+        with pytest.raises(PlanVerificationError):
+            gate(result)
 
     def test_decrypt_moved_to_aggregator(self):
         result = plan_laplace()
         decrypt = next(v for v in result.plan.vignettes if v.name == "decrypt")
         assert decrypt.work.dist_decryptions > 0
         decrypt.location = Location.AGGREGATOR
-        v = violation_for(
-            verify_planning_result(result), "enc-decrypt-in-committee"
-        )
+        v = caught(result, "enc-decrypt-in-committee")
         assert "'decrypt'" in v.subject
         assert "aggregator" in v.message
 
@@ -132,7 +195,7 @@ class TestMutationDetection:
         result = plan_laplace()
         agg = next(v for v in result.plan.vignettes if v.name == "aggregate")
         agg.crypto = "clear"
-        v = violation_for(verify_planning_result(result), "enc-no-clear-secrets")
+        v = caught(result, "enc-no-clear-secrets")
         assert "'aggregate'" in v.subject
 
     def test_multiplicative_work_under_ahe(self):
@@ -140,7 +203,7 @@ class TestMutationDetection:
         assert result.plan.scheme.name == "ahe"
         agg = next(v for v in result.plan.vignettes if v.name == "aggregate")
         agg.work.he_ct_mults = 4.0
-        v = violation_for(verify_planning_result(result), "enc-ahe-depth")
+        v = caught(result, "enc-ahe-depth")
         assert "'aggregate'" in v.subject
         assert "AHE" in v.message
 
@@ -148,7 +211,7 @@ class TestMutationDetection:
         result = plan_laplace()
         cost = result.certificate.cost
         result.certificate.cost = PrivacyCost(cost.epsilon * 2, cost.delta)
-        v = violation_for(verify_planning_result(result), "dp-epsilon-matches")
+        v = caught(result, "dp-epsilon-matches")
         assert "certificate" in v.subject
         assert "mechanism" in v.message
 
@@ -158,7 +221,7 @@ class TestMutationDetection:
         result.plan.score.committee_params = dataclasses.replace(
             params, committee_size=1
         )
-        v = violation_for(verify_planning_result(result), "com-tail-bound")
+        v = caught(result, "com-tail-bound")
         assert "m=1" in v.message
         assert "binomial tail" in v.message
 
@@ -168,16 +231,14 @@ class TestMutationDetection:
         result.plan.score.committee_params = dataclasses.replace(
             params, num_committees=0
         )
-        v = violation_for(
-            verify_planning_result(result), "com-count-covers-plan"
-        )
+        v = caught(result, "com-count-covers-plan")
         assert "sized for 0 committees" in v.message
 
     def test_scheme_swap_detected(self):
         result = plan_laplace()
         assert result.plan.scheme.name == "ahe"
         result.plan.scheme = fhe_params_for(64, depth=6)
-        v = violation_for(verify_planning_result(result), "ty-scheme-consistent")
+        v = caught(result, "ty-scheme-consistent")
         assert "fhe" in v.message and "ahe" in v.message
 
     def test_aggregator_he_after_decryption_committee(self):
@@ -188,9 +249,7 @@ class TestMutationDetection:
             idx + 1,
             Vignette("transform", Location.AGGREGATOR, "ahe", Work()),
         )
-        v = violation_for(
-            verify_planning_result(result), "enc-no-he-after-share"
-        )
+        v = caught(result, "enc-no-he-after-share")
         assert "'transform'" in v.subject
         assert "sharings" in v.message
 
@@ -198,7 +257,7 @@ class TestMutationDetection:
         result = plan_laplace()
         keygen = next(v for v in result.plan.vignettes if v.name == "keygen")
         result.plan.vignettes.append(copy.deepcopy(keygen))
-        v = violation_for(verify_planning_result(result), "com-keygen-unique")
+        v = caught(result, "com-keygen-unique")
         assert "2 keygen vignettes" in v.message
 
     def test_fanin_beyond_committee_capacity(self):
@@ -208,15 +267,8 @@ class TestMutationDetection:
         choices[victim] = Choice(
             choices[victim].key, "committee_tree", (max(TREE_FANOUTS) * 2,)
         )
-        v = violation_for(verify_planning_result(result), "com-fanin-capacity")
+        v = caught(result, "com-fanin-capacity")
         assert str(max(TREE_FANOUTS) * 2) in v.message
-
-    def test_exhausted_budget_flagged_when_accountant_given(self):
-        result = plan_laplace()
-        acc = PrivacyAccountant(epsilon_budget=1e-6, delta_budget=1e-12)
-        report = verify_planning_result(result, accountant=acc)
-        v = violation_for(report, "dp-budget-afford")
-        assert "ledger" in v.message
 
     def test_each_mutation_rule_is_catalogued(self):
         # Diagnostics always carry a paper reference via the catalog.
@@ -226,16 +278,26 @@ class TestMutationDetection:
 
 class TestWiring:
     def test_planner_verify_flag_runs_clean(self):
-        result = Planner(small_env(), verify=True).plan_source(
-            LAPLACE_SOURCE, "laplace-query"
-        )
+        # Planning always passes the gate: there is no flag to turn it off.
+        result = Planner(small_env()).plan_source(LAPLACE_SOURCE, "laplace-query")
         assert result.succeeded
+        assert result.verification.ok
+        assert "df-budget-interval" in result.verification.checked_rules
+        with pytest.raises(TypeError, match="verify"):
+            Planner(small_env(), verify=False)
 
-    def test_planner_verify_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert Planner(small_env()).verify is True
-        monkeypatch.delenv("REPRO_VERIFY")
-        assert Planner(small_env()).verify is False
+    def test_planner_refuses_a_dirty_post_condition(self, monkeypatch):
+        analyze = dataflow.analyze_planning_result
+
+        def dirty(planning):
+            report, certificate = analyze(planning)
+            report.add("df-taint-release", "probe", "seeded", node_path="post[0]")
+            return report, None
+
+        monkeypatch.setattr(dataflow, "analyze_planning_result", dirty)
+        with pytest.raises(PlanVerificationError) as excinfo:
+            plan_laplace()
+        assert failing_rules(excinfo.value.report) == {"df-taint-release"}
 
     def test_executor_gate_rejects_tampered_planning(self):
         result = plan_laplace()
