@@ -39,7 +39,7 @@ from ..lang.ast import (
     Var,
     DB_NAME,
 )
-from .ranges import BOOLEAN, Interval, UNIT, bits_needed, point
+from .ranges import BOOLEAN, Interval, UNIT, point
 
 #: How many noise scales we keep of the (unbounded) Laplace/Gumbel tails.
 #: Finite-range data types cut the tails, adding a small delta to the
@@ -105,9 +105,6 @@ class ValueType:
                 )
         basic = promote(self.basic, other.basic)
         return ValueType(basic, self.interval.union(other.interval), shape)
-
-    def integer_bits(self) -> int:
-        return bits_needed(self.interval)
 
 
 def promote(a: str, b: str) -> str:

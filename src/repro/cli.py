@@ -285,7 +285,7 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     from .faults import CoordinatorCrash, UnrecoverableFault
-    from .runtime.journal import ExecutionJournal, JournalError
+    from .runtime.journal import MAX_INCARNATIONS, ExecutionJournal, JournalError
 
     try:
         journal = ExecutionJournal.load(args.journal)
@@ -329,7 +329,7 @@ def cmd_resume(args) -> int:
             return 1
         except CoordinatorCrash as crash:
             resumes += 1
-            if resumes > 8:
+            if resumes > MAX_INCARNATIONS:
                 print("giving up: the coordinator keeps dying", file=sys.stderr)
                 return 1
             print(

@@ -25,17 +25,10 @@ from typing import List, Sequence
 #: Serialized TFHE ciphertext: one LWE sample at n=630, 32-bit torus.
 CIPHERTEXT_BYTES = 2520
 
-#: Bootstrapping key size (dominates the public material).
-BOOTSTRAP_KEY_BYTES = 16 * 1024 * 1024
-
 
 @dataclass(frozen=True)
 class TFHEPublicKey:
     key_id: int
-
-    @property
-    def key_material_bytes(self) -> int:
-        return BOOTSTRAP_KEY_BYTES
 
 
 @dataclass(frozen=True)

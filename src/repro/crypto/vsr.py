@@ -9,6 +9,12 @@ sub-shares against the commitments before combining. This mirrors the
 Extended VSR protocol [35] that the paper obtained from the Mycelium
 authors.
 
+The protocol is two functions over rows: :func:`deal_committed` is the
+dealers' half and :func:`combine_vector` the recipients' half;
+:func:`redistribute_vector` composes them for every hand-off.
+:func:`check_provenance` is Extended VSR's extra check over the same rows —
+that each dealer re-shared its share of a *committed* original sharing.
+
 The discrete-log group here is Z_q* for a safe-ish prime q chosen per field;
 commitments are g^coeff mod q. Security rests on the hardness of discrete
 log in that group, exactly as in Feldman's scheme.
@@ -18,30 +24,12 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .backend import get_backend
 from .field import PrimeField, next_prime
-from .shamir import Share, lagrange_coefficients_at_zero
-
-
-@dataclass(frozen=True)
-class FeldmanCommitment:
-    """Commitments g^{a_k} mod q to a sub-share polynomial's coefficients.
-
-    Only the commitments: the group (q, g) is the verifier's, derived from
-    the field (:func:`_group_for_field`), never something a dealer names.
-    """
-
-    coefficient_commitments: Tuple[int, ...]
-
-    def expected_commitment(self, x: int, field: PrimeField) -> int:
-        """Compute prod_k C_k^{x^k} = g^{poly(x)} for verification."""
-        q, _ = _group_for_field(field)
-        exponents = _powers(x, len(self.coefficient_commitments), field.modulus)
-        return _committed_value(self.coefficient_commitments, exponents, q)
+from .shamir import lagrange_coefficients_at_zero
 
 
 def _powers(x: int, count: int, p: int) -> List[int]:
@@ -60,24 +48,6 @@ def _committed_value(commitments: Sequence[int], exponents: Sequence[int], q: in
     for c, e in zip(commitments, exponents):
         acc = acc * backend.powmod(c, e, q) % q
     return acc
-
-
-@dataclass(frozen=True)
-class SubShare:
-    """A share of a share: old member ``source`` re-shares to new member ``x``."""
-
-    source: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class RedistributionMessage:
-    """Everything one old-committee member publishes during VSR."""
-
-    source: int
-    sub_shares: Tuple[SubShare, ...]
-    commitment: FeldmanCommitment
 
 
 @lru_cache(maxsize=16)
@@ -146,185 +116,32 @@ def deal_committed(
     return commitments, evaluations
 
 
-def _on_committed_polynomial(
-    x: int, y: int, commitment: FeldmanCommitment, field: PrimeField
-) -> bool:
-    """Check g^y against prod_k C_k^{x^k} in the *field's* commitment group.
-
-    The group is the verifier's, never the dealer's: in a group of the
-    dealer's choosing (say generator 1) every sub-share would verify.
-    """
-    q, g = _group_for_field(field)
-    (lhs,) = get_backend().powmod_base_vector(g, [y], q)
-    return lhs == commitment.expected_commitment(x, field)
-
-
-def redistribute_share(
-    old_share: Share,
-    threshold: int,
-    new_party_ids: Sequence[int],
+def check_provenance(
+    dealers: Sequence[int],
+    commitments: Sequence[Sequence[int]],
+    original: Sequence[Sequence[int]],
     field: PrimeField,
-    rng: random.Random,
-) -> RedistributionMessage:
-    """Re-share one old-committee member's share to the new committee.
+) -> None:
+    """Extended VSR: each dealer re-shared its share of the original sharing.
 
-    Returns the sub-shares destined for each new member plus the Feldman
-    commitment that lets them verify the sub-shares were dealt consistently.
+    ``original`` is the commitment rows of the sharing the dealers hold
+    shares of, one per element (``deal_committed(secrets, ...)[0]``);
+    ``commitments`` is laid out as in :func:`combine_vector`. Row ``r``'s
+    constant-term commitment must equal prod_k C_k^{x^k} of
+    ``original[r // len(dealers)]`` at the dealer's x, i.e. g^{f(x)} — a
+    dealer re-sharing any other value is caught even though its sub-shares
+    are mutually consistent, which is all :func:`combine_vector` checks.
+    Raises VSRError naming the dealer.
     """
-    (commitments,), (ys,) = deal_committed([old_share.y], threshold, new_party_ids, field, rng)
-    return RedistributionMessage(
-        old_share.x,
-        tuple(SubShare(old_share.x, pid, y) for pid, y in zip(new_party_ids, ys)),
-        FeldmanCommitment(tuple(commitments)),
-    )
-
-
-def verify_sub_share(sub: SubShare, commitment: FeldmanCommitment, field: PrimeField) -> bool:
-    """Check g^{sub.y} against the published polynomial commitments."""
-    return _on_committed_polynomial(sub.x, sub.y, commitment, field)
-
-
-def combine_sub_shares(
-    new_party_id: int,
-    messages: Sequence[RedistributionMessage],
-    field: PrimeField,
-    new_threshold: int,
-) -> Share:
-    """Build a new-committee member's share of the original secret.
-
-    Verifies every sub-share against its dealer's commitment (raising
-    VSRError on any mismatch, and on a commitment that is not to a
-    degree-``new_threshold`` polynomial: a higher degree verifies too, but
-    different recipient quorums would then reconstruct different secrets),
-    then combines them with the Lagrange weights of the dealers' old
-    x-coordinates, so the result is a point on a fresh polynomial sharing
-    the *same* secret.
-    """
-    if not messages:
-        raise VSRError("no redistribution messages to combine")
-    my_subs = []
-    for msg in messages:
-        if len(msg.commitment.coefficient_commitments) != new_threshold + 1:
-            raise VSRError(
-                f"dealer {msg.source} committed to a polynomial of the wrong degree"
-            )
-        matching = [s for s in msg.sub_shares if s.x == new_party_id]
-        if not matching:
-            raise VSRError(f"dealer {msg.source} sent no sub-share to party {new_party_id}")
-        sub = matching[0]
-        if not verify_sub_share(sub, msg.commitment, field):
-            raise VSRError(f"sub-share from dealer {msg.source} failed verification")
-        my_subs.append(sub)
-    xs = [s.source for s in my_subs]
-    weights = lagrange_coefficients_at_zero(xs, field)
-    y = 0
-    for sub, w in zip(my_subs, weights):
-        y = field.add(y, field.mul(w, sub.y))
-    return Share(new_party_id, y)
-
-
-def redistribute_secret(
-    old_shares: Sequence[Share],
-    old_threshold: int,
-    new_threshold: int,
-    new_party_ids: Sequence[int],
-    field: PrimeField,
-    rng: random.Random,
-) -> List[Share]:
-    """Full VSR round: old committee's shares -> new committee's shares.
-
-    Exactly ``old_threshold + 1`` old shares are used (the honest quorum);
-    each is verifiably re-shared at degree ``new_threshold`` for the new
-    committee.
-    """
-    if len(old_shares) < old_threshold + 1:
-        raise VSRError("not enough old shares for an honest quorum")
-    quorum = list(old_shares)[: old_threshold + 1]
-    messages = [
-        redistribute_share(s, new_threshold, new_party_ids, field, rng) for s in quorum
-    ]
-    return [
-        combine_sub_shares(pid, messages, field, new_threshold) for pid in new_party_ids
-    ]
-
-
-@dataclass(frozen=True)
-class ProvenancedSharing:
-    """A sharing together with Feldman commitments to its polynomial.
-
-    Extended VSR [35] does not only verify that each dealer re-shared
-    *some* value consistently — it also verifies that the value re-shared
-    is the dealer's *actual share of the original secret*. That requires
-    the original sharing to come with commitments: g^{a_k} for the
-    original polynomial's coefficients, from which anyone can compute the
-    expected commitment g^{f(i)} for dealer i's share and compare it with
-    the constant-term commitment of i's sub-share polynomial.
-    """
-
-    shares: Tuple[Share, ...]
-    commitment: FeldmanCommitment
-
-
-def share_secret_with_provenance(
-    secret: int,
-    threshold: int,
-    party_ids: Sequence[int],
-    field: PrimeField,
-    rng: random.Random,
-) -> ProvenancedSharing:
-    """Deal a sharing plus the Feldman commitments Extended VSR verifies."""
-    (commitments,), (ys,) = deal_committed([secret], threshold, party_ids, field, rng)
-    return ProvenancedSharing(
-        tuple(Share(pid, y) for pid, y in zip(party_ids, ys)),
-        FeldmanCommitment(tuple(commitments)),
-    )
-
-
-def verify_share_provenance(
-    share: Share, original: FeldmanCommitment, field: PrimeField
-) -> bool:
-    """Check that ``share`` lies on the originally committed polynomial."""
-    return _on_committed_polynomial(share.x, share.y, original, field)
-
-
-def redistribute_with_provenance(
-    sharing: ProvenancedSharing,
-    old_threshold: int,
-    new_threshold: int,
-    new_party_ids: Sequence[int],
-    field: PrimeField,
-    rng: random.Random,
-) -> List[Share]:
-    """Extended VSR: re-share while proving each dealer's input share.
-
-    Every dealer's redistribution message must (a) be internally
-    consistent (plain VSR) and (b) have a constant-term commitment equal
-    to the original polynomial's commitment at the dealer's point — a
-    dealer re-sharing a *different* value than its real share is caught
-    even though its sub-shares are mutually consistent.
-    """
-    shares = list(sharing.shares)
-    if len(shares) < old_threshold + 1:
-        raise VSRError("not enough old shares for an honest quorum")
-    for share in shares:
-        if not verify_share_provenance(share, sharing.commitment, field):
-            raise VSRError(
-                f"dealer {share.x}'s input share does not match the original "
-                f"commitment (Extended VSR provenance check)"
-            )
-    messages = []
-    for share in shares[: old_threshold + 1]:
-        message = redistribute_share(share, new_threshold, new_party_ids, field, rng)
-        expected = sharing.commitment.expected_commitment(share.x, field)
-        if message.commitment.coefficient_commitments[0] != expected:
-            raise VSRError(
-                f"dealer {share.x} re-shared a value inconsistent with its "
-                f"committed share"
-            )
-        messages.append(message)
-    return [
-        combine_sub_shares(pid, messages, field, new_threshold) for pid in new_party_ids
-    ]
+    if not dealers or len(commitments) != len(dealers) * len(original):
+        raise VSRError("commitment rows do not fit the dealers and the original rows")
+    p = field.modulus
+    q, _ = _group_for_field(field)
+    for r, row in enumerate(commitments):
+        dealer = dealers[r % len(dealers)]
+        root = original[r // len(dealers)]
+        if not row or row[0] != _committed_value(root, _powers(dealer, len(root), p), q):
+            raise VSRError(f"dealer {dealer} re-shared a value other than its committed share")
 
 
 def combine_vector(
@@ -343,7 +160,22 @@ def combine_vector(
     is checked on its own — g^y, from one fixed-base batch, against
     prod_k C_k^{x^k} — and a mismatch raises VSRError naming the dealer;
     the verified sub-shares are combined with the dealers' Lagrange weights.
+    Rows that do not fit the dealers and recipients are refused before any
+    modexp: a withheld row would otherwise be combined unverified.
     """
+    if not dealers:
+        raise VSRError("no dealers to combine")
+    if len(commitments) != len(sub_shares) or len(sub_shares) % len(dealers):
+        raise VSRError(
+            f"{len(commitments)} commitment rows and {len(sub_shares)} sub-share "
+            f"rows do not fit {len(dealers)} dealers"
+        )
+    for r, ys in enumerate(sub_shares):
+        if len(ys) != len(new_party_ids):
+            raise VSRError(
+                f"dealer {dealers[r % len(dealers)]} sent {len(ys)} sub-shares "
+                f"to {len(new_party_ids)} recipients"
+            )
     p = field.modulus
     q, g = _group_for_field(field)
     width = new_threshold + 1
@@ -380,8 +212,8 @@ def redistribute_vector(
     x-coordinate ``x``; the first ``old_threshold + 1`` members deal, and
     the result maps each new member to its y-values. Same shares, checks
     and ``rng`` draws — element, then dealer, then coefficient; the order
-    is part of every pinned digest — as one :func:`redistribute_secret`
-    per element (``tests/oracles/vsr_reference.py`` is that loop).
+    is part of every pinned digest — as one VSR round per element
+    (``tests/oracles/vsr_reference.py`` is that loop).
     """
     if not old_shares:
         raise VSRError("no old shares supplied")

@@ -65,9 +65,6 @@ class FaultPlan:
         """
         return any(e.kind == COORDINATOR_CRASH for e in self.events)
 
-    def events_for(self, phase: str) -> List[FaultEvent]:
-        return [e for e in self.events if e.phase == phase]
-
     def as_dict(self) -> dict:
         """JSON-safe form, embedded in execution-journal manifests."""
         return {

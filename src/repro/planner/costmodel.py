@@ -443,15 +443,6 @@ class CostModel:
             self.cache_hits += 1
         return cached
 
-    def clear_cost_cache(self) -> None:
-        """Drop memoized costs and counters (used by benchmark fairness)."""
-        self.cost_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    def _c(self, name: str) -> float:
-        return self.constants[name]
-
     def compute_seconds(self, work: Work, committee_size: int = 1) -> float:
         """Reference-core seconds for one entity instance's work."""
         c = self.constants

@@ -64,12 +64,6 @@ class QuerySpec:
             constants=dict(self.constants or {}),
         )
 
-    def runtime_environment(
-        self, num_participants: int = 48, categories: int = 8, epsilon: float = 1.0
-    ) -> QueryEnvironment:
-        """A small-scale environment for functional execution."""
-        return self.environment(num_participants, categories, epsilon)
-
 
 TOP1 = QuerySpec(
     name="top1",

@@ -75,7 +75,7 @@ from ..crypto import paillier
 from ..crypto.backend import active_backend_name
 from ..crypto.sortition import jointly_generate_block
 from ..crypto.vsr import VSRError
-from ..crypto.zkp import one_hot_statement, range_statement
+from ..crypto.zkp import Statement, one_hot_statement, range_statement
 
 # bench/ (frozen this PR) resolves ``prove`` in this module's namespace; no
 # code here calls it since the flat intake left (ROADMAP, benchmark-only item).
@@ -691,9 +691,10 @@ class QueryExecutor:
         public_key = secret_key.public
 
         bins, sampling_plan = self._sampling_plan()
-        self._packing = self._plan_packing(public_key, bins)
+        statement = self._input_statement(bins)
+        self._packing = self._plan_packing(public_key, statement)
         aggregator, totals, audits_failed = self._phase(
-            "input", lambda: self._phase_input(public_key, bins)
+            "input", lambda: self._phase_input(public_key, bins, statement)
         )
 
         counts, dec_committee = self._phase(
@@ -847,49 +848,36 @@ class QueryExecutor:
 
     # ---------------------------------------------------------------- input
 
+    def _input_statement(self, bins: int) -> Statement:
+        """The upload well-formedness statement: one-hot over ``categories ×
+        bins`` slots, or per-element bounds on a ``categories``-wide row."""
+        categories = self.env.row_width
+        if self.env.row_encoding == "one_hot":
+            return one_hot_statement(categories * bins)
+        interval = self.env.db_element.interval
+        return range_statement(categories, int(interval.lo), int(interval.hi))
+
     def _plan_packing(
-        self, public_key: paillier.PaillierPublicKey, bins: int
+        self, public_key: paillier.PaillierPublicKey, statement: Statement
     ) -> Optional[SlotPacking]:
         """Choose the Paillier slot packing for this query's uploads.
 
-        The per-slot aggregate bound comes from the upload ZKPs: accepted
-        one-hot vectors carry at most a 1 per slot, accepted range vectors
-        at most ``hi`` (out-of-bound uploads are rejected before they can
-        reach the aggregate, so they cannot overflow a lane). The bound is
-        computed from the *total* registered population, which is stable
-        across churn, so chaos and fault-free twins plan identical layouts.
-        Signed ranges stay unpacked: a negative residue mod n would smear
-        across every lane.
+        The per-slot aggregate bound comes from the upload ZKPs' statement:
+        accepted one-hot vectors carry at most a 1 per slot, accepted range
+        vectors at most ``high`` (out-of-bound uploads are rejected before
+        they can reach the aggregate, so they cannot overflow a lane). The
+        bound is computed from the *total* registered population, which is
+        stable across churn, so chaos and fault-free twins plan identical
+        layouts. Signed ranges stay unpacked: a negative residue mod n would
+        smear across every lane.
         """
-        categories = self.env.row_width
-        one_hot = self.env.row_encoding == "one_hot"
-        width = categories * bins if one_hot else categories
-        if one_hot:
-            per_device_max = 1
-        else:
-            lo = int(self.env.db_element.interval.lo)
-            hi = int(self.env.db_element.interval.hi)
-            if lo < 0 or hi < 0:
-                return None
-            per_device_max = hi
-        max_slot_sum = len(self.network) * per_device_max
-        return plan_packing(width, max_slot_sum, public_key.plaintext_modulus)
-
-    def _input_statement(self, bins: int):
-        """The upload well-formedness statement and the row shape it covers."""
-        categories = self.env.row_width
-        one_hot = self.env.row_encoding == "one_hot"
-        width = categories * bins if one_hot else categories
-        if one_hot:
-            statement = one_hot_statement(width)
-        else:
-            lo = int(self.env.db_element.interval.lo)
-            hi = int(self.env.db_element.interval.hi)
-            statement = range_statement(width, lo, hi)
-        return categories, one_hot, width, statement
+        if statement.low < 0:
+            return None
+        max_slot_sum = len(self.network) * statement.high
+        return plan_packing(statement.length, max_slot_sum, public_key.plaintext_modulus)
 
     def _phase_input(
-        self, public_key: paillier.PaillierPublicKey, bins: int
+        self, public_key: paillier.PaillierPublicKey, bins: int, statement: Statement
     ) -> Tuple[AggregatorTree, List[paillier.PaillierCiphertext], int]:
         """The input phase: one event-driven shard pipeline for every caller.
 
@@ -918,7 +906,7 @@ class QueryExecutor:
         from . import scheduler as event_scheduler
         from .shard import ObfuscatorPool, ShardContext, build_shards, upload_shard, verify_shard
 
-        categories, one_hot, width, statement = self._input_statement(bins)
+        width = statement.length
         packed_width = self._packing.packed_width if self._packing else width
         round_number = self.network.sortition.round_number
         garbage = self._apply_garbage_faults()
@@ -933,9 +921,9 @@ class QueryExecutor:
         ctx = ShardContext(
             public_key=public_key,
             statement=statement,
-            categories=categories,
+            categories=self.env.row_width,
             bins=bins,
-            one_hot=one_hot,
+            one_hot=statement.kind == "one_hot",
             width=width,
             round_number=round_number,
             packing=self._packing,

@@ -72,6 +72,9 @@ _GENESIS = hashlib.sha256(
     f"arboretum-execution-journal/v{JOURNAL_VERSION}".encode("utf-8")
 ).hexdigest()
 
+#: Coordinator incarnations a crash→resume drive runs before giving up.
+MAX_INCARNATIONS = 8
+
 
 def canonical_json(payload: object) -> str:
     """Deterministic JSON: sorted keys, no whitespace, finite floats only."""
@@ -363,7 +366,6 @@ def run_to_completion(
     make_executor: Callable[[ExecutionJournal], object],
     path: str,
     manifest: Optional[dict] = None,
-    max_incarnations: int = 8,
 ):
     """Drive a journaled run through crash→resume until it completes.
 
@@ -386,6 +388,6 @@ def run_to_completion(
             return executor.run(), resumes
         except CoordinatorCrash:
             resumes += 1
-            if resumes >= max_incarnations:
+            if resumes >= MAX_INCARNATIONS:
                 raise
             journal = ExecutionJournal.load(path)

@@ -131,11 +131,6 @@ class AdmissionController:
         with self._lock:
             return self._reserved
 
-    def global_fits(self, cost: PrivacyCost) -> bool:
-        """Does ``cost`` fit the global pool net of live reservations?"""
-        with self._lock:
-            return self.accountant.can_afford(self._reserved + cost)
-
     # ------------------------------------------------------------ admission
 
     def admit(self, submission: Submission) -> AdmissionScore:

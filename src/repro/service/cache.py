@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.types import QueryEnvironment
@@ -52,11 +52,6 @@ class CacheStatistics:
     stale_evictions: int = 0
     capacity_evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass
 class CacheEntry:
@@ -64,7 +59,6 @@ class CacheEntry:
     #: PrivacyCertificate digest recorded when the entry was stored;
     #: every hit must re-derive a certificate with this exact digest.
     certificate_digest: str
-    hits: int = field(default=0)
 
 
 class PlanCache:
@@ -106,7 +100,6 @@ class PlanCache:
                 self.statistics.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.statistics.hits += 1
             return entry.planning
 
@@ -144,10 +137,6 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.statistics.capacity_evictions += 1
             return True
-
-    def evict(self, key: str) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         with self._lock:

@@ -71,11 +71,6 @@ class BudgetScheduler:
         with self._lock:
             self._queue[submission.seq] = submission
 
-    def pending(self) -> List[Submission]:
-        """Queue snapshot in submission order (for inspection/CLI)."""
-        with self._lock:
-            return [self._queue[seq] for seq in sorted(self._queue)]
-
     # ------------------------------------------------------------- priority
 
     def dynamic_priority(self, submission: Submission, now_tick: int) -> float:

@@ -131,14 +131,6 @@ class TenantRegistry:
                     f"tenant {name!r} is not registered with this service"
                 ) from None
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return list(self._accounts)
-
-    def accounts(self) -> List[TenantAccount]:
-        with self._lock:
-            return list(self._accounts.values())
-
     def report(self) -> List[Dict[str, object]]:
         """Per-tenant accounting rows, in registration order."""
         with self._lock:

@@ -143,14 +143,20 @@ class AnalyticsSession:
 
     # ------------------------------------------------------------- planning
 
-    def _environment(
+    def environment(
         self,
         categories: int,
-        epsilon: Optional[float],
-        sensitivity: Optional[float],
-        row_encoding: str,
+        epsilon: Optional[float] = None,
+        sensitivity: Optional[float] = None,
+        row_encoding: str = "one_hot",
         value_range: Optional[tuple] = None,
     ) -> QueryEnvironment:
+        """The planning environment this session would use for a query.
+
+        Public so layers above the session (the multi-tenant service's
+        plan-cache fingerprinting) can see exactly the environment that
+        planning will run against.
+        """
         from .analysis.ranges import Interval
         from .analysis.types import ValueType
 
@@ -166,7 +172,8 @@ class AnalyticsSession:
             row_encoding=row_encoding,
         )
 
-    def _planner(self, env: QueryEnvironment) -> Planner:
+    def planner(self, env: QueryEnvironment) -> Planner:
+        """The (memoized) planner for ``env`` — same instance ``plan`` uses."""
         key = (
             env.row_width,
             env.epsilon,
@@ -184,28 +191,6 @@ class AnalyticsSession:
             )
         return self._planners[key]
 
-    def environment(
-        self,
-        categories: int,
-        epsilon: Optional[float] = None,
-        sensitivity: Optional[float] = None,
-        row_encoding: str = "one_hot",
-        value_range: Optional[tuple] = None,
-    ) -> QueryEnvironment:
-        """The planning environment this session would use for a query.
-
-        Public so layers above the session (the multi-tenant service's
-        plan-cache fingerprinting) can see exactly the environment that
-        planning will run against.
-        """
-        return self._environment(
-            categories, epsilon, sensitivity, row_encoding, value_range
-        )
-
-    def planner(self, env: QueryEnvironment) -> Planner:
-        """The (memoized) planner for ``env`` — same instance ``plan`` uses."""
-        return self._planner(env)
-
     def plan(
         self,
         source: str,
@@ -217,10 +202,10 @@ class AnalyticsSession:
         value_range: Optional[tuple] = None,
     ) -> PlanningResult:
         """Certify and plan without executing (no budget is spent)."""
-        env = self._environment(
+        env = self.environment(
             categories, epsilon, sensitivity, row_encoding, value_range
         )
-        return self._planner(env).plan_source(source, name)
+        return self.planner(env).plan_source(source, name)
 
     # ------------------------------------------------------------ execution
 

@@ -596,10 +596,6 @@ class SourceLinter:
             elif path.suffix == ".py":
                 yield path
 
-    def lint_file(self, path: Path) -> List[Violation]:
-        violations, _ = self._lint_file(path)
-        return violations
-
     def _lint_file(self, path: Path) -> Tuple[List[Violation], List[Tuple[str, str]]]:
         """One file's violations plus its stream-label sites (for R5)."""
         path = Path(path)

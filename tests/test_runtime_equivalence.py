@@ -32,7 +32,7 @@ TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
 class UnpackedExecutor(QueryExecutor):
     """The same intake with packing declined: one ciphertext per logical slot."""
 
-    def _plan_packing(self, public_key, bins):
+    def _plan_packing(self, public_key, statement):
         return None
 
 

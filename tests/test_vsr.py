@@ -1,89 +1,117 @@
 """Tests for Verifiable Secret Redistribution."""
 
-import random
-
 import pytest
 
+from repro.crypto import vsr
 from repro.crypto.field import MERSENNE_61, PrimeField
 from repro.crypto.shamir import Share, reconstruct_secret, share_secret
 from repro.crypto.vsr import (
-    FeldmanCommitment,
-    RedistributionMessage,
-    SubShare,
     VSRError,
-    combine_sub_shares,
+    check_provenance,
     combine_vector,
     deal_committed,
-    redistribute_secret,
-    redistribute_share,
     redistribute_vector,
-    verify_share_provenance,
-    verify_sub_share,
 )
 
 FIELD = PrimeField(MERSENNE_61)
 
 
+def _vector(shares):
+    """One-element share vectors, keyed by x, in the order ``redistribute_vector`` takes."""
+    return {s.x: [s.y] for s in shares}
+
+
+def _points(new, pids):
+    """The recipients' element-0 shares as Shamir points."""
+    return [Share(pid, new[pid][0]) for pid in pids]
+
+
+def _refused_before_any_modexp(monkeypatch, *args, match):
+    """``combine_vector(*args)`` raises VSRError without touching the bigint backend."""
+    calls = []
+    backend = vsr.get_backend()
+    monkeypatch.setattr(vsr, "get_backend", lambda: calls.append(1) or backend)
+    with pytest.raises(VSRError, match=match):
+        combine_vector(*args)
+    assert calls == []
+
+
 class TestRedistribution:
     def test_same_secret_after_redistribution(self, rng):
         old = share_secret(1234, 2, [1, 2, 3, 4, 5], FIELD, rng)
-        new = redistribute_secret(old, 2, 2, [1, 2, 3, 4, 5], FIELD, rng)
-        assert reconstruct_secret(new[:3], FIELD) == 1234
+        new = redistribute_vector(_vector(old), 2, 2, [1, 2, 3, 4, 5], FIELD, rng)
+        assert reconstruct_secret(_points(new, [1, 2, 3]), FIELD) == 1234
 
     def test_new_committee_can_differ_in_size(self, rng):
         old = share_secret(99, 1, [1, 2, 3], FIELD, rng)
-        new = redistribute_secret(old, 1, 3, [1, 2, 3, 4, 5, 6, 7], FIELD, rng)
-        assert reconstruct_secret(new[:4], FIELD) == 99
+        new = redistribute_vector(_vector(old), 1, 3, [1, 2, 3, 4, 5, 6, 7], FIELD, rng)
+        assert reconstruct_secret(_points(new, [1, 2, 3, 4]), FIELD) == 99
 
     def test_new_shares_are_fresh(self, rng):
         """Old and new shares cannot be combined: the polynomials differ."""
         old = share_secret(5, 1, [1, 2, 3], FIELD, rng)
-        new = redistribute_secret(old, 1, 1, [1, 2, 3], FIELD, rng)
-        mixed = [old[0], new[1]]
+        new = redistribute_vector(_vector(old), 1, 1, [1, 2, 3], FIELD, rng)
+        mixed = [old[0], *_points(new, [2])]
         assert reconstruct_secret(mixed, FIELD) != 5  # w.h.p.
 
     def test_not_enough_old_shares(self, rng):
         old = share_secret(5, 2, [1, 2, 3, 4, 5], FIELD, rng)
         with pytest.raises(VSRError):
-            redistribute_secret(old[:2], 2, 1, [1, 2, 3], FIELD, rng)
+            redistribute_vector(_vector(old[:2]), 2, 1, [1, 2, 3], FIELD, rng)
 
 
 class TestVerification:
     def test_sub_shares_verify(self, rng):
-        share = Share(3, 777)
-        msg = redistribute_share(share, 1, [1, 2, 3], FIELD, rng)
-        for sub in msg.sub_shares:
-            assert verify_sub_share(sub, msg.commitment, FIELD)
+        """One dealer at x=3 has Lagrange weight 1: its verified sub-shares
+        come back unchanged."""
+        commitments, subs = deal_committed([777], 1, [1, 2, 3], FIELD, rng)
+        new = combine_vector([3], [1, 2, 3], 1, commitments, subs, FIELD)
+        assert new == {pid: [y] for pid, y in zip([1, 2, 3], subs[0])}
 
     def test_tampered_sub_share_detected(self, rng):
-        share = Share(3, 777)
-        msg = redistribute_share(share, 1, [1, 2, 3], FIELD, rng)
-        bad = SubShare(msg.sub_shares[0].source, msg.sub_shares[0].x, msg.sub_shares[0].y + 1)
-        assert not verify_sub_share(bad, msg.commitment, FIELD)
+        commitments, subs = deal_committed([777], 1, [1, 2, 3], FIELD, rng)
+        subs[0][0] += 1
+        with pytest.raises(VSRError, match="dealer 3 failed verification"):
+            combine_vector([3], [1, 2, 3], 1, commitments, subs, FIELD)
 
     def test_combine_rejects_tampering(self, rng):
         old = share_secret(42, 1, [1, 2, 3], FIELD, rng)
-        msgs = [redistribute_share(s, 1, [1, 2, 3], FIELD, rng) for s in old[:2]]
-        # Corrupt dealer 1's sub-share for party 2.
-        from dataclasses import replace
+        commitments, subs = deal_committed([s.y for s in old[:2]], 1, [1, 2, 3], FIELD, rng)
+        subs[0][1] += 1  # dealer 1's sub-share for party 2
+        with pytest.raises(VSRError, match="dealer 1 failed verification"):
+            combine_vector([1, 2], [1, 2, 3], 1, commitments, subs, FIELD)
 
-        tampered_subs = tuple(
-            SubShare(s.source, s.x, s.y + 1) if s.x == 2 else s
-            for s in msgs[0].sub_shares
+    def test_combine_requires_messages(self, monkeypatch):
+        """No dealers: refused, not ``range()`` with step 0."""
+        _refused_before_any_modexp(monkeypatch, [], [1], 1, [], [], FIELD, match="no dealers")
+
+    def test_missing_recipient_detected(self, monkeypatch, rng):
+        """A dealer row one sub-share short: refused naming the dealer, not a
+        bare StopIteration from the verifier running out of sub-shares."""
+        commitments, subs = deal_committed([10, 11], 1, [1, 2, 3], FIELD, rng)
+        subs[1].pop()
+        _refused_before_any_modexp(
+            monkeypatch, [1, 2], [1, 2, 3], 1, commitments, subs, FIELD,
+            match="dealer 2 sent 2 sub-shares to 3 recipients",
         )
-        msgs[0] = replace(msgs[0], sub_shares=tampered_subs)
-        with pytest.raises(VSRError):
-            combine_sub_shares(2, msgs, FIELD, 1)
 
-    def test_combine_requires_messages(self):
-        with pytest.raises(VSRError):
-            combine_sub_shares(1, [], FIELD, 1)
+    def test_withheld_commitment_rows_refused(self, monkeypatch, rng):
+        """Element 1's commitment rows withheld and dealer 2's element-1
+        sub-shares bumped: without the row count the tampered sub-shares
+        were combined unverified and the call returned."""
+        commitments, subs = deal_committed([5, 6, 7, 8, 9, 10], 1, [1, 2, 3], FIELD, rng)
+        subs[4] = [y + 1 for y in subs[4]]
+        _refused_before_any_modexp(
+            monkeypatch, [1, 2, 3], [1, 2, 3], 1, commitments[:3], subs, FIELD,
+            match="3 commitment rows and 6 sub-share rows",
+        )
 
-    def test_missing_recipient_detected(self, rng):
-        share = Share(1, 10)
-        msg = redistribute_share(share, 1, [1, 2], FIELD, rng)
-        with pytest.raises(VSRError):
-            combine_sub_shares(9, [msg, msg], FIELD, 1)
+    def test_rows_not_a_multiple_of_the_dealers_refused(self, monkeypatch, rng):
+        commitments, subs = deal_committed([5, 6, 7], 1, [1, 2, 3], FIELD, rng)
+        _refused_before_any_modexp(
+            monkeypatch, [1, 2], [1, 2, 3], 1, commitments, subs, FIELD,
+            match="do not fit 2 dealers",
+        )
 
 
 class TestVectorRedistribution:
@@ -118,34 +146,32 @@ class TestFailClosedVerifier:
     def test_dealer_chosen_group_rejected(self, rng):
         """Generator 1 makes every check 1 == 1: before the verifier took
         the group from the field, random sub-shares from such a dealer
-        combined into garbage without any error. A commitment carries no
-        group any more, so the generator-1 forgery is just commitments
-        (1, 1) — and the value check in the field's group refuses it."""
-        old = share_secret(1234, 1, [1, 2, 3], FIELD, rng)
-        honest = redistribute_share(old[0], 1, [1, 2, 3], FIELD, rng)
-        forged = RedistributionMessage(
-            old[1].x,
-            tuple(SubShare(old[1].x, pid, rng.randrange(FIELD.modulus)) for pid in (1, 2, 3)),
-            FeldmanCommitment((1, 1)),
-        )
-        for sub in forged.sub_shares:
-            assert not verify_sub_share(sub, forged.commitment, FIELD)
-        with pytest.raises(VSRError, match=f"dealer {old[1].x} failed verification"):
-            combine_sub_shares(1, [honest, forged], FIELD, 1)
-        assert not verify_share_provenance(old[1], forged.commitment, FIELD)
-        with pytest.raises(TypeError):
-            FeldmanCommitment(7, 1, (1, 1))
+        combined into garbage without any error. A commitment row carries no
+        group, so the generator-1 forgery is just the row (1, 1) — and the
+        value check in the field's group refuses it, as does provenance."""
+        original, (ys,) = deal_committed([1234], 1, [1, 2, 3], FIELD, rng)
+        (honest,), (honest_subs,) = deal_committed([ys[0]], 1, [1, 2, 3], FIELD, rng)
+        forged = (1, 1)
+        forged_subs = [rng.randrange(FIELD.modulus) for _ in range(3)]
+        with pytest.raises(VSRError, match="dealer 2 failed verification"):
+            combine_vector(
+                [1, 2], [1, 2, 3], 1, [honest, forged], [honest_subs, forged_subs], FIELD
+            )
+        with pytest.raises(VSRError, match="dealer 2 re-shared"):
+            check_provenance([1, 2], [honest, forged], original, FIELD)
 
     def test_over_degree_dealer_rejected(self, rng):
         """Three coefficient commitments at new threshold 1 verify for every
         recipient, yet recipient quorums {1,2} and {2,3} would reconstruct
         different secrets."""
         old = share_secret(1234, 1, [1, 2, 3], FIELD, rng)
-        honest = redistribute_share(old[0], 1, [1, 2, 3], FIELD, rng)
-        over = redistribute_share(old[1], 2, [1, 2, 3], FIELD, rng)
-        assert all(verify_sub_share(s, over.commitment, FIELD) for s in over.sub_shares)
+        (honest,), (honest_subs,) = deal_committed([old[0].y], 1, [1, 2, 3], FIELD, rng)
+        (over,), (over_subs,) = deal_committed([old[1].y], 2, [1, 2, 3], FIELD, rng)
+        combine_vector([old[1].x], [1, 2, 3], 2, [over], [over_subs], FIELD)  # verifies
         with pytest.raises(VSRError, match=f"dealer {old[1].x} .* wrong degree"):
-            combine_sub_shares(1, [honest, over], FIELD, 1)
+            combine_vector(
+                [old[0].x, old[1].x], [1, 2, 3], 1, [honest, over], [honest_subs, over_subs], FIELD
+            )
         commitments, subs = deal_committed([old[0].y, old[1].y], 2, [1, 2, 3], FIELD, rng)
         with pytest.raises(VSRError, match="wrong degree"):
             combine_vector([1, 2], [1, 2, 3], 1, commitments, subs, FIELD)
@@ -155,49 +181,54 @@ class TestChainedRedistribution:
     def test_multi_hop_chain(self, rng):
         """Key shares hop across several committees (the §5.2 VSR tree)."""
         secret = 31337
-        shares = share_secret(secret, 2, [1, 2, 3, 4, 5], FIELD, rng)
+        shares = _vector(share_secret(secret, 2, [1, 2, 3, 4, 5], FIELD, rng))
         for _hop in range(4):
-            shares = redistribute_secret(shares, 2, 2, [1, 2, 3, 4, 5], FIELD, rng)
-        assert reconstruct_secret(shares[:3], FIELD) == secret
+            shares = redistribute_vector(shares, 2, 2, [1, 2, 3, 4, 5], FIELD, rng)
+        assert reconstruct_secret(_points(shares, [1, 2, 3]), FIELD) == secret
 
 
 class TestExtendedVSRProvenance:
     def test_provenanced_sharing_roundtrip(self, rng):
-        from repro.crypto.vsr import (
-            redistribute_with_provenance,
-            share_secret_with_provenance,
-            verify_share_provenance,
-        )
-
-        sharing = share_secret_with_provenance(4242, 2, [1, 2, 3, 4, 5], FIELD, rng)
-        for share in sharing.shares:
-            assert verify_share_provenance(share, sharing.commitment, FIELD)
-        new = redistribute_with_provenance(sharing, 2, 2, [1, 2, 3, 4, 5], FIELD, rng)
-        assert reconstruct_secret(new[:3], FIELD) == 4242
+        ids = [1, 2, 3, 4, 5]
+        original, (ys,) = deal_committed([4242], 2, ids, FIELD, rng)
+        dealers = ids[:3]
+        commitments, subs = deal_committed(ys[:3], 2, ids, FIELD, rng)
+        check_provenance(dealers, commitments, original, FIELD)
+        new = combine_vector(dealers, ids, 2, commitments, subs, FIELD)
+        assert reconstruct_secret(_points(new, [1, 2, 3]), FIELD) == 4242
 
     def test_dealer_with_substituted_share_caught(self, rng):
         """A dealer whose input share is not the committed one is detected
-        even though its sub-shares would be mutually consistent — the
+        even though its sub-shares are mutually consistent — the
         'Extended' part of Extended VSR."""
-        from dataclasses import replace as _replace
-
-        from repro.crypto.vsr import (
-            redistribute_with_provenance,
-            share_secret_with_provenance,
-        )
-
-        sharing = share_secret_with_provenance(99, 1, [1, 2, 3], FIELD, rng)
-        forged_shares = (Share(1, sharing.shares[0].y + 7),) + sharing.shares[1:]
-        forged = _replace(sharing, shares=forged_shares)
-        with pytest.raises(VSRError, match="provenance"):
-            redistribute_with_provenance(forged, 1, 1, [1, 2, 3], FIELD, rng)
+        original, (ys,) = deal_committed([99], 1, [1, 2, 3], FIELD, rng)
+        commitments, _ = deal_committed([ys[0] + 7, ys[1]], 1, [1, 2, 3], FIELD, rng)
+        with pytest.raises(VSRError, match="dealer 1 re-shared"):
+            check_provenance([1, 2], commitments, original, FIELD)
 
     def test_plain_vsr_would_miss_the_substitution(self, rng):
-        """Contrast: plain VSR happily redistributes the forged share —
+        """Contrast: plain VSR happily combines the forged share —
         provenance is what Extended VSR adds."""
-        from repro.crypto.vsr import share_secret_with_provenance
+        _, (ys,) = deal_committed([99], 1, [1, 2, 3], FIELD, rng)
+        commitments, subs = deal_committed([ys[0] + 7, ys[1]], 1, [1, 2, 3], FIELD, rng)
+        new = combine_vector([1, 2], [1, 2, 3], 1, commitments, subs, FIELD)
+        assert reconstruct_secret(_points(new, [1, 2]), FIELD) != 99  # silently wrong
 
-        sharing = share_secret_with_provenance(99, 1, [1, 2, 3], FIELD, rng)
-        forged = [Share(1, sharing.shares[0].y + 7)] + list(sharing.shares[1:])
-        new = redistribute_secret(forged, 1, 1, [1, 2, 3], FIELD, rng)
-        assert reconstruct_secret(new[:2], FIELD) != 99  # silently wrong
+    def test_provenance_checks_every_element_row(self, rng):
+        """Rows are (element, dealer) as in ``combine_vector``: each is held
+        to its own element's original row."""
+        original, shares = deal_committed([5, 6], 1, [1, 2, 3], FIELD, rng)
+        constants = [shares[i][x - 1] for i in range(2) for x in (1, 2)]
+        commitments, _ = deal_committed(constants, 1, [1, 2, 3], FIELD, rng)
+        check_provenance([1, 2], commitments, original, FIELD)
+        constants[3] += 1  # dealer 2's element-1 share
+        commitments, _ = deal_committed(constants, 1, [1, 2, 3], FIELD, rng)
+        with pytest.raises(VSRError, match="dealer 2 re-shared"):
+            check_provenance([1, 2], commitments, original, FIELD)
+
+    def test_provenance_refuses_rows_that_do_not_fit(self, rng):
+        original, (ys,) = deal_committed([5], 1, [1, 2, 3], FIELD, rng)
+        commitments, _ = deal_committed(ys[:2], 1, [1, 2, 3], FIELD, rng)
+        for dealers, rows in (([], []), ([1, 2], commitments[:1]), ([1], commitments)):
+            with pytest.raises(VSRError, match="do not fit"):
+                check_provenance(dealers, rows, original, FIELD)
