@@ -939,7 +939,7 @@ def cmd_backends(args) -> int:
             print(f"{'':26s} unavailable: {row['unavailable_reason']}")
     print(
         f"\noverride with {crypto_backend.BACKEND_ENV_VAR}="
-        f"{{pure,accel}} (accel runs powmod and powmod_vector under gmpy2, "
+        f"{{pure,accel}} (accel runs powmod and powmod_base_batch under gmpy2, "
         "bit-identical to the pure oracle; see tests/test_backend_equivalence.py)"
     )
     return 0

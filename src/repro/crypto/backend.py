@@ -1,9 +1,9 @@
 """The modexp seam: the one place bigint modular arithmetic is written.
 
-What is hot in this runtime is *bigint* crypto: Paillier ``r^n mod n²`` pad
+What is hot in this runtime is *bigint* crypto: Paillier ``z^α mod n²`` pad
 generation, ``c^λ mod n²`` decryption, Feldman/VSR commitment
 exponentiations. This module is the five kernels those paths go through —
-``powmod``, ``powmod_vector``, ``powmod_base_vector``, ``invmod``,
+``powmod``, ``powmod_base_batch``, ``powmod_base_vector``, ``invmod``,
 ``batch_invmod`` — and nothing else: key schedules, protocol logic,
 digests, RNG draw schedules, BGV's numpy slot arithmetic and Paillier lane
 packing all stay in their own modules, so a backend can only change *how
@@ -17,12 +17,15 @@ Two implementations ship:
   importable, and the *differential oracle*:
   ``tests/test_backend_equivalence.py`` asserts the other backend produces
   bit-identical ciphertexts, shares, commitments and query digests.
-  Its one stateful kernel is the fixed-base batch
+  Its one stateful kernel is the long-lived fixed-base batch
   (``powmod_base_vector``): a byte-comb table per declared base, exact
-  for every exponent (docs/ARCHITECTURE.md §20).
-* :class:`AcceleratedBackend` — gmpy2 ``powmod``/``mpz`` for the two
-  kernels that carry the hot modexps (``powmod``, ``powmod_vector``); it
-  inherits the other three. Without gmpy2 it *is* the pure backend under
+  for every exponent (docs/ARCHITECTURE.md §20). The per-query pad base
+  goes through ``powmod_base_batch`` instead, whose window table lives for
+  one call, so no per-query key enters that cache (§32).
+* :class:`AcceleratedBackend` — gmpy2 for the two kernels that carry the
+  hot modexps: ``powmod`` is gmpy2's, and ``powmod_base_batch`` runs the
+  pure window table with ``mpz`` numbers; it inherits the other three.
+  Without gmpy2 it *is* the pure backend under
   another name, so forcing ``REPRO_CRYPTO_BACKEND=accel`` is always safe.
 
 Selection happens lazily on first use: the ``REPRO_CRYPTO_BACKEND``
@@ -52,6 +55,10 @@ except ImportError:  # pragma: no cover
 
 #: Environment variable forcing backend selection (``pure`` or ``accel``).
 BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
+
+#: Digit width of :meth:`PureBackend.powmod_base_batch`. Measured fastest of
+#: 3–6 for 16–64 exponents of 424–552 bits (docs/ARCHITECTURE.md §32).
+_WINDOW = 5
 
 
 def gmpy2_available() -> bool:
@@ -112,12 +119,42 @@ class PureBackend:
         """``base**exp mod mod`` — the single-shot bigint modexp."""
         return pow(base, exp, mod)
 
-    def powmod_vector(self, bases: Sequence[int], exp: int, mod: int) -> List[int]:
-        """Fixed-exponent batch: ``[b**exp mod mod for b in bases]``.
+    def powmod_base_batch(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
+        """One-call fixed-base batch: ``[base**e mod mod for e in exps]``.
 
-        The Paillier pad shape — one exponent ``n``, many random bases.
+        The Paillier pad shape — one n-th residue per key, a few wide random
+        exponents. Unlike :meth:`powmod_base_vector` the base lives for this
+        call only, so nothing is cached: the table ``base**(32**i)`` costs one
+        squaring per bit of the widest exponent, and each result is
+        Brickell–Gordon–McCurley–Wilson bucket accumulation over the
+        exponent's 5-bit digits (one mulmod per non-zero digit, then 62 to
+        combine the 31 buckets). Exponents are non-negative.
         """
-        return [pow(base, exp, mod) for base in bases]
+        widest = max((exp.bit_length() for exp in exps), default=0)
+        table = [base % mod]
+        for _ in range(1, -(-widest // _WINDOW)):
+            power = table[-1]
+            for _ in range(_WINDOW):
+                power = power * power % mod
+            table.append(power)
+        one, digit_mask = 1 % mod, (1 << _WINDOW) - 1
+        out = []
+        for exp in exps:
+            buckets = [one] * (1 << _WINDOW)
+            i = 0
+            while exp:
+                digit = exp & digit_mask
+                if digit:
+                    buckets[digit] = buckets[digit] * table[i] % mod
+                exp >>= _WINDOW
+                i += 1
+            # Π_d bucket[d]^d as a running suffix product: acc = Π_d run_d.
+            acc = run = one
+            for bucket in buckets[:0:-1]:
+                run = run * bucket % mod
+                acc = acc * run % mod
+            out.append(acc)
+        return out
 
     def powmod_base_vector(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
         """Fixed-base batch: ``[base**e mod mod for e in exps]``.
@@ -163,9 +200,9 @@ class PureBackend:
 class AcceleratedBackend(PureBackend):
     """gmpy2 modexp for the two hot kernels, bit-identical to the pure oracle.
 
-    Overrides ``powmod`` and ``powmod_vector`` — the single-shot and
-    fixed-exponent shapes that carry Paillier pads, decryption and VSR
-    checks — and inherits the fixed-base comb and both inversions. The
+    Overrides ``powmod`` and ``powmod_base_batch`` — the single-shot and
+    one-call fixed-base shapes that carry Paillier pads, decryption and VSR
+    checks — and inherits the long-lived comb and both inversions. The
     override is a *representation* change (mpz arithmetic over the same
     exact integer math), so outputs convert back to the oracle's plain
     ints without loss; without gmpy2 both kernels are the inherited ones.
@@ -176,7 +213,7 @@ class AcceleratedBackend(PureBackend):
     @property
     def detail(self) -> str:  # type: ignore[override]
         if gmpy2_available():
-            return "gmpy2 powmod/mpz for powmod and powmod_vector"
+            return "gmpy2 powmod for powmod, mpz for powmod_base_batch"
         return "no gmpy2: every kernel is the pure one"
 
     @staticmethod
@@ -193,11 +230,12 @@ class AcceleratedBackend(PureBackend):
             return super().powmod(base, exp, mod)
         return int(_gmpy2.powmod(base, exp, mod))
 
-    def powmod_vector(self, bases: Sequence[int], exp: int, mod: int) -> List[int]:
+    def powmod_base_batch(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
         if _gmpy2 is None:
-            return super().powmod_vector(bases, exp, mod)
-        mpz_exp, mpz_mod = _gmpy2.mpz(exp), _gmpy2.mpz(mod)
-        return [int(_gmpy2.powmod(_gmpy2.mpz(b), mpz_exp, mpz_mod)) for b in bases]
+            return super().powmod_base_batch(base, exps, mod)
+        # The same window table and buckets, with mpz as the number type.
+        got = super().powmod_base_batch(_gmpy2.mpz(base), exps, _gmpy2.mpz(mod))
+        return [int(v) for v in got]
 
 
 _BACKEND_CLASSES = {"pure": PureBackend, "accel": AcceleratedBackend}

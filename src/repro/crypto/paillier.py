@@ -19,10 +19,16 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .backend import get_backend
 from .field import random_prime
+
+#: Bits a pad exponent carries beyond ``2|n|`` (:func:`draw_pads`): the
+#: paper's 40 bits of statistical security (§6), so ``α mod n·λ(n)`` is
+#: within 2^-40 of uniform and each pad's ``(1+n)`` component is uniform
+#: under DCRA alone (docs/PROTOCOL.md §3).
+_PAD_EXPONENT_SLACK_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,20 @@ def draw_obfuscator(pk: PaillierPublicKey, rng: random.Random) -> int:
             return r
 
 
+def draw_pads(pk: PaillierPublicKey, rng: random.Random, count: int) -> List[int]:
+    """``count`` randomizer pads ``z^α mod n²`` of one n-th residue.
+
+    Draws one unit ``r0`` (:func:`draw_obfuscator`), then ``count`` exponents
+    of ``2|n| + 40`` bits, in that order; ``z = r0^n`` costs one full modexp
+    and the pads one fixed-base batch through the crypto backend. Under DCRA
+    they hide what ``count`` independent ``r^n`` would (docs/PROTOCOL.md §3).
+    """
+    backend, n2 = get_backend(), pk.n_squared
+    z = backend.powmod(draw_obfuscator(pk, rng), pk.n, n2)
+    bits = 2 * pk.n.bit_length() + _PAD_EXPONENT_SLACK_BITS
+    return backend.powmod_base_batch(z, [rng.getrandbits(bits) for _ in range(count)], n2)
+
+
 def encrypt_with_pad(
     pk: PaillierPublicKey, m: int, pad: int
 ) -> PaillierCiphertext:
@@ -176,20 +196,9 @@ def encrypt_with_obfuscator(
     return encrypt_with_pad(pk, m, get_backend().powmod(r, pk.n, pk.n_squared))
 
 
-def precompute_pads(pk: PaillierPublicKey, obfuscators: Sequence[int]) -> list:
-    """Batch the pad modexps ``r_i^n mod n²`` through the crypto backend.
-
-    The hottest Paillier kernel by far: one fixed exponent (``n``), many
-    random bases — exactly the shape the accelerated backend batches.
-    """
-    return get_backend().powmod_vector(obfuscators, pk.n, pk.n_squared)
-
-
-def encrypt(
-    pk: PaillierPublicKey, m: int, rng: Optional[random.Random] = None
-) -> PaillierCiphertext:
-    """Encrypt plaintext m (taken mod n) with fresh randomness."""
-    rng = rng or random.Random()
+def encrypt(pk: PaillierPublicKey, m: int, rng: random.Random) -> PaillierCiphertext:
+    """Encrypt plaintext m (taken mod n) with randomness drawn from ``rng``;
+    there is no fallback generator, so every ciphertext is re-derivable."""
     return encrypt_with_obfuscator(pk, m, draw_obfuscator(pk, rng))
 
 

@@ -237,12 +237,13 @@ class _HeldSecrets:
 def pad_pool_size(devices: int, packed_width: int) -> int:
     """Pads in a run's :class:`~repro.runtime.shard.ObfuscatorPool`.
 
-    Each pad costs a full ``r^n mod n²``, so the pool is never larger than
-    the ciphertexts it will obfuscate: 64 for any run of 64 ciphertexts or
-    more, fewer for a small one (a 24-device service query packing its row
-    into one ciphertext precomputes 24), and never below the pool's floor
-    of 2. ``devices`` is the *registered* population, like the packing
-    bound, so a churned run sizes as its fault-free twin does.
+    Each pad costs a fixed-base ``z^α mod n²`` over a ``2|n| + 40``-bit α
+    (0.55–0.7× a full ``r^n``, ARCHITECTURE §32), so the pool is never
+    larger than the ciphertexts it will obfuscate: 64 for any run of 64
+    ciphertexts or more, fewer for a small one (a 24-device service query
+    packing its row into one ciphertext precomputes 24), and never below the
+    pool's floor of 2. ``devices`` is the *registered* population, like the
+    packing bound, so a churned run sizes as its fault-free twin does.
     """
     return max(2, min(64, devices * packed_width))
 

@@ -14,9 +14,9 @@ stages remove them:
 * **Encryption randomness.** Paillier encryption spends one ~2k-bit-op
   modular exponentiation per ciphertext drawing ``r^n mod n^2``. The
   intake amortizes it with an :class:`ObfuscatorPool`: a small pool of
-  precomputed pads ``h_i = r_i^n mod n^2`` (real obfuscators, drawn from
-  a labelled stream; the executor sizes it to the run, never above 64)
-  from which each device takes a random subset *product* — still a
+  precomputed pads ``h_i = z^{α_i} mod n^2`` for one n-th residue ``z``
+  (drawn from a labelled stream; the executor sizes it to the run, never
+  above 64) from which each device takes a random subset *product* — still a
   uniform-looking element of the subgroup of n-th residues, at the cost
   of a handful of modular multiplications instead of a full
   exponentiation. This is the classic precomputed-randomization trade
@@ -124,8 +124,10 @@ def randrange_many(rng: random.Random, n: int, count: int) -> np.ndarray:
 class ObfuscatorPool:
     """Precomputed Paillier encryption randomness, drawn by subset product.
 
-    ``pool_size`` pads are real obfuscators ``r^n mod n^2`` with ``r``
-    drawn from the given (labelled, seeded) stream. :meth:`draw` returns
+    ``pool_size`` pads are powers ``z^α mod n^2`` of one n-th residue,
+    drawn by :func:`paillier.draw_pads` from the given (labelled, seeded)
+    stream; that hides under DCRA alone what independent ``r^n`` would
+    (docs/PROTOCOL.md §3). :meth:`draw` returns
     products of ``subset_size`` pads sampled with replacement — random
     n-th residues obtained with a few modular multiplications instead of
     one modular exponentiation each. The pads are immutable; the pair-
@@ -147,14 +149,8 @@ class ObfuscatorPool:
         self.pool_size = pool_size
         self.subset_size = subset_size
         self._n2 = public_key.n_squared
-        # One fixed-exponent modexp batch through the crypto backend: the
-        # obfuscators are drawn first (preserving the stream's draw order)
-        # and padded in bulk.
-        obfuscators = [
-            paillier.draw_obfuscator(public_key, rng) for _ in range(pool_size)
-        ]
         self._pads: Tuple[int, ...] = tuple(
-            paillier.precompute_pads(public_key, obfuscators)
+            paillier.draw_pads(public_key, rng, pool_size)
         )
         #: ``pads[i] * pads[j] % n2`` under key ``i * pool_size + j``, filled on demand.
         self._pairs: Dict[int, int] = {}

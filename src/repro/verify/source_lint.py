@@ -406,7 +406,7 @@ class _FileLinter(ast.NodeVisitor):
                 node,
                 "3-argument pow() bypasses the pluggable crypto backend; "
                 "route this modexp through crypto/backend.py "
-                "(get_backend().powmod / invmod / powmod_vector)",
+                "(get_backend().powmod / invmod / powmod_base_batch)",
             )
         # R3: float() coercion of a secret.
         if (

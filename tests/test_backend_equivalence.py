@@ -11,7 +11,7 @@ runs, under chaos scenarios, and across journal crash-resume.
 In this container gmpy2 is typically absent, so the accelerated backend
 runs the kernels it inherits. When gmpy2 *is* present (the CI ``accel``
 job), the identical assertions pin its two mpz kernels (``powmod``,
-``powmod_vector``) to the oracle — that is the point of the suite: one
+``powmod_base_batch``) to the oracle — that is the point of the suite: one
 set of assertions, any backend.
 """
 
@@ -20,6 +20,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import backend as backend_module
 from repro.crypto import paillier, shamir, vsr
@@ -39,6 +41,7 @@ from repro.planner.search import plan_query
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
 from repro.runtime.journal import ExecutionJournal, run_to_completion
+from repro.runtime.shard import ObfuscatorPool
 from tests.conftest import share_values, small_env
 
 BACKENDS = ["pure", "accel"]
@@ -74,16 +77,23 @@ class TestKernelEquivalence:
                 assert got == oracle.powmod(base, exp, mod)
                 assert type(got) is int
 
-    def test_powmod_vector_matches_oracle(self):
-        oracle, subject = _oracle_and_subject()
-        rng = random.Random(1)
-        mod = rng.getrandbits(512) | (1 << 511) | 1
-        exp = rng.getrandbits(512)
-        bases = [rng.getrandbits(512) for _ in range(33)]
-        got = subject.powmod_vector(bases, exp, mod)
-        assert got == oracle.powmod_vector(bases, exp, mod)
-        assert all(type(v) is int for v in got)
-        assert subject.powmod_vector([], exp, mod) == []
+    @given(
+        base=st.integers(min_value=0, max_value=2**512),
+        exps=st.lists(st.integers(min_value=0, max_value=2**448), max_size=6),
+        wide=st.integers(min_value=2**1000, max_value=2**1100),
+        # Below the window's 32 as well as pad-sized moduli.
+        mod=st.one_of(
+            st.integers(min_value=1, max_value=31),
+            st.integers(min_value=32, max_value=2**384),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_powmod_base_batch_matches_builtin_pow(self, base, exps, wide, mod):
+        for backend in _oracle_and_subject():
+            for batch in ([], [0, 1], exps, exps + [wide, 1, 0]):
+                got = backend.powmod_base_batch(base, batch, mod)
+                assert got == [pow(base, e, mod) for e in batch]
+                assert all(type(v) is int for v in got)
 
     def test_powmod_base_vector_matches_oracle(self):
         oracle, subject = _oracle_and_subject()
@@ -165,17 +175,25 @@ class TestPrimitiveEquivalence:
             got = self._paillier_transcript()
         assert got == want
 
-    def test_paillier_pad_precompute_matches_per_element(self):
+    def test_pool_pads_match_a_hand_replay(self):
+        # One unit r0, z = r0^n, then z^α for 16 α of 2|n| + 40 bits each:
+        # same pads and same stream end under every backend, and every pad
+        # is an n-th residue, so it encrypts 0.
         sk = paillier.keygen(96, random.Random(2))
-        rng = random.Random(3)
-        obfuscators = [paillier.draw_obfuscator(sk.public, rng) for _ in range(16)]
+        pk = sk.public
+        replay = random.Random(3)
+        z = pow(paillier.draw_obfuscator(pk, replay), pk.n, pk.n_squared)
+        bits = 2 * pk.n.bit_length() + paillier._PAD_EXPONENT_SLACK_BITS
+        want = tuple(pow(z, replay.getrandbits(bits), pk.n_squared) for _ in range(16))
         for name in BACKENDS:
+            rng = random.Random(3)
             with use_backend(name):
-                pads = paillier.precompute_pads(sk.public, obfuscators)
-                assert pads == [
-                    get_backend().powmod(r, sk.public.n, sk.public.n_squared)
-                    for r in obfuscators
-                ]
+                pads = ObfuscatorPool(pk, rng, pool_size=16)._pads
+            assert pads == want
+            assert rng.getstate() == replay.getstate()
+        assert len(set(want)) == 16
+        for pad in want:
+            assert paillier.decrypt(sk, paillier.PaillierCiphertext(pad, pk.n)) == 0
 
     def _shamir_transcript(self, modulus):
         field = PrimeField(modulus)
@@ -422,19 +440,19 @@ class TestSelectionMachinery:
         assert backend.powmod(3, 5, 7) == pow(3, 5, 7)
         assert isinstance(backend.detail, str)
         # The seam itself: five kernels, two of them overridden.
-        kernels = {"powmod", "powmod_vector", "powmod_base_vector", "invmod", "batch_invmod"}
+        kernels = {"powmod", "powmod_base_batch", "powmod_base_vector", "invmod", "batch_invmod"}
         public = {
             name
             for name in dir(PureBackend)
             if not name.startswith("_") and callable(getattr(PureBackend, name))
         }
         assert public == kernels | {"available", "unavailable_reason"}
-        assert kernels & set(vars(AcceleratedBackend)) == {"powmod", "powmod_vector"}
+        assert kernels & set(vars(AcceleratedBackend)) == {"powmod", "powmod_base_batch"}
         oracle, p, rng = PureBackend(), MERSENNE_127, random.Random(9)
         a, b, c = (rng.randrange(1, p) for _ in range(3))
         for name, args in (
             ("powmod", (a, b, p)),
-            ("powmod_vector", ([a, b, c], b, p)),
+            ("powmod_base_batch", (a, [b, c, 0], p)),
             ("powmod_base_vector", (a, [b, c, 0], p)),
             ("invmod", (a, p)),
             ("batch_invmod", ([a, b, c], p)),

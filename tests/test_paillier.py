@@ -41,6 +41,11 @@ class TestRoundtrip:
         with pytest.raises(TypeError):
             paillier.keygen(128)
 
+    def test_encrypt_without_a_generator_is_refused(self):
+        """Encryption randomness, too, comes only from a caller's stream."""
+        with pytest.raises(TypeError):
+            paillier.encrypt(PK, 1)
+
 
 class TestHomomorphism:
     def test_addition(self, rng):
@@ -105,7 +110,7 @@ class TestKeyCachesItsSquare:
         ]
 
     def test_raw_encryption_matches_the_per_ciphertext_function(self, rng):
-        pads = [paillier.precompute_pads(PK, [paillier.draw_obfuscator(PK, rng)])[0] for _ in range(6)]
+        pads = [paillier.encrypt(PK, 0, rng).value for _ in range(6)]  # g^0 · r^n
         rows = {0: [5, 0, PK.n + 2], 7: [1, -1, 9]}
         got = paillier.encrypt_rows_with_pads(PK, rows, [7, 0], pads)
         want = [

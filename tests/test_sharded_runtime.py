@@ -362,8 +362,9 @@ class TestAggregatorTree:
             return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()
 
         tree = self._folded_tree(keypair, shard_ctx)
+        # Re-pinned in the z^α pad epoch (docs/PROTOCOL.md §3): ciphertexts moved.
         assert tree.root.digest.hex() == (
-            "406c4caabb3dc2c2293045b4027242ebd0686a143482ba13d70e3119a4be1a4f"
+            "842a492bfea477a548f47ef8527517d8dc49863c84ea49779a2e83a5f930e8fc"
         )
         assert (tree.root.accepted - 1) * len(tree.totals()) == 856
         rng = random.Random(5)
@@ -620,8 +621,9 @@ class TestWaveDrain:
         assert hashlib.sha256(repr(result).encode()).hexdigest() == (
             "3ea275d610dbcc7cdd574c8b7889b05d9327a525025d251919f25d076899448d"
         )
+        # Re-pinned in the z^α pad epoch (docs/PROTOCOL.md §3): ciphertexts moved.
         assert root.hex() == (
-            "07d9e889401a441e12ad4e184bfa15018dea403f90fff9d10095a3bb0477dee1"
+            "3da2f00904650240cdad1c7e5e884a75a5d540f58124cb4cfcf269bc8f49e686"
         )
         assert len(journal) == 14066
         assert hashlib.sha256(journal).hexdigest() == (
