@@ -52,9 +52,12 @@ verify-sweep:
 chaos-smoke:
 	python -m repro chaos --scenario all --devices 32 --committee-size 4
 
-# Every checkpoint killed and resumed.
+# Every checkpoint killed and resumed: 4 shards, then 64 shards under a
+# 7-level fanout-2 tree (76 checkpoints, ~10 s), where a resume restores up
+# to all 64 journaled shard leaves.
 chaos-resume-smoke:
 	python -m repro chaos --crash-sweep --devices 32 --committee-size 4
+	python -m repro chaos --crash-sweep --devices 512 --committee-size 4
 
 # The long profile of the release check tier-1 runs on 200 seeds: what the
 # full runtime releases against the calibrated Laplace / exponential-mechanism

@@ -172,26 +172,11 @@ def _executor_from_manifest(manifest: dict, journal=None):
     reproduce the original construction order exactly (network before
     data load before executor), because the shared RNGs are consumed in
     that order and resume correctness rests on replaying the same draws.
-
-    A manifest written by one of the removed flat data planes (it names
-    one, or predates ``shard_size`` and so ran the then-default
-    ``vectorized``) is refused with a :class:`JournalError` before anything
-    is built: that plane's RNG schedule no longer exists, so its
-    checkpoints cannot be replayed bit-identically.
     """
     from .faults import FaultInjector, FaultPlan
     from .runtime.executor import QueryExecutor
-    from .runtime.journal import JournalError
     from .runtime.network import FederatedNetwork
 
-    plane = manifest.get(
-        "data_plane", "sharded" if "shard_size" in manifest else "vectorized"
-    )
-    if plane != "sharded":
-        raise JournalError(
-            f"the journal was written by the {plane!r} data plane, which this "
-            "version no longer has; it cannot be replayed bit-identically"
-        )
     env = QueryEnvironment(
         num_participants=manifest["devices"],
         row_width=manifest["categories"],
@@ -201,8 +186,6 @@ def _executor_from_manifest(manifest: dict, journal=None):
     planning = Planner(env).plan_source(
         manifest["source"], name=manifest["query_name"]
     )
-    # A manifest written by PRs 16-21 also names an intake worker count; every
-    # count released the serial drain's bytes, so the key is ignored.
     shard_kwargs = {
         "shard_size": manifest["shard_size"],
         "tree_fanout": manifest["tree_fanout"],
@@ -308,11 +291,7 @@ def cmd_resume(args) -> int:
         print(f"output(s): {stored['outputs_repr']}")
         print(f"ε charged: {stored['epsilon_charged']}")
         return 0
-    try:
-        executor = _executor_from_manifest(manifest, journal)
-    except JournalError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 1
+    executor = _executor_from_manifest(manifest, journal)
     print(
         f"resuming {manifest['recipe']} run of {manifest['query_name']!r} "
         f"from {journal.record_count} journaled record(s) "

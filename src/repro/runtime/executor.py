@@ -57,7 +57,8 @@ each record chained by SHA-256. A scheduled
 :class:`~repro.faults.CoordinatorCrash`; a fresh incarnation built from
 the journal manifest replays deterministically, verifying each
 checkpoint against the journaled record (divergence is a typed error,
-never a silently different answer), absorbs the recorded death, and
+never a silently different answer) and restoring each journaled shard's
+intake from its leaf instead of re-running it, absorbs the recorded death, and
 continues — releasing a ``QueryResult`` byte-identical to the
 uninterrupted run with the accountant charged exactly once per label.
 """
@@ -404,13 +405,14 @@ class QueryExecutor:
 
         return random.Random(derive_stream_seed(self._shard_seed, label))
 
-    def _checkpoint(self, label: str) -> None:
+    def _checkpoint(self, label: str, leaf: Optional[Dict[str, object]] = None) -> None:
         """A named execution boundary: journal record, then armed faults.
 
         When a journal is attached, the full recovery-relevant state
         (allocations, RNG labels, sealed held secrets, charges, fault
-        log) is made durable *before* any fault may fire, so a process
-        death at this exact point loses nothing. A scheduled
+        log, and a shard checkpoint's intake ``leaf``) is made durable
+        *before* any fault may fire, so a process death at this exact
+        point loses nothing. A scheduled
         coordinator-crash event then fires here — unless a crash record
         from a previous incarnation absorbs it, which is how a resumed
         run sails past its own death point.
@@ -419,7 +421,7 @@ class QueryExecutor:
         self._checkpoint_seq += 1
         self.statistics.checkpoints = self._checkpoint_seq
         if self.journal is not None:
-            replayed = self.journal.checkpoint(self._checkpoint_payload(seq, label))
+            replayed = self.journal.checkpoint(self._checkpoint_payload(seq, label, leaf))
             if replayed:
                 self.statistics.journal_replayed += 1
             self.statistics.journal_records = self.journal.record_count
@@ -450,7 +452,9 @@ class QueryExecutor:
                 )
             self.faults.maybe_fail()
 
-    def _checkpoint_payload(self, seq: int, label: str) -> Dict[str, object]:
+    def _checkpoint_payload(
+        self, seq: int, label: str, leaf: Optional[Dict[str, object]]
+    ) -> Dict[str, object]:
         """Everything a checkpoint record attests to, JSON-canonical.
 
         The RNG stream attestation stores the labels drawn *since the
@@ -463,7 +467,7 @@ class QueryExecutor:
             digest.update(b";")
         new_labels = self._rng_labels[self._journaled_rng_labels :]
         self._journaled_rng_labels = len(self._rng_labels)
-        return {
+        payload = {
             "seq": seq,
             "label": label,
             "phase": self.faults.current_phase if self.faults is not None else None,
@@ -483,6 +487,17 @@ class QueryExecutor:
             },
             "events": self.faults.log.as_dict() if self.faults is not None else None,
         }
+        if leaf is not None:
+            payload["leaf"] = leaf
+        return payload
+
+    def _journaled_leaf(self, label: str) -> Optional[Dict[str, object]]:
+        """The intake leaf of the journaled checkpoint this run reaches next,
+        when that checkpoint is ``label`` at this ordinal; else None."""
+        payload = self.journal.next_replay_payload() if self.journal is not None else None
+        if payload is None or (payload["seq"], payload["label"]) != (self._checkpoint_seq, label):
+            return None
+        return payload.get("leaf")
 
     def _sealed_held_secrets(self) -> List[Dict[str, object]]:
         """Commitments to the live secrets parked with mid-run committees.
@@ -892,11 +907,14 @@ class QueryExecutor:
           shard before the first upload.
         * ``upload``/``verify`` are pure per-shard stages from
           :mod:`~repro.runtime.shard`, run one shard at a time: a shard's
-          column batch is ingested before the next shard's is built.
-        * ``aggregate`` ingests a verified batch into its tree leaf and
-          journals the shard-scoped checkpoint (``input/shard{i}``) — so
-          a coordinator crash resumes at shard granularity, not phase
-          granularity.
+          column batch is ingested before the next shard's is built. A
+          resumed run whose journal holds the shard's checkpoint runs
+          neither: both events pass the journaled leaf through.
+        * ``aggregate`` journals the shard-scoped checkpoint
+          (``input/shard{i}``, carrying the shard's leaf) and then ingests
+          the leaf into the tree — so a coordinator crash loses at most
+          the shards it had not journaled, and a restored leaf enters the
+          tree only once its checkpoint has replay-verified.
         * ``fold`` combines an internal tree node the moment its last
           child lands.
 
@@ -905,7 +923,8 @@ class QueryExecutor:
         """
         # Looked up per call: bench/ wraps the stages where shard.py defines them.
         from . import scheduler as event_scheduler
-        from .shard import ObfuscatorPool, ShardContext, build_shards, upload_shard, verify_shard
+        from .shard import ObfuscatorPool, ShardContext, ShardIntakeResult
+        from .shard import build_shards, upload_shard, verify_shard
 
         width = statement.length
         packed_width = self._packing.packed_width if self._packing else width
@@ -914,22 +933,32 @@ class QueryExecutor:
         # One obfuscator pad pool per run: real obfuscators from a labelled
         # stream, shared read-only by every shard (see shard.py for
         # the subset-product construction and DESIGN.md for the trade).
-        pool = ObfuscatorPool(
-            public_key,
-            self._shard_stream("sharded/pads"),
-            pool_size=pad_pool_size(len(self.network), packed_width),
-        )
-        ctx = ShardContext(
-            public_key=public_key,
-            statement=statement,
-            categories=self.env.row_width,
-            bins=bins,
-            one_hot=statement.kind == "one_hot",
-            width=width,
-            round_number=round_number,
-            packing=self._packing,
-            pool=pool,
-        )
+        # The label is attested here; the pool is built at the first shard
+        # that is not restored from the journal, so a resume past the
+        # intake draws no pads.
+        pads_stream = self._shard_stream("sharded/pads")
+        ctx: Optional[ShardContext] = None
+
+        def live_context() -> ShardContext:
+            nonlocal ctx
+            if ctx is None:
+                ctx = ShardContext(
+                    public_key=public_key,
+                    statement=statement,
+                    categories=self.env.row_width,
+                    bins=bins,
+                    one_hot=statement.kind == "one_hot",
+                    width=width,
+                    round_number=round_number,
+                    packing=self._packing,
+                    pool=ObfuscatorPool(
+                        public_key,
+                        pads_stream,
+                        pool_size=pad_pool_size(len(self.network), packed_width),
+                    ),
+                )
+            return ctx
+
         ids, values, online, malicious = self.network.soa_view()
         shards = build_shards(ids, values, online, malicious, self.shard_size)
         tree = AggregatorTree(
@@ -959,25 +988,31 @@ class QueryExecutor:
 
         def on_upload(event):
             shard, stream = event.payload
-            batch = upload_shard(shard, ctx, stream)
+            leaf = self._journaled_leaf(f"input/shard{shard.shard_id}")
+            if leaf is not None:
+                restored = ShardIntakeResult.from_leaf(shard.shard_id, public_key.n, leaf)
+                return None, [(event_scheduler.VERIFY, shard.shard_id, restored)]
+            batch = upload_shard(shard, live_context(), stream)
             return batch, [(event_scheduler.VERIFY, shard.shard_id, batch)]
 
         def on_verify(event):
-            result = verify_shard(event.payload, ctx)
+            result = event.payload
+            if not isinstance(result, ShardIntakeResult):  # else restored: a no-op
+                result = verify_shard(result, live_context())
             return result, [
                 (event_scheduler.AGGREGATE, result.shard_id, result)
             ]
 
         def on_aggregate(event):
             result = event.payload
-            ready = tree.ingest_leaf(result)
             stats.uploads_submitted += result.uploads_received
             stats.submit_seconds += result.submit_seconds
             stats.uploads_verified += result.accepted
             stats.uploads_rejected += len(result.rejected)
             stats.verify_seconds += result.verify_seconds
             stats.aggregate_seconds += result.aggregate_seconds
-            self._checkpoint(f"input/shard{result.shard_id}")
+            self._checkpoint(f"input/shard{result.shard_id}", leaf=result.as_leaf())
+            ready = tree.ingest_leaf(result)
             return None, (
                 [(event_scheduler.FOLD, ready[1], ready)] if ready else []
             )

@@ -28,7 +28,8 @@ detected *on load* — a typed :class:`JournalTruncated` /
     labelled RNG streams drawn (``faults.fresh`` labels), sealed
     held-secret state (a digest of the parked committees' live share
     vectors — a commitment, never the shares themselves), the accountant
-    charges so far, and the fault :class:`~repro.faults.EventLog`.
+    charges so far, and the fault :class:`~repro.faults.EventLog`; an
+    ``input/shard{i}`` checkpoint adds the shard's intake ``leaf``.
 ``charge``
     Written *before* the in-memory accountant is debited (write-ahead):
     the label and (ε, δ) of one budget charge. Keyed by label, these give
@@ -43,7 +44,8 @@ detected *on load* — a typed :class:`JournalTruncated` /
     The released outputs (plus digests) of a completed run. A journal
     ending in a result record has nothing to resume.
 
-Resume is **deterministic re-execution, verified record-by-record**: the
+Resume is **deterministic re-execution, verified record-by-record,
+except that a journaled shard's intake is restored from its leaf**: the
 runtime's whole fault methodology already keys every value-relevant draw
 by a stable label rather than global stream position, so a new
 incarnation rebuilt from the manifest replays the identical run. The
@@ -51,10 +53,18 @@ journal's role is to make that replay *safe*: each checkpoint the
 resumed run reaches is compared against the journaled record (same
 label, same canonical payload) and any mismatch raises a typed
 :class:`JournalDivergence` instead of quietly releasing a different
-answer. Once the replay cursor passes the last intact record the journal
-switches back to appending, and the run continues as if the crash never
-happened — the headline guarantee, enforced by ``tests/test_journal.py``
-in the same byte-identical methodology as PRs 4–5.
+answer. An ``input/shard{i}`` checkpoint also carries the shard's
+deterministic intake result (its *leaf*: upload counts, rejected ids,
+leaf digest, per-slot partial sums). When the record the replay reaches
+next is that shard's, the executor skips the shard's encryption, proofs
+and verification, takes the leaf from :meth:`ExecutionJournal.next_replay_payload`,
+and admits it to the aggregation tree only after the rest of the
+checkpoint (allocations, RNG labels, sealed held secrets, charges, fault
+log) has replay-verified. Everything else — keygen, committees, MPC —
+is still re-executed. Once the replay cursor passes the last intact
+record the journal switches back to appending, and the run continues as
+if the crash never happened — the headline guarantee, enforced by
+``tests/test_journal.py``.
 """
 
 from __future__ import annotations
@@ -65,12 +75,18 @@ import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 #: Bumped when the record schema changes; part of the genesis digest, so
-#: journals from an incompatible schema fail the chain check on load.
-JOURNAL_VERSION = 1
+#: a journal of another schema fails to load (v2: shard checkpoints carry
+#: their intake leaf).
+JOURNAL_VERSION = 2
 
-_GENESIS = hashlib.sha256(
-    f"arboretum-execution-journal/v{JOURNAL_VERSION}".encode("utf-8")
-).hexdigest()
+
+def _genesis(version: int) -> str:
+    return hashlib.sha256(
+        f"arboretum-execution-journal/v{version}".encode("utf-8")
+    ).hexdigest()
+
+
+_GENESIS = _genesis(JOURNAL_VERSION)
 
 #: Coordinator incarnations a crash→resume drive runs before giving up.
 MAX_INCARNATIONS = 8
@@ -88,8 +104,19 @@ def payload_digest(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _chain(previous: str, seq: object, kind: object, payload: object) -> str:
+    """One link of the digest chain: ``sha256(previous || canonical record)``."""
+    body = canonical_json({"seq": seq, "kind": kind, "payload": payload})
+    return hashlib.sha256((previous + body).encode("utf-8")).hexdigest()
+
+
 class JournalError(Exception):
     """Base class for execution-journal failures."""
+
+
+class JournalVersionMismatch(JournalError):
+    """The journal chains from an earlier schema's genesis: it is intact,
+    but this build cannot replay it."""
 
 
 class JournalCorrupted(JournalError):
@@ -180,10 +207,17 @@ class ExecutionJournal:
                     f"({exc.msg}); the file is "
                     + ("truncated" if kind is JournalTruncated else "corrupted")
                 ) from exc
-            expected = execution_journal._chain_digest(
-                record.get("seq"), record.get("kind"), record.get("payload")
-            )
+            seq, kind, payload = record.get("seq"), record.get("kind"), record.get("payload")
+            expected = _chain(execution_journal._last_digest, seq, kind, payload)
             if record.get("digest") != expected:
+                if index == 0:
+                    for version in range(1, JOURNAL_VERSION):
+                        if record.get("digest") == _chain(_genesis(version), seq, kind, payload):
+                            raise JournalVersionMismatch(
+                                f"journal {path!r} was written by journal schema "
+                                f"v{version}; this build reads v{JOURNAL_VERSION}, "
+                                "so it can neither replay nor print it"
+                            )
                 raise JournalCorrupted(
                     f"journal {path!r} record {index} fails the digest chain "
                     f"(stored {str(record.get('digest'))[:16]}…, derived "
@@ -223,19 +257,13 @@ class ExecutionJournal:
 
     # ------------------------------------------------------------- appends
 
-    def _chain_digest(self, seq: object, kind: object, payload: object) -> str:
-        body = canonical_json({"seq": seq, "kind": kind, "payload": payload})
-        return hashlib.sha256(
-            (self._last_digest + body).encode("utf-8")
-        ).hexdigest()
-
     def _append(self, kind: str, payload: dict) -> dict:
         seq = len(self._records)
         record = {
             "seq": seq,
             "kind": kind,
             "payload": payload,
-            "digest": self._chain_digest(seq, kind, payload),
+            "digest": _chain(self._last_digest, seq, kind, payload),
         }
         # Write-ahead: the record is durable (flushed and fsynced) before
         # the caller acts on it, so a crash immediately after never leaves
@@ -343,6 +371,14 @@ class ExecutionJournal:
     @property
     def replaying(self) -> bool:
         return self._replay_cursor < len(self._checkpoint_records)
+
+    def next_replay_payload(self) -> Optional[dict]:
+        """The journaled payload the next :meth:`checkpoint` call will be
+        verified against, or None once replay is over. Does not move the
+        cursor; the caller must not mutate the payload."""
+        if not self.replaying:
+            return None
+        return self._checkpoint_records[self._replay_cursor]["payload"]
 
     def checkpoint_payloads(self) -> List[dict]:
         return [r["payload"] for r in self._checkpoint_records]

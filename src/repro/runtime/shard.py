@@ -242,7 +242,8 @@ class ShardIntakeResult:
     ``partials`` are the per-packed-slot homomorphic sums over the
     accepted uploads (``None`` when every upload was rejected), all under
     ``modulus`` — the batch's, which the tree compares with its own key;
-    ``leaf_digest`` commits to the accepted uploads in order.
+    ``leaf_digest`` commits to the accepted uploads in order. A result
+    restored from the journal (:meth:`from_leaf`) has no ``upload_digests``.
     """
 
     shard_id: int
@@ -256,6 +257,40 @@ class ShardIntakeResult:
     verify_seconds: float = 0.0
     aggregate_seconds: float = 0.0
     uploads_received: int = 0
+
+    def as_leaf(self) -> Dict[str, object]:
+        """The deterministic part, JSON-canonical: what the journal's shard
+        checkpoint records and :meth:`from_leaf` restores (ciphertexts as
+        lowercase hex; no per-upload digests, no timings)."""
+        return {
+            "received": self.uploads_received,
+            "accepted": self.accepted,
+            "rejected": list(self.rejected),
+            "digest": self.leaf_digest.hex(),
+            "partials": None
+            if self.partials is None
+            else [format(ct.value, "x") for ct in self.partials],
+        }
+
+    @classmethod
+    def from_leaf(
+        cls, shard_id: int, modulus: int, leaf: Dict[str, object]
+    ) -> "ShardIntakeResult":
+        """A journaled :meth:`as_leaf` back as the intake result of shard
+        ``shard_id`` under ``modulus``, with zero timings."""
+        partials = leaf["partials"]
+        return cls(
+            shard_id=shard_id,
+            modulus=modulus,
+            partials=None
+            if partials is None
+            else paillier.ciphertexts_under(modulus, [int(value, 16) for value in partials]),
+            accepted=leaf["accepted"],
+            rejected=list(leaf["rejected"]),
+            upload_digests=[],
+            leaf_digest=bytes.fromhex(leaf["digest"]),
+            uploads_received=leaf["received"],
+        )
 
 
 # ------------------------------------------------------------------ stages

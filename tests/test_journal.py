@@ -14,6 +14,7 @@ byte-identical methodology as the fault suite:
 """
 
 import argparse
+import hashlib
 import json
 import random
 import shutil
@@ -42,6 +43,7 @@ from repro.runtime.journal import (
     JournalDivergence,
     JournalError,
     JournalTruncated,
+    JournalVersionMismatch,
     canonical_json,
     payload_digest,
     run_to_completion,
@@ -179,6 +181,8 @@ class TestJournalFormat:
         assert issubclass(JournalTruncated, JournalCorrupted)
         assert issubclass(JournalCorrupted, JournalError)
         assert issubclass(JournalDivergence, JournalError)
+        assert issubclass(JournalVersionMismatch, JournalError)
+        assert not issubclass(JournalVersionMismatch, JournalCorrupted)
 
     def test_replay_verifies_then_appends(self, tmp_path):
         path = str(tmp_path / "run.journal")
@@ -186,8 +190,10 @@ class TestJournalFormat:
         journal.checkpoint({"seq": 0, "label": "a"})
         loaded = ExecutionJournal.load(path)
         assert loaded.replaying
+        assert loaded.next_replay_payload() == {"seq": 0, "label": "a"}
+        assert loaded.next_replay_payload() == {"seq": 0, "label": "a"}  # no cursor move
         assert loaded.checkpoint({"seq": 0, "label": "a"}) is True
-        assert not loaded.replaying
+        assert not loaded.replaying and loaded.next_replay_payload() is None
         assert loaded.checkpoint({"seq": 1, "label": "b"}) is False
         with pytest.raises(JournalDivergence):
             ExecutionJournal.load(path).checkpoint({"seq": 0, "label": "WRONG"})
@@ -553,48 +559,49 @@ def _crashing_manifest(plan=None, **extra):
     return manifest
 
 
+def _write_v1_journal(path, records):
+    """``records`` as (kind, payload) pairs, chained from schema v1's genesis
+    the way a v1 build wrote them."""
+    digest = hashlib.sha256(b"arboretum-execution-journal/v1").hexdigest()
+    lines = []
+    for seq, (kind, payload) in enumerate(records):
+        record = {"seq": seq, "kind": kind, "payload": payload}
+        digest = hashlib.sha256((digest + canonical_json(record)).encode()).hexdigest()
+        lines.append(canonical_json(dict(record, digest=digest)))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestRemovedPlaneJournals:
     """``repro resume`` fails closed on a journal whose RNG schedule is gone."""
 
-    @pytest.mark.parametrize(
-        "doctor, plane",
-        [
-            (lambda m: m.update(data_plane="vectorized"), "vectorized"),
-            (lambda m: m.update(data_plane="legacy"), "legacy"),
-            # Written before the sharded plane existed: neither key, ran the
-            # then-default flat plane.
-            (
-                lambda m: [m.pop(k) for k in ("shard_size", "tree_fanout")],
-                "vectorized",
-            ),
-        ],
-        ids=["vectorized", "legacy", "absent-keys"],
-    )
-    def test_resume_refuses_and_leaves_the_journal_alone(
-        self, doctor, plane, tmp_path, capsys
+    @pytest.mark.parametrize("completed", [False, True], ids=["crashed", "completed"])
+    def test_a_journal_of_an_earlier_schema_is_refused_by_version(
+        self, completed, tmp_path, capsys
     ):
-        manifest = _crashing_manifest()
-        doctor(manifest)
-        path = tmp_path / "old.journal"
-        journal = ExecutionJournal.create(str(path), manifest)
-        journal.charge("chaos", 4.0, 0.0)
+        records = [
+            ("open", _crashing_manifest()),
+            ("charge", {"label": "chaos", "epsilon": 4.0, "delta": 0.0}),
+        ]
+        if completed:
+            records.append(
+                ("result", {"outputs_repr": "[3]", "epsilon_charged": 4.0, "events": []})
+            )
+        path = tmp_path / "v1.journal"
+        _write_v1_journal(path, records)
         before = path.read_bytes()
-        with pytest.raises(JournalError, match=f"'{plane}' data plane"):
-            _executor_from_manifest(manifest, ExecutionJournal.load(str(path)))
+        with pytest.raises(
+            JournalVersionMismatch, match="written by journal schema v1; this build reads v2"
+        ):
+            ExecutionJournal.load(str(path))
         assert main(["resume", str(path)]) == 1
         captured = capsys.readouterr()
-        assert "cannot resume" in captured.err and repr(plane) in captured.err
-        assert "resuming" not in captured.out
+        assert "cannot resume" in captured.err and "schema v1" in captured.err
+        assert "resuming" not in captured.out and "output(s)" not in captured.out
         assert path.read_bytes() == before
-
-    def test_completed_journal_of_a_removed_plane_still_prints(self, tmp_path, capsys):
-        path = str(tmp_path / "done.journal")
-        journal = ExecutionJournal.create(path, _crashing_manifest(data_plane="legacy"))
-        journal.record_result(
-            {"outputs_repr": "[3]", "epsilon_charged": 4.0, "events": ["done"]}
-        )
-        assert main(["resume", path]) == 0
-        assert "output(s): [3]" in capsys.readouterr().out
+        # Only an exact v1 chain is named as such; an edited one is corrupt.
+        path.write_text(path.read_text().replace('"seed":7', '"seed":8', 1))
+        with pytest.raises(JournalCorrupted, match="tampered with or reordered"):
+            ExecutionJournal.load(str(path))
 
     @pytest.mark.parametrize("extra", [{}, {"data_plane": "sharded"}], ids=["this-version", "parent"])
     def test_sharded_manifests_resume(self, extra, tmp_path, capsys):
@@ -612,8 +619,8 @@ class TestRemovedPlaneJournals:
     def test_a_manifest_naming_the_removed_worker_count_resumes_bit_identically(
         self, tmp_path, capsys
     ):
-        # PRs 16-21 wrote ``shard_workers`` into every manifest. Every count
-        # released the serial drain's bytes, so the key is ignored on resume.
+        # A manifest key the rebuild does not read (an intake worker count
+        # here) is ignored on resume.
         base_manifest = _crashing_manifest(get_scenario("none"))
         assert "shard_workers" not in base_manifest
         base_path = str(tmp_path / "uncrashed.journal")
@@ -644,3 +651,72 @@ class TestRemovedPlaneJournals:
         # The same replay through the library hands back the QueryResult.
         journal = ExecutionJournal.load(library_path)
         assert _executor_from_manifest(journal.manifest, journal).run() == baseline
+
+
+# ---------------------------------------------------- restored shard leaves
+
+
+class TestRestoredLeaves:
+    """A journaled shard leaf is adopted only from an intact chain, and only
+    by an incarnation whose every other attested byte replays."""
+
+    @pytest.fixture()
+    def crashed(self, tmp_path):
+        """A chaos journal whose coordinator died at the third shard checkpoint."""
+        plan = FaultPlan(
+            "crash-at-shard",
+            events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard2"),),
+        )
+        manifest = _crashing_manifest(plan)
+        path = tmp_path / "crashed.journal"
+        with pytest.raises(CoordinatorCrash):
+            _executor_from_manifest(
+                manifest, ExecutionJournal.create(str(path), manifest)
+            ).run()
+        return manifest, path
+
+    def test_a_changed_partial_digit_fails_the_chain(self, crashed, capsys):
+        _manifest, path = crashed
+        lines = path.read_text().splitlines()
+        index = next(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["payload"].get("label") == "input/shard1"
+        )
+        record = json.loads(lines[index])
+        partial = record["payload"]["leaf"]["partials"][0]
+        flipped = partial[:-1] + ("0" if partial[-1] != "0" else "1")
+        lines[index] = lines[index].replace(f'"{partial}"', f'"{flipped}"', 1)
+        assert lines[index] != canonical_json(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalCorrupted, match=f"record {index} fails the digest chain"):
+            ExecutionJournal.load(str(path))
+        assert main(["resume", str(path)]) == 1
+        assert "cannot resume" in capsys.readouterr().err
+
+    def test_a_diverging_keygen_is_caught_before_any_leaf_is_restored(
+        self, crashed, monkeypatch
+    ):
+        from repro.runtime import shard as shard_module
+        from repro.runtime.aggregator import AggregatorTree
+
+        manifest, path = crashed
+        ingested, uploaded = [], []
+        ingest, upload = AggregatorTree.ingest_leaf, shard_module.upload_shard
+        monkeypatch.setattr(
+            AggregatorTree,
+            "ingest_leaf",
+            lambda tree, result: ingested.append(result.shard_id) or ingest(tree, result),
+        )
+        monkeypatch.setattr(
+            shard_module,
+            "upload_shard",
+            lambda shard, *rest: uploaded.append(shard.shard_id) or upload(shard, *rest),
+        )
+        other_key = dict(manifest, key_prime_bits=manifest["key_prime_bits"] + 32)
+        executor = _executor_from_manifest(other_key, ExecutionJournal.load(str(path)))
+        # Checkpoint 0 (the keygen allocation) precedes the key and replays;
+        # the first one after keygen is the first shard's.
+        with pytest.raises(JournalDivergence, match=r"checkpoint 1/'input/shard0'"):
+            executor.run()
+        assert executor.statistics.journal_replayed == 1
+        assert ingested == [] and uploaded == []

@@ -6,7 +6,7 @@ releases are pinned to the commit before the worker pool was deleted.
 On top of that sit the multi-level aggregation tree's audit guarantees
 (any internal level reproduces the shard-leaf inclusion proofs) and the
 shard-scoped journal checkpoints (a coordinator death mid-intake resumes
-bit-identically).
+bit-identically, re-running only the shards it had not journaled).
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from repro.planner.search import plan_query
 from repro.runtime.aggregator import AggregatorTree, Upload
 from repro.runtime import shard as shard_module
 from repro.runtime.executor import QueryExecutor, pad_pool_size
-from repro.runtime.journal import run_to_completion
+from repro.runtime.journal import ExecutionJournal, run_to_completion
 from repro.runtime.network import FederatedNetwork
 from repro.runtime.scheduler import (
     AGGREGATE,
@@ -625,9 +625,12 @@ class TestWaveDrain:
         assert root.hex() == (
             "3da2f00904650240cdad1c7e5e884a75a5d540f58124cb4cfcf269bc8f49e686"
         )
-        assert len(journal) == 14066
+        # Re-pinned for journal schema v2: a new genesis, and every shard
+        # checkpoint carries its leaf (was 14066 bytes, 7f8e1546…); with the
+        # leaves removed the payloads are v1's.
+        assert len(journal) == 15976
         assert hashlib.sha256(journal).hexdigest() == (
-            "7f8e154612e8dac44a4cd57f7d0c8c8ef9293923881198a0511f140860095410"
+            "e069958c18fac4ccf54d7f08afa6ed6e511e59c30c2a99c36a4905e90eb7aba9"
         )
 
     def test_every_churn_is_handled_before_the_first_upload(self, run):
@@ -657,4 +660,79 @@ class TestShardedCrashResume:
         )
         assert resumes == 1
         assert result == baseline
+
+    @pytest.fixture(scope="class")
+    def uncrashed(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("leaves") / "uncrashed.journal")
+        result, _ = run_to_completion(
+            lambda journal: _executor(scenario="none", journal=journal), path
+        )
+        return result, ExecutionJournal.load(path)
+
+    @pytest.mark.parametrize("crash_at", [f"input/shard{i}" for i in range(8)] + ["program"])
+    def test_a_resume_redoes_only_the_shards_it_lost(
+        self, crash_at, uncrashed, tmp_path, monkeypatch
+    ):
+        baseline, base_journal = uncrashed
+        if crash_at == "program":  # no target: the phase's first checkpoint
+            event, lost = FaultEvent(COORDINATOR_CRASH, "program"), []
+        else:
+            event = FaultEvent(COORDINATOR_CRASH, "input", target=crash_at)
+            lost = list(range(int(crash_at[len("input/shard"):]) + 1, 8))
+        plan = FaultPlan("crash", events=(event,))
+        # Counted where bench/trace.py wraps them: the module attributes.
+        calls = []
+        upload, verify = shard_module.upload_shard, shard_module.verify_shard
+
+        def counted_upload(shard, *rest):
+            calls[-1].append(("upload", shard.shard_id))
+            return upload(shard, *rest)
+
+        def counted_verify(batch, *rest):
+            calls[-1].append(("verify", batch.shard_id))
+            return verify(batch, *rest)
+
+        class CountedPool(ObfuscatorPool):
+            def __init__(self, *args, **kwargs):
+                calls[-1].append(("pool", None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "upload_shard", counted_upload)
+        monkeypatch.setattr(shard_module, "verify_shard", counted_verify)
+        monkeypatch.setattr(shard_module, "ObfuscatorPool", CountedPool)
+
+        def incarnation(journal):
+            calls.append([])
+            return _executor(scenario=plan, journal=journal)
+
+        path = str(tmp_path / "crashed.journal")
+        result, resumes = run_to_completion(incarnation, path)
+        assert resumes == 1 and len(calls) == 2
+        assert result == baseline
+        assert ExecutionJournal.load(path).checkpoint_digests() == (
+            base_journal.checkpoint_digests()
+        )
+        # The resumed incarnation builds the pad pool at its first live upload
+        # and uploads and verifies exactly the shards the crash lost.
+        assert calls[1] == ([("pool", None)] if lost else []) + [
+            (stage, shard) for shard in lost for stage in ("upload", "verify")
+        ]
+        # Every count but the journal's own equals the uncrashed run's, scheduler
+        # events included: a restored shard still passes every intake event.
+        journal_counts = ("journal_records", "journal_replayed", "resume_events")
+
+        def counts(stats):
+            return {
+                name: value
+                for name, value in stats.as_dict().items()
+                if not isinstance(value, float) and name not in journal_counts
+            }
+
+        assert counts(result.statistics) == counts(baseline.statistics)
+        crash_seq = next(
+            p["seq"]
+            for p in base_journal.checkpoint_payloads()
+            if p["label"] == crash_at or (crash_at == "program" and p["phase"] == "program")
+        )
+        assert result.statistics.journal_replayed == crash_seq + 1
 
