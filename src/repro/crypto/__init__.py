@@ -1,5 +1,5 @@
-"""Cryptographic substrate: fields, secret sharing, AHE, FHE model, Merkle
-trees, sortition, verifiable secret redistribution, and input ZKPs.
+"""Cryptographic substrate: fields, secret sharing, AHE, Merkle trees,
+sortition, verifiable secret redistribution, and input ZKPs.
 
 See DESIGN.md for the substitution table mapping each module to the
 primitive the paper's C++ prototype used.

@@ -5,8 +5,8 @@ generation, ``c^λ mod n²`` decryption, Feldman/VSR commitment
 exponentiations. This module is the five kernels those paths go through —
 ``powmod``, ``powmod_base_batch``, ``powmod_base_vector``, ``invmod``,
 ``batch_invmod`` — and nothing else: key schedules, protocol logic,
-digests, RNG draw schedules, BGV's numpy slot arithmetic and Paillier lane
-packing all stay in their own modules, so a backend can only change *how
+digests, RNG draw schedules and Paillier lane packing all stay in their
+own modules, so a backend can only change *how
 fast* a kernel runs, never *what* it computes (docs/ARCHITECTURE.md §17,
 §27).
 

@@ -206,7 +206,7 @@ def redistribute_vector(
     field: PrimeField,
     rng: random.Random,
 ) -> Dict[int, List[int]]:
-    """Redistribute a vector of secrets (e.g. BGV key shares) in one round.
+    """Redistribute a vector of secrets (e.g. the limbs of a key) in one round.
 
     ``old_shares[x]`` is the share vector (y-values) of the old member at
     x-coordinate ``x``; the first ``old_threshold + 1`` members deal, and

@@ -281,6 +281,54 @@ _WORK_KEY_INTERN: Dict[tuple, int] = {}
 # --------------------------------------------------------------------------
 # Ciphertext geometry
 # --------------------------------------------------------------------------
+#
+# The paper prices FHE rather than running it (§7.1), so BGV and TFHE exist
+# here only as parameter and cost models; every ciphertext the runtime
+# computes is Paillier.
+
+#: Security-standard table (ciphertext-modulus bits -> minimum log2(ring
+#: degree) for >=128-bit security), coarsened from the HE standard [6].
+_SECURITY_TABLE = (
+    (27, 10),
+    (54, 11),
+    (109, 12),
+    (218, 13),
+    (438, 14),
+    (881, 15),
+)
+
+#: The BGV levels model: a modulus first pays for the base noise, then each
+#: multiplicative level consumes the plaintext modulus (§6: summing binary
+#: values over ~10^9 users needs ~2^31) plus ~20 bits of noise growth.
+NOISE_FLOOR_BITS = 30
+PER_LEVEL_BITS = 31 + 20
+
+#: Smallest modulus that holds a depth-0 aggregate of a ~2^30 plaintext.
+DEPTH0_MODULUS_BITS = 60
+
+#: Serialized TFHE ciphertext: one LWE sample at n=630, 32-bit torus.
+TFHE_CIPHERTEXT_BYTES = 2520.0
+
+
+def min_ring_degree_log2(ciphertext_modulus_bits: int) -> int:
+    """Smallest log2(N) that keeps >=128-bit security for a modulus size."""
+    for max_bits, log_degree in _SECURITY_TABLE:
+        if ciphertext_modulus_bits <= max_bits:
+            return log_degree
+    raise ValueError(
+        f"no standard parameter set covers a {ciphertext_modulus_bits}-bit modulus"
+    )
+
+
+def comparison_gate_count(bits: int) -> int:
+    """Bootstrapped gates one TFHE ``less_than`` needs: one AND for the
+    first bit, then AND+XOR+AND+OR per remaining bit."""
+    return 4 * bits - 3
+
+
+def addition_gate_count(bits: int) -> int:
+    """Bootstrapped gates one TFHE ripple-carry ``add_int`` needs."""
+    return 5 * bits - 3
 
 
 @dataclass(frozen=True)
@@ -294,6 +342,12 @@ class SchemeParams:
     @property
     def slots(self) -> int:
         return 1 << self.ring_log2
+
+    @property
+    def levels(self) -> int:
+        """Multiplicative depth this modulus supports (the BGV levels model)."""
+        budget = self.ciphertext_modulus_bits - NOISE_FLOOR_BITS
+        return max(0, budget // PER_LEVEL_BITS)
 
     @property
     def ciphertext_bytes(self) -> int:
@@ -313,19 +367,24 @@ def ahe_params_for(categories: int) -> SchemeParams:
     """Smallest depth-0 BGV (AHE-only) ring that packs ``categories`` slots.
 
     Summing binary values across a billion users needs a ~2^30 plaintext
-    modulus; a 60-bit ciphertext modulus covers that at depth 0, and the
-    security standard then requires ring degree >= 2^11 (§6, [6]).
+    modulus, which a 60-bit ciphertext modulus holds at depth 0 (§6). The
+    ring starts at 2^11, one degree below what the security table asks of
+    60 bits (2^12 above 54), so rows of up to 2^11 categories are priced
+    below the table. ``enc-bgv-budget`` does not hold AHE to the table: the
+    runtime's AHE is Paillier, so this ring is only a price.
     """
     ring_log2 = max(11, math.ceil(math.log2(max(categories, 1))))
     ring_log2 = min(ring_log2, 15)
-    return SchemeParams("ahe", ring_log2, 60)
+    return SchemeParams("ahe", ring_log2, DEPTH0_MODULUS_BITS)
 
 
 def fhe_params_for(categories: int, depth: int = 3) -> SchemeParams:
     """BGV ring for FHE work of the given multiplicative depth.
 
     The paper's typical query uses a 135-bit modulus at degree 2^15 (§6);
-    deeper circuits scale the modulus (and thus ciphertext size) up.
+    deeper circuits scale the modulus (and thus ciphertext size) up by 50
+    bits a level where the levels model charges 51, so the planner's depth
+    6 is priced at 335 bits, which :attr:`SchemeParams.levels` says hold 5.
     """
     modulus_bits = 85 + 50 * max(depth - 2, 0) + (50 if depth >= 2 else 0)
     modulus_bits = max(modulus_bits, 85)
@@ -353,7 +412,6 @@ DEFAULT_CONSTANTS: Dict[str, float] = {
     # encryption of one bit is cheap.
     "tfhe_gate_seconds": 1e-2,
     "tfhe_encrypt_seconds": 5e-5,
-    "tfhe_ciphertext_bytes": 2520.0,
     # ZKPs (Groth16 via bellman): one proof per 4096-slot circuit chunk
     # (proving-key sizes bound the circuit), proving scales with the
     # statement, verification is constant-time per proof.

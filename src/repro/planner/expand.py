@@ -32,8 +32,11 @@ from .costmodel import (
     DeviceProfile,
     REFERENCE_SERVER,
     SchemeParams,
+    TFHE_CIPHERTEXT_BYTES,
     Work,
+    addition_gate_count,
     ahe_params_for,
+    comparison_gate_count,
     fhe_params_for,
 )
 from .ir import (
@@ -525,15 +528,12 @@ def _emit_tfhe_transform(
     gate bootstraps); a second committee decrypts the results straight
     into MPC sharings for whatever follows.
     """
-    from ..crypto.tfhe import addition_gate_count, comparison_gate_count
-
     if state.shared:
         raise ExpansionError("TFHE stage needs ciphertexts, not shares")
     bits = choice.params[0]
     scheme = state.scheme
     length = max(op.length, 1)
     cts_touched = max(1, _ceil_div(length, scheme.slots))
-    tfhe_ct_bytes = 2520.0
 
     switch_work = Work(
         mpc_setup=1.0,
@@ -543,7 +543,7 @@ def _emit_tfhe_transform(
         mpc_rounds=4.0,
         vsr_elements_received=float(scheme.secret_key_elements),
         vsr_elements_sent=2.0 * scheme.secret_key_elements,
-        payload_bytes_sent=length * bits * tfhe_ct_bytes,
+        payload_bytes_sent=length * bits * TFHE_CIPHERTEXT_BYTES,
         payload_bytes_received=cts_touched * scheme.ciphertext_bytes,
     )
     switch_group = state.new_group("tfhe-switch")
@@ -566,7 +566,7 @@ def _emit_tfhe_transform(
     )
     circuit_work = Work(
         tfhe_gates=per_element * length,
-        payload_bytes_received=length * bits * tfhe_ct_bytes,
+        payload_bytes_received=length * bits * TFHE_CIPHERTEXT_BYTES,
     )
     vignettes.append(
         Vignette("transform", Location.AGGREGATOR, "tfhe", circuit_work)
@@ -579,7 +579,7 @@ def _emit_tfhe_transform(
         mpc_inputs=float(length),
         mpc_rounds=2.0,
         vsr_elements_sent=float(length),
-        payload_bytes_received=length * bits * tfhe_ct_bytes,
+        payload_bytes_received=length * bits * TFHE_CIPHERTEXT_BYTES,
     )
     convert_group = state.new_group("tfhe-convert")
     vignettes.append(

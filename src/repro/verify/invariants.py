@@ -122,10 +122,12 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "enc-bgv-budget",
         "FHE parameters cover the circuit's noise budget",
         "§6",
-        "An FHE plan's ciphertext modulus is at least what "
-        "BGVParams.for_depth requires for the planner's depth budget, and "
-        "the ring degree meets the HE-standard security table for that "
-        "modulus size.",
+        "Every plan's ciphertext modulus holds a depth-0 aggregate (at "
+        "least 60 bits). An FHE plan's ring degree meets the HE-standard "
+        "security table for its modulus size, and wherever a vignette "
+        "multiplies ciphertexts or evaluates an exponentiation the modulus "
+        "supports at least 3 levels under the cost model's levels model "
+        "(SchemeParams.levels).",
     ),
     Invariant(
         "enc-no-he-after-share",

@@ -26,9 +26,13 @@ from ..lang.ast import (
     DB_NAME,
     walk_expr,
 )
-from ..crypto.bgv import min_ring_degree_log2
 from ..planner.committees import committee_failure_probability
-from ..planner.costmodel import ahe_params_for, fhe_params_for
+from ..planner.costmodel import (
+    DEPTH0_MODULUS_BITS,
+    ahe_params_for,
+    fhe_params_for,
+    min_ring_degree_log2,
+)
 from ..planner.expand import (
     ARGMAX_FANOUTS,
     Choice,
@@ -59,13 +63,6 @@ from .invariants import (
     PLANNER_FHE_DEPTH,
 )
 from .report import Severity, VerificationReport
-
-#: Plaintext modulus the BGV noise model assumes (§6: summing binary values
-#: over ~10^9 users needs ~2^30); per-level modulus consumption follows
-#: :meth:`repro.crypto.bgv.BGVParams.max_levels`.
-_PLAINTEXT_BITS = 31
-_PER_LEVEL_BITS = _PLAINTEXT_BITS + 20
-_NOISE_FLOOR_BITS = 30
 
 #: Relative tolerance when comparing re-derived (ε, δ) with the certificate.
 _EPS_TOL = 1e-9
@@ -425,17 +422,21 @@ class PlanChecker:
                 )
 
     def check_bgv_budget(self) -> None:
-        """enc-bgv-budget: modulus/ring cover the noise budget and security."""
+        """enc-bgv-budget: the scheme fits the cost model's parameter model
+        (the HE-standard table and the levels model)."""
         self._checked("enc-bgv-budget")
         scheme = self.plan.scheme
-        if scheme.ciphertext_modulus_bits < 60:
+        if scheme.ciphertext_modulus_bits < DEPTH0_MODULUS_BITS:
             self._fail(
                 "enc-bgv-budget",
                 "scheme",
                 f"{scheme.ciphertext_modulus_bits}-bit modulus cannot even "
-                "hold a depth-0 aggregate of a ~2^30 plaintext (needs >= 60)",
+                "hold a depth-0 aggregate of a ~2^30 plaintext "
+                f"(needs >= {DEPTH0_MODULUS_BITS})",
             )
         if scheme.name != "fhe":
+            # The runtime's AHE is Paillier, so an AHE ring is only a price
+            # and is not held to the table.
             return
         try:
             required_ring = min_ring_degree_log2(scheme.ciphertext_modulus_bits)
@@ -455,23 +456,19 @@ class PlanChecker:
                 f"{scheme.ciphertext_modulus_bits}-bit modulus; the HE "
                 f"standard table requires >= 2^{required_ring}",
             )
-        levels = max(
-            0,
-            (scheme.ciphertext_modulus_bits - _NOISE_FLOOR_BITS) // _PER_LEVEL_BITS,
-        )
         for v in self.plan.vignettes:
             if v.work.he_ct_mults > 0 or v.work.he_exponentiations > 0:
-                # The em's degree-8 exponential approximation plus the
-                # masking chain needs ~3 multiplicative levels; see
-                # BGVParams.for_depth for the bits-per-level model.
-                if levels < 3:
+                # The em's degree-8 exponential approximation plus its
+                # masking chain needs ~3 levels. (The planner provisions
+                # PLANNER_FHE_DEPTH but prices a modulus that holds 5.)
+                if scheme.levels < 3:
                     self._fail(
                         "enc-bgv-budget",
                         f"vignette {v.name!r}",
                         f"multiplies ciphertexts but the "
                         f"{scheme.ciphertext_modulus_bits}-bit modulus only "
-                        f"supports {levels} BGV level(s); decryption would "
-                        "fail with NoiseBudgetExceeded",
+                        f"supports {scheme.levels} BGV level(s), too few "
+                        "for the circuit to decrypt",
                     )
                     break
 

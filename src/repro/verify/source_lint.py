@@ -4,10 +4,10 @@ A small ``ast``-based linter with rules that generic tools do not know
 about because they encode *this* codebase's safety conventions:
 
 * **R1 no-private-state** — outside ``crypto/`` no code may reach into
-  another object's underscore-prefixed attributes or forge cipher-state
-  objects (``BGVCiphertext``/``PaillierCiphertext``) directly; the
-  behavioural crypto models keep their plaintext slots private and the
-  only sanctioned read is ``decrypt`` with the matching key.
+  another object's underscore-prefixed attributes or forge a cipher-state
+  object (``PaillierCiphertext``) directly: a ciphertext is made only by
+  encrypting, and the only sanctioned read is ``decrypt`` with the
+  matching key.
 * **R2 no-unseeded-rng** — inside ``privacy/``, ``mpc/``, and
   ``runtime/`` every random draw must come from an explicitly threaded
   ``random.Random`` instance: no module-level ``random.random()``-style
@@ -58,7 +58,7 @@ from .report import VerificationReport, Violation
 
 #: Cipher-state classes whose direct construction outside crypto/ would
 #: bypass encryption (forging a ciphertext around chosen "plaintext").
-_CIPHER_STATE_CLASSES = frozenset({"BGVCiphertext", "PaillierCiphertext"})
+_CIPHER_STATE_CLASSES = frozenset({"PaillierCiphertext"})
 
 #: ``random``-module samplers that draw from the ambient global stream.
 _GLOBAL_RNG_FUNCS = frozenset(

@@ -15,6 +15,7 @@ from repro.planner.costmodel import (
     Work,
     ahe_params_for,
     fhe_params_for,
+    min_ring_degree_log2,
 )
 
 
@@ -109,6 +110,44 @@ class TestSchemes:
         params = ahe_params_for(100)
         assert params.public_key_bytes == params.ciphertext_bytes
         assert params.secret_key_elements == params.slots
+
+
+class TestParams:
+    """The BGV parameter model: the HE-standard table and the levels model."""
+
+    def test_paper_typical_parameters(self):
+        """§6: a 135-bit modulus at degree 2^15 makes ~1.1 MB ciphertexts."""
+        params = SchemeParams("fhe", 15, 135)
+        assert params.slots == 2**15
+        assert params.ciphertext_bytes == 2 * 2**15 * 17
+        assert 1.0e6 < params.ciphertext_bytes < 1.2e6
+        assert min_ring_degree_log2(135) <= params.ring_log2
+
+    def test_security_table_enforced(self):
+        assert min_ring_degree_log2(135) == 13  # ring 2^12 is below the table
+        assert min_ring_degree_log2(881) == 15
+        with pytest.raises(ValueError, match="882-bit"):
+            min_ring_degree_log2(882)
+
+    def test_min_ring_degree_monotone(self):
+        degrees = [min_ring_degree_log2(b) for b in range(1, 882)]
+        assert degrees == sorted(degrees)
+        assert (degrees[0], degrees[-1]) == (10, 15)
+
+    def test_for_depth_scales_modulus(self):
+        """Deeper FHE is priced at a bigger modulus with more levels; the
+        planner's depth 6 gets 335 bits, which hold only 5."""
+        shallow, deep = fhe_params_for(64, depth=1), fhe_params_for(64, depth=5)
+        assert deep.ciphertext_modulus_bits > shallow.ciphertext_modulus_bits
+        assert deep.levels > shallow.levels
+        planned = fhe_params_for(64, depth=6)
+        assert (planned.ciphertext_modulus_bits, planned.levels) == (335, 5)
+
+    def test_max_levels_positive_for_defaults(self):
+        assert SchemeParams("fhe", 15, 135).levels == 2
+        assert SchemeParams("fhe", 13, 182).levels == 2
+        assert SchemeParams("fhe", 13, 183).levels == 3
+        assert ahe_params_for(64).levels == 0
 
 
 class TestModel:

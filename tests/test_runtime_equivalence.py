@@ -1,7 +1,7 @@
 """Packed vs one-ciphertext-per-slot intake: byte-identical execution results.
 
-The numpy slot kernels, Paillier slot packing, and tree reductions may
-change *how fast* the runtime computes, never *what* it computes. Under
+Paillier slot packing and tree reductions may change *how fast* the
+runtime computes, never *what* it computes. Under
 identical seeds a run with slot packing and its unpacked twin — the same
 shard pipeline, one ciphertext per logical slot — must release identical
 ``QueryResult``s — outputs, rejected devices, audit verdicts, committee
@@ -11,10 +11,9 @@ fault-free runs and across injected-fault recovery schedules alike.
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.crypto import bgv, paillier
+from repro.crypto import paillier
 from repro.crypto.field import MERSENNE_127, PrimeField
 from repro.faults import FaultInjector, get_scenario
 from repro.mpc.engine import MPCEngine
@@ -211,43 +210,6 @@ class TestEndToEndEquivalence:
 class TestKernelEquivalence:
     """The array kernels against inline copies of the seed algorithms."""
 
-    def test_bgv_ops_match_seed_tuple_kernels(self):
-        params = bgv.BGVParams(ring_degree_log2=12, ciphertext_modulus_bits=109)
-        sk = bgv.keygen(params, random.Random(0))
-        rng = random.Random(1)
-        t = params.plaintext_modulus
-        a = [rng.randrange(t) for _ in range(params.slots)]
-        b = [rng.randrange(t) for _ in range(params.slots)]
-        ct_a = bgv.encrypt(sk.public, a)
-        ct_b = bgv.encrypt(sk.public, b)
-        assert bgv.decrypt(sk, bgv.add(ct_a, ct_b)) == [
-            (x + y) % t for x, y in zip(a, b)
-        ]
-        assert bgv.decrypt(sk, bgv.sub(ct_a, ct_b)) == [
-            (x - y) % t for x, y in zip(a, b)
-        ]
-        assert bgv.decrypt(sk, bgv.multiply_plain(ct_a, b)) == [
-            (x * y) % t for x, y in zip(a, b)
-        ]
-        for k in (1, 7, params.slots - 1):
-            assert bgv.decrypt(sk, bgv.rotate(ct_a, k)) == list(a[k:] + a[:k])
-
-    def test_bgv_sum_matches_linear_fold(self):
-        params = bgv.BGVParams(ring_degree_log2=10, ciphertext_modulus_bits=27)
-        sk = bgv.keygen(params, random.Random(0))
-        rng = random.Random(2)
-        t = params.plaintext_modulus
-        cts = [
-            bgv.encrypt(sk.public, [rng.randrange(t) for _ in range(params.slots)])
-            for _ in range(37)
-        ]
-        folded = cts[0]
-        for ct in cts[1:]:
-            folded = bgv.add(folded, ct)
-        stacked = bgv.sum_ciphertexts(cts)
-        assert bgv.decrypt(sk, stacked) == bgv.decrypt(sk, folded)
-        assert stacked.level == folded.level
-
     def test_paillier_tree_sum_matches_linear_fold(self):
         sk = paillier.keygen(64, random.Random(0))
         rng = random.Random(1)
@@ -340,19 +302,3 @@ class TestSlotPacking:
             packing.pack([1, 2, 3])
         with pytest.raises(ValueError):
             packing.unpack([1, 2, 3])
-
-
-class TestNumpyBackingInvariants:
-    def test_slots_are_int64_on_fast_path(self):
-        params = bgv.BGVParams()  # t = 2^30 qualifies
-        sk = bgv.keygen(params, random.Random(0))
-        ct = bgv.encrypt(sk.public, [1, 2, 3])
-        assert isinstance(ct.slots, np.ndarray)
-        assert ct.slots.dtype == np.int64
-
-    def test_decrypt_returns_python_ints(self):
-        params = bgv.BGVParams()
-        sk = bgv.keygen(params, random.Random(0))
-        values = bgv.decrypt(sk, bgv.encrypt(sk.public, [5, 7]), count=2)
-        assert values == [5, 7]
-        assert all(type(v) is int for v in values)

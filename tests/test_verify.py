@@ -24,7 +24,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.lang.ast import Assign, Var
-from repro.planner.costmodel import Work, fhe_params_for
+from repro.planner.costmodel import SchemeParams, Work, fhe_params_for
 from repro.planner.expand import Choice, TREE_FANOUTS
 from repro.planner.ir import NoiseOutput, Output
 from repro.planner.plan import Location, Vignette
@@ -206,6 +206,42 @@ class TestMutationDetection:
         v = caught(result, "enc-ahe-depth")
         assert "'aggregate'" in v.subject
         assert "AHE" in v.message
+
+    @pytest.mark.parametrize(
+        "scheme, fragment",
+        [
+            (SchemeParams("ahe", 11, 50), "50-bit modulus cannot even hold"),
+            (SchemeParams("fhe", 13, 335), "ring degree 2^13 is insecure"),
+            (SchemeParams("fhe", 15, 900), "covers a 900-bit modulus"),
+        ],
+        ids=["modulus-below-depth0", "ring-below-table", "modulus-past-table"],
+    )
+    def test_scheme_outside_the_parameter_model(self, scheme, fragment):
+        result = plan_laplace()
+        result.plan.scheme = scheme
+        v = caught(result, "enc-bgv-budget")
+        assert v.subject == "scheme"
+        assert fragment in v.message
+
+    @pytest.mark.parametrize(
+        "modulus_bits, levels", [(135, 2), (182, 2), (183, 3), (335, 5)]
+    )
+    def test_ciphertext_products_need_three_levels(self, modulus_bits, levels):
+        # 135 bits is §6's typical modulus; 182 and 183 bits pin the levels
+        # model's boundary; 335 bits, the planner's own depth-6 modulus, is
+        # the control.
+        result = plan_laplace()
+        result.plan.scheme = SchemeParams("fhe", 15, modulus_bits)
+        agg = next(v for v in result.plan.vignettes if v.name == "aggregate")
+        agg.work = dataclasses.replace(agg.work, he_ct_mults=1.0)
+        if levels < 3:
+            v = caught(result, "enc-bgv-budget")
+            assert v.subject == "vignette 'aggregate'"
+            assert f"supports {levels} BGV level(s)" in v.message
+        else:
+            assert "enc-bgv-budget" not in failing_rules(
+                verify_planning_result(result)
+            )
 
     def test_tampered_certificate_epsilon(self):
         result = plan_laplace()
