@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile chaos-smoke chaos-resume-smoke release-check check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile rss chaos-smoke chaos-resume-smoke release-check check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -45,6 +45,12 @@ bench-pairs:
 # by immediate caller.
 profile:
 	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2) $(if $(CALLERS),--callers $(CALLERS))
+
+# Peak RSS of one sharded top-1 query per population size, each in its own
+# process, with the per-device slope between sizes (ARCHITECTURE §35).
+#   make rss [DEVICES="16384 65536 262144"]
+rss:
+	python tools/rss_curve.py $(if $(DEVICES),--devices $(DEVICES))
 
 verify-sweep:
 	python -m repro verify-sweep

@@ -46,13 +46,14 @@ def lowest_tickets(
 ) -> List[SortitionTicket]:
     """The ``count`` lowest tickets of a round among ``(device_id, secret)`` pairs.
 
-    Ranks bare ``(tag, device_id)`` pairs — the order :func:`run_sortition`
-    uses — and builds a ticket only for those that win a seat.
+    Ranks a stream of bare ``(tag, device_id)`` pairs — the order
+    :func:`run_sortition` uses — so at most ``count`` of them are alive at
+    once, and builds a ticket only for those that win a seat.
     """
     message = block + round_number.to_bytes(8, "big") + b"\x00"
     ranked = heapq.nsmallest(
         count,
-        [(hmac.digest(secret, message, "sha256"), device_id) for device_id, secret in devices],
+        ((hmac.digest(secret, message, "sha256"), device_id) for device_id, secret in devices),
     )
     return [SortitionTicket(device_id, tag) for tag, device_id in ranked]
 

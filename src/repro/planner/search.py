@@ -27,10 +27,10 @@ cost-model evaluations are memoized (hit/miss counters land in
 oracle ``tests/oracles/search_reference.py``, which drives the same
 control loop (`_SearchRun`) through :meth:`Planner._evaluator`.
 
-With ``order_choices`` (default on when heuristics are on), surviving
-children at each node are visited cheapest-first by their partial goal
-value — an admissible lower bound on any completion, since costs only
-grow as ops are added — so the incumbent tightens early and more of the
+With the heuristics on, surviving children at each node are visited
+cheapest-first by their partial goal value — an admissible lower bound
+on any completion, since costs only grow as ops are added — so the
+incumbent tightens early and more of the
 tree falls to the bound. That shared incumbent *is* the pruning, so the
 search is one walk in the calling process (ARCHITECTURE §26).
 """
@@ -234,7 +234,7 @@ class _SearchRun:
         planner = self.planner
         goal = planner.goal
         # Two phases: score every child against the incumbent-at-entry,
-        # then recurse (optionally cheapest-first), re-checking the bound
+        # then recurse cheapest-first, re-checking the bound
         # against the freshly tightened incumbent before each descent. A
         # child is counted as bound-pruned exactly once, whichever phase
         # discards it, so the totals match a single-phase loop.
@@ -258,7 +258,7 @@ class _SearchRun:
                 stats.pruned_by_bound += 1
                 continue
             children.append((value, index, child))
-        if planner.order_choices and len(children) > 1:
+        if len(children) > 1:
             ordered = sorted(children, key=lambda entry: (entry[0], entry[1]))
             if [entry[1] for entry in ordered] != [entry[1] for entry in children]:
                 stats.nodes_reordered += 1
@@ -310,9 +310,6 @@ class Planner:
     planner returns the best plan that satisfies the limits, or raises
     :class:`PlanningFailed`. Every returned plan has passed
     :func:`repro.verify.gate` (which raises ``PlanVerificationError``).
-
-    ``order_choices`` visits surviving children cheapest-first (defaults
-    to on when heuristics are on).
     """
 
     def __init__(
@@ -323,7 +320,6 @@ class Planner:
         goal: Optional[Goal] = None,
         heuristics: bool = True,
         memory_budget_candidates: int = 250_000,
-        order_choices: Optional[bool] = None,
     ):
         self.env = env
         self.model = model or CostModel()
@@ -331,9 +327,6 @@ class Planner:
         self.goal = goal or Goal()
         self.heuristics = heuristics
         self.memory_budget_candidates = memory_budget_candidates
-        if order_choices is None:
-            order_choices = heuristics
-        self.order_choices = order_choices
 
     # ----------------------------------------------------------- front door
 
@@ -413,7 +406,6 @@ def plan_query(
     model: Optional[CostModel] = None,
     heuristics: bool = True,
     memory_budget_candidates: int = 250_000,
-    order_choices: Optional[bool] = None,
 ) -> PlanningResult:
     """One-call convenience wrapper: source text in, PlanningResult out."""
     planner = Planner(
@@ -423,6 +415,5 @@ def plan_query(
         goal=goal,
         heuristics=heuristics,
         memory_budget_candidates=memory_budget_candidates,
-        order_choices=order_choices,
     )
     return planner.plan_source(source, name)

@@ -965,7 +965,6 @@ class QueryExecutor:
             public_key, num_leaves=len(shards), fanout=self.tree_fanout
         )
         scheduler = event_scheduler.EventScheduler()
-        devices = self.network.devices
         stats = self.statistics
         # The counts of this attempt's tree: a replayed phase starts them over
         # (``uploads_submitted`` and ``submit_seconds`` count every attempt).
@@ -974,13 +973,12 @@ class QueryExecutor:
 
         def on_churn(event):
             shard = event.payload
-            # Re-snapshot liveness/malice against the authoritative device
-            # list (direct indexing per the contiguous-id invariant):
-            # population faults applied at the phase boundary are visible
-            # to the shard without any per-device lookup structure.
-            members = [devices[i] for i in (shard.device_ids - 1).tolist()]
-            shard.online[:] = [device.online for device in members]
-            shard.malicious[:] = [device.malicious for device in members]
+            # Re-snapshot liveness/malice from the network's columns (device
+            # id i is row i - 1): population faults applied at the phase
+            # boundary are visible to the shard.
+            rows = shard.device_ids - 1
+            shard.online[:] = self.network.online[rows]
+            shard.malicious[:] = self.network.malicious[rows]
             stream = self._shard_stream(shard.stream_label)
             return None, [
                 (event_scheduler.UPLOAD, shard.shard_id, (shard, stream))

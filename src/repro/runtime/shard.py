@@ -28,7 +28,7 @@ stages remove them:
   with numpy, not per device in the interpreter loop.
 * **Shard-at-a-time draws.** A shard's bin draws and all of its
   ``subset_size x ciphertexts`` pad indices come from one bulk replay of
-  the shard stream (:func:`randrange_many`), subset products are formed
+  the shard stream (:func:`~.bulk_draws.randrange_many`), subset products are formed
   from pair products memoised on the pool, and each distinct witness
   vector is packed once (ARCHITECTURE.md §19).
 * **Columns, not objects.** A shard's uploads travel from ``upload`` to
@@ -65,6 +65,7 @@ from ..crypto.zkp import (
     verify_columns as zkp_verify,
 )
 from .aggregator import Upload, upload_digests
+from .bulk_draws import randrange_many
 from .packing import SlotPacking
 
 
@@ -90,35 +91,6 @@ class DeviceShard:
     @property
     def online_count(self) -> int:
         return int(np.count_nonzero(self.online))
-
-
-def randrange_many(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """``[rng.randrange(n) for _ in range(count)]``, drawn in bulk.
-
-    Same values, and ``rng.getstate()`` ends exactly where the scalar loop
-    would leave it. ``randrange(n)`` takes the top ``n.bit_length()`` bits
-    of one 32-bit Mersenne Twister word and redraws while that is ``>= n``,
-    so every value costs at least one word: each round asks for exactly as
-    many words as values are still missing (one ``getrandbits``, whose
-    least significant word is the first one generated), keeps those ``< n``
-    in order, and repeats for the rejected. The stream is never overdrawn,
-    so there is nothing to rewind.
-    """
-    if not 0 < n < 2**32:
-        raise ValueError("randrange_many needs 0 < n < 2**32 (one word a draw)")
-    bits = n.bit_length()
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        need = count - filled
-        words = np.frombuffer(
-            rng.getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4"
-        )
-        drawn = words >> (32 - bits)
-        kept = drawn[drawn < n]
-        out[filled : filled + len(kept)] = kept
-        filled += len(kept)
-    return out
 
 
 class ObfuscatorPool:

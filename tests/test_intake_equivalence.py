@@ -22,12 +22,12 @@ from repro.crypto import paillier, zkp
 from repro.crypto.zkp import one_hot_statement, range_statement
 from repro.runtime import aggregator
 from repro.runtime.aggregator import Upload
+from repro.runtime.bulk_draws import randrange_many
 from repro.runtime.packing import SlotPacking
 from repro.runtime.shard import (
     DeviceShard,
     ObfuscatorPool,
     ShardContext,
-    randrange_many,
     upload_shard,
     verify_shard,
 )

@@ -116,12 +116,6 @@ class TestEngineEquivalence:
         assert optimized[0] == reference[0]
         assert optimized[1] == reference[1]
 
-    def test_ordering_off_matches_reference_traversal(self, spec):
-        optimized = _run(spec, order_choices=False)
-        reference = _run(spec, ReferencePlanner, order_choices=False)
-        assert optimized[0] == reference[0]
-        assert optimized[1] == reference[1]
-
 
 def test_catalog_plans_and_counters_match_the_parent_commit():
     assert {spec.name for spec in ALL_QUERIES} == set(PARENT_PINS)

@@ -416,12 +416,6 @@ class TestNetworkSoA:
         assert online.tolist() == [d.online for d in net.devices]
         assert malicious.tolist() == [d.malicious for d in net.devices]
 
-    def test_contiguous_id_invariant_enforced(self):
-        net = FederatedNetwork(8, rng=random.Random(2))
-        net.devices[3], net.devices[4] = net.devices[4], net.devices[3]
-        with pytest.raises(ValueError, match="contiguously numbered"):
-            net._check_contiguous_ids()
-
 
 # ------------------------------------------------------- pad pool size
 
