@@ -1,7 +1,7 @@
 """The modexp seam: the one place bigint modular arithmetic is written.
 
-What is hot in this runtime is *bigint* crypto: Paillier ``z^α mod n²`` pad
-generation, ``c^λ mod n²`` decryption, Feldman/VSR commitment
+What is hot in this runtime is *bigint* crypto: Paillier ``z^α mod p²``
+and ``mod q²`` pad generation, ``c^λ mod n²`` decryption, Feldman/VSR commitment
 exponentiations. This module is the five kernels those paths go through —
 ``powmod``, ``powmod_base_batch``, ``powmod_base_vector``, ``invmod``,
 ``batch_invmod`` — and nothing else: key schedules, protocol logic,
@@ -19,9 +19,10 @@ Two implementations ship:
   bit-identical ciphertexts, shares, commitments and query digests.
   Its one stateful kernel is the long-lived fixed-base batch
   (``powmod_base_vector``): a byte-comb table per declared base, exact
-  for every exponent (docs/ARCHITECTURE.md §20). The per-query pad base
-  goes through ``powmod_base_batch`` instead, whose window table lives for
-  one call, so no per-query key enters that cache (§32).
+  for every exponent (docs/ARCHITECTURE.md §20). The per-query pad bases,
+  one per prime square of the key, go through ``powmod_base_batch``
+  instead, whose window table lives for one call, so neither a per-query
+  key nor its primes enter that cache (§32, §36).
 * :class:`AcceleratedBackend` — gmpy2 for the two kernels that carry the
   hot modexps: ``powmod`` is gmpy2's, and ``powmod_base_batch`` runs the
   pure window table with ``mpz`` numbers; it inherits the other three.
@@ -57,8 +58,9 @@ except ImportError:  # pragma: no cover
 BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
 
 #: Digit width of :meth:`PureBackend.powmod_base_batch`. Measured fastest of
-#: 3–6 for 16–64 exponents of 424–552 bits (docs/ARCHITECTURE.md §32).
-_WINDOW = 5
+#: 3–6 for the pads' two halves: 24–64 exponents of 96–128 bits at
+#: 192–256-bit moduli (docs/ARCHITECTURE.md §36).
+_WINDOW = 4
 
 
 def gmpy2_available() -> bool:
@@ -122,13 +124,14 @@ class PureBackend:
     def powmod_base_batch(self, base: int, exps: Sequence[int], mod: int) -> List[int]:
         """One-call fixed-base batch: ``[base**e mod mod for e in exps]``.
 
-        The Paillier pad shape — one n-th residue per key, a few wide random
-        exponents. Unlike :meth:`powmod_base_vector` the base lives for this
-        call only, so nothing is cached: the table ``base**(32**i)`` costs one
-        squaring per bit of the widest exponent, and each result is
-        Brickell–Gordon–McCurley–Wilson bucket accumulation over the
-        exponent's 5-bit digits (one mulmod per non-zero digit, then 62 to
-        combine the 31 buckets). Exponents are non-negative.
+        The Paillier pad shape — one n-th residue per prime square of a key,
+        a few random exponents. Unlike :meth:`powmod_base_vector` the base
+        lives for this call only, so nothing is cached: the table
+        ``base**(16**i)`` costs one squaring per bit of the widest exponent,
+        and each result is Brickell–Gordon–McCurley–Wilson bucket
+        accumulation over the exponent's 4-bit digits (one mulmod per
+        non-zero digit, then 30 to combine the 15 buckets). Exponents are
+        non-negative.
         """
         widest = max((exp.bit_length() for exp in exps), default=0)
         table = [base % mod]

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .backend import get_backend
 from .field import random_prime
@@ -111,18 +111,59 @@ def draw_obfuscator(pk: PaillierPublicKey, rng: random.Random) -> int:
             return r
 
 
-def draw_pads(pk: PaillierPublicKey, rng: random.Random, count: int) -> List[int]:
+def _split_modulus(n: int, lam: int) -> Tuple[int, int]:
+    """The primes of ``n = p·q``, recovered from ``λ = lcm(p − 1, q − 1)``.
+
+    Every unit ``a`` has ``a^λ ≡ 1 (mod n)``, so with ``λ = 2^s·t``, ``t``
+    odd, the walk ``a^t, a^{2t}, …`` mod ``n`` reaches 1 within ``s``
+    squarings. The element before the first 1, unless it is ±1, is a square
+    root of 1 that ``gcd`` turns into a factor. At least half of all units
+    split ``n`` this way; bases run 2, 3, … until one does.
+    """
+    backend = get_backend()
+    s = (lam & -lam).bit_length() - 1
+    t = lam >> s
+    a = 2
+    while True:
+        x = backend.powmod(a, t, n)
+        for _ in range(s):
+            if x == 1 or x == n - 1:
+                break
+            y = x * x % n
+            if y == 1:
+                p = gcd(x - 1, n)
+                return p, n // p
+            x = y
+        a += 1
+
+
+def draw_pads(sk: PaillierPrivateKey, rng: random.Random, count: int) -> List[int]:
     """``count`` randomizer pads ``z^α mod n²`` of one n-th residue.
 
     Draws one unit ``r0`` (:func:`draw_obfuscator`), then ``count`` exponents
-    of ``2|n| + 40`` bits, in that order; ``z = r0^n`` costs one full modexp
-    and the pads one fixed-base batch through the crypto backend. Under DCRA
-    they hide what ``count`` independent ``r^n`` would (docs/PROTOCOL.md §3).
+    of ``2|n| + 40`` bits, in that order; under DCRA the pads hide what
+    ``count`` independent ``r^n`` would (docs/PROTOCOL.md §3). The key's
+    holder computes them through its primes: ``z = r0^n`` has order dividing
+    ``p − 1`` mod ``p²`` and ``q − 1`` mod ``q²``, so each pad is the CRT of
+    ``(z mod p²)^{α mod (p−1)}`` and ``(z mod q²)^{α mod (q−1)}``, two
+    half-width fixed-base batches through the crypto backend, and equals
+    ``pow(z, α, n²)``. The primes are recovered from ``(n, λ)`` and never
+    leave this frame.
     """
-    backend, n2 = get_backend(), pk.n_squared
-    z = backend.powmod(draw_obfuscator(pk, rng), pk.n, n2)
-    bits = 2 * pk.n.bit_length() + _PAD_EXPONENT_SLACK_BITS
-    return backend.powmod_base_batch(z, [rng.getrandbits(bits) for _ in range(count)], n2)
+    backend, n = get_backend(), sk.public.n
+    r0 = draw_obfuscator(sk.public, rng)
+    bits = 2 * n.bit_length() + _PAD_EXPONENT_SLACK_BITS
+    alphas = [rng.getrandbits(bits) for _ in range(count)]
+    p, q = _split_modulus(n, sk.lam)
+    p2, q2 = p * p, q * q
+    at_p = backend.powmod_base_batch(
+        backend.powmod(r0, n, p2), [alpha % (p - 1) for alpha in alphas], p2
+    )
+    at_q = backend.powmod_base_batch(
+        backend.powmod(r0, n, q2), [alpha % (q - 1) for alpha in alphas], q2
+    )
+    lift = backend.invmod(p2, q2)
+    return [x + (y - x) * lift % q2 * p2 for x, y in zip(at_p, at_q)]
 
 
 def encrypt_with_pad(

@@ -238,8 +238,9 @@ class _HeldSecrets:
 def pad_pool_size(devices: int, packed_width: int) -> int:
     """Pads in a run's :class:`~repro.runtime.shard.ObfuscatorPool`.
 
-    Each pad costs a fixed-base ``z^α mod n²`` over a ``2|n| + 40``-bit α
-    (0.55–0.7× a full ``r^n``, ARCHITECTURE §32), so the pool is never
+    Each pad is ``z^α mod n²`` for a ``2|n| + 40``-bit α, computed as the CRT
+    of two half-width fixed-base powers through the key's primes (0.15–0.25×
+    a full ``r^n``, ARCHITECTURE §36), so the pool is never
     larger than the ciphertexts it will obfuscate: 64 for any run of 64
     ciphertexts or more, fewer for a small one (a 24-device service query
     packing its row into one ciphertext precomputes 24), and never below the
@@ -710,7 +711,7 @@ class QueryExecutor:
         statement = self._input_statement(bins)
         self._packing = self._plan_packing(public_key, statement)
         aggregator, totals, audits_failed = self._phase(
-            "input", lambda: self._phase_input(public_key, bins, statement)
+            "input", lambda: self._phase_input(secret_key, bins, statement)
         )
 
         counts, dec_committee = self._phase(
@@ -893,9 +894,13 @@ class QueryExecutor:
         return plan_packing(statement.length, max_slot_sum, public_key.plaintext_modulus)
 
     def _phase_input(
-        self, public_key: paillier.PaillierPublicKey, bins: int, statement: Statement
+        self, secret_key: paillier.PaillierPrivateKey, bins: int, statement: Statement
     ) -> Tuple[AggregatorTree, List[paillier.PaillierCiphertext], int]:
         """The input phase: one event-driven shard pipeline for every caller.
+
+        The executor generated the key, so the pad pool takes the private
+        key and computes its pads through the primes; every other stage sees
+        only the public key.
 
         The population is gathered once (struct-of-arrays), sliced into
         :class:`~repro.runtime.shard.DeviceShard` batches, and the intake
@@ -926,6 +931,7 @@ class QueryExecutor:
         from .shard import ObfuscatorPool, ShardContext, ShardIntakeResult
         from .shard import build_shards, upload_shard, verify_shard
 
+        public_key = secret_key.public
         width = statement.length
         packed_width = self._packing.packed_width if self._packing else width
         round_number = self.network.sortition.round_number
@@ -952,7 +958,7 @@ class QueryExecutor:
                     round_number=round_number,
                     packing=self._packing,
                     pool=ObfuscatorPool(
-                        public_key,
+                        secret_key,
                         pads_stream,
                         pool_size=pad_pool_size(len(self.network), packed_width),
                     ),

@@ -99,7 +99,9 @@ class ObfuscatorPool:
     ``pool_size`` pads are powers ``z^α mod n^2`` of one n-th residue,
     drawn by :func:`paillier.draw_pads` from the given (labelled, seeded)
     stream; that hides under DCRA alone what independent ``r^n`` would
-    (docs/PROTOCOL.md §3). :meth:`draw` returns
+    (docs/PROTOCOL.md §3). The pool is built by the key's holder, which
+    computes the pads through the key's primes; it keeps only the public
+    key. :meth:`draw` returns
     products of ``subset_size`` pads sampled with replacement — random
     n-th residues obtained with a few modular multiplications instead of
     one modular exponentiation each. The pads are immutable; the pair-
@@ -110,19 +112,19 @@ class ObfuscatorPool:
 
     def __init__(
         self,
-        public_key: paillier.PaillierPublicKey,
+        secret_key: paillier.PaillierPrivateKey,
         rng: random.Random,
         pool_size: int = 64,
         subset_size: int = 8,
     ):
         if pool_size < 2 or subset_size < 1:
             raise ValueError("pool needs >= 2 pads and a positive subset size")
-        self.public_key = public_key
+        self.public_key = secret_key.public
         self.pool_size = pool_size
         self.subset_size = subset_size
-        self._n2 = public_key.n_squared
+        self._n2 = self.public_key.n_squared
         self._pads: Tuple[int, ...] = tuple(
-            paillier.draw_pads(public_key, rng, pool_size)
+            paillier.draw_pads(secret_key, rng, pool_size)
         )
         #: ``pads[i] * pads[j] % n2`` under key ``i * pool_size + j``, filled on demand.
         self._pairs: Dict[int, int] = {}

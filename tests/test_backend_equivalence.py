@@ -18,6 +18,7 @@ set of assertions, any backend.
 import importlib.util
 import random
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +36,13 @@ from repro.crypto.backend import (
     set_backend,
     use_backend,
 )
-from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
+from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField, is_probable_prime
 from repro.faults import FaultInjector, get_scenario
 from repro.planner.search import plan_query
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
 from repro.runtime.journal import ExecutionJournal, run_to_completion
+from repro.runtime import shard as shard_module
 from repro.runtime.shard import ObfuscatorPool
 from tests.conftest import share_values, small_env
 
@@ -182,13 +184,11 @@ class TestPrimitiveEquivalence:
         sk = paillier.keygen(96, random.Random(2))
         pk = sk.public
         replay = random.Random(3)
-        z = pow(paillier.draw_obfuscator(pk, replay), pk.n, pk.n_squared)
-        bits = 2 * pk.n.bit_length() + paillier._PAD_EXPONENT_SLACK_BITS
-        want = tuple(pow(z, replay.getrandbits(bits), pk.n_squared) for _ in range(16))
+        want = tuple(_replay_pads(pk, replay, 16))
         for name in BACKENDS:
             rng = random.Random(3)
             with use_backend(name):
-                pads = ObfuscatorPool(pk, rng, pool_size=16)._pads
+                pads = ObfuscatorPool(sk, rng, pool_size=16)._pads
             assert pads == want
             assert rng.getstate() == replay.getstate()
         assert len(set(want)) == 16
@@ -253,6 +253,83 @@ class TestPrimitiveEquivalence:
             shamir.lagrange_weights.cache_clear()
             got = shamir.lagrange_coefficients_at_zero(ids, field)
         assert got == want
+
+
+# ------------------------------------------------------- pads through primes
+
+
+def _replay_pads(pk, rng, count):
+    """The pads as the public key alone computes them: one unit ``r0``,
+    ``z = r0^n``, then ``z^α mod n²`` for ``count`` exponents of
+    ``2|n| + 40`` bits, drawn in that order."""
+    z = pow(paillier.draw_obfuscator(pk, rng), pk.n, pk.n_squared)
+    bits = 2 * pk.n.bit_length() + paillier._PAD_EXPONENT_SLACK_BITS
+    return [pow(z, rng.getrandbits(bits), pk.n_squared) for _ in range(count)]
+
+
+def _key_from_primes(p, q):
+    n = p * q
+    lam = (p - 1) * (q - 1) // gcd(p - 1, q - 1)
+    return paillier.PaillierPrivateKey(paillier.PaillierPublicKey(n), lam, pow(lam, -1, n))
+
+
+def _primes_one_mod(step, bits, count, seed):
+    """``count`` distinct ``bits``-bit primes, each ``≡ 1 (mod step)``."""
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        p = (rng.getrandbits(bits) | 1 << (bits - 1)) // step * step + 1
+        if is_probable_prime(p) and p not in found:
+            found.append(p)
+    return found
+
+
+#: Keys whose ``gcd(p − 1, q − 1)`` is far above 2: a 2^20 share makes ``λ``'s
+#: power of two, and so the square-root walk, at least 20 steps long; the
+#: odd-smooth one gives a ``λ`` far below ``φ``.
+WIDE_GCD_KEYS = [
+    _key_from_primes(*_primes_one_mod(step, bits, 2, seed))
+    for seed, (step, bits) in enumerate(
+        [(2**20, 64), (2**20, 96), (510510, 64), (510510, 96), (2**10 * 510510, 128)]
+    )
+]
+
+
+def _keys():
+    drawn = st.tuples(st.sampled_from([32, 64, 96, 128]), st.integers(0, 2**32 - 1))
+    return st.one_of(
+        drawn.map(lambda key: paillier.keygen(key[0], random.Random(key[1]))),
+        st.sampled_from(WIDE_GCD_KEYS),
+    )
+
+
+class TestPadsThroughPrimes:
+    """``draw_pads`` computes each pad as a CRT through the key's primes;
+    every value and the stream's end are the public computation's."""
+
+    @given(sk=_keys(), seed=st.integers(0, 2**32 - 1), count=st.integers(2, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_pads_equal_the_public_computation(self, sk, seed, count):
+        replay = random.Random(seed)
+        want = _replay_pads(sk.public, replay, count)
+        for name in BACKENDS:
+            rng = random.Random(seed)
+            with use_backend(name):
+                assert paillier.draw_pads(sk, rng, count) == want
+            assert rng.getstate() == replay.getstate()
+
+    @pytest.mark.parametrize("bits", [96, 128])
+    def test_primes_recovered_from_n_and_lambda(self, bits):
+        wide = 0
+        for seed in range(200):
+            sk = paillier.keygen(bits, random.Random(seed))
+            n = sk.public.n
+            for name in BACKENDS:
+                with use_backend(name):
+                    p, q = paillier._split_modulus(n, sk.lam)
+                assert p * q == n
+                assert is_probable_prime(p) and is_probable_prime(q)
+            wide += gcd(p - 1, q - 1) > 2
+        assert wide  # keygen's own keys include gcd(p − 1, q − 1) > 2
 
 
 # ------------------------------------------------------------- end to end
@@ -325,6 +402,67 @@ class TestEndToEndEquivalence:
             with use_backend(name):
                 result = _run_query(devices=16)
                 assert result.statistics.crypto_backend == name
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instance attributes and
+    the members of tuples, lists, sets and dicts (keys and values)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+            stack.extend(vars(obj).values())
+
+
+class TestPadKeyHygiene:
+    """The pad pool is where the private key reaches the intake: the primes
+    it is split into stay in ``draw_pads`` and nothing the run keeps holds
+    any part of the key."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_no_secret_survives_the_input_phase(self, name, monkeypatch):
+        keys, contexts, moduli = [], [], []
+        keygen, key_of, upload = paillier.keygen, paillier._key_of, shard_module.upload_shard
+
+        def recording_keygen(bits, rng):
+            keys.append(keygen(bits, rng))
+            return keys[-1]
+
+        def recording_key_of(n):
+            moduli.append(n)
+            return key_of(n)
+
+        def recording_upload(shard, ctx, rng):
+            contexts.append(ctx)
+            return upload(shard, ctx, rng)
+
+        monkeypatch.setattr(paillier, "keygen", recording_keygen)
+        monkeypatch.setattr(paillier, "_key_of", recording_key_of)
+        monkeypatch.setattr(shard_module, "upload_shard", recording_upload)
+        with use_backend(name):
+            _run_query()
+        (sk,) = keys
+        n = sk.public.n
+        p, q = paillier._split_modulus(n, sk.lam)
+        secrets = {sk.lam, sk.mu, p, q}
+        ctx = contexts[0]
+        assert all(other is ctx for other in contexts)
+        assert isinstance(ctx.pool, ObfuscatorPool)
+        for obj in _reachable(ctx):
+            assert not isinstance(obj, paillier.PaillierPrivateKey)
+            assert not (isinstance(obj, int) and obj in secrets)
+        # The modulus cache is keyed by ciphertext tags only: public keys.
+        assert moduli and set(moduli) == {n}
+        assert isinstance(key_of(n), paillier.PaillierPublicKey)
 
 
 class TestJournalCrashResumeEquivalence:

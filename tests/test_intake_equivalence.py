@@ -34,7 +34,8 @@ from repro.runtime.shard import (
 
 from .oracles import intake_reference as ref
 
-PK = paillier.keygen(bits=96, rng=random.Random(3)).public
+SK = paillier.keygen(bits=96, rng=random.Random(3))
+PK = SK.public
 
 
 # ---------------------------------------------------------- randrange_many
@@ -82,7 +83,7 @@ def test_randrange_many_refuses_what_it_cannot_replay(n):
     seed=st.integers(0, 2**32),
 )
 def test_pool_draw_matches_the_scalar_fold(pool_size, subset_size, counts, seed):
-    pool = ObfuscatorPool(PK, random.Random(seed), pool_size=pool_size, subset_size=subset_size)
+    pool = ObfuscatorPool(SK, random.Random(seed), pool_size=pool_size, subset_size=subset_size)
     bulk, scalar = random.Random(seed + 1), random.Random(seed + 1)
     for count in counts:  # later calls hit the pair memo earlier ones filled
         assert pool.draw(bulk, count) == [ref.pool_draw(pool, scalar) for _ in range(count)]
@@ -98,7 +99,7 @@ def test_pool_draw_matches_the_scalar_fold(pool_size, subset_size, counts, seed)
 def test_workers_racing_to_fill_the_pair_memo_draw_what_the_fold_draws():
     """Shard workers share one pool: a memo entry two of them fill at once
     must come out as the same product, and no draw may see a torn one."""
-    pool = ObfuscatorPool(PK, random.Random(11), pool_size=6, subset_size=4)
+    pool = ObfuscatorPool(SK, random.Random(11), pool_size=6, subset_size=4)
 
     def scalar(worker):
         rng = random.Random(worker)
@@ -213,7 +214,7 @@ def shard_cases(draw):
     if draw(st.booleans()):
         packing = SlotPacking(width=width, slot_bits=16, lanes=draw(st.integers(1, width)))
     pool = ObfuscatorPool(
-        PK,
+        SK,
         random.Random(draw(st.integers(0, 2**32))),
         pool_size=draw(st.integers(2, 9)),
         subset_size=draw(st.integers(1, 6)),
@@ -348,7 +349,7 @@ def test_every_column_is_checked_for_every_upload(how):
         width=width,
         round_number=3,
         packing=SlotPacking(width=width, slot_bits=16, lanes=2),
-        pool=ObfuscatorPool(PK, random.Random(1), pool_size=4, subset_size=2),
+        pool=ObfuscatorPool(SK, random.Random(1), pool_size=4, subset_size=2),
     )
     n = 7
     shard = DeviceShard(
@@ -384,7 +385,7 @@ def test_proof_for_another_uploader_round_or_statement_is_rejected():
         width=width,
         round_number=round_number,
         packing=None,
-        pool=ObfuscatorPool(PK, random.Random(1), pool_size=4, subset_size=2),
+        pool=ObfuscatorPool(SK, random.Random(1), pool_size=4, subset_size=2),
     )
     rng = random.Random(2)
 
@@ -422,7 +423,8 @@ def test_proof_for_another_uploader_round_or_statement_is_rejected():
 
 def test_a_batch_under_another_key_cannot_reach_the_tree():
     """One modulus per batch: the leaf sum carries it and the tree compares it once."""
-    other = paillier.keygen(bits=96, rng=random.Random(4)).public
+    other_sk = paillier.keygen(bits=96, rng=random.Random(4))
+    other = other_sk.public
     ctx = ShardContext(
         public_key=other,
         statement=one_hot_statement(2),
@@ -432,7 +434,7 @@ def test_a_batch_under_another_key_cannot_reach_the_tree():
         width=2,
         round_number=0,
         packing=None,
-        pool=ObfuscatorPool(other, random.Random(1), pool_size=4, subset_size=2),
+        pool=ObfuscatorPool(other_sk, random.Random(1), pool_size=4, subset_size=2),
     )
     shard = DeviceShard(
         0, np.arange(1, 4, dtype=np.int64), np.zeros(3, dtype=np.int64),

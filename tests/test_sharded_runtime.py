@@ -172,7 +172,7 @@ def keypair():
 
 @pytest.fixture(scope="module")
 def shard_ctx(keypair):
-    pk, _ = keypair
+    pk, sk = keypair
     return ShardContext(
         public_key=pk,
         statement=one_hot_statement(8),
@@ -182,7 +182,7 @@ def shard_ctx(keypair):
         width=8,
         round_number=1,
         packing=None,
-        pool=ObfuscatorPool(pk, random.Random(42), pool_size=16, subset_size=4),
+        pool=ObfuscatorPool(sk, random.Random(42), pool_size=16, subset_size=4),
     )
 
 
@@ -199,7 +199,7 @@ def _make_shard(n=12, shard_id=0, offline=(), malicious=()):
 class TestShardStages:
     def test_pool_draws_decrypt_correctly(self, keypair):
         pk, sk = keypair
-        pool = ObfuscatorPool(pk, random.Random(7), pool_size=8, subset_size=3)
+        pool = ObfuscatorPool(sk, random.Random(7), pool_size=8, subset_size=3)
         messages = (0, 1, 12345)
         pads = pool.draw(random.Random(9), len(messages))
         assert len(set(pads)) == len(messages)
@@ -208,9 +208,9 @@ class TestShardStages:
             assert paillier.decrypt(sk, ct) == m
 
     def test_pool_and_upload_deterministic(self, keypair, shard_ctx):
-        pk, _ = keypair
-        pads_a = ObfuscatorPool(pk, random.Random(42), pool_size=16)._pads
-        pads_b = ObfuscatorPool(pk, random.Random(42), pool_size=16)._pads
+        _, sk = keypair
+        pads_a = ObfuscatorPool(sk, random.Random(42), pool_size=16)._pads
+        pads_b = ObfuscatorPool(sk, random.Random(42), pool_size=16)._pads
         assert pads_a == pads_b
         batch_a = upload_shard(_make_shard(), shard_ctx, random.Random(5))
         batch_b = upload_shard(_make_shard(), shard_ctx, random.Random(5))
