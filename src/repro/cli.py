@@ -306,6 +306,9 @@ def cmd_resume(args) -> int:
             print(exc.log.format())
             print(f"aborted: {exc.reason}", file=sys.stderr)
             return 1
+        except JournalError as exc:  # a replay that diverges from its journal
+            print(f"cannot resume: {exc}", file=sys.stderr)
+            return 1
         except CoordinatorCrash as crash:
             resumes += 1
             if resumes > MAX_INCARNATIONS:

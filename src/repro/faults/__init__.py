@@ -41,7 +41,7 @@ from .injector import (
     PartyTimeout,
     derive_stream_seed,
 )
-from .schedule import PHASES, PROTOCOL_KINDS, FaultPlan, RecoveryStats
+from .schedule import PHASES, PROTOCOL_KINDS, FaultPlan
 from .scenarios import SCENARIOS, get_scenario, list_scenarios
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFailure",
     "PartyTimeout",
-    "RecoveryStats",
     "UnrecoverableFault",
     "derive_stream_seed",
     "get_scenario",

@@ -8,14 +8,16 @@ All injected failures surface as typed exceptions the recovery layer in
 ``runtime/executor.py`` knows how to handle; everything is recorded in
 the shared :class:`~repro.faults.events.EventLog`.
 
-Determinism is the whole point: besides the schedule, the injector owns a
-tree of named substreams (:meth:`FaultInjector.fresh` /
-:meth:`FaultInjector.persistent`) derived from one master seed via
-SHA-256, so every value-relevant random draw in a chaos run is keyed by a
-stable label rather than by global stream position. That is what makes a
+Every executor carries one: a run without a scheduled fault gets an
+injector over the empty ``none`` plan, so a plain run *is* the fault-free
+twin chaos runs are compared against. Determinism is the whole point:
+besides the schedule, the injector owns a tree of named substreams
+(:meth:`FaultInjector.fresh`) derived from one master seed via SHA-256, so
+every value-relevant random draw of every run is keyed by a stable label
+rather than by a position in a shared stream. That is what makes a
 recovered run *bit-identical* to its fault-free twin: replaying a phase
-re-derives the same noise, and extra recovery work cannot shift the draws
-of later phases.
+re-derives the same keys and noise, and extra recovery work (or one more
+dealer draw) cannot shift the draws of later phases.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class FaultInjector:
         self.allocations: Dict[str, object] = {}
         self._pending: List[FaultEvent] = list(plan.events)
         self._armed: List[FaultEvent] = []
-        self._streams: Dict[str, random.Random] = {}
 
     # ------------------------------------------------------------- streams
 
@@ -95,13 +96,6 @@ class FaultInjector:
         sampling offsets, per-device upload randomness).
         """
         return random.Random(derive_stream_seed(self.seed, label))
-
-    def persistent(self, label: str) -> random.Random:
-        """The cached, run-long stream for ``label`` (MPC share material)."""
-        stream = self._streams.get(label)
-        if stream is None:
-            stream = self._streams[label] = self.fresh(label)
-        return stream
 
     # ------------------------------------------------------- phase control
 

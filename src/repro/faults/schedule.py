@@ -12,8 +12,8 @@ chaos run is exactly reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from .events import (
     COORDINATOR_CRASH,
@@ -125,14 +125,3 @@ class FaultPlan:
             description=f"seeded random schedule of {num_faults} protocol faults",
             events=tuple(events),
         )
-
-
-@dataclass
-class RecoveryStats:
-    """Overhead a faulted run paid relative to its fault-free twin."""
-
-    retries: int = 0
-    committees_used: int = 0
-    extra_committees: int = 0
-    waited_seconds: float = 0.0
-    notes: List[str] = field(default_factory=list)

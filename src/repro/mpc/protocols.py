@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .engine import MPCEngine, SecretValue
 
@@ -51,20 +51,19 @@ def shared_laplace_noise(
     engine: MPCEngine,
     scale: float,
     rng: random.Random,
-    contributors: Optional[int] = None,
+    contributors: int,
 ) -> SecretValue:
     """Jointly generate shared Laplace(scale) noise, in fixpoint encoding.
 
     Every committee member inputs a gamma-difference contribution; the sum
     of the shares is a sharing of a genuine Laplace sample that no party
-    has seen in the clear. ``contributors`` pins the contribution count to
-    the *planned* committee size: under churn a committee may run with
-    fewer live members, and the recovery runtime regenerates the missing
-    contributions so the noise distribution (and, for a fixed seed, the
-    sample itself) is independent of how many members actually survived.
+    has seen in the clear. ``contributors`` is the *planned* committee size:
+    under churn a committee may run with fewer live members, and the
+    recovery runtime regenerates the missing contributions so the noise
+    distribution (and, for a fixed seed, the sample itself) is independent
+    of how many members actually survived.
     """
-    count = contributors if contributors is not None else engine.num_parties
-    contributions = laplace_contributions(scale, count, rng)
+    contributions = laplace_contributions(scale, contributors, rng)
     shares = [engine.input_value(to_fixpoint(c)) for c in contributions]
     return engine.sum_values(shares)
 

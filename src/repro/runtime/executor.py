@@ -27,21 +27,27 @@ the Gumbel-noise form, which samples from the *identical* distribution
 Fault tolerance
 ---------------
 
-When a :class:`~repro.faults.FaultInjector` is attached, the run is split
-into named phases (``keygen``, ``input``, ``decrypt``, ``program``), each
-wrapped in a round-timeout/retry loop: an injected crash, long straggle,
-equivocation, or VSR quorum loss fails the phase, the executor backs off
-and replays it against the next committee from the pool (the §5.1
-fallback of moving a task to committee i+1 mod c). Committees parked with
-live secrets (the keygen committee holding the Paillier key limbs)
-survive member churn via Shamir threshold recovery
-(:meth:`Committee.recover_shares`). Every value-relevant random draw in a
-chaos run comes from a labelled substream of the injector's master seed
-rather than from global stream position, so a recovered run releases a
-result *bit-identical* to its fault-free twin; once the schedule exceeds
-what §5.1 tolerates the executor raises a typed
-:class:`~repro.faults.UnrecoverableFault` carrying the full event log —
-never a hang, never a silently wrong answer.
+Every executor carries a :class:`~repro.faults.FaultInjector`: a run built
+without one gets the empty ``none`` plan, seeded with the 64-bit word the
+constructor draws from its rng, so a plain run *is* its own fault-free
+twin. The run is split into named phases (``keygen``, ``input``,
+``decrypt``, ``program``), each wrapped in a round-timeout/retry loop: an
+injected crash, long straggle, equivocation, or VSR quorum loss fails the
+phase, the executor backs off and replays it against the next committee
+from the pool (the §5.1 fallback of moving a task to committee i+1 mod c).
+That holds for a plain run too: a committee that raises
+:class:`~repro.mpc.engine.CheatingDetected` without any scheduled fault is
+failed over the same way, and one that keeps cheating ends the run in
+:class:`~repro.faults.UnrecoverableFault`. Committees parked with live
+secrets (the keygen committee holding the Paillier key limbs) survive
+member churn via Shamir threshold recovery
+(:meth:`Committee.recover_shares`). Every value-relevant random draw, in
+every run, is a labelled substream of the injector's master seed rather
+than a position in a shared stream (the committees' dealers keep the
+executor's rng), so a recovered run releases a result *bit-identical* to
+its fault-free twin; once the schedule exceeds what §5.1 tolerates the
+executor raises a typed :class:`~repro.faults.UnrecoverableFault` carrying
+the full event log — never a hang, never a silently wrong answer.
 
 Durability
 ----------
@@ -93,6 +99,7 @@ from ..faults import (
     FaultInjector,
     InjectedFailure,
     UnrecoverableFault,
+    get_scenario,
 )
 from ..mpc.engine import CheatingDetected, SecretValue
 from ..mpc.protocols import (
@@ -209,8 +216,8 @@ class QueryResult:
     epsilon_charged: float
     events: List[str] = field(default_factory=list)
     authorization: Optional[QueryAuthorizationCertificate] = None
-    #: Present only for chaos runs: the injected-fault/recovery ledger.
-    fault_log: Optional[EventLog] = None
+    #: The injected-fault/recovery ledger (empty for a run without faults).
+    fault_log: EventLog = field(default_factory=EventLog)
     #: Data-plane observability; never part of result equality.
     statistics: Optional[RuntimeStatistics] = field(
         default=None, compare=False, repr=False
@@ -300,7 +307,6 @@ class QueryExecutor:
         # never run from an unseeded generator (reproducibility, R2 lint).
         self.rng = rng if rng is not None else random.Random(network.rng.getrandbits(64))
         self.accountant = accountant
-        self.faults = faults
         self.events: List[str] = []
         self.pool: Optional[CommitteePool] = None
         self.certificate: Optional[QueryAuthorizationCertificate] = None
@@ -321,11 +327,12 @@ class QueryExecutor:
         self._laplace_seq = 0
         self.shard_size = shard_size
         self.tree_fanout = tree_fanout
-        #: Master seed of the intake's labelled substreams. Drawn once at
-        #: construction from the executor's seeded rng — deterministic
-        #: across resume incarnations; per-shard streams derive from it by
-        #: label, never from shared stream position.
-        self._shard_seed = self.rng.getrandbits(64)
+        # Drawn whether or not an injector is given, so both kinds of run
+        # leave the rng where the other does. Without one, it seeds the
+        # empty plan's injector: the master seed every labelled substream
+        # derives from — deterministic across resume incarnations.
+        seed = self.rng.getrandbits(64)
+        self.faults = faults or FaultInjector(get_scenario("none"), seed=seed)
         self._packing: Optional[SlotPacking] = None
         #: Durable write-ahead journal; a loaded journal puts the run in
         #: resume mode (replay-verify to the last intact record, then
@@ -363,48 +370,29 @@ class QueryExecutor:
 
     def _allocate(self, name: str) -> Committee:
         committee = self.pool.allocate(name)
-        if self.faults is not None:
-            phase = self.faults.current_phase
-            if phase is not None:
-                # Symbolic fault targets like "keygen#1" name members of
-                # the *first* committee a phase allocated.
-                self.faults.note_allocation(phase, committee)
+        phase = self.faults.current_phase
+        if phase is not None:
+            # Symbolic fault targets like "keygen#1" name members of the
+            # *first* committee a phase allocated.
+            self.faults.note_allocation(phase, committee)
         self._checkpoint(f"allocate/{name}")
         return committee
 
     def _fresh(self, label: str) -> random.Random:
         """The stream backing one value-relevant draw.
 
-        In a chaos run this is the injector's labelled substream — stable
-        across phase replays, so recovery re-derives identical noise, bin
-        placements, and sampling offsets. Without an injector it is the
-        executor's own rng. Every
-        label is recorded in order so journal checkpoints can attest to
-        the RNG stream positions the run has consumed.
+        Every value-relevant draw, in every run, is a labelled substream:
+        the injector's, a pure function of (master seed, label) — stable
+        across phase replays, so recovery re-derives identical keys, noise,
+        bin placements and sampling offsets, and no draw depends on how far
+        another stream (a dealer's, another shard's) has been read. Every
+        label is recorded in order so journal checkpoints can attest to the
+        RNG stream positions the run has consumed; the intake's order is the
+        scheduler's post order, every shard's ``churn`` deriving its stream
+        before the first ``upload`` runs.
         """
         self._rng_labels.append(label)
-        if self.faults is None:
-            return self.rng
         return self.faults.fresh(label)
-
-    def _shard_stream(self, label: str) -> random.Random:
-        """A labelled substream for one unit of intake work.
-
-        Unlike :meth:`_fresh`, the fault-free path does *not* fall back to
-        the executor's shared rng: every shard's stream is derived from
-        the plane's master seed by label, so the draw schedule is a pure
-        function of (seed, label), never of how far another shard's stream
-        or the shared rng has been read. Chaos runs derive from the
-        injector instead, keeping recovery replays bit-identical. The label
-        attestation order is the scheduler's post order: every shard's
-        ``churn`` derives its stream before the first ``upload`` runs.
-        """
-        self._rng_labels.append(label)
-        if self.faults is not None:
-            return self.faults.fresh(label)
-        from ..faults import derive_stream_seed
-
-        return random.Random(derive_stream_seed(self._shard_seed, label))
 
     def _checkpoint(self, label: str, leaf: Optional[Dict[str, object]] = None) -> None:
         """A named execution boundary: journal record, then armed faults.
@@ -426,32 +414,31 @@ class QueryExecutor:
             if replayed:
                 self.statistics.journal_replayed += 1
             self.statistics.journal_records = self.journal.record_count
-        if self.faults is not None:
-            while True:
-                event = self.faults.take_coordinator_crash(label, seq)
-                if event is None:
-                    break
-                if self.journal is not None and self.journal.consume_crash(seq, label):
-                    # This incarnation is the resume of exactly this death.
-                    # Surfaced via statistics only: the released QueryResult
-                    # must stay byte-identical to the uninterrupted run.
-                    self.statistics.resume_events += 1
-                    continue
-                if self.journal is not None:
-                    self.journal.record_crash(seq, label, event.as_dict())
-                raise CoordinatorCrash(
-                    f"coordinator process died at checkpoint {seq} ({label})"
-                    + (
-                        f"; resume from journal {self.journal.path}"
-                        if self.journal is not None
-                        else "; no journal was attached, the run is lost"
-                    ),
-                    event=event,
-                    checkpoint=label,
-                    checkpoint_seq=seq,
-                    journal_path=self.journal.path if self.journal else None,
-                )
-            self.faults.maybe_fail()
+        while True:
+            event = self.faults.take_coordinator_crash(label, seq)
+            if event is None:
+                break
+            if self.journal is not None and self.journal.consume_crash(seq, label):
+                # This incarnation is the resume of exactly this death.
+                # Surfaced via statistics only: the released QueryResult
+                # must stay byte-identical to the uninterrupted run.
+                self.statistics.resume_events += 1
+                continue
+            if self.journal is not None:
+                self.journal.record_crash(seq, label, event.as_dict())
+            raise CoordinatorCrash(
+                f"coordinator process died at checkpoint {seq} ({label})"
+                + (
+                    f"; resume from journal {self.journal.path}"
+                    if self.journal is not None
+                    else "; no journal was attached, the run is lost"
+                ),
+                event=event,
+                checkpoint=label,
+                checkpoint_seq=seq,
+                journal_path=self.journal.path if self.journal else None,
+            )
+        self.faults.maybe_fail()
 
     def _checkpoint_payload(
         self, seq: int, label: str, leaf: Optional[Dict[str, object]]
@@ -471,7 +458,7 @@ class QueryExecutor:
         payload = {
             "seq": seq,
             "label": label,
-            "phase": self.faults.current_phase if self.faults is not None else None,
+            "phase": self.faults.current_phase,
             "allocations": [
                 {"name": c.name, "members": list(c.members)}
                 for c in (self.pool.allocated if self.pool is not None else [])
@@ -486,7 +473,7 @@ class QueryExecutor:
                 label_: {"epsilon": eps, "delta": delta}
                 for label_, (eps, delta) in sorted(self._charges.items())
             },
-            "events": self.faults.log.as_dict() if self.faults is not None else None,
+            "events": self.faults.log.as_dict(),
         }
         if leaf is not None:
             payload["leaf"] = leaf
@@ -543,8 +530,6 @@ class QueryExecutor:
         budget or the pool itself raises :class:`UnrecoverableFault` with
         the full event log attached.
         """
-        if self.faults is None:
-            return fn()
         inj = self.faults
         inj.begin_phase(label)
         attempt = 0
@@ -653,8 +638,6 @@ class QueryExecutor:
         recipient: Committee,
     ) -> List[SecretValue]:
         """VSR transfer, with the lost-message fault path threaded through."""
-        if self.faults is None:
-            return sender.send_via_vsr(values, recipient)
         event = self.faults.take_vsr_loss()
         if event is None:
             return sender.send_via_vsr(values, recipient)
@@ -695,12 +678,11 @@ class QueryExecutor:
         # committee structure.
         max_committees = max(1, min(n // m, 64))
         assignment = self.network.select_committees(max_committees, m)
-        round_hook = self.faults.on_round if self.faults is not None else None
         self.pool = CommitteePool(
             assignment.committees,
             self.rng,
             online_filter=self.network.online_members,
-            round_hook=round_hook,
+            round_hook=self.faults.on_round,
         )
         self._log(f"sortition: {max_committees} committees of {m} from {n} devices")
 
@@ -724,7 +706,7 @@ class QueryExecutor:
         )
         committees_used = len(self.pool.allocated)
         self._log(f"done: {committees_used} committees participated")
-        fault_log = self.faults.finish() if self.faults is not None else None
+        fault_log = self.faults.finish()
         if self.journal is not None:
             self.journal.record_result(
                 {
@@ -734,7 +716,7 @@ class QueryExecutor:
                     "committees_used": committees_used,
                     "rejected_devices": list(aggregator.rejected),
                     "events": list(self.events),
-                    "fault_log": fault_log.as_dict() if fault_log else None,
+                    "fault_log": fault_log.as_dict(),
                 }
             )
             self.statistics.journal_records = self.journal.record_count
@@ -942,7 +924,7 @@ class QueryExecutor:
         # The label is attested here; the pool is built at the first shard
         # that is not restored from the journal, so a resume past the
         # intake draws no pads.
-        pads_stream = self._shard_stream("sharded/pads")
+        pads_stream = self._fresh("sharded/pads")
         ctx: Optional[ShardContext] = None
 
         def live_context() -> ShardContext:
@@ -985,7 +967,7 @@ class QueryExecutor:
             rows = shard.device_ids - 1
             shard.online[:] = self.network.online[rows]
             shard.malicious[:] = self.network.malicious[rows]
-            stream = self._shard_stream(shard.stream_label)
+            stream = self._fresh(shard.stream_label)
             return None, [
                 (event_scheduler.UPLOAD, shard.shard_id, (shard, stream))
             ]
@@ -1049,7 +1031,7 @@ class QueryExecutor:
         )
         totals = tree.totals()
         audits_failed = tree.run_audits(
-            self._shard_stream("sharded/audit"),
+            self._fresh("sharded/audit"),
             auditors=min(len(self.network), 16),
         )
         if audits_failed:
@@ -1077,8 +1059,6 @@ class QueryExecutor:
 
     def _apply_garbage_faults(self) -> List[Tuple[object, List[int]]]:
         """Flip scheduled devices to malicious so they upload garbage."""
-        if self.faults is None:
-            return []
         applied = []
         for event in self.faults.garbage_events("input"):
             devices = self.faults.resolve_devices(event)
@@ -1300,13 +1280,13 @@ class QueryExecutor:
         committee = self._allocate("laplace")
         moved = self._vsr_send(ops_committee, [value.value], committee)[0]
         scaled = committee.engine.mul_public(moved, FIXPOINT_SCALE)
-        # In a chaos run the contribution count is pinned to the *planned*
-        # committee size, so churn-trimmed committees draw identical noise.
+        # The contribution count is pinned to the *planned* committee size,
+        # so churn-trimmed committees draw identical noise.
         noise = shared_laplace_noise(
             committee.engine,
             scale,
             self._fresh(f"noise/laplace{seq}"),
-            contributors=self.committee_size if self.faults is not None else None,
+            contributors=self.committee_size,
         )
         noised = committee.engine.add(scaled, noise)
         result = committee.engine.open(noised)

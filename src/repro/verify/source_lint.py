@@ -24,8 +24,8 @@ about because they encode *this* codebase's safety conventions:
   hubs and ``from __future__`` imports are exempt.
 * **R5 rng-stream-hygiene** — a *cross-function, cross-file* dataflow
   rule: every statically-known label passed to the seed-derivation
-  surface (``derive_stream_seed`` and the ``fresh``/``persistent``/
-  ``_fresh`` stream accessors) must be unique per call site. Two call
+  surface (``derive_stream_seed`` and the ``fresh``/``_fresh`` stream
+  accessors) must be unique per call site. Two call
   sites sharing a label template silently draw *correlated* randomness
   — DP noise reusing MPC share material, replayed phases consuming each
   other's streams — which breaks both privacy and the bit-identical
@@ -125,7 +125,7 @@ LINT_RULES: Tuple[LintRule, ...] = (
     LintRule(
         "rng-stream-hygiene",
         "runtime/, mpc/, crypto/, faults/",
-        "every derive_stream_seed / fresh / persistent label template is "
+        "every derive_stream_seed / fresh / _fresh label template is "
         "unique per call site (no correlated substreams)",
     ),
     LintRule(
@@ -146,9 +146,7 @@ LINT_RULES: Tuple[LintRule, ...] = (
 _STREAM_SEED_FUNCS = {
     "derive_stream_seed": 1,
     "fresh": 0,
-    "persistent": 0,
     "_fresh": 0,
-    "_shard_stream": 0,
 }
 
 

@@ -459,7 +459,7 @@ class TestRngStreamHygiene:
         _write(
             tmp_path,
             "mpc/b.py",
-            "def g(inj):\n    return inj.persistent('noise/em')\n",
+            "def g(self):\n    return self._fresh('noise/em')\n",
         )
         report = lint_paths([tmp_path], root=tmp_path)
         rules = [v.rule for v in report.violations]

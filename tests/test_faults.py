@@ -137,10 +137,6 @@ class TestInjectorStreams:
         second = [inj.fresh("noise/em0/0").random() for _ in range(3)]
         assert first == second
 
-    def test_persistent_stream_is_cached(self):
-        inj = FaultInjector(FaultPlan("none"), seed=3)
-        assert inj.persistent("mpc") is inj.persistent("mpc")
-
     def test_short_straggle_absorbed_long_raises(self):
         inj = FaultInjector(
             FaultPlan(

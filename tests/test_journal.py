@@ -513,6 +513,21 @@ class TestCli:
         assert main(["resume", str(path)]) == 1
         assert "cannot resume" in capsys.readouterr().err
 
+    def test_resume_of_a_diverging_journal_fails_closed(self, tmp_path, capsys):
+        # A journal whose checkpoints the rebuilt run does not reproduce (as
+        # a plain run journaled before every run carried an injector): a
+        # typed refusal, never a traceback or a value.
+        assert main(["run", "top1", "--devices", "32", "--journal", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "a").read_text().splitlines()[0])["payload"]
+        path = tmp_path / "diverging.journal"
+        journal = ExecutionJournal.create(str(path), dict(manifest, seed=manifest["seed"] + 1))
+        _executor_from_manifest(manifest, journal).run()
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+        assert main(["resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "diverged at checkpoint 0" in err
+
     def test_resume_requires_a_manifest(self, tmp_path, capsys):
         path = str(tmp_path / "run.journal")
         ExecutionJournal.create(path, {})

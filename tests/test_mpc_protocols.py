@@ -55,14 +55,17 @@ class TestDistributedLaplace:
 
     def test_shared_noise_stays_secret_until_open(self):
         e = make_engine()
-        noise = shared_laplace_noise(e, 1.0, random.Random(5))
+        noise = shared_laplace_noise(e, 1.0, random.Random(5), e.num_parties)
         value = e.open(noise)  # only the joint opening reveals it
         assert isinstance(value, int)
 
     def test_shared_noise_distribution(self):
         e = make_engine()
         rng = random.Random(17)
-        samples = [from_fixpoint(e.open(shared_laplace_noise(e, 1.0, rng))) for _ in range(300)]
+        samples = [
+            from_fixpoint(e.open(shared_laplace_noise(e, 1.0, rng, e.num_parties)))
+            for _ in range(300)
+        ]
         assert abs(statistics.mean(samples)) < 0.4
 
 

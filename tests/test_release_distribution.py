@@ -5,10 +5,11 @@ reference interpreter. This module checks the other end: the values that
 ``QueryExecutor.run()`` opens after intake, decryption, the committees' MPC
 noise and the comparison tournament — over fixed seeds on one tiny
 deployment, so the verdict is deterministic. The program releases a winner
-and *then* a noisy count, so the count's noise comes off the run's one RNG
-stream after the tournament's dealers have drawn from it: a change that moves
-those draws (any new comparison circuit) must still release Laplace(sens/ε)
-counts and exp(ε·score / 2·sens) winners.
+and *then* a noisy count. Every noise draw comes off its own labelled
+substream and the committees' dealers keep the executor's rng, so a change
+that moves the dealers' draws (any new comparison circuit) releases the very
+same values — checked by one dealer that draws once more per triple — and
+they must be Laplace(sens/ε) counts and exp(ε·score / 2·sens) winners.
 
 Each check also has to *fail* when the runtime is broken the way such a
 change could break it: a noise share dealt at the wrong scale, a candidate
@@ -27,6 +28,7 @@ from scipy import stats
 
 from repro import Planner, QueryExecutor
 from repro.lang.interp import one_hot_database, run_reference
+from repro.mpc.beaver import OfflineDealer
 from repro.mpc import protocols
 from repro.runtime import executor as executor_module
 from repro.runtime.network import FederatedNetwork
@@ -151,3 +153,18 @@ def test_fails_on_a_dropped_gumbel_draw(planning, monkeypatch):
     monkeypatch.setattr(executor_module, "shared_gumbel_noise", dropping)
     with pytest.raises(AssertionError, match="chi-square X2="):
         check_winners(released(planning, MUTANT_SEEDS)[0])
+
+
+def test_a_dealer_draw_moves_no_released_value(planning, monkeypatch):
+    """A dealer that draws one more value per triple, as a circuit needing
+    one more triple would, leaves every released winner and count alone."""
+    seeds = range(8)
+    before = released(planning, seeds)
+    triple = OfflineDealer.triple
+
+    def one_more_draw(self):
+        self._rng.random()
+        return triple(self)
+
+    monkeypatch.setattr(OfflineDealer, "triple", one_more_draw)
+    assert released(planning, seeds) == before

@@ -548,8 +548,9 @@ class TestIntakeCounts:
             "resume_events": 0,
         }
         assert set(range(41, 49)) <= set(result.rejected_devices)
+        # the parent's empty-plan twin
         assert hashlib.sha256(repr(result).encode()).hexdigest() == (
-            "c53da98db5c91a040dab4a34949d7f666a392f2318817eedcb28a318d9ead422"
+            "4700ab3f3eafaa6ee2d2df68286aba7e04bef76f215861a8136ce6bd0082e8c7"
         )
 
     def test_rates_are_the_counts_over_verify_time(self, result):
@@ -579,7 +580,7 @@ class TestWaveDrain:
             in_flight[0] += delta
             in_flight[1] = max(in_flight[1], in_flight[0])
 
-        stream, upload = QueryExecutor._shard_stream, shard_module.upload_shard
+        stream, upload = QueryExecutor._fresh, shard_module.upload_shard
         ingest = AggregatorTree.ingest_leaf
 
         def counted_stream(self, label):
@@ -599,7 +600,7 @@ class TestWaveDrain:
 
         path = tmp_path_factory.mktemp("waves") / "w.journal"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(QueryExecutor, "_shard_stream", counted_stream)
+            patch.setattr(QueryExecutor, "_fresh", counted_stream)
             patch.setattr(shard_module, "upload_shard", counted_upload)
             patch.setattr(AggregatorTree, "ingest_leaf", counted_ingest)
             result = _run(
@@ -612,19 +613,18 @@ class TestWaveDrain:
         # Taken on the commit before the worker pool and the wave widths were
         # deleted (123997d), where widths 0, 1, 2 and 4 all released them.
         result, root, journal, _, _ = run
+        # the parent's empty-plan twin
         assert hashlib.sha256(repr(result).encode()).hexdigest() == (
-            "3ea275d610dbcc7cdd574c8b7889b05d9327a525025d251919f25d076899448d"
+            "54c04d1ceca6d581beb61234aab8717694a394edeaf21b5a55a45c037bb815ee"
         )
-        # Re-pinned in the z^α pad epoch (docs/PROTOCOL.md §3): ciphertexts moved.
+        # the parent's empty-plan twin
         assert root.hex() == (
-            "3da2f00904650240cdad1c7e5e884a75a5d540f58124cb4cfcf269bc8f49e686"
+            "95b3c3013b6051dbb4bea14c0f4d875929b8f6554664ef59fcdcf15592784ce6"
         )
-        # Re-pinned for journal schema v2: a new genesis, and every shard
-        # checkpoint carries its leaf (was 14066 bytes, 7f8e1546…); with the
-        # leaves removed the payloads are v1's.
-        assert len(journal) == 15976
+        # the parent's empty-plan twin
+        assert len(journal) == 17187
         assert hashlib.sha256(journal).hexdigest() == (
-            "e069958c18fac4ccf54d7f08afa6ed6e511e59c30c2a99c36a4905e90eb7aba9"
+            "a64374fd0a27e176a365e2b259926150340b5ec83ce2a8afec4425d854b49fff"
         )
 
     def test_every_churn_is_handled_before_the_first_upload(self, run):
