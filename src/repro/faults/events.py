@@ -27,7 +27,7 @@ CRASH = "crash"
 STRAGGLER = "straggler"
 #: A member submits an inconsistent share (caught by the degree-t check).
 EQUIVOCATE = "equivocate"
-#: A device uploads a malformed/garbage ciphertext vector (caught by ZKP).
+#: A device uploads a malformed witness (caught by the ZKP statement check).
 GARBAGE = "garbage"
 #: One dealer's VSR redistribution message is lost in transit.
 VSR_LOSS = "vsr-loss"

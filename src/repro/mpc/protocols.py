@@ -9,10 +9,10 @@ prefix-sum rank search used by the median query.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Sequence, Tuple
 
+from ..privacy.mechanisms import gumbel_sample
 from .engine import MPCEngine, SecretValue
 
 #: Fixpoint scaling: 16 fractional bits, as in the paper's MP-SPDZ
@@ -66,16 +66,6 @@ def shared_laplace_noise(
     contributions = laplace_contributions(scale, contributors, rng)
     shares = [engine.input_value(to_fixpoint(c)) for c in contributions]
     return engine.sum_values(shares)
-
-
-def gumbel_sample(scale: float, rng: random.Random) -> float:
-    """One Gumbel(scale) sample via inverse CDF."""
-    if scale <= 0:
-        raise ValueError("Gumbel scale must be positive")
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
-    return -scale * math.log(-math.log(u))
 
 
 def shared_gumbel_noise(engine: MPCEngine, scale: float, rng: random.Random) -> SecretValue:

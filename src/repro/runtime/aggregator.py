@@ -3,9 +3,11 @@ homomorphically and commit every step to a Merkle log (§5.3).
 
 The aggregator is untrusted (OB threat model, §3.1): everything it computes
 is committed into a Merkle tree whose leaves the participants audit, and
-malformed participant uploads are filtered by their ZKPs before aggregation
-— in the shard pipeline (:func:`repro.runtime.shard.verify_shard`), whose
-verified partial sums are the tree's leaves. The §5.4 mailbox that relays
+malformed participant uploads are filtered before aggregation by
+:func:`repro.runtime.shard.verify_shard`: each statement on its handed-over
+witness (simulated), each leaf's partial against the sum of its accepted
+witnesses (real, the leaf equation of docs/PROTOCOL.md §3). Its verified
+partial sums are the tree's leaves. The §5.4 mailbox that relays
 committee payloads is priced by the planner; the simulation hands a
 committee's shares to the next one directly (VSR, ``runtime/committee.py``).
 """
@@ -38,14 +40,16 @@ def upload_digests(device_ids: Sequence[int], ciphertext_bytes: Sequence[bytes])
 @dataclass
 class Upload:
     """One device's submission: ciphertext vector, proof, and (simulation
-    only) the witness the proof is checked against — in a deployment the
-    SNARK checks the circuit directly and no witness ever leaves the device.
+    only) the trapdoor they are checked against — the witness and, per
+    ciphertext, its pool-pad indices. In a deployment the SNARK checks the
+    circuit directly and neither ever leaves the device.
     """
 
     device_id: int
     ciphertexts: List[paillier.PaillierCiphertext]
     proof: InputProof
     witness: Sequence[int]
+    pad_indices: Sequence[Sequence[int]]
 
     def digest(self) -> bytes:
         """Digest over (device id, ciphertext vector), cached.

@@ -1070,6 +1070,7 @@ class QueryExecutor:
     def _resolve_garbage_faults(
         self, applied: List[Tuple[object, List[int]]], aggregator: AggregatorTree
     ) -> None:
+        """A garbage upload is a malformed *witness*, so the statement check rejects it."""
         for event, devices in applied:
             caught = set(devices) <= set(aggregator.rejected)
             self.faults.log.record(

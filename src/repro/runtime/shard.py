@@ -49,12 +49,14 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..crypto import paillier
+from ..crypto.backend import get_backend
 
 # The column kernels, bound under the names the per-device stages called:
 # that is where bench/trace.py hooks the proving and verification layers.
@@ -101,10 +103,10 @@ class ObfuscatorPool:
     stream; that hides under DCRA alone what independent ``r^n`` would
     (docs/PROTOCOL.md §3). The pool is built by the key's holder, which
     computes the pads through the key's primes; it keeps only the public
-    key. :meth:`draw` returns
-    products of ``subset_size`` pads sampled with replacement — random
-    n-th residues obtained with a few modular multiplications instead of
-    one modular exponentiation each. The pads are immutable; the pair-
+    key. An obfuscator is ``subset_size`` pads sampled with replacement
+    (:meth:`draw`) and multiplied (:meth:`products`) — a random n-th
+    residue for a few modular multiplications instead of one modular
+    exponentiation. The pads are immutable; the pair-
     product memo only ever gains entries that are a function of the pads,
     so one pool serves every shard of a run (and two of a library caller's
     threads filling one entry write the same value).
@@ -129,20 +131,23 @@ class ObfuscatorPool:
         #: ``pads[i] * pads[j] % n2`` under key ``i * pool_size + j``, filled on demand.
         self._pairs: Dict[int, int] = {}
 
-    def draw(self, rng: random.Random, count: int) -> List[int]:
-        """``count`` fresh obfuscators, each a random subset product of the pads.
+    def draw(self, rng: random.Random, count: int) -> np.ndarray:
+        """The pool indices of ``count`` obfuscators, one row of ``subset_size``
+        each: exactly ``count * subset_size`` successive ``rng.randrange(pool_size)``."""
+        indices = randrange_many(rng, self.pool_size, count * self.subset_size)
+        return indices.reshape(count, self.subset_size)
 
-        Consumes the stream exactly as ``count * subset_size`` successive
-        ``rng.randrange(pool_size)`` calls (obfuscator-major). Consecutive
-        indices are multiplied as memoised pairs, so an obfuscator costs
-        ``(subset_size - 1) // 2`` multiplications plus at most
-        ``subset_size // 2`` memo fills — never more than the
+    def products(self, indices: np.ndarray) -> List[int]:
+        """The obfuscator each ``subset_size``-long row of ``indices`` names.
+
+        Consecutive indices are multiplied as memoised pairs, so an
+        obfuscator costs ``(subset_size - 1) // 2`` multiplications plus at
+        most ``subset_size // 2`` memo fills — never more than the
         ``subset_size - 1`` of a plain fold, and the same residue because
         the product is commutative.
         """
         n2, pads, pairs, size = self._n2, self._pads, self._pairs, self.pool_size
-        indices = randrange_many(rng, size, count * self.subset_size)
-        indices = indices.reshape(count, self.subset_size)
+        indices = indices.reshape(-1, self.subset_size)
         paired = self.subset_size // 2 * 2
         keys = (indices[:, 0:paired:2] * size + indices[:, 1:paired:2]).tolist()
         odd = indices[:, paired].tolist() if paired < self.subset_size else None
@@ -156,6 +161,16 @@ class ObfuscatorPool:
                 acc = pair if acc is None else acc * pair % n2
             out.append(acc)
         return out
+
+    def power_product(self, counts: Sequence[int]) -> int:
+        """``Π_i pads[i]^counts[i] mod n^2``: the product of all obfuscators
+        whose pooled indices hold ``i`` ``counts[i]`` times."""
+        powmod, n2 = get_backend().powmod, self._n2
+        acc = 1
+        for pad, count in zip(self._pads, counts):
+            if count:
+                acc = acc * powmod(pad, count, n2) % n2
+        return acc
 
 
 @dataclass(frozen=True)
@@ -184,7 +199,9 @@ class ShardUploadBatch:
     Row ``k`` is one online device's submission: ``device_ids[k]`` sent the
     raw ciphertext values ``ciphertexts[k]`` (every one under ``modulus``,
     held once), the witness ``witnesses[k]`` (devices with equal vectors
-    share one list) and row ``k`` of ``proofs``.
+    share one list) and row ``k`` of ``proofs``. ``pad_indices[k, j]``
+    names the pool pads behind ciphertext ``j``; with the witness, they are
+    the simulated network's trapdoor (docs/PROTOCOL.md §3 "Leaf equation").
     """
 
     shard_id: int
@@ -192,6 +209,7 @@ class ShardUploadBatch:
     device_ids: List[int]
     ciphertexts: List[List[int]]
     witnesses: List[List[int]]
+    pad_indices: np.ndarray  # int64, shape (rows, ciphertexts a row, subset_size)
     proofs: ProofColumns
     submit_seconds: float = 0.0
 
@@ -206,6 +224,7 @@ class ShardUploadBatch:
             paillier.ciphertexts_under(self.modulus, self.ciphertexts[k]),
             self.proofs.proof(k),
             list(self.witnesses[k]),
+            self.pad_indices[k].tolist(),
         )
 
 
@@ -311,10 +330,10 @@ def upload_shard(
 
     Each online device contributes one row of the batch — packed ciphertext
     values obfuscated via the pad pool (one subset-product per packed
-    ciphertext), their digest, and the well-formedness proof — the bytes
-    of an ``Upload``, built a column at a time: the
-    shard stream yields the bin draws, then every pad index of the shard in
-    (device, ciphertext, subset position) order.
+    ciphertext), the pad indices behind them, their digest, and the
+    well-formedness proof — the bytes of an ``Upload``, built a column at a
+    time: the shard stream yields the bin draws, then every pad index of the
+    shard in (device, ciphertext, subset position) order.
     """
     started = time.perf_counter()
     packing = ctx.packing
@@ -324,39 +343,83 @@ def upload_shard(
         for code in set(codes)
     }
     per_upload = packing.packed_width if packing is not None else ctx.width
+    indices = ctx.pool.draw(rng, per_upload * len(codes))
     ciphertexts = paillier.encrypt_rows_with_pads(
-        ctx.public_key, packed, codes, ctx.pool.draw(rng, per_upload * len(codes))
+        ctx.public_key, packed, codes, ctx.pool.products(indices)
     )
     digests = [
         hashlib.sha256(paillier.ciphertext_bytes(values)).digest() for values in ciphertexts
     ]
-    witnesses = [rows[code] for code in codes]
-    proofs = prove(ctx.statement, witnesses, online_ids, ctx.round_number, digests)
     return ShardUploadBatch(
         shard.shard_id,
         ctx.public_key.n,
         online_ids,
         ciphertexts,
-        witnesses,
-        proofs,
+        [rows[code] for code in codes],
+        indices.reshape(len(codes), per_upload, ctx.pool.subset_size),
+        prove(ctx.statement, online_ids, ctx.round_number, digests),
         time.perf_counter() - started,
     )
+
+
+def _packed_witnesses(
+    batch: ShardUploadBatch, ctx: ShardContext, rows: Sequence[int]
+) -> Tuple[List[List[int]], List[int]]:
+    """Each distinct witness of ``rows`` packed once, and per row which is its own."""
+    index: Dict[Tuple[int, ...], int] = {}
+    codes = [index.setdefault(tuple(batch.witnesses[k]), len(index)) for k in rows]
+    packing = ctx.packing
+    return [packing.pack(row) if packing is not None else list(row) for row in index], codes
+
+
+def _leaf_equation_holds(
+    batch: ShardUploadBatch, ctx: ShardContext, rows: List[int], partials: List[int]
+) -> bool:
+    """Whether each packed column ``j`` of the partial is ``(1 + M_j·n) ·
+    Π_i pad_i^{cnt_ij} mod n²``: ``M_j`` the sum of the rows' packed
+    witnesses (the sum of the packings, so slot carries cannot fail an honest
+    leaf) and ``cnt_ij`` the uses of pool pad ``i`` in their column ``j``.
+    Every pad is an n-th residue, so a passing leaf decrypts to exactly ``M``."""
+    n, n2, pool = ctx.public_key.n, ctx.public_key.n_squared, ctx.pool
+    packed, codes = _packed_witnesses(batch, ctx, rows)
+    counted, indices = Counter(codes).items(), batch.pad_indices[rows]
+    return partials == [
+        (1 + sum(times * packed[code][j] for code, times in counted) % n * n)
+        * pool.power_product(np.bincount(indices[:, j].ravel(), minlength=pool.pool_size).tolist())
+        % n2
+        for j in range(indices.shape[1])
+    ]
+
+
+def _rows_that_open(batch: ShardUploadBatch, ctx: ShardContext, rows: List[int]) -> List[int]:
+    """Those of ``rows`` whose ciphertexts re-encrypt exactly from their
+    witness under the pads their indices name, in order."""
+    packed, codes = _packed_witnesses(batch, ctx, rows)
+    pads = ctx.pool.products(batch.pad_indices[rows])
+    expected = paillier.encrypt_rows_with_pads(ctx.public_key, packed, codes, pads)
+    return [k for k, values in zip(rows, expected) if batch.ciphertexts[k] == values]
 
 
 def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResult:
     """The ``verify`` + leaf-``aggregate`` stage: one tree leaf's intake.
 
-    Checks every row: the proof's ciphertext digest against the one
-    recomputed from the stored values, and that it is the proof for *this*
-    uploader, round and statement; the rows that pass go to the ZKP
-    verification kernel. The accepted ciphertext vectors fold into per-slot
-    partial sums as raw values under the batch's one modulus, and the leaf
-    digest commits to the accepted upload digests in order.
+    Per row it checks the proof's ciphertext digest against the stored
+    values, that the proof is *this* uploader's, round's and statement's,
+    that the pad indices name pool pads, and (the ZKP kernel) the statement
+    on the witness. The accepted rows fold into per-slot partials under the
+    batch's one modulus, which must pass the leaf equation; a leaf that
+    fails rejects each row that does not re-encrypt to its ciphertext and
+    re-checks the rest. Rows whose deviations cancel inside a leaf pass together and leave
+    the partial the sum of their witnesses — all acceptance attests
+    (docs/PROTOCOL.md §3). The leaf digest commits to the accepted upload
+    digests in order.
     """
     started = time.perf_counter()
     proofs, ids = batch.proofs, batch.device_ids
     statement, round_number = ctx.statement, ctx.round_number
     bodies = [paillier.ciphertext_bytes(values) for values in batch.ciphertexts]
+    indices = batch.pad_indices
+    in_pool = ((indices >= 0) & (indices < ctx.pool.pool_size)).all(axis=(1, 2)).tolist()
     named = [
         k
         for k, body in enumerate(bodies)
@@ -364,19 +427,25 @@ def verify_shard(batch: ShardUploadBatch, ctx: ShardContext) -> ShardIntakeResul
         and proofs.device_ids[k] == ids[k]
         and proofs.round_numbers[k] == round_number
         and (proofs.statements[k] is statement or proofs.statements[k] == statement)
+        and in_pool[k]
     ]
     accepted = zkp_verify(proofs, batch.witnesses, named)
+
+    partials: Optional[List[paillier.PaillierCiphertext]] = None
+    aggregate_seconds = 0.0
+    while accepted:
+        summed = time.perf_counter()
+        partials = paillier.sum_columns(batch.modulus, [batch.ciphertexts[k] for k in accepted])
+        aggregate_seconds += time.perf_counter() - summed
+        if _leaf_equation_holds(batch, ctx, accepted, [ct.value for ct in partials]):
+            break
+        opening = _rows_that_open(batch, ctx, accepted)
+        if opening == accepted:
+            raise RuntimeError(f"shard {batch.shard_id}: leaf equation fails on rows that open")
+        accepted, partials = opening, None
     kept = set(accepted)
     rejected = [device_id for k, device_id in enumerate(ids) if k not in kept]
-    verify_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    partials: Optional[List[paillier.PaillierCiphertext]] = None
-    if accepted:
-        partials = paillier.sum_columns(
-            batch.modulus, [batch.ciphertexts[k] for k in accepted]
-        )
-    aggregate_seconds = time.perf_counter() - started
+    verify_seconds = time.perf_counter() - started - aggregate_seconds
 
     digests = upload_digests([ids[k] for k in accepted], [bodies[k] for k in accepted])
     leaf_digest = hashlib.sha256(

@@ -5,7 +5,10 @@ columnar: one ``Upload`` + ``InputProof`` + ``PaillierCiphertext`` per
 device, every pad index its own ``rng.randrange``, every subset product a
 left fold of ``subset_size - 1`` multiplications, every device's vector
 packed on its own, every digest fed to its hash one ``update()`` at a
-time, every leaf sum a chain of ``add_ciphertexts``.
+time, every leaf sum a chain of ``add_ciphertexts``, and every accepted
+upload's opening checked on its own: re-encrypted from its witness and its
+pad indices and compared, where the columnar intake checks one equation
+per leaf.
 ``tests/test_intake_equivalence.py`` runs the same shard through these
 functions and through :mod:`repro.runtime.shard` and requires identical
 uploads, RNG state and intake results; :func:`as_objects` and
@@ -57,6 +60,7 @@ def as_columns(batch: ObjectBatch, modulus: int) -> ShardUploadBatch:
         [u.device_id for u in batch.uploads],
         [[ct.value for ct in u.ciphertexts] for u in batch.uploads],
         [u.witness for u in batch.uploads],
+        np.asarray([u.pad_indices for u in batch.uploads], dtype=np.int64),
         ProofColumns(*[[getattr(u.proof, f.name) for u in batch.uploads] for f in fields(InputProof)]),
     )
 
@@ -83,50 +87,50 @@ def upload_digest(upload: Upload) -> bytes:
     return h.digest()
 
 
-def digest_values(values: Sequence[int], salt: bytes) -> bytes:
-    h = hashlib.sha256(salt)
-    for v in values:
-        h.update(str(int(v)).encode())
-        h.update(b",")
-    return h.digest()
-
-
-def binding(device_id: int, round_number: int, ct_digest: bytes, witness_digest: bytes) -> bytes:
+def binding(device_id: int, round_number: int, ct_digest: bytes) -> bytes:
     h = hashlib.sha256()
     h.update(device_id.to_bytes(8, "big"))
     h.update(round_number.to_bytes(8, "big"))
     h.update(ct_digest)
-    h.update(witness_digest)
     return h.digest()
 
 
 def prove(
     statement: Statement,
-    values: Sequence[int],
     device_id: int,
     round_number: int,
     ciphertext_digest: bytes,
 ) -> InputProof:
-    witness_digest = digest_values(values, ciphertext_digest[:8])
     return InputProof(
         statement=statement,
         device_id=device_id,
         round_number=round_number,
         ciphertext_digest=ciphertext_digest,
-        witness_digest=witness_digest,
-        binding=binding(device_id, round_number, ciphertext_digest, witness_digest),
+        binding=binding(device_id, round_number, ciphertext_digest),
     )
 
 
 def verify(proof: InputProof, values: Sequence[int]) -> bool:
-    if digest_values(values, proof.ciphertext_digest[:8]) != proof.witness_digest:
-        return False
-    expected = binding(
-        proof.device_id, proof.round_number, proof.ciphertext_digest, proof.witness_digest
-    )
-    if proof.binding != expected:
+    if proof.binding != binding(proof.device_id, proof.round_number, proof.ciphertext_digest):
         return False
     return proof.statement.holds_for(values)
+
+
+# ---------------------------------------------------------------- tampering
+
+
+def forge_ciphertext(batch: ShardUploadBatch, k: int, shift: int, column: int = 0) -> None:
+    """Row ``k`` keeps its witness and pad indices, but its ciphertext
+    ``column`` now also encrypts ``shift``; the row is re-digested and
+    re-bound, so every check that reads no plaintext still passes."""
+    n = batch.modulus
+    values = list(batch.ciphertexts[k])
+    values[column] = values[column] * (1 + shift % n * n) % (n * n)
+    batch.ciphertexts[k] = values
+    digest = hashlib.sha256(paillier.ciphertext_bytes(values)).digest()
+    proofs = batch.proofs
+    proofs.ciphertext_digests[k] = digest
+    proofs.bindings[k] = binding(proofs.device_ids[k], proofs.round_numbers[k], digest)
 
 
 # -------------------------------------------------------------------- draws
@@ -136,13 +140,18 @@ def randrange_loop(rng: random.Random, n: int, count: int) -> List[int]:
     return [rng.randrange(n) for _ in range(count)]
 
 
-def pool_draw(pool: ObfuscatorPool, rng: random.Random) -> int:
-    """One obfuscator: ``subset_size`` scalar draws, folded left to right."""
+def pool_draw(pool: ObfuscatorPool, rng: random.Random) -> Tuple[List[int], int]:
+    """One obfuscator: ``subset_size`` scalar draws, and their pads folded."""
+    indices = [rng.randrange(pool.pool_size) for _ in range(pool.subset_size)]
+    return indices, pad_of(pool, indices)
+
+
+def pad_of(pool: ObfuscatorPool, indices: Sequence[int]) -> int:
+    """The pads at ``indices``, folded left to right."""
     n2 = pool.public_key.n_squared
-    pads = pool._pads
-    acc = pads[rng.randrange(pool.pool_size)]
-    for _ in range(pool.subset_size - 1):
-        acc = acc * pads[rng.randrange(pool.pool_size)] % n2
+    acc = pool._pads[indices[0]]
+    for i in indices[1:]:
+        acc = acc * pool._pads[i] % n2
     return acc
 
 
@@ -193,16 +202,31 @@ def upload_shard(
     for pos, device_id in enumerate(online_ids):
         vector = vectors[pos]
         plaintexts = ctx.packing.pack(vector) if ctx.packing is not None else vector
-        cts = [
-            paillier.encrypt_with_pad(ctx.public_key, value, pool_draw(ctx.pool, rng))
-            for value in plaintexts
-        ]
+        cts, pad_indices = [], []
+        for value in plaintexts:
+            indices, pad = pool_draw(ctx.pool, rng)
+            cts.append(paillier.encrypt_with_pad(ctx.public_key, value, pad))
+            pad_indices.append(indices)
         proof = prove(
-            ctx.statement, vector, int(device_id), ctx.round_number,
-            ciphertext_vector_digest(cts),
+            ctx.statement, int(device_id), ctx.round_number, ciphertext_vector_digest(cts)
         )
-        uploads.append(Upload(int(device_id), cts, proof, vector))
+        uploads.append(Upload(int(device_id), cts, proof, vector, pad_indices))
     return ObjectBatch(shard.shard_id, uploads)
+
+
+def opens(upload: Upload, ctx: ShardContext) -> bool:
+    """Whether every ciphertext re-encrypts exactly from the witness under
+    the pad its indices name."""
+    plaintexts = ctx.packing.pack(upload.witness) if ctx.packing is not None else upload.witness
+    if not len(plaintexts) == len(upload.pad_indices) == len(upload.ciphertexts):
+        return False
+    for value, indices, ct in zip(plaintexts, upload.pad_indices, upload.ciphertexts):
+        if any(not 0 <= i < ctx.pool.pool_size for i in indices):
+            return False
+        pad = pad_of(ctx.pool, indices)
+        if paillier.encrypt_with_pad(ctx.public_key, value, pad) != ct:
+            return False
+    return True
 
 
 def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
@@ -221,7 +245,7 @@ def verify_shard(batch: ObjectBatch, ctx: ShardContext) -> ShardIntakeResult:
         ):
             rejected.append(upload.device_id)
             continue
-        if not verify(proof, upload.witness):
+        if not verify(proof, upload.witness) or not opens(upload, ctx):
             rejected.append(upload.device_id)
             continue
         accepted.append(upload)

@@ -6,7 +6,8 @@ carry a shard's uploads as columns of raw values, never as one object per
 device. None of that may be observable: uploads, the RNG stream's end
 position, accept/reject order, leaf digests and partial sums must match
 the scalar, object-per-device reference byte for byte — and a proof that
-is not the one for this uploader, round and query must be rejected.
+is not the one for this uploader, round and query, or a ciphertext that
+does not open to its witness, must be rejected.
 """
 
 import random
@@ -86,7 +87,11 @@ def test_pool_draw_matches_the_scalar_fold(pool_size, subset_size, counts, seed)
     pool = ObfuscatorPool(SK, random.Random(seed), pool_size=pool_size, subset_size=subset_size)
     bulk, scalar = random.Random(seed + 1), random.Random(seed + 1)
     for count in counts:  # later calls hit the pair memo earlier ones filled
-        assert pool.draw(bulk, count) == [ref.pool_draw(pool, scalar) for _ in range(count)]
+        indices = pool.draw(bulk, count)
+        want = [ref.pool_draw(pool, scalar) for _ in range(count)]
+        assert indices.shape == (count, subset_size)
+        assert indices.tolist() == [drawn for drawn, _ in want]
+        assert pool.products(indices) == [pad for _, pad in want]
         assert bulk.getstate() == scalar.getstate()
     # Every memo entry is the product it is filed under.
     for key, pair in pool._pairs.items():
@@ -103,7 +108,7 @@ def test_workers_racing_to_fill_the_pair_memo_draw_what_the_fold_draws():
 
     def scalar(worker):
         rng = random.Random(worker)
-        return [ref.pool_draw(pool, rng) for _ in range(400)]
+        return [ref.pool_draw(pool, rng)[1] for _ in range(400)]
 
     want = {worker: scalar(worker) for worker in range(8)}
     got, errors = {}, []
@@ -113,7 +118,7 @@ def test_workers_racing_to_fill_the_pair_memo_draw_what_the_fold_draws():
         try:
             start.wait(timeout=10)
             rng = random.Random(worker)
-            got[worker] = [pad for _ in range(40) for pad in pool.draw(rng, 10)]
+            got[worker] = [pad for _ in range(40) for pad in pool.products(pool.draw(rng, 10))]
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
@@ -145,35 +150,20 @@ def test_workers_racing_to_fill_the_pair_memo_draw_what_the_fold_draws():
 )
 def test_one_shot_digests_hash_the_same_bytes(values, salt, device_id, round_number, cts):
     statement = one_hot_statement(4)
-    # Any bytes stand in for the ciphertext digest: its first 8 salt the witness.
-    proof = zkp.prove(statement, values, device_id, round_number, salt)
-    assert proof.witness_digest == ref.digest_values(values, salt)
-    assert proof.binding == ref.binding(device_id, round_number, salt, proof.witness_digest)
-    assert zkp.prove(statement, tuple(values), device_id, round_number, salt) == proof
+    # Any bytes stand in for the ciphertext digest.
+    proof = zkp.prove(statement, device_id, round_number, salt)
+    assert proof.binding == ref.binding(device_id, round_number, salt)
     ciphertexts = [paillier.PaillierCiphertext(v, PK.n) for v in cts]
     digest = aggregator.ciphertext_vector_digest(ciphertexts)
     assert digest == ref.ciphertext_vector_digest(ciphertexts)
-    upload = Upload(device_id, ciphertexts, None, values)
+    upload = Upload(device_id, ciphertexts, None, values, [])
     assert upload.digest() == ref.upload_digest(upload)
     assert aggregator.upload_digests([device_id], [paillier.ciphertext_bytes(cts)]) == [
         upload.digest()
     ]
-    assert zkp.prove(statement, values, device_id, round_number, digest) == ref.prove(
-        statement, values, device_id, round_number, digest
+    assert zkp.prove(statement, device_id, round_number, digest) == ref.prove(
+        statement, device_id, round_number, digest
     )
-
-
-def test_witness_body_memo_cannot_confuse_keys_that_compare_equal():
-    # 1, True and 1.0 are one cache key and one encoding; 2.5 truncates like int().
-    salt = b"12345678"
-
-    def witness_digest(values):
-        return zkp.prove(one_hot_statement(2), values, 1, 1, salt).witness_digest
-
-    assert witness_digest([True, 0]) == witness_digest([1, 0])
-    assert witness_digest([1.0, 0]) == ref.digest_values([1.0, 0], salt)
-    assert witness_digest([2.5]) == ref.digest_values([2.5], salt)
-    assert witness_digest([np.int64(7)]) == ref.digest_values([7], salt)
 
 
 # ------------------------------------------------------------ shard stages
@@ -244,11 +234,13 @@ def shard_cases(draw):
 def upload_fields(upload):
     assert type(upload.device_id) is int and type(upload.witness) is list
     assert all(type(v) is int for v in upload.witness)
+    assert all(type(i) is int for indices in upload.pad_indices for i in indices)
     return (
         upload.device_id,
         [(ct.value, ct.n) for ct in upload.ciphertexts],
         upload.proof,  # a frozen dataclass: == compares every InputProof field
         upload.witness,
+        upload.pad_indices,
     )
 
 
@@ -294,26 +286,64 @@ def _flip(digest: bytes) -> bytes:
     return bytes([digest[0] ^ 1]) + digest[1:]
 
 
-#: Per column of the batch: where it is, and what a tampered entry looks like.
+def _entry(column_of, change):
+    """The tamper that replaces row ``k`` of one column with ``change`` of it."""
+
+    def tamper(batch, k):
+        column_of(batch)[k] = change(column_of(batch)[k])
+
+    return tamper
+
+
+def _other_first_pad(indices):
+    changed = indices.copy()
+    changed[0, 0] = 1 if changed[0, 0] == 0 else 0
+    return changed
+
+
+def _pad_outside_the_pool(indices):
+    changed = indices.copy()
+    changed[0, 0] = -1
+    return changed
+
+
+#: Per column of the batch, what tampering with row ``k`` does. Each entry
+#: either fails a per-row check or shifts the leaf equation by a fixed
+#: amount (the witness by 1 a slot, the forgery by 10^6 in slot 0), and no
+#: mix of up to four shifts balances, so they can be mixed over any victims.
 TAMPERS = {
-    "ciphertext": (lambda b: b.ciphertexts, lambda values: [values[0] + 1] + values[1:]),
-    "proof device": (lambda b: b.proofs.device_ids, lambda device_id: device_id + 1),
-    "proof round": (lambda b: b.proofs.round_numbers, lambda round_number: round_number + 1),
+    "ciphertext": _entry(lambda b: b.ciphertexts, lambda values: [values[0] + 1] + values[1:]),
+    "proof device": _entry(lambda b: b.proofs.device_ids, lambda device_id: device_id + 1),
+    "proof round": _entry(lambda b: b.proofs.round_numbers, lambda rnd: rnd + 1),
     # A statement every witness here satisfies, just not the query's.
-    "proof statement": (
+    "proof statement": _entry(
         lambda b: b.proofs.statements, lambda statement: range_statement(statement.length, 0, 1000)
     ),
-    "ciphertext digest": (lambda b: b.proofs.ciphertext_digests, _flip),
-    "witness digest": (lambda b: b.proofs.witness_digests, _flip),
-    "binding": (lambda b: b.proofs.bindings, _flip),
-    # The row is shared with every device that sent the same vector: replaced, never mutated.
-    "witness": (lambda b: b.witnesses, lambda row: [v + 1 for v in row]),
+    "ciphertext digest": _entry(lambda b: b.proofs.ciphertext_digests, _flip),
+    "binding": _entry(lambda b: b.proofs.bindings, _flip),
+    # The row is shared with every device that sent the same vector: replaced,
+    # never mutated. Where the new row still satisfies the statement, only
+    # the leaf equation tells it from the ciphertext.
+    "witness": _entry(lambda b: b.witnesses, lambda row: [v + 1 for v in row]),
+    # Honest witness and pad indices, 10^6 more in slot 0, re-digested and
+    # re-bound: nothing but the opening tells.
+    "forged ciphertext": lambda batch, k: ref.forge_ciphertext(batch, k, 10**6),
+}
+
+#: Tampers that two rows can cancel inside one leaf, by trading pads or
+#: witnesses between them (``tests/test_leaf_equation.py``), so these are
+#: tried one victim at a time.
+LONE_TAMPERS = {
+    "pad index": _entry(lambda b: b.pad_indices, _other_first_pad),
+    "pad index outside the pool": _entry(lambda b: b.pad_indices, _pad_outside_the_pool),
+    # Another vector that satisfies the statement: the proof commits to no
+    # witness, the ciphertext does.
+    "substituted witness": _entry(lambda b: b.witnesses, lambda row: row[1:] + row[:1]),
 }
 
 
 def tamper(batch, how, k):
-    column_of, change = TAMPERS[how]
-    column_of(batch)[k] = change(column_of(batch)[k])
+    {**TAMPERS, **LONE_TAMPERS}[how](batch, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,7 +366,7 @@ def test_tampered_batches_are_rejected_in_the_same_order(case, data):
     assert result.rejected == [d for d in batch.device_ids if d in lost]
 
 
-@pytest.mark.parametrize("how", sorted(TAMPERS))
+@pytest.mark.parametrize("how", sorted({**TAMPERS, **LONE_TAMPERS}))
 def test_every_column_is_checked_for_every_upload(how):
     """The tamper matrix, one column at a time, on a shard nobody else fails in."""
     width = 4
@@ -390,15 +420,15 @@ def test_proof_for_another_uploader_round_or_statement_is_rejected():
     rng = random.Random(2)
 
     def upload(device_id, witness, statement, proof_device, proof_round):
+        indices = ctx.pool.draw(rng, width)
         cts = [
             paillier.encrypt_with_pad(PK, value, pad)
-            for value, pad in zip(witness, ctx.pool.draw(rng, width))
+            for value, pad in zip(witness, ctx.pool.products(indices))
         ]
         proof = zkp.prove(
-            statement, witness, proof_device, proof_round,
-            aggregator.ciphertext_vector_digest(cts),
+            statement, proof_device, proof_round, aggregator.ciphertext_vector_digest(cts)
         )
-        return Upload(device_id, cts, proof, witness)
+        return Upload(device_id, cts, proof, witness, indices.tolist())
 
     def intake(uploads):
         return verify_shard(ref.as_columns(ref.ObjectBatch(0, uploads), PK.n), ctx)

@@ -10,7 +10,6 @@ from repro.mpc.engine import MPCEngine
 from repro.mpc.protocols import (
     FIXPOINT_SCALE,
     from_fixpoint,
-    gumbel_sample,
     laplace_contributions,
     noisy_argmax,
     noisy_max,
@@ -20,6 +19,7 @@ from repro.mpc.protocols import (
     shared_laplace_noise,
     to_fixpoint,
 )
+from repro.privacy.mechanisms import gumbel_sample
 
 
 def make_engine(parties=4, seed=3, bit_width=40):

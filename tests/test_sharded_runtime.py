@@ -201,7 +201,7 @@ class TestShardStages:
         pk, sk = keypair
         pool = ObfuscatorPool(sk, random.Random(7), pool_size=8, subset_size=3)
         messages = (0, 1, 12345)
-        pads = pool.draw(random.Random(9), len(messages))
+        pads = pool.products(pool.draw(random.Random(9), len(messages)))
         assert len(set(pads)) == len(messages)
         for m, pad in zip(messages, pads):
             ct = paillier.encrypt_with_pad(pk, m, pad)
@@ -258,10 +258,8 @@ class TestUploadDigestCache:
         from repro.runtime.aggregator import ciphertext_vector_digest
 
         cts = [paillier.encrypt(pk, v, rng) for v in vector]
-        proof = prove(
-            one_hot_statement(8), vector, 1, 1, ciphertext_vector_digest(cts)
-        )
-        return Upload(1, cts, proof, vector)
+        proof = prove(one_hot_statement(8), 1, 1, ciphertext_vector_digest(cts))
+        return Upload(1, cts, proof, vector, [])
 
     def test_digest_cached_after_first_call(self, keypair):
         upload = self._upload(keypair)
