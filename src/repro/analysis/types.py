@@ -175,6 +175,11 @@ class TypeChecker:
         #: Types of every expression node, keyed by id(node); the planner
         #: reads these when assigning cryptosystems.
         self.expr_types: Dict[int, ValueType] = {}
+        #: A loop body is checked once per unrolled iteration (and per
+        #: widening round) and ``expr_types`` keeps the last pass; for the
+        #: nodes whose interval differed between passes, this holds the
+        #: union of them all. ``interval_hull`` reads the two together.
+        self.expr_hulls: Dict[int, Interval] = {}
         self.output_types: List[ValueType] = []
 
     # -------------------------------------------------------------- program
@@ -330,8 +335,21 @@ class TypeChecker:
 
     def infer(self, expr: Expr) -> ValueType:
         result = self._infer(expr)
-        self.expr_types[id(expr)] = result
+        key = id(expr)
+        prior = self.expr_types.get(key)
+        self.expr_types[key] = result
+        if prior is not None and prior.interval != result.interval:
+            hull = self.expr_hulls.get(key, prior.interval)
+            self.expr_hulls[key] = hull.union(result.interval)
         return result
+
+    def interval_hull(self, expr: Expr) -> Optional[Interval]:
+        """Every value ``expr`` took over all passes (None if never typed)."""
+        hull = self.expr_hulls.get(id(expr))
+        if hull is not None:
+            return hull
+        vt = self.expr_types.get(id(expr))
+        return vt.interval if vt is not None else None
 
     def _infer(self, expr: Expr) -> ValueType:
         if isinstance(expr, IntLit):

@@ -17,7 +17,8 @@ Commands
              certificate the plan gate attached, as JSON.
 ``verify-sweep``  plan every catalog query at paper scale plus the
              chaos-suite query through the plan gate; exit 1 unless every
-             plan passes and yields a certificate.
+             plan passes and yields a certificate. Each line also reports
+             the plan's comparison width, marking any the runtime refuses.
 ``lint``     run the privacy-invariant source lint over the repro sources
              (exit 1 on any finding, warnings included).
 ``chaos``    replay named fault-injection scenarios against the runtime and
@@ -53,9 +54,12 @@ import sys
 from typing import List, Optional
 
 from .analysis.types import QueryEnvironment
+from .crypto.field import DEFAULT_FIELD
+from .mpc.engine import max_bit_width
 from .planner.costmodel import Constraints, CostVector, Goal
 from .planner.search import Planner, PlanningFailed
 from .queries.catalog import ALL_QUERIES, BY_NAME
+from .runtime.width import widest_site
 from .verify import PlanVerificationError
 
 
@@ -391,9 +395,10 @@ def cmd_verify_sweep(args) -> int:
             ),
         )
     )
+    limit = max_bit_width(DEFAULT_FIELD)
     for name, source, env in targets:
         try:
-            certificate = Planner(env).plan_source(source, name=name).privacy_certificate
+            result = Planner(env).plan_source(source, name=name)
         except PlanningFailed as failure:
             print(f"{name:12s} FAILED: planning failed: {failure}")
             failures += 1
@@ -404,10 +409,19 @@ def cmd_verify_sweep(args) -> int:
             for line in failure.report.format().splitlines():
                 print(f"  {line}")
             continue
+        certificate = result.privacy_certificate
+        # Reported, not judged: a width past the field is this runtime's
+        # limit (the executor refuses the run), not a flaw of the plan.
+        site = widest_site(result.logical_plan)
+        if site is None:
+            width = "no secret comparison"
+        else:
+            refused = f" (past the runtime's {limit}: refused)" if site.bits > limit else ""
+            width = f"compare at {site.bits} bits{refused}"
         print(
             f"{name:12s} ok: {len(certificate.nodes)} mechanism use(s), "
             f"ε ≤ {certificate.total_epsilon.hi:g}, "
-            f"δ ≤ {certificate.total_delta.hi:.3g}, "
+            f"δ ≤ {certificate.total_delta.hi:.3g}, {width}, "
             f"digest sha256:{certificate.digest()[:16]}…"
         )
     total = len(targets)

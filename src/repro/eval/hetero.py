@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-from ..mpc.engine import MPCEngine
+from ..mpc.engine import DEFAULT_BIT_WIDTH, MPCEngine
 from ..mpc.protocols import shared_gumbel_noise, to_fixpoint
 
 #: Effective per-round overhead (seconds). The LAN figure reflects the
@@ -61,7 +61,7 @@ def run_gumbel_mpc(
     communication rounds the protocol needed.
     """
     rng = random.Random(seed)
-    engine = MPCEngine(num_parties, rng=rng, bit_width=40)
+    engine = MPCEngine(num_parties, rng=rng, bit_width=DEFAULT_BIT_WIDTH)
     scores = [
         engine.mul_public(engine.input_value(rng.randrange(100)), to_fixpoint(1.0))
     ]

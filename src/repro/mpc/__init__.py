@@ -4,8 +4,6 @@ from .engine import CheatingDetected, CostCounters, MPCEngine, SecretValue
 from .protocols import (
     FIXPOINT_SCALE,
     from_fixpoint,
-    noisy_argmax,
-    rank_search,
     shared_gumbel_noise,
     shared_laplace_noise,
     to_fixpoint,
@@ -21,6 +19,4 @@ __all__ = [
     "from_fixpoint",
     "shared_laplace_noise",
     "shared_gumbel_noise",
-    "noisy_argmax",
-    "rank_search",
 ]

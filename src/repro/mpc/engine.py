@@ -37,8 +37,16 @@ from .beaver import OfflineDealer
 STATISTICAL_SECURITY_BITS = 40
 
 #: Default width of compared values: 30 integer + 16 fraction bits (§6),
-#: plus a sign bit.
+#: plus a sign bit. The runtime's committees do not use it: they compare at
+#: the width their plan's certified ranges need (``runtime.width``).
 DEFAULT_BIT_WIDTH = 47
+
+
+def max_bit_width(field: PrimeField) -> int:
+    """Widest k a comparison over ``field`` can mask: the (k+1+40)-bit
+    edaBit plus two bits of headroom must fit the field (84 for the
+    127-bit Mersenne field)."""
+    return field.bits - 2 - 1 - STATISTICAL_SECURITY_BITS
 
 
 class CheatingDetected(Exception):
@@ -108,8 +116,7 @@ class MPCEngine:
         if num_parties < 2 * self.threshold + 1:
             raise ValueError("threshold violates the honest-majority bound n >= 2t+1")
         self.bit_width = bit_width
-        mask_bits = bit_width + 1 + STATISTICAL_SECURITY_BITS
-        if field.bits < mask_bits + 2:
+        if bit_width > max_bit_width(field):
             raise ValueError(
                 f"field of {field.bits} bits too small for {bit_width}-bit values "
                 f"with {STATISTICAL_SECURITY_BITS}-bit statistical masking"
@@ -327,7 +334,13 @@ class MPCEngine:
     # ------------------------------------------------------------ comparison
 
     def less_than(self, a: SecretValue, b: SecretValue) -> SecretValue:
-        """Shared bit [a < b] for signed values of at most ``bit_width`` bits.
+        """Shared bit [a < b], correct only when |a - b| < 2^k, k = ``bit_width``.
+
+        Nothing here can check that precondition on shared values: past it
+        the bit opens wrong, silently. The caller guarantees it. The
+        runtime's committees compare at ``runtime.width.comparison_width``,
+        the smallest k the plan's certified value ranges satisfy at every
+        comparison site; a direct engine user picks k for its own values.
 
         Protocol (MP-SPDZ ``LTZ`` over ``Mod2m``): d = a - b + 2^k lies in
         (0, 2^(k+1)) and its bit k is [a >= b]. Mask d with a random

@@ -1,16 +1,16 @@
 """Higher-level committee protocols built on the MPC engine.
 
-These are the sub-protocols Arboretum's committee vignettes actually run:
-joint noise generation (Laplace via the exact gamma-difference
-decomposition, Gumbel via the dealer abstraction), noisy argmax for the
-Gumbel instantiation of the exponential mechanism (Fig 4, right), and the
-prefix-sum rank search used by the median query.
+These are the noise sub-protocols Arboretum's committee vignettes run:
+Laplace via the exact gamma-difference decomposition and Gumbel via the
+dealer abstraction, both in 16-bit fixpoint. The comparisons that consume
+the noise (the argmax tournament, ``clip``, ``max``) run in the executor
+and the secure interpreter, at the plan's width (``runtime.width``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..privacy.mechanisms import gumbel_sample
 from .engine import MPCEngine, SecretValue
@@ -77,69 +77,3 @@ def shared_gumbel_noise(engine: MPCEngine, scale: float, rng: random.Random) -> 
     the real MPC sampling circuit.
     """
     return engine.noise(to_fixpoint(gumbel_sample(scale, rng)))
-
-
-def noisy_argmax(
-    engine: MPCEngine,
-    scores: Sequence[SecretValue],
-    noise_scale: float,
-    rng: random.Random,
-) -> int:
-    """Gumbel-noise exponential mechanism: argmax_i (s_i + Gumbel(scale)).
-
-    ``scores`` must already be in fixpoint encoding. The returned index is
-    opened (declassified), which is exactly what the mechanism releases.
-    """
-    noised = [
-        engine.add(s, shared_gumbel_noise(engine, noise_scale, rng)) for s in scores
-    ]
-    index = engine.argmax(noised)
-    return engine.open(index)
-
-
-def noisy_max(
-    engine: MPCEngine,
-    scores: Sequence[SecretValue],
-    noise_scale: float,
-    rng: random.Random,
-) -> Tuple[int, int]:
-    """Return (argmax index, noised max value) — used by the gap query."""
-    noised = [
-        engine.add(s, shared_gumbel_noise(engine, noise_scale, rng)) for s in scores
-    ]
-    best_value = engine.maximum(noised)
-    index = engine.argmax(noised)
-    return engine.open(index), engine.open(best_value)
-
-
-def prefix_sums(engine: MPCEngine, values: Sequence[SecretValue]) -> List[SecretValue]:
-    """Running sums of a shared vector (local, no communication)."""
-    out: List[SecretValue] = []
-    acc = engine.constant(0)
-    for v in values:
-        acc = engine.add(acc, v)
-        out.append(acc)
-    return out
-
-
-def rank_search(
-    engine: MPCEngine,
-    histogram: Sequence[SecretValue],
-    rank: int,
-) -> SecretValue:
-    """Index of the histogram bin where the cumulative count reaches ``rank``.
-
-    Because prefix sums are non-decreasing, the bin index equals the number
-    of prefixes strictly below the rank: Σ_i [cum_i < rank]. This is the
-    core of the median/quantile query (rank = ⌈N/2⌉ for the median), using
-    one comparison per bin and no oblivious selects.
-    """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    cums = prefix_sums(engine, histogram)
-    threshold = engine.constant(rank)
-    index = engine.constant(0)
-    for cum in cums:
-        below = engine.less_than(cum, threshold)
-        index = engine.add(index, below)
-    return index

@@ -595,10 +595,10 @@ class CostModel:
         import random as _random
         import time as _time
 
-        from ..mpc.engine import MPCEngine
+        from ..mpc.engine import DEFAULT_BIT_WIDTH, MPCEngine
 
         rng = _random.Random(seed)
-        engine = MPCEngine(num_parties, rng=rng, bit_width=32)
+        engine = MPCEngine(num_parties, rng=rng, bit_width=DEFAULT_BIT_WIDTH)
         values = [engine.input_value(rng.randrange(1000)) for _ in range(2 * operations)]
 
         start = _time.perf_counter()

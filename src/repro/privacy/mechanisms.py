@@ -52,6 +52,20 @@ def gumbel_sample(scale: float, rng: random.Random) -> float:
     return -scale * math.log(-math.log(u))
 
 
+def gumbel_support(scale: float) -> Tuple[float, float]:
+    """The exact (lo, hi) range of :func:`gumbel_sample` at ``scale``.
+
+    ``random()`` returns multiples of 2^-53 below 1 and the sampler redraws
+    0, so u lies in [2^-53, 1 − 2^-53]: every sample is in
+    [−3.604·scale, 36.737·scale], computed here by the sampler's own
+    expression at those two points. A bound, not a tail: nothing is cut.
+    """
+    return (
+        -scale * math.log(-math.log(2.0**-53)),
+        -scale * math.log(-math.log(1.0 - 2.0**-53)),
+    )
+
+
 def exponential_mechanism_expo(
     scores: Sequence[float],
     sensitivity: float,

@@ -42,15 +42,19 @@ def limbs_to_bigint(limbs: Sequence[int]) -> int:
 
 
 class Committee:
-    """One sortition-selected committee and its MPC engine."""
+    """One sortition-selected committee and its MPC engine.
+
+    ``bit_width`` is the engine's comparison width; the executor passes the
+    plan's (``runtime.width.comparison_width``), so there is no default.
+    """
 
     def __init__(
         self,
         name: str,
         members: Sequence[int],
         rng: random.Random,
+        bit_width: int,
         field: PrimeField = DEFAULT_FIELD,
-        bit_width: int = 40,
         round_hook: Optional[Callable[[], None]] = None,
     ):
         if len(members) < 3:
@@ -201,8 +205,8 @@ class CommitteePool:
         self,
         committees: List[List[int]],
         rng: random.Random,
+        bit_width: int,
         field: PrimeField = DEFAULT_FIELD,
-        bit_width: int = 40,
         online_filter: Optional[Callable[[List[int]], List[int]]] = None,
         churn_tolerance: float = 0.25,
         round_hook: Optional[Callable[[], None]] = None,

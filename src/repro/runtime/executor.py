@@ -80,6 +80,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..crypto import paillier
 from ..crypto.backend import active_backend_name
+from ..crypto.field import DEFAULT_FIELD
 from ..crypto.sortition import jointly_generate_block
 from ..crypto.vsr import VSRError
 from ..crypto.zkp import Statement, one_hot_statement, range_statement
@@ -101,7 +102,7 @@ from ..faults import (
     UnrecoverableFault,
     get_scenario,
 )
-from ..mpc.engine import CheatingDetected, SecretValue
+from ..mpc.engine import CheatingDetected, SecretValue, max_bit_width
 from ..mpc.protocols import (
     FIXPOINT_SCALE,
     shared_gumbel_noise,
@@ -130,6 +131,7 @@ from .committee import (
 from .interp import MechanismHooks, Secret, SecureInterpreter
 from .journal import ExecutionJournal, payload_digest
 from .network import FederatedNetwork
+from .width import comparison_width, widest_site
 
 #: Failures the phase-retry loop knows how to recover from by failing the
 #: task over to a fresh committee and replaying. Everything else (budget
@@ -153,6 +155,12 @@ class BudgetExhausted(QueryRejected):
     this typed form so callers can distinguish "the budget is gone" from
     other admission failures without string-matching the message.
     """
+
+
+class ComparisonWidthError(QueryRejected):
+    """The plan compares values further apart than this runtime's field can
+    mask (``mpc.engine.max_bit_width``): refused before keygen and before
+    any charge. The plan is not wrong; the field is too small for it."""
 
 
 class ExecutionError(Exception):
@@ -667,6 +675,7 @@ class QueryExecutor:
         from ..verify import gate
 
         self.privacy_certificate = gate(self.planning)
+        width = self._comparison_width()
         if self.journal is not None:
             self._restore_from_journal()
         n = len(self.network)
@@ -681,6 +690,7 @@ class QueryExecutor:
         self.pool = CommitteePool(
             assignment.committees,
             self.rng,
+            bit_width=width,
             online_filter=self.network.online_members,
             round_hook=self.faults.on_round,
         )
@@ -731,6 +741,20 @@ class QueryExecutor:
             fault_log=fault_log,
             statistics=self.statistics,
         )
+
+    def _comparison_width(self) -> int:
+        """The committees' comparison width: what the plan's certified
+        ranges need (``runtime.width``), refused past what the field masks."""
+        width = comparison_width(self.logical)
+        limit = max_bit_width(DEFAULT_FIELD)
+        if width > limit:
+            raise ComparisonWidthError(
+                f"query {self.logical.query_name!r}: "
+                f"{widest_site(self.logical).describe()} needs {width}-bit "
+                f"comparisons, past the {limit} bits the {DEFAULT_FIELD.bits}-bit "
+                "field can mask; refusing before keygen"
+            )
+        return width
 
     def _restore_from_journal(self) -> None:
         """Adopt the durable ledger state of previous incarnations.

@@ -263,12 +263,14 @@ class AnalyticsSession:
         """
         from .runtime.executor import QueryRejected
 
+        # Each query gets its own stream off the session's: how much one
+        # query's dealers draw must not move the next query's master seed.
         executor = QueryExecutor(
             self.network,
             planning,
             committee_size=self.committee_size,
             key_prime_bits=self.key_prime_bits,
-            rng=self.rng,
+            rng=random.Random(self.rng.getrandbits(64)),
             accountant=self.accountant,
             charge_label=charge_label if charge_label is not None else name,
         )

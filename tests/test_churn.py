@@ -10,6 +10,7 @@ import pytest
 
 from repro.planner.search import plan_query
 from repro.queries.catalog import get
+from repro.mpc.engine import DEFAULT_BIT_WIDTH
 from repro.runtime.committee import CommitteeError, CommitteePool
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
@@ -23,6 +24,7 @@ class TestPoolFailover:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter(set()),
         )
         assert pool.allocate("a").members == [1, 2, 3, 4]
@@ -32,6 +34,7 @@ class TestPoolFailover:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter({2}),
         )
         committee = pool.allocate("a")
@@ -42,6 +45,7 @@ class TestPoolFailover:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter({1, 2}),
         )
         committee = pool.allocate("a")
@@ -52,6 +56,7 @@ class TestPoolFailover:
         pool = CommitteePool(
             [[1, 2, 3, 4]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter({1, 2, 3, 4}),
         )
         with pytest.raises(CommitteeError):

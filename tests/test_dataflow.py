@@ -437,6 +437,10 @@ class TestCli:
         assert main(["verify-sweep"]) == 0
         out = capsys.readouterr().out
         assert "11/11 plan(s) analyze clean" in out
+        lines = {line.split()[0]: line for line in out.splitlines() if " ok: " in line}
+        assert "compare at 46 bits," in lines["top1"]
+        assert "compare at 91 bits (past the runtime's 84: refused)" in lines["auction"]
+        assert "no secret comparison" in lines["cms"]
 
 
 # ------------------------------------------------------------ source lint

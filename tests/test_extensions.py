@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.lang.parser import parse
+from repro.mpc.engine import DEFAULT_BIT_WIDTH
 from repro.planner.costmodel import CostModel
 from repro.planner.search import Planner, plan_query
 from repro.privacy.certify import CertificationError, certify, manual_certificate
@@ -128,8 +129,8 @@ class TestAutoCalibration:
         assert result.succeeded
 
     def test_comparison_counts_match_protocol(self):
-        """Derived comparison counts are the engine's mod-2^k circuit at its
-        ``bit_width=32``: k - 1 triples and k rounds, whatever was compared."""
+        """Derived comparison counts are the engine's mod-2^k circuit at
+        ``DEFAULT_BIT_WIDTH``: k - 1 triples and k rounds, whatever was compared."""
         model = CostModel.calibrated_from_engine(num_parties=4, operations=8)
-        assert model.constants["mpc_comparison_triples"] == 31
-        assert model.constants["mpc_comparison_rounds"] == 32
+        assert model.constants["mpc_comparison_triples"] == DEFAULT_BIT_WIDTH - 1
+        assert model.constants["mpc_comparison_rounds"] == DEFAULT_BIT_WIDTH

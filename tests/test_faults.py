@@ -36,6 +36,7 @@ from repro.faults import (
 from repro.planner.search import plan_query
 from repro.privacy.accountant import PrivacyAccountant
 from repro.queries.catalog import ALL_QUERIES, get
+from repro.mpc.engine import DEFAULT_BIT_WIDTH
 from repro.runtime.committee import Committee, CommitteeError, CommitteePool
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
@@ -169,6 +170,7 @@ class TestCommitteePool:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter(set()),
         )
         assert pool.allocate("a").members == [1, 2, 3, 4]
@@ -180,6 +182,7 @@ class TestCommitteePool:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter({1, 2}),
         )
         for name in ("a", "b", "c"):
@@ -190,6 +193,7 @@ class TestCommitteePool:
         pool = CommitteePool(
             [[1, 2, 3, 4], [5, 6, 7, 8]],
             random.Random(0),
+            DEFAULT_BIT_WIDTH,
             online_filter=self._online_filter({1, 2, 5, 6}),
         )
         with pytest.raises(CommitteeError):
@@ -200,7 +204,7 @@ class TestCommitteePool:
 class TestShareRecovery:
     def test_survivors_reconstruct_identical_secrets(self):
         rng = random.Random(5)
-        committee = Committee("keygen", [1, 2, 3, 4, 5], rng)
+        committee = Committee("keygen", [1, 2, 3, 4, 5], rng, DEFAULT_BIT_WIDTH)
         values = committee.share_values([10, 20, 30])
         recovered = committee.recover_shares({"v": values}, [2], rng)
         assert committee.members == [1, 3, 4, 5]
@@ -208,7 +212,7 @@ class TestShareRecovery:
 
     def test_untouched_committee_is_a_no_op(self):
         rng = random.Random(5)
-        committee = Committee("keygen", [1, 2, 3, 4, 5], rng)
+        committee = Committee("keygen", [1, 2, 3, 4, 5], rng, DEFAULT_BIT_WIDTH)
         values = committee.share_values([7])
         out = committee.recover_shares({"v": values}, [99], rng)
         assert out["v"] is values
@@ -216,15 +220,15 @@ class TestShareRecovery:
 
     def test_below_quorum_raises(self):
         rng = random.Random(5)
-        committee = Committee("keygen", [1, 2, 3, 4, 5], rng)
+        committee = Committee("keygen", [1, 2, 3, 4, 5], rng, DEFAULT_BIT_WIDTH)
         values = committee.share_values([7])
         with pytest.raises(CommitteeError):
             committee.recover_shares({"v": values}, [1, 2, 3], rng)
 
     def test_vsr_excludes_lost_dealer(self):
         rng = random.Random(6)
-        sender = Committee("a", [1, 2, 3, 4, 5], rng)
-        recipient = Committee("b", [6, 7, 8, 9, 10], rng)
+        sender = Committee("a", [1, 2, 3, 4, 5], rng, DEFAULT_BIT_WIDTH)
+        recipient = Committee("b", [6, 7, 8, 9, 10], rng, DEFAULT_BIT_WIDTH)
         values = sender.share_values([42, 43])
         moved = sender.send_via_vsr(values, recipient, exclude_members=[1])
         assert [recipient.engine.open(v) for v in moved] == [42, 43]

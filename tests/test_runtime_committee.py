@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.mpc.engine import CheatingDetected
+from repro.mpc.engine import DEFAULT_BIT_WIDTH, CheatingDetected
 from repro.runtime.committee import (
     Committee,
     CommitteePool,
@@ -14,7 +14,7 @@ from repro.runtime.committee import (
 
 
 def make_committee(name="c", members=(1, 2, 3, 4, 5), seed=1):
-    return Committee(name, list(members), random.Random(seed))
+    return Committee(name, list(members), random.Random(seed), DEFAULT_BIT_WIDTH)
 
 
 class TestLimbs:
@@ -40,7 +40,7 @@ class TestCommittee:
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
-            Committee("tiny", [1, 2], random.Random(0))
+            Committee("tiny", [1, 2], random.Random(0), DEFAULT_BIT_WIDTH)
 
     def test_vsr_between_committees(self):
         a = make_committee("a", seed=1)
@@ -85,7 +85,7 @@ class TestCommittee:
 
 class TestPool:
     def test_allocation_order(self):
-        pool = CommitteePool([[1, 2, 3], [4, 5, 6]], random.Random(0))
+        pool = CommitteePool([[1, 2, 3], [4, 5, 6]], random.Random(0), DEFAULT_BIT_WIDTH)
         a = pool.allocate("first")
         b = pool.allocate("second")
         assert a.members == [1, 2, 3]
@@ -94,7 +94,7 @@ class TestPool:
     def test_wraparound(self):
         """When a small deployment has fewer committees than the plan
         needs, tasks wrap to committee i+1 mod c (§5.1)."""
-        pool = CommitteePool([[1, 2, 3]], random.Random(0))
+        pool = CommitteePool([[1, 2, 3]], random.Random(0), DEFAULT_BIT_WIDTH)
         a = pool.allocate("a")
         b = pool.allocate("b")
         assert b.members == a.members
@@ -102,4 +102,4 @@ class TestPool:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            CommitteePool([], random.Random(0))
+            CommitteePool([], random.Random(0), DEFAULT_BIT_WIDTH)
