@@ -49,6 +49,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from typing import List, Optional
@@ -57,6 +58,7 @@ from .analysis.types import QueryEnvironment
 from .crypto.field import DEFAULT_FIELD
 from .mpc.engine import max_bit_width
 from .planner.costmodel import Constraints, CostVector, Goal
+from .planner.expand import distinct_choice_space
 from .planner.search import Planner, PlanningFailed
 from .queries.catalog import ALL_QUERIES, BY_NAME
 from .runtime.width import widest_site
@@ -152,8 +154,12 @@ def cmd_plan(args) -> int:
         f"{stats.runtime_seconds * 1000:.0f} ms"
     )
     if args.stats:
+        walked = math.prod(
+            len(options) for _op, options in distinct_choice_space(result.logical_plan)
+        )
         print(
-            f"  search space: {stats.space_size} candidates; "
+            f"  search space: {stats.space_size} candidates, {walked} distinct "
+            f"instantiations walked; "
             f"{stats.candidates_feasible} feasible, "
             f"{stats.pruned_by_constraint} pruned by constraints, "
             f"{stats.pruned_by_bound} pruned by bound"

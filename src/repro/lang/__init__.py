@@ -1,8 +1,8 @@
-"""Arboretum's query language: AST, lexer, parser, simplifier, pretty
-printer, and the cleartext reference interpreter (§4.1)."""
+"""Arboretum's query language: AST, lexer, parser, simplifier and pretty
+printer (§4.1). The cleartext reference interpreter is a test oracle
+(``tests/oracles/reference_interp.py``)."""
 
 from .ast import Program, format_program
-from .interp import ReferenceInterpreter, one_hot_database, run_reference
 from .parser import ParseError, parse, parse_expression
 from .simplify import simplify
 
@@ -13,7 +13,4 @@ __all__ = [
     "parse_expression",
     "ParseError",
     "simplify",
-    "ReferenceInterpreter",
-    "run_reference",
-    "one_hot_database",
 ]

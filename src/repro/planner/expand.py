@@ -136,6 +136,39 @@ def choice_space(plan: LogicalPlan) -> List[Tuple[LogicalOp, List[Choice]]]:
     return space
 
 
+def instantiation_class(op: LogicalOp, choice: Choice) -> Tuple:
+    """The class of choices of ``op`` that emit identical vignettes and an
+    identical end state from every build state.
+
+    A ``gumbel_mpc`` select-max reads each batch size and the argmax
+    fan-out only through ``min(·, c)`` and ``ceil(c'/·)`` with ``c' ≤ c``
+    (``c`` = categories), so every value ≥ ``c`` instantiates alike — and
+    so does the runtime, which reads the same parameters. Every other
+    choice is its own class.
+    """
+    if isinstance(op, SelectMax) and choice.option == "gumbel_mpc":
+        c = max(op.categories, 1)
+        style, dec_batch, noise_batch, fanout = choice.params
+        return (style, min(dec_batch, c), min(noise_batch, c), min(fanout, c))
+    return choice
+
+
+def distinct_choice_space(plan: LogicalPlan) -> List[Tuple[LogicalOp, List[Choice]]]:
+    """:func:`choice_space` with one choice per :func:`instantiation_class`:
+    the first member in catalog order, with its own label."""
+    space: List[Tuple[LogicalOp, List[Choice]]] = []
+    for op, options in choice_space(plan):
+        seen = set()
+        distinct: List[Choice] = []
+        for choice in options:
+            key = instantiation_class(op, choice)
+            if key not in seen:
+                seen.add(key)
+                distinct.append(choice)
+        space.append((op, distinct))
+    return space
+
+
 def space_size(plan: LogicalPlan) -> int:
     total = 1
     for _op, options in choice_space(plan):

@@ -397,8 +397,6 @@ class ScoreAccumulator:
                 breakdown_by_type[ctype] = CommitteeTypeCost(
                     ctype, seconds, self.group_bytes[group], self.group_instances[group]
                 )
-            if entry is not None:
-                entry.committees += 0  # keep max-cost representative per type
         return PlanScore(
             cost=self.cost(),
             committee_params=committee_params,

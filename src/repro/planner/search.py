@@ -1,7 +1,7 @@
 """The query planner: search over candidate plans (§4.4, §4.6, §7.3).
 
 The planner explores the choice tree produced by ``expand.choice_space``
-depth-first, scoring partial assignments as it goes. Two heuristics keep
+depth-first, scoring partial assignments as it goes. Three heuristics keep
 the search tractable (§4.4):
 
 * **branch-and-bound** — a prefix is scored by instantiating only the ops
@@ -9,10 +9,22 @@ the search tractable (§4.4):
   already violates a constraint or exceeds the best-known goal value can
   be discarded with its whole subtree;
 * **constraint pruning** — partial solutions are discarded as soon as they
-  exceed one of the analyst's limits.
+  exceed one of the analyst's limits;
+* **one choice per instantiation class** — the walk takes
+  ``expand.distinct_choice_space``: of the choices of one op that emit
+  identical vignettes and an identical end state from every build state
+  (``expand.instantiation_class``; today the select-max batch sizes and
+  fan-outs at or above the category count), only the first in catalog
+  order. It is exact: class members have identical segments and end
+  states, hence isomorphic subtrees with bit-identical costs; children are
+  visited in ``(value, index)`` order and ``Goal.better`` needs a strictly
+  smaller composite to replace a tie, so a later member could never
+  displace the first, and dropping it moves no incumbent and no prune.
+  ``stats.space_size`` stays the legal ``choice_space`` product, and the
+  plan verifier checks each choice against that legal set.
 
 Setting ``heuristics=False`` reproduces the §7.3 ablation: the planner
-enumerates every full candidate, keeps them all in memory like a naive
+enumerates every full candidate of the legal space, keeps them all in memory like a naive
 implementation, and aborts with :class:`PlannerOutOfMemory` once the
 candidate list exceeds the memory budget (the paper's planner ran out of
 memory for half the queries with heuristics disabled).
@@ -47,7 +59,14 @@ from ..lang.parser import parse
 from ..lang.simplify import simplify
 from ..privacy.certify import Certificate, certify
 from .costmodel import Constraints, CostModel, Goal
-from .expand import Choice, ExpansionError, PrefixExpander, choice_space, space_size
+from .expand import (
+    Choice,
+    ExpansionError,
+    PrefixExpander,
+    choice_space,
+    distinct_choice_space,
+    space_size,
+)
 from .ir import LogicalPlan, lower
 from .plan import Plan
 
@@ -371,7 +390,11 @@ class Planner:
         evaluator = self._evaluator(logical)
         cost_hits = self.model.cache_hits
         cost_misses = self.model.cache_misses
-        best = _SearchRun(self, logical, choice_space(logical), evaluator, stats).run()
+        if self.heuristics:
+            space = distinct_choice_space(logical)
+        else:
+            space = choice_space(logical)
+        best = _SearchRun(self, logical, space, evaluator, stats).run()
         stats.cost_cache_hits = self.model.cache_hits - cost_hits
         stats.cost_cache_misses = self.model.cache_misses - cost_misses
         stats.expansion_cache_hits = evaluator.cache_hits

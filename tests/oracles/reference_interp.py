@@ -8,15 +8,16 @@ and running it through planning + distributed execution must produce
 identically *distributed* outputs; tests compare them on queries whose
 answer is deterministic given the data (large score gaps, high ε).
 
-It is also what an analyst would use to debug a query before deploying it.
+It is a test oracle: nothing in ``src/`` imports it and no option selects it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Sequence, Union
 
-from .ast import (
+from repro.lang.ast import (
     Assign,
     BinOp,
     BoolLit,
@@ -35,7 +36,13 @@ from .ast import (
     Var,
     DB_NAME,
 )
-from .parser import parse
+from repro.lang.parser import parse
+from repro.privacy.mechanisms import (
+    exponential_mechanism_gumbel,
+    gumbel_sample,
+    laplace_sample,
+    top_k_oneshot,
+)
 
 Number = Union[int, float, bool]
 
@@ -171,16 +178,6 @@ class ReferenceInterpreter:
     # -------------------------------------------------------------- builtins
 
     def _call(self, expr: Call):
-        import math
-
-        # Imported lazily: lang is a leaf package that privacy/analysis
-        # depend on; importing the mechanisms at module scope would cycle.
-        from ..privacy.mechanisms import (
-            exponential_mechanism_gumbel,
-            laplace_sample,
-            top_k_oneshot,
-        )
-
         args = [self._eval(a) for a in expr.args]
         func = expr.func
         if func == "sum":
@@ -211,8 +208,6 @@ class ReferenceInterpreter:
                 return [v + laplace_sample(scale, self.rng) for v in args[0]]
             return args[0] + laplace_sample(scale, self.rng)
         if func == "gumbel":
-            from ..privacy.mechanisms import gumbel_sample
-
             return gumbel_sample(float(args[0]), self.rng)
         if func == "sampleUniform":
             rows = args[0]

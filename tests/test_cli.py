@@ -34,6 +34,28 @@ class TestPlanCommand:
         assert code == 0
         assert "select_max" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "participants, categories, walked",
+        [("256", "8", 65), ("1000000000", str(2**15), 364)],
+    )
+    def test_plan_stats_print_the_legal_and_the_walked_space(
+        self, capsys, participants, categories, walked
+    ):
+        code = main(
+            [
+                "plan", "top1",
+                "--participants", participants,
+                "--categories", categories,
+                "--stats",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            f"search space: 364 candidates, {walked} distinct instantiations walked;"
+            in out
+        )
+
     def test_plan_with_constraints(self, capsys):
         code = main(
             [

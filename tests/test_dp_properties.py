@@ -14,12 +14,12 @@ from collections import Counter
 
 import pytest
 
-from repro.lang.interp import one_hot_database, run_reference
 from repro.privacy.mechanisms import (
     exponential_mechanism_expo,
     exponential_mechanism_gumbel,
     laplace_mechanism,
 )
+from tests.oracles.reference_interp import one_hot_database, run_reference
 
 #: Slack multiplier for sampling error: with ~20k runs per side, observed
 #: ratios can exceed the true bound by a modest factor.

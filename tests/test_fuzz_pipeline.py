@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.interp import one_hot_database, run_reference
 from repro.lang.parser import parse
 from repro.planner.search import plan_query
 from repro.privacy.certify import certify
 from tests.conftest import small_env
+from tests.oracles.reference_interp import one_hot_database, run_reference
 
 CATEGORIES = 8
 

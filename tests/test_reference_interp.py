@@ -6,16 +6,16 @@ from collections import Counter
 
 import pytest
 
-from repro.lang.interp import (
+from repro.planner.search import plan_query
+from repro.queries.catalog import get
+from repro.runtime.executor import QueryExecutor
+from repro.runtime.network import FederatedNetwork
+from tests.oracles.reference_interp import (
     ReferenceError_,
     ReferenceInterpreter,
     one_hot_database,
     run_reference,
 )
-from repro.planner.search import plan_query
-from repro.queries.catalog import get
-from repro.runtime.executor import QueryExecutor
-from repro.runtime.network import FederatedNetwork
 
 
 class TestBasics:

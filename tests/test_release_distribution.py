@@ -27,11 +27,11 @@ import pytest
 from scipy import stats
 
 from repro import Planner, QueryExecutor
-from repro.lang.interp import one_hot_database, run_reference
 from repro.mpc.beaver import OfflineDealer
 from repro.mpc import protocols
 from repro.runtime import executor as executor_module
 from repro.runtime.network import FederatedNetwork
+from tests.oracles.reference_interp import one_hot_database, run_reference
 
 from .conftest import small_env
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang.ast import Assign, BoolLit, If, IntLit, Var, format_program
-from repro.lang.interp import one_hot_database, ReferenceInterpreter
 from repro.lang.parser import parse, parse_expression
 from repro.lang.simplify import simplify, simplify_expr
+from tests.oracles.reference_interp import one_hot_database, ReferenceInterpreter
 
 
 def folded(source):
