@@ -144,6 +144,41 @@ def check_provenance(
             raise VSRError(f"dealer {dealer} re-shared a value other than its committed share")
 
 
+@lru_cache(maxsize=64)
+def _row_kernel(
+    p: int, recipients: Tuple[int, ...], threshold: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """The field half of the row check, memoised per ``(p, recipients, t)``.
+
+    Returns ``(solve, extend)`` over the first ``t + 1`` recipients' points:
+    ``solve[k]`` is row k of the inverse Vandermonde matrix, so
+    ``a_k = sum(solve[k][j] * y_j)``, and ``extend[i]`` holds the Lagrange
+    weights at the ``i``-th further recipient, so the row's polynomial takes
+    the value ``sum(extend[i][j] * y_j)`` there. The denominators are
+    inverted through the backend's ``batch_invmod``; nothing here touches
+    the Lagrange-weight cache the openings share.
+    """
+    xs = recipients[: threshold + 1]
+    numerators, denominators = [], []
+    for j, xj in enumerate(xs):
+        poly, den = [1], 1  # prod_{m != j} (x - x_m), lowest degree first
+        for m, xm in enumerate(xs):
+            if m != j:
+                poly = [(lower - xm * c) % p for lower, c in zip([0, *poly], [*poly, 0])]
+                den = den * (xj - xm) % p
+        numerators.append(poly)
+        denominators.append(den)
+    inverses = get_backend().batch_invmod(denominators, p)
+    # basis[j] is l_j(x) = numerators[j] / denominators[j], lowest degree first.
+    basis = [[c * inv % p for c in poly] for poly, inv in zip(numerators, inverses)]
+    solve = tuple(zip(*basis))
+    extend = []
+    for x in recipients[threshold + 1 :]:
+        powers = _powers(x, len(xs), p)
+        extend.append(tuple(sum(map(operator.mul, l_j, powers)) % p for l_j in basis))
+    return solve, tuple(extend)
+
+
 def combine_vector(
     dealers: Sequence[int],
     new_party_ids: Sequence[int],
@@ -156,15 +191,29 @@ def combine_vector(
 
     Row ``r`` of ``commitments``/``sub_shares`` (:func:`deal_committed`
     rows) is what dealer ``dealers[r % len(dealers)]`` published for element
-    ``r // len(dealers)``. Every ``(element, dealer, recipient)`` sub-share
-    is checked on its own — g^y, from one fixed-base batch, against
-    prod_k C_k^{x^k} — and a mismatch raises VSRError naming the dealer;
+    ``r // len(dealers)``. Each row is checked once: its ``t + 1``
+    coefficients are interpolated from the first ``t + 1`` sub-shares
+    (:func:`_row_kernel`), every further sub-share must be the polynomial's
+    value at its recipient (field arithmetic, no modexp), and g^{a_k} — one
+    fixed-base batch over every row's coefficients — must equal the row's
+    commitments. The first failing row raises VSRError naming its dealer;
     the verified sub-shares are combined with the dealers' Lagrange weights.
-    Rows that do not fit the dealers and recipients are refused before any
-    modexp: a withheld row would otherwise be combined unverified.
+
+    For commitments in the order-p subgroup this accepts exactly when every
+    per-recipient Feldman equality g^y = prod_k C_k^{x^k} holds; a row
+    outside it (C_k times an element of small order) is refused even where
+    those equalities hold. Rows that do not fit the dealers and recipients
+    (a withheld row would otherwise be combined unverified), and fewer than
+    ``t + 1`` distinct recipients, are refused before any modexp.
     """
     if not dealers:
         raise VSRError("no dealers to combine")
+    width = new_threshold + 1
+    if len(new_party_ids) < width or len(set(new_party_ids)) != len(new_party_ids):
+        raise VSRError(
+            f"{len(new_party_ids)} recipient ids cannot check a degree-{new_threshold} "
+            f"row: it takes {width} distinct ones"
+        )
     if len(commitments) != len(sub_shares) or len(sub_shares) % len(dealers):
         raise VSRError(
             f"{len(commitments)} commitment rows and {len(sub_shares)} sub-share "
@@ -177,19 +226,29 @@ def combine_vector(
                 f"to {len(new_party_ids)} recipients"
             )
     p = field.modulus
+    solve, extend = _row_kernel(p, tuple(new_party_ids), new_threshold)
+    failed = len(sub_shares)  # the first failing row, if any
+    coefficients: List[int] = []
+    for r, (commitment, ys) in enumerate(zip(commitments, sub_shares)):
+        base = ys[:width]
+        if len(commitment) != width or any(
+            (sum(map(operator.mul, weights, base)) - y) % p
+            for weights, y in zip(extend, ys[width:])
+        ):
+            failed = r
+            break
+        coefficients.extend(sum(map(operator.mul, row, base)) % p for row in solve)
     q, g = _group_for_field(field)
-    width = new_threshold + 1
-    powers = [_powers(x, width, p) for x in new_party_ids]
-    lhs = iter(
-        get_backend().powmod_base_vector(g, [y for ys in sub_shares for y in ys], q)
-    )
-    for r, commitment in enumerate(commitments):
-        dealer = dealers[r % len(dealers)]
-        if len(commitment) != width:
+    powers = get_backend().powmod_base_vector(g, coefficients, q)
+    for r in range(failed):
+        if list(commitments[r]) != powers[r * width : (r + 1) * width]:
+            failed = r
+            break
+    if failed < len(sub_shares):
+        dealer = dealers[failed % len(dealers)]
+        if len(commitments[failed]) != width:
             raise VSRError(f"dealer {dealer} committed to a polynomial of the wrong degree")
-        for exponents in powers:
-            if next(lhs) != _committed_value(commitment, exponents, q):
-                raise VSRError(f"sub-share from dealer {dealer} failed verification")
+        raise VSRError(f"sub-share from dealer {dealer} failed verification")
     weights = lagrange_coefficients_at_zero(dealers, field)
     out: Dict[int, List[int]] = {pid: [] for pid in new_party_ids}
     for i in range(0, len(sub_shares), len(dealers)):

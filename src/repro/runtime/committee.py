@@ -119,7 +119,7 @@ class Committee:
         In deployment the redistribution messages travel through the
         aggregator's mailbox, signed and encrypted; here the exchange is
         in-process but runs the full VSR protocol (Feldman-committed
-        sub-shares, per-recipient verification). ``exclude_members`` drops
+        sub-shares, one check per dealer row). ``exclude_members`` drops
         those dealers' redistribution messages — the recovery path when a
         dealer's message is lost in transit: any surviving quorum of at
         least threshold+1 dealers reconstructs the identical secrets.

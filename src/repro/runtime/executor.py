@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..crypto import paillier
-from ..crypto.backend import active_backend_name
+from ..crypto.backend import active_backend_name, get_backend
 from ..crypto.field import DEFAULT_FIELD
 from ..crypto.sortition import jointly_generate_block
 from ..crypto.vsr import VSRError
@@ -125,6 +125,7 @@ from .committee import (
     Committee,
     CommitteeError,
     CommitteePool,
+    LIMB_BITS,
     bigint_to_limbs,
     limbs_to_bigint,
 )
@@ -807,16 +808,11 @@ class QueryExecutor:
                 self._charges[label] = (cost.epsilon, cost.delta)
                 self._budget_charged = True
         secret_key = paillier.keygen(self.key_prime_bits, self._fresh("keygen"))
-        limb_count = math.ceil((2 * self.key_prime_bits + 8) / 96) + 1
+        # Only λ is parked: μ = λ⁻¹ mod n is re-derived by whoever opens λ,
+        # and λ < n fits the modulus's limbs.
+        limb_count = math.ceil(secret_key.public.n.bit_length() / LIMB_BITS)
         shares: Dict[str, List[SecretValue]] = {
-            "lam": [
-                committee.engine.input_value(limb)
-                for limb in bigint_to_limbs(secret_key.lam, limb_count)
-            ],
-            "mu": [
-                committee.engine.input_value(limb)
-                for limb in bigint_to_limbs(secret_key.mu, limb_count)
-            ],
+            "lam": committee.share_values(bigint_to_limbs(secret_key.lam, limb_count))
         }
         # Jointly generate the next round's randomness (B_{i+1} = xor of
         # member inputs).
@@ -1116,20 +1112,18 @@ class QueryExecutor:
     ) -> Tuple[List[int], Committee]:
         dec_committee = self._allocate("decryption")
         # The private key travels as secret shares via VSR (§5.2); the
-        # decryption committee reconstructs it inside its honest-majority
-        # quorum and jointly decrypts.
-        keygen_committee = self._keygen_committee
-        moved_lam = self._vsr_send(
-            keygen_committee, self._key_shares["lam"], dec_committee
+        # decryption committee reconstructs λ inside its honest-majority
+        # quorum, derives μ = λ⁻¹ mod n as keygen does, and jointly decrypts.
+        moved = self._vsr_send(
+            self._keygen_committee, self._key_shares["lam"], dec_committee
         )
-        moved_mu = self._vsr_send(
-            keygen_committee, self._key_shares["mu"], dec_committee
-        )
-        lam = limbs_to_bigint([dec_committee.engine.open(v) for v in moved_lam])
-        mu = limbs_to_bigint([dec_committee.engine.open(v) for v in moved_mu])
-        if lam != secret_key.lam or mu != secret_key.mu:
+        lam = limbs_to_bigint([dec_committee.engine.open(v) for v in moved])
+        if lam != secret_key.lam:
             raise ExecutionError("VSR key transfer corrupted the private key")
-        reconstructed = paillier.PaillierPrivateKey(secret_key.public, lam, mu)
+        n = secret_key.public.n
+        reconstructed = paillier.PaillierPrivateKey(
+            secret_key.public, lam, get_backend().invmod(lam % n, n)
+        )
         started = time.perf_counter()
         counts = [paillier.decrypt(reconstructed, ct) for ct in totals]
         if self._packing is not None:

@@ -9,7 +9,10 @@ fetches the Lagrange weights again. ``tests/test_vsr_equivalence.py`` runs
 the same hand-off through this module and through
 :func:`repro.crypto.vsr.redistribute_vector` and requires identical new
 shares and an identical ``rng.getstate()``, and the same ``VSRError`` when a
-published value is tampered with.
+published value is tampered with. The one row the two disagree on is a
+commitment row outside the order-p subgroup that every per-recipient
+equality below still accepts: the product code checks each dealer row once
+against its interpolated coefficients and refuses it.
 
 Nothing in ``src/`` imports this module and no option selects it.
 """

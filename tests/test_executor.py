@@ -1,10 +1,12 @@
 """End-to-end execution tests (§5): full protocol on a simulated network."""
 
 import hashlib
+import math
 import random
 
 import pytest
 
+from repro.crypto import paillier
 from repro.planner.search import plan_query
 from repro.privacy.accountant import PrivacyAccountant
 from repro.runtime.executor import QueryExecutor, QueryRejected
@@ -226,6 +228,34 @@ class TestSortitionAdvance:
         assert network.sortition.block != block_before
 
 
+class TestKeyHandOff:
+    @pytest.mark.parametrize("prime_bits, limbs", [(96, 2), (128, 3)])
+    def test_keygen_parks_lam_alone_and_decryption_derives_mu(
+        self, monkeypatch, prime_bits, limbs
+    ):
+        """λ crosses at the modulus's limb count (λ < n); the decryption
+        committee opens it and decrypts under keygen's own μ."""
+        keys, used = [], []
+        keygen, decrypt = paillier.keygen, paillier.decrypt
+        monkeypatch.setattr(paillier, "keygen", lambda *a: keys.append(keygen(*a)) or keys[-1])
+        monkeypatch.setattr(
+            paillier, "decrypt", lambda key, ct: used.append(key) or decrypt(key, ct)
+        )
+        planning = plan_query(TOP1, small_env(num_participants=40, categories=8, epsilon=4.0))
+        network = FederatedNetwork(40, rng=random.Random(11))
+        network.load_categorical_data(8, [20, 1, 1, 1, 1, 1, 1, 1])
+        executor = QueryExecutor(
+            network, planning, committee_size=4, key_prime_bits=prime_bits,
+            rng=random.Random(12),
+        )
+        assert executor.run().outputs == [0]
+        (key,) = keys
+        (held,) = executor._held_secrets
+        assert limbs == math.ceil(key.public.n.bit_length() / 96)
+        assert {name: len(vector) for name, vector in held.vectors.items()} == {"lam": limbs}
+        assert used and {(k.lam, k.mu) for k in used} == {(key.lam, key.mu)}
+
+
 class TestHeldSecretSeal:
     def test_seal_hashes_every_share_point_of_the_parked_key_limbs(self):
         """What a checkpoint records of the key-limb shares parked with the
@@ -240,7 +270,7 @@ class TestHeldSecretSeal:
             for i in range(len(held.vectors[name])):
                 for x in sorted(columns):
                     hasher.update(f"{name}/{x}/{x}/{columns[x][i]};".encode("utf-8"))
-        assert sorted(held.vectors) == ["lam", "mu"]
+        assert sorted(held.vectors) == ["lam"]
         assert executor._sealed_held_secrets() == [
             {
                 "committee": held.committee.name,

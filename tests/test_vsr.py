@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto import vsr
-from repro.crypto.field import MERSENNE_61, PrimeField
+from repro.crypto.field import DEFAULT_FIELD, MERSENNE_61, PrimeField
 from repro.crypto.shamir import Share, reconstruct_secret, share_secret
 from repro.crypto.vsr import (
     VSRError,
@@ -112,6 +112,64 @@ class TestVerification:
             monkeypatch, [1, 2], [1, 2, 3], 1, commitments, subs, FIELD,
             match="do not fit 2 dealers",
         )
+
+
+class TestRowCheck:
+    """One check per dealer row: interpolate, extend, compare g^{a_k} with C_k."""
+
+    def test_torsion_twisted_row_refused(self, rng):
+        """q = 114p + 1 for the runtime's field, so −1 is in Z_q*. Negating
+        C₁ and C₂ at t = 2 leaves every per-recipient equality
+        g^y = C₀·C₁^x·C₂^{x²} standing, since x + x² is always even; the row
+        is still no polynomial's commitment, and the row check refuses it."""
+        field, ids = DEFAULT_FIELD, [1, 2, 3, 4, 5]
+        q, g = vsr._group_for_field(field)
+        assert q == 114 * field.modulus + 1
+        commitments, subs = deal_committed([11, 12, 13], 2, ids, field, rng)
+        commitments[1][1:] = [q - c for c in commitments[1][1:]]
+        for x, y in zip(ids, subs[1]):
+            exponents = vsr._powers(x, 3, field.modulus)
+            assert pow(g, y, q) == vsr._committed_value(commitments[1], exponents, q)
+        with pytest.raises(VSRError, match="sub-share from dealer 2 failed verification"):
+            combine_vector([1, 2, 3], ids, 2, commitments, subs, field)
+
+    def test_sub_share_off_the_polynomial_refused(self, rng):
+        """The last recipient's sub-share is no input to the interpolation:
+        only the consistency check sees it move."""
+        commitments, subs = deal_committed([21, 22], 1, [1, 2, 3, 4], FIELD, rng)
+        subs[1][3] = (subs[1][3] + 1) % FIELD.modulus
+        with pytest.raises(VSRError, match="dealer 2 failed verification"):
+            combine_vector([1, 2], [1, 2, 3, 4], 1, commitments, subs, FIELD)
+
+    def test_fewer_recipients_than_the_degree_needs_refused(self, monkeypatch, rng):
+        commitments, subs = deal_committed([5, 6], 2, [1, 2], FIELD, rng)
+        _refused_before_any_modexp(
+            monkeypatch, [1, 2], [1, 2], 2, commitments, subs, FIELD,
+            match="2 recipient ids cannot check a degree-2 row: it takes 3 distinct ones",
+        )
+
+    def test_repeated_recipient_ids_refused(self, monkeypatch, rng):
+        commitments, subs = deal_committed([5], 1, [1, 2, 2], FIELD, rng)
+        _refused_before_any_modexp(
+            monkeypatch, [1], [1, 2, 2], 1, commitments, subs, FIELD,
+            match="3 recipient ids cannot check a degree-1 row",
+        )
+
+    def test_row_kernel_is_memoised_per_recipient_set(self, rng):
+        """Its own memo: the Lagrange-weight cache the openings share is not
+        touched by it."""
+        vsr._row_kernel.cache_clear()
+        old = _vector(share_secret(7, 1, [1, 2, 3], FIELD, rng))
+        for _ in range(3):
+            redistribute_vector(old, 1, 1, [4, 5, 6, 7], FIELD, rng)
+        redistribute_vector(old, 1, 2, [4, 5, 6, 7], FIELD, rng)
+        info = vsr._row_kernel.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        solve, extend = vsr._row_kernel(FIELD.modulus, (4, 5, 6, 7), 1)
+        p = FIELD.modulus
+        # a(x) = 3 + 2x through (4, 11), (5, 13): coefficients, then a(6), a(7).
+        assert [sum(w * y for w, y in zip(row, (11, 13))) % p for row in solve] == [3, 2]
+        assert [sum(w * y for w, y in zip(row, (11, 13))) % p for row in extend] == [15, 17]
 
 
 class TestVectorRedistribution:

@@ -4,8 +4,11 @@
 vector in one pass, with every power of the Feldman generator read off a
 cached byte comb. None of that may be observable: the new shares and the
 RNG stream's end position must match one full VSR round per element on the
-builtin ``pow``, a tampered sub-share or commitment must be refused with the
-same error, and the fixed-base kernel must equal ``pow`` on every exponent.
+builtin ``pow``, a tampered sub-share, commitment or row degree must be
+refused with the same error, and the fixed-base kernel must equal ``pow`` on
+every exponent. The product checks a dealer row once, the oracle each
+(dealer, recipient) pair: they differ only on a commitment row outside the
+order-p subgroup, which the row check alone refuses.
 The same holds one layer up: ``Committee.send_via_vsr`` / ``recover_shares``
 move the engines' y-columns through it without building a share object, and
 what arrives is what the oracle computes from the exported columns.
@@ -32,6 +35,7 @@ from repro.crypto.vsr import (
 from repro.runtime.committee import Committee
 
 from .conftest import share_values
+from .test_vsr import _refused_before_any_modexp
 from .oracles import vsr_reference as ref
 
 FIELDS = {61: PrimeField(MERSENNE_61), 127: PrimeField(MERSENNE_127)}
@@ -112,6 +116,115 @@ def test_tampering_is_refused_naming_the_same_dealer(what, seed):
         combine_vector(dealers, new_ids, new_t, commitments, subs, field)
     assert str(fast.value) == str(slow.value)
     assert f"dealer {dealers[d]} " in str(fast.value)
+
+
+# ------------------------------------------------- row check ≡ oracle
+
+TAMPERS = ["none", "sub_share", "commitment", "degree", "recipients"]
+
+
+@st.composite
+def row_checks(draw):
+    """A hand-off at n = 3..9 recipients, t = 1..(n-1)//2, with one tamper."""
+    field = FIELDS[draw(st.sampled_from([61, 127]))]
+    ids = st.integers(1, 10**6)
+    new_ids = draw(st.lists(ids, min_size=3, max_size=9, unique=True))
+    new_t = draw(st.integers(1, (len(new_ids) - 1) // 2))
+    old_ids = draw(st.lists(ids, min_size=3, max_size=7, unique=True))
+    old_t = draw(st.integers(0, (len(old_ids) - 1) // 2))
+    length = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    secrets = [rng.randrange(field.modulus) for _ in range(length)]
+    shares = share_values(secrets, old_t, old_ids, field, rng)
+    old = {x: [s.y for s in shares[x]] for x in old_ids[: old_t + 1]}
+    tamper = draw(st.sampled_from(TAMPERS))
+    element = draw(st.integers(0, length - 1))
+    dealer = draw(st.integers(0, old_t))
+    recipient = draw(st.integers(0, len(new_ids) - 1))
+    coefficient = draw(st.integers(0, new_t))
+    return field, old, old_t, new_t, new_ids, seed, (tamper, element, dealer, recipient, coefficient)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(row_checks())
+def test_row_check_matches_the_per_recipient_oracle(case):
+    """Honest: the same new shares and RNG position. One tampered sub-share,
+    (untwisted) commitment or row degree: the same VSRError, naming the same
+    dealer. Fewer than t+1 recipients: refused before any modexp, where the
+    oracle combines shares no quorum of them can ever open."""
+    field, old, old_t, new_t, new_ids, seed, (what, element, d, j, k) = case
+    dealers = list(old)
+    if what == "recipients":
+        new_ids = new_ids[:new_t]
+    q, _ = _group_for_field(field)
+
+    def corrupt(commitments, subs):
+        if what == "sub_share":
+            subs[j] = (subs[j] + 1) % field.modulus
+        elif what == "commitment":
+            commitments[k] = commitments[k] * 2 % q
+        elif what == "degree":
+            commitments.append(commitments[-1])
+
+    def tamper(i, messages):
+        if i == element:
+            corrupt(messages[d][1], messages[d][2])
+
+    slow = random.Random(seed)
+    try:
+        want = ref.redistribute_vector(old, old_t, new_t, new_ids, field, slow, tamper)
+    except VSRError as error:
+        want = error
+    constants = [old[x][i] for i in range(len(old[dealers[0]])) for x in dealers]
+    fast = random.Random(seed)
+    commitments, subs = deal_committed(constants, new_t, new_ids, field, fast)
+    row = element * len(dealers) + d
+    corrupt(commitments[row], subs[row])
+    if what == "recipients":
+        with pytest.MonkeyPatch.context() as patch:
+            _refused_before_any_modexp(
+                patch, dealers, new_ids, new_t, commitments, subs, field,
+                match=f"{new_t} recipient ids cannot check a degree-{new_t} row",
+            )
+        assert isinstance(want, dict)  # the oracle accepts what nobody can open
+    elif what == "none":
+        assert combine_vector(dealers, new_ids, new_t, commitments, subs, field) == want
+        assert fast.getstate() == slow.getstate()
+    else:
+        assert isinstance(want, VSRError)
+        with pytest.raises(VSRError) as got:
+            combine_vector(dealers, new_ids, new_t, commitments, subs, field)
+        assert str(got.value) == str(want)
+        assert f"dealer {dealers[d]} " in str(want)
+
+
+def test_a_torsion_twisted_row_is_the_one_divergence():
+    """Negating C₁ and C₂ at t = 2 multiplies each recipient's right-hand side
+    by (−1)^{x + x²} = 1, so the oracle verifies every sub-share and combines
+    the row; the row check sees g^{a_k} ≠ C_k and refuses it. This is the one
+    row the two disagree on: it is outside the order-p subgroup."""
+    field = FIELDS[127]
+    q, _ = _group_for_field(field)
+    assert q == 114 * field.modulus + 1
+    ids, dealers, element, d = [1, 2, 3, 4, 5], [3, 9, 4], 1, 2
+
+    def twist(commitments):
+        commitments[1:] = [q - c for c in commitments[1:]]
+
+    def tamper(i, messages):
+        if i == element:
+            twist(messages[d][1])
+
+    rng = random.Random(23)
+    old = {x: [rng.randrange(field.modulus) for _ in range(3)] for x in dealers}
+    accepted = ref.redistribute_vector(old, 2, 2, ids, field, random.Random(1), tamper)
+    assert accepted == ref.redistribute_vector(old, 2, 2, ids, field, random.Random(1))
+    constants = [old[x][i] for i in range(3) for x in dealers]
+    commitments, subs = deal_committed(constants, 2, ids, field, random.Random(1))
+    twist(commitments[element * len(dealers) + d])
+    with pytest.raises(VSRError, match=f"sub-share from dealer {dealers[d]} failed verification"):
+        combine_vector(dealers, ids, 2, commitments, subs, field)
 
 
 # ------------------------------------------- committee hand-off ≡ oracle
