@@ -2,7 +2,7 @@
 
 export PYTHONPATH := src
 
-.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile rss chaos-smoke chaos-resume-smoke release-check check eval examples artifacts all
+.PHONY: install test lint verify-sweep bench bench-smoke bench-tests bench-pairs profile rss chaos-smoke chaos-resume-smoke release-check fuzz check eval examples artifacts all
 
 install:
 	python setup.py develop
@@ -71,7 +71,12 @@ chaos-resume-smoke:
 release-check:
 	REPRO_RELEASE_SEEDS=2000 python -m pytest tests/test_release_distribution.py -q
 
-check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke release-check
+# The journal loader fuzz and the run-invariant property tests, which tier-1
+# runs derandomised at 40 examples, on 2,000 random examples each.
+fuzz:
+	REPRO_FUZZ_EXAMPLES=2000 python -m pytest tests/test_journal.py tests/test_run_invariants.py -q -k "Fuzz or Properties"
+
+check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke release-check fuzz
 
 eval:
 	python -m repro eval all

@@ -112,6 +112,10 @@ def promote(a: str, b: str) -> str:
     return a if _BASIC_ORDER[a] >= _BASIC_ORDER[b] else b
 
 
+#: The row encodings a :class:`QueryEnvironment` accepts.
+ROW_ENCODINGS = ("one_hot", "bounded")
+
+
 @dataclass
 class QueryEnvironment:
     """Everything inference needs to know about the deployment and query.
@@ -143,7 +147,7 @@ class QueryEnvironment:
             self.db_element = ValueType("int", UNIT)
         if not self.db_element.is_scalar:
             raise ValueError("db_element must describe one scalar entry")
-        if self.row_encoding not in ("one_hot", "bounded"):
+        if self.row_encoding not in ROW_ENCODINGS:
             raise ValueError(f"unknown row encoding {self.row_encoding!r}")
 
     def db_type(self) -> ValueType:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from typing import List, Optional
 
@@ -174,68 +173,8 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _executor_from_manifest(manifest: dict, journal=None):
-    """Rebuild a :class:`QueryExecutor` from a journal manifest.
-
-    The manifest is the ``open`` record of an execution journal: every
-    parameter that shaped the original deployment. Rebuilding from it must
-    reproduce the original construction order exactly (network before
-    data load before executor), because the shared RNGs are consumed in
-    that order and resume correctness rests on replaying the same draws.
-    """
-    from .faults import FaultInjector, FaultPlan
-    from .runtime.executor import QueryExecutor
-    from .runtime.network import FederatedNetwork
-
-    env = QueryEnvironment(
-        num_participants=manifest["devices"],
-        row_width=manifest["categories"],
-        epsilon=manifest["epsilon"],
-        sensitivity=manifest["sensitivity"],
-    )
-    planning = Planner(env).plan_source(
-        manifest["source"], name=manifest["query_name"]
-    )
-    shard_kwargs = {
-        "shard_size": manifest["shard_size"],
-        "tree_fanout": manifest["tree_fanout"],
-    }
-    if manifest["recipe"] == "chaos":
-        network = FederatedNetwork(
-            manifest["devices"], rng=random.Random(manifest["seed"])
-        )
-        network.load_categorical_data(manifest["categories"])
-        return QueryExecutor(
-            network,
-            planning,
-            committee_size=manifest["committee_size"],
-            key_prime_bits=manifest["key_prime_bits"],
-            rng=random.Random(manifest["seed"] + 1),
-            faults=FaultInjector(
-                FaultPlan.from_dict(manifest["scenario"]),
-                seed=manifest["fault_seed"],
-            ),
-            journal=journal,
-            **shard_kwargs,
-        )
-    # recipe == "run": one rng shared by sortition and executor.
-    rng = random.Random(manifest["seed"])
-    network = FederatedNetwork(
-        manifest["devices"], rng=rng, malicious_fraction=manifest["malicious"]
-    )
-    network.load_categorical_data(manifest["categories"])
-    return QueryExecutor(
-        network,
-        planning,
-        committee_size=manifest["committee_size"],
-        rng=rng,
-        journal=journal,
-        **shard_kwargs,
-    )
-
-
 def cmd_run(args) -> int:
-    from .runtime.journal import ExecutionJournal
+    from .runtime.journal import ExecutionJournal, executor_from_manifest
 
     source = _read_query(args)
     manifest = {
@@ -255,7 +194,7 @@ def cmd_run(args) -> int:
     journal = (
         ExecutionJournal.create(args.journal, manifest) if args.journal else None
     )
-    executor = _executor_from_manifest(manifest, journal)
+    executor = executor_from_manifest(manifest, journal)
     outcome = executor.run()
     for event in outcome.events:
         print(" ", event)
@@ -278,7 +217,13 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     from .faults import CoordinatorCrash, UnrecoverableFault
-    from .runtime.journal import MAX_INCARNATIONS, ExecutionJournal, JournalError
+    from .runtime.journal import (
+        MAX_INCARNATIONS,
+        ExecutionJournal,
+        JournalError,
+        executor_from_manifest,
+    )
+    from .verify.invariants import run_faults_resolved
 
     try:
         journal = ExecutionJournal.load(args.journal)
@@ -286,50 +231,44 @@ def cmd_resume(args) -> int:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 1
     manifest = journal.manifest
-    if not manifest or "recipe" not in manifest:
-        print(
-            "cannot resume: the journal carries no run manifest, so the "
-            "deployment cannot be rebuilt",
-            file=sys.stderr,
-        )
-        return 1
     if journal.completed:
         stored = journal.result
         print("journal is already complete; stored result:")
-        for event in stored.get("events", []):
+        for event in stored["events"]:
             print(" ", event)
         print(f"output(s): {stored['outputs_repr']}")
         print(f"ε charged: {stored['epsilon_charged']}")
         return 0
-    executor = _executor_from_manifest(manifest, journal)
-    print(
-        f"resuming {manifest['recipe']} run of {manifest['query_name']!r} "
-        f"from {journal.record_count} journaled record(s) "
-        f"({journal.crash_count} recorded crash(es))"
-    )
     resumes = 1
-    while True:
-        try:
-            outcome = executor.run()
-            break
-        except UnrecoverableFault as exc:
-            print(exc.log.format())
-            print(f"aborted: {exc.reason}", file=sys.stderr)
-            return 1
-        except JournalError as exc:  # a replay that diverges from its journal
-            print(f"cannot resume: {exc}", file=sys.stderr)
-            return 1
-        except CoordinatorCrash as crash:
-            resumes += 1
-            if resumes > MAX_INCARNATIONS:
-                print("giving up: the coordinator keeps dying", file=sys.stderr)
-                return 1
-            print(
-                f"coordinator died again at checkpoint "
-                f"{crash.checkpoint_seq} ({crash.checkpoint}); resuming"
-            )
-            journal = ExecutionJournal.load(args.journal)
-            executor = _executor_from_manifest(manifest, journal)
+    try:
+        executor = executor_from_manifest(manifest, journal)
+        print(
+            f"resuming {manifest['recipe']} run of {manifest['query_name']!r} "
+            f"from {journal.record_count} journaled record(s) "
+            f"({journal.crash_count} recorded crash(es))"
+        )
+        while True:
+            try:
+                outcome = executor.run()
+                break
+            except CoordinatorCrash as crash:
+                resumes += 1
+                if resumes > MAX_INCARNATIONS:
+                    print("giving up: the coordinator keeps dying", file=sys.stderr)
+                    return 1
+                print(
+                    f"coordinator died again at checkpoint "
+                    f"{crash.checkpoint_seq} ({crash.checkpoint}); resuming"
+                )
+                journal = ExecutionJournal.load(args.journal)
+                executor = executor_from_manifest(manifest, journal)
+    except UnrecoverableFault as exc:
+        print(exc.log.format())
+        print(f"aborted: {exc.reason}", file=sys.stderr)
+        return 1
+    except JournalError as exc:  # a malformed manifest, or a divergent replay
+        print(f"cannot resume: {exc}", file=sys.stderr)
+        return 1
     for event in outcome.events:
         print(" ", event)
     print(f"output(s): {outcome.outputs}")
@@ -340,7 +279,10 @@ def cmd_resume(args) -> int:
         f"{stats.resume_events} crash(es) stepped over, "
         f"{stats.journal_records} record(s) now journaled"
     )
-    return 0
+    violations = run_faults_resolved(outcome.fault_log)
+    for violation in violations:
+        print(f"the resumed run breaks a promise: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def cmd_verify_plan(args) -> int:
@@ -389,10 +331,12 @@ def cmd_verify_sweep(args) -> int:
     ]
     # The chaos suite executes one query under every fault scenario; its
     # plan must carry a certificate too, or `repro chaos` runs unproven.
+    from .runtime.journal import CHAOS_QUERY
+
     targets.append(
         (
             "chaos",
-            "aggr = sum(db); output(em(aggr));",
+            CHAOS_QUERY,
             QueryEnvironment(
                 num_participants=32,
                 row_width=8,
@@ -454,28 +398,6 @@ def cmd_lint(args) -> int:
     return 0 if not report.violations else 1
 
 
-_CHAOS_QUERY = "aggr = sum(db); output(em(aggr));"
-
-
-def _chaos_manifest(args, plan) -> dict:
-    return {
-        "recipe": "chaos",
-        "query_name": "chaos",
-        "source": _CHAOS_QUERY,
-        "devices": args.devices,
-        "categories": args.categories,
-        "epsilon": args.epsilon,
-        "sensitivity": 1.0,
-        "committee_size": args.committee_size,
-        "key_prime_bits": 96,
-        "seed": args.seed,
-        "fault_seed": args.seed,
-        "scenario": plan.as_dict(),
-        "shard_size": args.shard_size,
-        "tree_fanout": args.tree_fanout,
-    }
-
-
 def _chaos_execute(args, plan, journal_path=None):
     """One chaos run; coordinator-crash plans go through crash→resume.
 
@@ -486,19 +408,24 @@ def _chaos_execute(args, plan, journal_path=None):
     import os
     import tempfile
 
-    from .runtime.journal import run_to_completion
+    from .runtime.journal import chaos_manifest, executor_from_manifest, run_to_completion
 
-    manifest = _chaos_manifest(args, plan)
+    manifest = chaos_manifest(
+        plan,
+        devices=args.devices,
+        categories=args.categories,
+        epsilon=args.epsilon,
+        committee_size=args.committee_size,
+        seed=args.seed,
+        shard_size=args.shard_size,
+        tree_fanout=args.tree_fanout,
+    )
     if not plan.crashes_coordinator and journal_path is None:
-        return _executor_from_manifest(manifest).run(), 0
-    if journal_path is not None:
-        return run_to_completion(
-            lambda j: _executor_from_manifest(manifest, j), journal_path, manifest
-        )
+        return executor_from_manifest(manifest).run(), 0
     with tempfile.TemporaryDirectory() as tmp:
         return run_to_completion(
-            lambda j: _executor_from_manifest(manifest, j),
-            os.path.join(tmp, f"{plan.name}.journal"),
+            lambda j: executor_from_manifest(manifest, j),
+            journal_path or os.path.join(tmp, f"{plan.name}.journal"),
             manifest,
         )
 
@@ -508,20 +435,21 @@ def _chaos_crash_sweep(args) -> int:
 
     An uninterrupted baseline run (under a journal) enumerates the
     checkpoints. Then, for each checkpoint, a fresh run is killed exactly
-    there and resumed; the resumed run must yield the same QueryResult
-    and the same per-checkpoint payload digests as the baseline.
+    there and resumed; ``run-twin-identical`` judges it against the
+    baseline, journal checkpoint digests included.
     """
     import os
     import tempfile
 
     from .faults import COORDINATOR_CRASH, FaultEvent, FaultPlan, get_scenario
-    from .runtime.journal import ExecutionJournal, run_to_completion
+    from .runtime.journal import ExecutionJournal
+    from .verify.invariants import run_twin_identical
 
     with tempfile.TemporaryDirectory() as tmp:
         base_path = os.path.join(tmp, "baseline.journal")
         baseline, _ = _chaos_execute(args, get_scenario("none"), base_path)
-        base_digests = ExecutionJournal.load(base_path).checkpoint_digests()
-        payloads = ExecutionJournal.load(base_path).checkpoint_payloads()
+        base_journal = ExecutionJournal.load(base_path)
+        payloads = base_journal.checkpoint_payloads()
         print(
             f"baseline: value {baseline.value!r}, "
             f"{len(payloads)} checkpoint(s) journaled"
@@ -536,38 +464,27 @@ def _chaos_crash_sweep(args) -> int:
                     FaultEvent(COORDINATOR_CRASH, payload["phase"], target=seq),
                 ),
             )
-            manifest = _chaos_manifest(args, plan)
             path = os.path.join(tmp, f"crash-at-{seq}.journal")
-            outcome, resumes = run_to_completion(
-                lambda j: _executor_from_manifest(manifest, j), path, manifest
-            )
+            outcome, resumes = _chaos_execute(args, plan, path)
             digests = ExecutionJournal.load(path).checkpoint_digests()
-            same_result = outcome == baseline
-            same_digests = digests == base_digests
-            if same_result and same_digests:
-                print(
-                    f"  crash at checkpoint {seq:2d} ({label}): ok — "
-                    f"{resumes} resume(s), digests identical"
-                )
-            else:
-                failures += 1
-                print(
-                    f"  crash at checkpoint {seq:2d} ({label}): FAILED — "
-                    f"result identical: {same_result}, "
-                    f"digests identical: {same_digests}"
-                )
+            violations = run_twin_identical(
+                outcome, baseline, plan, (digests, base_journal.checkpoint_digests())
+            )
+            failures += bool(violations)
+            status = (
+                "FAILED — " + "; ".join(v.message for v in violations)
+                if violations
+                else f"ok — {resumes} resume(s), digests identical"
+            )
+            print(f"  crash at checkpoint {seq:2d} ({label}): {status}")
     total = len(payloads)
     print(f"{total - failures}/{total} checkpoint crash(es) resume bit-identically")
     return 1 if failures else 0
 
 
 def cmd_chaos(args) -> int:
-    from .faults import (
-        COORDINATOR_CRASH,
-        UnrecoverableFault,
-        get_scenario,
-        list_scenarios,
-    )
+    from .faults import UnrecoverableFault, get_scenario, list_scenarios
+    from .verify.invariants import run_faults_resolved, run_twin_identical
 
     if args.list:
         print(f"{'scenario':24s} {'events':>6s}  description")
@@ -613,50 +530,31 @@ def cmd_chaos(args) -> int:
                 verdict = f"ok — aborted as expected ({exc.reason})"
             else:
                 verdict = f"FAILED — unexpected abort: {exc.reason}"
-                failures += 1
-            report["verdict"] = verdict
-            if not quiet:
-                print(f"verdict: {verdict}")
-            continue
-        report["resumes"] = resumes
-        report["value"] = outcome.value
-        report["fault_log"] = outcome.fault_log.as_dict()
-        if not quiet:
-            print(outcome.fault_log.format())
-        resumed = f", {resumes} coordinator resume(s)" if resumes else ""
-        if plan.expect_unrecoverable:
-            verdict = "FAILED — run completed but was expected to abort"
-            failures += 1
-        elif plan.mutates_inputs:
-            verdict = (
-                f"ok — value {outcome.value!r} (inputs mutated; "
-                "baseline comparison not applicable)"
-            )
-        elif outcome.value != baseline.value:
-            verdict = (
-                f"FAILED — value {outcome.value!r} differs from "
-                f"fault-free {baseline.value!r}"
-            )
-            failures += 1
-        elif (
-            plan.crashes_coordinator
-            and all(e.kind == COORDINATOR_CRASH for e in plan.events)
-            and outcome != baseline
-        ):
-            # A pure coordinator-crash schedule injects no member faults,
-            # so the resumed QueryResult must equal the baseline entirely
-            # (fault log included), not just in its released value.
-            verdict = "FAILED — resumed QueryResult differs from baseline"
-            failures += 1
-        elif not outcome.fault_log.all_recovered:
-            verdict = "FAILED — fault record(s) left unresolved"
-            failures += 1
         else:
-            verdict = (
-                f"ok — bit-identical value {outcome.value!r}, "
-                f"{outcome.fault_log.recovered} fault(s) recovered/tolerated"
-                f"{resumed}"
-            )
+            report["resumes"] = resumes
+            report["value"] = outcome.value
+            report["fault_log"] = outcome.fault_log.as_dict()
+            if not quiet:
+                print(outcome.fault_log.format())
+            violations = run_twin_identical(outcome, baseline, plan)
+            violations += run_faults_resolved(outcome.fault_log)
+            resumed = f", {resumes} coordinator resume(s)" if resumes else ""
+            if plan.expect_unrecoverable:
+                verdict = "FAILED — run completed but was expected to abort"
+            elif violations:
+                verdict = f"FAILED — {violations[0].message}"
+            elif plan.mutates_inputs:
+                verdict = (
+                    f"ok — value {outcome.value!r} (inputs mutated; "
+                    "baseline comparison not applicable)"
+                )
+            else:
+                verdict = (
+                    f"ok — bit-identical value {outcome.value!r}, "
+                    f"{outcome.fault_log.recovered} fault(s) recovered/tolerated"
+                    f"{resumed}"
+                )
+        failures += verdict.startswith("FAILED")
         report["verdict"] = verdict
         if not quiet:
             print(f"verdict: {verdict}")

@@ -461,29 +461,24 @@ def chaos_sweep(
     fault rate buys only overhead (retries, extra committees, simulated
     waiting), never a different answer.
     """
-    import random
-
-    from ..analysis.types import QueryEnvironment
-    from ..faults import FaultInjector, FaultPlan, UnrecoverableFault
-    from ..runtime.executor import QueryExecutor
-    from ..runtime.network import FederatedNetwork
+    from ..faults import FaultPlan, UnrecoverableFault
+    from ..runtime.journal import chaos_manifest, executor_from_manifest
+    from ..verify.invariants import run_twin_identical
 
     def run(plan: FaultPlan, seed: int):
-        env = QueryEnvironment(num_participants=devices, row_width=8, epsilon=4.0)
-        planning = Planner(env).plan_source(
-            "aggr = sum(db); output(em(aggr));", name="chaos-sweep"
-        )
-        network = FederatedNetwork(devices, rng=random.Random(seed))
-        network.load_categorical_data(8)
-        executor = QueryExecutor(
-            network,
-            planning,
-            committee_size=committee_size,
-            key_prime_bits=96,
-            rng=random.Random(seed + 1),
-            faults=FaultInjector(plan, seed=seed),
-        )
-        return executor.run()
+        return executor_from_manifest(
+            chaos_manifest(
+                plan,
+                devices=devices,
+                categories=8,
+                epsilon=4.0,
+                committee_size=committee_size,
+                seed=seed,
+                shard_size=1024,
+                tree_fanout=16,
+                query_name="chaos-sweep",
+            )
+        ).run()
 
     rows: List[ChaosRow] = []
     for seed in seeds:
@@ -508,7 +503,7 @@ def chaos_sweep(
                     num_faults,
                     seed,
                     True,
-                    outcome.value == baseline.value,
+                    not run_twin_identical(outcome, baseline, plan),
                     log.retries,
                     outcome.committees_used - baseline.committees_used,
                     log.waited_seconds,

@@ -121,8 +121,6 @@ UNRECOVERABLE = "unrecoverable"
 PENDING = "pending"          # detection logged; recovery still in flight
 UNDETECTED = "undetected"    # injected but nothing noticed (a test failure)
 
-TERMINAL_OUTCOMES = frozenset({RECOVERED, TOLERATED, UNRECOVERABLE, UNDETECTED})
-
 
 @dataclass
 class EventRecord:
@@ -187,13 +185,6 @@ class EventLog:
     @property
     def recovered(self) -> int:
         return sum(1 for r in self.records if r.outcome in (RECOVERED, TOLERATED))
-
-    @property
-    def all_recovered(self) -> bool:
-        return all(r.outcome in (RECOVERED, TOLERATED) for r in self.records)
-
-    def unresolved(self) -> List[EventRecord]:
-        return [r for r in self.records if r.outcome not in TERMINAL_OUTCOMES]
 
     def by_kind(self, kind: str) -> List[EventRecord]:
         return [r for r in self.records if r.fault.kind == kind]

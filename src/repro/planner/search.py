@@ -53,11 +53,12 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.types import QueryEnvironment
+from ..analysis.types import AnalysisError, QueryEnvironment
 from ..lang.ast import Program
-from ..lang.parser import parse
+from ..lang.lexer import LexError
+from ..lang.parser import ParseError, parse
 from ..lang.simplify import simplify
-from ..privacy.certify import Certificate, certify
+from ..privacy.certify import Certificate, CertificationError, certify
 from .costmodel import Constraints, CostModel, Goal
 from .expand import (
     Choice,
@@ -67,8 +68,9 @@ from .expand import (
     distinct_choice_space,
     space_size,
 )
-from .ir import LogicalPlan, lower
+from .ir import LogicalPlan, LoweringError, lower
 from .plan import Plan
+from ..verify.report import PlanVerificationError  # after the modules verify reads
 
 
 class PlanningFailed(Exception):
@@ -77,6 +79,16 @@ class PlanningFailed(Exception):
 
 class PlannerOutOfMemory(Exception):
     """Raised by the no-heuristics ablation when the candidate list blows up."""
+
+
+#: How planning query text fails short of a bug: a query that does not lex,
+#: parse, type-check, certify, lower or expand, a search with no feasible
+#: plan, or the plan gate's refusal. Callers that plan text from outside (the
+#: service, a journal's manifest) catch exactly these.
+PLANNING_FAILURES = (
+    LexError, ParseError, AnalysisError, CertificationError, LoweringError,
+    ExpansionError, PlanningFailed, PlannerOutOfMemory, PlanVerificationError,
+)
 
 
 @dataclass

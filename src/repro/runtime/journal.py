@@ -137,6 +137,41 @@ class JournalDivergence(JournalError):
     """
 
 
+_NUMBER = (int, float)
+
+#: The fields a reader takes from each record kind's payload, with their
+#: JSON types. A chain-valid record without them is refused on load as
+#: corrupted, never left to fail later as a KeyError.
+_RECORD_FIELDS: Dict[str, Dict[str, object]] = {
+    "open": {},
+    "checkpoint": {"seq": int, "label": str},
+    "charge": {"label": str, "epsilon": _NUMBER, "delta": _NUMBER},
+    "crash": {"checkpoint_seq": int, "checkpoint_label": str},
+    "result": {"outputs_repr": str, "epsilon_charged": _NUMBER, "events": list},
+}
+
+#: The manifest fields :func:`executor_from_manifest` reads, by recipe.
+_RUN_FIELDS = dict(
+    query_name=str, source=str, devices=int, categories=int, epsilon=_NUMBER,
+    sensitivity=_NUMBER, committee_size=int, seed=int, shard_size=int, tree_fanout=int,
+)
+_MANIFEST_FIELDS: Dict[str, Dict[str, object]] = {
+    "run": dict(_RUN_FIELDS, malicious=_NUMBER),
+    "chaos": dict(_RUN_FIELDS, key_prime_bits=int, fault_seed=int, scenario=dict),
+}
+
+
+def _require(payload: object, fields: Dict[str, object], where: str) -> None:
+    """Raise :class:`JournalCorrupted` unless ``payload`` is an object with
+    every field in ``fields`` at its JSON type (a bool is no number)."""
+    if not isinstance(payload, dict):
+        raise JournalCorrupted(f"{where}: the payload is not a JSON object")
+    for name, kind in fields.items():
+        value = payload.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise JournalCorrupted(f"{where}: field {name!r} is missing or mistyped")
+
+
 class ExecutionJournal:
     """One run's durable ledger; see the module docstring for the format.
 
@@ -207,6 +242,10 @@ class ExecutionJournal:
                     f"({exc.msg}); the file is "
                     + ("truncated" if kind is JournalTruncated else "corrupted")
                 ) from exc
+            if not isinstance(record, dict):
+                raise JournalCorrupted(
+                    f"journal {path!r} record {index} is not a JSON object"
+                )
             seq, kind, payload = record.get("seq"), record.get("kind"), record.get("payload")
             expected = _chain(execution_journal._last_digest, seq, kind, payload)
             if record.get("digest") != expected:
@@ -230,6 +269,11 @@ class ExecutionJournal:
                     f"number {record.get('seq')!r}; records were dropped or "
                     "reordered"
                 )
+            if not isinstance(kind, str) or kind not in _RECORD_FIELDS:
+                raise JournalCorrupted(
+                    f"journal {path!r} record {index} is of unknown kind {kind!r}"
+                )
+            _require(payload, _RECORD_FIELDS[kind], f"journal {path!r} record {index}")
             execution_journal._ingest(record)
         records = execution_journal._records
         if not records or records[0]["kind"] != "open":
@@ -396,6 +440,94 @@ class ExecutionJournal:
 
     def tail_digest(self) -> str:
         return self._last_digest
+
+
+#: The query every chaos run executes (``repro chaos``, ``repro eval chaos``).
+CHAOS_QUERY = "aggr = sum(db); output(em(aggr));"
+
+
+def chaos_manifest(schedule, query_name: str = "chaos", **deployment) -> dict:
+    """The manifest of one chaos run of :data:`CHAOS_QUERY` under the
+    :class:`~repro.faults.FaultPlan` ``schedule``; ``deployment`` gives the
+    ``devices``, ``categories``, ``epsilon``, ``committee_size``, ``seed``,
+    ``shard_size`` and ``tree_fanout``."""
+    return dict(
+        deployment,
+        recipe="chaos",
+        query_name=query_name,
+        source=CHAOS_QUERY,
+        sensitivity=1.0,
+        key_prime_bits=96,
+        fault_seed=deployment["seed"],
+        scenario=schedule.as_dict(),
+    )
+
+
+def executor_from_manifest(manifest: dict, journal: Optional[ExecutionJournal] = None):
+    """Build the :class:`~repro.runtime.executor.QueryExecutor` a manifest
+    describes: the one deployment recipe of ``repro run``, ``repro chaos``,
+    ``repro resume`` and ``repro eval chaos``.
+
+    The manifest is the ``open`` record of an execution journal: every
+    parameter that shaped the original deployment. Rebuilding from it must
+    reproduce the original construction order exactly (network before
+    data load before executor), because the shared RNGs are consumed in
+    that order and resume correctness rests on replaying the same draws.
+    A manifest missing a field it needs, or holding values no deployment
+    can be built from, raises :class:`JournalCorrupted`.
+    """
+    import random
+
+    from ..analysis.types import QueryEnvironment
+    from ..faults import FaultInjector, FaultPlan
+    from ..planner.search import PLANNING_FAILURES, Planner
+    from .executor import QueryExecutor
+    from .network import FederatedNetwork
+
+    recipe = manifest.get("recipe")
+    if recipe not in _MANIFEST_FIELDS:
+        raise JournalCorrupted(
+            f"the journal carries no run manifest this build can rebuild (recipe {recipe!r})"
+        )
+    _require(manifest, _MANIFEST_FIELDS[recipe], f"the {recipe} manifest")
+    try:
+        env = QueryEnvironment(
+            num_participants=manifest["devices"],
+            row_width=manifest["categories"],
+            epsilon=manifest["epsilon"],
+            sensitivity=manifest["sensitivity"],
+        )
+        planning = Planner(env).plan_source(manifest["source"], name=manifest["query_name"])
+        # A run shares one rng between sortition and executor; a chaos run
+        # seeds the executor apart and injects its scenario's faults.
+        rng = random.Random(manifest["seed"])
+        chaos = {}
+        if recipe == "chaos":
+            chaos = {
+                "key_prime_bits": manifest["key_prime_bits"],
+                "faults": FaultInjector(
+                    FaultPlan.from_dict(manifest["scenario"]), seed=manifest["fault_seed"]
+                ),
+            }
+        network = FederatedNetwork(
+            manifest["devices"], rng=rng, malicious_fraction=manifest.get("malicious", 0.0)
+        )
+        network.load_categorical_data(manifest["categories"])
+        return QueryExecutor(
+            network,
+            planning,
+            committee_size=manifest["committee_size"],
+            rng=random.Random(manifest["seed"] + 1) if chaos else rng,
+            journal=journal,
+            shard_size=manifest["shard_size"],
+            tree_fanout=manifest["tree_fanout"],
+            **chaos,
+        )
+    except PLANNING_FAILURES + (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise JournalCorrupted(
+            f"the {recipe} manifest describes no deployment "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def run_to_completion(

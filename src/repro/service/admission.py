@@ -47,6 +47,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..analysis.types import ROW_ENCODINGS
 from ..privacy.accountant import PrivacyAccountant, PrivacyCost
 from ..runtime.executor import BudgetExhausted, QueryRejected
 from .tenants import TenantRegistry, UnknownTenant
@@ -108,6 +109,26 @@ class AdmissionPolicy:
     per_query_epsilon_cap: float = 16.0
 
 
+def _malformed(submission: Submission) -> Optional[str]:
+    """Why ``submission`` describes no query a planner could take, if so.
+
+    Checked at admission so that a bad field from outside is a typed
+    refusal, never an error out of dispatch.
+    """
+    categories, value_range = submission.categories, submission.value_range
+    if type(categories) is not int or categories < 1:
+        return f"categories {categories!r} is not a positive integer"
+    if not submission.epsilon > 0:
+        return f"ε={submission.epsilon!r} is not positive"
+    if submission.sensitivity is not None and not submission.sensitivity > 0:
+        return f"sensitivity {submission.sensitivity!r} is not positive"
+    if submission.row_encoding not in ROW_ENCODINGS:
+        return f"unknown row encoding {submission.row_encoding!r}"
+    if value_range is not None and not value_range[0] <= value_range[1]:
+        return f"value range {value_range!r} is empty"
+    return None
+
+
 class AdmissionController:
     """Reserves budget at intake; settles it at execution or rejection."""
 
@@ -154,6 +175,9 @@ class AdmissionController:
                 f"{submission.deadline} is not after submit tick "
                 f"{submission.submit_tick}"
             )
+        problem = _malformed(submission)
+        if problem is not None:
+            raise AdmissionRejected(f"submission {submission.name!r}: {problem}")
         cost = submission.cost
         if cost.epsilon > policy.per_query_epsilon_cap:
             raise AdmissionRejected(

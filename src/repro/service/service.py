@@ -37,9 +37,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..faults import UnrecoverableFault
+from ..planner.search import PLANNING_FAILURES
 from ..privacy.accountant import PrivacyCost
-from ..runtime.executor import BudgetExhausted, QueryRejected
+from ..runtime.certificate import CertificateError
+from ..runtime.executor import BudgetExhausted, ExecutionError, QueryRejected
+from ..runtime.interp import InterpreterError
+from ..runtime.journal import JournalError
 from ..session import AnalyticsSession, BudgetReport, budget_report_for
+from ..verify.report import PlanVerificationError
 from .admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -50,6 +56,15 @@ from .admission import (
 from .cache import PlanCache
 from .scheduler import BudgetScheduler, SchedulerPolicy
 from .tenants import TenantPolicy, TenantRegistry
+
+#: How executing a planned query fails short of a bug: a protocol that
+#: cannot complete, faults past the §5.1 tolerance, a refused certificate,
+#: the plan gate's refusal, a program the interpreter rejects, or a journal
+#: that does not replay.
+EXECUTION_FAILURES = (
+    ExecutionError, UnrecoverableFault, CertificateError, PlanVerificationError,
+    InterpreterError, JournalError,
+)
 
 
 @dataclass(frozen=True)
@@ -284,6 +299,26 @@ class QueryService:
         if ticket is not None:
             ticket.settle(record)
 
+    def _fail(
+        self, submission: Submission, record: ServiceRecord, exc: BaseException
+    ) -> None:
+        """Settle a submission whose planning or execution raised ``exc``.
+
+        A failure after keygen may have legitimately charged the budget
+        (the certificate was signed); mirror whatever the accountant
+        recorded into the tenant account, so no hold outlives the
+        submission and its ticket resolves as failed.
+        """
+        if self.session.accountant.charged(submission.name):
+            self.admission.settle_executed(submission)
+            record.epsilon_charged = submission.cost.epsilon
+            self.statistics.epsilon_charged += submission.cost.epsilon
+        else:
+            self.admission.settle_rejected(submission)
+        self.statistics.failed += 1
+        record.error = f"{type(exc).__name__}: {exc}"
+        self._settle(record)
+
     def _plan(self, submission: Submission):
         """Cache-or-plan; returns (planning, cache_hit, seconds)."""
         env = self.session.environment(
@@ -337,12 +372,12 @@ class QueryService:
                 record.outcome, record.error = "rejected", str(exc)
                 self._settle(record)
                 return record
-            except Exception as exc:  # planner failure: release the hold
-                self.admission.settle_rejected(submission)
-                self.statistics.failed += 1
-                record.error = f"{type(exc).__name__}: {exc}"
-                self._settle(record)
+            except PLANNING_FAILURES as exc:
+                self._fail(submission, record, exc)
                 return record
+            except BaseException as exc:  # a bug: settle, then propagate
+                self._fail(submission, record, exc)
+                raise
             try:
                 # Re-base the reservation on the certified cost before the
                 # executor charges it (admission reserved the request).
@@ -368,20 +403,12 @@ class QueryService:
                 record.outcome, record.error = "rejected", str(exc)
                 self._settle(record)
                 return record
-            except Exception as exc:
-                # A failure after keygen may have legitimately charged the
-                # budget (the certificate was signed); mirror whatever the
-                # accountant actually recorded into the tenant account.
-                if self.session.accountant.charged(submission.name):
-                    self.admission.settle_executed(submission)
-                    record.epsilon_charged = submission.cost.epsilon
-                    self.statistics.epsilon_charged += submission.cost.epsilon
-                else:
-                    self.admission.settle_rejected(submission)
-                self.statistics.failed += 1
-                record.error = f"{type(exc).__name__}: {exc}"
-                self._settle(record)
+            except EXECUTION_FAILURES as exc:
+                self._fail(submission, record, exc)
                 return record
+            except BaseException as exc:  # a bug or a process death
+                self._fail(submission, record, exc)
+                raise
             record.execute_seconds = time.perf_counter() - started
             self.admission.settle_executed(submission)
             self.statistics.executed += 1

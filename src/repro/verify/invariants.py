@@ -13,14 +13,24 @@ Rule groups:
 * ``enc-*``  — encryption-type soundness (§4.5, §6)
 * ``dp-*``   — differential-privacy soundness (§4.2)
 * ``com-*``  — committee feasibility (§5.1-§5.2)
+
+:data:`RUN_INVARIANTS` states what an executed *run* promises, and each of
+its rules is one function here, named after the rule (``run-budget-once``
+is :func:`run_budget_once`), over the run's observable state. Every judge
+of a run — ``repro chaos`` and its crash sweep, ``repro resume``, ``repro
+eval chaos`` and the scenario suites — calls these functions rather than
+re-deriving a promise.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .report import Severity
+from ..faults.events import COORDINATOR_CRASH, PENDING, RECOVERED, TOLERATED
+from .report import PlanVerificationError, Severity, Violation
 
 #: Vignettes that legitimately run in the clear: proof verification and
 #: mailbox forwarding see only ciphertexts-as-bytes and ZKPs, and
@@ -284,3 +294,173 @@ DATAFLOW_BY_RULE: Dict[str, Invariant] = {
     inv.rule: inv for inv in DATAFLOW_INVARIANTS
 }
 
+
+#: What an executed run promises (PROTOCOL.md, "What a run promises"). The
+#: plan catalogs above are checked before anything runs; these are judged on
+#: a run's observable state afterwards, each by the function of the same
+#: name with dashes as underscores.
+RUN_INVARIANTS: Tuple[Invariant, ...] = (
+    Invariant(
+        "run-budget-once",
+        "ε is charged exactly once and within the global budget",
+        "§5.2",
+        "The ledger holds each executed query's label once, at its "
+        "certificate's ε; spent is their fold and within the (ε, δ) budget.",
+    ),
+    Invariant(
+        "run-tenant-envelope",
+        "Every tenant stays within its envelope",
+        "§5.2",
+        "Each tenant's spend plus live reservations is within its allocation.",
+    ),
+    Invariant(
+        "run-release-certified",
+        "Every release carries a certificate that re-derives",
+        "§4.2, §5.2",
+        "The executed plan passes the plan gate afresh, and the run's "
+        "authorization certificate binds that privacy certificate.",
+    ),
+    Invariant(
+        "run-twin-identical",
+        "A recovered or resumed run releases its twin's bytes",
+        "§5.1",
+        "Only coordinator crashes on top of the twin's schedule: the twin's "
+        "whole QueryResult; other faults: the twin's outputs; a schedule "
+        "that mutates inputs: no comparison. Journaled twins share "
+        "checkpoint digests.",
+    ),
+    Invariant(
+        "run-faults-resolved",
+        "Every injected fault is detected and recovered",
+        "§5.1",
+        "Every record of a completed run's event log has a detection, a "
+        "recovery action and a recovered or tolerated outcome.",
+    ),
+    Invariant(
+        "run-tamper-typed",
+        "Tampering is refused with a typed error naming the culprit",
+        "§5.1",
+        "A tampered input raises one of this package's own error types, "
+        "and its message names the culprit.",
+    ),
+)
+
+
+def run_budget_once(accountant, executed: Iterable[Tuple[str, float]]) -> List[Violation]:
+    """``run-budget-once`` over a :class:`~repro.privacy.accountant.PrivacyAccountant`;
+    ``executed`` holds one ``(charge label, certified ε)`` per charged query."""
+    spent, _remaining, history = accountant.snapshot()
+    executed = list(executed)
+    certified = dict(executed)
+    charged = {label: cost.epsilon for label, cost in history}
+    found = [
+        (label, f"charged {count} times")
+        for label, count in Counter(label for label, _ in history).items()
+        if count > 1
+    ]
+    found += [(label, "executed, never charged") for label in sorted(set(certified) - set(charged))]
+    found += [(label, "charged, never executed") for label in sorted(set(charged) - set(certified))]
+    found += [
+        (label, f"charged ε={charged[label]!r}, its certificate carries ε={certified[label]!r}")
+        for label in sorted(set(charged) & set(certified))
+        if charged[label] != certified[label]
+    ]
+    folded = sum(epsilon for _label, epsilon in executed)
+    if abs(spent.epsilon - folded) > 1e-9:
+        found.append(("accountant", f"spent ε={spent.epsilon!r}, certificates sum to {folded!r}"))
+    if not (
+        spent.epsilon <= accountant.epsilon_budget + 1e-12
+        and spent.delta <= accountant.delta_budget + 1e-15
+    ):
+        found.append(("accountant", f"spent {spent} exceeds the global budget"))
+    return [Violation("run-budget-once", subject, message) for subject, message in found]
+
+
+def run_tenant_envelope(registry) -> List[Violation]:
+    """``run-tenant-envelope`` over a :class:`~repro.service.tenants.TenantRegistry`."""
+    return [
+        Violation(
+            "run-tenant-envelope",
+            row["tenant"],
+            f"spent + reserved {unit} exceeds the envelope's {row[unit + '_budget']!r}",
+        )
+        for row in registry.report()
+        for unit, slack in (("epsilon", 1e-12), ("delta", 1e-15))
+        if row[f"spent_{unit}"] + row[f"reserved_{unit}"] > row[f"{unit}_budget"] + slack
+    ]
+
+
+def run_release_certified(planning, result=None) -> List[Violation]:
+    """``run-release-certified`` over a planning result and, once it has run,
+    its :class:`~repro.runtime.executor.QueryResult`."""
+    from . import gate  # the package's gate; verify imports this module first
+
+    try:
+        certificate = gate(planning)
+    except PlanVerificationError as exc:
+        return [
+            dataclasses.replace(v, rule="run-release-certified", message=f"[{v.rule}] {v.message}")
+            for v in exc.report.errors
+        ]
+    if result is None or (
+        result.authorization is not None
+        and result.authorization.body.privacy_certificate_digest == certificate.digest_bytes()
+    ):
+        return []
+    return [
+        Violation(
+            "run-release-certified",
+            "authorization",
+            "the run's authorization does not bind the plan's privacy certificate",
+        )
+    ]
+
+
+def run_twin_identical(
+    result, twin, schedule, digests: Optional[Tuple[Sequence[str], Sequence[str]]] = None
+) -> List[Violation]:
+    """``run-twin-identical``: ``result`` ran under ``schedule``'s faults on top
+    of whatever ``twin`` ran under (a chaos scenario's twin is its fault-free
+    run); ``digests`` pairs both journals' checkpoint digests."""
+    if schedule.mutates_inputs:
+        return []
+    found = []
+    if result.outputs != twin.outputs:
+        found.append(("outputs", f"value {result.value!r} differs from fault-free {twin.value!r}"))
+    elif all(e.kind == COORDINATOR_CRASH for e in schedule.events) and result != twin:
+        # A pure coordinator-crash schedule injects no member faults, so the
+        # resumed QueryResult must equal the twin's entirely.
+        found.append(("QueryResult", "resumed QueryResult differs from baseline"))
+    if digests is not None and list(digests[0]) != list(digests[1]):
+        found.append(("journal", "checkpoint digests differ from the twin's journal"))
+    return [Violation("run-twin-identical", subject, message) for subject, message in found]
+
+
+def run_faults_resolved(log) -> List[Violation]:
+    """``run-faults-resolved`` over a completed run's :class:`~repro.faults.EventLog`."""
+    return [
+        Violation(
+            "run-faults-resolved",
+            f"{record.fault.kind} @ {record.fault.phase}",
+            f"fault record left unresolved: {record.format()}",
+        )
+        for record in log.records
+        if not record.detection
+        or record.recovery in ("", PENDING)
+        or record.outcome not in (RECOVERED, TOLERATED)
+    ]
+
+
+def run_tamper_typed(error: Optional[BaseException], culprit: str) -> List[Violation]:
+    """``run-tamper-typed``: ``error`` is what a tampered input raised (None
+    when it was accepted) and ``culprit`` what its message must name."""
+    kind = type(error).__name__
+    if error is None:
+        message = "the tampered input was accepted"
+    elif type(error).__module__.split(".")[0] != "repro":
+        message = f"untyped {kind}: {error}"
+    elif culprit not in str(error):
+        message = f"{kind} does not name the culprit: {error}"
+    else:
+        return []
+    return [Violation("run-tamper-typed", culprit, message)]

@@ -1,13 +1,27 @@
 """Shared fixtures for the test suite."""
 
+import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.analysis.ranges import Interval
 from repro.analysis.types import QueryEnvironment, ValueType
 from repro.crypto import shamir
 from repro.crypto.field import MERSENNE_61, MERSENNE_127, PrimeField
+
+
+#: Hypothesis settings of the journal loader fuzz and the run-invariant
+#: property tests: derandomised in tier-1; ``REPRO_FUZZ_EXAMPLES=N`` (``make
+#: fuzz``) runs N random examples of each instead.
+_FUZZ_EXAMPLES = os.environ.get("REPRO_FUZZ_EXAMPLES")
+FUZZ = settings(
+    max_examples=int(_FUZZ_EXAMPLES or 40),
+    derandomize=_FUZZ_EXAMPLES is None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 
 
 @pytest.fixture

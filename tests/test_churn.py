@@ -14,6 +14,7 @@ from repro.mpc.engine import DEFAULT_BIT_WIDTH
 from repro.runtime.committee import CommitteeError, CommitteePool
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
+from repro.verify.invariants import run_release_certified
 
 
 class TestPoolFailover:
@@ -86,6 +87,7 @@ class TestEndToEndWithChurn:
         )
         result = executor.run()
         assert result.value == 0
+        assert not run_release_certified(planning, result)
 
     def test_offline_devices_do_not_upload(self):
         spec = get("cms")
@@ -101,3 +103,4 @@ class TestEndToEndWithChurn:
         result = executor.run()
         # Noisy count reflects only the 30 online devices.
         assert abs(result.value - 30) < 4.0
+        assert not run_release_certified(planning, result)

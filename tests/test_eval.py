@@ -9,8 +9,10 @@ import math
 
 import pytest
 
+from repro.cli import main
 from repro.eval.experiments import (
     PAPER_CONSTRAINTS,
+    chaos_sweep,
     committee_selection_fraction,
     fig6,
     fig7,
@@ -225,3 +227,26 @@ class TestHeterogeneity:
 
     def test_rounds_are_real_protocol_counts(self, results):
         assert results[0].rounds > 100
+
+
+class TestChaosSweep:
+    def test_every_completed_row_releases_its_twins_value(self):
+        # ``identical`` is ``run-twin-identical`` against the fault-free run.
+        rows = chaos_sweep(fault_counts=(0, 2), seeds=(3,))
+        assert [(r.num_faults, r.completed, r.identical) for r in rows] == [
+            (0, True, True),
+            (2, True, True),
+        ]
+
+    def test_the_full_sweep_prints_its_eight_rows(self, capsys):
+        assert main(["eval", "chaos"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "     0     3  True      True       0          0     0.0s",
+            "     1     3  True      True       0          0    14.0s",
+            "     2     3  True      True       2          2   120.0s",
+            "     3     3  True      True       0          0     0.0s",
+            "     0     4  True      True       0          0     0.0s",
+            "     1     4  True      True       1          1    60.0s",
+            "     2     4  True      True       0          0     3.3s",
+            "     3     4  True      True       2          2   150.0s",
+        ]

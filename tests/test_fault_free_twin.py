@@ -18,6 +18,7 @@ from repro.planner.search import plan_query
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.journal import ExecutionJournal
 from repro.runtime.network import FederatedNetwork
+from repro.verify.invariants import run_faults_resolved, run_release_certified
 from tests.conftest import small_env
 
 TOP1 = "aggr = sum(db); r = em(aggr); output(r);"
@@ -61,8 +62,10 @@ def test_plain_run_is_the_empty_plan_run(name, tmp_path):
     ):
         path = tmp_path / f"{kind}.journal"
         journal = ExecutionJournal.create(str(path)) if name == "journaled" else None
-        result = _executor(source, seed, shard_size, faults, journal).run()
+        executor = _executor(source, seed, shard_size, faults, journal)
+        result = executor.run()
         assert not result.fault_log.records
+        assert not run_release_certified(executor.planning, result)
         released.append(repr(result))
         journals.append(path.read_bytes() if journal is not None else None)
     assert released[0] == released[1]
@@ -98,6 +101,7 @@ def test_plain_run_fails_a_cheating_committee_over(monkeypatch):
     _cheating_decryption(monkeypatch, times=1)
     result = _executor(TOP1, 3).run()
     assert result.outputs == clean.outputs
+    assert not run_faults_resolved(result.fault_log)
     assert result.fault_log.retries == 1
     assert result.committees_used == clean.committees_used + 1
     assert any("replaying with a fresh committee" in e for e in result.events)

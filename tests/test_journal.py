@@ -13,15 +13,15 @@ byte-identical methodology as the fault suite:
   error — never silently replayed.
 """
 
-import argparse
 import hashlib
 import json
 import random
 import shutil
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.cli import _chaos_manifest, _executor_from_manifest, main
+from repro.cli import main
 from repro.faults import (
     COORDINATOR_CRASH,
     CoordinatorCrash,
@@ -45,9 +45,18 @@ from repro.runtime.journal import (
     JournalTruncated,
     JournalVersionMismatch,
     canonical_json,
+    chaos_manifest,
+    executor_from_manifest,
     payload_digest,
     run_to_completion,
 )
+from repro.verify.invariants import (
+    run_budget_once,
+    run_faults_resolved,
+    run_tamper_typed,
+    run_twin_identical,
+)
+from tests.conftest import FUZZ
 
 SEED = 5
 
@@ -96,11 +105,12 @@ class TestJournalFormat:
         journal = ExecutionJournal.create(path, {"recipe": "test", "seed": 5})
         journal.checkpoint({"seq": 0, "label": "a"})
         journal.charge("q", 1.0, 0.0)
-        journal.record_result({"outputs_repr": "[1]"})
+        result = {"outputs_repr": "[1]", "epsilon_charged": 1.0, "events": []}
+        journal.record_result(result)
         loaded = ExecutionJournal.load(path)
         assert loaded.manifest == {"recipe": "test", "seed": 5}
         assert loaded.charges() == {"q": (1.0, 0.0)}
-        assert loaded.completed and loaded.result == {"outputs_repr": "[1]"}
+        assert loaded.completed and loaded.result == result
         assert loaded.record_count == 4
         assert loaded.tail_digest() == journal.tail_digest()
 
@@ -243,9 +253,9 @@ class TestCrashResume:
                 lambda j: _build(planning, plan, journal=j), path
             )
             assert resumes == 1, f"checkpoint {seq}"
-            assert result == baseline, f"checkpoint {seq}"
             crashed = ExecutionJournal.load(path)
-            assert crashed.checkpoint_digests() == base_journal.checkpoint_digests()
+            digests = (crashed.checkpoint_digests(), base_journal.checkpoint_digests())
+            assert not run_twin_identical(result, baseline, plan, digests), seq
             assert crashed.crash_count == 1 and crashed.completed
 
     @pytest.mark.parametrize(
@@ -266,7 +276,7 @@ class TestCrashResume:
             str(tmp_path / "run.journal"),
         )
         assert resumes == len(plan.events)
-        assert result == baseline
+        assert not run_twin_identical(result, baseline, plan)
         assert result.statistics.resume_events == len(plan.events)
 
     def test_every_member_fault_scenario_survives_a_crash_on_top(
@@ -295,6 +305,7 @@ class TestCrashResume:
             )
             assert resumes == 1, plan.name
             assert result == uninterrupted, plan.name
+            assert not run_faults_resolved(result.fault_log), plan.name
 
     def test_crash_amid_churn_matches_member_only_run(self, planning, tmp_path):
         plan = get_scenario("crash-amid-churn")
@@ -368,8 +379,7 @@ class TestChargeOnce:
         accountant = PrivacyAccountant(epsilon_budget=10.0)
         assert accountant.charge_once(PrivacyCost(4.0), "q") is True
         assert accountant.charge_once(PrivacyCost(4.0), "q") is False
-        assert accountant.spent.epsilon == 4.0
-        assert len(accountant.history) == 1
+        assert not run_budget_once(accountant, [("q", 4.0)])
         assert accountant.charged("q") and not accountant.charged("other")
 
     def test_failed_charge_leaves_spent_untouched(self):
@@ -408,10 +418,8 @@ class TestChargeOnce:
             make, str(tmp_path / "run.journal")
         )
         assert resumes == 1 and len(accountants) == 2
-        final = accountants[-1]
-        assert final.spent.epsilon == planning.certificate.epsilon
-        assert len(final.history) == 1
         assert result.epsilon_charged == planning.certificate.epsilon
+        assert not run_budget_once(accountants[-1], [("top1", result.epsilon_charged)])
 
     def test_shared_accountant_across_incarnations_debits_once(
         self, planning, tmp_path
@@ -428,8 +436,7 @@ class TestChargeOnce:
             ),
             str(tmp_path / "run.journal"),
         )
-        assert accountant.spent.epsilon == planning.certificate.epsilon
-        assert len(accountant.history) == 1
+        assert not run_budget_once(accountant, [("top1", planning.certificate.epsilon)])
 
     def test_journal_charge_record_precedes_the_debit(self, tmp_path):
         # Write-ahead ordering, observable at the journal level: the
@@ -522,7 +529,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "a").read_text().splitlines()[0])["payload"]
         path = tmp_path / "diverging.journal"
         journal = ExecutionJournal.create(str(path), dict(manifest, seed=manifest["seed"] + 1))
-        _executor_from_manifest(manifest, journal).run()
+        executor_from_manifest(manifest, journal).run()
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
         assert main(["resume", str(path)]) == 1
         err = capsys.readouterr().err
@@ -565,25 +572,28 @@ class TestCli:
 
 def _crashing_manifest(plan=None, **extra):
     """A chaos manifest as ``repro chaos`` writes it, dying mid-intake."""
-    args = argparse.Namespace(
+    manifest = chaos_manifest(
+        plan or get_scenario("coordinator-crash-input"),
         devices=32, categories=8, epsilon=4.0, committee_size=4, seed=7,
         shard_size=8, tree_fanout=2,
     )
-    manifest = _chaos_manifest(args, plan or get_scenario("coordinator-crash-input"))
     manifest.update(extra)
     return manifest
 
 
-def _write_v1_journal(path, records):
-    """``records`` as (kind, payload) pairs, chained from schema v1's genesis
-    the way a v1 build wrote them."""
-    digest = hashlib.sha256(b"arboretum-execution-journal/v1").hexdigest()
+def _chained(records, version=2):
+    """The journal file holding ``records`` (dicts, or ``(kind, payload)``
+    pairs numbered in order), each with the digest a build of journal schema
+    ``version`` chains it under."""
+    digest = hashlib.sha256(f"arboretum-execution-journal/v{version}".encode()).hexdigest()
     lines = []
-    for seq, (kind, payload) in enumerate(records):
-        record = {"seq": seq, "kind": kind, "payload": payload}
-        digest = hashlib.sha256((digest + canonical_json(record)).encode()).hexdigest()
+    for seq, record in enumerate(records):
+        if isinstance(record, tuple):
+            record = {"seq": seq, "kind": record[0], "payload": record[1]}
+        body = {key: record.get(key) for key in ("seq", "kind", "payload")}
+        digest = hashlib.sha256((digest + canonical_json(body)).encode()).hexdigest()
         lines.append(canonical_json(dict(record, digest=digest)))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 class TestRemovedPlaneJournals:
@@ -602,7 +612,7 @@ class TestRemovedPlaneJournals:
                 ("result", {"outputs_repr": "[3]", "epsilon_charged": 4.0, "events": []})
             )
         path = tmp_path / "v1.journal"
-        _write_v1_journal(path, records)
+        path.write_text(_chained(records, version=1))
         before = path.read_bytes()
         with pytest.raises(
             JournalVersionMismatch, match="written by journal schema v1; this build reads v2"
@@ -625,7 +635,7 @@ class TestRemovedPlaneJournals:
         path = str(tmp_path / "crashed.journal")
         journal = ExecutionJournal.create(path, manifest)
         with pytest.raises(CoordinatorCrash):
-            _executor_from_manifest(manifest, journal).run()
+            executor_from_manifest(manifest, journal).run()
         assert main(["resume", path]) == 0
         out = capsys.readouterr().out
         assert "6 checkpoint(s) replay-verified, 1 crash(es) stepped over" in out
@@ -639,7 +649,7 @@ class TestRemovedPlaneJournals:
         base_manifest = _crashing_manifest(get_scenario("none"))
         assert "shard_workers" not in base_manifest
         base_path = str(tmp_path / "uncrashed.journal")
-        baseline = _executor_from_manifest(
+        baseline = executor_from_manifest(
             base_manifest, ExecutionJournal.create(base_path, base_manifest)
         ).run()
         plan = FaultPlan(
@@ -650,7 +660,7 @@ class TestRemovedPlaneJournals:
         manifest = _crashing_manifest(plan, shard_workers=2)
         path = str(tmp_path / "pr21.journal")
         with pytest.raises(CoordinatorCrash):
-            _executor_from_manifest(
+            executor_from_manifest(
                 manifest, ExecutionJournal.create(path, manifest)
             ).run()
         library_path = str(tmp_path / "pr21-library.journal")
@@ -665,7 +675,7 @@ class TestRemovedPlaneJournals:
         assert resumed.result == uncrashed.result
         # The same replay through the library hands back the QueryResult.
         journal = ExecutionJournal.load(library_path)
-        assert _executor_from_manifest(journal.manifest, journal).run() == baseline
+        assert executor_from_manifest(journal.manifest, journal).run() == baseline
 
 
 # ---------------------------------------------------- restored shard leaves
@@ -685,7 +695,7 @@ class TestRestoredLeaves:
         manifest = _crashing_manifest(plan)
         path = tmp_path / "crashed.journal"
         with pytest.raises(CoordinatorCrash):
-            _executor_from_manifest(
+            executor_from_manifest(
                 manifest, ExecutionJournal.create(str(path), manifest)
             ).run()
         return manifest, path
@@ -728,10 +738,130 @@ class TestRestoredLeaves:
             lambda shard, *rest: uploaded.append(shard.shard_id) or upload(shard, *rest),
         )
         other_key = dict(manifest, key_prime_bits=manifest["key_prime_bits"] + 32)
-        executor = _executor_from_manifest(other_key, ExecutionJournal.load(str(path)))
+        executor = executor_from_manifest(other_key, ExecutionJournal.load(str(path)))
         # Checkpoint 0 (the keygen allocation) precedes the key and replays;
         # the first one after keygen is the first shard's.
         with pytest.raises(JournalDivergence, match=r"checkpoint 1/'input/shard0'"):
             executor.run()
         assert executor.statistics.journal_replayed == 1
         assert ingested == [] and uploaded == []
+
+
+# ------------------------------------------------ typed errors from the loader
+
+
+class TestLoaderTypedErrors:
+    """A journal the chain accepts but no reader can use is corrupted: load
+    and rebuild raise nothing but :class:`JournalError`, and ``repro resume``
+    refuses it in one line."""
+
+    def _refused(self, path, capsys):
+        assert main(["resume", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("cannot resume: ")
+
+    def test_a_record_that_is_no_object(self, tmp_path, capsys):
+        path = tmp_path / "j"
+        path.write_text("42\n")
+        with pytest.raises(JournalError) as caught:
+            ExecutionJournal.load(str(path))
+        assert not run_tamper_typed(caught.value, "record 0 is not a JSON object")
+        self._refused(path, capsys)
+
+    def test_a_chain_valid_charge_without_epsilon(self, tmp_path, capsys):
+        path = tmp_path / "j"
+        path.write_text(
+            _chained([("open", _crashing_manifest()), ("charge", {"label": "q", "delta": 0.0})])
+        )
+        with pytest.raises(JournalError) as caught:
+            ExecutionJournal.load(str(path))
+        assert not run_tamper_typed(caught.value, "record 1: field 'epsilon'")
+        self._refused(path, capsys)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("devices", None, "field 'devices' is missing"),
+            ("source", "x", "CertificationError"),
+            ("devices", 3, "at least 4 devices"),
+        ],
+        ids=["without-devices", "source-that-does-not-plan", "too-few-devices"],
+    )
+    def test_a_chain_valid_manifest_that_builds_nothing(
+        self, field, value, named, tmp_path, capsys
+    ):
+        manifest = _crashing_manifest(**{field: value})
+        if value is None:
+            del manifest[field]
+        path = tmp_path / "j"
+        ExecutionJournal.create(str(path), manifest)
+        with pytest.raises(JournalError) as caught:
+            executor_from_manifest(manifest)
+        assert not run_tamper_typed(caught.value, named)
+        self._refused(path, capsys)
+
+
+#: JSON values of every type, for a field or a line to be replaced with.
+JUNK = st.sampled_from([None, True, 42, 1.5, "x", [], [1], {}, {"seq": 0}])
+MUTATIONS = ["drop", "duplicate", "swap", "junk", "truncate", "payload", "field"]
+
+
+@pytest.fixture(scope="module")
+def real_journals(tmp_path_factory):
+    """The records of a crashed and of a completed chaos journal, each with
+    the charge record an accountant would have written after keygen."""
+    journals = []
+    for plan in (get_scenario("coordinator-crash-input"), get_scenario("none")):
+        manifest = _crashing_manifest(plan)
+        path = tmp_path_factory.mktemp("real") / "run.journal"
+        try:
+            executor_from_manifest(manifest, ExecutionJournal.create(str(path), manifest)).run()
+        except CoordinatorCrash:
+            pass
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        charge = {"label": "chaos", "epsilon": 4.0, "delta": 0.0}
+        records.insert(2, {"kind": "charge", "payload": charge})
+        for seq, record in enumerate(records):
+            record["seq"] = seq
+        journals.append(_chained(records).splitlines())
+    return journals
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(data=st.data())
+    def test_load_and_rebuild_raise_only_journal_errors(self, real_journals, tmp_path, data):
+        lines = list(data.draw(st.sampled_from(real_journals)))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(MUTATIONS))
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif how == "junk":
+            lines[i] = json.dumps(data.draw(JUNK))
+        elif how == "truncate":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+        else:  # rewrite one record, then re-chain so the digest chain passes
+            records = [json.loads(line) for line in lines]
+            target = records[i]
+            if how == "payload":
+                target["payload"] = data.draw(JUNK)
+            else:
+                if target["payload"] and data.draw(st.booleans()):
+                    target = target["payload"]
+                key = data.draw(st.sampled_from(sorted(target)))
+                if data.draw(st.booleans()):
+                    del target[key]
+                else:
+                    target[key] = data.draw(JUNK)
+            lines = _chained(records).splitlines()
+        path = tmp_path / "fuzzed.journal"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            journal = ExecutionJournal.load(str(path))
+            executor_from_manifest(journal.manifest, journal)
+        except JournalError:
+            pass

@@ -19,7 +19,6 @@ from repro.faults import FaultInjector, get_scenario
 from repro.mpc.engine import MPCEngine
 from repro.planner.search import plan_query
 from repro.privacy.accountant import PrivacyAccountant
-from repro.queries.catalog import get
 from repro.runtime.executor import QueryExecutor
 from repro.runtime.network import FederatedNetwork
 from repro.runtime.packing import SlotPacking, plan_packing
@@ -157,30 +156,6 @@ class TestEndToEndEquivalence:
         assert unpacked.outputs == packed.outputs
         assert unpacked.events == packed.events
         assert _fault_trail(unpacked.fault_log) == _fault_trail(packed.fault_log)
-
-    def test_chaos_matches_fault_free_twin_under_packing(self):
-        spec = get("top1")
-        env = spec.environment(32, categories=8, epsilon=8.0)
-        planning = plan_query(spec.source, env, name=spec.name)
-
-        def run(scenario):
-            net = FederatedNetwork(32, rng=random.Random(5))
-            net.load_categorical_data(8, distribution=[20, 4, 1, 1, 1, 1, 1, 1])
-            executor = QueryExecutor(
-                net,
-                planning,
-                committee_size=4,
-                key_prime_bits=96,
-                rng=random.Random(6),
-                faults=FaultInjector(get_scenario(scenario), seed=5),
-            )
-            return executor.run()
-
-        baseline = run("none")
-        recovered = run("decrypt-crash")
-        assert recovered.outputs == baseline.outputs
-        assert recovered.fault_log.all_recovered
-        assert baseline.statistics.packing_lanes > 1
 
     def test_statistics_populated(self):
         stats = _run("packed", seed=3).statistics

@@ -23,6 +23,7 @@ from repro.service import (
     TenantRegistry,
 )
 from repro.session import AnalyticsSession
+from repro.verify.invariants import run_budget_once, run_tenant_envelope
 
 TOP1 = "aggr = sum(db); output(em(aggr));"
 COUNT = "aggr = sum(db); output(laplace(aggr[0], sens / epsilon));"
@@ -44,6 +45,15 @@ def make_service(budget=20.0, tenants=None, seed=71, devices=24):
     policies = tenants or [TenantPolicy("alice", 10.0, 1e-6),
                            TenantPolicy("bob", 10.0, 1e-6)]
     return QueryService(session, policies)
+
+
+def _judge(service):
+    """The service's ledgers under ``run-budget-once`` and
+    ``run-tenant-envelope``: every charged submission once, at its ε."""
+    charged = [(r.name, r.epsilon_charged) for r in service.records if r.epsilon_charged]
+    return run_budget_once(service.session.accountant, charged) + run_tenant_envelope(
+        service.tenants
+    )
 
 
 # --------------------------------------------------------------- accountant
@@ -69,8 +79,7 @@ class TestConcurrentAccountant:
             t.join()
         # 800 attempts under one label: exactly one may debit.
         assert outcomes.count(True) == 1
-        assert accountant.spent.epsilon == 1.0
-        assert len(accountant.history) == 1
+        assert not run_budget_once(accountant, [("q", 1.0)])
 
     def test_distinct_labels_all_charge_exactly_once(self):
         accountant = PrivacyAccountant(1000.0, 0.0)
@@ -89,10 +98,8 @@ class TestConcurrentAccountant:
             t.start()
         for t in threads:
             t.join()
-        assert accountant.spent.epsilon == 200.0
-        labels = [label for label, _ in accountant.history]
-        assert len(labels) == 200
-        assert len(set(labels)) == 200
+        executed = [(f"w{n}/q{i}", 1.0) for n in range(8) for i in range(25)]
+        assert not run_budget_once(accountant, executed)
 
     def test_concurrent_plain_charges_never_lose_updates(self):
         accountant = PrivacyAccountant(10_000.0, 0.0)
@@ -108,8 +115,8 @@ class TestConcurrentAccountant:
             t.start()
         for t in threads:
             t.join()
-        assert accountant.spent.epsilon == 800.0
-        assert len(accountant.history) == 800
+        executed = [(f"w{n}/{i}", 1.0) for n in range(8) for i in range(100)]
+        assert not run_budget_once(accountant, executed)
 
 
 # ------------------------------------------------------------------ tenants
@@ -386,7 +393,7 @@ class TestQueryService:
         assert record.outcome == "executed"
         assert ticket.done and ticket.result() == record.value
         assert record.epsilon_charged == pytest.approx(1.0)
-        assert service.session.accountant.spent.epsilon == pytest.approx(1.0)
+        assert not _judge(service)
         account = service.tenants.account("alice")
         assert account.spent.epsilon == pytest.approx(1.0)
         assert account.reserved.epsilon == 0.0
@@ -417,8 +424,7 @@ class TestQueryService:
         assert service.statistics.planner_invocations == 1
         # The cached plan still charges, under the second unique label.
         assert service.session.accountant.spent.epsilon == pytest.approx(2.0)
-        labels = [label for label, _ in service.session.accountant.history]
-        assert len(set(labels)) == 2
+        assert not _judge(service)
 
     def test_stale_cache_entry_replans_and_executes_fresh(self):
         service = make_service()
@@ -449,6 +455,7 @@ class TestQueryService:
             ticket.result()
         # Expiry never touches the accountant.
         assert service.session.accountant.spent.epsilon == pytest.approx(2.0)
+        assert not _judge(service)
         assert service.admission.reserved.epsilon == 0.0
         assert service.statistics.expired_deadlines == 1
 
@@ -509,14 +516,8 @@ class TestQueryService:
         assert not any(thread.is_alive() for thread in threads)
         assert all(not isinstance(o, Exception) for o in outcomes.values())
         assert sorted(t.submission.seq for t in outcomes.values()) == list(range(1, 9))
-        records = service.drain()
-        executed = [r for r in records if r.outcome == "executed"]
-        total = 0.0
-        for record in executed:
-            total += record.epsilon_charged
-        assert service.session.accountant.spent.epsilon == total
-        labels = [label for label, _ in service.session.accountant.history]
-        assert len(labels) == len(set(labels)) == len(executed)
+        assert all(r.outcome == "executed" for r in service.drain())
+        assert not _judge(service)
 
     def test_rejected_submissions_charge_nothing(self):
         service = make_service(budget=2.5,
@@ -531,6 +532,7 @@ class TestQueryService:
         assert (admitted, refused) == (2, 2)
         service.drain()
         assert service.session.accountant.spent.epsilon == pytest.approx(2.0)
+        assert not _judge(service)
 
     def test_statistics_block(self):
         service = make_service()
@@ -541,6 +543,59 @@ class TestQueryService:
                     "epsilon_charged", "dispatch_ticks"):
             assert key in stats
         assert stats["executed"] == 1
+
+
+class TestFailureFamilies:
+    """A typed planner or executor failure is a ``failed`` record; anything
+    else propagates, with the hold settled and the ticket resolved first."""
+
+    def test_a_typed_planner_failure_is_a_failed_record(self):
+        service = make_service()
+        ticket = service.submit("alice", "aggr = sum(db); output(nope(aggr));",
+                                categories=8, epsilon=1.0)
+        record = service.process_next()
+        assert record.outcome == "failed" and ticket.done
+        assert service.statistics.failed == 1
+        assert service.admission.reserved.epsilon == 0.0
+        assert not _judge(service)
+
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ({"row_encoding": "bogus"}, "unknown row encoding 'bogus'"),
+            ({"value_range": (5, 1)}, r"value range \(5, 1\) is empty"),
+            ({"categories": 0}, "categories 0 is not a positive integer"),
+            ({"epsilon": 0.0}, "ε=0.0 is not positive"),
+            ({"sensitivity": 0.0}, "sensitivity 0.0 is not positive"),
+        ],
+    )
+    def test_a_malformed_field_is_refused_at_admission(self, field, named):
+        service = make_service()
+        with pytest.raises(AdmissionRejected, match=named):
+            service.submit("alice", COUNT, **dict(dict(categories=8, epsilon=1.0), **field))
+        ticket = service.submit("alice", COUNT, categories=8, epsilon=1.0)
+        assert [r.outcome for r in service.drain()] == ["executed"] and ticket.done
+        assert service.statistics.rejected_policy == 1
+        assert not _judge(service)
+
+    @pytest.mark.parametrize("charged", [False, True], ids=["before-charge", "after-charge"])
+    def test_an_untyped_error_propagates_with_nothing_held(self, monkeypatch, charged):
+        service = make_service()
+        ticket = service.submit("alice", COUNT, categories=8, epsilon=1.0)
+
+        def broken(planning, name, charge_label):
+            if charged:
+                service.session.accountant.charge(PrivacyCost(1.0, 0.0), charge_label)
+            raise RuntimeError("a bug in the runtime")
+
+        monkeypatch.setattr(service.session, "execute_planning", broken)
+        with pytest.raises(RuntimeError, match="a bug in the runtime"):
+            service.process_next()
+        assert ticket.done and ticket.record().outcome == "failed"
+        assert service.admission.reserved.epsilon == 0.0
+        assert service.tenants.account("alice").reserved.epsilon == 0.0
+        assert service.tenants.account("alice").spent.epsilon == (1.0 if charged else 0.0)
+        assert not _judge(service)
 
 
 # ------------------------------------------------------- session satellites
