@@ -71,10 +71,11 @@ chaos-resume-smoke:
 release-check:
 	REPRO_RELEASE_SEEDS=2000 python -m pytest tests/test_release_distribution.py -q
 
-# The journal loader fuzz and the run-invariant property tests, which tier-1
-# runs derandomised at 40 examples, on 2,000 random examples each.
+# The journal loader fuzz, the deployment round trip and the run-invariant
+# property tests, which tier-1 runs derandomised at 40 examples, on 2,000
+# random examples each.
 fuzz:
-	REPRO_FUZZ_EXAMPLES=2000 python -m pytest tests/test_journal.py tests/test_run_invariants.py -q -k "Fuzz or Properties"
+	REPRO_FUZZ_EXAMPLES=2000 python -m pytest tests/test_journal.py tests/test_deployment.py tests/test_run_invariants.py -q -k "Fuzz or Properties"
 
 check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke release-check fuzz
 

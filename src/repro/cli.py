@@ -58,9 +58,13 @@ from .crypto.field import DEFAULT_FIELD
 from .mpc.engine import max_bit_width
 from .planner.costmodel import Constraints, CostVector, Goal
 from .planner.expand import distinct_choice_space
-from .planner.search import Planner, PlanningFailed
+from .planner.search import PLANNING_FAILURES, Planner, PlanningFailed
 from .queries.catalog import ALL_QUERIES, BY_NAME
+from .runtime.deployment import CHAOS_QUERY, Deployment, DeploymentInvalid
+from .runtime.executor import QueryRejected
+from .runtime.journal import ExecutionJournal, JournalError, _drive
 from .runtime.width import widest_site
+from .service.service import EXECUTION_FAILURES
 from .verify import PlanVerificationError
 
 
@@ -127,11 +131,7 @@ def cmd_plan(args) -> int:
     source = _read_query(args)
     env = _environment(args)
     planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
-    try:
-        result = planner.plan_source(source, name=args.query_file)
-    except PlanningFailed as failure:
-        print(f"planning failed: {failure}", file=sys.stderr)
-        return 1
+    result = planner.plan_source(source, name=args.query_file)
     if args.json:
         import json
 
@@ -174,33 +174,20 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .runtime.journal import ExecutionJournal, executor_from_manifest
-
-    source = _read_query(args)
-    manifest = {
-        "recipe": "run",
-        "query_name": args.query_file,
-        "source": source,
-        "devices": args.devices,
-        "categories": args.categories,
-        "epsilon": args.epsilon,
-        "sensitivity": args.sensitivity,
-        "committee_size": args.committee_size,
-        "malicious": args.malicious,
-        "seed": args.seed,
-        "shard_size": args.shard_size,
-        "tree_fanout": args.tree_fanout,
-    }
-    journal = (
-        ExecutionJournal.create(args.journal, manifest) if args.journal else None
+    deployment = Deployment(
+        recipe="run", query_name=args.query_file, source=_read_query(args),
+        devices=args.devices, categories=args.categories, epsilon=args.epsilon,
+        sensitivity=args.sensitivity, committee_size=args.committee_size,
+        malicious=args.malicious, seed=args.seed, shard_size=args.shard_size,
+        tree_fanout=args.tree_fanout,
     )
-    executor = executor_from_manifest(manifest, journal)
-    outcome = executor.run()
+    outcome, _ = deployment.run(args.journal)
     for event in outcome.events:
         print(" ", event)
     print(f"rejected: {outcome.rejected_devices}")
     print(f"output(s): {outcome.outputs}")
-    if journal is not None:
+    if args.journal is not None:
+        journal = ExecutionJournal.load(args.journal)
         print(
             f"journal: {journal.record_count} record(s) at {args.journal} "
             f"(tail digest {journal.tail_digest()[:16]}…)"
@@ -217,56 +204,33 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     from .faults import CoordinatorCrash, UnrecoverableFault
-    from .runtime.journal import (
-        MAX_INCARNATIONS,
-        ExecutionJournal,
-        JournalError,
-        executor_from_manifest,
-    )
     from .verify.invariants import run_faults_resolved
 
     try:
         journal = ExecutionJournal.load(args.journal)
-    except JournalError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 1
-    manifest = journal.manifest
-    if journal.completed:
-        stored = journal.result
-        print("journal is already complete; stored result:")
-        for event in stored["events"]:
-            print(" ", event)
-        print(f"output(s): {stored['outputs_repr']}")
-        print(f"ε charged: {stored['epsilon_charged']}")
-        return 0
-    resumes = 1
-    try:
-        executor = executor_from_manifest(manifest, journal)
+        if journal.completed:
+            stored = journal.result
+            print("journal is already complete; stored result:")
+            for event in stored["events"]:
+                print(" ", event)
+            print(f"output(s): {stored['outputs_repr']}")
+            print(f"ε charged: {stored['epsilon_charged']}")
+            return 0
+        deployment = Deployment.from_manifest(journal.manifest)
         print(
-            f"resuming {manifest['recipe']} run of {manifest['query_name']!r} "
+            f"resuming {deployment.recipe} run of {deployment.query_name!r} "
             f"from {journal.record_count} journaled record(s) "
             f"({journal.crash_count} recorded crash(es))"
         )
-        while True:
-            try:
-                outcome = executor.run()
-                break
-            except CoordinatorCrash as crash:
-                resumes += 1
-                if resumes > MAX_INCARNATIONS:
-                    print("giving up: the coordinator keeps dying", file=sys.stderr)
-                    return 1
-                print(
-                    f"coordinator died again at checkpoint "
-                    f"{crash.checkpoint_seq} ({crash.checkpoint}); resuming"
-                )
-                journal = ExecutionJournal.load(args.journal)
-                executor = executor_from_manifest(manifest, journal)
+        outcome, resumes = _drive(deployment.build, journal, args.journal)
+    except CoordinatorCrash:
+        print("giving up: the coordinator keeps dying", file=sys.stderr)
+        return 1
     except UnrecoverableFault as exc:
         print(exc.log.format())
         print(f"aborted: {exc.reason}", file=sys.stderr)
         return 1
-    except JournalError as exc:  # a malformed manifest, or a divergent replay
+    except JournalError as exc:  # an unreadable journal or manifest, or a divergent replay
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 1
     for event in outcome.events:
@@ -274,7 +238,7 @@ def cmd_resume(args) -> int:
     print(f"output(s): {outcome.outputs}")
     stats = outcome.statistics
     print(
-        f"resumed across {resumes} incarnation(s): "
+        f"resumed across {resumes + 1} incarnation(s): "
         f"{stats.journal_replayed} checkpoint(s) replay-verified, "
         f"{stats.resume_events} crash(es) stepped over, "
         f"{stats.journal_records} record(s) now journaled"
@@ -291,9 +255,6 @@ def cmd_verify_plan(args) -> int:
     planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
     try:
         result = planner.plan_source(source, name=args.query_file)
-    except PlanningFailed as failure:
-        print(f"planning failed: {failure}", file=sys.stderr)
-        return 1
     except PlanVerificationError as failure:
         print(failure.report.format())
         return 1
@@ -311,9 +272,6 @@ def cmd_certificate(args) -> int:
     planner = Planner(env, constraints=_constraints(args), goal=Goal(args.goal))
     try:
         result = planner.plan_source(source, name=args.query_file)
-    except PlanningFailed as failure:
-        print(f"planning failed: {failure}", file=sys.stderr)
-        return 1
     except PlanVerificationError as failure:
         print(failure.report.format(), file=sys.stderr)
         return 1
@@ -331,20 +289,8 @@ def cmd_verify_sweep(args) -> int:
     ]
     # The chaos suite executes one query under every fault scenario; its
     # plan must carry a certificate too, or `repro chaos` runs unproven.
-    from .runtime.journal import CHAOS_QUERY
-
-    targets.append(
-        (
-            "chaos",
-            CHAOS_QUERY,
-            QueryEnvironment(
-                num_participants=32,
-                row_width=8,
-                epsilon=4.0,
-                sensitivity=1.0,
-            ),
-        )
-    )
+    chaos = QueryEnvironment(num_participants=32, row_width=8, epsilon=4.0, sensitivity=1.0)
+    targets.append(("chaos", CHAOS_QUERY, chaos))
     limit = max_bit_width(DEFAULT_FIELD)
     for name, source, env in targets:
         try:
@@ -408,26 +354,17 @@ def _chaos_execute(args, plan, journal_path=None):
     import os
     import tempfile
 
-    from .runtime.journal import chaos_manifest, executor_from_manifest, run_to_completion
-
-    manifest = chaos_manifest(
-        plan,
-        devices=args.devices,
-        categories=args.categories,
-        epsilon=args.epsilon,
-        committee_size=args.committee_size,
-        seed=args.seed,
-        shard_size=args.shard_size,
-        tree_fanout=args.tree_fanout,
+    deployment = Deployment(
+        recipe="chaos", query_name="chaos", source=CHAOS_QUERY, devices=args.devices,
+        categories=args.categories, epsilon=args.epsilon, sensitivity=1.0,
+        committee_size=args.committee_size, seed=args.seed, shard_size=args.shard_size,
+        tree_fanout=args.tree_fanout, key_prime_bits=96, fault_seed=args.seed,
+        scenario=plan.as_dict(),
     )
     if not plan.crashes_coordinator and journal_path is None:
-        return executor_from_manifest(manifest).run(), 0
+        return deployment.run()
     with tempfile.TemporaryDirectory() as tmp:
-        return run_to_completion(
-            lambda j: executor_from_manifest(manifest, j),
-            journal_path or os.path.join(tmp, f"{plan.name}.journal"),
-            manifest,
-        )
+        return deployment.run(journal_path or os.path.join(tmp, f"{plan.name}.journal"))
 
 
 def _chaos_crash_sweep(args) -> int:
@@ -442,7 +379,6 @@ def _chaos_crash_sweep(args) -> int:
     import tempfile
 
     from .faults import COORDINATOR_CRASH, FaultEvent, FaultPlan, get_scenario
-    from .runtime.journal import ExecutionJournal
     from .verify.invariants import run_twin_identical
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -606,10 +542,14 @@ def _service_from_workload(workload: dict, args):
     from .service import QueryService, ServiceConfig, TenantPolicy
     from .session import AnalyticsSession
 
-    devices = args.devices or workload.get("devices", 24)
+    devices = args.devices if args.devices is not None else workload.get("devices", 24)
     seed = args.seed if args.seed is not None else workload.get("seed", 7)
     categories = workload.get("categories", 8)
-    network = FederatedNetwork(devices, rng=random_module.Random(seed))
+    try:
+        network = FederatedNetwork(devices, rng=random_module.Random(seed))
+    except ValueError as exc:  # too few devices
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     network.load_categorical_data(
         categories, distribution=workload.get("distribution")
     )
@@ -636,8 +576,6 @@ def _service_from_workload(workload: dict, args):
 
 def _replay_workload(service, workload: dict, categories: int):
     """Submit every workload query (rejections tallied), then drain."""
-    from .runtime.executor import QueryRejected
-
     rejections = []
     requests = []
     for entry in workload.get("queries", []):
@@ -733,17 +671,15 @@ def cmd_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json
 
-    from .runtime.executor import QueryRejected
-
     workload = {
-        "devices": args.devices or 24,
-        "seed": args.seed if args.seed is not None else 7,
         "epsilon_budget": args.epsilon_budget,
         "delta_budget": 1e-6,
         "tenants": [
             {
                 "name": args.tenant,
-                "epsilon_budget": args.tenant_budget or args.epsilon_budget,
+                "epsilon_budget": (
+                    args.tenant_budget if args.tenant_budget is not None else args.epsilon_budget
+                ),
             }
         ],
     }
@@ -753,7 +689,7 @@ def cmd_submit(args) -> int:
         ticket = service.submit(
             args.tenant,
             source,
-            categories=args.categories or categories,
+            categories=args.categories if args.categories is not None else categories,
             epsilon=args.epsilon,
             utility=args.utility,
             deadline=args.deadline,
@@ -1133,7 +1069,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         get_backend()  # a mis-set REPRO_CRYPTO_BACKEND fails here, once, for every verb
     except ValueError as exc:
         parser.error(str(exc))
-    return args.func(args)
+    # A refused deployment, a plan that fails, a refused query or a typed
+    # execution failure ends any verb in one line, never a traceback.
+    try:
+        return args.func(args)
+    except DeploymentInvalid as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except PLANNING_FAILURES as failure:
+        print(f"planning failed: {failure}", file=sys.stderr)
+        return 1
+    except (QueryRejected,) + EXECUTION_FAILURES as exc:
+        print(f"repro {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

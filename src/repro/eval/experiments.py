@@ -15,7 +15,7 @@ and the aggregator is limited to 1,000 core-hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.bohler import bohler_member_traffic
@@ -462,33 +462,24 @@ def chaos_sweep(
     waiting), never a different answer.
     """
     from ..faults import FaultPlan, UnrecoverableFault
-    from ..runtime.journal import chaos_manifest, executor_from_manifest
+    from ..runtime.deployment import CHAOS_QUERY, Deployment
     from ..verify.invariants import run_twin_identical
-
-    def run(plan: FaultPlan, seed: int):
-        return executor_from_manifest(
-            chaos_manifest(
-                plan,
-                devices=devices,
-                categories=8,
-                epsilon=4.0,
-                committee_size=committee_size,
-                seed=seed,
-                shard_size=1024,
-                tree_fanout=16,
-                query_name="chaos-sweep",
-            )
-        ).run()
 
     rows: List[ChaosRow] = []
     for seed in seeds:
-        baseline = run(FaultPlan("none"), seed)
+        deployment = Deployment(
+            recipe="chaos", query_name="chaos-sweep", source=CHAOS_QUERY, devices=devices,
+            categories=8, epsilon=4.0, sensitivity=1.0, committee_size=committee_size,
+            seed=seed, shard_size=1024, tree_fanout=16, key_prime_bits=96, fault_seed=seed,
+            scenario=FaultPlan("none").as_dict(),
+        )
+        baseline, _ = deployment.run()
         for num_faults in fault_counts:
             plan = FaultPlan.random_plan(
                 seed=seed * 1000 + num_faults, num_faults=num_faults
             )
             try:
-                outcome = run(plan, seed)
+                outcome, _ = replace(deployment, scenario=plan.as_dict()).run()
             except UnrecoverableFault as exc:
                 rows.append(
                     ChaosRow(

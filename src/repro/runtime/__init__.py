@@ -4,6 +4,7 @@ durable execution journal backing crash-recovery resume."""
 
 from .aggregator import AggregatorNode, Upload
 from .committee import Committee, CommitteePool
+from .deployment import Deployment, DeploymentInvalid
 from .executor import ExecutionError, QueryExecutor, QueryRejected, QueryResult
 from .interp import InterpreterError, MechanismHooks, Secret, SecureInterpreter
 from .journal import (
@@ -21,6 +22,8 @@ __all__ = [
     "Upload",
     "Committee",
     "CommitteePool",
+    "Deployment",
+    "DeploymentInvalid",
     "QueryExecutor",
     "QueryResult",
     "QueryRejected",

@@ -20,8 +20,10 @@ detected *on load* — a typed :class:`JournalTruncated` /
 :class:`JournalCorrupted` — never silently replayed. Record kinds:
 
 ``open``
-    The run manifest (query source, seeds, deployment shape, serialized
-    fault plan). Everything a fresh process needs to rebuild the run.
+    The run manifest, :meth:`Deployment.as_manifest
+    <repro.runtime.deployment.Deployment.as_manifest>` (query source,
+    seeds, deployment shape, serialized fault plan). Everything a fresh
+    process needs to rebuild the run.
 ``checkpoint``
     Written at every ``QueryExecutor._checkpoint()`` boundary: phase
     label, checkpoint label/ordinal, committee allocations so far, the
@@ -149,17 +151,6 @@ _RECORD_FIELDS: Dict[str, Dict[str, object]] = {
     "crash": {"checkpoint_seq": int, "checkpoint_label": str},
     "result": {"outputs_repr": str, "epsilon_charged": _NUMBER, "events": list},
 }
-
-#: The manifest fields :func:`executor_from_manifest` reads, by recipe.
-_RUN_FIELDS = dict(
-    query_name=str, source=str, devices=int, categories=int, epsilon=_NUMBER,
-    sensitivity=_NUMBER, committee_size=int, seed=int, shard_size=int, tree_fanout=int,
-)
-_MANIFEST_FIELDS: Dict[str, Dict[str, object]] = {
-    "run": dict(_RUN_FIELDS, malicious=_NUMBER),
-    "chaos": dict(_RUN_FIELDS, key_prime_bits=int, fault_seed=int, scenario=dict),
-}
-
 
 def _require(payload: object, fields: Dict[str, object], where: str) -> None:
     """Raise :class:`JournalCorrupted` unless ``payload`` is an object with
@@ -442,94 +433,6 @@ class ExecutionJournal:
         return self._last_digest
 
 
-#: The query every chaos run executes (``repro chaos``, ``repro eval chaos``).
-CHAOS_QUERY = "aggr = sum(db); output(em(aggr));"
-
-
-def chaos_manifest(schedule, query_name: str = "chaos", **deployment) -> dict:
-    """The manifest of one chaos run of :data:`CHAOS_QUERY` under the
-    :class:`~repro.faults.FaultPlan` ``schedule``; ``deployment`` gives the
-    ``devices``, ``categories``, ``epsilon``, ``committee_size``, ``seed``,
-    ``shard_size`` and ``tree_fanout``."""
-    return dict(
-        deployment,
-        recipe="chaos",
-        query_name=query_name,
-        source=CHAOS_QUERY,
-        sensitivity=1.0,
-        key_prime_bits=96,
-        fault_seed=deployment["seed"],
-        scenario=schedule.as_dict(),
-    )
-
-
-def executor_from_manifest(manifest: dict, journal: Optional[ExecutionJournal] = None):
-    """Build the :class:`~repro.runtime.executor.QueryExecutor` a manifest
-    describes: the one deployment recipe of ``repro run``, ``repro chaos``,
-    ``repro resume`` and ``repro eval chaos``.
-
-    The manifest is the ``open`` record of an execution journal: every
-    parameter that shaped the original deployment. Rebuilding from it must
-    reproduce the original construction order exactly (network before
-    data load before executor), because the shared RNGs are consumed in
-    that order and resume correctness rests on replaying the same draws.
-    A manifest missing a field it needs, or holding values no deployment
-    can be built from, raises :class:`JournalCorrupted`.
-    """
-    import random
-
-    from ..analysis.types import QueryEnvironment
-    from ..faults import FaultInjector, FaultPlan
-    from ..planner.search import PLANNING_FAILURES, Planner
-    from .executor import QueryExecutor
-    from .network import FederatedNetwork
-
-    recipe = manifest.get("recipe")
-    if recipe not in _MANIFEST_FIELDS:
-        raise JournalCorrupted(
-            f"the journal carries no run manifest this build can rebuild (recipe {recipe!r})"
-        )
-    _require(manifest, _MANIFEST_FIELDS[recipe], f"the {recipe} manifest")
-    try:
-        env = QueryEnvironment(
-            num_participants=manifest["devices"],
-            row_width=manifest["categories"],
-            epsilon=manifest["epsilon"],
-            sensitivity=manifest["sensitivity"],
-        )
-        planning = Planner(env).plan_source(manifest["source"], name=manifest["query_name"])
-        # A run shares one rng between sortition and executor; a chaos run
-        # seeds the executor apart and injects its scenario's faults.
-        rng = random.Random(manifest["seed"])
-        chaos = {}
-        if recipe == "chaos":
-            chaos = {
-                "key_prime_bits": manifest["key_prime_bits"],
-                "faults": FaultInjector(
-                    FaultPlan.from_dict(manifest["scenario"]), seed=manifest["fault_seed"]
-                ),
-            }
-        network = FederatedNetwork(
-            manifest["devices"], rng=rng, malicious_fraction=manifest.get("malicious", 0.0)
-        )
-        network.load_categorical_data(manifest["categories"])
-        return QueryExecutor(
-            network,
-            planning,
-            committee_size=manifest["committee_size"],
-            rng=random.Random(manifest["seed"] + 1) if chaos else rng,
-            journal=journal,
-            shard_size=manifest["shard_size"],
-            tree_fanout=manifest["tree_fanout"],
-            **chaos,
-        )
-    except PLANNING_FAILURES + (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise JournalCorrupted(
-            f"the {recipe} manifest describes no deployment "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
-
-
 def run_to_completion(
     make_executor: Callable[[ExecutionJournal], object],
     path: str,
@@ -544,11 +447,16 @@ def run_to_completion(
     the journal (re-verifying the digest chain) and starts the next
     incarnation, which replays to the death point and continues.
 
-    Returns ``(QueryResult, resume_count)``.
+    Returns ``(QueryResult, resume_count)``; the crash that ends the
+    :data:`MAX_INCARNATIONS`-th incarnation propagates.
     """
+    return _drive(make_executor, ExecutionJournal.create(path, manifest), path)
+
+
+def _drive(make_executor, journal: ExecutionJournal, path: str):
+    """:func:`run_to_completion` from an open ``journal`` (``repro resume``'s loaded one)."""
     from ..faults import CoordinatorCrash
 
-    journal = ExecutionJournal.create(path, manifest)
     resumes = 0
     while True:
         executor = make_executor(journal)

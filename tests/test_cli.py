@@ -253,6 +253,26 @@ class TestServiceCommands:
         assert "outcome: executed" in out
         assert "ε charged: 1" in out
 
+    @pytest.mark.parametrize(
+        "flag, code, err",
+        [
+            ("--tenant-budget", 1, "rejected at admission (BudgetExhausted): "),
+            ("--devices", 2, "repro submit: a federated deployment needs at least 4 devices"),
+        ],
+        ids=["tenant-budget", "devices"],
+    )
+    def test_an_explicit_zero_is_not_unset(self, flag, code, err, capsys):
+        # A zero envelope admits nothing (not the global budget), and zero
+        # devices deploy nothing (not the default 24).
+        try:
+            exit_code = main(["submit", "top1", flag, "0"])
+        except SystemExit as exit_info:  # a usage error, as argparse's are
+            exit_code = exit_info.code
+        assert exit_code == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(err)
+
     def test_submit_over_budget_is_typed_rejection(self, tmp_path, capsys):
         query = tmp_path / "q.arb"
         query.write_text(

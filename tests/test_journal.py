@@ -17,6 +17,7 @@ import hashlib
 import json
 import random
 import shutil
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,10 +34,11 @@ from repro.faults import (
     get_scenario,
     list_scenarios,
 )
-from repro.planner.search import plan_query
+from repro.planner.search import PLANNING_FAILURES, plan_query
 from repro.privacy.accountant import BudgetExceeded, PrivacyAccountant, PrivacyCost
 from repro.queries.catalog import get
-from repro.runtime import FederatedNetwork, QueryExecutor
+from repro.runtime import Deployment, FederatedNetwork, QueryExecutor
+from repro.runtime.deployment import CHAOS_QUERY
 from repro.runtime.journal import (
     ExecutionJournal,
     JournalCorrupted,
@@ -45,8 +47,6 @@ from repro.runtime.journal import (
     JournalTruncated,
     JournalVersionMismatch,
     canonical_json,
-    chaos_manifest,
-    executor_from_manifest,
     payload_digest,
     run_to_completion,
 )
@@ -529,7 +529,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "a").read_text().splitlines()[0])["payload"]
         path = tmp_path / "diverging.journal"
         journal = ExecutionJournal.create(str(path), dict(manifest, seed=manifest["seed"] + 1))
-        executor_from_manifest(manifest, journal).run()
+        Deployment.from_manifest(manifest).build(journal).run()
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
         assert main(["resume", str(path)]) == 1
         err = capsys.readouterr().err
@@ -570,15 +570,19 @@ class TestCli:
 # ------------------------------------------- journals of a removed plane
 
 
-def _crashing_manifest(plan=None, **extra):
-    """A chaos manifest as ``repro chaos`` writes it, dying mid-intake."""
-    manifest = chaos_manifest(
-        plan or get_scenario("coordinator-crash-input"),
-        devices=32, categories=8, epsilon=4.0, committee_size=4, seed=7,
-        shard_size=8, tree_fanout=2,
+def _crashing(plan=None):
+    """A chaos deployment as ``repro chaos`` builds it, dying mid-intake."""
+    return Deployment(
+        recipe="chaos", query_name="chaos", source=CHAOS_QUERY, devices=32,
+        categories=8, epsilon=4.0, sensitivity=1.0, committee_size=4, seed=7,
+        shard_size=8, tree_fanout=2, key_prime_bits=96, fault_seed=7,
+        scenario=(plan or get_scenario("coordinator-crash-input")).as_dict(),
     )
-    manifest.update(extra)
-    return manifest
+
+
+def _journaled(deployment, path):
+    """Run ``deployment`` under a fresh journal at ``path`` (one incarnation)."""
+    return deployment.build(ExecutionJournal.create(str(path), deployment.as_manifest())).run()
 
 
 def _chained(records, version=2):
@@ -604,7 +608,7 @@ class TestRemovedPlaneJournals:
         self, completed, tmp_path, capsys
     ):
         records = [
-            ("open", _crashing_manifest()),
+            ("open", _crashing().as_manifest()),
             ("charge", {"label": "chaos", "epsilon": 4.0, "delta": 0.0}),
         ]
         if completed:
@@ -628,54 +632,38 @@ class TestRemovedPlaneJournals:
         with pytest.raises(JournalCorrupted, match="tampered with or reordered"):
             ExecutionJournal.load(str(path))
 
-    @pytest.mark.parametrize("extra", [{}, {"data_plane": "sharded"}], ids=["this-version", "parent"])
-    def test_sharded_manifests_resume(self, extra, tmp_path, capsys):
-        manifest = _crashing_manifest(**extra)
-        assert ("data_plane" in manifest) == bool(extra)
+    def test_sharded_manifests_resume(self, tmp_path, capsys):
         path = str(tmp_path / "crashed.journal")
-        journal = ExecutionJournal.create(path, manifest)
         with pytest.raises(CoordinatorCrash):
-            executor_from_manifest(manifest, journal).run()
+            _journaled(_crashing(), path)
         assert main(["resume", path]) == 0
         out = capsys.readouterr().out
         assert "6 checkpoint(s) replay-verified, 1 crash(es) stepped over" in out
         assert ExecutionJournal.load(path).completed
 
-    def test_a_manifest_naming_the_removed_worker_count_resumes_bit_identically(
-        self, tmp_path, capsys
-    ):
-        # A manifest key the rebuild does not read (an intake worker count
-        # here) is ignored on resume.
-        base_manifest = _crashing_manifest(get_scenario("none"))
-        assert "shard_workers" not in base_manifest
+    def test_a_resume_from_a_shard_checkpoint_is_bit_identical(self, tmp_path, capsys):
         base_path = str(tmp_path / "uncrashed.journal")
-        baseline = executor_from_manifest(
-            base_manifest, ExecutionJournal.create(base_path, base_manifest)
-        ).run()
+        baseline = _journaled(_crashing(get_scenario("none")), base_path)
         plan = FaultPlan(
             "crash-at-shard",
             "coordinator dies mid-intake, at the third shard checkpoint",
             events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard2"),),
         )
-        manifest = _crashing_manifest(plan, shard_workers=2)
-        path = str(tmp_path / "pr21.journal")
+        path = str(tmp_path / "crashed.journal")
         with pytest.raises(CoordinatorCrash):
-            executor_from_manifest(
-                manifest, ExecutionJournal.create(path, manifest)
-            ).run()
-        library_path = str(tmp_path / "pr21-library.journal")
+            _journaled(_crashing(plan), path)
+        library_path = str(tmp_path / "crashed-library.journal")
         shutil.copyfile(path, library_path)
 
         assert main(["resume", path]) == 0
         assert "1 crash(es) stepped over" in capsys.readouterr().out
         resumed, uncrashed = ExecutionJournal.load(path), ExecutionJournal.load(base_path)
-        assert resumed.manifest["shard_workers"] == 2
         assert resumed.completed and resumed.crash_count == 1
         assert resumed.checkpoint_digests() == uncrashed.checkpoint_digests()
         assert resumed.result == uncrashed.result
         # The same replay through the library hands back the QueryResult.
         journal = ExecutionJournal.load(library_path)
-        assert executor_from_manifest(journal.manifest, journal).run() == baseline
+        assert Deployment.from_manifest(journal.manifest).build(journal).run() == baseline
 
 
 # ---------------------------------------------------- restored shard leaves
@@ -692,16 +680,14 @@ class TestRestoredLeaves:
             "crash-at-shard",
             events=(FaultEvent(COORDINATOR_CRASH, "input", target="input/shard2"),),
         )
-        manifest = _crashing_manifest(plan)
+        deployment = _crashing(plan)
         path = tmp_path / "crashed.journal"
         with pytest.raises(CoordinatorCrash):
-            executor_from_manifest(
-                manifest, ExecutionJournal.create(str(path), manifest)
-            ).run()
-        return manifest, path
+            _journaled(deployment, path)
+        return deployment, path
 
     def test_a_changed_partial_digit_fails_the_chain(self, crashed, capsys):
-        _manifest, path = crashed
+        _deployment, path = crashed
         lines = path.read_text().splitlines()
         index = next(
             i for i, line in enumerate(lines)
@@ -724,7 +710,7 @@ class TestRestoredLeaves:
         from repro.runtime import shard as shard_module
         from repro.runtime.aggregator import AggregatorTree
 
-        manifest, path = crashed
+        deployment, path = crashed
         ingested, uploaded = [], []
         ingest, upload = AggregatorTree.ingest_leaf, shard_module.upload_shard
         monkeypatch.setattr(
@@ -737,8 +723,8 @@ class TestRestoredLeaves:
             "upload_shard",
             lambda shard, *rest: uploaded.append(shard.shard_id) or upload(shard, *rest),
         )
-        other_key = dict(manifest, key_prime_bits=manifest["key_prime_bits"] + 32)
-        executor = executor_from_manifest(other_key, ExecutionJournal.load(str(path)))
+        other_key = replace(deployment, key_prime_bits=deployment.key_prime_bits + 32)
+        executor = other_key.build(ExecutionJournal.load(str(path)))
         # Checkpoint 0 (the keygen allocation) precedes the key and replays;
         # the first one after keygen is the first shard's.
         with pytest.raises(JournalDivergence, match=r"checkpoint 1/'input/shard0'"):
@@ -770,7 +756,7 @@ class TestLoaderTypedErrors:
     def test_a_chain_valid_charge_without_epsilon(self, tmp_path, capsys):
         path = tmp_path / "j"
         path.write_text(
-            _chained([("open", _crashing_manifest()), ("charge", {"label": "q", "delta": 0.0})])
+            _chained([("open", _crashing().as_manifest()), ("charge", {"label": "q", "delta": 0.0})])
         )
         with pytest.raises(JournalError) as caught:
             ExecutionJournal.load(str(path))
@@ -780,24 +766,40 @@ class TestLoaderTypedErrors:
     @pytest.mark.parametrize(
         "field, value, named",
         [
-            ("devices", None, "field 'devices' is missing"),
-            ("source", "x", "CertificationError"),
-            ("devices", 3, "at least 4 devices"),
+            ("devices", None, "missing 1 required positional argument: 'devices'"),
+            ("devices", 3, "devices: a deployment needs at least 4 devices"),
+            ("committee_size", 0, "committee_size: an honest-majority committee"),
+            ("tree_fanout", 1, "tree_fanout: a tree node has at least 2 children"),
+            ("data_plane", "sharded", "unexpected keyword argument 'data_plane'"),
+            ("shard_workers", 2, "unexpected keyword argument 'shard_workers'"),
+            ("scenario", {"seq": 0}, "scenario: describes no fault plan"),
         ],
-        ids=["without-devices", "source-that-does-not-plan", "too-few-devices"],
+        ids=[
+            "without-devices", "too-few-devices", "committee-of-none", "fanout-1",
+            "removed-data-plane", "removed-worker-count", "scenario-that-is-no-plan",
+        ],
     )
     def test_a_chain_valid_manifest_that_builds_nothing(
         self, field, value, named, tmp_path, capsys
     ):
-        manifest = _crashing_manifest(**{field: value})
+        manifest = dict(_crashing().as_manifest(), **{field: value})
         if value is None:
             del manifest[field]
         path = tmp_path / "j"
         ExecutionJournal.create(str(path), manifest)
         with pytest.raises(JournalError) as caught:
-            executor_from_manifest(manifest)
+            Deployment.from_manifest(manifest)
         assert not run_tamper_typed(caught.value, named)
         self._refused(path, capsys)
+
+    def test_a_chain_valid_manifest_whose_query_does_not_plan(self, tmp_path, capsys):
+        deployment = replace(_crashing(), source="x")
+        with pytest.raises(PLANNING_FAILURES):
+            deployment.build()
+        path = tmp_path / "j"
+        ExecutionJournal.create(str(path), deployment.as_manifest())
+        assert main(["resume", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("planning failed: ")
 
 
 #: JSON values of every type, for a field or a line to be replaced with.
@@ -811,10 +813,9 @@ def real_journals(tmp_path_factory):
     the charge record an accountant would have written after keygen."""
     journals = []
     for plan in (get_scenario("coordinator-crash-input"), get_scenario("none")):
-        manifest = _crashing_manifest(plan)
         path = tmp_path_factory.mktemp("real") / "run.journal"
         try:
-            executor_from_manifest(manifest, ExecutionJournal.create(str(path), manifest)).run()
+            _journaled(_crashing(plan), path)
         except CoordinatorCrash:
             pass
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -862,6 +863,10 @@ class TestLoaderFuzz:
         path.write_text("\n".join(lines) + "\n")
         try:
             journal = ExecutionJournal.load(str(path))
-            executor_from_manifest(journal.manifest, journal)
+            deployment = Deployment.from_manifest(journal.manifest)
         except JournalError:
+            return
+        try:
+            deployment.build(journal)
+        except PLANNING_FAILURES:  # a manifest's source may be any string
             pass

@@ -4,9 +4,9 @@
     python tools/rss_curve.py [--devices 16384 65536 262144] [--shard-size 4096] [--seed 2023]
 
 Each size runs in a fresh interpreter (``--one N``), so no run inherits
-another's heap: it builds a ``FederatedNetwork`` of N devices (1% of them
-malicious, 8 categories), plans the ``top1`` query and runs it through
-``QueryExecutor`` at the given shard size under a fanout-16 tree — the
+another's heap: it runs the ``top1`` query on a ``repro run`` deployment
+(``runtime.Deployment``) of N devices (1% of them malicious, 8
+categories) at the given shard size under a fanout-16 tree — the
 ``intake_65k`` query at any N — and reports ``ru_maxrss`` once its imports
 are done and again after the query. Each row after the first ends with the
 slope from the previous size: what one more registered device costs at
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import resource
 import subprocess
 import sys
@@ -34,34 +33,20 @@ def maxrss_mb() -> float:
 
 def one_run(devices: int, shard_size: int, seed: int) -> dict:
     sys.path.insert(0, str(REPO / "src"))
-    from repro.analysis.ranges import Interval
-    from repro.analysis.types import QueryEnvironment, ValueType
-    from repro.planner.search import plan_query
-    from repro.privacy.accountant import PrivacyAccountant
-    from repro.runtime.executor import QueryExecutor
-    from repro.runtime.network import FederatedNetwork
+    from repro.runtime.deployment import Deployment
 
     imported = maxrss_mb()
-    rng = random.Random(seed)
-    network = FederatedNetwork(
-        devices, rng=random.Random(rng.getrandbits(63)), malicious_fraction=0.01
-    )
-    network.load_categorical_data(8)
-    env = QueryEnvironment(
-        num_participants=devices,
-        row_width=8,
-        db_element=ValueType("int", Interval(0.0, 1.0)),
+    Deployment(
+        recipe="run",
+        query_name="top1",
+        source=TOP1,
+        devices=devices,
+        categories=8,
         epsilon=4.0,
         sensitivity=1.0,
-        row_encoding="one_hot",
-    )
-    QueryExecutor(
-        network,
-        plan_query(TOP1, env, name="top1"),
         committee_size=4,
-        key_prime_bits=128,
-        rng=random.Random(rng.getrandbits(63)),
-        accountant=PrivacyAccountant(100.0, 1e-6),
+        malicious=0.01,
+        seed=seed,
         shard_size=shard_size,
         tree_fanout=16,
     ).run()
