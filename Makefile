@@ -73,9 +73,11 @@ release-check:
 
 # The journal loader fuzz, the deployment round trip and the run-invariant
 # property tests, which tier-1 runs derandomised at 40 examples, on 2,000
-# random examples each.
+# random examples each; and the search-against-oracle property (each example
+# plans one query twice, once from scratch), derandomised at 6 in tier-1, on
+# 200 random examples (about 35 s).
 fuzz:
-	REPRO_FUZZ_EXAMPLES=2000 python -m pytest tests/test_journal.py tests/test_deployment.py tests/test_run_invariants.py -q -k "Fuzz or Properties"
+	REPRO_FUZZ_EXAMPLES=2000 python -m pytest tests/test_journal.py tests/test_deployment.py tests/test_run_invariants.py tests/test_search_bound.py -q -k "Fuzz or Properties"
 
 check: lint verify-sweep test examples bench-smoke bench-tests chaos-smoke chaos-resume-smoke release-check fuzz
 

@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from .committees import CommitteeParameters
 from .costmodel import (
     CostModel,
+    CostVector,
     DeviceProfile,
     REFERENCE_SERVER,
     SchemeParams,
@@ -800,6 +801,11 @@ def _emit_noise_output(
 # --------------------------------------------------------------------------
 
 
+#: ``lower_bound``'s relative shrink: float sums added in another order than
+#: the child's fold differ by a few ulps, which this covers many times over.
+_BOUND_SHRINK = 1.0 - 1e-12
+
+
 class ExpansionNode:
     """One search node: a choice prefix plus everything needed to extend
     or score it without re-instantiating from scratch.
@@ -831,6 +837,7 @@ class ExpansionNode:
         "segment",
         "_cost",
         "refolds",
+        "terms",
     )
 
     def __init__(
@@ -874,6 +881,7 @@ class ExpansionNode:
         self.segment = segment
         self._cost = None
         self.refolds = None
+        self.terms = None
 
     @property
     def cost(self):
@@ -903,6 +911,8 @@ class PrefixExpander:
 
     Expansion failures are cached too: an illegal (op, choice, state)
     combination raises the same :class:`ExpansionError` on every repeat.
+    :meth:`lower_bound` prices a child from its parent's totals and its
+    emission's, so the search folds only the children the bound keeps.
     """
 
     def __init__(
@@ -919,6 +929,9 @@ class PrefixExpander:
         self._roots = {}
         self._keygens = {}
         self._segments = {}
+        # lower_bound prices segments at the smallest m (one committee).
+        self._floor_m = CommitteeParameters.for_plan(1).committee_size
+        self._probe = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -978,13 +991,8 @@ class PrefixExpander:
 
     # --------------------------------------------------------- extension
 
-    def extend(self, node: ExpansionNode, choice: Choice) -> ExpansionNode:
-        """The child node for ``choice`` at ``node``'s next op.
-
-        Raises :class:`ExpansionError` if the choice is structurally
-        illegal in the node's state (same condition as ``instantiate`` on
-        the full prefix).
-        """
+    def _scheme_inputs(self, node: ExpansionNode, choice: Choice) -> Tuple[int, bool]:
+        """``(bins, use_fhe)`` after ``choice``; a change is a scheme flip."""
         op = self.ops[node.depth]
         bins, use_fhe = node.bins, node.use_fhe
         if isinstance(op, EncryptInput):
@@ -996,6 +1004,43 @@ class PrefixExpander:
         elif isinstance(op, SelectMax):
             if choice.option == "expo_fhe":
                 use_fhe = True
+        return bins, use_fhe
+
+    def lower_bound(self, node: ExpansionNode, choice: Choice) -> Optional[CostVector]:
+        """A cost no larger, on any metric, than ``extend(node, choice).cost``,
+        or ``None`` for a scheme flip; the child's build reuses its lookup.
+
+        Additive metrics are the parent's totals plus the segment's; a max
+        metric is both always-on costs plus the larger of the two largest
+        group costs. The parent is priced at its own (m, keygen bucket) and
+        the segment at the smallest m, neither above the child's, and costs
+        do not fall as either grows (``tests/test_search_bound.py``).
+        """
+        if self._scheme_inputs(node, choice) != (node.bins, node.use_fhe):
+            return None
+        emitted = self._emission(node, choice)
+        self._probe = (node, choice, emitted)
+        p = node.terms
+        if p is None:
+            p = node.terms = node.accum.bound_terms()
+        s = emitted[7]
+        return CostVector(
+            (p[0] + s[0]) * _BOUND_SHRINK,
+            (p[1] + s[1]) * _BOUND_SHRINK,
+            (p[2] + s[2]) * _BOUND_SHRINK,
+            (p[3] + s[3]) * _BOUND_SHRINK,
+            (p[4] + s[4] + max(p[6], s[6])) * _BOUND_SHRINK,
+            (p[5] + s[5] + max(p[7], s[7])) * _BOUND_SHRINK,
+        )
+
+    def extend(self, node: ExpansionNode, choice: Choice) -> ExpansionNode:
+        """The child node for ``choice`` at ``node``'s next op.
+
+        Raises :class:`ExpansionError` if the choice is structurally
+        illegal in the node's state (same condition as ``instantiate`` on
+        the full prefix).
+        """
+        bins, use_fhe = self._scheme_inputs(node, choice)
         if bins != node.bins or use_fhe != node.use_fhe:
             # Scheme flip: every prior vignette changes (ciphertext sizes,
             # slot counts), so rebuild the prefix under the new scheme by
@@ -1003,10 +1048,14 @@ class PrefixExpander:
             replacement = self._root(bins, use_fhe)
             for prior in node.choices:
                 replacement = self._extend(replacement, prior)
-            node = replacement
+            return self._extend(replacement, choice)
+        probe, self._probe = self._probe, None
+        if probe is not None and probe[0] is node and probe[1] == choice:
+            return self._extend(node, choice, probe[2])
         return self._extend(node, choice)
 
-    def _extend(self, node: ExpansionNode, choice: Choice) -> ExpansionNode:
+    def _emission(self, node: ExpansionNode, choice: Choice) -> tuple:
+        """The cached emission of ``choice`` from ``node``'s build state."""
         key = (
             node.depth,
             choice,
@@ -1043,6 +1092,7 @@ class PrefixExpander:
                 for v in segment
                 if v.location is Location.COMMITTEE
             )
+            floor = ScoreAccumulator(self.n, self.model, self.device, self._floor_m)
             entry = (
                 (
                     tuple(segment),
@@ -1052,6 +1102,7 @@ class PrefixExpander:
                     state.group_counter,
                     state.fused_transform,
                     seg_groups,
+                    floor.extended(segment).bound_terms(),
                 ),
                 None,
             )
@@ -1060,6 +1111,11 @@ class PrefixExpander:
             self.cache_hits += 1
             if entry[1] is not None:
                 raise ExpansionError(*entry[1])
+        return entry[0]
+
+    def _extend(self, node: ExpansionNode, choice: Choice, emitted=None) -> ExpansionNode:
+        if emitted is None:
+            emitted = self._emission(node, choice)
         (
             segment,
             encrypted,
@@ -1068,7 +1124,8 @@ class PrefixExpander:
             group_counter,
             fused,
             seg_groups,
-        ) = entry[0]
+            _terms,
+        ) = emitted
 
         dec_groups = node.dec_groups + dec_delta
         bucket = 1 if dec_groups <= 1 else 2

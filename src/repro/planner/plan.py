@@ -388,6 +388,20 @@ class ScoreAccumulator:
             participant_max_bytes=self.base_bytes + max_group_bytes,
         )
 
+    def bound_terms(self) -> Tuple[float, ...]:
+        """The (seconds, bytes) pairs ``PrefixExpander.lower_bound`` adds:
+        aggregator, expected participant, always-on, largest group."""
+        return (
+            self.aggregator_seconds,
+            self.aggregator_bytes,
+            self.base_seconds + self.expected_seconds,
+            self.base_bytes + self.expected_bytes,
+            self.base_seconds,
+            self.base_bytes,
+            max(self.group_seconds.values(), default=0.0),
+            max(self.group_bytes.values(), default=0.0),
+        )
+
     def finish(self, committee_params: CommitteeParameters) -> PlanScore:
         breakdown_by_type: Dict[str, CommitteeTypeCost] = {}
         for group, seconds in self.group_seconds.items():

@@ -4,10 +4,12 @@ The planner explores the choice tree produced by ``expand.choice_space``
 depth-first, scoring partial assignments as it goes. Three heuristics keep
 the search tractable (§4.4):
 
-* **branch-and-bound** — a prefix is scored by instantiating only the ops
-  chosen so far; since costs only grow as ops are added, a prefix that
-  already violates a constraint or exceeds the best-known goal value can
-  be discarded with its whole subtree;
+* **branch-and-bound, bound first, build survivors** — since costs only
+  grow as ops are added, a prefix that already violates a constraint or
+  exceeds the best-known goal value is discarded with its whole subtree.
+  A child is priced first by ``PrefixExpander.lower_bound`` (its parent's
+  totals plus its segment's, never above its exact cost), and only a child
+  that bound keeps is built by instantiating its op and scored exactly;
 * **constraint pruning** — partial solutions are discarded as soon as they
   exceed one of the analyst's limits;
 * **one choice per instantiation class** — the walk takes
@@ -167,6 +169,9 @@ class _IncrementalEvaluator:
     def root(self):
         return self.expander.root()
 
+    def lower_bound(self, node, choice: Choice):
+        return self.expander.lower_bound(node, choice)
+
     def extend(self, node, choice: Choice):
         return self.expander.extend(node, choice)
 
@@ -211,6 +216,8 @@ class _SearchRun:
         self.logical = logical
         self.space = space
         self.evaluator = evaluator
+        # The from-scratch test oracle offers no bound and builds every child.
+        self.lower_bound = getattr(evaluator, "lower_bound", None)
         self.stats = stats
         self.best: Optional[Plan] = None
         self.best_score = float("inf")
@@ -257,38 +264,49 @@ class _SearchRun:
             self.best_composite = planner.goal.composite(cost)
         return plan
 
+    def _pruned(self, cost) -> bool:
+        """Count and discard a child whose ``cost`` (exact, or a bound below
+        it) breaks a constraint or is *strictly* above the incumbent: costs
+        only grow as ops are added, and ties stay open for the composite."""
+        planner = self.planner
+        if planner.constraints.first_violation(cost) is not None:
+            self.stats.pruned_by_constraint += 1
+            return True
+        value = planner.goal.score(cost)
+        if value > self.best_score and not planner.goal.is_tied(value, self.best_score):
+            self.stats.pruned_by_bound += 1
+            return True
+        return False
+
     def _dfs(self, node, depth: int) -> None:
         if depth == len(self.space):
             self._leaf(node)
             return
         stats = self.stats
-        planner = self.planner
-        goal = planner.goal
-        # Two phases: score every child against the incumbent-at-entry,
-        # then recurse cheapest-first, re-checking the bound
-        # against the freshly tightened incumbent before each descent. A
-        # child is counted as bound-pruned exactly once, whichever phase
-        # discards it, so the totals match a single-phase loop.
+        goal = self.planner.goal
+        lower_bound = self.lower_bound
+        # Phase 1, bound first, build survivors: a child is folded only if
+        # its lower bound survives the incumbent-at-entry, then checked on
+        # its exact cost. The bound never exceeds that cost, so it prunes
+        # only children the exact check would prune (the oracle tests hold
+        # the counters to a search that builds every child).
         children = []
         for index, choice in enumerate(self.space[depth][1]):
             stats.prefixes_considered += 1
             try:
+                bound = lower_bound(node, choice) if lower_bound else None
+                if bound is not None and self._pruned(bound):
+                    continue
                 child = self.evaluator.extend(node, choice)
             except ExpansionError:
                 continue
-            cost = child.cost
-            if planner.constraints.first_violation(cost) is not None:
-                stats.pruned_by_constraint += 1
+            if self._pruned(child.cost):
                 continue
-            value = goal.score(cost)
-            # Strict bound: costs only grow as ops are added, so a
-            # prefix already *strictly* above the incumbent cannot
-            # improve it; ties stay open for the lexicographic
-            # composite to decide at the leaves.
-            if value > self.best_score and not goal.is_tied(value, self.best_score):
-                stats.pruned_by_bound += 1
-                continue
-            children.append((value, index, child))
+            children.append((goal.score(child.cost), index, child))
+        # Phase 2: recurse cheapest-first, re-checking the bound against
+        # the freshly tightened incumbent before each descent. A child is
+        # counted as bound-pruned exactly once, whichever phase discards
+        # it, so the totals match a single-phase loop.
         if len(children) > 1:
             ordered = sorted(children, key=lambda entry: (entry[0], entry[1]))
             if [entry[1] for entry in ordered] != [entry[1] for entry in children]:

@@ -23,6 +23,14 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 
+#: The search-against-oracle property (``tests/test_search_bound.py``): each
+#: example plans one query twice, once from scratch, so it runs a few
+#: examples in tier-1 and a tenth of ``REPRO_FUZZ_EXAMPLES`` under fuzz.
+SEARCH_FUZZ = settings(
+    FUZZ,
+    max_examples=max(6, int(_FUZZ_EXAMPLES or 0) // 10),
+)
+
 
 @pytest.fixture
 def rng():

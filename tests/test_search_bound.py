@@ -1,0 +1,225 @@
+"""The search's pre-build bound is admissible, and so the search is unchanged.
+
+``PrefixExpander.lower_bound(node, choice)`` prices a child from its parent's
+totals and its segment's memoized totals; ``_SearchRun._dfs`` builds only the
+children that bound does not prune. That is exact only if the bound never
+exceeds the child's built cost on any of the six metrics, which these tests
+check on every child the walk meets (the catalog at three sizes, and the
+runtime-scale grid of ``test_choice_classes``), together with the two
+assumptions the bound rests on beyond "costs grow as ops are added": member
+costs do not fall as the committee size m grows (m itself does not fall as
+committees are added), and the two-group keygen vignette costs at least the
+one-group one. The property at the end holds the whole search to the
+from-scratch oracle, which builds every child.
+"""
+
+import itertools
+import json
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.eval.experiments import PAPER_CONSTRAINTS
+from repro.lang.parser import parse
+from repro.lang.simplify import simplify
+from repro.planner.committees import CommitteeParameters
+from repro.planner.costmodel import CostModel, CostVector, Goal
+from repro.planner.expand import distinct_choice_space
+from repro.planner.ir import lower
+from repro.planner.search import (
+    PLANNING_FAILURES,
+    Planner,
+    PlannerStatistics,
+    _IncrementalEvaluator,
+    _SearchRun,
+)
+from repro.planner.serialize import plan_to_dict
+from repro.privacy.certify import certify
+from repro.queries.catalog import ALL_QUERIES
+from tests.conftest import SEARCH_FUZZ
+from tests.oracles.search_reference import ReferencePlanner
+from tests.test_choice_classes import CATEGORIES, DEVICES, GOALS
+from tests.test_search_equivalence import CATALOG_SIZES, COUNTERS
+
+
+class _Checking(_IncrementalEvaluator):
+    """Builds every child it bounds and records ``(bound, exact cost)``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pairs = []
+        self.built = None
+
+    def lower_bound(self, node, choice):
+        bound = super().lower_bound(node, choice)
+        if bound is not None:
+            self.built = (node, choice, self.expander.extend(node, choice))
+            self.pairs.append((bound, self.built[2].cost))
+        return bound
+
+    def extend(self, node, choice):
+        built = self.built
+        if built is not None and built[0] is node and built[1] == choice:
+            return built[2]
+        return super().extend(node, choice)
+
+
+_logicals = {}
+_walks = {}
+
+
+def _logical(spec, n, categories):
+    key = (spec.name, n, categories)
+    if key not in _logicals:
+        if categories is None:
+            env = spec.environment(n)
+        else:
+            env = spec.environment(n, categories=categories, epsilon=8.0)
+        program = simplify(parse(spec.source))
+        _logicals[key] = lower(program, env, certify(program, env), spec.name)
+    return _logicals[key]
+
+
+def _walk(spec, n, categories=None, goal=Goal(), constraints=PAPER_CONSTRAINTS):
+    """The heuristic search of one query, through a :class:`_Checking` evaluator."""
+    key = (spec.name, n, categories, goal, constraints)
+    if key not in _walks:
+        logical = _logical(spec, n, categories)
+        planner = Planner(logical.env, constraints=constraints, goal=goal)
+        evaluator = _Checking(logical, planner.model, n)
+        _SearchRun(
+            planner, logical, distinct_choice_space(logical), evaluator, PlannerStatistics()
+        ).run()
+        _walks[key] = evaluator
+    return _walks[key]
+
+
+def _catalog_walks():
+    return [_walk(spec, n) for n in CATALOG_SIZES for spec in ALL_QUERIES]
+
+
+def _grid_walks():
+    return [
+        _walk(spec, devices, categories, goal, None)
+        for spec, devices, categories, goal in itertools.product(
+            ALL_QUERIES, DEVICES, CATEGORIES, GOALS
+        )
+    ]
+
+
+def _exceeded(pairs):
+    return [
+        (metric, getattr(bound, metric), getattr(exact, metric))
+        for bound, exact in pairs
+        for metric in CostVector.METRICS
+        if getattr(bound, metric) > getattr(exact, metric)
+    ]
+
+
+# ------------------------------------------------------------ admissibility
+
+
+def test_bound_never_exceeds_the_built_child_on_the_catalog():
+    pairs = [pair for walk in _catalog_walks() for pair in walk.pairs]
+    assert len(pairs) > 20_000  # every non-flip child of a catalog pass
+    assert _exceeded(pairs) == []
+
+
+def test_bound_never_exceeds_the_built_child_on_the_runtime_grid():
+    pairs = [pair for walk in _grid_walks() for pair in walk.pairs]
+    assert pairs
+    assert _exceeded(pairs) == []
+
+
+# ------------------------------------------------------ what it rests on
+
+#: Every committee size a plan of 1 .. 2^30 committees gets, in order.
+_COUNTS = sorted(
+    set(range(1, 2049)) | {int(1.25**i) for i in range(100) if 1.25**i <= 2**30}
+)
+SIZES = [CommitteeParameters.for_plan(k).committee_size for k in _COUNTS]
+
+
+def test_committee_size_does_not_fall_as_committees_are_added():
+    assert SIZES == sorted(SIZES)
+    assert SIZES[0] == CommitteeParameters.for_plan(1).committee_size
+
+
+def _emitted_works():
+    works = {}
+    for walk in _catalog_walks():
+        expander = walk.expander
+        emitted = [
+            v
+            for entry, failure in expander._segments.values()
+            if failure is None
+            for v in entry[0]
+        ]
+        roots = [v for root in expander._roots.values() for v in root.vignettes]
+        for v in itertools.chain(emitted, roots, expander._keygens.values()):
+            works.setdefault(v.work.cache_key(), v.work)
+    return list(works.values())
+
+
+def test_member_costs_do_not_fall_as_the_committee_grows():
+    model = CostModel()
+    sizes = sorted(set(SIZES))
+    works = _emitted_works()
+    assert len(works) > 100
+    for work in works:
+        costs = [model.cached_costs(work, m) for m in sizes]
+        for smaller, larger in zip(costs, costs[1:]):
+            assert all(a <= b for a, b in zip(smaller, larger)), work
+
+
+def test_two_group_keygen_costs_at_least_the_one_group_keygen():
+    model = CostModel()
+    sizes = sorted(set(SIZES))
+    schemes = {
+        (bins, use_fhe)
+        for walk in _catalog_walks()
+        for bins, use_fhe in walk.expander._roots
+    }
+    assert len(schemes) > 1
+    for walk in _catalog_walks():
+        expander = walk.expander
+        for bins, use_fhe in expander._roots:
+            one = expander._keygen(bins, use_fhe, 1).work
+            two = expander._keygen(bins, use_fhe, 2).work
+            for m in sizes:
+                pairs = zip(model.cached_costs(one, m), model.cached_costs(two, m))
+                assert all(a <= b for a, b in pairs), (bins, use_fhe, m)
+
+
+# ------------------------------------------------------ the whole search
+
+
+def _outcome(planner_class, spec, env):
+    try:
+        result = planner_class(env, constraints=PAPER_CONSTRAINTS).plan_source(
+            spec.source, spec.name
+        )
+    except PLANNING_FAILURES as exc:
+        return type(exc).__name__
+    return (
+        json.dumps(plan_to_dict(result.plan), sort_keys=True),
+        [getattr(result.statistics, name) for name in COUNTERS],
+    )
+
+
+class TestSearchProperties:
+    @SEARCH_FUZZ
+    @given(
+        spec=st.sampled_from(ALL_QUERIES),
+        log_participants=st.floats(3.0, 9.0),
+        categories=st.one_of(st.none(), st.integers(1, 64)),
+    )
+    def test_search_matches_the_from_scratch_oracle(
+        self, spec, log_participants, categories
+    ):
+        env = spec.environment(
+            math.floor(10**log_participants), categories=categories
+        )
+        assert _outcome(Planner, spec, env) == _outcome(ReferencePlanner, spec, env)
+

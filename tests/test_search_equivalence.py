@@ -8,7 +8,9 @@ the same control loop over the original evaluator), on every catalog query,
 with and without the branch-and-bound heuristics. The oracle drives the
 product's own ``_SearchRun`` loop, so ``PARENT_PINS`` additionally holds
 that loop to bytes captured before the root-split plumbing was cut out of
-it.
+it. ``SIZE_PINS`` (plans and counters at the other two benchmark sizes) and
+``STRIPPED_DIGEST`` (whole planning results at all three, less the cache
+counters) hold bytes captured before the search priced children first.
 """
 
 import hashlib
@@ -19,8 +21,9 @@ import pytest
 from repro.eval.experiments import PAPER_CONSTRAINTS, PAPER_N
 from repro.planner.costmodel import Goal
 from repro.planner.search import Planner, PlannerOutOfMemory, plan_query
-from repro.planner.serialize import plan_to_dict
+from repro.planner.serialize import plan_to_dict, planning_result_to_dict
 from repro.queries.catalog import ALL_QUERIES
+from repro.runtime.journal import canonical_json
 from tests.oracles.search_reference import ReferencePlanner
 
 #: Effort counters that must match the oracle's at identical settings.
@@ -81,25 +84,134 @@ PARENT_PINS = {
     ),
 }
 
+#: The plan sha256 and ``COUNTERS`` at the two other sizes ``plan_catalog``
+#: plans, captured on commit f470c3b, before the search bounded each child
+#: ahead of building it.
+SIZE_PINS = {
+    10**5: {
+        "top1": (
+            "c8289ab40ba8d112c25f0742d4d5624ce250fd266b09d3add8db58d138932c98",
+            (364, 379, 1, 1, 236, 127, 2),
+        ),
+        "topK": (
+            "8bfa70b44ce93244d86673736b158619b9220bc75843711dda951c2c2084d9e3",
+            (715, 730, 1, 1, 470, 244, 2),
+        ),
+        "gap": (
+            "09b32549a60cbc15843cf81228ac1e42dccc02d5d8633c36c688e79298c27b10",
+            (2184, 428, 2, 2, 236, 156, 3),
+        ),
+        "auction": (
+            "ad97e5c013fd552c60a5ac07f2483a6b4e3e453e1c92531d9237628e821d4642",
+            (3640, 2140, 8, 8, 1319, 655, 16),
+        ),
+        "hypotest": (
+            "686b3911509c31bf16ef046c6fdc6e28ee031b8ad68305e7fc846ece1dc90269",
+            (78, 131, 1, 1, 2, 60, 1),
+        ),
+        "secrecy": (
+            "36da78b1dacdbb93820c36fc4252c9ca4573eee7cda60431b7908ae38b2f7c77",
+            (1820, 913, 1, 1, 584, 293, 4),
+        ),
+        "median": (
+            "e5a13c9c9d7d76036b9e72655232d5afb2eaffb24857a4257f3e5d09003c3033",
+            (3640, 3590, 2, 2, 2218, 1127, 15),
+        ),
+        "cms": (
+            "5d550e2c8b799a76a660b898d22ad9f5edbcf7596238ac8950f34009f6297f28",
+            (13, 25, 1, 1, 0, 12, 1),
+        ),
+        "bayes": (
+            "7d9e5459ea0ee6d6b83c5b7dc284e8d8d8728f192fd90471db95c39a6b3b88e1",
+            (234, 321, 1, 1, 154, 75, 14),
+        ),
+        "k-medians": (
+            "9456d51d9ff53a3e4c2b31fde12febe9ddf6eebd20d167b1286b51d6ae9f0193",
+            (312, 397, 1, 1, 154, 75, 14),
+        ),
+    },
+    10**7: {
+        "top1": (
+            "ef284b75bf3911757a6fed7852fc1c151d71cbfe470e16cad7c941206d3a8289",
+            (364, 379, 1, 1, 236, 127, 2),
+        ),
+        "topK": (
+            "e7f2c1d9d79f0842d736e0f9fc6e53e536defa767d2e1c0287a959b2f921186c",
+            (715, 730, 1, 1, 470, 244, 2),
+        ),
+        "gap": (
+            "34853801c783f07496fb990705559b30feb96c2ba43d5a70338378610607db8e",
+            (2184, 422, 1, 1, 236, 148, 3),
+        ),
+        "auction": (
+            "be228bac7d0723293948ffe73080d5fd396565aaa75fd6bf5859a93977c8d8d1",
+            (3640, 2335, 7, 7, 1445, 706, 16),
+        ),
+        "hypotest": (
+            "7fa2bf08bc086d46df41ce355958303ddfc0630b879d78ae911941cc6722e39e",
+            (78, 92, 1, 1, 1, 46, 2),
+        ),
+        "secrecy": (
+            "6f13f6e04dc9e00f067764b1eac7b87105d111382fbd092fbac97ea192edc621",
+            (1820, 327, 1, 1, 203, 110, 2),
+        ),
+        "median": (
+            "6f2c5b089cbb22842d23b9af0c7d0de4b808b8a37486c91d8df09c5bd188c1b3",
+            (3640, 3421, 1, 1, 2110, 1074, 15),
+        ),
+        "cms": (
+            "ea315fbc48631fd28a35cf6774469ce3a6f69e7e506b59fa67372457f39e9078",
+            (13, 22, 1, 1, 0, 12, 1),
+        ),
+        "bayes": (
+            "56a95b5f4f0593d7815138096c5fdaa8caae52c2177d0b0ec657e25b0876753d",
+            (234, 312, 1, 1, 148, 75, 14),
+        ),
+        "k-medians": (
+            "0b3de58ae8514bbf0b59b21942c2a693cc6407503d01d43d5a68bc1783d49306",
+            (312, 343, 1, 1, 127, 75, 14),
+        ),
+    },
+}
+
+#: sha256 over the catalog at the three sizes of every planning result's
+#: canonical JSON less its wall-clock and its four cache counters, and the
+#: emission-cache (hits, misses) summed over those 30 plans, both on the same
+#: commit: the bound may move the cost-cache counters (fewer children are
+#: folded) and no other byte, and each child is still looked up once.
+STRIPPED_DIGEST = "8bf28882fc1d60f35e643555df44441671b08a716170c86596b05720cd4a38eb"
+EXPANSION_LOOKUPS = (23_654, 4_129)
+CACHE_COUNTERS = (
+    "cost_cache_hits",
+    "cost_cache_misses",
+    "expansion_cache_hits",
+    "expansion_cache_misses",
+)
+CATALOG_SIZES = (10**5, 10**7, PAPER_N)
+
 _cache = {}
 
 
-def _run(spec, planner_class=Planner, **kwargs):
-    key = (spec.name, planner_class, tuple(sorted(kwargs.items())))
+def _planned(spec, planner_class=Planner, n=PAPER_N, **kwargs):
+    key = (spec.name, planner_class, n, tuple(sorted(kwargs.items())))
     if key not in _cache:
-        env = spec.environment(PAPER_N)
+        env = spec.environment(n)
         planner = planner_class(
             env,
             constraints=PAPER_CONSTRAINTS,
             goal=Goal("participant_expected_seconds"),
             **kwargs,
         )
-        result = planner.plan_source(spec.source, spec.name)
-        _cache[key] = (
-            json.dumps(plan_to_dict(result.plan), sort_keys=True),
-            {name: getattr(result.statistics, name) for name in COUNTERS},
-        )
+        _cache[key] = planner.plan_source(spec.source, spec.name)
     return _cache[key]
+
+
+def _run(spec, planner_class=Planner, **kwargs):
+    result = _planned(spec, planner_class, **kwargs)
+    return (
+        json.dumps(plan_to_dict(result.plan), sort_keys=True),
+        {name: getattr(result.statistics, name) for name in COUNTERS},
+    )
 
 
 @pytest.mark.parametrize("spec", ALL_QUERIES, ids=lambda spec: spec.name)
@@ -125,6 +237,35 @@ def test_catalog_plans_and_counters_match_the_parent_commit():
             hashlib.sha256(document.encode()).hexdigest(),
             tuple(counters[name] for name in COUNTERS),
         ) == PARENT_PINS[spec.name], spec.name
+
+
+@pytest.mark.parametrize("n", sorted(SIZE_PINS))
+def test_catalog_at_the_other_sizes_matches_the_parent_commit(n):
+    for spec in ALL_QUERIES:
+        result = _planned(spec, n=n)
+        document = json.dumps(plan_to_dict(result.plan), sort_keys=True)
+        assert (
+            hashlib.sha256(document.encode()).hexdigest(),
+            tuple(getattr(result.statistics, name) for name in COUNTERS),
+        ) == SIZE_PINS[n][spec.name], spec.name
+
+
+def test_only_the_cost_cache_counters_move_on_the_catalog():
+    documents = []
+    lookups = [0, 0]
+    for n in CATALOG_SIZES:
+        for spec in ALL_QUERIES:
+            document = planning_result_to_dict(_planned(spec, n=n))
+            statistics = document["statistics"]
+            statistics.pop("runtime_seconds")
+            lookups[0] += statistics["expansion_cache_hits"]
+            lookups[1] += statistics["expansion_cache_misses"]
+            for name in CACHE_COUNTERS:
+                statistics.pop(name)
+            documents.append(canonical_json(document))
+    digest = hashlib.sha256("\n".join(documents).encode()).hexdigest()
+    assert digest == STRIPPED_DIGEST
+    assert tuple(lookups) == EXPANSION_LOOKUPS
 
 
 class TestNaiveSemanticsPreserved:
