@@ -47,7 +47,7 @@ from .ranges import BOOLEAN, Interval, UNIT, point
 NOISE_TAIL_SCALES = 64.0
 
 #: Loops at most this long are unrolled abstractly instead of widened.
-_UNROLL_LIMIT = 64
+UNROLL_LIMIT = 64
 
 _BASIC_ORDER = {"bool": 0, "int": 1, "fix": 2}
 
@@ -267,7 +267,7 @@ class TypeChecker:
         trip_count = max(0, hi - lo + 1)
         loop_var = ValueType("int", Interval(lo, max(lo, hi)))
         self.bindings[stmt.var] = loop_var
-        if trip_count <= _UNROLL_LIMIT:
+        if trip_count <= UNROLL_LIMIT:
             for _ in range(trip_count):
                 self.check_block(stmt.body)
             return
@@ -346,6 +346,14 @@ class TypeChecker:
             hull = self.expr_hulls.get(key, prior.interval)
             self.expr_hulls[key] = hull.union(result.interval)
         return result
+
+    def trip_count(self, stmt: For) -> int:
+        """A checked loop's trip count from its typed bounds (1 if untyped)."""
+        start = self.expr_types.get(id(stmt.start))
+        end = self.expr_types.get(id(stmt.end))
+        if start is None or end is None:
+            return 1
+        return max(0, int(math.ceil(end.interval.hi)) - int(math.floor(start.interval.lo)) + 1)
 
     def interval_hull(self, expr: Expr) -> Optional[Interval]:
         """Every value ``expr`` took over all passes (None if never typed)."""

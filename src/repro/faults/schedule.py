@@ -31,6 +31,9 @@ PHASES = ("keygen", "input", "decrypt", "program")
 #: bit-for-bit (they disturb the protocol, not the data).
 PROTOCOL_KINDS = (CRASH, STRAGGLER, VSR_LOSS)
 
+#: Longest delay, in seconds, a random schedule gives a straggler.
+MAX_STRAGGLER_DELAY = 90.0
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -100,7 +103,6 @@ class FaultPlan:
         num_faults: int,
         phases: Sequence[str] = ("decrypt", "program"),
         kinds: Sequence[str] = PROTOCOL_KINDS,
-        max_straggler_delay: float = 90.0,
         name: str = "",
     ) -> "FaultPlan":
         """A seeded random schedule of ``num_faults`` protocol faults.
@@ -115,7 +117,7 @@ class FaultPlan:
             kind = rng.choice(list(kinds))
             phase = rng.choice(list(phases))
             delay = (
-                round(rng.uniform(1.0, max_straggler_delay), 3)
+                round(rng.uniform(1.0, MAX_STRAGGLER_DELAY), 3)
                 if kind == STRAGGLER
                 else 0.0
             )

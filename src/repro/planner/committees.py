@@ -143,23 +143,13 @@ class CommitteeParameters:
     per_round_budget: float
 
     @classmethod
-    def for_plan(
-        cls,
-        num_committees: int,
-        malicious_fraction: float = DEFAULT_MALICIOUS_FRACTION,
-        churn_tolerance: float = DEFAULT_CHURN_TOLERANCE,
-        total_failure_probability: float = DEFAULT_FAILURE_PROBABILITY,
-        rounds: int = DEFAULT_ROUNDS,
-    ) -> "CommitteeParameters":
-        # Frozen + deterministic, so instances are shared via the lru cache
-        # (the planner calls this once per search node).
-        return _parameters_cached(
-            num_committees,
-            malicious_fraction,
-            churn_tolerance,
-            total_failure_probability,
-            rounds,
-        )
+    def for_plan(cls, count: float) -> "CommitteeParameters":
+        """Sizing for a plan that uses ``count`` committees, at least one.
+
+        Frozen + deterministic, so instances are shared via the lru cache
+        (the planner calls this once per search node), keyed by the int.
+        """
+        return _parameters_cached(max(int(count), 1))
 
     @property
     def devices_selected(self) -> int:
@@ -175,17 +165,11 @@ class CommitteeParameters:
 
 
 @lru_cache(maxsize=16384)
-def _parameters_cached(
-    num_committees: int,
-    malicious_fraction: float,
-    churn_tolerance: float,
-    total_failure_probability: float,
-    rounds: int,
-) -> CommitteeParameters:
-    p1 = per_round_failure_budget(total_failure_probability, rounds)
+def _parameters_cached(num_committees: int) -> CommitteeParameters:
+    p1 = per_round_failure_budget(DEFAULT_FAILURE_PROBABILITY, DEFAULT_ROUNDS)
     m = minimum_committee_size(
-        num_committees, malicious_fraction, churn_tolerance, p1
+        num_committees, DEFAULT_MALICIOUS_FRACTION, DEFAULT_CHURN_TOLERANCE, p1
     )
     return CommitteeParameters(
-        num_committees, m, malicious_fraction, churn_tolerance, p1
+        num_committees, m, DEFAULT_MALICIOUS_FRACTION, DEFAULT_CHURN_TOLERANCE, p1
     )

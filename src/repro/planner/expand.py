@@ -201,41 +201,50 @@ class _BuildState:
         return f"{prefix}#{self.group_counter}"
 
 
-def _needs_fhe(ops: Sequence[LogicalOp], choices: Sequence[Choice]) -> bool:
-    """§4.5 cryptosystem rule: FHE iff a homomorphic stage needs more than
-    additions; everything handled in MPC can stay under AHE."""
-    for op, choice in zip(ops, choices):
-        if isinstance(op, VectorTransform) and choice.option == "aggregator_fhe":
-            return True
-        if isinstance(op, SelectMax) and choice.option == "expo_fhe":
-            return True
-        if isinstance(op, VectorTransform) and choice.option == "aggregator_ahe":
-            continue
-    return False
-
-
 def _ceil_div(a: float, b: float) -> int:
     return int(math.ceil(a / b)) if b else 0
 
 
-def _scheme_for_prefix(
-    row_width: int, ops: Sequence[LogicalOp], choices: Sequence[Choice]
-) -> Tuple[int, bool, SchemeParams, int, int]:
-    """Scheme selection (§4.5) for a (possibly partial) choice prefix.
+#: The multiplicative depth the planner provisions FHE schemes for.
+PLANNER_FHE_DEPTH = 6
 
-    Returns (bins, use_fhe, scheme, packed, cts). Both inputs are monotone
-    along a prefix: ``bins`` is fixed by the EncryptInput choice and
-    ``use_fhe`` only ever flips from False to True.
+
+def scheme_inputs(op: LogicalOp, choice: Choice, bins: int, use_fhe: bool) -> Tuple[int, bool]:
+    """One step of the §4.5 scheme rule and the §6 bin layout.
+
+    ``(bins, use_fhe)`` after ``choice`` at ``op``: the EncryptInput choice
+    fixes the slot groups each row is packed into, and FHE is needed iff a
+    homomorphic stage needs more than additions (everything handled in MPC
+    can stay under AHE). Both are monotone along a prefix, so a change is
+    a scheme flip.
     """
-    bins = 1
-    for op, choice in zip(ops, choices):
-        if isinstance(op, EncryptInput) and choice.option == "binned_upload":
+    if isinstance(op, EncryptInput):
+        if choice.option == "binned_upload":
             bins = choice.params[0]
+    elif isinstance(op, VectorTransform):
+        if choice.option == "aggregator_fhe":
+            use_fhe = True
+    elif isinstance(op, SelectMax):
+        if choice.option == "expo_fhe":
+            use_fhe = True
+    return bins, use_fhe
+
+
+def fold_scheme_inputs(ops: Sequence[LogicalOp], choices: Sequence[Choice]) -> Tuple[int, bool]:
+    """:func:`scheme_inputs` folded over a (possibly partial) choice prefix."""
+    bins, use_fhe = 1, False
+    for op, choice in zip(ops, choices):
+        bins, use_fhe = scheme_inputs(op, choice, bins, use_fhe)
+    return bins, use_fhe
+
+
+def scheme_params(row_width: int, bins: int, use_fhe: bool) -> Tuple[SchemeParams, int, int]:
+    """``(scheme, packed, cts)``: the scheme a row of ``row_width`` values
+    packed into ``bins`` slot groups is priced at, the packed width, and the
+    ciphertexts one upload takes."""
     packed = max(row_width, 1) * bins
-    use_fhe = _needs_fhe(ops, choices)
-    scheme = fhe_params_for(packed, depth=6) if use_fhe else ahe_params_for(packed)
-    cts = max(1, _ceil_div(packed, scheme.slots))
-    return bins, use_fhe, scheme, packed, cts
+    scheme = fhe_params_for(packed, PLANNER_FHE_DEPTH) if use_fhe else ahe_params_for(packed)
+    return scheme, packed, max(1, _ceil_div(packed, scheme.slots))
 
 
 def _base_vignettes(
@@ -373,9 +382,7 @@ def instantiate(
 
     # Scheme selection (§4.5): decide from the full assignment when
     # available; partial prefixes assume AHE unless already forced.
-    _bins, _use_fhe, scheme, packed, cts = _scheme_for_prefix(
-        env.row_width, ops, choices
-    )
+    scheme, packed, cts = scheme_params(env.row_width, *fold_scheme_inputs(ops, choices))
 
     state = _BuildState(scheme=scheme, cts_per_participant=cts)
     vignettes = _base_vignettes(scheme, packed, cts, n, model.constants)
@@ -944,11 +951,7 @@ class PrefixExpander:
         node = self._roots.get((bins, use_fhe))
         if node is not None:
             return node
-        packed = max(self.plan.env.row_width, 1) * bins
-        scheme = (
-            fhe_params_for(packed, depth=6) if use_fhe else ahe_params_for(packed)
-        )
-        cts = max(1, _ceil_div(packed, scheme.slots))
+        scheme, packed, cts = scheme_params(self.plan.env.row_width, bins, use_fhe)
         base = _base_vignettes(scheme, packed, cts, self.n, self.model.constants)
         keygen = _keygen_vignette(scheme, 1)
         params = CommitteeParameters.for_plan(1)
@@ -991,21 +994,6 @@ class PrefixExpander:
 
     # --------------------------------------------------------- extension
 
-    def _scheme_inputs(self, node: ExpansionNode, choice: Choice) -> Tuple[int, bool]:
-        """``(bins, use_fhe)`` after ``choice``; a change is a scheme flip."""
-        op = self.ops[node.depth]
-        bins, use_fhe = node.bins, node.use_fhe
-        if isinstance(op, EncryptInput):
-            if choice.option == "binned_upload":
-                bins = choice.params[0]
-        elif isinstance(op, VectorTransform):
-            if choice.option == "aggregator_fhe":
-                use_fhe = True
-        elif isinstance(op, SelectMax):
-            if choice.option == "expo_fhe":
-                use_fhe = True
-        return bins, use_fhe
-
     def lower_bound(self, node: ExpansionNode, choice: Choice) -> Optional[CostVector]:
         """A cost no larger, on any metric, than ``extend(node, choice).cost``,
         or ``None`` for a scheme flip; the child's build reuses its lookup.
@@ -1016,7 +1004,8 @@ class PrefixExpander:
         the segment at the smallest m, neither above the child's, and costs
         do not fall as either grows (``tests/test_search_bound.py``).
         """
-        if self._scheme_inputs(node, choice) != (node.bins, node.use_fhe):
+        inputs = node.bins, node.use_fhe
+        if scheme_inputs(self.ops[node.depth], choice, *inputs) != inputs:
             return None
         emitted = self._emission(node, choice)
         self._probe = (node, choice, emitted)
@@ -1040,7 +1029,7 @@ class PrefixExpander:
         illegal in the node's state (same condition as ``instantiate`` on
         the full prefix).
         """
-        bins, use_fhe = self._scheme_inputs(node, choice)
+        bins, use_fhe = scheme_inputs(self.ops[node.depth], choice, node.bins, node.use_fhe)
         if bins != node.bins or use_fhe != node.use_fhe:
             # Scheme flip: every prior vignette changes (ciphertext sizes,
             # slot counts), so rebuild the prefix under the new scheme by
@@ -1137,9 +1126,7 @@ class PrefixExpander:
                     count_groups[group] = instances
         # Mirrors count_committees + CommitteeParameters.for_plan on the
         # child's full vignette list (keygen included via the root).
-        params = CommitteeParameters.for_plan(
-            max(int(sum(count_groups.values())), 1)
-        )
+        params = CommitteeParameters.for_plan(sum(count_groups.values()))
         m = params.committee_size
         accum = self._node_fold(node, m, bucket).extended(segment)
         return ExpansionNode(

@@ -14,7 +14,6 @@ instantiations are legal and what they cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -56,22 +55,16 @@ class LogicalOp:
 class EncryptInput(LogicalOp):
     """Participants encrypt and upload their (one-hot or bounded) rows.
 
-    ``sample_bins`` > 1 activates the oblivious bin-sampling layout of §6:
-    each participant places its row into one of ``sample_bins`` slot groups,
-    multiplying the packed width by that factor.
+    ``sample_fraction`` < 1 asks for the oblivious bin-sampling layout of
+    §6; the input choice picks its bin count (``expand.scheme_inputs``).
     """
 
     categories: int
     statement_kind: str = "one_hot"  # or "range"
-    sample_bins: int = 1
     sample_fraction: float = 1.0
 
     def __post_init__(self):
         self.name = "input"
-
-    @property
-    def packed_width(self) -> int:
-        return self.categories * self.sample_bins
 
 
 @dataclass
@@ -303,19 +296,9 @@ class _Lowerer:
         for stmt in statements:
             self._lower_statement(stmt, multiplier)
 
-    def _trip_count(self, stmt: For) -> int:
-        start = self.checker.expr_types.get(id(stmt.start))
-        end = self.checker.expr_types.get(id(stmt.end))
-        if start is None or end is None:
-            return 1
-        return max(
-            0,
-            int(math.ceil(end.interval.hi)) - int(math.floor(start.interval.lo)) + 1,
-        )
-
     def _lower_statement(self, stmt: Stmt, multiplier: int) -> None:
         if isinstance(stmt, For):
-            trips = self._trip_count(stmt)
+            trips = self.checker.trip_count(stmt)
             self._lower_block(stmt.body, multiplier * max(trips, 1))
             return
         if isinstance(stmt, If):
@@ -364,7 +347,6 @@ class _Lowerer:
                         statement_kind=self.env.row_encoding
                         if self.env.row_encoding == "one_hot"
                         else "range",
-                        sample_bins=1,
                         sample_fraction=self.sample_fraction,
                     )
                 )

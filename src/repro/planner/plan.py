@@ -441,9 +441,8 @@ def score_vignettes(
     weighted by the probability of serving on it; maximum participant cost
     takes the most expensive committee group.
     """
-    total_committees = count_committees(vignettes)
     if committee_params is None:
-        committee_params = CommitteeParameters.for_plan(max(int(total_committees), 1))
+        committee_params = CommitteeParameters.for_plan(count_committees(vignettes))
     accum = ScoreAccumulator(
         num_participants, model, device, committee_params.committee_size
     )

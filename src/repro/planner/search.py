@@ -393,18 +393,16 @@ class Planner:
         program: Program,
         name: str = "query",
         certificate: Optional[Certificate] = None,
-        fold_constants: bool = True,
     ) -> PlanningResult:
         """Plan a parsed program.
 
         ``certificate`` defaults to automatic certification; pass a
         :func:`repro.privacy.certify.manual_certificate` to plan programs
         whose privacy proof the analyst supplies themselves (§4.2).
-        Constant folding runs first by default, which also guarantees the
-        §4.4 rule that no vignette consists only of constant assignments.
+        Constant folding runs first, which also guarantees the §4.4 rule
+        that no vignette consists only of constant assignments.
         """
-        if fold_constants:
-            program = simplify(program)
+        program = simplify(program)
         if certificate is None:
             certificate = certify(program, self.env)
         logical = lower(program, self.env, certificate, name)

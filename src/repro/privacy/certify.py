@@ -40,15 +40,13 @@ from ..lang.ast import (
     DB_NAME,
     walk_statements,
 )
-from ..analysis.types import QueryEnvironment, TypeChecker, infer_types
+from ..analysis.types import UNROLL_LIMIT, QueryEnvironment, TypeChecker, infer_types
 from .accountant import PrivacyCost
 from .sampling import amplified_epsilon
 
 #: Finite-precision allowance: cutting noise tails to the representable
 #: range adds a small delta per mechanism invocation (§6).
 FINITE_PRECISION_DELTA = 2.0 ** -40
-
-_UNROLL_LIMIT = 64
 
 
 class CertificationError(Exception):
@@ -205,19 +203,12 @@ class Certifier:
         else:
             raise CertificationError(f"unknown statement {type(stmt).__name__}")
 
-    def _trip_count(self, stmt: For) -> int:
-        start = self.checker.expr_types.get(id(stmt.start))
-        end = self.checker.expr_types.get(id(stmt.end))
-        if start is None or end is None:
-            return 1
-        return max(0, int(math.ceil(end.interval.hi)) - int(math.floor(start.interval.lo)) + 1)
-
     def _check_for(self, stmt: For) -> None:
         self._taint(stmt.start)
         self._taint(stmt.end)
         self.taints[stmt.var] = Taint.public()
-        trips = self._trip_count(stmt)
-        if trips <= _UNROLL_LIMIT:
+        trips = self.checker.trip_count(stmt)
+        if trips <= UNROLL_LIMIT:
             for _ in range(trips):
                 self._check_block(stmt.body)
             return

@@ -52,6 +52,12 @@ def gumbel_sample(scale: float, rng: random.Random) -> float:
     return -scale * math.log(-math.log(u))
 
 
+def em_gumbel_scale(sensitivity: float, epsilon: float) -> float:
+    """The Gumbel scale 2Δ/ε at which argmax-of-noised-scores is the
+    exponential mechanism (the Gumbel-max trick, Fig 4 right)."""
+    return 2.0 * sensitivity / epsilon
+
+
 def gumbel_support(scale: float) -> Tuple[float, float]:
     """The exact (lo, hi) range of :func:`gumbel_sample` at ``scale``.
 
@@ -122,7 +128,7 @@ def exponential_mechanism_gumbel(
         raise ValueError("exponential mechanism needs at least one score")
     if epsilon <= 0 or sensitivity <= 0:
         raise ValueError("epsilon and sensitivity must be positive")
-    scale = 2.0 * sensitivity / epsilon
+    scale = em_gumbel_scale(sensitivity, epsilon)
     noised = [s + gumbel_sample(scale, rng) for s in scores]
     return max(range(len(noised)), key=noised.__getitem__)
 
@@ -156,7 +162,7 @@ def top_k_oneshot(
     """Top-k by noising once and releasing the k best: (√k·ε, 0)-DP [29]."""
     if not 1 <= k <= len(scores):
         raise ValueError("k must be between 1 and the number of candidates")
-    scale = 2.0 * sensitivity / epsilon
+    scale = em_gumbel_scale(sensitivity, epsilon)
     noised = [(s + gumbel_sample(scale, rng), i) for i, s in enumerate(scores)]
     noised.sort(reverse=True)
     return [i for _, i in noised[:k]]
@@ -175,7 +181,7 @@ def noisy_max_with_gap(
     """
     if len(scores) < 2:
         raise ValueError("gap mechanism needs at least two candidates")
-    scale = 2.0 * sensitivity / epsilon
+    scale = em_gumbel_scale(sensitivity, epsilon)
     noised = [s + gumbel_sample(scale, rng) for s in scores]
     order = sorted(range(len(noised)), key=noised.__getitem__, reverse=True)
     winner, runner_up = order[0], order[1]

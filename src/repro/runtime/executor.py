@@ -108,9 +108,10 @@ from ..mpc.protocols import (
     shared_gumbel_noise,
     shared_laplace_noise,
 )
-from ..planner.expand import Choice
+from ..planner.expand import Choice, fold_scheme_inputs
 from ..planner.search import PlanningResult
 from ..privacy.accountant import PrivacyAccountant, PrivacyCost
+from ..privacy.mechanisms import em_gumbel_scale
 from ..privacy.sampling import BinSamplingPlan
 from .aggregator import AggregatorTree
 from .packing import SlotPacking, plan_packing
@@ -320,7 +321,6 @@ class QueryExecutor:
         self.pool: Optional[CommitteePool] = None
         self.certificate: Optional[QueryAuthorizationCertificate] = None
         self._select_choice = self._find_choice("select_max")
-        self._input_choice = self._find_choice("input")
         self._budget_charged = False
         #: Label the budget debit is keyed by. Defaults to the query name;
         #: the multi-tenant service overrides it per submission so a plan
@@ -677,6 +677,7 @@ class QueryExecutor:
 
         self.privacy_certificate = gate(self.planning)
         width = self._comparison_width()
+        bins, sampling_plan = self._sampling_plan()
         if self.journal is not None:
             self._restore_from_journal()
         n = len(self.network)
@@ -700,7 +701,6 @@ class QueryExecutor:
         secret_key = self._phase("keygen", self._phase_keygen)
         public_key = secret_key.public
 
-        bins, sampling_plan = self._sampling_plan()
         statement = self._input_statement(bins)
         self._packing = self._plan_packing(public_key, statement)
         aggregator, totals, audits_failed = self._phase(
@@ -857,13 +857,17 @@ class QueryExecutor:
         return secret_key
 
     def _sampling_plan(self) -> Tuple[int, Optional[BinSamplingPlan]]:
-        if self.logical.sample_fraction >= 1.0:
+        """The §6 bin layout: as many bins as the plan's choices pack."""
+        phi = self.logical.sample_fraction
+        if phi >= 1.0:
             return 1, None
-        bins = 4
-        if self._input_choice is not None and self._input_choice.params:
-            bins = max(2, min(8, self._input_choice.params[0]))
-        plan = BinSamplingPlan.for_fraction(self.logical.sample_fraction, bins)
-        return bins, plan
+        bins = fold_scheme_inputs(self.logical.ops, self.planning.plan.choice_list)[0]
+        if bins < 2:
+            raise ExecutionError(
+                f"the query samples a fraction {phi:g} but the plan's choices "
+                f"pack {bins} bin; secrecy of the sample needs at least 2"
+            )
+        return bins, BinSamplingPlan.for_fraction(phi, bins)
 
     # ---------------------------------------------------------------- input
 
@@ -1202,7 +1206,7 @@ class QueryExecutor:
     ) -> Union[int, List[int]]:
         style, noise_batch, fanout = self._em_parameters()
         iterative = style == 1 and k > 1
-        scale = 2.0 * self.env.sensitivity / self.env.epsilon
+        scale = em_gumbel_scale(self.env.sensitivity, self.env.epsilon)
         winners: List[int] = []
 
         def noise_all() -> List[Tuple[int, Secret, Committee]]:

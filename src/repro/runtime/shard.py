@@ -472,7 +472,6 @@ def build_shards(
     online: np.ndarray,
     malicious: np.ndarray,
     shard_size: int,
-    label_template: str = "sharded/upload/{}",
 ) -> List[DeviceShard]:
     """Slice a population's struct-of-arrays view into contiguous shards."""
     if shard_size < 1:
@@ -488,7 +487,7 @@ def build_shards(
                 values=values[start:stop],
                 online=np.asarray(online[start:stop], dtype=bool).copy(),
                 malicious=np.asarray(malicious[start:stop], dtype=bool).copy(),
-                stream_label=label_template.format(shard_id),
+                stream_label=f"sharded/upload/{shard_id}",
             )
         )
     return shards

@@ -46,7 +46,7 @@ from ..lang.ast import (
     walk_statements,
 )
 from ..mpc.protocols import FIXPOINT_SCALE
-from ..privacy.mechanisms import gumbel_support
+from ..privacy.mechanisms import em_gumbel_scale, gumbel_support
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
 #: Calls whose result is public whatever they read (releases and lengths).
@@ -126,7 +126,7 @@ def comparison_sites(logical) -> List[ComparisonSite]:
     def site(expr: Expr, span: float) -> None:
         sites.append(ComparisonSite(expr.line, format_expr(expr), span))
 
-    gumbel_lo, gumbel_hi = gumbel_support(2.0 * env.sensitivity / env.epsilon)
+    gumbel_lo, gumbel_hi = gumbel_support(em_gumbel_scale(env.sensitivity, env.epsilon))
     for stmt in walk_statements(logical.post_statements):
         for top in expressions_of(stmt):
             for expr in walk_expr(top):

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.types import UNROLL_LIMIT
 from ..lang.ast import (
     Assign,
     BinOp,
@@ -64,12 +65,7 @@ from ..planner.ir import (
     NoiseOutput,
     SelectMax,
 )
-from ..privacy.certify import (
-    Certificate,
-    FINITE_PRECISION_DELTA,
-    MechanismUse,
-    _UNROLL_LIMIT,
-)
+from ..privacy.certify import Certificate, FINITE_PRECISION_DELTA, MechanismUse
 from ..privacy.sampling import amplified_epsilon
 from .certificate import NodeCertificate, PrivacyCertificate
 from .invariants import DATAFLOW_BY_RULE
@@ -309,22 +305,12 @@ class DataflowAnalyzer:
                 node_path=self._path,
             )
 
-    def _trip_count(self, stmt: For) -> int:
-        start = self.checker.expr_types.get(id(stmt.start))
-        end = self.checker.expr_types.get(id(stmt.end))
-        if start is None or end is None:
-            return 1
-        return max(
-            0,
-            int(math.ceil(end.interval.hi)) - int(math.floor(start.interval.lo)) + 1,
-        )
-
     def _interpret_for(self, stmt: For) -> None:
         self._eval(stmt.start)
         self._eval(stmt.end)
         self.values[stmt.var] = AbstractValue.public()
-        trips = self._trip_count(stmt)
-        if trips <= _UNROLL_LIMIT:
+        trips = self.checker.trip_count(stmt)
+        if trips <= UNROLL_LIMIT:
             for _ in range(trips):
                 self._interpret_block(stmt.body)
             return

@@ -45,10 +45,6 @@ MECHANISM_VIGNETTES: FrozenSet[str] = frozenset(
     {"em-expo", "em-noise", "em-argmax", "noise-output"}
 )
 
-#: The multiplicative depth budget the planner provisions FHE schemes for
-#: (expand.py instantiates ``fhe_params_for(packed, depth=6)``).
-PLANNER_FHE_DEPTH = 6
-
 
 @dataclass(frozen=True)
 class Invariant:
@@ -90,10 +86,10 @@ INVARIANTS: Tuple[Invariant, ...] = (
         "ty-scheme-consistent",
         "Plan scheme re-derives from its choices",
         "§4.5, §6",
-        "Recomputing the §4.5 cryptosystem rule from the plan's choice list "
-        "(FHE iff some stage needs more than additions) reproduces the "
-        "plan's SchemeParams, and the input vignette uploads exactly "
-        "ceil(packed_width / slots) ciphertexts.",
+        "Folding the planner's own §4.5/§6 step over the plan's choice list "
+        "(FHE iff some stage needs more than additions; the input choice's "
+        "bin count) reproduces the plan's SchemeParams, and the input "
+        "vignette uploads exactly ceil(packed_width / slots) ciphertexts.",
     ),
     Invariant(
         "choice-legal",

@@ -12,7 +12,6 @@ spends real committees on it.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Set
 
 from ..lang.ast import (
@@ -26,13 +25,8 @@ from ..lang.ast import (
     DB_NAME,
     walk_expr,
 )
-from ..planner.committees import committee_failure_probability
-from ..planner.costmodel import (
-    DEPTH0_MODULUS_BITS,
-    ahe_params_for,
-    fhe_params_for,
-    min_ring_degree_log2,
-)
+from ..planner.committees import CommitteeParameters, committee_failure_probability
+from ..planner.costmodel import DEPTH0_MODULUS_BITS, min_ring_degree_log2
 from ..planner.expand import (
     ARGMAX_FANOUTS,
     Choice,
@@ -41,8 +35,9 @@ from ..planner.expand import (
     NOISE_BATCH_SIZES,
     SAMPLE_BIN_CHOICES,
     TREE_FANOUTS,
-    _needs_fhe,
     choice_space,
+    fold_scheme_inputs,
+    scheme_params,
 )
 from ..planner.ir import (
     Aggregate,
@@ -60,7 +55,6 @@ from .invariants import (
     CLEAR_ALLOWED,
     INVARIANTS_BY_RULE,
     MECHANISM_VIGNETTES,
-    PLANNER_FHE_DEPTH,
 )
 from .report import Severity, VerificationReport
 
@@ -222,12 +216,11 @@ class PlanChecker:
                         f"input width {op.categories} != environment row "
                         f"width {env.row_width}",
                     )
-                if op.sample_bins < 1 or not 0.0 < op.sample_fraction <= 1.0:
+                if not 0.0 < op.sample_fraction <= 1.0:
                     self._fail(
                         "ty-ranges",
                         subject,
-                        f"invalid sampling layout (bins={op.sample_bins}, "
-                        f"fraction={op.sample_fraction})",
+                        f"invalid sampling fraction {op.sample_fraction}",
                     )
             elif isinstance(op, Aggregate):
                 if op.num_participants != env.num_participants:
@@ -292,22 +285,10 @@ class PlanChecker:
                 Severity.WARNING,
             )
             return
-        bins = 1
-        for op, choice in zip(self.logical.ops, choices):
-            if isinstance(op, EncryptInput) and choice.option == "binned_upload":
-                bins = choice.params[0]
-        packed = max(self.logical.env.row_width, 1) * bins
-        use_fhe = _needs_fhe(self.logical.ops, choices)
-        expected = (
-            fhe_params_for(packed, depth=PLANNER_FHE_DEPTH)
-            if use_fhe
-            else ahe_params_for(packed)
+        expected, packed, expected_cts = scheme_params(
+            self.logical.env.row_width, *fold_scheme_inputs(self.logical.ops, choices)
         )
-        if (scheme.name, scheme.ring_log2, scheme.ciphertext_modulus_bits) != (
-            expected.name,
-            expected.ring_log2,
-            expected.ciphertext_modulus_bits,
-        ):
+        if scheme != expected:
             self._fail(
                 "ty-scheme-consistent",
                 "scheme",
@@ -318,7 +299,6 @@ class PlanChecker:
                 f"{expected.ciphertext_modulus_bits}-bit modulus)",
             )
             return
-        expected_cts = max(1, math.ceil(packed / scheme.slots))
         for v in self.plan.vignettes:
             if v.name == "input" and v.work.he_encryptions != expected_cts:
                 self._fail(
@@ -570,8 +550,9 @@ class PlanChecker:
         """com-count-covers-plan: sizing saw every committee the plan uses."""
         self._checked("com-count-covers-plan")
         params = self.plan.committee_params
-        # Mirror score_vignettes: sizing runs for max(int(count), 1).
-        used = max(int(count_committees(self.plan.vignettes)), 1)
+        used = CommitteeParameters.for_plan(
+            count_committees(self.plan.vignettes)
+        ).num_committees
         if params.num_committees < used:
             self._fail(
                 "com-count-covers-plan",

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FederatedNetwork, Planner, QueryExecutor
+from repro.planner.expand import Choice
 from repro.privacy.accountant import BudgetExceeded, PrivacyAccountant, PrivacyCost
 from repro.privacy.sampling import (
     BinSamplingPlan,
@@ -14,6 +16,8 @@ from repro.privacy.sampling import (
     apply_mask,
     required_phi,
 )
+from repro.queries.catalog import ALL_QUERIES, get
+from repro.runtime.executor import ExecutionError
 
 
 class TestAccountant:
@@ -126,6 +130,57 @@ class TestBinSampling:
             if plan.is_sampled(bin_index, offset):
                 sampled += 1
         assert abs(sampled / trials - 0.25) < 0.02
+
+
+def _runtime_planning(spec):
+    env = spec.environment(64, categories=8, epsilon=1.0)
+    return Planner(env).plan_source(spec.source, spec.name)
+
+
+def _executor(planning):
+    network = FederatedNetwork(64, rng=random.Random(0))
+    return QueryExecutor(network, planning, committee_size=4, key_prime_bits=96)
+
+
+class TestRuntimeSampling:
+    """The executor's bin layout against the φ the certificate amplified at."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="fail-open: the runtime decrypts window/bins > the certified φ "
+        "(secrecy: 1/2 against 0.05); ROADMAP lists the fix",
+    )
+    def test_realized_fraction_within_certified_phi(self):
+        # secrecy at 64 devices and ε = 1 certifies
+        # ln(1 + 0.05(e − 1)) = 0.0824 but decrypts 1 of 2 bins:
+        # ln(1 + 0.5(e − 1)) = 0.620. At ε = 0.1: 0.00524 against 0.0512.
+        sampled = 0
+        for spec in ALL_QUERIES:
+            planning = _runtime_planning(spec)
+            if planning.logical_plan.sample_fraction >= 1.0:
+                continue
+            sampled += 1
+            phi = min(
+                m.sample_phi for m in planning.certificate.mechanisms if m.sample_phi
+            )
+            _bins, layout = _executor(planning)._sampling_plan()
+            real_epsilon = amplified_epsilon(1.0, layout.fraction)
+            assert layout.fraction <= phi, (
+                f"{spec.name}: certified ε {planning.certificate.epsilon:.3g} at "
+                f"φ = {phi}, but the runtime decrypts {layout.window} of "
+                f"{layout.num_bins} bins: ε {real_epsilon:.3g}"
+            )
+        if not sampled:  # not an AssertionError: a vacuous pass must not xfail
+            pytest.fail("no catalog query samples")
+
+    def test_one_bin_sampled_plan_refused(self):
+        planning = _runtime_planning(get("secrecy"))
+        choices = planning.plan.choice_list
+        victim = next(i for i, c in enumerate(choices) if c.key.startswith("input"))
+        choices[victim] = Choice(choices[victim].key, "direct_upload")
+        with pytest.raises(ExecutionError, match="pack 1 bin"):
+            _executor(planning)._sampling_plan()
 
 
 @given(

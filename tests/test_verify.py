@@ -29,7 +29,7 @@ from repro.planner.expand import Choice, TREE_FANOUTS
 from repro.planner.ir import NoiseOutput, Output
 from repro.planner.plan import Location, Vignette
 from repro.privacy.accountant import PrivacyCost
-from repro.queries.catalog import ALL_QUERIES
+from repro.queries.catalog import ALL_QUERIES, get
 from repro.verify import (
     INVARIANTS,
     VerificationReport,
@@ -276,6 +276,22 @@ class TestMutationDetection:
         result.plan.scheme = fhe_params_for(64, depth=6)
         v = caught(result, "ty-scheme-consistent")
         assert "fhe" in v.message and "ahe" in v.message
+
+    @pytest.mark.parametrize("bins, ring", [(4, 17), (32, 20)])
+    def test_bin_count_swap_detected(self, bins, ring):
+        # The §6 half of the rule: at 10^5 secrecy runs its em in FHE over
+        # 2^15 categories × 2 bins; another legal bin count re-derives a
+        # wider ring than the plan carries.
+        spec = get("secrecy")
+        result = Planner(spec.environment(10**5)).plan_source(spec.source, spec.name)
+        assert result.plan.scheme.ring_log2 == 16
+        choices = result.plan.choice_list
+        victim = next(i for i, c in enumerate(choices) if c.key.startswith("input"))
+        assert choices[victim].label() == "binned_upload[2]"
+        choices[victim] = Choice(choices[victim].key, "binned_upload", (bins,))
+        v = caught(result, "ty-scheme-consistent")
+        assert v.subject == "scheme"
+        assert f"re-derive to fhe (ring 2^{ring}," in v.message
 
     def test_aggregator_he_after_decryption_committee(self):
         result = plan_laplace()
