@@ -21,6 +21,7 @@ lint:
 	! grep -rnE --include="*.py" "^import (numpy|numba)|^from (numpy|numba)" src/repro/crypto
 	! grep -rn "def _trip_count" src/repro
 	! grep -rnE --include="*.py" "2\.0 \* [A-Za-z_.]*sensitivity / [A-Za-z_.]*epsilon" src/repro | grep -v "^src/repro/privacy/mechanisms\.py:"
+	! grep -rnE "\.work\.[a-z_]+ *= " src tests
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only

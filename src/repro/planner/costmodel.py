@@ -18,6 +18,7 @@ fixing the ~8× device slowdown), and a BGV ciphertext at degree 2^15 with a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
@@ -195,12 +196,16 @@ PARTICIPANT_DEVICE = DeviceProfile(
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Work:
     """Primitive-operation counts for one entity instance in one vignette.
 
     The planner fills these in during expansion; the cost model turns them
     into seconds and bytes. Slot counts refer to ciphertext SIMD slots.
+    A ``Work`` is an immutable value: the planner's emitters share one
+    instance among every vignette, segment and plan of the process that
+    counts the same work, so a changed count is a new value
+    (``dataclasses.replace``), never a write to a shared one.
     """
 
     # Homomorphic encryption (counts are ciphertext operations).
@@ -245,23 +250,22 @@ class Work:
     fixed_seconds: float = 0.0
 
     def merge(self, other: "Work") -> "Work":
-        merged = Work()
-        for f in fields(Work):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
+        counts = {
+            name: getattr(self, name) + getattr(other, name) for name in _WORK_FIELD_NAMES
+        }
         # ring_slots is a parameter, not a count: keep the larger ring.
-        merged.ring_slots = max(self.ring_slots, other.ring_slots)
-        return merged
+        counts["ring_slots"] = max(self.ring_slots, other.ring_slots)
+        return Work(**counts)
 
     def cache_key(self) -> int:
         """An interned value token for cost memoization.
 
-        The field values are hashed once per Work instance and interned to a
-        small integer, so structurally equal Work objects share one token
-        (and thus one cached cost entry) while the per-score cache lookup
-        hashes an ``(int, int)`` pair instead of a ~25-float tuple. The
-        planner treats Work objects as immutable once emitted, so the token
-        never goes stale there; callers that mutate a Work after keying must
-        not reuse it.
+        A ``Work`` is immutable, so its field values are hashed once, on the
+        first call, and interned to a small integer that the instance keeps:
+        structurally equal values share one token (and thus one cached cost
+        entry), and the per-score cache lookup hashes an ``(int, int)`` pair
+        instead of a 27-float tuple. Tokens are never reused, so one kept
+        past a reset of the bounded intern table still names only its value.
         """
         key = self.__dict__.get("_cache_key")
         if key is None:
@@ -269,13 +273,19 @@ class Work:
             table = _WORK_KEY_INTERN
             key = table.get(values)
             if key is None:
-                key = table[values] = len(table)
+                if len(table) >= _WORK_KEY_INTERN_LIMIT:
+                    table.clear()
+                key = table[values] = next(_WORK_TOKENS)
             self.__dict__["_cache_key"] = key
         return key
 
 
 _WORK_FIELD_NAMES = tuple(f.name for f in fields(Work))
+#: Work values -> token. Bounded: one planning pass over the catalog keys
+#: about 200 values, and a full table is cleared rather than grown.
 _WORK_KEY_INTERN: Dict[tuple, int] = {}
+_WORK_KEY_INTERN_LIMIT = 1 << 14
+_WORK_TOKENS = itertools.count()
 
 
 # --------------------------------------------------------------------------

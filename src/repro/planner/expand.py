@@ -22,6 +22,7 @@ sharings on committees; only mechanism outputs are declassified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -51,7 +52,7 @@ from .ir import (
     SelectMax,
     VectorTransform,
 )
-from .plan import Location, ScoreAccumulator, Vignette
+from .plan import Location, ScoreAccumulator, Vignette, score_stub, vignette_row
 
 #: Parameter grids (§4.3: "there is no single best degree for this tree").
 TREE_FANOUTS = (4, 16, 64, 256, 1024, 4096)
@@ -247,10 +248,47 @@ def scheme_params(row_width: int, bins: int, use_fhe: bool) -> Tuple[SchemeParam
     return scheme, packed, max(1, _ceil_div(packed, scheme.slots))
 
 
-def _base_vignettes(
+@functools.lru_cache(maxsize=4096, typed=True)
+def _work(**counts) -> Work:
+    """The one shared :class:`Work` holding ``counts``.
+
+    A ``Work`` is an immutable value, so every row of every emission that
+    counts the same work holds one instance, keyed for the cost cache once.
+    ``typed`` keeps ``2`` and ``2.0`` apart: plan documents print them
+    differently.
+    """
+    return Work(**counts)
+
+
+@functools.lru_cache(maxsize=1024)
+def _argmax_levels(categories: int, fanout: int) -> Tuple[Tuple[int, Work], ...]:
+    """``(committees, per-committee Work)`` per level of an argmax tree of
+    ``fanout`` over ``categories`` noised scores (Fig 5), leaves first.
+
+    Each committee compares ``fanout`` noised scores and passes the winner
+    up; a top-k selection repeats the same levels k times."""
+    levels = []
+    remaining = categories
+    while remaining > 1:
+        committees = max(1, _ceil_div(remaining, fanout))
+        width = min(fanout, remaining)
+        work = _work(
+            mpc_setup=1.0,
+            mpc_comparisons=float(width - 1) if width > 1 else 1.0,
+            mpc_triples=2.0 * max(width - 1, 1),
+            mpc_rounds=2.0,
+            vsr_elements_received=float(width) * 2.0,
+            vsr_elements_sent=2.0,
+        )
+        levels.append((committees, work))
+        remaining = committees
+    return tuple(levels)
+
+
+def _base_rows(
     scheme: SchemeParams, packed: int, cts: int, n: int, constants: dict
-) -> List[Vignette]:
-    """The always-present input/verify/broadcast base vignettes."""
+) -> List[tuple]:
+    """The always-present input/verify/broadcast base rows."""
     audit_leaves = constants["audit_leaves_per_device"]
     audit_bytes = audit_leaves * (scheme.ciphertext_bytes + constants["merkle_path_bytes"])
     # One Groth16 proof covers one circuit chunk. The R1CS encodes the
@@ -260,8 +298,8 @@ def _base_vignettes(
     chunk = constants["zkp_chunk_slots"]
     modulus_scale = max(1.0, scheme.ciphertext_modulus_bits / 60.0)
     proofs_per_device = max(1, _ceil_div(packed * modulus_scale, chunk))
-    vignettes: List[Vignette] = []
-    input_work = Work(
+    rows: List[tuple] = []
+    input_work = _work(
         he_encryptions=cts,
         ring_slots=scheme.slots,
         zkp_proofs=proofs_per_device,
@@ -273,17 +311,17 @@ def _base_vignettes(
         hash_bytes=audit_bytes,
         fixed_seconds=constants["sortition_signature_seconds"],
     )
-    vignettes.append(
-        Vignette("input", Location.PARTICIPANT, scheme.name, input_work, instances=n)
+    rows.append(
+        vignette_row("input", Location.PARTICIPANT, scheme.name, input_work, instances=n)
     )
 
-    verify_work = Work(
+    verify_work = _work(
         zkp_verifications=n * proofs_per_device,
         hash_bytes=n * 64.0,
     )
-    vignettes.append(Vignette("verify", Location.AGGREGATOR, "clear", verify_work))
+    rows.append(vignette_row("verify", Location.AGGREGATOR, "clear", verify_work))
 
-    broadcast_work = Work(
+    broadcast_work = _work(
         payload_bytes_sent=n
         * (
             scheme.public_key_bytes
@@ -291,50 +329,50 @@ def _base_vignettes(
             + audit_bytes
         )
     )
-    vignettes.append(Vignette("forwarding", Location.AGGREGATOR, "clear", broadcast_work))
-    return vignettes
+    rows.append(vignette_row("forwarding", Location.AGGREGATOR, "clear", broadcast_work))
+    return rows
 
 
 def _emit_pipeline_op(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     op: LogicalOp,
     choice: Choice,
     n: int,
 ) -> None:
-    """Emit one pipeline op's vignettes, advancing the build state."""
+    """Emit one pipeline op's rows, advancing the build state."""
     if isinstance(op, EncryptInput):
         state.encrypted = True
     elif isinstance(op, Aggregate):
-        _emit_aggregate(vignettes, state, choice, n, state.cts_per_participant)
+        _emit_aggregate(rows, state, choice, n, state.cts_per_participant)
     elif isinstance(op, VectorTransform):
-        _emit_transform(vignettes, state, choice, op)
+        _emit_transform(rows, state, choice, op)
     elif isinstance(op, SelectMax):
-        _emit_select_max(vignettes, state, choice, op)
+        _emit_select_max(rows, state, choice, op)
     elif isinstance(op, NoiseOutput):
-        _emit_noise_output(vignettes, state, choice, op)
+        _emit_noise_output(rows, state, choice, op)
     elif isinstance(op, Postprocess):
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "postprocess",
                 Location.AGGREGATOR,
                 "clear",
-                Work(fixed_seconds=op.scalar_ops * 1e-8),
+                _work(fixed_seconds=op.scalar_ops * 1e-8),
             )
         )
     elif isinstance(op, Output):
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "publish",
                 Location.AGGREGATOR,
                 "clear",
-                Work(payload_bytes_sent=4096.0),
+                _work(payload_bytes_sent=4096.0),
             )
         )
 
 
-def _keygen_vignette(scheme: SchemeParams, dec_groups) -> Vignette:
-    """The key-generation vignette (§5.2).
+def _keygen_row(scheme: SchemeParams, dec_groups) -> tuple:
+    """The key-generation row (§5.2).
 
     One keygen committee generates the keypair and starts the VSR tree
     that carries key shares to every decryption-capable committee. The
@@ -343,14 +381,14 @@ def _keygen_vignette(scheme: SchemeParams, dec_groups) -> Vignette:
     more than one decryption group.
     """
     key_elems = scheme.secret_key_elements
-    keygen_work = Work(
+    keygen_work = _work(
         dist_keygens=1.0,
         mpc_setup=1.0,
         mpc_rounds=20.0,
         vsr_elements_sent=key_elems * min(2.0, max(dec_groups, 1.0)),
         ring_slots=scheme.slots,
     )
-    return Vignette(
+    return vignette_row(
         "keygen",
         Location.COMMITTEE,
         "mpc",
@@ -385,20 +423,20 @@ def instantiate(
     scheme, packed, cts = scheme_params(env.row_width, *fold_scheme_inputs(ops, choices))
 
     state = _BuildState(scheme=scheme, cts_per_participant=cts)
-    vignettes = _base_vignettes(scheme, packed, cts, n, model.constants)
+    rows = _base_rows(scheme, packed, cts, n, model.constants)
 
     for op, choice in zip(ops, choices):
-        _emit_pipeline_op(vignettes, state, op, choice, n)
+        _emit_pipeline_op(rows, state, op, choice, n)
 
-    vignettes.insert(1, _keygen_vignette(scheme, state.dec_groups))
-    return vignettes, scheme
+    rows.insert(1, _keygen_row(scheme, state.dec_groups))
+    return [Vignette(*row) for row in rows], scheme
 
 
 # ------------------------------------------------------------- op emitters
 
 
 def _emit_aggregate(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     choice: Choice,
     n: int,
@@ -406,20 +444,20 @@ def _emit_aggregate(
 ) -> None:
     scheme = state.scheme
     if choice.option == "flat_aggregator":
-        work = Work(he_additions=float(n) * cts, ring_slots=scheme.slots)
-        vignettes.append(Vignette("aggregate", Location.AGGREGATOR, scheme.name, work))
+        work = _work(he_additions=float(n) * cts, ring_slots=scheme.slots)
+        rows.append(vignette_row("aggregate", Location.AGGREGATOR, scheme.name, work))
         return
     fanout = choice.params[0]
     nodes = max(1.0, n / max(fanout - 1, 1))
-    node_work = Work(
+    node_work = _work(
         he_additions=float(fanout) * cts,
         ring_slots=scheme.slots,
         payload_bytes_sent=cts * scheme.ciphertext_bytes,
         payload_bytes_received=float(fanout) * cts * scheme.ciphertext_bytes,
     )
     if choice.option == "participant_tree":
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "aggregate-tree",
                 Location.PARTICIPANT,
                 scheme.name,
@@ -429,8 +467,8 @@ def _emit_aggregate(
         )
     elif choice.option == "committee_tree":
         group = state.new_group("aggtree")
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "aggregate-tree",
                 Location.COMMITTEE,
                 scheme.name,
@@ -445,7 +483,7 @@ def _emit_aggregate(
 
 
 def _emit_decryption_layer(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     length: int,
     dec_batch: int,
@@ -463,7 +501,7 @@ def _emit_decryption_layer(
     per_committee = min(dec_batch, length)
     cts_touched = max(1, _ceil_div(per_committee, scheme.slots))
     key_elems = scheme.secret_key_elements
-    work = Work(
+    work = _work(
         mpc_setup=1.0,
         dist_decryptions=float(cts_touched),
         ring_slots=scheme.slots,
@@ -473,8 +511,8 @@ def _emit_decryption_layer(
         payload_bytes_received=cts_touched * scheme.ciphertext_bytes,
     )
     group = state.new_group("dec")
-    vignettes.append(
-        Vignette(
+    rows.append(
+        vignette_row(
             "decrypt",
             Location.COMMITTEE,
             "mpc",
@@ -490,7 +528,7 @@ def _emit_decryption_layer(
 
 
 def _emit_transform(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     choice: Choice,
     op: VectorTransform,
@@ -506,16 +544,16 @@ def _emit_transform(
                 "data already secret-shared; aggregator HE stage is illegal"
             )
         # Ops-per-element times the number of ciphertexts the vector spans.
-        work = Work(
+        work = _work(
             he_additions=per_element_linear * cts_touched,
             he_comparisons=per_element_nonlinear * cts_touched,
             ring_slots=scheme.slots,
         )
         crypto = "fhe" if choice.option == "aggregator_fhe" else "ahe"
-        vignettes.append(Vignette("transform", Location.AGGREGATOR, crypto, work))
+        rows.append(vignette_row("transform", Location.AGGREGATOR, crypto, work))
         return
     if choice.option == "aggregator_tfhe":
-        _emit_tfhe_transform(vignettes, state, choice, op)
+        _emit_tfhe_transform(rows, state, choice, op)
         return
     if choice.option == "committee_mpc_fused":
         # Defer: the following SelectMax's noising committees absorb the
@@ -528,10 +566,10 @@ def _emit_transform(
         return
     if choice.option == "committee_mpc":
         batch = choice.params[0]
-        _emit_decryption_layer(vignettes, state, length, max(batch * 8, 512))
+        _emit_decryption_layer(rows, state, length, max(batch * 8, 512))
         committees = max(1, _ceil_div(length, batch))
         per_committee = min(batch, length)
-        work = Work(
+        work = _work(
             mpc_setup=1.0,
             mpc_comparisons=per_element_nonlinear * per_committee,
             mpc_triples=per_element_linear * per_committee * 0.05,
@@ -540,8 +578,8 @@ def _emit_transform(
             vsr_elements_sent=float(per_committee),
         )
         group = state.new_group("transform")
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "transform",
                 Location.COMMITTEE,
                 "mpc",
@@ -556,7 +594,7 @@ def _emit_transform(
 
 
 def _emit_tfhe_transform(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     choice: Choice,
     op: VectorTransform,
@@ -576,7 +614,7 @@ def _emit_tfhe_transform(
     length = max(op.length, 1)
     cts_touched = max(1, _ceil_div(length, scheme.slots))
 
-    switch_work = Work(
+    switch_work = _work(
         mpc_setup=1.0,
         dist_decryptions=float(cts_touched),
         ring_slots=scheme.slots,
@@ -588,8 +626,8 @@ def _emit_tfhe_transform(
         payload_bytes_received=cts_touched * scheme.ciphertext_bytes,
     )
     switch_group = state.new_group("tfhe-switch")
-    vignettes.append(
-        Vignette(
+    rows.append(
+        vignette_row(
             "scheme-switch",
             Location.COMMITTEE,
             "mpc",
@@ -605,16 +643,16 @@ def _emit_tfhe_transform(
         op.nonlinear_ops / length * comparison_gate_count(bits)
         + op.linear_ops / length * addition_gate_count(bits)
     )
-    circuit_work = Work(
+    circuit_work = _work(
         tfhe_gates=per_element * length,
         payload_bytes_received=length * bits * TFHE_CIPHERTEXT_BYTES,
     )
-    vignettes.append(
-        Vignette("transform", Location.AGGREGATOR, "tfhe", circuit_work)
+    rows.append(
+        vignette_row("transform", Location.AGGREGATOR, "tfhe", circuit_work)
     )
 
     # Convert the TFHE results into MPC sharings for the next stage.
-    convert_work = Work(
+    convert_work = _work(
         mpc_setup=1.0,
         tfhe_encryptions=float(length * bits),  # decrypt ~ encrypt cost
         mpc_inputs=float(length),
@@ -623,8 +661,8 @@ def _emit_tfhe_transform(
         payload_bytes_received=length * bits * TFHE_CIPHERTEXT_BYTES,
     )
     convert_group = state.new_group("tfhe-convert")
-    vignettes.append(
-        Vignette(
+    rows.append(
+        vignette_row(
             "scheme-convert",
             Location.COMMITTEE,
             "mpc",
@@ -639,7 +677,7 @@ def _emit_tfhe_transform(
 
 
 def _emit_select_max(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     choice: Choice,
     op: SelectMax,
@@ -659,7 +697,7 @@ def _emit_select_max(
         # Exponentiate every score, build the prefix-sum (rotate-and-add),
         # compare all slots against the random threshold (SIMD), then
         # isolate the selected index with a log-depth masking chain.
-        work = Work(
+        work = _work(
             he_exponentiations=float(cts_c) * rounds,
             he_rotations=float(cts_c * log_slots) * rounds,
             he_additions=float(cts_c * log_slots) * rounds,
@@ -667,10 +705,10 @@ def _emit_select_max(
             he_ct_mults=float(cts_c * log_slots) * rounds,
             ring_slots=scheme.slots,
         )
-        vignettes.append(Vignette("em-expo", Location.AGGREGATOR, "fhe", work))
+        rows.append(vignette_row("em-expo", Location.AGGREGATOR, "fhe", work))
         # A single committee decrypts the selected index (and optionally the
         # gap / max value).
-        dec_work = Work(
+        dec_work = _work(
             mpc_setup=1.0,
             dist_decryptions=float(rounds),
             ring_slots=scheme.slots,
@@ -680,8 +718,8 @@ def _emit_select_max(
             payload_bytes_received=float(rounds) * scheme.ciphertext_bytes,
         )
         group = state.new_group("dec")
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "em-decrypt",
                 Location.COMMITTEE,
                 "mpc",
@@ -702,7 +740,7 @@ def _emit_select_max(
     noise_rounds = op.k if iterative else 1
     select_rounds = op.k
 
-    _emit_decryption_layer(vignettes, state, c, dec_batch)
+    _emit_decryption_layer(rows, state, c, dec_batch)
 
     # Noising committees: each adds Gumbel noise to a batch of scores (Fig 5).
     if state.fused_transform is not None:
@@ -715,7 +753,7 @@ def _emit_select_max(
         fused_nonlinear = fused_linear = 0.0
     noise_committees = max(1, _ceil_div(c, noise_batch))
     per_committee = min(noise_batch, c)
-    noise_work = Work(
+    noise_work = _work(
         mpc_setup=1.0,
         mpc_noise_samples=float(per_committee),
         mpc_comparisons=fused_nonlinear * per_committee,
@@ -726,8 +764,8 @@ def _emit_select_max(
     )
     for r in range(noise_rounds):
         group = state.new_group(f"noise-r{r}")
-        vignettes.append(
-            Vignette(
+        rows.append(
+            vignette_row(
                 "em-noise",
                 Location.COMMITTEE,
                 "mpc",
@@ -738,25 +776,13 @@ def _emit_select_max(
             )
         )
 
-    # Argmax tree: each committee compares ``fanout`` noised scores and
-    # passes the winner up; repeated k times for top-k selection.
+    # The argmax tree, repeated k times for top-k selection.
+    levels = _argmax_levels(c, fanout)
     for r in range(select_rounds):
-        remaining = c
-        level = 0
-        while remaining > 1:
-            committees = max(1, _ceil_div(remaining, fanout))
-            width = min(fanout, remaining)
-            work = Work(
-                mpc_setup=1.0,
-                mpc_comparisons=float(width - 1) if width > 1 else 1.0,
-                mpc_triples=2.0 * max(width - 1, 1),
-                mpc_rounds=2.0,
-                vsr_elements_received=float(width) * 2.0,
-                vsr_elements_sent=2.0,
-            )
+        for level, (committees, work) in enumerate(levels):
             group = state.new_group(f"argmax-r{r}-l{level}")
-            vignettes.append(
-                Vignette(
+            rows.append(
+                vignette_row(
                     "em-argmax",
                     Location.COMMITTEE,
                     "mpc",
@@ -766,23 +792,21 @@ def _emit_select_max(
                     committee_type="operations",
                 )
             )
-            remaining = committees
-            level += 1
     state.shared = True
 
 
 def _emit_noise_output(
-    vignettes: List[Vignette],
+    rows: List[tuple],
     state: _BuildState,
     choice: Choice,
     op: NoiseOutput,
 ) -> None:
     batch = choice.params[0]
     count = max(op.count, 1)
-    _emit_decryption_layer(vignettes, state, count, max(batch * 8, 512))
+    _emit_decryption_layer(rows, state, count, max(batch * 8, 512))
     committees = max(1, _ceil_div(count, batch))
     per_committee = min(batch, count)
-    work = Work(
+    work = _work(
         mpc_setup=1.0,
         mpc_noise_samples=float(per_committee),
         mpc_rounds=3.0,
@@ -790,8 +814,8 @@ def _emit_noise_output(
         payload_bytes_sent=64.0 * per_committee,
     )
     group = state.new_group("laplace")
-    vignettes.append(
-        Vignette(
+    rows.append(
+        vignette_row(
             "noise-output",
             Location.COMMITTEE,
             "mpc",
@@ -820,7 +844,9 @@ class ExpansionNode:
     ``vignettes`` holds the base + emitted pipeline vignettes *without*
     the keygen vignette (whose work depends on the still-growing number of
     decryption groups); scoring folds a per-bucket keygen in at index 1,
-    exactly where :func:`instantiate` inserts it.
+    exactly where :func:`instantiate` inserts it. ``segment`` holds the
+    score stubs of the node's own emission (a root's: its base rows'),
+    which a re-fold at another committee size folds again.
     """
 
     __slots__ = (
@@ -898,6 +924,44 @@ class ExpansionNode:
         return cost
 
 
+class _Emission:
+    """One cached emission of an (op, choice, entry state).
+
+    The segment's rows and their score stubs, the build state the op leaves
+    behind (``dec_delta``: emitters only add decryption groups), the
+    segment's committee groups with their instance counts, and its floor
+    bound terms. Pricing needs none of the segment's vignettes: they are
+    built, once, by the first extension that keeps a child using them.
+    """
+
+    __slots__ = (
+        "rows",
+        "stubs",
+        "encrypted",
+        "shared",
+        "dec_delta",
+        "group_counter",
+        "fused",
+        "groups",
+        "floor",
+        "vignettes",
+    )
+
+    def __init__(self, rows, stubs, state: _BuildState, floor):
+        self.rows = rows
+        self.stubs = stubs
+        self.encrypted = state.encrypted
+        self.shared = state.shared
+        self.dec_delta = state.dec_groups
+        self.group_counter = state.group_counter
+        self.fused = state.fused_transform
+        self.groups = tuple(
+            (stub[3], stub[2]) for stub in stubs if stub[0] == 2  # committee
+        )
+        self.floor = floor
+        self.vignettes = None
+
+
 class PrefixExpander:
     """Resumable instantiation: extend a parent node by one op's choice.
 
@@ -907,10 +971,12 @@ class PrefixExpander:
 
     * per-(op, choice, entry-state) emissions are cached — the entry state
       is ``(bins, use_fhe, encrypted, shared, group_counter, fused)``, the
-      only fields emitters read (group names embed ``group_counter``);
+      only fields emitters read (group names embed ``group_counter``) — as
+      rows and their score stubs; a segment's vignettes are built only
+      when a child that uses them is built;
     * the running :class:`ScoreAccumulator` is extended by the new
-      segment only; when the committee size m or the keygen-work bucket
-      changes, the full sequence is re-folded from the stored vignettes;
+      segment's stubs only; when the committee size m or the keygen-work
+      bucket changes, the full sequence is re-folded from the stored stubs;
     * the two scheme-selection inputs (``bins``, ``use_fhe``) are monotone
       along a prefix, so a choice that flips them rebuilds the prefix
       once from a cached per-scheme root by replaying the recorded
@@ -952,16 +1018,17 @@ class PrefixExpander:
         if node is not None:
             return node
         scheme, packed, cts = scheme_params(self.plan.env.row_width, bins, use_fhe)
-        base = _base_vignettes(scheme, packed, cts, self.n, self.model.constants)
-        keygen = _keygen_vignette(scheme, 1)
+        base = _base_rows(scheme, packed, cts, self.n, self.model.constants)
+        stubs = tuple(score_stub(row) for row in base)
+        keygen = Vignette(*_keygen_row(scheme, 1))
         params = CommitteeParameters.for_plan(1)
         accum = ScoreAccumulator(
             self.n, self.model, self.device, params.committee_size
         )
-        accum.add(base[0])
-        accum.add(keygen)
-        for v in base[1:]:
-            accum.add(v)
+        accum.add(stubs[0])
+        accum.add(keygen.score_stub())
+        for stub in stubs[1:]:
+            accum.add(stub)
         node = ExpansionNode(
             depth=0,
             choices=(),
@@ -974,11 +1041,12 @@ class PrefixExpander:
             dec_groups=0,
             group_counter=0,
             fused=None,
-            vignettes=tuple(base),
+            vignettes=tuple(Vignette(*row) for row in base),
             count_groups={"keygen": 1.0},
             params=params,
             bucket=1,
             accum=accum,
+            segment=stubs,
         )
         self._roots[(bins, use_fhe)] = node
         self._keygens[(bins, use_fhe, 1)] = keygen
@@ -989,7 +1057,7 @@ class PrefixExpander:
         v = self._keygens.get(key)
         if v is None:
             scheme = self._root(bins, use_fhe).scheme
-            v = self._keygens[key] = _keygen_vignette(scheme, bucket)
+            v = self._keygens[key] = Vignette(*_keygen_row(scheme, bucket))
         return v
 
     # --------------------------------------------------------- extension
@@ -1012,7 +1080,7 @@ class PrefixExpander:
         p = node.terms
         if p is None:
             p = node.terms = node.accum.bound_terms()
-        s = emitted[7]
+        s = emitted.floor
         return CostVector(
             (p[0] + s[0]) * _BOUND_SHRINK,
             (p[1] + s[1]) * _BOUND_SHRINK,
@@ -1043,7 +1111,7 @@ class PrefixExpander:
             return self._extend(node, choice, probe[2])
         return self._extend(node, choice)
 
-    def _emission(self, node: ExpansionNode, choice: Choice) -> tuple:
+    def _emission(self, node: ExpansionNode, choice: Choice) -> "_Emission":
         """The cached emission of ``choice`` from ``node``'s build state."""
         key = (
             node.depth,
@@ -1067,34 +1135,22 @@ class PrefixExpander:
                 group_counter=node.group_counter,
                 fused_transform=node.fused,
             )
-            segment: List[Vignette] = []
+            rows: List[tuple] = []
             try:
-                _emit_pipeline_op(segment, state, self.ops[node.depth], choice, self.n)
+                _emit_pipeline_op(rows, state, self.ops[node.depth], choice, self.n)
             except ExpansionError as exc:
                 # The arguments, not the exception: a cached exception's
                 # traceback grows with every re-raise and ties the frames,
                 # this expander and the search nodes into a cycle.
                 self._segments[key] = (None, exc.args)
                 raise
-            seg_groups = tuple(
-                (v.committee_group, v.instances)
-                for v in segment
-                if v.location is Location.COMMITTEE
-            )
+            # Priced from the rows alone: lower_bound adds the segment's
+            # totals at the smallest m, and most children stop there.
+            stubs = tuple(score_stub(row) for row in rows)
             floor = ScoreAccumulator(self.n, self.model, self.device, self._floor_m)
-            entry = (
-                (
-                    tuple(segment),
-                    state.encrypted,
-                    state.shared,
-                    state.dec_groups,  # delta: emitters only increment it
-                    state.group_counter,
-                    state.fused_transform,
-                    seg_groups,
-                    floor.extended(segment).bound_terms(),
-                ),
-                None,
-            )
+            for stub in stubs:
+                floor.add(stub)
+            entry = (_Emission(rows, stubs, state, floor.bound_terms()), None)
             self._segments[key] = entry
         else:
             self.cache_hits += 1
@@ -1105,30 +1161,23 @@ class PrefixExpander:
     def _extend(self, node: ExpansionNode, choice: Choice, emitted=None) -> ExpansionNode:
         if emitted is None:
             emitted = self._emission(node, choice)
-        (
-            segment,
-            encrypted,
-            shared,
-            dec_delta,
-            group_counter,
-            fused,
-            seg_groups,
-            _terms,
-        ) = emitted
+        segment = emitted.vignettes
+        if segment is None:
+            segment = emitted.vignettes = tuple(Vignette(*row) for row in emitted.rows)
 
-        dec_groups = node.dec_groups + dec_delta
+        dec_groups = node.dec_groups + emitted.dec_delta
         bucket = 1 if dec_groups <= 1 else 2
         count_groups = node.count_groups
-        if seg_groups:
+        if emitted.groups:
             count_groups = dict(count_groups)
-            for group, instances in seg_groups:
+            for group, instances in emitted.groups:
                 if instances > count_groups.get(group, 0.0):
                     count_groups[group] = instances
         # Mirrors count_committees + CommitteeParameters.for_plan on the
         # child's full vignette list (keygen included via the root).
         params = CommitteeParameters.for_plan(sum(count_groups.values()))
         m = params.committee_size
-        accum = self._node_fold(node, m, bucket).extended(segment)
+        accum = self._node_fold(node, m, bucket).extended(emitted.stubs)
         return ExpansionNode(
             depth=node.depth + 1,
             choices=node.choices + (choice,),
@@ -1136,18 +1185,18 @@ class PrefixExpander:
             use_fhe=node.use_fhe,
             scheme=node.scheme,
             cts=node.cts,
-            encrypted=encrypted,
-            shared=shared,
+            encrypted=emitted.encrypted,
+            shared=emitted.shared,
             dec_groups=dec_groups,
-            group_counter=group_counter,
-            fused=fused,
+            group_counter=emitted.group_counter,
+            fused=emitted.fused,
             vignettes=node.vignettes + segment,
             count_groups=count_groups,
             params=params,
             bucket=bucket,
             accum=accum,
             parent=node,
-            segment=segment,
+            segment=emitted.stubs,
         )
 
     def _node_fold(self, node, m: int, bucket: int) -> ScoreAccumulator:
@@ -1173,11 +1222,11 @@ class PrefixExpander:
         parent = node.parent
         if parent is None:
             fold = ScoreAccumulator(self.n, self.model, self.device, m)
-            vignettes = node.vignettes
-            fold.add(vignettes[0])
-            fold.add(self._keygen(node.bins, node.use_fhe, bucket))
-            for v in vignettes[1:]:
-                fold.add(v)
+            stubs = node.segment
+            fold.add(stubs[0])
+            fold.add(self._keygen(node.bins, node.use_fhe, bucket).score_stub())
+            for stub in stubs[1:]:
+                fold.add(stub)
         else:
             fold = self._node_fold(parent, m, bucket).extended(node.segment)
         if refolds is None:
@@ -1191,7 +1240,7 @@ class PrefixExpander:
         """The full vignette list for a complete prefix, matching
         ``instantiate(plan, node.choices, model)`` byte for byte."""
         vignettes = list(node.vignettes)
-        vignettes.insert(1, _keygen_vignette(node.scheme, node.dec_groups))
+        vignettes.insert(1, Vignette(*_keygen_row(node.scheme, node.dec_groups)))
         return vignettes
 
     def leaf_score(self, node: ExpansionNode):

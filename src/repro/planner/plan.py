@@ -68,9 +68,42 @@ class Vignette:
     committee_group: Optional[str] = None
     committee_type: Optional[str] = None  # "keygen" | "decryption" | "operations"
 
-    def __post_init__(self):
-        if self.location is Location.COMMITTEE and not self.committee_group:
-            raise ValueError(f"committee vignette {self.name!r} needs a group")
+    def score_stub(self) -> tuple:
+        """What :meth:`ScoreAccumulator.add` folds for this vignette, read
+        from its fields as they are now."""
+        return score_stub(
+            (
+                self.name,
+                self.location,
+                self.crypto,
+                self.work,
+                self.instances,
+                self.committee_group,
+                self.committee_type,
+            )
+        )
+
+
+def vignette_row(
+    name: str,
+    location: Location,
+    crypto: str,
+    work: Work,
+    instances: float = 1.0,
+    committee_group: Optional[str] = None,
+    committee_type: Optional[str] = None,
+) -> tuple:
+    """One emitted vignette before it is built: its :class:`Vignette` fields
+    in order, so ``Vignette(*row)`` builds it.
+
+    The planner's emitters produce rows; the search prices a segment from
+    the :func:`score_stub` of each of its rows and builds vignettes only for
+    the segments a child it keeps uses. Every row passes through here, so a
+    committee row without a group fails at emission, built or not.
+    """
+    if location is Location.COMMITTEE and not committee_group:
+        raise ValueError(f"committee vignette {name!r} needs a group")
+    return (name, location, crypto, work, instances, committee_group, committee_type)
 
 
 @dataclass
@@ -182,28 +215,29 @@ def count_committees(vignettes: List[Vignette]) -> float:
     return sum(groups.values())
 
 
-def _score_stub(v: Vignette) -> tuple:
-    """Precomputed scoring inputs for one vignette (stashed on it).
+def score_stub(row: tuple) -> tuple:
+    """Precomputed scoring inputs for one :func:`vignette_row`.
 
     ``(kind, cost-cache token, instances, breakdown/group label,
-    committee type, mailbox payload bytes)`` — everything
-    :meth:`ScoreAccumulator.add` needs without touching the vignette's
-    attributes again. Vignettes are shared across thousands of folds via
-    the expander's emission caches, so this pays for itself immediately.
+    committee type, mailbox payload bytes, work)`` — everything
+    :meth:`ScoreAccumulator.add` needs, the ``Work`` only for a cost-cache
+    miss. The expander computes one per row of an emission and folds the
+    same stubs at every node that extends by that emission.
     """
-    location = v.location
+    name, location, _crypto, work, instances, group, ctype = row
     if location is Location.COMMITTEE:
         return (
             2,
-            v.work.cache_key(),
-            v.instances,
-            v.committee_group,
-            v.committee_type or "operations",
-            v.work.payload_bytes_sent,
+            work.cache_key(),
+            instances,
+            group,
+            ctype or "operations",
+            work.payload_bytes_sent,
+            work,
         )
     if location is Location.AGGREGATOR:
-        return (0, v.work.cache_key(), v.instances, v.name, None, 0.0)
-    return (1, v.work.cache_key(), v.instances, f"participant:{v.name}", None, 0.0)
+        return (0, work.cache_key(), instances, name, None, 0.0, work)
+    return (1, work.cache_key(), instances, f"participant:{name}", None, 0.0, work)
 
 
 class ScoreAccumulator:
@@ -215,12 +249,14 @@ class ScoreAccumulator:
     because float left-folds compose — ``fold(xs + ys)`` equals
     ``fold(fold(xs), ys)``. The branch-and-bound search exploits this by
     keeping one accumulator per search node and extending it with the new
-    op's vignettes only; when the committee size (or the keygen work)
+    op's segment only; when the committee size (or the keygen work)
     changes, the search re-folds the full sequence instead.
 
-    Per-vignette (seconds, sent, received) come from
-    :meth:`CostModel.cached_costs`, so repeated folds of shared vignettes
-    cost a dict lookup.
+    It folds :func:`score_stub` tuples: a :class:`Vignette` supplies one
+    through :meth:`Vignette.score_stub`, and the expander folds the stubs of
+    its emissions' rows without building vignettes. Per-stub (seconds, sent,
+    received) come from :meth:`CostModel.cached_costs`, so repeated folds of
+    shared stubs cost a dict lookup.
     """
 
     __slots__ = (
@@ -288,24 +324,20 @@ class ScoreAccumulator:
         new.aggregator_breakdown = dict(self.aggregator_breakdown)
         return new
 
-    def add(self, v: Vignette) -> None:
-        # This fold is the hottest loop in the planner; the per-vignette
-        # scoring inputs (location kind, cost-cache token, group label,
-        # mailbox payload) are precomputed once per Vignette and stashed on
-        # it, and CostModel.cached_costs is inlined — on a hit the function
-        # call would cost more than the dict lookup it wraps. All float
-        # expressions are kept exactly as the readable originals so cached
-        # and uncached folds stay bit-identical.
-        stub = v.__dict__.get("_score_stub")
-        if stub is None:
-            stub = v.__dict__["_score_stub"] = _score_stub(v)
-        kind, token, instances, label, ctype, payload = stub
+    def add(self, stub: tuple) -> None:
+        # This fold is the hottest loop in the planner; its inputs (location
+        # kind, cost-cache token, group label, mailbox payload) come
+        # precomputed in a score_stub, and CostModel.cached_costs is
+        # inlined — on a hit the function call would cost more than the dict
+        # lookup it wraps. All float expressions are kept exactly as the
+        # readable originals so cached and uncached folds stay bit-identical.
+        kind, token, instances, label, ctype, payload, work = stub
         model = self.model
         if kind == 2:  # COMMITTEE
             m = self.m
             costs = model.cost_cache.get((token, m))
             if costs is None:
-                costs = model.cached_costs(v.work, m)
+                costs = model.cached_costs(work, m)
             else:
                 model.cache_hits += 1
             sec_m, sent_m, recv_m = costs
@@ -332,7 +364,7 @@ class ScoreAccumulator:
             return
         costs = model.cost_cache.get((token, 1))
         if costs is None:
-            costs = model.cached_costs(v.work)
+            costs = model.cached_costs(work)
         else:
             model.cache_hits += 1
         sec1, sent1, recv1 = costs
@@ -369,11 +401,11 @@ class ScoreAccumulator:
                 prev = group_instances.get(label, 0.0)
                 group_instances[label] = prev if prev > instances else instances
 
-    def extended(self, vignettes: List[Vignette]) -> "ScoreAccumulator":
-        """A new accumulator with ``vignettes`` folded in (same m)."""
+    def extended(self, stubs) -> "ScoreAccumulator":
+        """A new accumulator with ``stubs`` folded in (same m)."""
         new = self.copy()
-        for v in vignettes:
-            new.add(v)
+        for stub in stubs:
+            new.add(stub)
         return new
 
     def cost(self) -> CostVector:
@@ -447,5 +479,5 @@ def score_vignettes(
         num_participants, model, device, committee_params.committee_size
     )
     for v in vignettes:
-        accum.add(v)
+        accum.add(v.score_stub())
     return accum.finish(committee_params)

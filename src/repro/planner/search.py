@@ -32,11 +32,16 @@ candidate list exceeds the memory budget (the paper's planner ran out of
 memory for half the queries with heuristics disabled).
 
 The search is incremental: each node extends its parent's
-:class:`~.expand.PrefixExpander` state by one op's vignettes and its
-running :class:`~.plan.ScoreAccumulator` by the new segment, so per-node
-work is O(1) amortized instead of O(depth). Emissions and per-Work
-cost-model evaluations are memoized (hit/miss counters land in
-:class:`PlannerStatistics`). The from-scratch evaluator it replaced
+:class:`~.expand.PrefixExpander` state by one op's segment and its
+running :class:`~.plan.ScoreAccumulator` by that segment's score stubs, so
+per-node work is O(1) amortized instead of O(depth). Emissions are
+memoized per expander as rows, priced from their stubs without building a
+vignette; a segment's vignettes are built only when a child that uses
+them is built. Each row holds a shared, immutable ``Work``: the emitters
+take them from bounded process-wide memos, so each distinct ``Work`` is
+built and keyed once, and per-Work cost-model evaluations are memoized per
+cost model (hit/miss counters land in :class:`PlannerStatistics`). The
+from-scratch evaluator it replaced
 (partial re-instantiation + full rescoring per node) lives on as the test
 oracle ``tests/oracles/search_reference.py``, which drives the same
 control loop (`_SearchRun`) through :meth:`Planner._evaluator`.

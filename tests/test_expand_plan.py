@@ -7,8 +7,8 @@ import types
 import pytest
 
 from repro.eval.experiments import PAPER_CONSTRAINTS, PAPER_N
-from repro.planner import search
-from repro.planner.costmodel import CostModel, Goal
+from repro.planner import expand, search
+from repro.planner.costmodel import CostModel, Goal, Work
 from repro.planner.expand import (
     Choice,
     ExpansionError,
@@ -18,7 +18,7 @@ from repro.planner.expand import (
     space_size,
 )
 from repro.planner.ir import SelectMax, VectorTransform
-from repro.planner.plan import Location, count_committees, score_vignettes
+from repro.planner.plan import Location, count_committees, score_vignettes, vignette_row
 from repro.queries.catalog import GAP
 from tests.test_ir_lowering import lower_source
 from tests.conftest import small_env
@@ -165,6 +165,22 @@ class TestInstantiation:
         vignettes, _ = instantiate(plan, choices, MODEL)
         tree = [v for v in vignettes if v.name == "aggregate-tree"]
         assert tree and tree[0].location is Location.COMMITTEE
+
+
+    def test_committee_row_without_a_group_fails_at_emission(self, monkeypatch):
+        # The search prices children from rows it never builds into
+        # vignettes, so the row, not the Vignette, refuses a committee
+        # without a group.
+        with pytest.raises(ValueError, match="'decrypt' needs a group"):
+            vignette_row("decrypt", Location.COMMITTEE, "mpc", Work())
+        plan = lower_source("aggr = sum(db); r = em(aggr); output(r);")
+        space = choice_space(plan)
+        expander = PrefixExpander(plan, MODEL)
+        node = expander.extend(expander.root(), space[0][1][0])
+        tree = next(c for c in space[1][1] if c.option == "committee_tree")
+        monkeypatch.setattr(expand._BuildState, "new_group", lambda self, prefix: None)
+        with pytest.raises(ValueError, match="'aggregate-tree' needs a group"):
+            expander.lower_bound(node, tree)
 
 
 class TestScoring:

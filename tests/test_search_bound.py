@@ -9,23 +9,30 @@ runtime-scale grid of ``test_choice_classes``), together with the two
 assumptions the bound rests on beyond "costs grow as ops are added": member
 costs do not fall as the committee size m grows (m itself does not fall as
 committees are added), and the two-group keygen vignette costs at least the
-one-group one. The property at the end holds the whole search to the
-from-scratch oracle, which builds every child.
+one-group one. The bound prices a segment from its emitted rows without
+building it, so the rows must fold like the vignettes the from-scratch path
+builds; and the rows share immutable ``Work`` values across plans, so a
+tampered plan must leave the next one alone. The property at the end holds
+the whole search to the from-scratch oracle, which builds every child.
 """
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
 
+import pytest
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.eval.experiments import PAPER_CONSTRAINTS
+from repro.eval.experiments import PAPER_CONSTRAINTS, PAPER_N
 from repro.lang.parser import parse
 from repro.lang.simplify import simplify
 from repro.planner.committees import CommitteeParameters
-from repro.planner.costmodel import CostModel, CostVector, Goal
-from repro.planner.expand import distinct_choice_space
+from repro.planner.costmodel import CostModel, CostVector, Goal, REFERENCE_SERVER
+from repro.planner.expand import distinct_choice_space, instantiate
 from repro.planner.ir import lower
 from repro.planner.search import (
     PLANNING_FAILURES,
@@ -34,9 +41,10 @@ from repro.planner.search import (
     _IncrementalEvaluator,
     _SearchRun,
 )
+from repro.planner.plan import ScoreAccumulator
 from repro.planner.serialize import plan_to_dict
 from repro.privacy.certify import certify
-from repro.queries.catalog import ALL_QUERIES
+from repro.queries.catalog import ALL_QUERIES, get
 from tests.conftest import SEARCH_FUZZ
 from tests.oracles.search_reference import ReferencePlanner
 from tests.test_choice_classes import CATEGORIES, DEVICES, GOALS
@@ -44,16 +52,19 @@ from tests.test_search_equivalence import CATALOG_SIZES, COUNTERS
 
 
 class _Checking(_IncrementalEvaluator):
-    """Builds every child it bounds and records ``(bound, exact cost)``."""
+    """Builds every child it bounds and records ``(bound, exact cost)``, and
+    each bounded child's prefix with the emission its bound priced."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.pairs = []
+        self.segments = []
         self.built = None
 
     def lower_bound(self, node, choice):
         bound = super().lower_bound(node, choice)
         if bound is not None:
+            self.segments.append((node.choices + (choice,), self.expander._probe[2]))
             self.built = (node, choice, self.expander.extend(node, choice))
             self.pairs.append((bound, self.built[2].cost))
         return bound
@@ -132,6 +143,27 @@ def test_bound_never_exceeds_the_built_child_on_the_runtime_grid():
     assert _exceeded(pairs) == []
 
 
+def test_segments_priced_from_rows_fold_like_the_built_vignettes():
+    """The bound prices a segment from its rows' stubs, never building it;
+    the vignettes :func:`instantiate` builds for the same prefix fold to the
+    same floor terms, bit for bit."""
+    checked = 0
+    for walk in _catalog_walks():
+        floor_m = walk.expander._floor_m
+
+        @functools.lru_cache(maxsize=None)
+        def built(choices, walk=walk):
+            return instantiate(walk.logical, choices, walk.model, partial=True)[0]
+
+        for choices, emitted in walk.segments:
+            fold = ScoreAccumulator(walk.n, walk.model, REFERENCE_SERVER, floor_m)
+            for v in built(choices)[len(built(choices[:-1])):]:
+                fold.add(v.score_stub())
+            assert fold.bound_terms() == emitted.floor, choices
+            checked += 1
+    assert checked > 20_000
+
+
 # ------------------------------------------------------ what it rests on
 
 #: Every committee size a plan of 1 .. 2^30 committees gets, in order.
@@ -151,14 +183,15 @@ def _emitted_works():
     for walk in _catalog_walks():
         expander = walk.expander
         emitted = [
-            v
+            row[3]
             for entry, failure in expander._segments.values()
             if failure is None
-            for v in entry[0]
+            for row in entry.rows
         ]
-        roots = [v for root in expander._roots.values() for v in root.vignettes]
-        for v in itertools.chain(emitted, roots, expander._keygens.values()):
-            works.setdefault(v.work.cache_key(), v.work)
+        roots = [v.work for root in expander._roots.values() for v in root.vignettes]
+        keygens = [v.work for v in expander._keygens.values()]
+        for work in itertools.chain(emitted, roots, keygens):
+            works.setdefault(work.cache_key(), work)
     return list(works.values())
 
 
@@ -171,6 +204,32 @@ def test_member_costs_do_not_fall_as_the_committee_grows():
         costs = [model.cached_costs(work, m) for m in sizes]
         for smaller, larger in zip(costs, costs[1:]):
             assert all(a <= b for a, b in zip(smaller, larger)), work
+
+
+def test_an_emitted_work_refuses_writes():
+    # Emitted Works are shared by every row, plan and process-wide memo
+    # that counts the same work: a write to one would reach all of them.
+    for work in _emitted_works():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(work, "he_ct_mults", 4.0)
+
+
+def test_a_tampered_plan_moves_no_later_plan():
+    spec = get("top1")
+    env = spec.environment(PAPER_N)
+
+    def planned():
+        return Planner(env, constraints=PAPER_CONSTRAINTS).plan_source(
+            spec.source, spec.name
+        )
+
+    first = planned()
+    before = json.dumps(plan_to_dict(first.plan), sort_keys=True)
+    for v in first.plan.vignettes:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v.work, "he_ct_mults", 4.0)
+        v.work = dataclasses.replace(v.work, he_ct_mults=4.0)
+    assert json.dumps(plan_to_dict(planned().plan), sort_keys=True) == before
 
 
 def test_two_group_keygen_costs_at_least_the_one_group_keygen():

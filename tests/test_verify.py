@@ -202,7 +202,7 @@ class TestMutationDetection:
         result = plan_laplace()
         assert result.plan.scheme.name == "ahe"
         agg = next(v for v in result.plan.vignettes if v.name == "aggregate")
-        agg.work.he_ct_mults = 4.0
+        agg.work = dataclasses.replace(agg.work, he_ct_mults=4.0)
         v = caught(result, "enc-ahe-depth")
         assert "'aggregate'" in v.subject
         assert "AHE" in v.message
