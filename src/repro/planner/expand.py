@@ -52,7 +52,7 @@ from .ir import (
     SelectMax,
     VectorTransform,
 )
-from .plan import Location, ScoreAccumulator, Vignette, score_stub, vignette_row
+from .plan import Location, Plan, ScoreAccumulator, Vignette, score_stub, vignette_row
 
 #: Parameter grids (§4.3: "there is no single best degree for this tree").
 TREE_FANOUTS = (4, 16, 64, 256, 1024, 4096)
@@ -156,10 +156,17 @@ def instantiation_class(op: LogicalOp, choice: Choice) -> Tuple:
 
 
 def distinct_choice_space(plan: LogicalPlan) -> List[Tuple[LogicalOp, List[Choice]]]:
-    """:func:`choice_space` with one choice per :func:`instantiation_class`:
+    """:func:`choice_space` with one choice per :func:`instantiation_class`."""
+    return distinct_choices(choice_space(plan))
+
+
+def distinct_choices(
+    space: List[Tuple[LogicalOp, List[Choice]]],
+) -> List[Tuple[LogicalOp, List[Choice]]]:
+    """A :func:`choice_space` with one choice per :func:`instantiation_class`:
     the first member in catalog order, with its own label."""
-    space: List[Tuple[LogicalOp, List[Choice]]] = []
-    for op, options in choice_space(plan):
+    walked: List[Tuple[LogicalOp, List[Choice]]] = []
+    for op, options in space:
         seen = set()
         distinct: List[Choice] = []
         for choice in options:
@@ -167,15 +174,8 @@ def distinct_choice_space(plan: LogicalPlan) -> List[Tuple[LogicalOp, List[Choic
             if key not in seen:
                 seen.add(key)
                 distinct.append(choice)
-        space.append((op, distinct))
-    return space
-
-
-def space_size(plan: LogicalPlan) -> int:
-    total = 1
-    for _op, options in choice_space(plan):
-        total *= len(options)
-    return total
+        walked.append((op, distinct))
+    return walked
 
 
 # --------------------------------------------------------------------------
@@ -371,21 +371,27 @@ def _emit_pipeline_op(
         )
 
 
-def _keygen_row(scheme: SchemeParams, dec_groups) -> tuple:
-    """The key-generation row (§5.2).
+def _keygen_bucket(dec_groups: int) -> int:
+    """What the keygen row reads of the decryption-group count: whether the
+    plan has more than one decryption group."""
+    return 1 if dec_groups <= 1 else 2
+
+
+def _keygen_row(scheme: SchemeParams, bucket: int) -> tuple:
+    """The key-generation row (§5.2) for a :func:`_keygen_bucket`.
 
     One keygen committee generates the keypair and starts the VSR tree
-    that carries key shares to every decryption-capable committee. The
-    work depends on ``dec_groups`` only through the binary-tree multiplier
-    ``min(2, max(dec_groups, 1))`` — i.e. only on whether the plan has
-    more than one decryption group.
+    that carries key shares to every decryption-capable committee: to one
+    decryption group, or through a binary tree to several.
     """
     key_elems = scheme.secret_key_elements
     keygen_work = _work(
         dist_keygens=1.0,
         mpc_setup=1.0,
         mpc_rounds=20.0,
-        vsr_elements_sent=key_elems * min(2.0, max(dec_groups, 1.0)),
+        # An int for one group, a float for several: plan documents print
+        # the product as they always have.
+        vsr_elements_sent=key_elems * (1 if bucket == 1 else 2.0),
         ring_slots=scheme.slots,
     )
     return vignette_row(
@@ -428,7 +434,7 @@ def instantiate(
     for op, choice in zip(ops, choices):
         _emit_pipeline_op(rows, state, op, choice, n)
 
-    rows.insert(1, _keygen_row(scheme, state.dec_groups))
+    rows.insert(1, _keygen_row(scheme, _keygen_bucket(state.dec_groups)))
     return [Vignette(*row) for row in rows], scheme
 
 
@@ -832,86 +838,100 @@ def _emit_noise_output(
 # --------------------------------------------------------------------------
 
 
-#: ``lower_bound``'s relative shrink: float sums added in another order than
-#: the child's fold differ by a few ulps, which this covers many times over.
+#: The bound's relative shrink: float sums added in another order than the
+#: child's fold differ by a few ulps, which this covers many times over.
 _BOUND_SHRINK = 1.0 - 1e-12
+
+#: A root's emission-key state ``(encrypted, shared, group_counter, fused)``.
+_ENTRY_STATE = (False, False, 0, None)
+
+
+class _SchemeRoot:
+    """What every node under one ``(bins, use_fhe)`` shares: the scheme and
+    ciphertexts per upload they give, the base rows and their score stubs,
+    and the keygen row of each :func:`_keygen_bucket` (at index
+    ``bucket - 1``)."""
+
+    __slots__ = ("bins", "use_fhe", "scheme", "cts", "rows", "stubs", "keygen_rows")
+
+    def __init__(self, bins: int, use_fhe: bool, row_width: int, n: int, constants: dict):
+        self.bins = bins
+        self.use_fhe = use_fhe
+        scheme, packed, cts = scheme_params(row_width, bins, use_fhe)
+        self.scheme = scheme
+        self.cts = cts
+        self.rows = tuple(_base_rows(scheme, packed, cts, n, constants))
+        self.stubs = tuple(score_stub(row) for row in self.rows)
+        self.keygen_rows = (_keygen_row(scheme, 1), _keygen_row(scheme, 2))
+
+
+class _Emission:
+    """One cached emission of an (op, choice, entry state).
+
+    The choice, the segment's rows and their score stubs, the emission-key
+    state the op hands its child, the decryption groups it adds (emitters
+    only add them), the segment's committee groups with their instance
+    counts, and its floor bound terms. Nothing here is a vignette: a plan
+    builds its own from the rows of its chain.
+    """
+
+    __slots__ = ("choice", "rows", "stubs", "state", "dec_delta", "groups", "floor")
+
+    def __init__(self, choice: Choice, rows, stubs, state: _BuildState, floor):
+        self.choice = choice
+        self.rows = rows
+        self.stubs = stubs
+        self.state = (state.encrypted, state.shared, state.group_counter, state.fused_transform)
+        self.dec_delta = state.dec_groups
+        self.groups = tuple(
+            (stub[3], stub[2]) for stub in stubs if stub[0] == 2  # committee
+        )
+        self.floor = floor
 
 
 class ExpansionNode:
-    """One search node: a choice prefix plus everything needed to extend
-    or score it without re-instantiating from scratch.
+    """One search node: its ``parent`` and the ``emitted`` segment that
+    extended it (a root has neither, only its :class:`_SchemeRoot`).
 
-    ``vignettes`` holds the base + emitted pipeline vignettes *without*
-    the keygen vignette (whose work depends on the still-growing number of
-    decryption groups); scoring folds a per-bucket keygen in at index 1,
-    exactly where :func:`instantiate` inserts it. ``segment`` holds the
-    score stubs of the node's own emission (a root's: its base rows'),
-    which a re-fold at another committee size folds again.
+    The chain back to the root holds every choice and row of the prefix.
+    Beyond it a node keeps what its children read: the emission-key
+    ``state`` its emission handed it, the running decryption-group count and
+    committee groups, the committee parameters and keygen bucket they give,
+    the prefix's fold with the bucket's keygen stub at index 1, where
+    :func:`instantiate` inserts the keygen row, and that fold's re-folds at
+    other (m, bucket) and bound terms, both memoized.
     """
 
     __slots__ = (
         "depth",
-        "choices",
-        "bins",
-        "use_fhe",
-        "scheme",
-        "cts",
-        "encrypted",
-        "shared",
+        "root",
+        "state",
         "dec_groups",
-        "group_counter",
-        "fused",
-        "vignettes",
         "count_groups",
         "params",
         "bucket",
         "accum",
         "parent",
-        "segment",
+        "emitted",
         "_cost",
         "refolds",
         "terms",
     )
 
     def __init__(
-        self,
-        depth,
-        choices,
-        bins,
-        use_fhe,
-        scheme,
-        cts,
-        encrypted,
-        shared,
-        dec_groups,
-        group_counter,
-        fused,
-        vignettes,
-        count_groups,
-        params,
-        bucket,
-        accum,
-        parent=None,
-        segment=None,
+        self, depth, root, state, dec_groups, count_groups, params, bucket, accum,
+        parent=None, emitted=None,
     ):
         self.depth = depth
-        self.choices = choices
-        self.bins = bins
-        self.use_fhe = use_fhe
-        self.scheme = scheme
-        self.cts = cts
-        self.encrypted = encrypted
-        self.shared = shared
+        self.root = root
+        self.state = state
         self.dec_groups = dec_groups
-        self.group_counter = group_counter
-        self.fused = fused
-        self.vignettes = vignettes
         self.count_groups = count_groups
         self.params = params
         self.bucket = bucket
         self.accum = accum
         self.parent = parent
-        self.segment = segment
+        self.emitted = emitted
         self._cost = None
         self.refolds = None
         self.terms = None
@@ -923,69 +943,42 @@ class ExpansionNode:
             cost = self._cost = self.accum.cost()
         return cost
 
-
-class _Emission:
-    """One cached emission of an (op, choice, entry state).
-
-    The segment's rows and their score stubs, the build state the op leaves
-    behind (``dec_delta``: emitters only add decryption groups), the
-    segment's committee groups with their instance counts, and its floor
-    bound terms. Pricing needs none of the segment's vignettes: they are
-    built, once, by the first extension that keeps a child using them.
-    """
-
-    __slots__ = (
-        "rows",
-        "stubs",
-        "encrypted",
-        "shared",
-        "dec_delta",
-        "group_counter",
-        "fused",
-        "groups",
-        "floor",
-        "vignettes",
-    )
-
-    def __init__(self, rows, stubs, state: _BuildState, floor):
-        self.rows = rows
-        self.stubs = stubs
-        self.encrypted = state.encrypted
-        self.shared = state.shared
-        self.dec_delta = state.dec_groups
-        self.group_counter = state.group_counter
-        self.fused = state.fused_transform
-        self.groups = tuple(
-            (stub[3], stub[2]) for stub in stubs if stub[0] == 2  # committee
-        )
-        self.floor = floor
-        self.vignettes = None
+    def chain(self) -> List[_Emission]:
+        """The prefix's emissions, in op order."""
+        chain = []
+        node = self
+        while node.emitted is not None:
+            chain.append(node.emitted)
+            node = node.parent
+        chain.reverse()
+        return chain
 
 
 class PrefixExpander:
-    """Resumable instantiation: extend a parent node by one op's choice.
+    """The search's evaluator: resumable instantiation, one op at a time.
 
     Produces bit-identical vignettes and scores to running
     :func:`instantiate` + :func:`score_vignettes` on the full prefix,
     but with O(1) amortized work per node:
 
     * per-(op, choice, entry-state) emissions are cached — the entry state
-      is ``(bins, use_fhe, encrypted, shared, group_counter, fused)``, the
-      only fields emitters read (group names embed ``group_counter``) — as
-      rows and their score stubs; a segment's vignettes are built only
-      when a child that uses them is built;
+      is the node's scheme root and its ``(encrypted, shared,
+      group_counter, fused)`` tuple, the only fields emitters read (group
+      names embed ``group_counter``) — as rows and their score stubs;
+    * :meth:`child` prices a child from its parent's totals and its
+      emission's, and builds only a child that bound keeps;
     * the running :class:`ScoreAccumulator` is extended by the new
       segment's stubs only; when the committee size m or the keygen-work
       bucket changes, the full sequence is re-folded from the stored stubs;
     * the two scheme-selection inputs (``bins``, ``use_fhe``) are monotone
       along a prefix, so a choice that flips them rebuilds the prefix
       once from a cached per-scheme root by replaying the recorded
-      choices (each replay step usually hits the emission cache).
+      choices (each replay step usually hits the emission cache);
+    * no node holds a vignette: :meth:`leaf` builds a plan's vignettes from
+      its chain's rows, for that one plan.
 
     Expansion failures are cached too: an illegal (op, choice, state)
     combination raises the same :class:`ExpansionError` on every repeat.
-    :meth:`lower_bound` prices a child from its parent's totals and its
-    emission's, so the search folds only the children the bound keeps.
     """
 
     def __init__(
@@ -1000,11 +993,9 @@ class PrefixExpander:
         self.n = plan.env.num_participants
         self.ops = plan.ops
         self._roots = {}
-        self._keygens = {}
         self._segments = {}
-        # lower_bound prices segments at the smallest m (one committee).
+        # The bound prices segments at the smallest m (one committee).
         self._floor_m = CommitteeParameters.for_plan(1).committee_size
-        self._probe = None
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -1015,125 +1006,81 @@ class PrefixExpander:
 
     def _root(self, bins: int, use_fhe: bool) -> ExpansionNode:
         node = self._roots.get((bins, use_fhe))
-        if node is not None:
-            return node
-        scheme, packed, cts = scheme_params(self.plan.env.row_width, bins, use_fhe)
-        base = _base_rows(scheme, packed, cts, self.n, self.model.constants)
-        stubs = tuple(score_stub(row) for row in base)
-        keygen = Vignette(*_keygen_row(scheme, 1))
-        params = CommitteeParameters.for_plan(1)
-        accum = ScoreAccumulator(
-            self.n, self.model, self.device, params.committee_size
-        )
-        accum.add(stubs[0])
-        accum.add(keygen.score_stub())
-        for stub in stubs[1:]:
-            accum.add(stub)
-        node = ExpansionNode(
-            depth=0,
-            choices=(),
-            bins=bins,
-            use_fhe=use_fhe,
-            scheme=scheme,
-            cts=cts,
-            encrypted=False,
-            shared=False,
-            dec_groups=0,
-            group_counter=0,
-            fused=None,
-            vignettes=tuple(Vignette(*row) for row in base),
-            count_groups={"keygen": 1.0},
-            params=params,
-            bucket=1,
-            accum=accum,
-            segment=stubs,
-        )
-        self._roots[(bins, use_fhe)] = node
-        self._keygens[(bins, use_fhe, 1)] = keygen
+        if node is None:
+            root = _SchemeRoot(bins, use_fhe, self.plan.env.row_width, self.n, self.model.constants)
+            params = CommitteeParameters.for_plan(1)
+            accum = self._root_fold(root, params.committee_size, 1)
+            node = ExpansionNode(0, root, _ENTRY_STATE, 0, {"keygen": 1.0}, params, 1, accum)
+            self._roots[(bins, use_fhe)] = node
         return node
 
-    def _keygen(self, bins: int, use_fhe: bool, bucket: int) -> Vignette:
-        key = (bins, use_fhe, bucket)
-        v = self._keygens.get(key)
-        if v is None:
-            scheme = self._root(bins, use_fhe).scheme
-            v = self._keygens[key] = Vignette(*_keygen_row(scheme, bucket))
-        return v
+    def _root_fold(self, root: _SchemeRoot, m: int, bucket: int) -> ScoreAccumulator:
+        """The base rows' fold at committee size ``m``, with the ``bucket``
+        keygen row at index 1."""
+        fold = ScoreAccumulator(self.n, self.model, self.device, m)
+        fold.add(root.stubs[0])
+        fold.add(score_stub(root.keygen_rows[bucket - 1]))
+        for stub in root.stubs[1:]:
+            fold.add(stub)
+        return fold
 
     # --------------------------------------------------------- extension
 
-    def lower_bound(self, node: ExpansionNode, choice: Choice) -> Optional[CostVector]:
-        """A cost no larger, on any metric, than ``extend(node, choice).cost``,
-        or ``None`` for a scheme flip; the child's build reuses its lookup.
+    def child(self, node: ExpansionNode, choice: Choice, pruned=None) -> Optional[ExpansionNode]:
+        """The child for ``choice`` at ``node``'s next op, or ``None`` when
+        ``pruned(bound)`` discards it unbuilt.
 
-        Additive metrics are the parent's totals plus the segment's; a max
+        ``bound`` is a cost no larger, on any metric, than the child's:
+        additive metrics are the parent's totals plus the segment's; a max
         metric is both always-on costs plus the larger of the two largest
         group costs. The parent is priced at its own (m, keygen bucket) and
         the segment at the smallest m, neither above the child's, and costs
-        do not fall as either grows (``tests/test_search_bound.py``).
+        do not fall as either grows (``tests/test_search_bound.py``). A
+        scheme flip is built unpriced: every prior vignette changes
+        (ciphertext sizes, slot counts), so the prefix is replayed from the
+        cached root of the new scheme.
+
+        Raises :class:`ExpansionError` if the choice is structurally illegal
+        in the node's state (same condition as ``instantiate`` on the full
+        prefix).
         """
-        inputs = node.bins, node.use_fhe
-        if scheme_inputs(self.ops[node.depth], choice, *inputs) != inputs:
-            return None
+        root = node.root
+        inputs = scheme_inputs(self.ops[node.depth], choice, root.bins, root.use_fhe)
+        if inputs != (root.bins, root.use_fhe):
+            replacement = self._root(*inputs)
+            for emitted in node.chain():
+                replacement = self._extend(replacement, self._emission(replacement, emitted.choice))
+            return self._extend(replacement, self._emission(replacement, choice))
         emitted = self._emission(node, choice)
-        self._probe = (node, choice, emitted)
-        p = node.terms
-        if p is None:
-            p = node.terms = node.accum.bound_terms()
-        s = emitted.floor
-        return CostVector(
-            (p[0] + s[0]) * _BOUND_SHRINK,
-            (p[1] + s[1]) * _BOUND_SHRINK,
-            (p[2] + s[2]) * _BOUND_SHRINK,
-            (p[3] + s[3]) * _BOUND_SHRINK,
-            (p[4] + s[4] + max(p[6], s[6])) * _BOUND_SHRINK,
-            (p[5] + s[5] + max(p[7], s[7])) * _BOUND_SHRINK,
-        )
+        if pruned is not None:
+            p = node.terms
+            if p is None:
+                p = node.terms = node.accum.bound_terms()
+            s = emitted.floor
+            if pruned(CostVector(
+                (p[0] + s[0]) * _BOUND_SHRINK,
+                (p[1] + s[1]) * _BOUND_SHRINK,
+                (p[2] + s[2]) * _BOUND_SHRINK,
+                (p[3] + s[3]) * _BOUND_SHRINK,
+                (p[4] + s[4] + max(p[6], s[6])) * _BOUND_SHRINK,
+                (p[5] + s[5] + max(p[7], s[7])) * _BOUND_SHRINK,
+            )):
+                return None
+        return self._extend(node, emitted)
 
-    def extend(self, node: ExpansionNode, choice: Choice) -> ExpansionNode:
-        """The child node for ``choice`` at ``node``'s next op.
+    # The naive walk builds every child; structural failures surface here,
+    # and the search accounts for the skipped subtree's leaves.
+    naive_extend = child
 
-        Raises :class:`ExpansionError` if the choice is structurally
-        illegal in the node's state (same condition as ``instantiate`` on
-        the full prefix).
-        """
-        bins, use_fhe = scheme_inputs(self.ops[node.depth], choice, node.bins, node.use_fhe)
-        if bins != node.bins or use_fhe != node.use_fhe:
-            # Scheme flip: every prior vignette changes (ciphertext sizes,
-            # slot counts), so rebuild the prefix under the new scheme by
-            # replaying the recorded choices from the cached new root.
-            replacement = self._root(bins, use_fhe)
-            for prior in node.choices:
-                replacement = self._extend(replacement, prior)
-            return self._extend(replacement, choice)
-        probe, self._probe = self._probe, None
-        if probe is not None and probe[0] is node and probe[1] == choice:
-            return self._extend(node, choice, probe[2])
-        return self._extend(node, choice)
-
-    def _emission(self, node: ExpansionNode, choice: Choice) -> "_Emission":
+    def _emission(self, node: ExpansionNode, choice: Choice) -> _Emission:
         """The cached emission of ``choice`` from ``node``'s build state."""
-        key = (
-            node.depth,
-            choice,
-            node.bins,
-            node.use_fhe,
-            node.encrypted,
-            node.shared,
-            node.group_counter,
-            node.fused,
-        )
+        key = (node.depth, choice, node.root, node.state)
         entry = self._segments.get(key)
         if entry is None:
             self.cache_misses += 1
+            encrypted, shared, group_counter, fused = node.state
             state = _BuildState(
-                scheme=node.scheme,
-                cts_per_participant=node.cts,
-                encrypted=node.encrypted,
-                shared=node.shared,
-                dec_groups=0,
-                group_counter=node.group_counter,
-                fused_transform=node.fused,
+                node.root.scheme, node.root.cts, encrypted, shared, 0, group_counter, fused
             )
             rows: List[tuple] = []
             try:
@@ -1144,13 +1091,13 @@ class PrefixExpander:
                 # this expander and the search nodes into a cycle.
                 self._segments[key] = (None, exc.args)
                 raise
-            # Priced from the rows alone: lower_bound adds the segment's
-            # totals at the smallest m, and most children stop there.
+            # Priced from the rows alone: the bound adds the segment's totals
+            # at the smallest m, and most children stop there.
             stubs = tuple(score_stub(row) for row in rows)
             floor = ScoreAccumulator(self.n, self.model, self.device, self._floor_m)
             for stub in stubs:
                 floor.add(stub)
-            entry = (_Emission(rows, stubs, state, floor.bound_terms()), None)
+            entry = (_Emission(choice, rows, stubs, state, floor.bound_terms()), None)
             self._segments[key] = entry
         else:
             self.cache_hits += 1
@@ -1158,15 +1105,9 @@ class PrefixExpander:
                 raise ExpansionError(*entry[1])
         return entry[0]
 
-    def _extend(self, node: ExpansionNode, choice: Choice, emitted=None) -> ExpansionNode:
-        if emitted is None:
-            emitted = self._emission(node, choice)
-        segment = emitted.vignettes
-        if segment is None:
-            segment = emitted.vignettes = tuple(Vignette(*row) for row in emitted.rows)
-
+    def _extend(self, node: ExpansionNode, emitted: _Emission) -> ExpansionNode:
         dec_groups = node.dec_groups + emitted.dec_delta
-        bucket = 1 if dec_groups <= 1 else 2
+        bucket = _keygen_bucket(dec_groups)
         count_groups = node.count_groups
         if emitted.groups:
             count_groups = dict(count_groups)
@@ -1176,32 +1117,15 @@ class PrefixExpander:
         # Mirrors count_committees + CommitteeParameters.for_plan on the
         # child's full vignette list (keygen included via the root).
         params = CommitteeParameters.for_plan(sum(count_groups.values()))
-        m = params.committee_size
-        accum = self._node_fold(node, m, bucket).extended(emitted.stubs)
+        accum = self._node_fold(node, params.committee_size, bucket).extended(emitted.stubs)
         return ExpansionNode(
-            depth=node.depth + 1,
-            choices=node.choices + (choice,),
-            bins=node.bins,
-            use_fhe=node.use_fhe,
-            scheme=node.scheme,
-            cts=node.cts,
-            encrypted=emitted.encrypted,
-            shared=emitted.shared,
-            dec_groups=dec_groups,
-            group_counter=emitted.group_counter,
-            fused=emitted.fused,
-            vignettes=node.vignettes + segment,
-            count_groups=count_groups,
-            params=params,
-            bucket=bucket,
-            accum=accum,
-            parent=node,
-            segment=emitted.stubs,
+            node.depth + 1, node.root, emitted.state, dec_groups, count_groups,
+            params, bucket, accum, node, emitted,
         )
 
-    def _node_fold(self, node, m: int, bucket: int) -> ScoreAccumulator:
+    def _node_fold(self, node: ExpansionNode, m: int, bucket: int) -> ScoreAccumulator:
         """``node``'s full prefix fold at committee size ``m`` with the
-        ``bucket`` keygen vignette at index 1.
+        ``bucket`` keygen row at index 1.
 
         When (m, bucket) match the node's own accumulator this is free;
         otherwise the fold is built from the parent's fold at the same
@@ -1219,16 +1143,10 @@ class PrefixExpander:
             cached = refolds.get((m, bucket))
             if cached is not None:
                 return cached
-        parent = node.parent
-        if parent is None:
-            fold = ScoreAccumulator(self.n, self.model, self.device, m)
-            stubs = node.segment
-            fold.add(stubs[0])
-            fold.add(self._keygen(node.bins, node.use_fhe, bucket).score_stub())
-            for stub in stubs[1:]:
-                fold.add(stub)
+        if node.parent is None:
+            fold = self._root_fold(node.root, m, bucket)
         else:
-            fold = self._node_fold(parent, m, bucket).extended(node.segment)
+            fold = self._node_fold(node.parent, m, bucket).extended(node.emitted.stubs)
         if refolds is None:
             refolds = node.refolds = {}
         refolds[(m, bucket)] = fold
@@ -1236,14 +1154,30 @@ class PrefixExpander:
 
     # -------------------------------------------------------------- leaves
 
-    def leaf_vignettes(self, node: ExpansionNode) -> List[Vignette]:
-        """The full vignette list for a complete prefix, matching
-        ``instantiate(plan, node.choices, model)`` byte for byte."""
-        vignettes = list(node.vignettes)
-        vignettes.insert(1, Vignette(*_keygen_row(node.scheme, node.dec_groups)))
-        return vignettes
+    def leaf(self, node: ExpansionNode):
+        """``(cost, make_plan)`` for a complete prefix.
 
-    def leaf_score(self, node: ExpansionNode):
-        """The PlanScore for a complete prefix (no rescoring needed: the
-        node's accumulator already folded every vignette)."""
-        return node.accum.finish(node.params)
+        The node's accumulator already folded every vignette, so the score
+        costs nothing more; ``make_plan`` builds the plan's vignettes from
+        its chain's rows, byte for byte what ``instantiate(plan,
+        node.choices, model)`` builds.
+        """
+        score = node.accum.finish(node.params)
+
+        def make_plan() -> Plan:
+            root = node.root
+            chain = node.chain()
+            rows = [root.rows[0], root.keygen_rows[node.bucket - 1], *root.rows[1:]]
+            for emitted in chain:
+                rows.extend(emitted.rows)
+            choices = [emitted.choice for emitted in chain]
+            return Plan(
+                query_name=self.plan.query_name,
+                choices={c.key: c.label() for c in choices},
+                vignettes=[Vignette(*row) for row in rows],
+                scheme=root.scheme,
+                score=score,
+                choice_list=choices,
+            )
+
+        return score.cost, make_plan

@@ -98,7 +98,7 @@ def vignette_row(
 
     The planner's emitters produce rows; the search prices a segment from
     the :func:`score_stub` of each of its rows and builds vignettes only for
-    the segments a child it keeps uses. Every row passes through here, so a
+    the plans it makes. Every row passes through here, so a
     committee row without a group fails at emission, built or not.
     """
     if location is Location.COMMITTEE and not committee_group:
@@ -421,7 +421,7 @@ class ScoreAccumulator:
         )
 
     def bound_terms(self) -> Tuple[float, ...]:
-        """The (seconds, bytes) pairs ``PrefixExpander.lower_bound`` adds:
+        """The (seconds, bytes) pairs ``PrefixExpander.child``'s bound adds:
         aggregator, expected participant, always-on, largest group."""
         return (
             self.aggregator_seconds,

@@ -7,13 +7,14 @@ the search tractable (§4.4):
 * **branch-and-bound, bound first, build survivors** — since costs only
   grow as ops are added, a prefix that already violates a constraint or
   exceeds the best-known goal value is discarded with its whole subtree.
-  A child is priced first by ``PrefixExpander.lower_bound`` (its parent's
-  totals plus its segment's, never above its exact cost), and only a child
-  that bound keeps is built by instantiating its op and scored exactly;
+  One evaluator call per child, ``child(node, choice, pruned)``, prices it
+  first (its parent's totals plus its segment's, never above its exact
+  cost) and builds it only if ``pruned`` keeps that bound; the built child
+  is then checked on its exact cost;
 * **constraint pruning** — partial solutions are discarded as soon as they
   exceed one of the analyst's limits;
 * **one choice per instantiation class** — the walk takes
-  ``expand.distinct_choice_space``: of the choices of one op that emit
+  ``expand.distinct_choices`` of the choice space: of the choices of one op that emit
   identical vignettes and an identical end state from every build state
   (``expand.instantiation_class``; today the select-max batch sizes and
   fan-outs at or above the category count), only the first in catalog
@@ -31,20 +32,20 @@ implementation, and aborts with :class:`PlannerOutOfMemory` once the
 candidate list exceeds the memory budget (the paper's planner ran out of
 memory for half the queries with heuristics disabled).
 
-The search is incremental: each node extends its parent's
-:class:`~.expand.PrefixExpander` state by one op's segment and its
-running :class:`~.plan.ScoreAccumulator` by that segment's score stubs, so
-per-node work is O(1) amortized instead of O(depth). Emissions are
-memoized per expander as rows, priced from their stubs without building a
-vignette; a segment's vignettes are built only when a child that uses
-them is built. Each row holds a shared, immutable ``Work``: the emitters
-take them from bounded process-wide memos, so each distinct ``Work`` is
-built and keyed once, and per-Work cost-model evaluations are memoized per
-cost model (hit/miss counters land in :class:`PlannerStatistics`). The
-from-scratch evaluator it replaced
-(partial re-instantiation + full rescoring per node) lives on as the test
-oracle ``tests/oracles/search_reference.py``, which drives the same
-control loop (`_SearchRun`) through :meth:`Planner._evaluator`.
+The search is incremental: the evaluator is a
+:class:`~.expand.PrefixExpander`, each of whose nodes is its parent plus
+one op's emission, with the running :class:`~.plan.ScoreAccumulator`
+extended by that emission's score stubs, so per-node work is O(1)
+amortized instead of O(depth). Emissions are memoized per expander as
+rows, priced from their stubs; no node holds a vignette, and a plan's are
+built from its node's emission chain for that plan alone. Each row holds
+a shared, immutable ``Work``: the emitters take them from bounded
+process-wide memos, so each distinct ``Work`` is built and keyed once, and
+per-Work cost-model evaluations are memoized per cost model (hit/miss
+counters land in :class:`PlannerStatistics`). The from-scratch evaluator
+it replaced (partial re-instantiation + full rescoring per node) lives on
+as the test oracle ``tests/oracles/search_reference.py``, which drives the
+same control loop (`_SearchRun`) through :meth:`Planner._evaluator`.
 
 With the heuristics on, surviving children at each node are visited
 cheapest-first by their partial goal value — an admissible lower bound
@@ -56,6 +57,7 @@ search is one walk in the calling process (ARCHITECTURE §26).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -67,14 +69,7 @@ from ..lang.parser import ParseError, parse
 from ..lang.simplify import simplify
 from ..privacy.certify import Certificate, CertificationError, certify
 from .costmodel import Constraints, CostModel, Goal
-from .expand import (
-    Choice,
-    ExpansionError,
-    PrefixExpander,
-    choice_space,
-    distinct_choice_space,
-    space_size,
-)
+from .expand import ExpansionError, PrefixExpander, choice_space, distinct_choices
 from .ir import LogicalPlan, LoweringError, lower
 from .plan import Plan
 from ..verify.report import PlanVerificationError  # after the modules verify reads
@@ -144,65 +139,6 @@ class PlanningResult:
 
 
 # --------------------------------------------------------------------------
-# The search-node evaluator
-# --------------------------------------------------------------------------
-
-
-class _IncrementalEvaluator:
-    """Resumable evaluation through a :class:`PrefixExpander`.
-
-    Extension reuses the parent node's vignettes and running score; the
-    leaf reuses the depth-d node outright (it already folded every
-    vignette), fixing the original planner's double instantiation of full
-    assignments.
-    """
-
-    def __init__(self, logical: LogicalPlan, model: CostModel, num_participants: int):
-        self.logical = logical
-        self.model = model
-        self.n = num_participants
-        self.expander = PrefixExpander(logical, model)
-
-    @property
-    def cache_hits(self) -> int:
-        return self.expander.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.expander.cache_misses
-
-    def root(self):
-        return self.expander.root()
-
-    def lower_bound(self, node, choice: Choice):
-        return self.expander.lower_bound(node, choice)
-
-    def extend(self, node, choice: Choice):
-        return self.expander.extend(node, choice)
-
-    # Structural failures surface at extension time; the search core
-    # accounts for the skipped subtree's leaves in naive mode.
-    naive_extend = extend
-
-    def leaf(self, node):
-        score = self.expander.leaf_score(node)
-        expander = self.expander
-        logical = self.logical
-
-        def make_plan() -> Plan:
-            return Plan(
-                query_name=logical.query_name,
-                choices={c.key: c.label() for c in node.choices},
-                vignettes=expander.leaf_vignettes(node),
-                scheme=node.scheme,
-                score=score,
-                choice_list=list(node.choices),
-            )
-
-        return score.cost, make_plan
-
-
-# --------------------------------------------------------------------------
 # The search loop
 # --------------------------------------------------------------------------
 
@@ -211,7 +147,7 @@ class _SearchRun:
     """One depth-first search over the choice tree.
 
     The control flow never looks inside a node: the evaluator supplies
-    ``root``/``extend``/``naive_extend``/``leaf``, so the test oracle's
+    ``root``/``child``/``naive_extend``/``leaf``, so the test oracle's
     from-scratch evaluator visits nodes in the same order, prunes at the
     same places, and counts every statistic identically.
     """
@@ -221,17 +157,22 @@ class _SearchRun:
         self.logical = logical
         self.space = space
         self.evaluator = evaluator
-        # The from-scratch test oracle offers no bound and builds every child.
-        self.lower_bound = getattr(evaluator, "lower_bound", None)
         self.stats = stats
         self.best: Optional[Plan] = None
         self.best_score = float("inf")
         self.best_composite = float("inf")
         self.kept_candidates: List[Plan] = []  # only populated without heuristics
+
+    def run(self) -> Optional[Plan]:
+        root = self.evaluator.root()
+        if self.planner.heuristics:
+            self._dfs(root, 0)
+            return self.best
         # suffix_leaves[d]: leaves in a subtree rooted at depth d, and
         # suffix_prefixes[d]: prefixes a full walk of that subtree visits.
         # Used to account for structurally-invalid subtrees in naive mode,
         # where the original planner walked and scored-and-failed them all.
+        space = self.space
         leaves = [1] * (len(space) + 1)
         prefixes = [0] * (len(space) + 1)
         for i in range(len(space) - 1, -1, -1):
@@ -239,13 +180,7 @@ class _SearchRun:
             prefixes[i] = len(space[i][1]) * (1 + prefixes[i + 1])
         self.suffix_leaves = leaves
         self.suffix_prefixes = prefixes
-
-    def run(self) -> Optional[Plan]:
-        root = self.evaluator.root()
-        if self.planner.heuristics:
-            self._dfs(root, 0)
-        else:
-            self._dfs_naive(root, 0)
+        self._dfs_naive(root, 0)
         return self.best
 
     # ----------------------------------------------------------- internals
@@ -289,23 +224,21 @@ class _SearchRun:
             return
         stats = self.stats
         goal = self.planner.goal
-        lower_bound = self.lower_bound
-        # Phase 1, bound first, build survivors: a child is folded only if
-        # its lower bound survives the incumbent-at-entry, then checked on
-        # its exact cost. The bound never exceeds that cost, so it prunes
-        # only children the exact check would prune (the oracle tests hold
-        # the counters to a search that builds every child).
+        pruned = self._pruned
+        # Phase 1, bound first, build survivors: the evaluator builds a
+        # child only if ``pruned`` keeps its lower bound at the
+        # incumbent-at-entry, and the child is then checked on its exact
+        # cost. The bound never exceeds that cost, so it prunes only
+        # children the exact check would prune (the oracle tests hold the
+        # counters to a search that builds every child).
         children = []
         for index, choice in enumerate(self.space[depth][1]):
             stats.prefixes_considered += 1
             try:
-                bound = lower_bound(node, choice) if lower_bound else None
-                if bound is not None and self._pruned(bound):
-                    continue
-                child = self.evaluator.extend(node, choice)
+                child = self.evaluator.child(node, choice, pruned)
             except ExpansionError:
                 continue
-            if self._pruned(child.cost):
+            if child is None or pruned(child.cost):
                 continue
             children.append((goal.score(child.cost), index, child))
         # Phase 2: recurse cheapest-first, re-checking the bound against
@@ -419,14 +352,13 @@ class Planner:
         self, logical: LogicalPlan, certificate: Certificate
     ) -> PlanningResult:
         started = time.perf_counter()
-        stats = PlannerStatistics(space_size=space_size(logical))
+        space = choice_space(logical)
+        stats = PlannerStatistics(space_size=math.prod(len(options) for _op, options in space))
+        if self.heuristics:
+            space = distinct_choices(space)
         evaluator = self._evaluator(logical)
         cost_hits = self.model.cache_hits
         cost_misses = self.model.cache_misses
-        if self.heuristics:
-            space = distinct_choice_space(logical)
-        else:
-            space = choice_space(logical)
         best = _SearchRun(self, logical, space, evaluator, stats).run()
         stats.cost_cache_hits = self.model.cache_hits - cost_hits
         stats.cost_cache_misses = self.model.cache_misses - cost_misses
@@ -450,7 +382,7 @@ class Planner:
 
     def _evaluator(self, logical: LogicalPlan):
         """The search-node evaluator of one run (the test oracle's seam)."""
-        return _IncrementalEvaluator(logical, self.model, self.env.num_participants)
+        return PrefixExpander(logical, self.model)
 
 
 def plan_query(

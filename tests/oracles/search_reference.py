@@ -4,8 +4,10 @@ This is the planner's evaluator as it stood before the search went
 incremental: every extension re-instantiates and re-scores the whole
 prefix, and every leaf re-instantiates the full assignment. It plugs into
 the product's own control loop (``repro.planner.search._SearchRun``)
-through the one seam the planner offers, :meth:`Planner._evaluator`, so
-node visit order, pruning decisions and every effort counter must come out
+through the one seam the planner offers, :meth:`Planner._evaluator`. Its
+``child`` builds every child, where the incremental evaluator's prices a
+child first and builds only one the search's ``pruned`` keeps, so node
+visit order, pruning decisions and every effort counter must come out
 identical to the incremental evaluator's — which is what
 ``tests/test_search_equivalence.py`` requires, on every catalog query,
 with heuristics on and off and with cheapest-first ordering off.
@@ -48,7 +50,9 @@ class ReferenceEvaluator:
     def root(self) -> _RefNode:
         return _RefNode((), None)
 
-    def extend(self, node: _RefNode, choice: Choice) -> _RefNode:
+    def child(self, node: _RefNode, choice: Choice, pruned) -> _RefNode:
+        # Builds every child: no bound, so the search checks each child's
+        # exact cost.
         choices = node.choices + (choice,)
         vignettes, _scheme = instantiate(
             self.logical, choices, self.model, partial=True

@@ -15,7 +15,6 @@ from repro.planner.expand import (
     PrefixExpander,
     choice_space,
     instantiate,
-    space_size,
 )
 from repro.planner.ir import SelectMax, VectorTransform
 from repro.planner.plan import Location, count_committees, score_vignettes, vignette_row
@@ -53,11 +52,13 @@ class TestChoiceSpace:
         assert any(c.option == "gumbel_mpc" for c in select_options)
 
     def test_space_size_multiplicative(self):
-        plan = lower_source("aggr = sum(db); r = em(aggr); output(r);")
+        result = search.Planner(small_env()).plan_source(
+            "aggr = sum(db); r = em(aggr); output(r);"
+        )
         total = 1
-        for _op, options in choice_space(plan):
+        for _op, options in choice_space(result.logical_plan):
             total *= len(options)
-        assert space_size(plan) == total
+        assert result.statistics.space_size == total
 
     def test_linear_transform_allows_ahe(self):
         plan = lower_source(
@@ -176,11 +177,11 @@ class TestInstantiation:
         plan = lower_source("aggr = sum(db); r = em(aggr); output(r);")
         space = choice_space(plan)
         expander = PrefixExpander(plan, MODEL)
-        node = expander.extend(expander.root(), space[0][1][0])
+        node = expander.child(expander.root(), space[0][1][0])
         tree = next(c for c in space[1][1] if c.option == "committee_tree")
         monkeypatch.setattr(expand._BuildState, "new_group", lambda self, prefix: None)
         with pytest.raises(ValueError, match="'aggregate-tree' needs a group"):
-            expander.lower_bound(node, tree)
+            expander.child(node, tree)
 
 
 class TestScoring:
@@ -247,7 +248,7 @@ def first_failing_extension(expander, space, node=None, depth=0):
     node = node if node is not None else expander.root()
     for choice in space[depth][1]:
         try:
-            child = expander.extend(node, choice)
+            child = expander.child(node, choice)
         except ExpansionError:
             return node, choice
         if depth + 1 < len(space):
@@ -270,7 +271,7 @@ class TestCachedExpansionFailure:
         raised = []
         for _ in range(3):
             with pytest.raises(ExpansionError) as info:
-                expander.extend(node, choice)
+                expander.child(node, choice)
             raised.append(info.value)
         assert expander.cache_hits == hits + 3
         assert len({id(exc) for exc in raised}) == 3

@@ -1,8 +1,8 @@
 """The search's pre-build bound is admissible, and so the search is unchanged.
 
-``PrefixExpander.lower_bound(node, choice)`` prices a child from its parent's
-totals and its segment's memoized totals; ``_SearchRun._dfs`` builds only the
-children that bound does not prune. That is exact only if the bound never
+``PrefixExpander.child(node, choice, pruned)`` prices a child from its
+parent's totals and its segment's memoized totals, and builds it only if the
+search's ``pruned`` keeps that bound. That is exact only if the bound never
 exceeds the child's built cost on any of the six metrics, which these tests
 check on every child the walk meets (the catalog at three sizes, and the
 runtime-scale grid of ``test_choice_classes``), together with the two
@@ -32,13 +32,12 @@ from repro.lang.parser import parse
 from repro.lang.simplify import simplify
 from repro.planner.committees import CommitteeParameters
 from repro.planner.costmodel import CostModel, CostVector, Goal, REFERENCE_SERVER
-from repro.planner.expand import distinct_choice_space, instantiate
+from repro.planner.expand import PrefixExpander, distinct_choice_space, instantiate
 from repro.planner.ir import lower
 from repro.planner.search import (
     PLANNING_FAILURES,
     Planner,
     PlannerStatistics,
-    _IncrementalEvaluator,
     _SearchRun,
 )
 from repro.planner.plan import ScoreAccumulator
@@ -51,7 +50,7 @@ from tests.test_choice_classes import CATEGORIES, DEVICES, GOALS
 from tests.test_search_equivalence import CATALOG_SIZES, COUNTERS
 
 
-class _Checking(_IncrementalEvaluator):
+class _Checking(PrefixExpander):
     """Builds every child it bounds and records ``(bound, exact cost)``, and
     each bounded child's prefix with the emission its bound priced."""
 
@@ -59,21 +58,16 @@ class _Checking(_IncrementalEvaluator):
         super().__init__(*args)
         self.pairs = []
         self.segments = []
-        self.built = None
 
-    def lower_bound(self, node, choice):
-        bound = super().lower_bound(node, choice)
-        if bound is not None:
-            self.segments.append((node.choices + (choice,), self.expander._probe[2]))
-            self.built = (node, choice, self.expander.extend(node, choice))
-            self.pairs.append((bound, self.built[2].cost))
-        return bound
-
-    def extend(self, node, choice):
-        built = self.built
-        if built is not None and built[0] is node and built[1] == choice:
-            return built[2]
-        return super().extend(node, choice)
+    def child(self, node, choice, pruned):
+        bounds = []
+        built = super().child(node, choice, lambda bound: bounds.append(bound) or False)
+        if not bounds:
+            return built  # a scheme flip: built unpriced
+        (bound,) = bounds
+        self.pairs.append((bound, built.cost))
+        self.segments.append((tuple(e.choice for e in built.chain()), built.emitted))
+        return None if pruned(bound) else built
 
 
 _logicals = {}
@@ -98,7 +92,7 @@ def _walk(spec, n, categories=None, goal=Goal(), constraints=PAPER_CONSTRAINTS):
     if key not in _walks:
         logical = _logical(spec, n, categories)
         planner = Planner(logical.env, constraints=constraints, goal=goal)
-        evaluator = _Checking(logical, planner.model, n)
+        evaluator = _Checking(logical, planner.model)
         _SearchRun(
             planner, logical, distinct_choice_space(logical), evaluator, PlannerStatistics()
         ).run()
@@ -149,11 +143,11 @@ def test_segments_priced_from_rows_fold_like_the_built_vignettes():
     same floor terms, bit for bit."""
     checked = 0
     for walk in _catalog_walks():
-        floor_m = walk.expander._floor_m
+        floor_m = walk._floor_m
 
         @functools.lru_cache(maxsize=None)
         def built(choices, walk=walk):
-            return instantiate(walk.logical, choices, walk.model, partial=True)[0]
+            return instantiate(walk.plan, choices, walk.model, partial=True)[0]
 
         for choices, emitted in walk.segments:
             fold = ScoreAccumulator(walk.n, walk.model, REFERENCE_SERVER, floor_m)
@@ -181,16 +175,18 @@ def test_committee_size_does_not_fall_as_committees_are_added():
 def _emitted_works():
     works = {}
     for walk in _catalog_walks():
-        expander = walk.expander
         emitted = [
             row[3]
-            for entry, failure in expander._segments.values()
+            for entry, failure in walk._segments.values()
             if failure is None
             for row in entry.rows
         ]
-        roots = [v.work for root in expander._roots.values() for v in root.vignettes]
-        keygens = [v.work for v in expander._keygens.values()]
-        for work in itertools.chain(emitted, roots, keygens):
+        roots = [
+            row[3]
+            for node in walk._roots.values()
+            for row in node.root.rows + node.root.keygen_rows
+        ]
+        for work in itertools.chain(emitted, roots):
             works.setdefault(work.cache_key(), work)
     return list(works.values())
 
@@ -235,20 +231,14 @@ def test_a_tampered_plan_moves_no_later_plan():
 def test_two_group_keygen_costs_at_least_the_one_group_keygen():
     model = CostModel()
     sizes = sorted(set(SIZES))
-    schemes = {
-        (bins, use_fhe)
-        for walk in _catalog_walks()
-        for bins, use_fhe in walk.expander._roots
-    }
+    schemes = {scheme for walk in _catalog_walks() for scheme in walk._roots}
     assert len(schemes) > 1
     for walk in _catalog_walks():
-        expander = walk.expander
-        for bins, use_fhe in expander._roots:
-            one = expander._keygen(bins, use_fhe, 1).work
-            two = expander._keygen(bins, use_fhe, 2).work
+        for scheme, node in walk._roots.items():
+            one, two = (row[3] for row in node.root.keygen_rows)
             for m in sizes:
                 pairs = zip(model.cached_costs(one, m), model.cached_costs(two, m))
-                assert all(a <= b for a, b in pairs), (bins, use_fhe, m)
+                assert all(a <= b for a, b in pairs), (scheme, m)
 
 
 # ------------------------------------------------------ the whole search
