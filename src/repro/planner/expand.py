@@ -896,8 +896,8 @@ class ExpansionNode:
     The chain back to the root holds every choice and row of the prefix.
     Beyond it a node keeps what its children read: the emission-key
     ``state`` its emission handed it, the running decryption-group count and
-    committee groups, the committee parameters and keygen bucket they give,
-    the prefix's fold with the bucket's keygen stub at index 1, where
+    committee groups, the committee parameters they give, the prefix's fold
+    with the keygen stub of its :func:`_keygen_bucket` at index 1, where
     :func:`instantiate` inserts the keygen row, and that fold's re-folds at
     other (m, bucket) and bound terms, both memoized.
     """
@@ -909,7 +909,6 @@ class ExpansionNode:
         "dec_groups",
         "count_groups",
         "params",
-        "bucket",
         "accum",
         "parent",
         "emitted",
@@ -919,7 +918,7 @@ class ExpansionNode:
     )
 
     def __init__(
-        self, depth, root, state, dec_groups, count_groups, params, bucket, accum,
+        self, depth, root, state, dec_groups, count_groups, params, accum,
         parent=None, emitted=None,
     ):
         self.depth = depth
@@ -928,7 +927,6 @@ class ExpansionNode:
         self.dec_groups = dec_groups
         self.count_groups = count_groups
         self.params = params
-        self.bucket = bucket
         self.accum = accum
         self.parent = parent
         self.emitted = emitted
@@ -1010,7 +1008,7 @@ class PrefixExpander:
             root = _SchemeRoot(bins, use_fhe, self.plan.env.row_width, self.n, self.model.constants)
             params = CommitteeParameters.for_plan(1)
             accum = self._root_fold(root, params.committee_size, 1)
-            node = ExpansionNode(0, root, _ENTRY_STATE, 0, {"keygen": 1.0}, params, 1, accum)
+            node = ExpansionNode(0, root, _ENTRY_STATE, 0, {"keygen": 1.0}, params, accum)
             self._roots[(bins, use_fhe)] = node
         return node
 
@@ -1107,7 +1105,6 @@ class PrefixExpander:
 
     def _extend(self, node: ExpansionNode, emitted: _Emission) -> ExpansionNode:
         dec_groups = node.dec_groups + emitted.dec_delta
-        bucket = _keygen_bucket(dec_groups)
         count_groups = node.count_groups
         if emitted.groups:
             count_groups = dict(count_groups)
@@ -1117,10 +1114,11 @@ class PrefixExpander:
         # Mirrors count_committees + CommitteeParameters.for_plan on the
         # child's full vignette list (keygen included via the root).
         params = CommitteeParameters.for_plan(sum(count_groups.values()))
-        accum = self._node_fold(node, params.committee_size, bucket).extended(emitted.stubs)
+        accum = self._node_fold(node, params.committee_size, _keygen_bucket(dec_groups))
+        accum = accum.extended(emitted.stubs)
         return ExpansionNode(
             node.depth + 1, node.root, emitted.state, dec_groups, count_groups,
-            params, bucket, accum, node, emitted,
+            params, accum, node, emitted,
         )
 
     def _node_fold(self, node: ExpansionNode, m: int, bucket: int) -> ScoreAccumulator:
@@ -1136,7 +1134,7 @@ class PrefixExpander:
         keeps the float sums bit-identical to a from-scratch fold.
         """
         accum = node.accum
-        if m == accum.m and bucket == node.bucket:
+        if m == accum.m and bucket == _keygen_bucket(node.dec_groups):
             return accum
         refolds = node.refolds
         if refolds is not None:
@@ -1159,15 +1157,16 @@ class PrefixExpander:
 
         The node's accumulator already folded every vignette, so the score
         costs nothing more; ``make_plan`` builds the plan's vignettes from
-        its chain's rows, byte for byte what ``instantiate(plan,
-        node.choices, model)`` builds.
+        its chain's rows, byte for byte what :func:`instantiate` builds for
+        the chain's choices (``[e.choice for e in node.chain()]``).
         """
         score = node.accum.finish(node.params)
 
         def make_plan() -> Plan:
             root = node.root
             chain = node.chain()
-            rows = [root.rows[0], root.keygen_rows[node.bucket - 1], *root.rows[1:]]
+            keygen = root.keygen_rows[_keygen_bucket(node.dec_groups) - 1]
+            rows = [root.rows[0], keygen, *root.rows[1:]]
             for emitted in chain:
                 rows.extend(emitted.rows)
             choices = [emitted.choice for emitted in chain]
