@@ -14,7 +14,7 @@ lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \
-		echo "ruff not installed; skipping ruff check"; \
+		echo "WARNING: ruff is not installed, so the F rules pyproject.toml selects (unused imports, undefined names; also E4/E7/E9/W) did NOT run" >&2; \
 	fi
 	python -m repro lint src/repro
 	! grep -rnE "multiprocessing|concurrent\.futures|ThreadPoolExecutor|ProcessPoolExecutor" src/repro

@@ -8,19 +8,29 @@ the x-th lowest hash joining committee floor(x/m). Determinism matters: a
 device cannot grind for a favourable hash because its signature over the
 fixed message is unique.
 
-The paper uses RSA with deterministic padding; we substitute an HMAC-based
-deterministic tag keyed by each device's secret (a keyed VRF stand-in with
-the same uniform-ordering property — see DESIGN.md).
+The paper uses RSA with deterministic padding; we substitute HMAC-SHA256
+keyed by each device's secret (a keyed VRF stand-in with the same
+uniform-ordering property — see DESIGN.md), computed as RFC 2104's two
+SHA-256 calls over key pads translated a chunk of secrets at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
-import hmac
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .merkle import MerkleTree
+
+#: Secrets whose key pads are translated at once: two 64 KB transients at
+#: 16-byte secrets, whatever the population.
+CHUNK = 1 << 12
+
+#: SHA-256's block size; RFC 2104 pads a key shorter than it with zeros.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -38,24 +48,40 @@ def compute_ticket(device_id: int, device_secret: bytes, block: bytes, round_num
     the role of the deterministic signature, and the tag doubles as the
     signature hash that orders the lottery.
     """
-    return lowest_tickets([(device_id, device_secret)], block, round_number, 1)[0]
+    (ticket,) = lowest_tickets(device_secret, len(device_secret), block, round_number, 1)
+    return SortitionTicket(device_id, ticket.tag)
 
 
 def lowest_tickets(
-    devices: Iterable[Tuple[int, bytes]], block: bytes, round_number: int, count: int
+    secrets: bytes, width: int, block: bytes, round_number: int, count: int
 ) -> List[SortitionTicket]:
-    """The ``count`` lowest tickets of a round among ``(device_id, secret)`` pairs.
+    """The ``count`` lowest tickets of a round over a packed secret column.
 
-    Ranks a stream of bare ``(tag, device_id)`` pairs — the order
-    :func:`run_sortition` uses — so at most ``count`` of them are alive at
-    once, and builds a ticket only for those that win a seat.
+    Device ``i`` holds ``secrets[width·(i − 1) : width·i]``. Ranks a stream
+    of bare ``(tag, device_id)`` pairs — the order :func:`run_sortition`
+    uses — so at most ``count`` of them are alive at once, and builds a
+    ticket only for those that win a seat. Each tag is exactly
+    ``hmac.digest(secret, message, "sha256")``.
     """
+    if not 0 < width <= _BLOCK:
+        raise ValueError(f"a sortition secret is 1 to {_BLOCK} bytes, not {width}")
     message = block + round_number.to_bytes(8, "big") + b"\x00"
-    ranked = heapq.nsmallest(
-        count,
-        ((hmac.digest(secret, message, "sha256"), device_id) for device_id, secret in devices),
-    )
+    ranked = heapq.nsmallest(count, _tags(secrets, width, message))
     return [SortitionTicket(device_id, tag) for tag, device_id in ranked]
+
+
+def _tags(secrets: bytes, width: int, message: bytes) -> Iterator[Tuple[bytes, int]]:
+    """``(HMAC-SHA256(secret, message), device_id)`` for every secret, in order."""
+    sha256 = hashlib.sha256
+    inner_tail = b"\x36" * (_BLOCK - width) + message
+    outer_tail = b"\x5c" * (_BLOCK - width)
+    step = CHUNK * width
+    for start in range(0, len(secrets), step):
+        chunk = secrets[start : start + step]
+        ipads, opads = chunk.translate(_IPAD), chunk.translate(_OPAD)
+        for device_id, at in enumerate(range(0, len(chunk), width), start // width + 1):
+            inner = sha256(ipads[at : at + width] + inner_tail).digest()
+            yield sha256(opads[at : at + width] + outer_tail + inner).digest(), device_id
 
 
 @dataclass(frozen=True)
@@ -122,24 +148,38 @@ class SortitionState:
 
     block: bytes
     registry: MerkleTree
+    #: The device ids the registry was built from, in leaf order.
+    device_ids: Sequence[int]
     round_number: int = 0
 
     @classmethod
     def initial(cls, device_ids: Sequence[int], seed: bytes) -> "SortitionState":
         """Trusted-setup state (the aggregator is honest at startup, §3.1)."""
-        leaves = [d.to_bytes(8, "big") for d in device_ids]
-        return cls(block=seed, registry=MerkleTree(leaves), round_number=0)
+        ids = _frozen(device_ids)
+        return cls(seed, _registry(ids), ids)
 
     def advance(self, new_block: bytes, device_ids: Sequence[int]) -> "SortitionState":
         """Move to the next round with a committee-generated random block.
 
-        The registry tree is immutable, so a round whose device set has
-        byte-identical leaves keeps the same tree; any difference (a
-        changed, reordered, added or removed device) builds a fresh one.
+        The registry tree is immutable, so a round over the same device ids
+        in the same order keeps the same tree; any difference (a changed,
+        reordered, added or removed device) builds a fresh one. Two ranges
+        compare in O(1), so a population that only ever lists
+        ``range(1, N + 1)`` builds no leaf after setup.
         """
-        leaves = tuple(d.to_bytes(8, "big") for d in device_ids)
-        registry = self.registry if leaves == self.registry.leaves else MerkleTree(leaves)
-        return SortitionState(new_block, registry, self.round_number + 1)
+        ids = _frozen(device_ids)
+        if ids == self.device_ids or tuple(ids) == tuple(self.device_ids):
+            return SortitionState(new_block, self.registry, self.device_ids, self.round_number + 1)
+        return SortitionState(new_block, _registry(ids), ids, self.round_number + 1)
+
+
+def _frozen(device_ids: Sequence[int]) -> Sequence[int]:
+    """An immutable copy of ``device_ids``; a range is one already."""
+    return device_ids if isinstance(device_ids, range) else tuple(device_ids)
+
+
+def _registry(device_ids: Sequence[int]) -> MerkleTree:
+    return MerkleTree([d.to_bytes(8, "big") for d in device_ids])
 
 
 def jointly_generate_block(member_randomness: Dict[int, bytes]) -> bytes:

@@ -48,7 +48,7 @@ def _fmt_bytes(n: float) -> str:
     return f"{n:.0f} B"
 
 
-@dataclass
+@dataclass(slots=True)
 class Vignette:
     """One stage of a concrete plan.
 

@@ -261,12 +261,9 @@ class FederatedNetwork:
         """Run one sortition round over the current public block (§5.1):
         every registered device's tag is ranked, the ``c·m`` seats become
         tickets (a population too small yields fewer, and is refused)."""
-        secrets = self.secrets
         tickets = lowest_tickets(
-            (
-                (row + 1, secrets[SECRET_BYTES * row : SECRET_BYTES * (row + 1)])
-                for row in range(len(self))
-            ),
+            self.secrets,
+            SECRET_BYTES,
             self.sortition.block,
             self.sortition.round_number,
             num_committees * committee_size,

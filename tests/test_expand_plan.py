@@ -10,7 +10,6 @@ from repro.eval.experiments import PAPER_CONSTRAINTS, PAPER_N
 from repro.planner import expand, search
 from repro.planner.costmodel import CostModel, Goal, Work
 from repro.planner.expand import (
-    Choice,
     ExpansionError,
     PrefixExpander,
     choice_space,

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import sortition
 from repro.runtime import network as network_module
 from repro.runtime.network import FederatedNetwork
 
@@ -87,6 +88,20 @@ def test_a_population_past_one_chunk_matches_the_oracle():
     assert_same_population(net, ref)
     assert net.sortition.registry.root == ref.sortition.registry.root
     assert net.select_committees(64, 4).committees == ref.select_committees(64, 4).committees
+
+
+def test_sortition_past_two_tag_chunks_matches_the_oracle():
+    """The tags are hashed a chunk of secrets at a time; a population two
+    chunks and a ragged tail long must seat the same committees."""
+    n = 2 * sortition.CHUNK + 17
+    net = FederatedNetwork(n, rng=random.Random(66))
+    ref = ReferenceNetwork(n, random.Random(66))
+    assert net.sortition.registry.root == ref.sortition.registry.root
+    for block in (net.sortition.block, bytes(32)):
+        net.advance_round(block)
+        ref.sortition = ref.sortition.advance(block, [d.device_id for d in ref.devices])
+        assert net.sortition.registry.root == ref.sortition.registry.root
+        assert net.select_committees(100, 5).committees == ref.select_committees(100, 5).committees
 
 
 class TestDeviceViews:

@@ -1,12 +1,16 @@
 """Tests for sortition-based committee selection (§5.1)."""
 
+import hmac
 import random
+from unittest import mock
 
 import pytest
 
+from repro.crypto import sortition
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.sortition import (
     SortitionState,
+    SortitionTicket,
     compute_ticket,
     jointly_generate_block,
     run_sortition,
@@ -45,6 +49,20 @@ class TestTickets:
         assert compute_ticket(1, b"a" * 16, b"b", 1).tag != compute_ticket(
             1, b"c" * 16, b"b", 1
         ).tag
+
+    @pytest.mark.parametrize("width", [1, 16, 63, 64])
+    def test_tag_is_hmac_sha256_of_the_round_message(self, width):
+        rng = random.Random(width)
+        for round_number in (0, 1, 2**40):
+            secret, block = rng.randbytes(width), rng.randbytes(32)
+            message = block + round_number.to_bytes(8, "big") + b"\x00"
+            ticket = compute_ticket(9, secret, block, round_number)
+            assert ticket == SortitionTicket(9, hmac.digest(secret, message, "sha256"))
+
+    @pytest.mark.parametrize("width", [0, 65])
+    def test_a_secret_outside_one_sha256_block_is_refused(self, width):
+        with pytest.raises(ValueError):
+            compute_ticket(1, b"k" * width, b"block", 0)
 
 
 class TestSelection:
@@ -118,11 +136,13 @@ class TestState:
 
     def test_advance_keeps_the_registry_only_when_every_leaf_is_the_same(self):
         state = SortitionState.initial([1, 2, 3, 4], b"seed")
-        same = state.advance(b"b1", [1, 2, 3, 4])
+        with mock.patch.object(sortition, "MerkleTree", side_effect=AssertionError):
+            same = state.advance(b"b1", [1, 2, 3, 4])
+            assert same.advance(b"b2", (1, 2, 3, 4)).registry is state.registry
+            assert same.advance(b"b2", range(1, 5)).registry is state.registry
         assert same.registry is state.registry
-        assert same.advance(b"b2", (1, 2, 3, 4)).registry is state.registry
         fresh_roots = set()
-        for device_ids in ([1, 2, 3, 5], [1, 2, 4, 3], [1, 2, 3], [1, 2, 3, 4, 5]):
+        for device_ids in ([1, 2, 3, 5], [1, 2, 4, 3], [1, 2, 3], [1, 2, 3, 4, 5], range(2, 6)):
             moved = state.advance(b"b1", device_ids)
             assert moved.registry is not state.registry
             assert moved.registry.root == MerkleTree(
@@ -130,7 +150,18 @@ class TestState:
             ).root
             assert moved.registry.root != state.registry.root
             fresh_roots.add(moved.registry.root)
-        assert len(fresh_roots) == 4
+        assert len(fresh_roots) == 5
+
+    def test_a_ranged_registry_is_kept_without_building_a_leaf(self):
+        state = SortitionState.initial(range(1, 5), b"seed")
+        assert state.registry.root == SortitionState.initial([1, 2, 3, 4], b"seed").registry.root
+        with mock.patch.object(sortition, "MerkleTree", side_effect=AssertionError):
+            kept = state.advance(b"b1", range(1, 5)).advance(b"b2", [1, 2, 3, 4])
+        assert kept.registry is state.registry and kept.round_number == 2
+        for device_ids in (range(1, 4), range(1, 6), range(2, 6)):
+            moved = state.advance(b"b1", device_ids)
+            assert moved.registry.root == SortitionState.initial(list(device_ids), b"x").registry.root
+            assert moved.registry.root != state.registry.root
 
     def test_lowest_tags_fill_the_seats_in_sorted_order(self):
         tickets = make_tickets(200, seed=5)

@@ -22,13 +22,21 @@ medians, both quartile pairs, the wins, and two verdicts:
 Exit status 1 if the runs of one side print different output digests, an
 operation failed, or a metric is ``worse``. A change that means to alter
 released bytes prints one digest per side; that is reported, not counted.
+
+``--record BENCH_path.json`` appends one row per workload, seed and metric to
+the committed trajectory (a JSON list, one row a line): both medians and
+quartiles, the wins, both verdicts, and the run's provenance — the parent and
+change commits, the CPU model and core count from ``/proc/cpuinfo``, the crypto
+backend, the seed, the pair count and the date.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import datetime
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,8 +48,9 @@ REPO = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Tuple[Dict[str, float], str, int]:
-    """One fresh benchmark process in ``checkout``: (metrics, output digest, failed)."""
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> Tuple[Dict[str, float], str, int, str]:
+    """One fresh benchmark process in ``checkout``: (metrics, output digest, failed, backend)."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -50,8 +59,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Tuple[
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     digest = next((ln.split()[-1] for ln in lines if ln.startswith("output digest")), "")
+    provenance = next((json.loads(ln.split(" ", 1)[1]) for ln in lines
+                       if ln.startswith("provenance ")), {})
     failed = result["failed"] + (0 if result["correct"] else 1)
-    return {name: row["value"] for name, row in result["metrics"].items()}, digest, failed
+    metrics = {name: row["value"] for name, row in result["metrics"].items()}
+    return metrics, digest, failed, provenance.get("crypto_backend", "unknown")
 
 
 def quartiles(values: List[float]) -> Tuple[float, float]:
@@ -61,9 +73,10 @@ def quartiles(values: List[float]) -> Tuple[float, float]:
     return q1, q3
 
 
-def judge(name: str, parent: List[float], change: List[float], bound: float, unit: str,
-          lower_is_better: bool) -> Tuple[str, bool]:
-    """One metric over the pairs: (the printed row, whether it is worse than its bound)."""
+def summarize(parent: List[float], change: List[float], bound: float,
+              lower_is_better: bool) -> Dict[str, object]:
+    """One metric over the pairs: both sides' medians and quartiles, the wins and
+    losses, and the ``claim`` and ``bound`` verdicts."""
     sign = 1.0 if lower_is_better else -1.0
     wins = sum(sign * c < sign * p for p, c in zip(parent, change))
     losses = sum(sign * c > sign * p for p, c in zip(parent, change))
@@ -78,28 +91,45 @@ def judge(name: str, parent: List[float], change: List[float], bound: float, uni
         held = "within"
     else:
         held = "unresolved"
-    ratio = f"{c_med / p_med:.4f}" if p_med else "n/a"
-    row = (
-        f"  {name:12s} {p_med:10.5g} [{p_q1:.5g}, {p_q3:.5g}] -> {c_med:10.5g} "
-        f"[{c_q1:.5g}, {c_q3:.5g}] {unit:3s} ratio {ratio} (base: parent) "
-        f"wins {wins}/{len(parent)} losses {losses}; claim {claim}; bound {bound:.2f} {held}"
+    return {
+        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+        "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+        "wins": wins, "losses": losses, "claim": claim, "bound": held,
+    }
+
+
+def row_text(name: str, summary: Dict[str, object], pairs: int, bound: float, unit: str) -> str:
+    """The printed line of one metric's :func:`summarize`."""
+    p, c = summary["parent"], summary["change"]
+    ratio = f"{c['median'] / p['median']:.4f}" if p["median"] else "n/a"
+    return (
+        f"  {name:12s} {p['median']:10.5g} [{p['q1']:.5g}, {p['q3']:.5g}] -> {c['median']:10.5g} "
+        f"[{c['q1']:.5g}, {c['q3']:.5g}] {unit:3s} ratio {ratio} (base: parent) "
+        f"wins {summary['wins']}/{pairs} losses {summary['losses']}; claim {summary['claim']}; "
+        f"bound {bound:.2f} {summary['bound']}"
     )
-    return row, held == "worse"
 
 
-def compare(parent_dir: Path, workload: str, seed: int, pairs: int, seconds: float, metrics) -> int:
-    """Run the pairs of one workload and print its rows; returns how many things are wrong."""
+def compare(parent_dir: Path, workload: str, seed: int, pairs: int, seconds: float,
+            metrics) -> Tuple[int, List[Dict[str, object]], str]:
+    """Run the pairs of one workload and print its rows.
+
+    Returns how many things are wrong, one summary row per metric, and the
+    crypto backend the runs reported.
+    """
     sides = {"parent": parent_dir, "change": REPO}
     values: Dict[str, Dict[str, List[float]]] = {s: {m["name"]: [] for m in metrics} for s in sides}
     digests: Dict[str, set] = {s: set() for s in sides}
+    backends = set()
     failed = 0
     for pair in range(pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            got, digest, bad = run_once(sides[side], workload, seed, seconds)
+            got, digest, bad, backend = run_once(sides[side], workload, seed, seconds)
             for name in values[side]:
                 values[side][name].append(got[name])
             digests[side].add(digest)
+            backends.add(backend)
             failed += bad
         print(
             f"  pair {pair + 1}/{pairs} ({order[0]} first): pass_s "
@@ -108,22 +138,73 @@ def compare(parent_dir: Path, workload: str, seed: int, pairs: int, seconds: flo
         )
     unstable = [side for side in sides if len(digests[side]) != 1]
     if unstable:
-        verdict = "DIFFER between runs of the " + " and the ".join(unstable)
+        kind = verdict = "DIFFER between runs of the " + " and the ".join(unstable)
     elif digests["parent"] == digests["change"]:
-        verdict = "identical"
+        kind = verdict = "identical"
     else:
+        kind = "one per side"
         verdict = "one per side (the change releases different bytes: {} -> {})".format(
             *(next(iter(digests[side]))[:12] for side in sides))
     print(f"\n{workload} seed {seed}: {pairs} pairs; output digests {verdict}; "
           f"{failed} failed operation(s)")
     problems = failed + len(unstable)
+    rows = []
     for metric in metrics:
-        name = metric["name"]
-        row, worse = judge(name, values["parent"][name], values["change"][name],
-                           metric["bound"], metric["unit"], metric["better"] == "lower")
-        print(row)
-        problems += worse
-    return problems
+        name, bound = metric["name"], metric["bound"]
+        summary = summarize(values["parent"][name], values["change"][name], bound,
+                            metric["better"] == "lower")
+        print(row_text(name, summary, pairs, bound, metric["unit"]))
+        problems += summary["bound"] == "worse"
+        rows.append({
+            "workload": workload, "metric": name, "unit": metric["unit"],
+            "better": metric["better"], "allowed_worsening": bound, **summary,
+            "digests": kind, "failed": failed,
+        })
+    return problems, rows, "/".join(sorted(backends))
+
+
+def _git(cwd: Path, *args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True, check=False)
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def _cpu() -> Tuple[str, int]:
+    """The CPU model and the number of logical cores, from ``/proc/cpuinfo``."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return "unknown", os.cpu_count() or 0
+    keyed = [ln.split(":", 1) for ln in lines if ":" in ln]
+    model = next((v.strip() for k, v in keyed if k.strip() == "model name"), "unknown")
+    return model, sum(k.strip() == "processor" for k, _ in keyed)
+
+
+def provenance(parent: str, parent_dir: Path, seed: int, pairs: int, backend: str) -> Dict[str, object]:
+    """Where a pair run came from: both commits, the box, the backend, seed, pairs and date."""
+    model, cores = _cpu()
+    return {
+        "parent": "checkout" if Path(parent).is_dir() else parent,
+        "parent_commit": _git(parent_dir, "rev-parse", "HEAD") or "unknown",
+        "change_commit": _git(REPO, "rev-parse", "HEAD") or "unknown",
+        "change_dirty": bool(_git(REPO, "status", "--porcelain", "--untracked-files=no")),
+        "cpu_model": model,
+        "cores": cores,
+        "backend": backend,
+        "seed": seed,
+        "pairs": pairs,
+        "date": datetime.datetime.now(datetime.timezone.utc).date().isoformat(),
+    }
+
+
+def read_record(path: Path) -> List[Dict[str, object]]:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+
+
+def append_record(path: Path, rows: List[Dict[str, object]]) -> None:
+    """Append ``rows`` to the trajectory at ``path``, one JSON row a line."""
+    everything = read_record(path) + rows
+    body = ",\n".join(json.dumps(row, sort_keys=True, ensure_ascii=False) for row in everything)
+    path.write_text(f"[\n{body}\n]\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -149,15 +230,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--record", type=Path, metavar="JSON",
+                        help="append one row per workload and metric to this trajectory file")
     args = parser.parse_args(argv)
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
 
+    problems = 0
     with parent_checkout(args.parent) as parent_dir:
-        problems = sum(
-            compare(parent_dir, w, args.seed, args.pairs, seconds, metrics) for w in workloads
-        )
+        for workload in workloads:
+            wrong, rows, backend = compare(parent_dir, workload, args.seed, args.pairs, seconds, metrics)
+            problems += wrong
+            if args.record:
+                source = provenance(args.parent, parent_dir, args.seed, args.pairs, backend)
+                append_record(args.record, [
+                    {**row, "provenance": source} for row in rows
+                ])
     return 1 if problems else 0
 
 
