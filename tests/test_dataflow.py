@@ -26,9 +26,10 @@ from repro.lang.ast import (
     Var,
 )
 from repro.privacy.accountant import PrivacyCost
-from repro.privacy.certify import Sensitivity
+from repro.lang.parser import parse
+from repro.privacy.certify import Sensitivity, certify
 from repro.privacy.sampling import amplified_epsilon
-from repro.queries.catalog import ALL_QUERIES
+from repro.queries.catalog import ALL_QUERIES, PAPER_N
 from repro.verify import (
     INVARIANTS,
     PlanVerificationError,
@@ -147,6 +148,74 @@ class TestCertificateRoundTrip:
         text = cert.format()
         assert "privacy certificate" in text
         assert "total: eps" in text
+
+
+#: Per catalog query at ``PAPER_N`` (default ε): the gate's
+#: ``PrivacyCertificate.digest()`` and ``certify()``'s uses as
+#: (mechanism, l1, linf, ε, δ, k, φ), captured on commit 1c12e05, before
+#: the certifier and the dataflow analyzer became one interpreter.
+_DELTA = 2.0 ** -40
+_K_MEDIANS_USE = ("laplace", 1.0, 1.0, 0.005, _DELTA, 1, None)
+CATALOG_PINS = {
+    "top1": (
+        "5ef63af3249fd34ed23ab893bccc35946fdd953ed41dd49eec42ac48514a76e6",
+        (("em", 2.0, 1.0, 0.1, _DELTA, 1, None),),
+    ),
+    "topK": (
+        "894cc54bbe97ee8b381f83d24727b2b39e2fcd4c5406358af5011e1d06ddc7bb",
+        (("em", 2.0, 1.0, 0.223606797749979, _DELTA, 5, None),),
+    ),
+    "gap": (
+        "28efd8951f507d604c49e2a2a0f97ad53b6fae8b14f67c7ab86790c4cdec6b64",
+        (
+            ("em", 2.0, 1.0, 0.1, _DELTA, 1, None),
+            ("laplace", 3.0, 2.0, 0.15, _DELTA, 1, None),
+        ),
+    ),
+    "auction": (
+        "6d77bd21d4fc1ee4de28a00305386f5ad87324c5eb77d3a11c1ba0ad1a605c4a",
+        (("em", 32768.0, 32768.0, 0.1, _DELTA, 1, None),),
+    ),
+    "hypotest": (
+        "1bb6f1fc7c2295d77f59e756c89f95cb62f9283662b824d9faecb462ab8ed491",
+        (("laplace", 1.0, 1.0, 0.1, _DELTA, 1, None),),
+    ),
+    "secrecy": (
+        "aad61b8347edcc9c0a796d2aacc8939324a8314177fda5febe4471e50d7038cd",
+        (("em", 2.0, 1.0, 0.005244768031214582, _DELTA, 1, 0.05),),
+    ),
+    "median": (
+        "4807954c323f8e6d360cc12f93090f69fb92c355e59a7afb0c4b3bb7af416a22",
+        (("em", 2.0, 2.0, 0.1, _DELTA, 1, None),),
+    ),
+    "cms": (
+        "91ff58686c88b74be36796435f1a2d639d2bc11e75fe1bca770f3dbf1a11a952",
+        (("laplace", 1.0, 1.0, 0.1, _DELTA, 1, None),),
+    ),
+    "bayes": (
+        "c38295bd047ebaa5543bc9235800708235e9c9e085e6b57bf84f46ebbf1e90c8",
+        (("laplace", 1.0, 1.0, 0.1, 1.0459189070388675e-10, 1, None),),
+    ),
+    "k-medians": (
+        "b61467f9dde02d064bff602153deae335c4ac3205307ab6c3ed3a62655f3a74e",
+        (_K_MEDIANS_USE,) * 20,
+    ),
+}
+
+
+def test_catalog_certificates_and_uses_match_the_parent_commit():
+    assert {spec.name for spec in ALL_QUERIES} == set(CATALOG_PINS)
+    for spec in ALL_QUERIES:
+        env = spec.environment(PAPER_N)
+        result = Planner(env).plan_source(spec.source, spec.name)
+        uses = tuple(
+            (u.mechanism, u.sensitivity.l1, u.sensitivity.linf, u.epsilon,
+             u.delta, u.k, u.sample_phi)
+            for u in certify(parse(spec.source), env).mechanisms
+        )
+        assert (result.privacy_certificate.digest(), uses) == CATALOG_PINS[
+            spec.name
+        ], spec.name
 
 
 # ------------------------------------------------- seeded miscalibrations
