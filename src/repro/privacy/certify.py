@@ -1,4 +1,4 @@
-"""Differential-privacy certification (§4.2).
+"""Differential-privacy certification (§4.2): one abstract interpreter.
 
 Before planning, Arboretum attempts to certify that the submitted query is
 differentially private and to determine a sensitivity bound, adopting the
@@ -7,6 +7,22 @@ explicit and implicit flows) plus sensitivity arithmetic, with the DP
 mechanisms (``laplace``, ``em``) acting as the only sanctioned release
 points. ``output`` of a value that is still tainted and has not passed
 through a mechanism is rejected.
+
+:class:`AbstractInterpreter` is the only walk of the query language that
+tracks privacy. It propagates the :mod:`repro.privacy.lattice` domain
+(taint label, sensitivity intervals, sampling fraction) from a *seed*:
+
+* :func:`certify` seeds ``db`` with the row sensitivity and walks the
+  source program; it raises :class:`CertificationError` on the first
+  ERROR finding, or when the program has no ``output``;
+* the plan gate (:mod:`repro.verify.dataflow`) seeds the aggregate from
+  the plan's IR and walks the post-aggregate statements the committees
+  execute, turning each finding into a report entry.
+
+The interpreter never raises on a privacy violation: it records a
+:class:`Finding` under the plan gate's rule id and walks on, so one run
+reports every violation. Its intervals' upper endpoints are what the
+certificate records.
 
 The certificate records the total (ε, δ) cost of the query — which the
 key-generation committee later checks against the privacy budget (§5.2) —
@@ -17,8 +33,8 @@ needs to size the noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..lang.ast import (
     Assign,
@@ -42,11 +58,24 @@ from ..lang.ast import (
 )
 from ..analysis.types import UNROLL_LIMIT, QueryEnvironment, TypeChecker, infer_types
 from .accountant import PrivacyCost
+from .lattice import AbstractValue, Bounds, SensitivityBounds
 from .sampling import amplified_epsilon
 
 #: Finite-precision allowance: cutting noise tails to the representable
 #: range adds a small delta per mechanism invocation (§6).
 FINITE_PRECISION_DELTA = 2.0 ** -40
+
+#: Relative tolerance for comparing derived and recorded (ε, δ, Δ): one
+#: interpreter derives both sides, so this only absorbs serialization
+#: round-trips, never real discrepancies.
+REL_TOL = 1e-9
+
+
+def dominates(recorded: float, derived: float) -> bool:
+    """recorded >= derived, within relative tolerance."""
+    if math.isinf(derived):
+        return math.isinf(recorded)
+    return recorded >= derived - REL_TOL * max(abs(recorded), abs(derived), 1.0)
 
 
 class CertificationError(Exception):
@@ -59,60 +88,6 @@ class Sensitivity:
 
     l1: float
     linf: float
-
-    @classmethod
-    def unbounded(cls) -> "Sensitivity":
-        return cls(math.inf, math.inf)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.l1) and math.isfinite(self.linf)
-
-    def scaled(self, k: float) -> "Sensitivity":
-        k = abs(k)
-        return Sensitivity(self.l1 * k, self.linf * k)
-
-    def __add__(self, other: "Sensitivity") -> "Sensitivity":
-        return Sensitivity(self.l1 + other.l1, self.linf + other.linf)
-
-    def join(self, other: "Sensitivity") -> "Sensitivity":
-        return Sensitivity(max(self.l1, other.l1), max(self.linf, other.linf))
-
-
-@dataclass(frozen=True)
-class Taint:
-    """Privacy label of a value.
-
-    ``sensitive`` marks derivation from db; a sensitive value carries the
-    sensitivity bound and, if it flowed through ``sampleUniform``, the
-    sampling fraction phi (for amplification at the mechanism).
-    ``released`` marks mechanism outputs, which are safe to declassify.
-    """
-
-    sensitive: bool = False
-    released: bool = False
-    sensitivity: Sensitivity = field(default_factory=lambda: Sensitivity(0.0, 0.0))
-    sample_phi: Optional[float] = None
-
-    @classmethod
-    def public(cls) -> "Taint":
-        return cls()
-
-    def join(self, other: "Taint") -> "Taint":
-        phi = None
-        if self.sample_phi is not None or other.sample_phi is not None:
-            phi = max(self.sample_phi or 0.0, other.sample_phi or 0.0) or None
-        sensitive = self.sensitive or other.sensitive
-        # A joined value is released iff every *sensitive* constituent has
-        # been released; public constituents do not revoke release.
-        released = sensitive and all(
-            t.released for t in (self, other) if t.sensitive
-        )
-        return Taint(
-            sensitive=sensitive,
-            released=released,
-            sensitivity=self.sensitivity.join(other.sensitivity),
-            sample_phi=phi,
-        )
 
 
 @dataclass(frozen=True)
@@ -145,93 +120,153 @@ class Certificate:
         return self.cost.delta
 
 
-class Certifier:
-    """Abstract interpreter computing taints and the total privacy cost."""
+@dataclass(frozen=True)
+class Finding:
+    """A violation the interpreter found, under the plan gate's rule id
+    (``df-taint-release``, ``df-noise-scale``, ``df-analysis-incomplete``).
+    A warning fails neither certification nor the gate."""
 
-    def __init__(self, env: QueryEnvironment, checker: TypeChecker):
+    rule: str
+    subject: str
+    message: str
+    node_path: str
+    warning: bool = False
+
+
+@dataclass(frozen=True)
+class DerivedUse:
+    """One mechanism application found by the interpreter."""
+
+    mechanism: str
+    line: int
+    node_path: str
+    sensitivity: SensitivityBounds
+    scale: Optional[Bounds]  # proven laplace scale interval; None for em
+    epsilon: Bounds
+    delta: Bounds
+    k: int = 1
+    sample_phi: Optional[float] = None
+    multiplicity: int = 1
+    label: str = "CLIPPED"  # taint label of the value entering the mechanism
+
+
+def db_sensitivity(env: QueryEnvironment) -> SensitivityBounds:
+    """How far one participant's row can move the aggregate of ``db``, as
+    point bounds: the row promises are ZKP-enforced."""
+    width = env.db_element.interval.width
+    c = env.row_width
+    if env.row_encoding == "one_hot":
+        # One-hot rows (enforced by the input ZKPs) can change the
+        # aggregate by at most 2 in L1 and 1 in L∞.
+        return SensitivityBounds.exact(min(2.0, float(c)), 1.0)
+    l1 = width * c
+    if env.row_l1 is not None:
+        # A ZKP-enforced L1 promise (e.g. sketch rows set exactly k
+        # cells of value 1): a changed row moves the aggregate by at
+        # most 2x the bound in L1 (old row removed, new row added).
+        l1 = min(l1, 2.0 * env.row_l1)
+    return SensitivityBounds.exact(l1, width)
+
+
+class AbstractInterpreter:
+    """One walk of a statement list from a seed environment.
+
+    ``values`` maps each variable to its :class:`AbstractValue`; the walk
+    appends a :class:`DerivedUse` per mechanism application to ``uses``
+    and a :class:`Finding` per violation to ``findings``, and counts the
+    ``output`` calls it evaluates. Top-level statement ``i`` is named
+    ``post[i]`` in node paths.
+    """
+
+    def __init__(
+        self,
+        env: QueryEnvironment,
+        checker: TypeChecker,
+        seed: Dict[str, AbstractValue],
+    ):
         self.env = env
         self.checker = checker
-        self.taints: Dict[str, Taint] = {DB_NAME: Taint(True, False, self._db_sensitivity())}
-        self.mechanisms: List[MechanismUse] = []
+        self.values: Dict[str, AbstractValue] = dict(seed)
+        self.uses: List[DerivedUse] = []
+        self.findings: List[Finding] = []
+        self.outputs = 0
         self._multiplier = 1  # loop multiplicity for widened loops
-        self._outputs = 0
+        self._path = "post"
+        self._path_counts: Dict[str, int] = {}
 
-    def _db_sensitivity(self) -> Sensitivity:
-        elem = self.env.db_element.interval
-        width = elem.width
-        c = self.env.row_width
-        if self.env.row_encoding == "one_hot":
-            # One-hot rows (enforced by the input ZKPs) can change the
-            # aggregate by at most 2 in L1 and 1 in L∞.
-            return Sensitivity(min(2.0, float(c)), 1.0)
-        l1 = width * c
-        if self.env.row_l1 is not None:
-            # A ZKP-enforced L1 promise (e.g. sketch rows set exactly k
-            # cells of value 1): a changed row moves the aggregate by at
-            # most 2x the bound in L1 (old row removed, new row added).
-            l1 = min(l1, 2.0 * self.env.row_l1)
-        return Sensitivity(l1, width)
+    def run(self, statements: List[Stmt]) -> "AbstractInterpreter":
+        for i, stmt in enumerate(statements):
+            self._path = f"post[{i}]"
+            self._statement(stmt)
+        return self
 
-    # -------------------------------------------------------------- program
+    def _find(
+        self, rule: str, line: int, message: str, node_path: str, warning: bool = False
+    ) -> None:
+        self.findings.append(Finding(rule, f"line {line}", message, node_path, warning))
 
-    def certify(self, program: Program) -> Certificate:
-        self._check_block(program.statements)
-        if self._outputs == 0:
-            raise CertificationError("query produces no output")
-        total = PrivacyCost(0.0, 0.0)
-        for use in self.mechanisms:
-            total = total + PrivacyCost(use.epsilon, use.delta)
-        return Certificate(total, list(self.mechanisms), self.checker)
+    def _node_path(self, line: int) -> str:
+        base = f"{self._path}:line {line}"
+        n = self._path_counts.get(base, 0)
+        self._path_counts[base] = n + 1
+        return base if n == 0 else f"{base}#{n}"
 
-    def _check_block(self, statements: List[Stmt]) -> None:
+    # ------------------------------------------------------------ statements
+
+    def _block(self, statements: List[Stmt]) -> None:
         for stmt in statements:
-            self._check_statement(stmt)
+            self._statement(stmt)
 
-    def _check_statement(self, stmt: Stmt) -> None:
+    def _statement(self, stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
-            self.taints[stmt.var] = self._taint(stmt.value)
+            self.values[stmt.var] = self._value(stmt.value)
         elif isinstance(stmt, IndexAssign):
-            incoming = self._taint(stmt.value).join(self._taint(stmt.index))
-            existing = self.taints.get(stmt.var, Taint.public())
-            self.taints[stmt.var] = existing.join(incoming)
+            incoming = self._value(stmt.value).join(self._value(stmt.index))
+            existing = self.values.get(stmt.var, AbstractValue.public())
+            self.values[stmt.var] = existing.join(incoming)
         elif isinstance(stmt, ExprStmt):
-            self._taint(stmt.expr)
+            self._value(stmt.expr)
         elif isinstance(stmt, For):
-            self._check_for(stmt)
+            self._for(stmt)
         elif isinstance(stmt, If):
-            self._check_if(stmt)
+            self._if(stmt)
         else:
-            raise CertificationError(f"unknown statement {type(stmt).__name__}")
+            self._find(
+                "df-analysis-incomplete",
+                getattr(stmt, "line", 0),
+                f"unmodeled statement form {type(stmt).__name__}",
+                self._path,
+            )
 
-    def _check_for(self, stmt: For) -> None:
-        self._taint(stmt.start)
-        self._taint(stmt.end)
-        self.taints[stmt.var] = Taint.public()
+    def _for(self, stmt: For) -> None:
+        self._value(stmt.start)
+        self._value(stmt.end)
+        self.values[stmt.var] = AbstractValue.public()
         trips = self.checker.trip_count(stmt)
         if trips <= UNROLL_LIMIT:
             for _ in range(trips):
-                self._check_block(stmt.body)
+                self._block(stmt.body)
             return
         # Widened loop: one abstract pass, mechanism charges scaled by the
         # trip count (a mechanism inside a 10^6-iteration loop costs 10^6 ε).
         self._multiplier *= trips
         try:
-            self._check_block(stmt.body)
+            self._block(stmt.body)
         finally:
             self._multiplier //= trips
 
-    def _check_if(self, stmt: If) -> None:
-        cond = self._taint(stmt.cond)
-        before = dict(self.taints)
-        self._check_block(stmt.then_body)
-        after_then = self.taints
-        self.taints = dict(before)
-        self._check_block(stmt.else_body)
-        after_else = self.taints
-        merged: Dict[str, Taint] = {}
+    def _if(self, stmt: If) -> None:
+        cond = self._value(stmt.cond)
+        before = dict(self.values)
+        self._block(stmt.then_body)
+        after_then = self.values
+        self.values = dict(before)
+        self._block(stmt.else_body)
+        after_else = self.values
+        merged: Dict[str, AbstractValue] = {}
         for name in set(after_then) | set(after_else):
-            a = after_then.get(name, before.get(name, Taint.public()))
-            b = after_else.get(name, before.get(name, Taint.public()))
+            a = after_then.get(name, before.get(name, AbstractValue.public()))
+            b = after_else.get(name, before.get(name, AbstractValue.public()))
             merged[name] = a.join(b)
         if cond.sensitive and not cond.released:
             # Implicit flow: branching on a secret taints everything either
@@ -243,226 +278,305 @@ class Certifier:
                 if isinstance(s, (Assign, IndexAssign))
             }
             for name in written:
-                merged[name] = Taint(True, False, Sensitivity.unbounded())
-        self.taints = merged
+                merged[name] = AbstractValue(True, False, SensitivityBounds.unbounded())
+        self.values = merged
 
     # ----------------------------------------------------------- expressions
 
-    def _effective(self, taint: Taint) -> Taint:
-        """Released values behave like public data in further computation:
-        arbitrary postprocessing of a DP output stays DP."""
-        if taint.released:
-            return Taint.public()
-        return taint
-
-    def _taint(self, expr: Expr) -> Taint:
+    def _value(self, expr: Expr) -> AbstractValue:
         if isinstance(expr, (IntLit, FloatLit, BoolLit)):
-            return Taint.public()
+            return AbstractValue.public()
         if isinstance(expr, Var):
-            return self.taints.get(expr.name, Taint.public())
+            return self.values.get(expr.name, AbstractValue.public())
         if isinstance(expr, Index):
-            base = self._taint(expr.base)
-            index = self._taint(expr.index)
+            base = self._value(expr.base)
+            index = self._value(expr.index)
             if base.sensitive:
-                elem = Sensitivity(base.sensitivity.linf, base.sensitivity.linf)
-                base = replace(base, sensitivity=elem)
+                linf = base.sensitivity.linf
+                base = base.with_sensitivity(SensitivityBounds(linf, linf))
             return base.join(index)
         if isinstance(expr, UnOp):
-            return self._taint(expr.operand)
+            return self._value(expr.operand)
         if isinstance(expr, BinOp):
-            return self._taint_binop(expr)
+            return self._binop(expr)
         if isinstance(expr, Call):
-            return self._taint_call(expr)
-        raise CertificationError(f"unknown expression {type(expr).__name__}")
+            return self._call(expr)
+        self._find(
+            "df-analysis-incomplete",
+            getattr(expr, "line", 0),
+            f"unmodeled expression form {type(expr).__name__}",
+            self._path,
+        )
+        return AbstractValue(True, False, SensitivityBounds.unbounded())
 
-    def _public_magnitude(self, expr: Expr) -> float:
+    def _magnitude(self, expr: Expr) -> Tuple[float, float]:
+        """(min |x|, max |x|) over the type checker's interval for expr.
+
+        An expression the type checker never saw (one inserted into a plan
+        after certification) has unknown magnitude, which the interval
+        arithmetic turns into an unbounded sensitivity: it fails closed.
+        """
         vt = self.checker.expr_types.get(id(expr))
         if vt is None:
-            return math.inf
-        return vt.interval.magnitude
+            return 0.0, math.inf
+        hi = vt.interval.magnitude
+        lo = 0.0 if vt.interval.contains(0.0) else min(
+            abs(vt.interval.lo), abs(vt.interval.hi)
+        )
+        return lo, hi
 
-    def _taint_binop(self, expr: BinOp) -> Taint:
-        left = self._effective(self._taint(expr.left))
-        right = self._effective(self._taint(expr.right))
+    def _binop(self, expr: BinOp) -> AbstractValue:
+        left = self._value(expr.left).effective()
+        right = self._value(expr.right).effective()
         if not left.sensitive and not right.sensitive:
-            return self._taint(expr.left).join(self._taint(expr.right))
+            return self._value(expr.left).join(self._value(expr.right))
         op = expr.op
         if op in ("+", "-"):
             sens = left.sensitivity + right.sensitivity
-            return replace(left.join(right), sensitive=True, released=False, sensitivity=sens)
-        if op == "*":
+        elif op == "*":
             if left.sensitive and right.sensitive:
-                sens = Sensitivity.unbounded()
+                sens = SensitivityBounds.unbounded()
             elif left.sensitive:
-                sens = left.sensitivity.scaled(self._public_magnitude(expr.right))
+                sens = left.sensitivity.scaled(*self._magnitude(expr.right))
             else:
-                sens = right.sensitivity.scaled(self._public_magnitude(expr.left))
-            return replace(left.join(right), sensitive=True, released=False, sensitivity=sens)
-        if op == "/":
+                sens = right.sensitivity.scaled(*self._magnitude(expr.left))
+        elif op == "/":
             if right.sensitive:
-                sens = Sensitivity.unbounded()
+                sens = SensitivityBounds.unbounded()
             else:
-                magnitude = self._public_magnitude(expr.right)
-                factor = math.inf if magnitude == 0 else 1.0  # conservative
-                vt = self.checker.expr_types.get(id(expr.right))
-                if vt is not None and not vt.interval.contains(0.0):
-                    low = min(abs(vt.interval.lo), abs(vt.interval.hi))
-                    factor = 1.0 / low
-                sens = left.sensitivity.scaled(factor)
-            return replace(left.join(right), sensitive=True, released=False, sensitivity=sens)
-        # Comparisons and logical operators on secrets: 1-bit output, but
-        # sensitivity in the DP sense is unbounded (a single row can flip it).
-        joined = left.join(right)
-        return replace(joined, sensitive=True, released=False, sensitivity=Sensitivity.unbounded())
+                lo_mag, hi_mag = self._magnitude(expr.right)
+                factor_hi = math.inf if hi_mag == 0 else 1.0  # conservative
+                if lo_mag > 0:
+                    factor_hi = 1.0 / lo_mag
+                factor_lo = 1.0 / hi_mag if 0 < hi_mag < math.inf else 0.0
+                sens = left.sensitivity.scaled(min(factor_lo, factor_hi), factor_hi)
+        else:
+            # Comparisons and logical operators on secrets: 1-bit output, but
+            # sensitivity in the DP sense is unbounded (a single row can flip it).
+            sens = SensitivityBounds.unbounded()
+        return replace(left.join(right), sensitive=True, released=False, sensitivity=sens)
 
     # -------------------------------------------------------------- builtins
 
-    def _taint_call(self, expr: Call) -> Taint:
+    def _call(self, expr: Call) -> AbstractValue:
         func = expr.func
         if func == "laplace":
-            return self._mechanism_laplace(expr)
+            return self._laplace(expr)
         if func == "em":
-            return self._mechanism_em(expr)
-        if func == "declassify":
-            arg = self._taint(expr.args[0])
+            return self._em(expr)
+        if func in ("declassify", "output"):
+            arg = self._value(expr.args[0]) if expr.args else AbstractValue.public()
             if arg.sensitive and not arg.released:
-                raise CertificationError(
-                    f"line {expr.line}: declassify of a value that has not "
-                    f"passed through a DP mechanism"
+                self._find(
+                    "df-taint-release",
+                    expr.line,
+                    f"{func}() receives a {arg.label.name} value "
+                    f"(sensitivity {arg.sensitivity}); only NOISED or "
+                    "PUBLIC values may cross a release boundary",
+                    self._node_path(expr.line),
                 )
-            return Taint.public()
-        if func == "output":
-            arg = self._taint(expr.args[0])
-            if arg.sensitive and not arg.released:
-                raise CertificationError(
-                    f"line {expr.line}: output would leak raw participant "
-                    f"data; apply laplace() or em() first"
-                )
-            self._outputs += 1
+            if func == "declassify":
+                return AbstractValue.public()
+            self.outputs += 1
             return arg
         if func == "sampleUniform":
-            base = self._taint(expr.args[0])
+            base = self._value(expr.args[0])
             phi_type = self.checker.expr_types.get(id(expr.args[1]))
             phi = phi_type.interval.hi if phi_type is not None else 1.0
             return replace(base, sample_phi=phi)
         if func == "sum":
-            arg = self._taint(expr.args[0])
+            arg = self._value(expr.args[0])
             if arg.sensitive:
                 # Summing a vector: the change is bounded by the L1 bound.
-                sens = Sensitivity(arg.sensitivity.l1, arg.sensitivity.l1)
+                sens = SensitivityBounds(arg.sensitivity.l1, arg.sensitivity.l1)
                 vt = self.checker.expr_types.get(id(expr.args[0]))
                 if vt is not None and len(vt.shape) == 2:
                     sens = arg.sensitivity  # per-element bound carries over
-                return replace(arg, sensitivity=sens)
+                return arg.with_sensitivity(sens)
             return arg
         if func in ("max", "argmax"):
-            arg = self._taint(expr.args[0])
+            arg = self._value(expr.args[0])
             if arg.sensitive:
-                sens = Sensitivity(arg.sensitivity.linf, arg.sensitivity.linf)
-                return replace(arg, sensitivity=sens)
+                linf = arg.sensitivity.linf
+                return arg.with_sensitivity(SensitivityBounds(linf, linf))
             return arg
         if func == "clip":
-            arg = self._taint(expr.args[0])
+            arg = self._value(expr.args[0])
             if arg.sensitive:
                 lo = self.checker.expr_types.get(id(expr.args[1]))
                 hi = self.checker.expr_types.get(id(expr.args[2]))
                 if lo is not None and hi is not None:
-                    width = hi.interval.hi - lo.interval.lo
-                    sens = Sensitivity(
-                        min(arg.sensitivity.l1, max(width, 0.0)),
-                        min(arg.sensitivity.linf, max(width, 0.0)),
+                    width = max(hi.interval.hi - lo.interval.lo, 0.0)
+                    l1, linf = arg.sensitivity.l1, arg.sensitivity.linf
+                    return arg.with_sensitivity(
+                        SensitivityBounds(
+                            Bounds(min(l1.lo, width), min(l1.hi, width)),
+                            Bounds(min(linf.lo, width), min(linf.hi, width)),
+                        )
                     )
-                    return replace(arg, sensitivity=sens)
             return arg
         if func == "len":
             # Array lengths are public metadata (shapes are static).
             for arg in expr.args:
-                self._taint(arg)
-            return Taint.public()
+                self._value(arg)
+            return AbstractValue.public()
         # Pointwise numeric builtins: nonlinear, so sensitivity is lost but
-        # taint propagates.
-        taint = Taint.public()
+        # taint propagates; |x| is 1-Lipschitz, so abs keeps it.
+        value = AbstractValue.public()
         for arg in expr.args:
-            taint = taint.join(self._taint(arg))
-        if taint.sensitive and func in ("exp", "log", "sqrt", "random"):
-            taint = replace(taint, sensitivity=Sensitivity.unbounded(), released=False)
-        if func == "abs" and taint.sensitive:
-            pass  # |x| is 1-Lipschitz: sensitivity carries over unchanged
-        return taint
+            value = value.join(self._value(arg))
+        if value.sensitive and func in ("exp", "log", "sqrt", "random"):
+            value = replace(value, sensitivity=SensitivityBounds.unbounded(), released=False)
+        return value
 
-    def _mechanism_epsilon(self, base_epsilon: float, phi: Optional[float]) -> float:
-        if phi is None or phi >= 1.0:
-            return base_epsilon
-        return amplified_epsilon(base_epsilon, phi)
+    # ------------------------------------------------------------ mechanisms
 
-    def _mechanism_laplace(self, expr: Call) -> Taint:
-        if len(expr.args) != 2:
-            raise CertificationError(f"line {expr.line}: laplace expects (value, scale)")
-        value = self._taint(expr.args[0])
-        self._taint(expr.args[1])
+    def _amplified(self, per_use: float, phi: Optional[float]) -> float:
+        if phi is None or phi >= 1.0 or per_use <= 0 or math.isinf(per_use):
+            return per_use
+        return amplified_epsilon(per_use, phi)
+
+    def _laplace(self, expr: Call) -> AbstractValue:
+        value = self._value(expr.args[0])
+        if len(expr.args) > 1:
+            self._value(expr.args[1])
         if not value.sensitive:
             return value  # noising public data is a no-op privacy-wise
-        if not math.isfinite(value.sensitivity.l1):
-            raise CertificationError(
-                f"line {expr.line}: laplace applied to a value with unbounded "
-                f"sensitivity; clip() it first"
-            )
-        scale_type = self.checker.expr_types.get(id(expr.args[1]))
+        path = self._node_path(expr.line)
+        scale_type = (
+            self.checker.expr_types.get(id(expr.args[1])) if len(expr.args) > 1 else None
+        )
+        scale: Optional[Bounds] = None
         if scale_type is None or scale_type.interval.lo <= 0:
-            raise CertificationError(f"line {expr.line}: laplace scale must be positive")
-        per_use = value.sensitivity.l1 / scale_type.interval.lo
-        epsilon = self._mechanism_epsilon(per_use, value.sample_phi) * self._multiplier
-        self.mechanisms.append(
-            MechanismUse(
+            self._find(
+                "df-noise-scale",
+                expr.line,
+                "laplace scale has no proven positive lower bound (it is "
+                "not positive, or the type derivation never saw the scale "
+                "expression); the noise cannot be proven sufficient",
+                path,
+            )
+        else:
+            scale = Bounds(scale_type.interval.lo, scale_type.interval.hi)
+        if not math.isfinite(value.sensitivity.l1.hi):
+            self._find(
+                "df-noise-scale",
+                expr.line,
+                f"a value with unbounded L1 sensitivity reaches laplace() "
+                f"({value.label.name}); no finite scale suffices — clip() "
+                "it first, or a rewrite after certification inflated the "
+                "sensitivity",
+                path,
+            )
+        if scale is not None:
+            per_hi = value.sensitivity.l1.hi / scale.lo
+            eps_hi = self._amplified(per_hi, value.sample_phi) * self._multiplier
+            per_lo = value.sensitivity.l1.lo / scale.hi if scale.hi > 0 else 0.0
+            eps_lo = self._amplified(per_lo, value.sample_phi) * self._multiplier
+            epsilon = Bounds(min(eps_lo, eps_hi), eps_hi)
+        else:
+            epsilon = Bounds.unbounded()
+        self.uses.append(
+            DerivedUse(
                 "laplace",
                 expr.line,
+                path,
                 value.sensitivity,
+                scale,
                 epsilon,
-                FINITE_PRECISION_DELTA * self._multiplier,
+                Bounds.exact(FINITE_PRECISION_DELTA * self._multiplier),
                 sample_phi=value.sample_phi,
+                multiplicity=self._multiplier,
+                label=value.label.name,
             )
         )
-        return Taint(sensitive=True, released=True, sensitivity=value.sensitivity)
+        return AbstractValue(sensitive=True, released=True, sensitivity=value.sensitivity)
 
-    def _mechanism_em(self, expr: Call) -> Taint:
-        if len(expr.args) not in (1, 2):
-            raise CertificationError(f"line {expr.line}: em expects (scores[, k])")
-        scores = self._taint(expr.args[0])
-        if scores.sensitive and not math.isfinite(scores.sensitivity.linf):
-            raise CertificationError(
-                f"line {expr.line}: em applied to scores with unbounded "
-                f"sensitivity; clip() them first"
-            )
+    def _em(self, expr: Call) -> AbstractValue:
+        scores = self._value(expr.args[0])
         k = 1
         if len(expr.args) == 2:
             kt = self.checker.expr_types.get(id(expr.args[1]))
-            if kt is None or kt.interval.lo != kt.interval.hi:
-                raise CertificationError(f"line {expr.line}: em's k must be a constant")
-            k = int(kt.interval.hi)
-            self._taint(expr.args[1])
+            k = int(kt.interval.hi) if kt is not None else 1
+            self._value(expr.args[1])
         if not scores.sensitive:
             return scores
+        path = self._node_path(expr.line)
+        if not math.isfinite(scores.sensitivity.linf.hi):
+            self._find(
+                "df-noise-scale",
+                expr.line,
+                f"scores with unbounded L∞ sensitivity reach em() "
+                f"({scores.label.name}); the exponential mechanism's noise "
+                "cannot be proven sufficient — clip() them first",
+                path,
+            )
+        elif not dominates(self.env.sensitivity, scores.sensitivity.linf.hi):
+            # The runtime sizes the EM noise as 2·Δ/ε with Δ taken from the
+            # environment. When Δ sits below the derived L∞ bound the scale
+            # cannot be *proven* sufficient — but the derived bound is an
+            # over-approximation (e.g. unrolled prefix sums), and the repo's
+            # trust model lets the analyst assert a tighter Δ, exactly as
+            # with a manual certificate. Surfaced as a warning to audit;
+            # tampered certificates stay hard errors in the gate's
+            # comparison against the recorded uses.
+            self._find(
+                "df-noise-scale",
+                expr.line,
+                f"the environment sensitivity Δ={self.env.sensitivity:g} "
+                f"that sizes the runtime EM noise is below the derived L∞ "
+                f"bound {scores.sensitivity.linf.hi:g}; the calibration "
+                "rests on the analyst's asserted Δ, not on this analysis",
+                path,
+                warning=True,
+            )
         # One-shot top-k costs sqrt(k)*eps [29]; a single draw costs eps.
         per_use = self.env.epsilon * (math.sqrt(k) if k > 1 else 1.0)
-        epsilon = self._mechanism_epsilon(per_use, scores.sample_phi) * self._multiplier
-        self.mechanisms.append(
-            MechanismUse(
+        eps = self._amplified(per_use, scores.sample_phi) * self._multiplier
+        self.uses.append(
+            DerivedUse(
                 "em",
                 expr.line,
+                path,
                 scores.sensitivity,
-                epsilon,
-                FINITE_PRECISION_DELTA * self._multiplier,
+                None,
+                Bounds.exact(eps),
+                Bounds.exact(FINITE_PRECISION_DELTA * self._multiplier),
                 k=k,
                 sample_phi=scores.sample_phi,
+                multiplicity=self._multiplier,
+                label=scores.label.name,
             )
         )
-        return Taint(sensitive=True, released=True, sensitivity=scores.sensitivity)
+        return AbstractValue(sensitive=True, released=True, sensitivity=scores.sensitivity)
 
 
 def certify(program: Program, env: QueryEnvironment) -> Certificate:
     """Type-check and certify a program; raises on privacy violations."""
     checker = infer_types(program, env)
-    return Certifier(env, checker).certify(program)
+    seed = {DB_NAME: AbstractValue(True, False, db_sensitivity(env))}
+    walk = AbstractInterpreter(env, checker, seed).run(program.statements)
+    for finding in walk.findings:
+        if not finding.warning:
+            raise CertificationError(f"{finding.subject}: {finding.message}")
+    if walk.outputs == 0:
+        raise CertificationError("query produces no output")
+    uses = [
+        MechanismUse(
+            use.mechanism,
+            use.line,
+            Sensitivity(use.sensitivity.l1.hi, use.sensitivity.linf.hi),
+            use.epsilon.hi,
+            use.delta.hi,
+            k=use.k,
+            sample_phi=use.sample_phi,
+        )
+        for use in walk.uses
+    ]
+    total = PrivacyCost(0.0, 0.0)
+    for use in uses:
+        total = total + PrivacyCost(use.epsilon, use.delta)
+    return Certificate(total, uses, checker)
 
 
 def manual_certificate(

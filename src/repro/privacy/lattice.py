@@ -1,28 +1,27 @@
-"""The abstract domain of the privacy dataflow analyzer.
+"""The abstract domain of the privacy interpreter (:mod:`repro.privacy.certify`).
 
 Three lattices, combined into one :class:`AbstractValue` per variable:
 
 * :class:`TaintLabel` — where a value sits on the release ladder
-  ``PUBLIC ⊑ RELEASED ⊑ NOISED ⊑ CLIPPED ⊑ RAW``. Values at or below
-  ``NOISED`` may legally cross a release boundary (``output`` /
-  ``declassify``); anything above is participant data that has not
-  passed through a DP mechanism.
+  ``PUBLIC ⊑ NOISED ⊑ CLIPPED ⊑ RAW``. Values at or below ``NOISED`` may
+  legally cross a release boundary (``output`` / ``declassify``);
+  anything above is participant data that has not passed through a DP
+  mechanism.
 * :class:`Bounds` — a closed interval ``[lo, hi]`` used both for
   sensitivity bounds (how much one row can move a value, in L1/L∞) and
   for privacy-budget accounting. Budget sums use
   :func:`widened_add`, which rounds the endpoints *outward* by one ulp
   per addition, so the accumulated interval provably contains the exact
   real-number sum regardless of float rounding.
-* :class:`SensitivityBounds` — the (L1, L∞) pair of :class:`Bounds`.
-  The ``hi`` endpoints are computed with exactly the float operations
-  (and operation order) of :class:`repro.privacy.certify.Certifier`, so
-  on an untampered plan the derived upper bound is bit-identical to the
-  sensitivity the certifier recorded — any discrepancy is a finding,
-  not rounding noise.
+* :class:`SensitivityBounds` — the (L1, L∞) pair of :class:`Bounds`. The
+  ``hi`` endpoints are the worst case ``certify()`` records; the ``lo``
+  endpoints differ from them only where a public factor's magnitude is
+  itself an interval (a scale or divisor the type checker bounds but
+  does not pin).
 
 The lattice is deliberately small: every join is a few comparisons, so
-analyzing a plan costs microseconds and the planner can afford to run it
-as a post-condition on every search result.
+interpreting a program costs microseconds and the planner can afford to
+re-run it as a post-condition on every search result.
 """
 
 from __future__ import annotations
@@ -37,18 +36,9 @@ class TaintLabel(enum.Enum):
     """Release-ladder label; higher rank = more dangerous to release."""
 
     PUBLIC = 0  # no dependence on participant data
-    RELEASED = 1  # mechanism output that already crossed a release boundary
-    NOISED = 2  # mechanism output, not yet published
-    CLIPPED = 3  # raw data with a finite, proven sensitivity bound
-    RAW = 4  # raw data with unbounded (or unproven) sensitivity
-
-    def join(self, other: "TaintLabel") -> "TaintLabel":
-        return self if self.value >= other.value else other
-
-    @property
-    def releasable(self) -> bool:
-        """May this value cross ``output``/``declassify``?"""
-        return self.value <= TaintLabel.NOISED.value
+    NOISED = 1  # mechanism output: may be released
+    CLIPPED = 2  # raw data with a finite, proven sensitivity bound
+    RAW = 3  # raw data with unbounded (or unproven) sensitivity
 
 
 @dataclass(frozen=True)
@@ -89,10 +79,6 @@ class Bounds:
         """Least upper bound for worst-case quantities: both endpoints max."""
         return Bounds(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def hull(self, other: "Bounds") -> "Bounds":
-        """Convex hull (interval union) — for value ranges, not worst cases."""
-        return Bounds(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def scaled(self, lo_k: float, hi_k: float) -> "Bounds":
         """Scale by a magnitude interval [lo_k, hi_k] with 0 <= lo_k <= hi_k."""
         hi = self.hi * hi_k
@@ -109,7 +95,7 @@ class Bounds:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-# The analyzer constructs these constants in every transfer function;
+# The interpreter constructs these constants in every transfer function;
 # Bounds is frozen, so the instances are safely shared.
 _ZERO_BOUNDS = Bounds(0.0, 0.0)
 _UNBOUNDED_BOUNDS = Bounds(0.0, math.inf)
@@ -175,19 +161,18 @@ _UNBOUNDED_SENS = SensitivityBounds(_UNBOUNDED_BOUNDS, _UNBOUNDED_BOUNDS)
 
 @dataclass(frozen=True)
 class AbstractValue:
-    """The analyzer's knowledge about one value.
+    """The interpreter's knowledge about one value.
 
-    ``sensitive``/``released`` mirror the certifier's taint flags exactly
-    (the label is derived from them), ``sensitivity`` carries the interval
-    bounds, ``clip`` the tightest clip window the value passed through
-    (None if never clipped), and ``sample_phi`` the sampling fraction if
-    the value flowed through ``sampleUniform``.
+    ``sensitive`` marks derivation from ``db``; ``released`` marks
+    mechanism outputs, which are safe to declassify (the label is derived
+    from both). ``sensitivity`` carries the interval bounds and
+    ``sample_phi`` the sampling fraction if the value flowed through
+    ``sampleUniform`` (for amplification at the mechanism).
     """
 
     sensitive: bool = False
     released: bool = False
     sensitivity: SensitivityBounds = field(default_factory=SensitivityBounds.zero)
-    clip: Optional[Bounds] = None
     sample_phi: Optional[float] = None
 
     @classmethod
@@ -205,8 +190,8 @@ class AbstractValue:
         return TaintLabel.RAW
 
     def join(self, other: "AbstractValue") -> "AbstractValue":
-        # Mirrors certify.Taint.join: a joined value is released iff every
-        # *sensitive* constituent has been released.
+        # A joined value is released iff every *sensitive* constituent has
+        # been released; public constituents do not revoke release.
         phi = None
         if self.sample_phi is not None or other.sample_phi is not None:
             phi = max(self.sample_phi or 0.0, other.sample_phi or 0.0) or None
@@ -214,14 +199,10 @@ class AbstractValue:
         released = sensitive and all(
             v.released for v in (self, other) if v.sensitive
         )
-        clip = None
-        if self.clip is not None and other.clip is not None:
-            clip = self.clip.join(other.clip)
         return AbstractValue(
             sensitive=sensitive,
             released=released,
             sensitivity=self.sensitivity.join(other.sensitivity),
-            clip=clip,
             sample_phi=phi,
         )
 

@@ -8,10 +8,10 @@ Three parts (see docs/ARCHITECTURE.md, "Plan verification"):
   soundness, DP soundness, committee feasibility — without executing any
   cryptography.
 * :func:`analyze_planning_result` runs the privacy dataflow analyzer
-  (:mod:`repro.verify.dataflow`) — abstract interpretation over the plan
-  IR with a taint lattice, sensitivity intervals, and interval budget
-  accounting — and distills clean analyses into a machine-checkable
-  :class:`PrivacyCertificate`.
+  (:mod:`repro.verify.dataflow`) — the certifier's abstract interpreter,
+  seeded from the plan IR, with interval budget accounting against the
+  recorded certificate — and distills clean analyses into a
+  machine-checkable :class:`PrivacyCertificate`.
 * :func:`lint_paths` runs the repo-specific ``ast`` linter
   (:mod:`repro.verify.source_lint`) over source trees.
 
@@ -34,7 +34,6 @@ from .invariants import (
     INVARIANTS_BY_RULE,
     Invariant,
 )
-from .lattice import AbstractValue, Bounds, SensitivityBounds, TaintLabel
 from .plan_checker import PlanChecker, verify_plan, verify_planning_result
 from .report import (
     PlanVerificationError,
@@ -81,8 +80,6 @@ def gate(planning) -> PrivacyCertificate:
 
 
 __all__ = [
-    "AbstractValue",
-    "Bounds",
     "DATAFLOW_BY_RULE",
     "DATAFLOW_INVARIANTS",
     "DataflowAnalyzer",
@@ -96,9 +93,7 @@ __all__ = [
     "PlanVerificationError",
     "PrivacyCertificate",
     "Severity",
-    "SensitivityBounds",
     "SourceLinter",
-    "TaintLabel",
     "VerificationReport",
     "Violation",
     "analyze_logical_plan",

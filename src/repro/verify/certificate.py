@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .lattice import Bounds
+from ..privacy.lattice import Bounds
 
 #: Bumped whenever the certificate schema or the analysis semantics
 #: change, so stale serialized certificates fail digest comparison loudly.

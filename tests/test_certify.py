@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.privacy.certify import CertificationError, Sensitivity, certify
+from repro.privacy.certify import CertificationError, certify
 from repro.privacy.sampling import amplified_epsilon
 from repro.lang.parser import parse
 from tests.conftest import small_env
@@ -258,16 +258,3 @@ class TestScaleValidation:
         c = cert("aggr = sum(db); r = em(aggr); output(r);")
         assert 0 < c.delta < 1e-9
 
-
-class TestSensitivityAlgebra:
-    def test_scaled(self):
-        s = Sensitivity(2.0, 1.0).scaled(-3.0)
-        assert s == Sensitivity(6.0, 3.0)
-
-    def test_add_and_join(self):
-        a, b = Sensitivity(1.0, 1.0), Sensitivity(2.0, 0.5)
-        assert (a + b) == Sensitivity(3.0, 1.5)
-        assert a.join(b) == Sensitivity(2.0, 1.0)
-
-    def test_unbounded(self):
-        assert not Sensitivity.unbounded().is_finite()

@@ -117,6 +117,16 @@ class TestBasicInference:
     def test_unknown_function(self):
         with pytest.raises(AnalysisError):
             infer("x = frobnicate(db);")
+        # A mechanism called with the wrong arguments is a type error too:
+        # certification runs after this check and relies on it.
+        for source in (
+            "aggr = sum(db); n = laplace(aggr[0]);",
+            "r = em();",
+            "aggr = sum(db); r = em(aggr, 1, 2);",
+            "aggr = sum(db); r = em(aggr, aggr[0]);",
+        ):
+            with pytest.raises(AnalysisError):
+                infer(source)
 
     def test_indexing_scalar_fails(self):
         with pytest.raises(AnalysisError):
