@@ -349,7 +349,7 @@ class AbstractInterpreter:
                 if lo_mag > 0:
                     factor_hi = 1.0 / lo_mag
                 factor_lo = 1.0 / hi_mag if 0 < hi_mag < math.inf else 0.0
-                sens = left.sensitivity.scaled(min(factor_lo, factor_hi), factor_hi)
+                sens = left.sensitivity.scaled(factor_lo, factor_hi)
         else:
             # Comparisons and logical operators on secrets: 1-bit output, but
             # sensitivity in the DP sense is unbounded (a single row can flip it).
