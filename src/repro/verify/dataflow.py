@@ -177,10 +177,10 @@ class DataflowAnalyzer:
     def _check_ir_consistency(self, phi: Optional[float]) -> None:
         """The mechanism ops the IR realizes must match the derived uses.
 
-        Loop handling differs (the certifier and this pass unroll small
-        loops; the lowering folds them into one op with a multiplied
-        count), so ops and uses are compared at the kind/parameter level,
-        not one-to-one.
+        Loop handling differs (the interpreter unrolls small loops; the
+        lowering folds them into one op with a multiplied count), so ops
+        and uses are compared at the kind/parameter level, not
+        one-to-one.
         """
         derived_kinds = {use.mechanism for use in self.derived}
         ir_kinds = set()
