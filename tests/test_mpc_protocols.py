@@ -5,6 +5,7 @@ import random
 import statistics
 
 import pytest
+from scipy import stats
 
 from repro.mpc.engine import MPCEngine
 from repro.mpc.protocols import (
@@ -69,6 +70,35 @@ class TestDistributedLaplace:
             for _ in range(300)
         ]
         assert abs(statistics.mean(samples)) < 0.4
+
+
+class TestCoalitionResidual:
+    """t colluding members of the Laplace committee learn nothing that
+    narrows the noise: whatever values they fed in the clear, the opened
+    release minus those values is still Laplace(b)."""
+
+    #: A statistic this unlikely under Laplace(b) is a failure.
+    ALPHA = 0.01
+
+    def test_release_minus_the_coalitions_inputs_is_laplace(self, monkeypatch):
+        scale, runs = 1.0, 2000
+        e = MPCEngine(5, threshold=2, rng=random.Random(23))
+        inputs = []
+        spied = MPCEngine.input_values
+
+        def spy(self, values):
+            inputs.extend(values)
+            return spied(self, values)
+
+        monkeypatch.setattr(MPCEngine, "input_values", spy)
+        rng = random.Random(29)
+        residuals = []
+        for _ in range(runs):
+            inputs.clear()
+            release = e.open(shared_laplace_noise(e, scale, rng, e.num_parties))
+            residuals.append(from_fixpoint(release - sum(inputs[: e.threshold])))
+        ks = stats.kstest(residuals, stats.laplace(scale=scale).cdf)
+        assert ks.pvalue > self.ALPHA, f"KS D={ks.statistic:.4f} p={ks.pvalue:.2e}"
 
 
 class TestGumbel:
