@@ -434,9 +434,9 @@ class MPCEngine:
     def noise(self, sample: int) -> SecretValue:
         """Adopt a jointly generated noise sample as a shared value.
 
-        The sample is produced by the committee's noise sub-protocol (see
-        ``mpc.protocols`` for the real distributed-Laplace construction);
-        the dealer shares it so no single party ever sees it.
+        The sample is produced by the committee's joint noise sub-protocol
+        (``mpc.protocols`` draws the Laplace and Gumbel samples); the dealer
+        shares it so no single party ever sees it.
         """
         return SecretValue(self.dealer.noise_share(sample), self._id)
 

@@ -29,7 +29,10 @@ def laplace_sample(scale: float, rng: random.Random) -> float:
     """One Laplace(0, scale) sample via inverse CDF."""
     if scale <= 0:
         raise ValueError("Laplace scale must be positive")
-    u = rng.random() - 0.5
+    u = rng.random()
+    while u <= 0.0:  # u = 0 would take log(0)
+        u = rng.random()
+    u -= 0.5
     return -scale * math.copysign(math.log(1.0 - 2.0 * abs(u)), u)
 
 

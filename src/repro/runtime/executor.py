@@ -1303,13 +1303,8 @@ class QueryExecutor:
         committee = self._allocate("laplace")
         moved = self._vsr_send(ops_committee, [value.value], committee)[0]
         scaled = committee.engine.mul_public(moved, FIXPOINT_SCALE)
-        # The contribution count is pinned to the *planned* committee size,
-        # so churn-trimmed committees draw identical noise.
         noise = shared_laplace_noise(
-            committee.engine,
-            scale,
-            self._fresh(f"noise/laplace{seq}"),
-            contributors=self.committee_size,
+            committee.engine, scale, self._fresh(f"noise/laplace{seq}")
         )
         noised = committee.engine.add(scaled, noise)
         result = committee.engine.open(noised)

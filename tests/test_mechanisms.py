@@ -30,6 +30,21 @@ class TestLaplace:
         assert abs(statistics.mean(samples)) < 0.1
         assert abs(statistics.pvariance(samples) - 8.0) < 0.8
 
+    def test_a_zero_draw_is_redrawn(self):
+        """u = 0 would take log(0); the sampler draws again, as
+        ``gumbel_sample`` does, and uses the next value of the stream."""
+
+        class ZeroFirst(random.Random):
+            zero_pending = True
+
+            def random(self):
+                if self.zero_pending:
+                    self.zero_pending = False
+                    return 0.0
+                return super().random()
+
+        assert laplace_sample(2.0, ZeroFirst(5)) == laplace_sample(2.0, random.Random(5))
+
     def test_mechanism_centers_on_value(self):
         rng = random.Random(2)
         noised = [laplace_mechanism(100.0, 1.0, 1.0, rng) for _ in range(5000)]

@@ -11,7 +11,6 @@ from repro.mpc.engine import MPCEngine
 from repro.mpc.protocols import (
     FIXPOINT_SCALE,
     from_fixpoint,
-    laplace_contributions,
     shared_gumbel_noise,
     shared_laplace_noise,
     to_fixpoint,
@@ -39,37 +38,23 @@ class TestFixpoint:
 
 
 class TestDistributedLaplace:
-    def test_contributions_sum_to_laplace(self):
-        """The gamma-difference decomposition produces Laplace samples:
-        check variance 2b^2 and symmetry over many joint draws."""
-        rng = random.Random(11)
-        scale = 2.0
-        totals = [sum(laplace_contributions(scale, 5, rng)) for _ in range(4000)]
-        assert abs(statistics.mean(totals)) < 0.25
-        assert abs(statistics.pvariance(totals) - 2 * scale * scale) < 1.5
-
-    def test_contribution_count(self):
-        rng = random.Random(1)
-        assert len(laplace_contributions(1.0, 7, rng)) == 7
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            laplace_contributions(1.0, 0, random.Random(1))
-
     def test_shared_noise_stays_secret_until_open(self):
         e = make_engine()
-        noise = shared_laplace_noise(e, 1.0, random.Random(5), e.num_parties)
+        noise = shared_laplace_noise(e, 1.0, random.Random(5))
         value = e.open(noise)  # only the joint opening reveals it
         assert isinstance(value, int)
 
     def test_shared_noise_distribution(self):
+        """Opened samples are Laplace(b): mean 0 and variance 2b^2."""
         e = make_engine()
         rng = random.Random(17)
+        scale = 2.0
         samples = [
-            from_fixpoint(e.open(shared_laplace_noise(e, 1.0, rng, e.num_parties)))
-            for _ in range(300)
+            from_fixpoint(e.open(shared_laplace_noise(e, scale, rng)))
+            for _ in range(4000)
         ]
-        assert abs(statistics.mean(samples)) < 0.4
+        assert abs(statistics.mean(samples)) < 0.25
+        assert abs(statistics.pvariance(samples) - 2 * scale * scale) < 1.5
 
 
 class TestCoalitionResidual:
@@ -95,7 +80,7 @@ class TestCoalitionResidual:
         residuals = []
         for _ in range(runs):
             inputs.clear()
-            release = e.open(shared_laplace_noise(e, scale, rng, e.num_parties))
+            release = e.open(shared_laplace_noise(e, scale, rng))
             residuals.append(from_fixpoint(release - sum(inputs[: e.threshold])))
         ks = stats.kstest(residuals, stats.laplace(scale=scale).cdf)
         assert ks.pvalue > self.ALPHA, f"KS D={ks.statistic:.4f} p={ks.pvalue:.2e}"

@@ -130,12 +130,10 @@ def test_count_mean_agrees_with_the_reference_interpreter(honest):
 
 @pytest.mark.parametrize("factor", [2.0, 0.5], ids=["twice", "half"])
 def test_fails_on_noise_shares_dealt_at_the_wrong_scale(planning, monkeypatch, factor):
-    """Every member's Laplace contribution enters at ``factor`` × its scale."""
-    contributions = protocols.laplace_contributions
+    """The committee's Laplace sample is drawn at ``factor`` × its scale."""
+    sample = protocols.laplace_sample
     monkeypatch.setattr(
-        protocols,
-        "laplace_contributions",
-        lambda scale, count, rng: contributions(factor * scale, count, rng),
+        protocols, "laplace_sample", lambda scale, rng: sample(factor * scale, rng)
     )
     with pytest.raises(AssertionError, match="KS signed D="):
         check_counts(released(planning, MUTANT_SEEDS)[1])
