@@ -19,6 +19,12 @@ medians, both quartile pairs, the wins, and two verdicts:
   run of the parent); ``worse`` when it is worse by more than the bound;
   otherwise ``unresolved`` — never "unchanged" on a spread wider than the bound.
 
+``PARENT=HEAD`` on a clean checkout is the A/A run: both sides are the same
+commit, one from this checkout and one from the temporary worktree, so any
+verdict other than ``bound within`` with no claim met is a location or order
+effect of the two directories, not a change. Run one before judging a
+workload whose pairs read worse on code the change does not touch.
+
 Exit status 1 if the runs of one side print different output digests, an
 operation failed, or a metric is ``worse``. A change that means to alter
 released bytes prints one digest per side; that is reported, not counted.
