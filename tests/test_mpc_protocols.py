@@ -15,7 +15,7 @@ from repro.mpc.protocols import (
     shared_laplace_noise,
     to_fixpoint,
 )
-from repro.privacy.mechanisms import gumbel_sample
+from repro.privacy.mechanisms import gumbel_sample, laplace_sample
 from tests.oracles.comparison_protocols import (
     noisy_argmax,
     noisy_max,
@@ -55,6 +55,21 @@ class TestDistributedLaplace:
         ]
         assert abs(statistics.mean(samples)) < 0.25
         assert abs(statistics.pvariance(samples) - 2 * scale * scale) < 1.5
+
+    def test_one_sample_per_release(self):
+        """A release adopts one sample from its substream; no member inputs
+        a term of it in the clear."""
+        e = make_engine()
+        rng, twin = random.Random(5), random.Random(5)
+        value = e.open(shared_laplace_noise(e, 2.0, rng))
+        assert value == to_fixpoint(laplace_sample(2.0, twin))
+        assert rng.getstate() == twin.getstate()
+        assert e.counters.inputs == 0
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_invalid_scale(self, scale):
+        with pytest.raises(ValueError):
+            shared_laplace_noise(make_engine(), scale, random.Random(1))
 
 
 class TestCoalitionResidual:
