@@ -6,12 +6,16 @@ value range. The ranges drive cryptosystem parameter choices (plaintext
 modulus, fixpoint widths); the basic types decide which operations a
 cryptosystem must support.
 
-Loops are analyzed with linear widening: the body is abstractly interpreted
-once to measure how each interval grows per iteration, the growth is
-extrapolated across the trip count, and the body is re-checked from the
-widened state. Accumulators (``s = s + x``) are handled exactly; faster-
-than-linear growth (``s = s * s``) is rejected with a hint to ``clip``,
-matching the paper's escape hatch.
+:class:`StatementWalk` is the one statement driver of the front end: it
+owns dispatch, the ``if`` join and loop unrolling, and both this type walk
+and the privacy walk (:mod:`repro.privacy.certify`) run on it. The rule on
+which the two differ is the widened loop. Here loops longer than
+``UNROLL_LIMIT`` are analyzed with linear widening: the body is abstractly
+interpreted once to measure how each interval grows per iteration, the
+growth is extrapolated across the trip count, and the body is re-checked
+from the widened state. Accumulators (``s = s + x``) are handled exactly;
+faster-than-linear growth (``s = s * s``) is rejected with a hint to
+``clip``, matching the paper's escape hatch.
 """
 
 from __future__ import annotations
@@ -170,7 +174,63 @@ class QueryEnvironment:
         return bindings
 
 
-class TypeChecker:
+class StatementWalk:
+    """One abstract walk of a statement list; a subclass supplies the domain.
+
+    The walk owns the control rules, so the type walk and the privacy walk
+    (:class:`repro.privacy.certify.AbstractInterpreter`) cannot drift apart
+    on them: statement dispatch; the ``if`` rule, which walks both arms
+    from one copy of ``bindings`` and joins them (a name only one arm
+    defines keeps that arm's value); and the loop rule, under which
+    ``enter_loop`` returns the trip count, loops of at most
+    ``UNROLL_LIMIT`` trips are unrolled and longer ones go to ``widen``.
+    A subclass supplies ``infer``, ``index_assign``, ``enter_loop``,
+    ``widen`` and ``unknown_statement``, and may hook ``enter_if`` (before
+    the arms) and ``leave_if`` (after the join).
+    """
+
+    bindings: Dict[str, object]
+
+    def walk_block(self, statements: List[Stmt]) -> None:
+        for stmt in statements:
+            self.walk_statement(stmt)
+
+    def walk_statement(self, stmt: Stmt) -> None:
+        if isinstance(stmt, Assign):
+            self.bindings[stmt.var] = self.infer(stmt.value)
+        elif isinstance(stmt, IndexAssign):
+            self.index_assign(stmt)
+        elif isinstance(stmt, ExprStmt):
+            self.infer(stmt.expr)
+        elif isinstance(stmt, For):
+            trips = self.enter_loop(stmt)
+            if trips > UNROLL_LIMIT:
+                self.widen(stmt, trips)
+            else:
+                for _ in range(trips):
+                    self.walk_block(stmt.body)
+        elif isinstance(stmt, If):
+            cond = self.infer(stmt.cond)
+            self.enter_if(stmt, cond)
+            before = dict(self.bindings)
+            self.walk_block(stmt.then_body)
+            after_then, self.bindings = self.bindings, before
+            self.walk_block(stmt.else_body)
+            for name, value in after_then.items():
+                other = self.bindings.get(name)
+                self.bindings[name] = value if other is None else value.join(other)
+            self.leave_if(stmt, cond)
+        else:
+            self.unknown_statement(stmt)
+
+    def enter_if(self, stmt: If, cond) -> None:
+        pass
+
+    def leave_if(self, stmt: If, cond) -> None:
+        pass
+
+
+class TypeChecker(StatementWalk):
     """Abstract interpreter computing per-variable and per-expression types."""
 
     def __init__(self, env: QueryEnvironment):
@@ -186,31 +246,12 @@ class TypeChecker:
         self.expr_hulls: Dict[int, Interval] = {}
         self.output_types: List[ValueType] = []
 
-    # -------------------------------------------------------------- program
+    # ------------------------------------------------------------ statements
 
-    def check_program(self, program: Program) -> Dict[str, ValueType]:
-        self.check_block(program.statements)
-        return dict(self.bindings)
+    def unknown_statement(self, stmt: Stmt) -> None:
+        raise AnalysisError(f"unknown statement {type(stmt).__name__}")
 
-    def check_block(self, statements: List[Stmt]) -> None:
-        for stmt in statements:
-            self.check_statement(stmt)
-
-    def check_statement(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            self.bindings[stmt.var] = self.infer(stmt.value)
-        elif isinstance(stmt, IndexAssign):
-            self._check_index_assign(stmt)
-        elif isinstance(stmt, ExprStmt):
-            self.infer(stmt.expr)
-        elif isinstance(stmt, For):
-            self._check_for(stmt)
-        elif isinstance(stmt, If):
-            self._check_if(stmt)
-        else:
-            raise AnalysisError(f"unknown statement {type(stmt).__name__}")
-
-    def _check_index_assign(self, stmt: IndexAssign) -> None:
+    def index_assign(self, stmt: IndexAssign) -> None:
         index_type = self.infer(stmt.index)
         if not index_type.is_scalar:
             raise AnalysisError(f"line {stmt.line}: array index must be scalar")
@@ -232,29 +273,11 @@ class TypeChecker:
             merged = ValueType(value_type.basic, value_type.interval, (length,))
         self.bindings[stmt.var] = merged
 
-    def _check_if(self, stmt: If) -> None:
-        cond = self.infer(stmt.cond)
+    def enter_if(self, stmt: If, cond: ValueType) -> None:
         if cond.basic != "bool":
             raise AnalysisError(f"line {stmt.line}: if-condition must be boolean")
-        before = dict(self.bindings)
-        self.check_block(stmt.then_body)
-        after_then = self.bindings
-        self.bindings = dict(before)
-        self.check_block(stmt.else_body)
-        after_else = self.bindings
-        merged: Dict[str, ValueType] = {}
-        for name in set(after_then) | set(after_else):
-            a = after_then.get(name)
-            b = after_else.get(name)
-            if a is None:
-                merged[name] = b
-            elif b is None:
-                merged[name] = a
-            else:
-                merged[name] = a.join(b)
-        self.bindings = merged
 
-    def _check_for(self, stmt: For) -> None:
+    def enter_loop(self, stmt: For) -> int:
         start = self.infer(stmt.start)
         end = self.infer(stmt.end)
         for bound, what in ((start, "start"), (end, "end")):
@@ -264,16 +287,10 @@ class TypeChecker:
                 )
         lo = int(math.floor(start.interval.lo))
         hi = int(math.ceil(end.interval.hi))
-        trip_count = max(0, hi - lo + 1)
-        loop_var = ValueType("int", Interval(lo, max(lo, hi)))
-        self.bindings[stmt.var] = loop_var
-        if trip_count <= UNROLL_LIMIT:
-            for _ in range(trip_count):
-                self.check_block(stmt.body)
-            return
-        self._widen_loop(stmt, trip_count)
+        self.bindings[stmt.var] = ValueType("int", Interval(lo, max(lo, hi)))
+        return max(0, hi - lo + 1)
 
-    def _widen_loop(self, stmt: For, trip_count: int) -> None:
+    def widen(self, stmt: For, trip_count: int) -> None:
         """Linear widening for long loops; see the module docstring.
 
         Widening runs to a fixpoint over a few rounds, because variables
@@ -284,7 +301,7 @@ class TypeChecker:
         """
         for _round in range(4):
             before = dict(self.bindings)
-            self.check_block(stmt.body)
+            self.walk_block(stmt.body)
             widened: Dict[str, ValueType] = {}
             stable = True
             for name, after in self.bindings.items():
@@ -312,7 +329,7 @@ class TypeChecker:
             # pass must stay within a per-iteration slack proportional to
             # the widened width.
             state = dict(self.bindings)
-            self.check_block(stmt.body)
+            self.walk_block(stmt.body)
             escaped = None
             for name, after in self.bindings.items():
                 prior = state.get(name)
@@ -581,5 +598,5 @@ class TypeChecker:
 def infer_types(program: Program, env: QueryEnvironment) -> TypeChecker:
     """Run inference over a whole program and return the checker with results."""
     checker = TypeChecker(env)
-    checker.check_program(program)
+    checker.walk_block(program.statements)
     return checker

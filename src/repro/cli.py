@@ -539,7 +539,7 @@ def _service_from_workload(workload: dict, args):
     import random as random_module
 
     from .runtime.network import FederatedNetwork
-    from .service import QueryService, ServiceConfig, TenantPolicy
+    from .service import QueryService, TenantPolicy
     from .session import AnalyticsSession
 
     devices = args.devices if args.devices is not None else workload.get("devices", 24)
@@ -571,7 +571,7 @@ def _service_from_workload(workload: dict, args):
     if not tenants:
         print("workload declares no tenants", file=sys.stderr)
         raise SystemExit(2)
-    return QueryService(session, tenants, ServiceConfig()), categories
+    return QueryService(session, tenants), categories
 
 
 def _replay_workload(service, workload: dict, categories: int):

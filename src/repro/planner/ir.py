@@ -278,17 +278,10 @@ class _Lowerer:
 
     def _split_at_aggregate(self) -> Tuple[Optional[str], List[Stmt]]:
         """Find the top-level ``x = sum(db-ish)`` and the statements after it."""
-        sources = {DB_NAME} | self.sampled_names
         for i, stmt in enumerate(self.program.statements):
             if isinstance(stmt, Assign):
                 for call in _calls_in_expr(stmt.value):
-                    if call.func == "sum" and call.args and _expr_uses(
-                        call.args[0], sources
-                    ):
-                        return stmt.var, list(self.program.statements[i + 1 :])
-                    if call.func == "sum" and call.args and isinstance(
-                        call.args[0], Var
-                    ) and call.args[0].name in sources:
+                    if call.func == "sum" and self._is_db_sum(call):
                         return stmt.var, list(self.program.statements[i + 1 :])
         return None, []
 
@@ -403,12 +396,7 @@ class _Lowerer:
         return _expr_uses(expr, self.released)
 
     def _is_db_sum(self, call: Call) -> bool:
-        arg = call.args[0] if call.args else None
-        if arg is None:
-            return False
-        if isinstance(arg, Var):
-            return arg.name == DB_NAME or arg.name in self.sampled_names
-        return _expr_uses(arg, {DB_NAME} | self.sampled_names)
+        return bool(call.args) and _expr_uses(call.args[0], {DB_NAME} | self.sampled_names)
 
     # ------------------------------------------------------------ validation
 

@@ -9,8 +9,12 @@ points. ``output`` of a value that is still tainted and has not passed
 through a mechanism is rejected.
 
 :class:`AbstractInterpreter` is the only walk of the query language that
-tracks privacy. It propagates the :mod:`repro.privacy.lattice` domain
-(taint label, sensitivity intervals, sampling fraction) from a *seed*:
+tracks privacy. It runs on the type walk's statement driver
+(:class:`repro.analysis.types.StatementWalk`) and keeps only its domain:
+the :mod:`repro.privacy.lattice` values (taint label, sensitivity
+intervals, sampling fraction), the implicit-flow taint after an ``if``,
+and its widened-loop rule, one pass of the body with every mechanism
+charge multiplied by the trip count. It walks from a *seed*:
 
 * :func:`certify` seeds ``db`` with the row sensitivity and walks the
   source program; it raises :class:`CertificationError` on the first
@@ -42,7 +46,6 @@ from ..lang.ast import (
     BoolLit,
     Call,
     Expr,
-    ExprStmt,
     FloatLit,
     For,
     If,
@@ -56,7 +59,7 @@ from ..lang.ast import (
     DB_NAME,
     walk_statements,
 )
-from ..analysis.types import UNROLL_LIMIT, QueryEnvironment, TypeChecker, infer_types
+from ..analysis.types import QueryEnvironment, StatementWalk, TypeChecker, infer_types
 from .accountant import PrivacyCost
 from .lattice import AbstractValue, Bounds, SensitivityBounds
 from .sampling import amplified_epsilon
@@ -168,12 +171,14 @@ def db_sensitivity(env: QueryEnvironment) -> SensitivityBounds:
     return SensitivityBounds.exact(l1, width)
 
 
-class AbstractInterpreter:
-    """One walk of a statement list from a seed environment.
+class AbstractInterpreter(StatementWalk):
+    """The privacy walk of a statement list from a seed environment.
 
-    ``values`` maps each variable to its :class:`AbstractValue`; the walk
-    appends a :class:`DerivedUse` per mechanism application to ``uses``
-    and a :class:`Finding` per violation to ``findings``, and counts the
+    It runs on :class:`~repro.analysis.types.StatementWalk`, which owns the
+    control rules; this class owns the domain. ``bindings`` maps each
+    variable to its :class:`AbstractValue`; the walk appends a
+    :class:`DerivedUse` per mechanism application to ``uses`` and a
+    :class:`Finding` per violation to ``findings``, and counts the
     ``output`` calls it evaluates. Top-level statement ``i`` is named
     ``post[i]`` in node paths.
     """
@@ -186,7 +191,7 @@ class AbstractInterpreter:
     ):
         self.env = env
         self.checker = checker
-        self.values: Dict[str, AbstractValue] = dict(seed)
+        self.bindings: Dict[str, AbstractValue] = dict(seed)
         self.uses: List[DerivedUse] = []
         self.findings: List[Finding] = []
         self.outputs = 0
@@ -197,7 +202,7 @@ class AbstractInterpreter:
     def run(self, statements: List[Stmt]) -> "AbstractInterpreter":
         for i, stmt in enumerate(statements):
             self._path = f"post[{i}]"
-            self._statement(stmt)
+            self.walk_statement(stmt)
         return self
 
     def _find(
@@ -213,90 +218,64 @@ class AbstractInterpreter:
 
     # ------------------------------------------------------------ statements
 
-    def _block(self, statements: List[Stmt]) -> None:
-        for stmt in statements:
-            self._statement(stmt)
+    def unknown_statement(self, stmt: Stmt) -> None:
+        self._find(
+            "df-analysis-incomplete",
+            getattr(stmt, "line", 0),
+            f"unmodeled statement form {type(stmt).__name__}",
+            self._path,
+        )
 
-    def _statement(self, stmt: Stmt) -> None:
-        if isinstance(stmt, Assign):
-            self.values[stmt.var] = self._value(stmt.value)
-        elif isinstance(stmt, IndexAssign):
-            incoming = self._value(stmt.value).join(self._value(stmt.index))
-            existing = self.values.get(stmt.var, AbstractValue.public())
-            self.values[stmt.var] = existing.join(incoming)
-        elif isinstance(stmt, ExprStmt):
-            self._value(stmt.expr)
-        elif isinstance(stmt, For):
-            self._for(stmt)
-        elif isinstance(stmt, If):
-            self._if(stmt)
-        else:
-            self._find(
-                "df-analysis-incomplete",
-                getattr(stmt, "line", 0),
-                f"unmodeled statement form {type(stmt).__name__}",
-                self._path,
-            )
+    def index_assign(self, stmt: IndexAssign) -> None:
+        incoming = self.infer(stmt.value).join(self.infer(stmt.index))
+        existing = self.bindings.get(stmt.var, AbstractValue.public())
+        self.bindings[stmt.var] = existing.join(incoming)
 
-    def _for(self, stmt: For) -> None:
-        self._value(stmt.start)
-        self._value(stmt.end)
-        self.values[stmt.var] = AbstractValue.public()
-        trips = self.checker.trip_count(stmt)
-        if trips <= UNROLL_LIMIT:
-            for _ in range(trips):
-                self._block(stmt.body)
-            return
-        # Widened loop: one abstract pass, mechanism charges scaled by the
-        # trip count (a mechanism inside a 10^6-iteration loop costs 10^6 ε).
-        self._multiplier *= trips
-        try:
-            self._block(stmt.body)
-        finally:
-            self._multiplier //= trips
-
-    def _if(self, stmt: If) -> None:
-        cond = self._value(stmt.cond)
-        before = dict(self.values)
-        self._block(stmt.then_body)
-        after_then = self.values
-        self.values = dict(before)
-        self._block(stmt.else_body)
-        after_else = self.values
-        merged: Dict[str, AbstractValue] = {}
-        for name in set(after_then) | set(after_else):
-            a = after_then.get(name, before.get(name, AbstractValue.public()))
-            b = after_else.get(name, before.get(name, AbstractValue.public()))
-            merged[name] = a.join(b)
+    def leave_if(self, stmt: If, cond: AbstractValue) -> None:
         if cond.sensitive and not cond.released:
             # Implicit flow: branching on a secret taints everything either
             # branch writes, with unbounded sensitivity (Fuzzi's conservative
             # rule).
-            written = {
-                s.var
-                for s in walk_statements(stmt.then_body + stmt.else_body)
-                if isinstance(s, (Assign, IndexAssign))
-            }
-            for name in written:
-                merged[name] = AbstractValue(True, False, SensitivityBounds.unbounded())
-        self.values = merged
+            for s in walk_statements(stmt.then_body + stmt.else_body):
+                if isinstance(s, (Assign, IndexAssign)):
+                    self.bindings[s.var] = AbstractValue(
+                        True, False, SensitivityBounds.unbounded()
+                    )
+
+    def enter_loop(self, stmt: For) -> int:
+        self.infer(stmt.start)
+        self.infer(stmt.end)
+        self.bindings[stmt.var] = AbstractValue.public()
+        return self.checker.trip_count(stmt)
+
+    def widen(self, stmt: For, trips: int) -> None:
+        # Widened loop: one abstract pass, mechanism charges scaled by the
+        # trip count (a mechanism inside a 10^6-iteration loop costs 10^6 ε).
+        # One pass misses what a later statement of the body makes secret
+        # or more sensitive for an earlier one (ROADMAP item 19;
+        # tests/test_certify.py::TestWidenedLoops pins it).
+        self._multiplier *= trips
+        try:
+            self.walk_block(stmt.body)
+        finally:
+            self._multiplier //= trips
 
     # ----------------------------------------------------------- expressions
 
-    def _value(self, expr: Expr) -> AbstractValue:
+    def infer(self, expr: Expr) -> AbstractValue:
         if isinstance(expr, (IntLit, FloatLit, BoolLit)):
             return AbstractValue.public()
         if isinstance(expr, Var):
-            return self.values.get(expr.name, AbstractValue.public())
+            return self.bindings.get(expr.name, AbstractValue.public())
         if isinstance(expr, Index):
-            base = self._value(expr.base)
-            index = self._value(expr.index)
+            base = self.infer(expr.base)
+            index = self.infer(expr.index)
             if base.sensitive:
                 linf = base.sensitivity.linf
                 base = base.with_sensitivity(SensitivityBounds(linf, linf))
             return base.join(index)
         if isinstance(expr, UnOp):
-            return self._value(expr.operand)
+            return self.infer(expr.operand)
         if isinstance(expr, BinOp):
             return self._binop(expr)
         if isinstance(expr, Call):
@@ -326,10 +305,10 @@ class AbstractInterpreter:
         return lo, hi
 
     def _binop(self, expr: BinOp) -> AbstractValue:
-        left = self._value(expr.left).effective()
-        right = self._value(expr.right).effective()
+        left = self.infer(expr.left).effective()
+        right = self.infer(expr.right).effective()
         if not left.sensitive and not right.sensitive:
-            return self._value(expr.left).join(self._value(expr.right))
+            return self.infer(expr.left).join(self.infer(expr.right))
         op = expr.op
         if op in ("+", "-"):
             sens = left.sensitivity + right.sensitivity
@@ -365,7 +344,7 @@ class AbstractInterpreter:
         if func == "em":
             return self._em(expr)
         if func in ("declassify", "output"):
-            arg = self._value(expr.args[0]) if expr.args else AbstractValue.public()
+            arg = self.infer(expr.args[0]) if expr.args else AbstractValue.public()
             if arg.sensitive and not arg.released:
                 self._find(
                     "df-taint-release",
@@ -380,12 +359,12 @@ class AbstractInterpreter:
             self.outputs += 1
             return arg
         if func == "sampleUniform":
-            base = self._value(expr.args[0])
+            base = self.infer(expr.args[0])
             phi_type = self.checker.expr_types.get(id(expr.args[1]))
             phi = phi_type.interval.hi if phi_type is not None else 1.0
             return replace(base, sample_phi=phi)
         if func == "sum":
-            arg = self._value(expr.args[0])
+            arg = self.infer(expr.args[0])
             if arg.sensitive:
                 # Summing a vector: the change is bounded by the L1 bound.
                 sens = SensitivityBounds(arg.sensitivity.l1, arg.sensitivity.l1)
@@ -395,13 +374,13 @@ class AbstractInterpreter:
                 return arg.with_sensitivity(sens)
             return arg
         if func in ("max", "argmax"):
-            arg = self._value(expr.args[0])
+            arg = self.infer(expr.args[0])
             if arg.sensitive:
                 linf = arg.sensitivity.linf
                 return arg.with_sensitivity(SensitivityBounds(linf, linf))
             return arg
         if func == "clip":
-            arg = self._value(expr.args[0])
+            arg = self.infer(expr.args[0])
             if arg.sensitive:
                 lo = self.checker.expr_types.get(id(expr.args[1]))
                 hi = self.checker.expr_types.get(id(expr.args[2]))
@@ -418,13 +397,13 @@ class AbstractInterpreter:
         if func == "len":
             # Array lengths are public metadata (shapes are static).
             for arg in expr.args:
-                self._value(arg)
+                self.infer(arg)
             return AbstractValue.public()
         # Pointwise numeric builtins: nonlinear, so sensitivity is lost but
         # taint propagates; |x| is 1-Lipschitz, so abs keeps it.
         value = AbstractValue.public()
         for arg in expr.args:
-            value = value.join(self._value(arg))
+            value = value.join(self.infer(arg))
         if value.sensitive and func in ("exp", "log", "sqrt", "random"):
             value = replace(value, sensitivity=SensitivityBounds.unbounded(), released=False)
         return value
@@ -437,9 +416,9 @@ class AbstractInterpreter:
         return amplified_epsilon(per_use, phi)
 
     def _laplace(self, expr: Call) -> AbstractValue:
-        value = self._value(expr.args[0])
+        value = self.infer(expr.args[0])
         if len(expr.args) > 1:
-            self._value(expr.args[1])
+            self.infer(expr.args[1])
         if not value.sensitive:
             return value  # noising public data is a no-op privacy-wise
         path = self._node_path(expr.line)
@@ -493,12 +472,12 @@ class AbstractInterpreter:
         return AbstractValue(sensitive=True, released=True, sensitivity=value.sensitivity)
 
     def _em(self, expr: Call) -> AbstractValue:
-        scores = self._value(expr.args[0])
+        scores = self.infer(expr.args[0])
         k = 1
         if len(expr.args) == 2:
             kt = self.checker.expr_types.get(id(expr.args[1]))
             k = int(kt.interval.hi) if kt is not None else 1
-            self._value(expr.args[1])
+            self.infer(expr.args[1])
         if not scores.sensitive:
             return scores
         path = self._node_path(expr.line)

@@ -8,16 +8,14 @@ for the design, including the scheduler's starvation-freedom argument.
 
 from .admission import (
     AdmissionController,
-    AdmissionPolicy,
     AdmissionRejected,
     AdmissionScore,
     Submission,
 )
 from .cache import CacheStatistics, PlanCache
-from .scheduler import BudgetScheduler, SchedulerPolicy
+from .scheduler import BudgetScheduler
 from .service import (
     QueryService,
-    ServiceConfig,
     ServiceRecord,
     ServiceStatistics,
     SubmissionTicket,
@@ -26,15 +24,12 @@ from .tenants import TenantAccount, TenantPolicy, TenantRegistry, UnknownTenant
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "AdmissionRejected",
     "AdmissionScore",
     "BudgetScheduler",
     "CacheStatistics",
     "PlanCache",
     "QueryService",
-    "SchedulerPolicy",
-    "ServiceConfig",
     "ServiceRecord",
     "ServiceStatistics",
     "Submission",

@@ -53,6 +53,16 @@ from ..runtime.executor import BudgetExhausted, QueryRejected
 from .tenants import TenantRegistry, UnknownTenant
 
 
+#: The utility hint of a submission that gives none.
+DEFAULT_UTILITY = 0.5
+#: The admission scorer's weights on its three sub-scores.
+WEIGHT_UTILITY = 0.45
+WEIGHT_FRUGALITY = 0.35
+WEIGHT_HEADROOM = 0.20
+#: Largest ε one submission may request (policy rejection above).
+PER_QUERY_EPSILON_CAP = 16.0
+
+
 class AdmissionRejected(QueryRejected):
     """A submission was refused for policy (non-budget) reasons."""
 
@@ -88,7 +98,7 @@ class Submission:
     sensitivity: Optional[float] = None
     row_encoding: str = "one_hot"
     value_range: Optional[Tuple[float, float]] = None
-    utility: float = 0.5
+    utility: float = DEFAULT_UTILITY
     #: Logical-clock deadline (ticks); None = no deadline. The service's
     #: clock advances on every submit and dispatch, so deadlines are
     #: deterministic under replay — no wall-clock reads in scheduling.
@@ -96,17 +106,6 @@ class Submission:
     submit_tick: int = 0
     cost: PrivacyCost = field(default_factory=lambda: PrivacyCost(0.0, 0.0))
     score: Optional[AdmissionScore] = None
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Weights and caps for the admission scorer (policy-controlled)."""
-
-    weight_utility: float = 0.45
-    weight_frugality: float = 0.35
-    weight_headroom: float = 0.20
-    #: Largest ε one submission may request (policy rejection above).
-    per_query_epsilon_cap: float = 16.0
 
 
 def _malformed(submission: Submission) -> Optional[str]:
@@ -136,11 +135,9 @@ class AdmissionController:
         self,
         accountant: PrivacyAccountant,
         tenants: TenantRegistry,
-        policy: Optional[AdmissionPolicy] = None,
     ):
         self.accountant = accountant
         self.tenants = tenants
-        self.policy = policy or AdmissionPolicy()
         self._lock = threading.RLock()
         #: Global budget held for admitted-but-unsettled submissions.
         self._reserved = PrivacyCost(0.0, 0.0)
@@ -161,7 +158,6 @@ class AdmissionController:
         check, the global-pool check, and both reservations are one
         atomic step even when many front-end threads submit at once.
         """
-        policy = self.policy
         if not 0.0 <= submission.utility <= 1.0:
             raise AdmissionRejected(
                 f"submission {submission.name!r}: utility hint "
@@ -179,10 +175,10 @@ class AdmissionController:
         if problem is not None:
             raise AdmissionRejected(f"submission {submission.name!r}: {problem}")
         cost = submission.cost
-        if cost.epsilon > policy.per_query_epsilon_cap:
+        if cost.epsilon > PER_QUERY_EPSILON_CAP:
             raise AdmissionRejected(
                 f"submission {submission.name!r}: ε={cost.epsilon:g} exceeds "
-                f"the per-query cap ε={policy.per_query_epsilon_cap:g}"
+                f"the per-query cap ε={PER_QUERY_EPSILON_CAP:g}"
             )
         with self._lock:
             try:
@@ -215,19 +211,16 @@ class AdmissionController:
             return score
 
     def _score(self, submission: Submission, account) -> AdmissionScore:
-        policy = self.policy
         utility = min(1.0, submission.utility * account.policy.weight)
-        frugality = 1.0 - min(
-            1.0, submission.cost.epsilon / policy.per_query_epsilon_cap
-        )
+        frugality = 1.0 - min(1.0, submission.cost.epsilon / PER_QUERY_EPSILON_CAP)
         envelope = account.policy.epsilon_budget
         headroom = (
             account.headroom().epsilon / envelope if envelope > 0 else 0.0
         )
         priority = (
-            policy.weight_utility * utility
-            + policy.weight_frugality * frugality
-            + policy.weight_headroom * headroom
+            WEIGHT_UTILITY * utility
+            + WEIGHT_FRUGALITY * frugality
+            + WEIGHT_HEADROOM * headroom
         )
         return AdmissionScore(utility, frugality, headroom, priority)
 

@@ -7,16 +7,16 @@ starves: an expensive low-utility query could wait forever behind a
 stream of cheap arrivals. Two mechanisms bound the wait:
 
 **Aging.** The dynamic priority adds an aging term that grows linearly
-with queue ticks waited, up to 1.0 at ``aging_horizon``; a deadline adds
+with queue ticks waited, up to 1.0 at ``AGING_HORIZON``; a deadline adds
 an urgency term that ramps as the deadline approaches. Static priority
 lives in [0, 1], so once a submission has waited long enough its dynamic
 terms dominate any newcomer's static advantage.
 
 **The starvation fence.** Any submission that has waited at least
-``aging_horizon`` ticks is promoted into a FIFO express tier that
+``AGING_HORIZON`` ticks is promoted into a FIFO express tier that
 *always* outranks the scored tier. Hence starvation-freedom is
 unconditional, not just likely: every dispatch advances the clock, so a
-waiting submission reaches the fence after at most ``aging_horizon``
+waiting submission reaches the fence after at most ``AGING_HORIZON``
 ticks and then at most (queue length at promotion) older promotions run
 before it — a finite bound independent of future arrivals.
 
@@ -34,32 +34,23 @@ the accountant.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .admission import Submission
 
 
-@dataclass(frozen=True)
-class SchedulerPolicy:
-    """Weights for the dynamic (queue-time) priority terms."""
-
-    #: Ticks until the aging term saturates and the starvation fence
-    #: promotes the submission to the express tier.
-    aging_horizon: int = 64
-    weight_aging: float = 0.6
-    weight_urgency: float = 0.8
-
-    def __post_init__(self):
-        if self.aging_horizon < 1:
-            raise ValueError("aging_horizon must be >= 1")
+#: Ticks until the aging term saturates and the starvation fence
+#: promotes the submission to the express tier.
+AGING_HORIZON = 64
+#: Weights of the dynamic (queue-time) priority terms.
+WEIGHT_AGING = 0.6
+WEIGHT_URGENCY = 0.8
 
 
 class BudgetScheduler:
     """Priority queue over admitted submissions (logical-clock driven)."""
 
-    def __init__(self, policy: Optional[SchedulerPolicy] = None):
-        self.policy = policy or SchedulerPolicy()
+    def __init__(self):
         self._lock = threading.RLock()
         self._queue: Dict[int, Submission] = {}
 
@@ -75,19 +66,14 @@ class BudgetScheduler:
 
     def dynamic_priority(self, submission: Submission, now_tick: int) -> float:
         """Static admission priority plus aging and deadline urgency."""
-        policy = self.policy
         waited = max(0, now_tick - submission.submit_tick)
-        aging = min(1.0, waited / policy.aging_horizon)
+        aging = min(1.0, waited / AGING_HORIZON)
         urgency = 0.0
         if submission.deadline is not None:
             window = max(1, submission.deadline - submission.submit_tick)
             urgency = min(1.0, waited / window)
         static = submission.score.priority if submission.score else 0.0
-        return (
-            static
-            + policy.weight_aging * aging
-            + policy.weight_urgency * urgency
-        )
+        return static + WEIGHT_AGING * aging + WEIGHT_URGENCY * urgency
 
     # ----------------------------------------------------------- dispatch
 
@@ -112,11 +98,10 @@ class BudgetScheduler:
                 del self._queue[submission.seq]
             if not self._queue:
                 return None, expired
-            fence = self.policy.aging_horizon
             express = sorted(
                 seq
                 for seq, s in self._queue.items()
-                if now_tick - s.submit_tick >= fence
+                if now_tick - s.submit_tick >= AGING_HORIZON
             )
             if express:
                 return self._queue.pop(express[0]), expired

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults import UnrecoverableFault
@@ -47,14 +47,14 @@ from ..runtime.journal import JournalError
 from ..session import AnalyticsSession, BudgetReport, budget_report_for
 from ..verify.report import PlanVerificationError
 from .admission import (
+    DEFAULT_UTILITY,
     AdmissionController,
-    AdmissionPolicy,
     AdmissionRejected,
     AdmissionScore,
     Submission,
 )
 from .cache import PlanCache
-from .scheduler import BudgetScheduler, SchedulerPolicy
+from .scheduler import BudgetScheduler
 from .tenants import TenantPolicy, TenantRegistry
 
 #: How executing a planned query fails short of a bug: a protocol that
@@ -65,16 +65,6 @@ EXECUTION_FAILURES = (
     ExecutionError, UnrecoverableFault, CertificateError, PlanVerificationError,
     InterpreterError, JournalError,
 )
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Policy knobs for one service instance."""
-
-    admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    scheduling: SchedulerPolicy = field(default_factory=SchedulerPolicy)
-    cache_entries: int = 128
-    default_utility: float = 0.5
 
 
 @dataclass
@@ -168,16 +158,12 @@ class QueryService:
         self,
         session: AnalyticsSession,
         tenants: Sequence[TenantPolicy],
-        config: Optional[ServiceConfig] = None,
     ):
         self.session = session
-        self.config = config or ServiceConfig()
         self.tenants = TenantRegistry(list(tenants))
-        self.admission = AdmissionController(
-            session.accountant, self.tenants, self.config.admission
-        )
-        self.scheduler = BudgetScheduler(self.config.scheduling)
-        self.cache = PlanCache(self.config.cache_entries)
+        self.admission = AdmissionController(session.accountant, self.tenants)
+        self.scheduler = BudgetScheduler()
+        self.cache = PlanCache()
         self.statistics = ServiceStatistics()
         self.records: List[ServiceRecord] = []
         self._clock_lock = threading.RLock()
@@ -217,7 +203,7 @@ class QueryService:
         """Admit one query; thread-safe; raises typed errors on refusal.
 
         ``deadline`` is a logical-clock tick (see ``scheduler.py``);
-        ``utility`` defaults to the service's configured hint. The
+        ``utility`` defaults to ``DEFAULT_UTILITY``. The
         returned ticket settles when the dispatcher executes, expires, or
         rejects the submission.
         """
@@ -236,7 +222,7 @@ class QueryService:
             sensitivity=sensitivity,
             row_encoding=row_encoding,
             value_range=value_range,
-            utility=utility if utility is not None else self.config.default_utility,
+            utility=utility if utility is not None else DEFAULT_UTILITY,
             deadline=deadline,
             submit_tick=submit_tick,
             cost=PrivacyCost(requested, 0.0),

@@ -17,11 +17,11 @@ from repro.service import (
     BudgetScheduler,
     PlanCache,
     QueryService,
-    SchedulerPolicy,
     Submission,
     TenantPolicy,
     TenantRegistry,
 )
+from repro.service.scheduler import AGING_HORIZON
 from repro.session import AnalyticsSession
 from repro.verify.invariants import run_budget_once, run_tenant_envelope
 
@@ -269,8 +269,7 @@ class TestScheduler:
         assert picked is a
 
     def test_starvation_fence_promotes_fifo(self):
-        policy = SchedulerPolicy(aging_horizon=4)
-        scheduler = BudgetScheduler(policy)
+        scheduler = BudgetScheduler()
         controller = TestAdmission().make(global_epsilon=50.0, tenant_epsilon=50.0)
         old = _submission(1, "a", 8.0, utility=0.0, tick=1)
         controller.admit(old)
@@ -281,7 +280,7 @@ class TestScheduler:
             controller.admit(fresh)
             scheduler.enqueue(fresh)
         # Past the fence, the old submission wins regardless of score.
-        picked, _ = scheduler.pick(now_tick=1 + policy.aging_horizon)
+        picked, _ = scheduler.pick(now_tick=1 + AGING_HORIZON)
         assert picked is old
 
     def test_expired_deadlines_are_never_dispatched(self):
