@@ -3,11 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.privacy.certify import CertificationError, certify
+from repro.analysis.ranges import Interval
+from repro.analysis.types import ValueType
+from repro.lang.ast import DB_NAME
+from repro.privacy.certify import (
+    AbstractInterpreter,
+    CertificationError,
+    certify,
+    db_sensitivity,
+)
+from repro.privacy.lattice import AbstractValue, Bounds, SensitivityBounds
 from repro.privacy.sampling import amplified_epsilon
 from repro.lang.parser import parse
-from tests.conftest import small_env
+from tests.conftest import FUZZ, small_env
 
 
 def cert(source, env=None):
@@ -258,3 +268,113 @@ class TestScaleValidation:
         c = cert("aggr = sum(db); r = em(aggr); output(r);")
         assert 0 < c.delta < 1e-9
 
+
+#: The body of a loop past the unroll limit is walked once, so a value that
+#: a later statement of the body makes secret (or more sensitive) is still
+#: public (or less sensitive) at the body's earlier statements.
+WIDENED_LOOP_GAP = "fail-open: a widened loop is certified in one pass (ROADMAP item 19)"
+
+
+class TestWidenedLoops:
+    """A loop of C trips certifies as its unrolled form does.
+
+    C = 60 is unrolled and C = 100 widened (``UNROLL_LIMIT`` is 64).
+    """
+
+    @pytest.mark.parametrize(
+        "categories",
+        [
+            60,
+            pytest.param(
+                100,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=pytest.fail.Exception, reason=WIDENED_LOOP_GAP
+                ),
+            ),
+        ],
+    )
+    def test_lagged_raw_count_refused(self, categories):
+        # From the second trip on, y holds the raw count aggr[i - 2].
+        with pytest.raises(CertificationError):
+            cert(
+                """
+                aggr = sum(db); x = 0; y = 0;
+                for i = 0 to len(aggr) - 1 do output(y); y = x; x = aggr[i]; endfor
+                output(laplace(aggr[0], sens / epsilon));
+                """,
+                small_env(num_participants=64, categories=categories),
+            )
+
+    @pytest.mark.parametrize(
+        "categories",
+        [
+            60,
+            pytest.param(
+                100,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=AssertionError, reason=WIDENED_LOOP_GAP
+                ),
+            ),
+        ],
+    )
+    def test_accumulator_charges_every_row(self, categories):
+        # One bounded row in [0, 1]^C can move acc by C.
+        c = cert(
+            """
+            aggr = sum(db); acc = 0;
+            for i = 0 to len(aggr) - 1 do acc = acc + aggr[i]; endfor
+            output(laplace(acc, sens / epsilon));
+            """,
+            small_env(num_participants=64, categories=categories, row_encoding="bounded"),
+        )
+        assert c.epsilon >= categories
+
+
+_bounds = st.tuples(
+    st.floats(0.0, 1e6), st.floats(0.0, 1e6) | st.just(math.inf)
+).map(lambda pair: Bounds(min(pair), max(pair)))
+_abstract_values = st.builds(
+    lambda sensitive, released, l1, linf, phi: AbstractValue(
+        sensitive, sensitive and released, SensitivityBounds(l1, linf), phi
+    ),
+    st.booleans(),
+    st.booleans(),
+    _bounds,
+    _bounds,
+    st.none() | st.floats(1e-6, 1.0),
+)
+
+
+class TestIfJoin:
+    """The statement driver keeps a name only one ``if`` arm defines as that
+    arm left it; the privacy walk used to join it with PUBLIC first."""
+
+    @FUZZ
+    @given(_abstract_values)
+    def test_public_is_the_join_identity(self, value):
+        public = AbstractValue.public()
+        assert public.join(value) == value == value.join(public)
+
+    def test_names_one_arm_defines(self):
+        env = small_env()
+        # Each arm starts from the state before the if: the else arm reads
+        # x = 0, not the then arm's x = aggr[2].
+        program = parse(
+            """
+            aggr = sum(db); x = 0;
+            if epsilon > 0.5 then a = laplace(aggr[0], sens / epsilon); x = aggr[2];
+            else b = aggr[1] * 2 + x; endif
+            output(a);
+            """
+        )
+        c = certify(program, env)
+        assert c.epsilon == pytest.approx(1.0)
+        # Counts are in [0, 48]; the noise adds 64 scales of 1 either side.
+        assert c.checker.bindings["a"] == ValueType("fix", Interval(-64.0, 112.0))
+        assert c.checker.bindings["b"] == ValueType("int", Interval(0.0, 96.0))
+        assert c.checker.bindings["x"] == ValueType("int", Interval(0.0, 48.0))
+        seed = {DB_NAME: AbstractValue(True, False, db_sensitivity(env))}
+        walk = AbstractInterpreter(env, c.checker, seed).run(program.statements)
+        assert walk.bindings["a"] == AbstractValue(True, True, SensitivityBounds.exact(1, 1))
+        assert walk.bindings["b"] == AbstractValue(True, False, SensitivityBounds.exact(2, 2))
+        assert walk.bindings["x"] == AbstractValue(True, False, SensitivityBounds.exact(1, 1))
