@@ -50,7 +50,7 @@ profile:
 	python tools/profile_workload.py $(WORKLOAD) --seed $(or $(SEED),2023) --passes $(or $(PASSES),2) $(if $(CALLERS),--callers $(CALLERS))
 
 # Peak RSS of one sharded top-1 query per population size, each in its own
-# process, with the per-device slope between sizes (ARCHITECTURE §35).
+# process, with the per-device slope between sizes (ARCHITECTURE §5).
 #   make rss [DEVICES="16384 65536 262144"]
 rss:
 	python tools/rss_curve.py $(if $(DEVICES),--devices $(DEVICES))

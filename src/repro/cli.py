@@ -973,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "workload",
-        help="workload JSON (tenants + queries; see docs/ARCHITECTURE.md "
-        "§16) or '-' for stdin",
+        help="workload JSON (tenants + queries; see ARCHITECTURE §12) "
+        "or '-' for stdin",
     )
     serve.add_argument(
         "--devices", type=int, default=None,

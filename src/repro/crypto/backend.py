@@ -7,8 +7,7 @@ exponentiations. This module is the five kernels those paths go through —
 ``batch_invmod`` — and nothing else: key schedules, protocol logic,
 digests, RNG draw schedules and Paillier lane packing all stay in their
 own modules, so a backend can only change *how
-fast* a kernel runs, never *what* it computes (docs/ARCHITECTURE.md §17,
-§27).
+fast* a kernel runs, never *what* it computes (ARCHITECTURE §13).
 
 Two implementations ship:
 
@@ -19,10 +18,10 @@ Two implementations ship:
   bit-identical ciphertexts, shares, commitments and query digests.
   Its one stateful kernel is the long-lived fixed-base batch
   (``powmod_base_vector``): a byte-comb table per declared base, exact
-  for every exponent (docs/ARCHITECTURE.md §20). The per-query pad bases,
+  for every exponent (ARCHITECTURE §13). The per-query pad bases,
   one per prime square of the key, go through ``powmod_base_batch``
   instead, whose window table lives for one call, so neither a per-query
-  key nor its primes enter that cache (§32, §36).
+  key nor its primes enter that cache (ARCHITECTURE §7, §13).
 * :class:`AcceleratedBackend` — gmpy2 for the two kernels that carry the
   hot modexps: ``powmod`` is gmpy2's, and ``powmod_base_batch`` runs the
   pure window table with ``mpz`` numbers; it inherits the other three.
@@ -59,7 +58,7 @@ BACKEND_ENV_VAR = "REPRO_CRYPTO_BACKEND"
 
 #: Digit width of :meth:`PureBackend.powmod_base_batch`. Measured fastest of
 #: 3–6 for the pads' two halves: 24–64 exponents of 96–128 bits at
-#: 192–256-bit moduli (docs/ARCHITECTURE.md §36).
+#: 192–256-bit moduli (commit f7a7e1e; ARCHITECTURE §13).
 _WINDOW = 4
 
 
@@ -195,7 +194,7 @@ class PureBackend:
 
         Its one caller is :func:`repro.crypto.shamir.lagrange_weights`,
         memoised per committee, so a batch is a handful of elements a few
-        times per process (docs/ARCHITECTURE.md §27).
+        times per process (ARCHITECTURE §13).
         """
         return [self.invmod(v % mod, mod) for v in values]
 

@@ -35,6 +35,12 @@ DELTA_WATTS = 1.3
 COMPUTE_DUTY_CYCLE = 0.09
 
 
+def active_mah(seconds: float, volts: float) -> float:
+    """Milliamp-hours drawn by ``seconds`` of computation at ``DELTA_WATTS``
+    above idle, converted at the battery voltage ``volts``."""
+    return DELTA_WATTS / volts * (seconds / 3600.0) * 1000.0
+
+
 @dataclass
 class PowerRow:
     query: str
@@ -62,14 +68,13 @@ def fig11(model: CostModel = None) -> List[PowerRow]:
         # Committee costs are scored at reference-server speed; rescale to
         # the device profile (the ~8x slowdown of §7.5), then keep only the
         # active-compute fraction at the above-idle power draw.
-        device_seconds = worst.seconds * (REFERENCE_SERVER.speed / device.speed)
-        amps = DELTA_WATTS / device.battery_volts
-        mah = amps * (device_seconds * COMPUTE_DUTY_CYCLE / 3600.0) * 1000.0
-        base_seconds = score.participant_base_seconds * (
-            REFERENCE_SERVER.speed / device.speed
-        )
+        slowdown = REFERENCE_SERVER.speed / device.speed
+        device_seconds = worst.seconds * slowdown
+        mah = active_mah(device_seconds * COMPUTE_DUTY_CYCLE, device.battery_volts)
         # Input proving/encryption is compute-bound: full duty cycle.
-        base_mah = amps * (base_seconds / 3600.0) * 1000.0
+        base_mah = active_mah(
+            score.participant_base_seconds * slowdown, device.battery_volts
+        )
         rows.append(
             PowerRow(spec.name, worst.committee_type, device_seconds, mah, base_mah)
         )

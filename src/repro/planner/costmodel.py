@@ -172,23 +172,20 @@ class DeviceProfile:
 
     ``speed`` scales computation times (reference core = 1.0; the paper's
     Raspberry Pi 4 proxy runs the same signature ~8× slower, §7.5).
-    ``active_watts`` feeds the Fig 11 power model.
+    ``battery_volts`` converts watts to amps in the Fig 11 power model
+    (``eval.power``).
     """
 
     name: str
     speed: float
-    active_watts: float
-    battery_mah: float = 0.0
     battery_volts: float = 3.85
 
     def seconds(self, reference_seconds: float) -> float:
         return reference_seconds / self.speed
 
 
-REFERENCE_SERVER = DeviceProfile("poweredge-r430-core", speed=1.0, active_watts=15.0)
-PARTICIPANT_DEVICE = DeviceProfile(
-    "raspberry-pi-4", speed=0.125, active_watts=3.8, battery_mah=1624.0
-)
+REFERENCE_SERVER = DeviceProfile("poweredge-r430-core", speed=1.0)
+PARTICIPANT_DEVICE = DeviceProfile("raspberry-pi-4", speed=0.125)
 
 
 # --------------------------------------------------------------------------
@@ -640,14 +637,3 @@ class CostModel:
         if implied > 0 and not 0.05 < measured / implied < 20.0:
             constants["mpc_triple_seconds"] = measured / constants["mpc_comparison_triples"]
         return cls(constants)
-
-    # ------------------------------------------------------------ energy
-
-    def energy_mah(self, seconds: float, device: DeviceProfile) -> float:
-        """Milliamp-hours drawn by ``seconds`` of active computation.
-
-        Fig 11's methodology: measure active power, subtract idle, convert
-        at the battery voltage.
-        """
-        amps = device.active_watts / device.battery_volts
-        return amps * (seconds / 3600.0) * 1000.0

@@ -52,7 +52,7 @@ cheapest-first by their partial goal value — an admissible lower bound
 on any completion, since costs only grow as ops are added — so the
 incumbent tightens early and more of the
 tree falls to the bound. That shared incumbent *is* the pruning, so the
-search is one walk in the calling process (ARCHITECTURE §26).
+search is one walk in the calling process (ARCHITECTURE §3).
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ def planning_result_to_dict(result: PlanningResult) -> Dict[str, Any]:
             "expansion_cache_misses": stats.expansion_cache_misses,
             "nodes_reordered": stats.nodes_reordered,
             # Output-format residue: the search is one process (ARCHITECTURE
-            # §26); the key leaves when the plan JSON is next versioned.
+            # §3); the key leaves when the plan JSON is next versioned.
             "workers": 1,
         },
     }

@@ -52,21 +52,13 @@ class Upload:
     pad_indices: Sequence[Sequence[int]]
 
     def digest(self) -> bytes:
-        """Digest over (device id, ciphertext vector), cached.
-
-        Uploads are frozen after construction, so the first computation is
-        cached and reused — tree leaves and Merkle commitments digest every
-        upload at least twice. The cache is *not* a trust anchor: the
-        verify path (:func:`repro.runtime.shard.verify_shard`) recomputes
-        every ciphertext digest from the stored columns and never reads
-        this one, so tampering with an upload after its digest was cached
-        is still caught.
+        """Digest over (device id, ciphertext vector), the one
+        :func:`upload_digests` writes for this row. The intake digests its
+        columns through :func:`upload_digests` and never builds an
+        ``Upload``; only tests and the intake oracle call this.
         """
-        cached = getattr(self, "_digest", None)
-        if cached is None:
-            body = paillier.ciphertext_bytes([ct.value for ct in self.ciphertexts])
-            self._digest = cached = upload_digests([self.device_id], [body])[0]
-        return cached
+        body = paillier.ciphertext_bytes([ct.value for ct in self.ciphertexts])
+        return upload_digests([self.device_id], [body])[0]
 
 
 def ciphertext_vector_digest(cts: Sequence[paillier.PaillierCiphertext]) -> bytes:

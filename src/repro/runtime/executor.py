@@ -85,8 +85,8 @@ from ..crypto.sortition import jointly_generate_block
 from ..crypto.vsr import VSRError
 from ..crypto.zkp import Statement, one_hot_statement, range_statement
 
-# bench/ (frozen this PR) resolves ``prove`` in this module's namespace; no
-# code here calls it since the flat intake left (ROADMAP, benchmark-only item).
+# bench/trace.py wraps ``prove`` by name in this module's namespace; nothing
+# here calls it, but the import keeps that declared trace target resolving.
 from ..crypto.zkp import prove  # noqa: F401  verify: allow(no-unused-imports)
 from ..faults import (
     PENDING,
@@ -112,7 +112,7 @@ from ..planner.expand import Choice, fold_scheme_inputs
 from ..planner.search import PlanningResult
 from ..privacy.accountant import PrivacyAccountant, PrivacyCost
 from ..privacy.mechanisms import em_gumbel_scale
-from ..privacy.sampling import BinSamplingPlan
+from ..privacy.sampling import BinSamplingPlan, apply_mask
 from .aggregator import AggregatorTree
 from .packing import SlotPacking, plan_packing
 from .certificate import (
@@ -257,7 +257,7 @@ def pad_pool_size(devices: int, packed_width: int) -> int:
 
     Each pad is ``z^α mod n²`` for a ``2|n| + 40``-bit α, computed as the CRT
     of two half-width fixed-base powers through the key's primes (0.15–0.25×
-    a full ``r^n``, ARCHITECTURE §36), so the pool is never
+    a full ``r^n``, commit f7a7e1e; ARCHITECTURE §7), so the pool is never
     larger than the ciphertexts it will obfuscate: 64 for any run of 64
     ciphertexts or more, fewer for a small one (a 24-device service query
     packing its row into one ciphertext precomputes 24), and never below the
@@ -1137,16 +1137,14 @@ class QueryExecutor:
             # Secrecy of the sample (§6): the committee privately picks the
             # window offset and only the binned window contributes.
             offset = sampling_plan.choose_committee_offset(self._fresh("sampling"))
-            mask = sampling_plan.selection_mask(offset)
             categories = self.env.row_width
-            binned = [
-                counts[b * categories : (b + 1) * categories]
-                for b in range(sampling_plan.num_bins)
-            ]
-            counts = [
-                sum(binned[b][i] for b in range(sampling_plan.num_bins) if mask[b])
-                for i in range(categories)
-            ]
+            counts = apply_mask(
+                [
+                    counts[b * categories : (b + 1) * categories]
+                    for b in range(sampling_plan.num_bins)
+                ],
+                sampling_plan.selection_mask(offset),
+            )
             self._log(
                 f"sampled window of {sampling_plan.window}/{sampling_plan.num_bins} bins"
             )

@@ -9,7 +9,7 @@ The population is its columns: device ``i`` is row ``i - 1`` of the secrets
 (one ``bytes``), the liveness and malice flags (numpy bool arrays) and the
 data (one list). A :class:`Device` is a view of one row, built when asked
 for, so a million devices are a few arrays and not a million objects
-(ARCHITECTURE §35).
+(ARCHITECTURE §5).
 """
 
 from __future__ import annotations

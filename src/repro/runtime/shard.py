@@ -30,13 +30,13 @@ stages remove them:
   ``subset_size x ciphertexts`` pad indices come from one bulk replay of
   the shard stream (:func:`~.bulk_draws.randrange_many`), subset products are formed
   from pair products memoised on the pool, and each distinct witness
-  vector is packed once (ARCHITECTURE.md §19).
+  vector is packed once (ARCHITECTURE §7).
 * **Columns, not objects.** A shard's uploads travel from ``upload`` to
   the tree leaf as a :class:`ShardUploadBatch` of columns — raw
   ciphertext values under one modulus, shared witness rows, the proofs
   as :class:`~repro.crypto.zkp.ProofColumns` — and the leaf sum folds raw
   values; an ``Upload`` exists only when :meth:`ShardUploadBatch.upload`
-  is asked for one (ARCHITECTURE.md §21).
+  is asked for one (ARCHITECTURE §7).
 
 Every stage function here is **pure per shard** — it reads its
 arguments, draws only from the shard's own stream, and returns a value —

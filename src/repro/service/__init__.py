@@ -2,7 +2,7 @@
 
 The serving layer over one deployment — many analysts, one device
 population, one global ε. See ``service.py`` for the submission
-lifecycle (admit → schedule → cache → execute) and ARCHITECTURE.md §16
+lifecycle (admit → schedule → cache → execute) and ARCHITECTURE §12
 for the design, including the scheduler's starvation-freedom argument.
 """
 

@@ -1,6 +1,6 @@
 """Static plan verification and privacy-invariant source lint.
 
-Three parts (see docs/ARCHITECTURE.md, "Plan verification"):
+Three parts (ARCHITECTURE §4):
 
 * :func:`verify_plan` / :func:`verify_planning_result` statically re-check
   a concrete plan against the invariant catalog in

@@ -187,12 +187,6 @@ class TestModel:
         model = CostModel()
         assert model.compute_seconds(Work(fixed_seconds=2.5)) == pytest.approx(2.5)
 
-    def test_energy_model(self):
-        model = CostModel()
-        mah = model.energy_mah(3600.0, PARTICIPANT_DEVICE)
-        # 3.8 W at 3.85 V for one hour ~ 987 mAh.
-        assert mah == pytest.approx(987, rel=0.01)
-
     def test_work_merge(self):
         a = Work(he_additions=2, ring_slots=1024)
         b = Work(he_additions=3, ring_slots=2048)

@@ -34,7 +34,7 @@ class TestBasicPlanning:
         assert stats.runtime_seconds > 0
 
     def test_there_is_no_worker_count(self, env):
-        # One search in one process (ARCHITECTURE §26): the option is gone,
+        # One search in one process (ARCHITECTURE §3): the option is gone,
         # not ignored.
         with pytest.raises(TypeError):
             Planner(env, workers=2)

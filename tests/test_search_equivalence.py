@@ -40,7 +40,7 @@ COUNTERS = (
 
 #: sha256 of the serialized plan and the ``COUNTERS`` values per catalog
 #: query at default settings, captured on commit 036c2c2 (the parent of the
-#: PR that deleted ``Planner(workers=)``; ARCHITECTURE §26).
+#: change that deleted ``Planner(workers=)``; ARCHITECTURE §3).
 PARENT_PINS = {
     "top1": (
         "08eacf0d9d721c3171342a7d091c594fce575c67def52e200c09df762bc1271b",

@@ -251,6 +251,8 @@ class TestShardStages:
 
 
 class TestUploadDigestCache:
+    """No digest is cached: not on an ``Upload``, not in the columns."""
+
     def _upload(self, keypair):
         pk, _ = keypair
         rng = random.Random(4)
@@ -262,11 +264,13 @@ class TestUploadDigestCache:
         proof = prove(one_hot_statement(8), 1, 1, ciphertext_vector_digest(cts))
         return Upload(1, cts, proof, vector, [])
 
-    def test_digest_cached_after_first_call(self, keypair):
+    def test_digest_follows_ciphertexts(self, keypair):
         upload = self._upload(keypair)
         first = upload.digest()
-        assert upload._digest == first
-        assert upload.digest() is first  # reused, not recomputed
+        assert upload.digest() == first
+        # Nothing is cached: a changed ciphertext changes the digest.
+        upload.ciphertexts[0] = paillier.tampered(upload.ciphertexts[0])
+        assert upload.digest() != first
 
     def test_tamper_after_cache_still_caught_by_shard_verify(
         self, keypair, shard_ctx

@@ -5,7 +5,7 @@ that the matching invariant fires with a diagnostic naming the guilty
 op/vignette — the verifier's job is not just "fail" but "say what broke
 and where". Each also pins which ERROR rules the dataflow pass fires on
 the same mutant and that :func:`repro.verify.gate` refuses it with a node
-path: one half of the rule × mutant matrix (ARCHITECTURE §30);
+path: one half of the rule × mutant matrix (ARCHITECTURE §4);
 ``tests/test_dataflow.py`` holds the other.
 """
 
