@@ -39,8 +39,6 @@ Commands
 ``submit``   one-shot service submission: admit, schedule, plan (or hit
              the cache), execute one query as a named tenant and print
              the decision, score decomposition, and budget report.
-``tenants``  replay a workload (deterministic under its seed) and print
-             only the per-tenant accounting table.
 ``backends`` list the pluggable crypto kernel backends (pure oracle vs
              gmpy2 accelerated), which one is active, why it was
              selected, and how to override (``REPRO_CRYPTO_BACKEND``).
@@ -656,8 +654,7 @@ def cmd_serve(args) -> int:
         f"{stats.expired_deadlines} expired"
     )
     print(
-        f"plan cache: {stats.cache_hits} hit(s), {stats.cache_misses} miss(es), "
-        f"{stats.cache_stale_evictions} stale eviction(s); "
+        f"plan cache: {stats.cache_hits} hit(s), {stats.cache_misses} miss(es); "
         f"{stats.planner_invocations} planner search(es)"
     )
     from .crypto.backend import active_backend_name, selection_reason
@@ -725,33 +722,6 @@ def cmd_submit(args) -> int:
             f"{report.remaining_epsilon:g} remaining"
         )
     return 0 if record.outcome == "executed" else 1
-
-
-def cmd_tenants(args) -> int:
-    import json
-
-    workload = _load_workload(args.workload)
-    service, categories = _service_from_workload(workload, args)
-    rejections = _replay_workload(service, workload, categories)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "tenants": service.tenant_report(),
-                    "budget": service.budget_report().as_dict(),
-                },
-                indent=2,
-            )
-        )
-        return 0
-    _print_tenant_table(service.tenant_report())
-    report = service.budget_report()
-    print(
-        f"\nglobal: ε {report.spent_epsilon:g} spent of "
-        f"{report.epsilon_budget:g} "
-        f"({len(rejections)} admission rejection(s))"
-    )
-    return 0
 
 
 def cmd_backends(args) -> int:
@@ -1026,16 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the budget report as JSON",
     )
     submit.set_defaults(func=cmd_submit)
-
-    tenants = sub.add_parser(
-        "tenants",
-        help="replay a workload and print per-tenant budget accounting",
-    )
-    tenants.add_argument("workload", help="workload JSON or '-' for stdin")
-    tenants.add_argument("--devices", type=int, default=None)
-    tenants.add_argument("--seed", type=int, default=None)
-    tenants.add_argument("--json", action="store_true")
-    tenants.set_defaults(func=cmd_tenants)
 
     backends = sub.add_parser(
         "backends",

@@ -130,8 +130,9 @@ def run_checks() -> List[Check]:
     add(
         "Fig 9",
         "simple Laplace queries plan orders of magnitude faster than median",
-        f"cms {fig9['cms'].runtime_seconds * 1000:.1f} ms vs "
-        f"median {fig9['median'].runtime_seconds * 1000:.1f} ms",
+        # The search effort, which is deterministic; the check reads the time.
+        f"cms {fig9['cms'].prefixes_considered:,} prefixes searched vs "
+        f"median {fig9['median'].prefixes_considered:,}",
         fig9["median"].runtime_seconds > 10 * fig9["cms"].runtime_seconds,
     )
 

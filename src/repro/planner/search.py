@@ -122,8 +122,8 @@ class PlanningResult:
     ``privacy_certificate`` is the dataflow analyzer's machine-checkable
     proof summary (:class:`repro.verify.certificate.PrivacyCertificate`)
     and ``verification`` the merged report it was checked under, both set
-    by :func:`repro.verify.gate`; every later gate (plan cache, executor)
-    re-analyzes the plan and compares digests.
+    by :func:`repro.verify.gate`; the executor's gate re-analyzes the plan
+    before every run, a cached one included, and compares digests.
     """
 
     plan: Optional[Plan]

@@ -14,12 +14,12 @@ deployment (:class:`~repro.session.AnalyticsSession`): many analysts
    fence (see ``scheduler.py``); expired deadlines settle without
    charging.
 3. **Cache** — the submission's normalized-IR + environment fingerprint
-   probes the keyed plan cache; a validated hit skips the planner search
-   entirely, a miss plans and populates. Every hit re-derives the
-   privacy certificate and digest-compares before the plan may run.
-4. **Execute** — the plan runs through the session's executor, which
-   debits the global accountant exactly once under the submission's
-   unique charge label (the journal-backed ``charge_once`` path);
+   probes the keyed plan cache; a hit skips the planner search entirely,
+   a miss plans and populates.
+4. **Execute** — the plan runs through the session's executor, whose gate
+   checks it (a cached plan included) before keygen, and which debits the
+   global accountant exactly once under the submission's unique charge
+   label (the journal-backed ``charge_once`` path);
    settlement converts the reservation into tenant spend.
 
 Execution is serialized by the dispatcher — the protocol itself is
@@ -46,6 +46,7 @@ from ..runtime.interp import InterpreterError
 from ..runtime.journal import JournalError
 from ..session import AnalyticsSession, BudgetReport, budget_report_for
 from ..verify.report import PlanVerificationError
+from . import cache  # cache.query_fingerprint: the name bench/trace.py wraps
 from .admission import (
     DEFAULT_UTILITY,
     AdmissionController,
@@ -53,7 +54,6 @@ from .admission import (
     AdmissionScore,
     Submission,
 )
-from .cache import PlanCache
 from .scheduler import BudgetScheduler
 from .tenants import TenantPolicy, TenantRegistry
 
@@ -87,7 +87,6 @@ class ServiceStatistics:
     planner_invocations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_stale_evictions: int = 0
     epsilon_charged: float = 0.0
     dispatch_ticks: int = 0
 
@@ -163,7 +162,7 @@ class QueryService:
         self.tenants = TenantRegistry(list(tenants))
         self.admission = AdmissionController(session.accountant, self.tenants)
         self.scheduler = BudgetScheduler()
-        self.cache = PlanCache()
+        self.cache = cache.PlanCache()
         self.statistics = ServiceStatistics()
         self.records: List[ServiceRecord] = []
         self._clock_lock = threading.RLock()
@@ -315,7 +314,7 @@ class QueryService:
             submission.value_range,
         )
         started = time.perf_counter()
-        key = self.cache.fingerprint(submission.source, env)
+        key = cache.query_fingerprint(submission.source, env)
         planning = self.cache.lookup(key)
         hit = planning is not None
         if planning is None:
@@ -350,9 +349,6 @@ class QueryService:
                 )
                 self.statistics.cache_hits = self.cache.statistics.hits
                 self.statistics.cache_misses = self.cache.statistics.misses
-                self.statistics.cache_stale_evictions = (
-                    self.cache.statistics.stale_evictions
-                )
             except QueryRejected as exc:  # planning-stage policy refusal
                 self.admission.settle_rejected(submission)
                 record.outcome, record.error = "rejected", str(exc)

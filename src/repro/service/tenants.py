@@ -19,7 +19,8 @@ Accounts track three numbers per tenant, all under the registry lock:
     Reservations are what make concurrent admission sound: two
     submissions that each fit alone but not together cannot both pass.
 ``submitted / executed / rejected``
-    Traffic counters surfaced by ``repro tenants``.
+    Traffic counters: the last table ``repro serve`` prints, and the
+    ``tenants`` rows of ``repro serve --json``.
 """
 
 from __future__ import annotations

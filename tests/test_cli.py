@@ -196,6 +196,7 @@ class TestServiceCommands:
         assert "2 executed" in out
         assert "plan cache:" in out
         assert "alice" in out and "bob" in out
+        assert "ε spent" in out
 
     def test_serve_json_report(self, tmp_path, capsys):
         import json
@@ -212,10 +213,9 @@ class TestServiceCommands:
             ["run", "cms", "--devices", "16", "--shard-workers", "2"],
             ["chaos", "--scenario", "none", "--shard-workers", "2"],
             ["serve", "WORKLOAD", "--workers", "2"],
-            ["tenants", "WORKLOAD", "--workers", "2"],
             ["plan", "top1", "--workers", "2"],
         ],
-        ids=["run", "chaos", "serve", "tenants", "plan"],
+        ids=["run", "chaos", "serve", "plan"],
     )
     def test_the_removed_thread_counts_are_unrecognised(self, argv, tmp_path, capsys):
         workload = self.write_workload(tmp_path)
@@ -226,12 +226,6 @@ class TestServiceCommands:
         assert "unrecognized arguments" in capsys.readouterr().err
         # The same command without the flag is a command.
         assert main(argv[:-2]) == 0
-
-    def test_tenants_table(self, tmp_path, capsys):
-        assert main(["tenants", self.write_workload(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tenant" in out and "ε spent" in out
-        assert "global: ε 2 spent of 10" in out
 
     def test_submit_one_query(self, tmp_path, capsys):
         query = tmp_path / "q.arb"

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.lang.ast import Call, ExprStmt, Index, IntLit, Var
 from repro.planner.serialize import query_fingerprint
 from repro.privacy.accountant import PrivacyAccountant, PrivacyCost
 from repro.runtime.executor import BudgetExhausted, QueryRejected
@@ -314,50 +315,10 @@ class TestPlanCache:
         session = make_session()
         env, planning = self.plan(session)
         cache = PlanCache()
-        key = cache.fingerprint(COUNT, env)
-        assert cache.store(key, planning)
+        key = query_fingerprint(COUNT, env)
+        cache.store(key, planning)
         assert cache.lookup(key) is planning
         assert cache.statistics.hits == 1
-        assert cache.statistics.stale_evictions == 0
-
-    def test_tampered_digest_is_evicted_never_returned(self):
-        """Satellite: a stale plan can never bypass the verifier."""
-        session = make_session()
-        env, planning = self.plan(session)
-        cache = PlanCache()
-        key = cache.fingerprint(COUNT, env)
-        cache.store(key, planning)
-        # Corrupt the stored digest — models any insert-time/lookup-time
-        # divergence (tampered entry, analyzer semantics change).
-        cache._entries[key].certificate_digest = "0" * 64
-        assert cache.lookup(key) is None
-        assert cache.statistics.stale_evictions == 1
-        assert len(cache) == 0  # evicted, so the caller re-plans
-
-    def test_tampered_plan_is_evicted_never_returned(self):
-        session = make_session()
-        env, planning = self.plan(session)
-        cache = PlanCache()
-        key = cache.fingerprint(COUNT, env)
-        cache.store(key, planning)
-        # Swap the cached plan's attached certificate for a near-copy:
-        # re-derivation still succeeds but the attached-digest comparison
-        # must fail closed.
-        entry = cache._entries[key]
-        entry.planning.privacy_certificate = dataclasses.replace(
-            entry.planning.privacy_certificate, query_name="tampered"
-        )
-        assert cache.lookup(key) is None
-        assert cache.statistics.stale_evictions == 1
-
-    def test_uncertified_results_are_not_cached(self):
-        session = make_session()
-        env, planning = self.plan(session)
-        planning.privacy_certificate = None
-        cache = PlanCache()
-        key = cache.fingerprint(COUNT, env)
-        assert not cache.store(key, planning)
-        assert cache.lookup(key) is None
 
     def test_lru_capacity_eviction(self):
         session = make_session()
@@ -425,19 +386,78 @@ class TestQueryService:
         assert service.session.accountant.spent.epsilon == pytest.approx(2.0)
         assert not _judge(service)
 
-    def test_stale_cache_entry_replans_and_executes_fresh(self):
+    def _run_poisoned_hit(self, tamper):
+        """Execute one plan, ``tamper`` with the cached copy, then submit the
+        same shape: the hit must settle ``failed`` with nothing charged."""
         service = make_service()
         service.submit("alice", COUNT, categories=8, epsilon=1.0)
-        service.process_next()
-        # Poison the single cached entry, then resubmit the same shape.
-        (key,) = list(service.cache._entries)
-        service.cache._entries[key].certificate_digest = "f" * 64
-        service.submit("bob", COUNT, categories=8, epsilon=1.0)
+        assert service.process_next().outcome == "executed"
+        (planning,) = service.cache._entries.values()
+        tamper(planning)
+        spent = service.session.accountant.spent.epsilon
+        ticket = service.submit("bob", COUNT, categories=8, epsilon=1.0)
         record = service.process_next()
-        assert record.outcome == "executed"
-        assert not record.cache_hit
-        assert service.cache.statistics.stale_evictions == 1
-        assert service.statistics.planner_invocations == 2
+        assert record.cache_hit and record.outcome == "failed" and ticket.done
+        assert record.error.startswith("PlanVerificationError")
+        assert service.session.accountant.spent.epsilon == spent
+        assert service.admission.reserved.epsilon == 0.0
+        assert not _judge(service)
+        return record
+
+    def test_cached_plan_with_a_swapped_certificate_fails_closed(self):
+        def swap(planning):
+            planning.privacy_certificate = dataclasses.replace(
+                planning.privacy_certificate, query_name="tampered"
+            )
+
+        assert "df-certificate-stale" in self._run_poisoned_hit(swap).error
+
+    def test_cached_plan_with_a_raw_release_fails_closed(self):
+        def release_raw(planning):
+            planning.logical_plan.post_statements.append(
+                ExprStmt(Call("output", [Index(Var("aggr"), IntLit(0))]))
+            )
+
+        assert "df-taint-release" in self._run_poisoned_hit(release_raw).error
+
+    def test_a_hit_gates_once_and_a_miss_twice(self):
+        """One call of each name the benchmark traces for ``verify.gate_s``
+        on a hit (the executor's gate), two on a miss (the planner's
+        post-condition, then the executor's gate)."""
+        from bench.trace import TARGETS, Target, Tracer
+
+        service = make_service()
+        service.submit("alice", COUNT, categories=8, epsilon=1.0)
+        service.submit("bob", COUNT, categories=8, epsilon=1.0)
+
+        def dispatch_counting_gate_calls():
+            calls = {}
+
+            def counter(name):
+                def observe(recorder, args, result):
+                    calls[name] = calls.get(name, 0) + 1
+
+                return observe
+
+            tracer = Tracer([
+                Target(None, t.owner, t.attribute, counter(t.attribute))
+                for t in TARGETS if t.span == "verify.gate_s"
+            ])
+            tracer.install()
+            try:
+                record = service.process_next()
+            finally:
+                tracer.remove()
+            assert tracer.missing == []
+            assert record.outcome == "executed"
+            return record.cache_hit, calls
+
+        assert dispatch_counting_gate_calls() == (
+            False, {"verify_planning_result": 2, "analyze_planning_result": 2}
+        )
+        assert dispatch_counting_gate_calls() == (
+            True, {"verify_planning_result": 1, "analyze_planning_result": 1}
+        )
 
     def test_deadline_expiry_releases_hold_without_charging(self):
         service = make_service()

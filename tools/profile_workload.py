@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument("--passes", type=int, default=2)
     parser.add_argument("--interval-ms", type=float, default=2.0)
-    parser.add_argument("--top", type=int, default=25, help="rows per table")
+    parser.add_argument("--top", type=int, default=90, help="rows per table")
     parser.add_argument(
         "--callers",
         metavar="NAME",
