@@ -316,6 +316,8 @@ class QueryService:
         started = time.perf_counter()
         key = cache.query_fingerprint(submission.source, env)
         planning = self.cache.lookup(key)
+        self.statistics.cache_hits = self.cache.statistics.hits
+        self.statistics.cache_misses = self.cache.statistics.misses
         hit = planning is not None
         if planning is None:
             self.statistics.planner_invocations += 1
@@ -347,8 +349,6 @@ class QueryService:
                 planning, record.cache_hit, record.plan_seconds = self._plan(
                     submission
                 )
-                self.statistics.cache_hits = self.cache.statistics.hits
-                self.statistics.cache_misses = self.cache.statistics.misses
             except QueryRejected as exc:  # planning-stage policy refusal
                 self.admission.settle_rejected(submission)
                 record.outcome, record.error = "rejected", str(exc)

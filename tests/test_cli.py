@@ -198,6 +198,19 @@ class TestServiceCommands:
         assert "alice" in out and "bob" in out
         assert "ε spent" in out
 
+    def test_serve_prints_the_tenant_table(self, tmp_path, capsys):
+        assert main(["serve", self.write_workload(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ε charged: 2" in lines
+        header = lines.index(next(line for line in lines if line.startswith("tenant ")))
+        assert lines[header].split() == [
+            "tenant", "ε", "budget", "ε", "spent", "ε", "left", "sub", "run", "rej"
+        ]
+        assert [line.split() for line in lines[header + 1:]] == [
+            ["alice", "6", "1", "5", "1", "1", "0"],
+            ["bob", "4", "1", "3", "1", "1", "0"],
+        ]
+
     def test_serve_json_report(self, tmp_path, capsys):
         import json
 

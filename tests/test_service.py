@@ -420,6 +420,22 @@ class TestQueryService:
 
         assert "df-taint-release" in self._run_poisoned_hit(release_raw).error
 
+    def test_a_cached_plan_without_a_certificate_is_certified_at_the_gate(self):
+        """The cache stores what it is given; the executor's gate attaches
+        the certificate a hit lacks, and the plan runs as it would fresh."""
+        service = make_service()
+        service.submit("alice", COUNT, categories=8, epsilon=1.0)
+        assert service.process_next().outcome == "executed"
+        (planning,) = service.cache._entries.values()
+        digest = planning.privacy_certificate.digest_bytes()
+        planning.privacy_certificate = None
+        service.submit("bob", COUNT, categories=8, epsilon=1.0)
+        record = service.process_next()
+        assert record.cache_hit and record.outcome == "executed"
+        assert planning.privacy_certificate.digest_bytes() == digest
+        assert service.session.accountant.spent.epsilon == pytest.approx(2.0)
+        assert not _judge(service)
+
     def test_a_hit_gates_once_and_a_miss_twice(self):
         """One call of each name the benchmark traces for ``verify.gate_s``
         on a hit (the executor's gate), two on a miss (the planner's
@@ -577,6 +593,17 @@ class TestFailureFamilies:
         assert service.statistics.failed == 1
         assert service.admission.reserved.epsilon == 0.0
         assert not _judge(service)
+
+    def test_a_planner_failure_still_counts_its_cache_miss(self):
+        service = make_service()
+        service.submit("alice", COUNT, categories=8, epsilon=1.0)
+        service.submit("bob", "aggr = sum(db); output(nope(aggr));",
+                       categories=8, epsilon=1.0)
+        assert [r.outcome for r in service.drain()] == ["executed", "failed"]
+        assert service.cache.statistics.misses == 2
+        assert service.statistics.cache_misses == 2
+        assert service.statistics.cache_hits == 0
+        assert service.statistics.planner_invocations == 2
 
     @pytest.mark.parametrize(
         "field, named",
